@@ -7,6 +7,7 @@ Example:
 """
 
 import argparse
+import os
 
 from bornbox.circuits import parse_circuit
 from bornbox.cli import to_json
@@ -25,7 +26,8 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     with open(args.circuit, "r", encoding="utf-8") as fh:
-        circuit = parse_circuit(fh.read())
+        circuit = parse_circuit(
+            fh.read(), base_dir=os.path.dirname(os.path.abspath(args.circuit)))
     res = run_hypothesis_test(circuit, args.bob, args.delta, args.trials,
                               seed=args.seed, rounds=args.rounds,
                               corruption_l1=args.corruption_l1)

@@ -7,6 +7,7 @@ Example:
 """
 
 import argparse
+import os
 
 from bornbox.circuits import parse_circuit
 from bornbox.cli import to_json
@@ -20,7 +21,8 @@ def main() -> None:
                     default=[0.0, 0.05, 0.1, 0.2, 0.5, 1.0])
     args = ap.parse_args()
     with open(args.circuit, "r", encoding="utf-8") as fh:
-        circuit = parse_circuit(fh.read())
+        circuit = parse_circuit(
+            fh.read(), base_dir=os.path.dirname(os.path.abspath(args.circuit)))
     table = [{"eps": eps, "t": t}
              for eps, t in sparsity_profile(circuit, args.eps)]
     print(to_json({"circuit": args.circuit, "table": table}))

@@ -18,9 +18,9 @@ from .samplers import (CdfSamplerConfig, ExactPrefixEstimator,
                        survivor_cap, survivor_distribution)
 from .stabcore import (CliffordTableau, GateApp, PauliOperator, ProductState,
                        clifford_group_order, conjugate_pauli, inverse_tableau,
-                       pauli_product, product_expectation, random_clifford,
-                       symplectic_group_order, synthesize_gates,
-                       tableau_from_gates)
+                       pauli_product, product_expectation, pull_back,
+                       random_clifford, symplectic_group_order,
+                       synthesize_gates, tableau_from_gates)
 from .experiments import (anticoncentration_bound, anticoncentration_report,
                           bob_epsilon_schedule, corrupted_distribution,
                           optimal_single_round_pcorrect, run_hypothesis_test,

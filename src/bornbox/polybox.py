@@ -6,9 +6,10 @@ Pr(|p - p_hat| >= eps) <= delta, at sample cost set by the Hoeffding bound.
 
 Three circuit families get native estimators:
 
-* product-input Clifford circuits: back-propagate a random signed-Z string
-  through the tableau and evaluate it on the product input (single-copy,
-  range [-1, 1]);
+* product-input Clifford circuits: pull each measured signed Z back through
+  the gate list (``stabcore.pull_back``), multiply a random subset of them
+  and evaluate the product on the product input (single-copy, range
+  [-1, 1]);
 * X-programs: a random parity vector r supported on the constrained
   positions selects rows of the program matrix; the draw is +-1 or 0 and its
   expectation is the pattern probability (see ``odd_overlap_rows``);
@@ -34,9 +35,8 @@ import numpy as np
 from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
                        ProdCircuit)
 from .oracle import exact_distribution, exact_probability
-from .stabcore import (PauliOperator, _xz_phase, apply_tableau,
-                       inverse_tableau, pauli_product, product_expectation,
-                       tableau_from_gates)
+from .stabcore import (PauliOperator, _xz_phase, pauli_product,
+                       product_expectation, pull_back)
 
 _CHUNK = 8192
 DEFAULT_COLUMN_LIMIT = 24
@@ -113,8 +113,7 @@ def _conjugated_factors(circuit: ProdCircuit,
     outcome 0/1.  These commute pairwise."""
     if pattern.k != circuit.k:
         raise ValueError("pattern length != circuit measured count")
-    inv = inverse_tableau(tableau_from_gates(circuit.n, circuit.gates))
-    return [apply_tableau(inv, PauliOperator.single_z(
+    return [pull_back(circuit.gates, PauliOperator.single_z(
                 circuit.n, pos, 1 if bit == 0 else -1))
             for pos, bit in pattern.fixed]
 

@@ -7,10 +7,17 @@ The i-factor makes every stored operator Hermitian, so ``sign`` is +1 or -1 and
 the letter on qubit i is I, X, Z or Y for (x_i, z_i) = (0,0), (1,0), (0,1),
 (1,1).  Bit i of the packed integers ``x`` and ``z`` refers to qubit i.
 
+:func:`pull_back` returns ``U^dag P U`` for a gate list U, the direction
+needed to pull a measurement observable back through a circuit onto the
+input state.  It walks the gates in reverse with the per-gate sign rules
+(Heisenberg picture), at O(1) per gate and without building a tableau; the
+product-input estimator uses it.
+
 A :class:`CliffordTableau` stores the images ``U X_i U^dag`` and ``U Z_i U^dag``
 for a Clifford unitary U.  :func:`compose_gate` left-multiplies a named gate
-onto U.  :func:`conjugate_pauli` returns ``U^dag P U``, the direction needed to
-pull a measurement observable back through a circuit onto the input state.
+onto U, and :func:`conjugate_pauli` gives the same ``U^dag P U`` from a
+tableau.  Tableaus serve uniform Clifford draws, gate synthesis and
+cross-checks of the gate-list route.
 
 Uniform tableau sampling follows the Koenig-Smolin indexing of Sp(2n, F2)
 (arXiv:1406.2170): a uniform integer below the group order is decoded into a
@@ -289,6 +296,23 @@ def inverse_tableau(t: CliffordTableau) -> CliffordTableau:
 def conjugate_pauli(t: CliffordTableau, p: PauliOperator) -> PauliOperator:
     """U^dag P U for the tableau of U."""
     return apply_tableau(inverse_tableau(t), p)
+
+
+def pull_back(gates, p: PauliOperator) -> PauliOperator:
+    """U^dag P U for U = g_G ... g_1, without building a tableau.
+
+    Heisenberg picture: P is conjugated by g_G^dag, then g_{G-1}^dag, down to
+    g_1^dag, at O(1) cost per gate.  Every gate but S is self-inverse; for S,
+    S^dag = Z S, so S^dag P S is conjugation by S followed by Z.
+    """
+    x, z, sign = p.x, p.z, p.sign
+    for gate in reversed(gates):
+        if max(gate.qubits) >= p.n:
+            raise ValueError("gate qubit outside operator range")
+        x, z, sign = _gate_conjugate_bits(gate.name, gate.qubits, x, z, sign)
+        if gate.name == "S":
+            x, z, sign = _gate_conjugate_bits("Z", gate.qubits, x, z, sign)
+    return PauliOperator(p.n, x, z, sign)
 
 
 # ---------------------------------------------------------------------------

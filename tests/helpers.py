@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from bornbox.circuits import IqpCircuit, OutcomePattern, ProdCircuit
 from bornbox.stabcore import GATE_ARITY, GateApp, ProductState
@@ -37,6 +38,26 @@ def random_gates(rng: np.random.Generator, n: int, count: int):
             q = rng.choice(n, size=2, replace=False)
             gates.append(GateApp(name, (int(q[0]), int(q[1]))))
     return tuple(gates)
+
+
+MIXED_GATES = tuple(sorted(GATE_ARITY))
+S_HEAVY_GATES = ("S",) * 6 + ("H", "X", "Z", "CNOT", "CZ")
+
+
+@st.composite
+def gate_lists(draw, pool=MIXED_GATES, max_n: int = 6, max_gates: int = 40):
+    """(n, gates): up to max_gates gates drawn from pool on 1..max_n qubits;
+    two-qubit names fall back to S on a single qubit."""
+    n = draw(st.integers(1, max_n))
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        name = draw(st.sampled_from(pool))
+        if GATE_ARITY[name] > n:
+            name = "S"
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=GATE_ARITY[name],
+                               max_size=GATE_ARITY[name], unique=True))
+        gates.append(GateApp(name, tuple(qubits)))
+    return n, tuple(gates)
 
 
 def random_prod_circuit(rng: np.random.Generator, n: int, n_gates: int,

@@ -169,6 +169,24 @@ def test_exit_codes(capsys, ghz_file, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--circuit", "{missing}", "--pattern", "000"],
+    ["estimate", "--circuit", "{ghz}", "--pattern", "0x1"],
+    ["estimate", "--circuit", "{ghz}", "--pattern", "00"],
+    ["estimate", "--circuit", "{ghz}", "--pattern", "000", "--eps", "0"],
+    ["estimate", "--circuit", "{ghz}", "--pattern", "000", "--eps", "-0.1"],
+    ["sample", "--circuit", "{ghz}", "--method", "chain", "--count", "-1"],
+], ids=["missing-file", "malformed-pattern", "pattern-length", "eps-zero",
+        "eps-negative", "negative-count"])
+def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, tmp_path, argv):
+    argv = [a.format(ghz=ghz_file, missing=str(tmp_path / "nope.qc"))
+            for a in argv]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_out_flag(capsys, ghz_file, tmp_path):
     target = tmp_path / "result.json"
     code = run_command(["oracle", "--circuit", ghz_file, "--pattern", "000",

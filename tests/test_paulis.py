@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from bornbox import stabcore as sc
 
+from helpers import MIXED_GATES, S_HEAVY_GATES, gate_lists
+
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -108,6 +110,25 @@ def test_apply_tableau_matches_dense_on_random_circuits():
             assert np.allclose(pauli_dense(fwd), U @ pauli_dense(p) @ U.conj().T)
             bwd = sc.conjugate_pauli(t, p)
             assert np.allclose(pauli_dense(bwd), U.conj().T @ pauli_dense(p) @ U)
+            assert sc.pull_back(gates, p) == bwd
+
+
+@pytest.mark.parametrize("pool", [MIXED_GATES, S_HEAVY_GATES],
+                         ids=["mixed", "s-heavy"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pull_back_matches_tableau_route(pool, data):
+    n, gates = data.draw(gate_lists(pool))
+    p = sc.PauliOperator(n, data.draw(st.integers(0, 2**n - 1)),
+                         data.draw(st.integers(0, 2**n - 1)),
+                         data.draw(st.sampled_from((1, -1))))
+    want = sc.conjugate_pauli(sc.tableau_from_gates(n, gates), p)
+    assert sc.pull_back(gates, p) == want
+
+
+def test_pull_back_rejects_out_of_range_gate():
+    with pytest.raises(ValueError):
+        sc.pull_back([sc.GateApp("H", (2,))], sc.PauliOperator.single_z(2, 0))
 
 
 def test_symplectic_index_is_bijective():

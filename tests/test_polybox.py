@@ -11,15 +11,19 @@ from hypothesis import strategies as st
 from bornbox.circuits import IqpCircuit, OutcomePattern, ProdCircuit, ce_encode
 from bornbox.oracle import exact_distribution, exact_probability
 from bornbox.polybox import (CePolyBox, Estimate, IqpPolyBox, OraclePolyBox,
-                             PolyBoxQuery, ProdPolyBox, _iqp_draw_values,
-                             _prod_draw_values, alpha_weight_enumerator,
+                             PolyBoxQuery, ProdPolyBox, _conjugated_factors,
+                             _iqp_draw_values, _prod_draw_values,
+                             alpha_weight_enumerator,
                              auto_polybox, ce_estimate, evaluate,
                              frequency_polybox, hoeffding_samples,
                              iqp_estimate, odd_overlap_rows, prod_estimate,
                              prod_single_sample)
-from bornbox.stabcore import GateApp, ProductState
+from bornbox.stabcore import (CliffordTableau, GateApp, PauliOperator,
+                              ProductState, conjugate_pauli, tableau_from_gates)
 
-from helpers import ghz_circuit, random_iqp_circuit, random_pattern, random_prod_circuit
+from helpers import (MIXED_GATES, S_HEAVY_GATES, gate_lists, ghz_circuit,
+                     random_gates, random_iqp_circuit, random_pattern,
+                     random_prod_circuit)
 
 
 class FakeRng:
@@ -110,6 +114,40 @@ def test_prod_estimate_coverage_and_thread_invariance():
     assert est8.value == est.value
     est_again = prod_estimate(c, pat, 0.05, 0.01, np.random.default_rng(5))
     assert est_again.value == est.value
+
+
+@pytest.mark.parametrize("pool", [MIXED_GATES, S_HEAVY_GATES],
+                         ids=["mixed", "s-heavy"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_conjugated_factors_match_tableau_route(pool, data):
+    n, gates = data.draw(gate_lists(pool))
+    c = ProdCircuit(n, n, ProductState.zero(n), gates)
+    pat = OutcomePattern(data.draw(st.text(alphabet="01*", min_size=n,
+                                           max_size=n)))
+    t = tableau_from_gates(n, gates)
+    want = [conjugate_pauli(t, PauliOperator.single_z(n, pos, 1 - 2 * bit))
+            for pos, bit in pat.fixed]
+    assert _conjugated_factors(c, pat) == want
+
+
+def test_prod_estimate_never_builds_a_tableau(monkeypatch):
+    """The product-input estimator pulls the Z's back through the gate list;
+    at n=64 with 640 gates the tableau route would cost O(G n^2) Python
+    steps, so any tableau construction fails the test."""
+    def refuse(self):
+        raise AssertionError("tableau built on the polynomial path")
+
+    monkeypatch.setattr(CliffordTableau, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        tableau_from_gates(2, ())
+    rng = np.random.default_rng(64)
+    n = 64
+    c = ProdCircuit(n, n, ProductState.zero(n), random_gates(rng, n, 10 * n))
+    pat = OutcomePattern("01" * 3 + "*" * (n - 6))
+    est = prod_estimate(c, pat, 0.1, 0.05, np.random.default_rng(3))
+    assert est.samples_used == hoeffding_samples(0.1, 0.05)
+    assert -1.0 <= est.value <= 1.0
 
 
 def test_iqp_subset_average_and_enumerator_identity():
