@@ -6,10 +6,18 @@ Example:
 """
 
 import argparse
+import sys
 
-from bornbox.cli import to_json
+from bornbox.cli import run_handler, to_json
 from bornbox.experiments import anticoncentration_report
 from bornbox.stabcore import ProductState
+
+
+def lines(args) -> list[str]:
+    return [to_json(anticoncentration_report(
+                n, args.trials, args.alphas, ProductState.zero(n), args.seed,
+                args.threads).report_dict(seed=args.seed))
+            for n in args.n]
 
 
 def main() -> None:
@@ -20,12 +28,7 @@ def main() -> None:
                     default=[0.25, 0.5, 0.75])
     ap.add_argument("--seed", type=int, default=17)
     ap.add_argument("--threads", type=int, default=1)
-    args = ap.parse_args()
-    for n in args.n:
-        rep = anticoncentration_report(n, args.trials, args.alphas,
-                                       ProductState.zero(n), args.seed,
-                                       args.threads)
-        print(to_json(rep.report_dict(seed=args.seed)))
+    sys.exit(run_handler(lines, ap.parse_args()))
 
 
 if __name__ == "__main__":

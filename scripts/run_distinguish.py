@@ -8,10 +8,21 @@ Example:
 
 import argparse
 import os
+import sys
 
 from bornbox.circuits import parse_circuit
-from bornbox.cli import to_json
+from bornbox.cli import run_handler, to_json
 from bornbox.experiments import run_hypothesis_test
+
+
+def lines(args) -> list[str]:
+    with open(args.circuit, "r", encoding="utf-8") as fh:
+        circuit = parse_circuit(
+            fh.read(), base_dir=os.path.dirname(os.path.abspath(args.circuit)))
+    res = run_hypothesis_test(circuit, args.bob, args.delta, args.trials,
+                              seed=args.seed, rounds=args.rounds,
+                              corruption_l1=args.corruption_l1)
+    return [to_json(res.report_dict(seed=args.seed))]
 
 
 def main() -> None:
@@ -24,14 +35,7 @@ def main() -> None:
     ap.add_argument("--rounds", type=int, default=1)
     ap.add_argument("--corruption-l1", type=float, default=0.4)
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-    with open(args.circuit, "r", encoding="utf-8") as fh:
-        circuit = parse_circuit(
-            fh.read(), base_dir=os.path.dirname(os.path.abspath(args.circuit)))
-    res = run_hypothesis_test(circuit, args.bob, args.delta, args.trials,
-                              seed=args.seed, rounds=args.rounds,
-                              corruption_l1=args.corruption_l1)
-    print(to_json(res.report_dict(seed=args.seed)))
+    sys.exit(run_handler(lines, ap.parse_args()))
 
 
 if __name__ == "__main__":

@@ -8,10 +8,20 @@ Example:
 
 import argparse
 import os
+import sys
 
 from bornbox.circuits import parse_circuit
-from bornbox.cli import to_json
+from bornbox.cli import run_handler, to_json
 from bornbox.experiments import sparsity_profile
+
+
+def lines(args) -> list[str]:
+    with open(args.circuit, "r", encoding="utf-8") as fh:
+        circuit = parse_circuit(
+            fh.read(), base_dir=os.path.dirname(os.path.abspath(args.circuit)))
+    table = [{"eps": eps, "t": t}
+             for eps, t in sparsity_profile(circuit, args.eps)]
+    return [to_json({"circuit": args.circuit, "table": table})]
 
 
 def main() -> None:
@@ -19,13 +29,7 @@ def main() -> None:
     ap.add_argument("--circuit", required=True, help="circuit file")
     ap.add_argument("--eps", type=float, nargs="+",
                     default=[0.0, 0.05, 0.1, 0.2, 0.5, 1.0])
-    args = ap.parse_args()
-    with open(args.circuit, "r", encoding="utf-8") as fh:
-        circuit = parse_circuit(
-            fh.read(), base_dir=os.path.dirname(os.path.abspath(args.circuit)))
-    table = [{"eps": eps, "t": t}
-             for eps, t in sparsity_profile(circuit, args.eps)]
-    print(to_json({"circuit": args.circuit, "table": table}))
+    sys.exit(run_handler(lines, ap.parse_args()))
 
 
 if __name__ == "__main__":

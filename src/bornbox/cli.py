@@ -33,7 +33,7 @@ from .circuits import (Circuit, CircuitSyntaxError, IqpCircuit, OutcomePattern,
 from .experiments import (anticoncentration_report, bob_epsilon_schedule,
                           run_hypothesis_test, sparsity_profile)
 from .oracle import (ExactDistribution, OracleLimitError, exact_distribution,
-                     exact_probability, min_sparsity)
+                     exact_probability, min_sparsity, oracle_limit)
 from .polybox import (OraclePolyBox, PolyBoxQuery, auto_polybox, evaluate,
                       hoeffding_samples, iqp_estimate, prod_estimate)
 from .samplers import (CdfSamplerConfig, ExactPrefixEstimator,
@@ -150,8 +150,15 @@ def _cmd_sample(args) -> list[str]:
         if args.sparsity is not None:
             sp = SparsityPolynomial(_floats(args.sparsity))
         else:
-            sp = SparsityPolynomial.constant(
-                min_sparsity(exact_distribution(circuit), 0.0))
+            try:
+                dist = exact_distribution(circuit)
+            except OracleLimitError:
+                raise ValueError(
+                    f"pass --sparsity: its default, the exact support size, "
+                    f"needs the dense oracle, which is limited to "
+                    f"{oracle_limit()} qubits (this circuit has {circuit.n})"
+                ) from None
+            sp = SparsityPolynomial.constant(min_sparsity(dist, 0.0))
         outcomes = epsilon_simulate(est, sp, circuit, args.eps_prime,
                                     args.count, rng)
         params.update(eps_prime=args.eps_prime, estimator=args.estimator,
@@ -441,11 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total L1 budget for the sparse converter")
     p.add_argument("--sparsity", default=None,
                    help="comma list of sparsity-polynomial coefficients, "
-                        "ascending degree (default: exact support size)")
+                        "ascending degree (default: exact support size, "
+                        "from the dense oracle)")
     p.add_argument("--estimator", choices=("oracle", "sampling"),
                    default="oracle",
                    help="sparse converter backend; the sampling backend is "
-                        "the family poly-box, whose per-query cost grows "
+                        "the family poly-box, which scores each search "
+                        "level from one shared draw matrix whose size grows "
                         "like (26/eps-prime)^2, so pair it with a coarse "
                         "--eps-prime")
     p.add_argument("--m", type=int, default=40,
@@ -499,24 +508,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_command(argv) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+def run_handler(handler, args, out: Optional[str] = None) -> int:
+    """Emits handler(args)'s output lines and returns the exit code: 2 with
+    one ``error:`` line on stderr for bad input, 1 for an internal error."""
     start = time.perf_counter()
     try:
-        lines = args.handler(args)
+        lines = handler(args)
     except (CircuitSyntaxError, OracleLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    _emit(lines, args.out)
+    _emit(lines, out)
     print(f"wall_time_s={time.perf_counter() - start:.3f}", file=sys.stderr)
     return 0
+
+
+def run_command(argv) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    return run_handler(args.handler, args, args.out)
 
 
 def main() -> None:

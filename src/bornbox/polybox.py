@@ -16,10 +16,22 @@ Three circuit families get native estimators:
 * parity-encoded circuits: deterministic answers, no sampling at all.
 
 ``frequency_polybox`` turns any approximate sampler into an estimator, and
-the handle classes at the bottom give the samplers a uniform query surface.
+the handle classes at the bottom give the samplers a uniform query surface:
+``estimate`` for one pattern and ``estimate_many`` for a batch.
+
+In both sampling families a pattern's bits enter a draw only through a sign:
+for a selection matrix ``sel`` over the fixed positions, the draw for bits s
+is (-1)^(sel.s) times the draw for the pattern with those positions at 0.
+So a batch of patterns that share their fixed positions (every candidate
+prefix of one heavy-prefix search level) is scored from one shared draw
+matrix: ``sel`` is drawn once per chunk, the sign-free draws are computed
+once, and each pattern pays only for its signs.  Each pattern still gets the
+mean of s i.i.d. draws of its own unbiased estimator, so every per-pattern
+(eps, delta) guarantee holds; the draws are shared, not independent, across
+the patterns of a batch.  ``estimate(p)`` is ``estimate_many([p])[0]``.
 
 Draws inside one estimate are split into fixed-size chunks with spawned RNG
-substreams and combined with exact summation, so the returned value depends
+substreams and combined with exact summation, so the returned values depend
 only on the seed, never on the worker count.
 """
 
@@ -39,6 +51,11 @@ from .stabcore import (PauliOperator, _xz_phase, pauli_product,
                        product_expectation, pull_back)
 
 _CHUNK = 8192
+# patterns per sign block: a chunk holds at most _BLOCK x _CHUNK signed draws
+# at a time, however many candidates a search level has
+_BLOCK = 64
+# draws per query; a larger Hoeffding count is refused before any allocation
+MAX_SAMPLES = 10 ** 8
 DEFAULT_COLUMN_LIMIT = 24
 
 
@@ -74,7 +91,7 @@ class PolyBoxQuery:
 def hoeffding_samples(eps: float, delta: float, range_width: float = 2.0) -> int:
     """Draw count for an additive (eps, delta) guarantee on a mean of
     i.i.d. values spanning range_width; clamps to 1 when the bound is
-    vacuous (delta >= 2)."""
+    vacuous (delta >= 2).  Counts above MAX_SAMPLES raise ValueError."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if range_width <= 0:
@@ -82,25 +99,54 @@ def hoeffding_samples(eps: float, delta: float, range_width: float = 2.0) -> int
     if delta <= 0:
         raise ValueError("delta must be positive")
     need = range_width ** 2 / (2.0 * eps * eps) * math.log(2.0 / delta)
+    if need > MAX_SAMPLES:
+        raise ValueError(f"eps={eps:g}, delta={delta:g} needs {need:.3g} draws "
+                         f"per query, above the limit of {MAX_SAMPLES:g}")
     return max(1, math.ceil(need))
 
 
 def _chunked_mean(draw, total: int, rng: np.random.Generator,
-                  threads: int = 1) -> float:
-    """Mean of draw(rng_i, size_i) over fixed-size chunks.  Chunking and the
-    exact final summation depend only on total and the seed, so the result
-    is identical for every thread count."""
+                  threads: int = 1) -> list[float]:
+    """Per-row means of the draws over fixed-size chunks; draw(rng_i, size_i)
+    yields blocks of draws with one row per estimated pattern.  Chunking and
+    the exact final summation depend only on total and the seed, so the
+    results are identical for every thread count."""
     n_chunks = -(-total // _CHUNK)
     rngs = rng.spawn(n_chunks)
     sizes = [_CHUNK] * (n_chunks - 1) + [total - _CHUNK * (n_chunks - 1)]
-    def part(i: int) -> float:
-        return float(draw(rngs[i], sizes[i]).sum())
+    def part(i: int) -> np.ndarray:
+        return np.concatenate([block.sum(axis=1)
+                               for block in draw(rngs[i], sizes[i])])
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             sums = list(pool.map(part, range(n_chunks)))
     else:
         sums = [part(i) for i in range(n_chunks)]
-    return math.fsum(sums) / total
+    return [math.fsum(row) / total for row in zip(*sums)]
+
+
+def _batched_draws(values, circuit: Circuit, patterns):
+    """draw(rng, count) for ``_chunked_mean`` over patterns that share their
+    fixed positions.  One (count, f) selection matrix is drawn per chunk and
+    the sign-free draws v = values(circuit, base)(sel) are computed once, base
+    being the pattern with every fixed bit 0; the row of a pattern with bits
+    s is (-1)^(sel.s) * v, yielded _BLOCK rows at a time.  This is the only
+    place the estimator handles apply a pattern's bits."""
+    base = OutcomePattern(patterns[0].trits.replace("1", "0"))
+    if any(p.trits.replace("1", "0") != base.trits for p in patterns):
+        raise ValueError("patterns in one batch must share their fixed "
+                         "positions")
+    value = values(circuit, base)
+    bits = np.array([[bit for _, bit in p.fixed] for p in patterns],
+                    dtype=np.int64)
+
+    def draw(rng, count):
+        sel = rng.integers(0, 2, size=(count, bits.shape[1]), dtype=np.int64)
+        v = value(sel)
+        for lo in range(0, len(bits), _BLOCK):
+            yield (1 - 2 * ((bits[lo:lo + _BLOCK] @ sel.T) & 1)) * v
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -129,18 +175,19 @@ def prod_single_sample(circuit: ProdCircuit, pattern: OutcomePattern,
     return product_expectation(circuit.state, acc)
 
 
-def _prod_draw_values(circuit: ProdCircuit, pattern: OutcomePattern):
-    """Returns draw(rng, count) -> ndarray of single-sample values,
-    vectorized over count."""
+def _prod_values(circuit: ProdCircuit, pattern: OutcomePattern):
+    """Returns value(sel) -> ndarray of single-sample values, one per row of
+    the (count, f) 0/1 matrix sel over the pattern's fixed positions.  The
+    estimators call it with every fixed bit 0 (see ``_batched_draws``); for
+    other bits the signed factors give the per-pattern draws directly, the
+    reference the tests check the batched sign against."""
     factors = _conjugated_factors(circuit, pattern)
     n = circuit.n
     f = len(factors)
     weights = np.array([[1.0, rx, rz, ry] for (rx, ry, rz) in
                         circuit.state.bloch])
     if f == 0:
-        def draw(rng, count):
-            return np.ones(count)
-        return draw
+        return lambda sel: np.ones(len(sel))
     fx = np.array([[(q.x >> i) & 1 for i in range(n)] for q in factors],
                   dtype=np.int64)
     fz = np.array([[(q.z >> i) & 1 for i in range(n)] for q in factors],
@@ -154,8 +201,7 @@ def _prod_draw_values(circuit: ProdCircuit, pattern: OutcomePattern):
             pair[a, b] = int((fz[a] & fx[b]).sum() & 1)
     qubit_idx = np.arange(n)
 
-    def draw(rng, count):
-        sel = rng.integers(0, 2, size=(count, f), dtype=np.int64)
+    def value(sel):
         xb = (sel @ fx) & 1
         zb = (sel @ fz) & 1
         kap = (sel @ kappa + 2 * ((sel @ pair) * sel).sum(axis=1)) % 4
@@ -164,15 +210,13 @@ def _prod_draw_values(circuit: ProdCircuit, pattern: OutcomePattern):
         codes = xb + 2 * zb
         return sign * weights[qubit_idx[None, :], codes].prod(axis=1)
 
-    return draw
+    return value
 
 
 def prod_estimate(circuit: ProdCircuit, pattern: OutcomePattern, eps: float,
                   delta: float, rng: np.random.Generator,
                   threads: int = 1) -> Estimate:
-    s = hoeffding_samples(eps, delta, 2.0)
-    value = _chunked_mean(_prod_draw_values(circuit, pattern), s, rng, threads)
-    return Estimate(value, eps, delta, s)
+    return ProdPolyBox(circuit, threads).estimate(pattern, eps, delta, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -215,42 +259,42 @@ def odd_overlap_rows(matrix: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, int
     return sub, int(odd.sum())
 
 
-def _iqp_draw_values(circuit: IqpCircuit, pattern: OutcomePattern):
+def _iqp_values(circuit: IqpCircuit, pattern: OutcomePattern):
+    """Returns value(sel) -> ndarray of single-sample values, one per row of
+    the (count, f) 0/1 matrix sel, row r selecting the parity vector r.  The
+    estimators call it with every fixed bit 0 (see ``_batched_draws``); the
+    (-1)^(r.s) factor for other bits is the reference the tests check the
+    batched sign against."""
     if pattern.k != circuit.k:
         raise ValueError("pattern length != circuit measured count")
     p = circuit.row_matrix().astype(np.int64)
     positions = np.array([pos for pos, _ in pattern.fixed], dtype=np.int64)
     sbits = np.array([bit for _, bit in pattern.fixed], dtype=np.int64)
-    f = positions.size
-    if f == 0:
-        def draw(rng, count):
-            return np.ones(count)
-        return draw
+    if positions.size == 0:
+        return lambda sel: np.ones(len(sel))
     psub = p[:, positions]  # rows x f
 
-    def draw(rng, count):
-        sel = rng.integers(0, 2, size=(count, f), dtype=np.int64)
+    def value(sel):
         hit = (sel @ psub.T) & 1           # which rows have odd overlap
         mr = hit.sum(axis=1)
         cancel = ((hit @ p) & 1 == 0).all(axis=1)  # selected rows XOR to zero
         rs = (sel @ sbits) & 1
         quarter = np.where(mr & 1, 0.0, 1.0 - 2.0 * ((mr >> 1) & 1))
-        return np.where(cancel, (1.0 - 2.0 * rs) * quarter, 0.0)
+        return (1.0 - 2.0 * rs) * np.where(cancel, quarter, 0.0)
 
-    return draw
+    return value
 
 
 def iqp_single_sample(circuit: IqpCircuit, pattern: OutcomePattern,
                       rng: np.random.Generator) -> float:
-    return float(_iqp_draw_values(circuit, pattern)(rng, 1)[0])
+    sel = rng.integers(0, 2, size=(1, len(pattern.fixed)), dtype=np.int64)
+    return float(_iqp_values(circuit, pattern)(sel)[0])
 
 
 def iqp_estimate(circuit: IqpCircuit, pattern: OutcomePattern, eps: float,
                  delta: float, rng: np.random.Generator,
                  threads: int = 1) -> Estimate:
-    s = hoeffding_samples(eps, delta, 2.0)
-    value = _chunked_mean(_iqp_draw_values(circuit, pattern), s, rng, threads)
-    return Estimate(value, eps, delta, s)
+    return IqpPolyBox(circuit, threads).estimate(pattern, eps, delta, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -301,39 +345,52 @@ def frequency_polybox(sampler, circuit: Circuit, pattern: OutcomePattern,
 # Uniform query handles
 # ---------------------------------------------------------------------------
 
-class ProdPolyBox:
+class _SamplingPolyBox:
+    """Hoeffding-scheduled sampling estimator over a family kernel
+    ``values(circuit, pattern) -> value(sel)``; a batch of patterns sharing
+    their fixed positions is scored from one shared draw matrix."""
+
     deterministic = False
 
-    def __init__(self, circuit: ProdCircuit, threads: int = 1):
+    def __init__(self, circuit, threads: int = 1):
         self.circuit = circuit
         self.threads = threads
 
     def estimate(self, pattern: OutcomePattern, eps: float, delta: float,
                  rng: Optional[np.random.Generator] = None) -> Estimate:
+        return self.estimate_many([pattern], eps, delta, rng)[0]
+
+    def estimate_many(self, patterns, eps: float, delta: float,
+                      rng: Optional[np.random.Generator] = None
+                      ) -> list[Estimate]:
+        """One estimate per pattern; the patterns must share their fixed
+        positions."""
         if rng is None:
             raise ValueError("sampling estimator needs an rng")
-        return prod_estimate(self.circuit, pattern, eps, delta, rng,
-                             self.threads)
+        s = hoeffding_samples(eps, delta, 2.0)
+        draw = _batched_draws(self.values, self.circuit, patterns)
+        return [Estimate(mean, eps, delta, s)
+                for mean in _chunked_mean(draw, s, rng, self.threads)]
 
 
-class IqpPolyBox:
-    deterministic = False
-
-    def __init__(self, circuit: IqpCircuit, threads: int = 1):
-        self.circuit = circuit
-        self.threads = threads
-
-    def estimate(self, pattern: OutcomePattern, eps: float, delta: float,
-                 rng: Optional[np.random.Generator] = None) -> Estimate:
-        if rng is None:
-            raise ValueError("sampling estimator needs an rng")
-        return iqp_estimate(self.circuit, pattern, eps, delta, rng,
-                            self.threads)
+class ProdPolyBox(_SamplingPolyBox):
+    values = staticmethod(_prod_values)
 
 
-class CePolyBox:
+class IqpPolyBox(_SamplingPolyBox):
+    values = staticmethod(_iqp_values)
+
+
+class _DeterministicPolyBox:
     deterministic = True
 
+    def estimate_many(self, patterns, eps: float, delta: float = 0.0,
+                      rng: Optional[np.random.Generator] = None
+                      ) -> list[Estimate]:
+        return [self.estimate(p, eps, delta, rng) for p in patterns]
+
+
+class CePolyBox(_DeterministicPolyBox):
     def __init__(self, circuit: EncodedCircuit):
         self.circuit = circuit
 
@@ -343,11 +400,9 @@ class CePolyBox:
         return ce_estimate(self.circuit, pattern, eps)
 
 
-class OraclePolyBox:
+class OraclePolyBox(_DeterministicPolyBox):
     """Exact answers behind the estimator interface; for calibrating the
     samplers without Monte Carlo cost."""
-
-    deterministic = True
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit

@@ -85,8 +85,12 @@ def survivor_cap(threshold: float) -> int:
 def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
                    rng=None) -> list[tuple[OutcomePattern, float]]:
     """Level-by-level search for outcomes whose prefix marginals all stay
-    >= threshold.  Each prefix query runs at precision threshold/2 and
-    confidence delta/(2*k*cap); at most cap survivors per level, ties broken
+    >= threshold.  Each level scores the two extensions of every survivor
+    with one ``estimate_many`` call: the candidates share their fixed
+    positions, so a sampling estimator draws one shared matrix per level.
+    Each prefix query runs at precision threshold/2 and confidence
+    delta/(2*k*cap), and the union bound over the queries does not need
+    them to be independent; at most cap survivors per level, ties broken
     lexicographically."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
@@ -96,14 +100,12 @@ def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
     per_delta = delta / (2.0 * k * cap)
     survivors: list[tuple[str, float]] = [("", 1.0)]
     for level in range(1, k + 1):
-        scored: list[tuple[str, float]] = []
-        for prefix, _ in survivors:
-            for bit in "01":
-                extended = prefix + bit
-                pattern = OutcomePattern(extended + "*" * (k - level))
-                e = est.estimate(pattern, per_eps, per_delta, rng)
-                if e.value >= threshold:
-                    scored.append((extended, e.value))
+        candidates = [prefix + bit for prefix, _ in survivors for bit in "01"]
+        estimates = est.estimate_many(
+            [OutcomePattern(c + "*" * (k - level)) for c in candidates],
+            per_eps, per_delta, rng)
+        scored = [(c, e.value) for c, e in zip(candidates, estimates)
+                  if e.value >= threshold]
         scored.sort(key=lambda sv: (-sv[1], sv[0]))
         survivors = scored[:cap]
         if not survivors:

@@ -20,7 +20,7 @@ from bornbox.experiments import (bob_epsilon_schedule,
                                  run_hypothesis_test)
 from bornbox.oracle import (ExactDistribution, exact_distribution,
                             exact_probability, l1_distance, min_sparsity)
-from bornbox.polybox import (OraclePolyBox, _iqp_draw_values, ce_estimate,
+from bornbox.polybox import (OraclePolyBox, _iqp_values, ce_estimate,
                              hoeffding_samples, iqp_estimate, prod_estimate)
 from bornbox.samplers import (CdfSamplerConfig, ExactPrefixEstimator,
                               cdf_bitwise_sample, cdf_outcome_for_r,
@@ -104,7 +104,9 @@ def test_iqp_estimator_coverage_and_unbiasedness():
     c = random_iqp_circuit(np.random.default_rng(101), 4, 6)
     pat = OutcomePattern("01*1")
     p = exact_probability(c, pat)
-    vals = _iqp_draw_values(c, pat)(np.random.default_rng(777), 100000)
+    sel = np.random.default_rng(777).integers(
+        0, 2, size=(100000, len(pat.fixed)), dtype=np.int64)
+    vals = _iqp_values(c, pat)(sel)
     se = max(float(vals.std(ddof=1)) / math.sqrt(vals.size), 1e-15)
     bias = abs(float(vals.mean()) - p)
     elapsed = time.perf_counter() - start

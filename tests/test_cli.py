@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from bornbox import cli, oracle, polybox, samplers
 from bornbox.cli import format_float, run_command, to_json
 
 GHZ3 = "family prod\nqubits 3\nmeasure 3\ngate H 0\ngate CNOT 0 1\ngate CNOT 1 2\n"
@@ -176,8 +177,9 @@ def test_exit_codes(capsys, ghz_file, tmp_path):
     ["estimate", "--circuit", "{ghz}", "--pattern", "000", "--eps", "0"],
     ["estimate", "--circuit", "{ghz}", "--pattern", "000", "--eps", "-0.1"],
     ["sample", "--circuit", "{ghz}", "--method", "chain", "--count", "-1"],
+    ["estimate", "--circuit", "{ghz}", "--pattern", "000", "--eps", "1e-6"],
 ], ids=["missing-file", "malformed-pattern", "pattern-length", "eps-zero",
-        "eps-negative", "negative-count"])
+        "eps-negative", "negative-count", "over-draw-budget"])
 def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, tmp_path, argv):
     argv = [a.format(ghz=ghz_file, missing=str(tmp_path / "nope.qc"))
             for a in argv]
@@ -185,6 +187,48 @@ def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, tmp_path, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+GHZ6 = ("family prod\nqubits 6\nmeasure 6\ngate H 0\n"
+        + "".join(f"gate CNOT 0 {q}\n" for q in range(1, 6)))
+
+
+@pytest.fixture
+def ghz6_above_oracle_limit(tmp_path, monkeypatch):
+    monkeypatch.setenv("BORNBOX_ORACLE_LIMIT", "4")
+    path = tmp_path / "ghz6.qc"
+    path.write_text(GHZ6)
+    return str(path)
+
+
+SAMPLING = ["--method", "sparse", "--estimator", "sampling", "--eps-prime",
+            "1.0", "--count", "2", "--seed", "4"]
+
+
+def test_default_sparsity_above_oracle_limit_asks_for_sparsity(
+        capsys, ghz6_above_oracle_limit):
+    code = run_command(["sample", "--circuit", ghz6_above_oracle_limit]
+                       + SAMPLING)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: pass --sparsity")
+    assert "BORNBOX_ORACLE_LIMIT" not in line
+
+
+def test_sampling_estimator_with_sparsity_never_builds_the_oracle(
+        capsys, monkeypatch, ghz6_above_oracle_limit):
+    def refuse(circuit):
+        raise AssertionError("exact_distribution called")
+    for module in (oracle, cli, polybox, samplers):
+        monkeypatch.setattr(module, "exact_distribution", refuse)
+    code = run_command(["sample", "--circuit", ghz6_above_oracle_limit,
+                        "--sparsity", "2"] + SAMPLING)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    outcomes = [json.loads(ln)["outcome"] for ln in captured.out.splitlines()[1:]]
+    assert len(outcomes) == 2 and set(outcomes) <= {"000000", "111111"}
 
 
 def test_out_flag(capsys, ghz_file, tmp_path):
@@ -206,14 +250,16 @@ def test_byte_identical_across_threads(ghz_file):
          "--seed", "9"],
         ["experiment", "distinguish", "--circuit", ghz_file, "--bob", "exact",
          "--trials", "1000", "--seed", "9"],
+        ["sample", "--circuit", ghz_file, "--method", "sparse", "--estimator",
+         "sampling", "--eps-prime", "1.3", "--count", "2", "--seed", "9"],
     ]
     for argv in cases:
         outs = []
-        for threads in ("1", "8"):
+        for threads in ("1", "2", "8"):
             r = subprocess.run(
                 [sys.executable, "-m", "bornbox.cli"] + argv
                 + ["--threads", threads],
                 capture_output=True, timeout=300)
             assert r.returncode == 0, r.stderr
             outs.append(r.stdout)
-        assert outs[0] == outs[1], argv
+        assert outs[0] == outs[1] == outs[2], argv

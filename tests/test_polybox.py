@@ -2,17 +2,20 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bornbox import polybox
 from bornbox.circuits import IqpCircuit, OutcomePattern, ProdCircuit, ce_encode
 from bornbox.oracle import exact_distribution, exact_probability
-from bornbox.polybox import (CePolyBox, Estimate, IqpPolyBox, OraclePolyBox,
-                             PolyBoxQuery, ProdPolyBox, _conjugated_factors,
-                             _iqp_draw_values, _prod_draw_values,
+from bornbox.polybox import (MAX_SAMPLES, CePolyBox, Estimate, IqpPolyBox,
+                             OraclePolyBox, PolyBoxQuery, ProdPolyBox,
+                             _batched_draws, _conjugated_factors,
+                             _iqp_values, _prod_values,
                              alpha_weight_enumerator,
                              auto_polybox, ce_estimate, evaluate,
                              frequency_polybox, hoeffding_samples,
@@ -24,18 +27,6 @@ from bornbox.stabcore import (CliffordTableau, GateApp, PauliOperator,
 from helpers import (MIXED_GATES, S_HEAVY_GATES, gate_lists, ghz_circuit,
                      random_gates, random_iqp_circuit, random_pattern,
                      random_prod_circuit)
-
-
-class FakeRng:
-    """Feeds a preset subset-selection matrix to a draw closure."""
-
-    def __init__(self, matrix):
-        self.matrix = np.asarray(matrix, dtype=np.int64)
-
-    def integers(self, lo, hi, size=None, dtype=None):
-        assert (lo, hi) == (0, 2)
-        assert tuple(size) == self.matrix.shape
-        return self.matrix
 
 
 class SeqRng:
@@ -66,6 +57,28 @@ def test_hoeffding_guarantee_shape(eps, delta):
     assert 2 * math.exp(-s * eps * eps / 2.0) <= delta + 1e-12
 
 
+def test_hoeffding_budget_boundary():
+    delta = 0.01
+    # the count is 2 / eps^2 * log(2 / delta) for range-2 draws
+    eps_at_cap = math.sqrt(2.0 * math.log(2.0 / delta) / MAX_SAMPLES)
+    assert hoeffding_samples(eps_at_cap * (1 + 1e-9), delta) == MAX_SAMPLES
+    with pytest.raises(ValueError, match=r"eps=.* delta=0\.01 .* limit"):
+        hoeffding_samples(eps_at_cap * (1 - 1e-9), delta)
+
+
+class NoSpawnRng:
+    def spawn(self, n):
+        raise AssertionError(f"spawned {n} generators past the budget")
+
+
+@pytest.mark.parametrize("box", [ProdPolyBox(ghz_circuit(3)),
+                                 IqpPolyBox(IqpCircuit(3, 3, ((1, 1, 0),)))],
+                         ids=["prod", "iqp"])
+def test_over_budget_query_is_refused_before_drawing(box):
+    with pytest.raises(ValueError, match="eps=1e-06, delta=0.01"):
+        box.estimate(OutcomePattern("0**"), 1e-6, 0.01, NoSpawnRng())
+
+
 def test_prod_subset_average_is_exactly_unbiased():
     rng = np.random.default_rng(11)
     for trial in range(25):
@@ -73,9 +86,8 @@ def test_prod_subset_average_is_exactly_unbiased():
         c = random_prod_circuit(rng, n, int(rng.integers(0, 14)))
         pat = random_pattern(rng, n, allow_all_wild=False)
         f = len(pat.fixed)
-        draw = _prod_draw_values(c, pat)
         sel = np.array(list(itertools.product((0, 1), repeat=f)), dtype=np.int64)
-        vals = draw(FakeRng(sel), sel.shape[0])
+        vals = _prod_values(c, pat)(sel)
         p = exact_probability(c, pat)
         assert abs(vals.mean() - p) < 1e-9
         assert np.all(np.abs(vals) <= 1 + 1e-12)
@@ -83,8 +95,7 @@ def test_prod_subset_average_is_exactly_unbiased():
 
 def test_prod_all_wild_draws_ones():
     c = ghz_circuit(2)
-    draw = _prod_draw_values(c, OutcomePattern("**"))
-    vals = draw(np.random.default_rng(0), 6)
+    vals = _prod_values(c, OutcomePattern("**"))(np.zeros((6, 0), dtype=np.int64))
     assert np.all(vals == 1.0)
 
 
@@ -95,9 +106,9 @@ def test_prod_scalar_path_matches_vectorized():
         c = random_prod_circuit(rng, n, int(rng.integers(0, 10)))
         pat = random_pattern(rng, n, allow_all_wild=False)
         f = len(pat.fixed)
-        draw = _prod_draw_values(c, pat)
+        value = _prod_values(c, pat)
         for subset in itertools.product((0, 1), repeat=f):
-            want = draw(FakeRng(np.array([subset])), 1)[0]
+            want = value(np.array([subset]))[0]
             got = prod_single_sample(c, pat, SeqRng(subset))
             assert abs(want - got) < 1e-12
 
@@ -158,9 +169,8 @@ def test_iqp_subset_average_and_enumerator_identity():
                                k=int(rng.integers(1, n + 1)))
         pat = random_pattern(rng, c.k, allow_all_wild=False)
         f = len(pat.fixed)
-        draw = _iqp_draw_values(c, pat)
         sel = np.array(list(itertools.product((0, 1), repeat=f)), dtype=np.int64)
-        vals = draw(FakeRng(sel), sel.shape[0])
+        vals = _iqp_values(c, pat)(sel)
         p = exact_probability(c, pat)
         assert abs(vals.mean() - p) < 1e-9
 
@@ -294,3 +304,100 @@ def test_estimates_live_in_unit_interval_shifted(seed):
     pat = random_pattern(rng, c.k)
     est = prod_estimate(c, pat, 0.5, 0.5, rng)
     assert -1.0 - 1e-9 <= est.value <= 1.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Batched queries: one shared draw matrix for patterns sharing fixed positions
+# ---------------------------------------------------------------------------
+
+KERNELS = {"prod": _prod_values, "iqp": _iqp_values}
+BOXES = {"prod": ProdPolyBox, "iqp": IqpPolyBox}
+
+
+@st.composite
+def circuits(draw, family, max_n=6):
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if family == "prod":
+        return random_prod_circuit(rng, n, draw(st.integers(0, 30)), k=k)
+    return random_iqp_circuit(rng, n, draw(st.integers(1, 8)), k=k)
+
+
+@st.composite
+def batches(draw, family):
+    """(circuit, patterns): up to 12 patterns, repeats allowed, that fix the
+    same positions of a circuit on at most 6 qubits."""
+    c = draw(circuits(family))
+    fixed = draw(st.lists(st.booleans(), min_size=c.k, max_size=c.k))
+    patterns = []
+    for _ in range(draw(st.integers(1, 12))):
+        bits = iter(draw(st.text("01", min_size=sum(fixed),
+                                 max_size=sum(fixed))))
+        patterns.append(OutcomePattern(
+            "".join(next(bits) if f else "*" for f in fixed)))
+    return c, patterns
+
+
+@pytest.mark.parametrize("family", ["prod", "iqp"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batched_rows_match_single_pattern_kernel(family, data):
+    c, patterns = data.draw(batches(family))
+    count = data.draw(st.integers(1, 40))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    # small blocks, so that batches of up to 12 patterns span several
+    with mock.patch.object(polybox, "_BLOCK", 5):
+        draw = _batched_draws(KERNELS[family], c, patterns)
+        rows = np.vstack(list(draw(np.random.default_rng(seed), count)))
+    assert rows.shape == (len(patterns), count)
+    # the batch draws its selection matrix exactly as a single query does
+    sel = np.random.default_rng(seed).integers(
+        0, 2, size=(count, len(patterns[0].fixed)), dtype=np.int64)
+    for row, pattern in zip(rows, patterns):
+        assert row.tobytes() == KERNELS[family](c, pattern)(sel).tobytes()
+
+
+@pytest.mark.parametrize("family", ["prod", "iqp"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_estimate_many_matches_single_queries(family, data):
+    c, patterns = data.draw(batches(family))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    box = BOXES[family](c, threads=data.draw(st.sampled_from((1, 2))))
+    # 12323 draws: two chunks, so chunk spawning and the sums are covered
+    eps, delta = 0.015, 0.5
+
+    def rng():
+        return np.random.default_rng(seed)
+    many = box.estimate_many(patterns, eps, delta, rng())
+    assert box.estimate_many(patterns[:1], eps, delta, rng()) == [
+        box.estimate(patterns[0], eps, delta, rng())]
+    for pattern, est in zip(patterns, many):
+        assert est.samples_used == hoeffding_samples(eps, delta) == 12323
+        assert est == box.estimate(pattern, eps, delta, rng())
+
+
+@pytest.mark.parametrize("family", ["prod", "iqp"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_level_candidates_within_hoeffding_tolerance(family, data):
+    c = data.draw(circuits(family))
+    level = data.draw(st.integers(1, c.k))
+    patterns = [OutcomePattern(format(i, f"0{level}b") + "*" * (c.k - level))
+                for i in range(1 << level)]
+    # delta = 1e-9 per candidate keeps the whole test's failure chance
+    # below 1e-5 while eps = 0.1 needs only 4286 draws
+    eps, delta = 0.1, 1e-9
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    dist = exact_distribution(c)
+    for pattern, est in zip(patterns, BOXES[family](c).estimate_many(
+            patterns, eps, delta, rng)):
+        assert abs(est.value - dist.probability(pattern)) < eps
+
+
+def test_batch_needs_shared_fixed_positions():
+    box = ProdPolyBox(ghz_circuit(3))
+    with pytest.raises(ValueError, match="share their fixed positions"):
+        box.estimate_many([OutcomePattern("0**"), OutcomePattern("*1*")],
+                          0.1, 0.1, np.random.default_rng(0))

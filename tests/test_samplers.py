@@ -29,6 +29,9 @@ class ZeroBox:
     def estimate(self, pattern, eps, delta=0.0, rng=None):
         return Estimate(0.0, eps, 0.0, 1)
 
+    def estimate_many(self, patterns, eps, delta=0.0, rng=None):
+        return [self.estimate(p, eps, delta, rng) for p in patterns]
+
 
 def point_circuit():
     return ProdCircuit(2, 2, ProductState.zero(2), (GateApp("X", (0,)),))
@@ -58,6 +61,30 @@ def test_heavy_prefixes_ghz_sampling_estimator():
     assert sorted(p.trits for p, _ in surv) == ["000", "111"]
     for _, v in surv:
         assert abs(v - 0.5) <= 0.25 / 2
+
+
+class CountingBox(ProdPolyBox):
+    """Records the size of every batch; a per-candidate query fails."""
+
+    def __init__(self, circuit):
+        super().__init__(circuit)
+        self.batches = []
+
+    def estimate(self, pattern, eps, delta, rng=None):
+        raise AssertionError("per-candidate estimate call")
+
+    def estimate_many(self, patterns, eps, delta, rng=None):
+        self.batches.append(len(patterns))
+        return super().estimate_many(patterns, eps, delta, rng)
+
+
+def test_heavy_prefixes_one_batch_per_level():
+    ghz3 = ghz_circuit(3)
+    box = CountingBox(ghz3)
+    surv = heavy_prefixes(box, ghz3, 0.25, 0.2, np.random.default_rng(42))
+    assert sorted(p.trits for p, _ in surv) == ["000", "111"]
+    # level 1 scores 0 and 1; then both survive and each has two extensions
+    assert box.batches == [2, 4, 4]
 
 
 def test_heavy_prefixes_point_mass():

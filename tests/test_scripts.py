@@ -1,5 +1,6 @@
 """The experiment scripts resolve a relative ``inner`` path against the
-circuit file, as the CLI does, not against the working directory."""
+circuit file, as the CLI does, not against the working directory, and
+report bad input as the CLI does."""
 
 import json
 import os
@@ -23,6 +24,15 @@ def encoded_file(tmp_path):
     return path
 
 
+def run_script(script, args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script)] + args,
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
 @pytest.mark.parametrize("script,extra", [
     ("run_distinguish.py", ["--bob", "exact", "--trials", "1000"]),
     ("run_sparsity_profile.py", ["--eps", "0.0", "0.5"]),
@@ -31,12 +41,16 @@ def test_relative_inner_path_from_other_cwd(tmp_path, encoded_file, script,
                                             extra):
     elsewhere = tmp_path / "elsewhere"
     elsewhere.mkdir()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    r = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--circuit",
-         os.path.relpath(encoded_file, elsewhere)] + extra,
-        cwd=elsewhere, env=env, capture_output=True, text=True, timeout=300)
+    r = run_script(script, ["--circuit", os.path.relpath(encoded_file, elsewhere)]
+                   + extra, elsewhere)
     assert r.returncode == 0, r.stderr
     json.loads(r.stdout.splitlines()[-1])
+
+
+def test_bad_input_exits_2_with_one_error_line(tmp_path, encoded_file):
+    r = run_script("run_distinguish.py",
+                   ["--circuit", str(encoded_file), "--trials", "200"], tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    [line] = r.stderr.splitlines()
+    assert line.startswith("error: ") and "trials" in line
