@@ -151,7 +151,8 @@ def _cmd_sample(args) -> list[str]:
             sp = SparsityPolynomial(_floats(args.sparsity))
         else:
             try:
-                dist = exact_distribution(circuit)
+                dist = (est.dist if isinstance(est, OraclePolyBox)
+                        else exact_distribution(circuit))
             except OracleLimitError:
                 raise ValueError(
                     f"pass --sparsity: its default, the exact support size, "

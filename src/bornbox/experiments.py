@@ -174,14 +174,14 @@ def scheduled_bob_distribution(circuit: Circuit, round_index: int,
     """The distribution an honest imposter samples in a given round: the
     sparse pipeline run at accuracy budget eps_j from the schedule, over the
     exact-answer estimator handle."""
-    dist = exact_distribution(circuit)
+    box = OraclePolyBox(circuit)
     if sp is None:
-        sp = SparsityPolynomial.constant(min_sparsity(dist, 0.0))
+        sp = SparsityPolynomial.constant(min_sparsity(box.dist, 0.0))
     eps_prime = bob_epsilon_schedule(round_index, delta)
     inner = eps_prime / 13.0
     t = math.ceil(sp(circuit.k / inner))
-    outcomes, probs = survivor_distribution(OraclePolyBox(circuit), circuit,
-                                             t, inner, inner, None)
+    outcomes, probs = survivor_distribution(box, circuit, t, inner, inner,
+                                             None)
     full = np.zeros(1 << circuit.k)
     if outcomes is None:
         warnings.warn("no heavy prefixes for the scheduled imposter; "

@@ -147,31 +147,32 @@ def exact_sample(d: ExactDistribution, rng: np.random.Generator) -> str:
 # ---------------------------------------------------------------------------
 
 def _apply_gate(psi: np.ndarray, gate: GateApp, idx: np.ndarray) -> np.ndarray:
+    """The gate applied to every state along the last axis of psi."""
     name = gate.name
     if name == "H":
         m = 1 << gate.qubits[0]
         sign = 1.0 - 2.0 * ((idx & m) != 0)
-        return _SQ * (psi[idx & ~m] + sign * psi[idx | m])
+        return _SQ * (psi[..., idx & ~m] + sign * psi[..., idx | m])
     if name == "S":
         m = 1 << gate.qubits[0]
         out = psi.copy()
-        out[(idx & m) != 0] *= 1j
+        out[..., (idx & m) != 0] *= 1j
         return out
     if name == "X":
-        return psi[idx ^ (1 << gate.qubits[0])]
+        return psi[..., idx ^ (1 << gate.qubits[0])]
     if name == "Z":
         m = 1 << gate.qubits[0]
         out = psi.copy()
-        out[(idx & m) != 0] *= -1.0
+        out[..., (idx & m) != 0] *= -1.0
         return out
     if name == "CNOT":
         c, t = gate.qubits
-        return psi[idx ^ (((idx >> c) & 1) << t)]
+        return psi[..., idx ^ (((idx >> c) & 1) << t)]
     if name == "CZ":
         c, t = gate.qubits
         both = ((idx >> c) & (idx >> t) & 1) != 0
         out = psi.copy()
-        out[both] *= -1.0
+        out[..., both] *= -1.0
         return out
     raise ValueError(f"unknown gate {name!r}")
 
@@ -197,7 +198,8 @@ def prod_branches(circuit: ProdCircuit) -> list[tuple[float, np.ndarray]]:
                               ((1.0 - s) / 2.0, _bloch_eigvec(anti, 1.0))])
     branches: list[tuple[float, np.ndarray]] = [(1.0, np.array([1.0], complex))]
     for entries in per_qubit:
-        branches = [(w * wq, np.kron(vq, psi))
+        # (vq outer psi).reshape(-1) is np.kron(vq, psi), product for product
+        branches = [(w * wq, (vq[:, None] * psi[None, :]).reshape(-1))
                     for (w, psi) in branches for (wq, vq) in entries]
     return branches
 
@@ -213,14 +215,22 @@ def _bloch_eigvec(vec, s) -> np.ndarray:
 
 def prod_probabilities(circuit: ProdCircuit) -> np.ndarray:
     """Exact |amplitude|^2 vector over all n qubits (bit i of the array
-    index is qubit i)."""
+    index is qubit i).
+
+    The pure branches are evolved together as one B x 2^n array, one array
+    operation per gate; their weighted squares are then summed row by row in
+    branch order, so the result equals a branch-by-branch loop bit for bit.
+    """
     _check_size(circuit.n)
     idx = np.arange(1 << circuit.n)
+    branches = prod_branches(circuit)
+    psi = np.array([b for _, b in branches])
+    for gate in circuit.gates:
+        psi = _apply_gate(psi, gate, idx)
+    sq = np.abs(psi) ** 2
     probs = np.zeros(1 << circuit.n, dtype=float)
-    for weight, psi in prod_branches(circuit):
-        for gate in circuit.gates:
-            psi = _apply_gate(psi, gate, idx)
-        probs += weight * np.abs(psi) ** 2
+    for (weight, _), row in zip(branches, sq):
+        probs += weight * row
     return probs
 
 

@@ -406,12 +406,12 @@ class OraclePolyBox(_DeterministicPolyBox):
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self._dist = exact_distribution(circuit)
+        self.dist = exact_distribution(circuit)
 
     def estimate(self, pattern: OutcomePattern, eps: float,
                  delta: float = 0.0,
                  rng: Optional[np.random.Generator] = None) -> Estimate:
-        return Estimate(self._dist.probability(pattern), eps, 0.0, 1)
+        return Estimate(self.dist.probability(pattern), eps, 0.0, 1)
 
 
 def auto_polybox(circuit: Circuit, threads: int = 1):

@@ -23,6 +23,9 @@ Uniform tableau sampling follows the Koenig-Smolin indexing of Sp(2n, F2)
 (arXiv:1406.2170): a uniform integer below the group order is decoded into a
 symplectic matrix, and the 2n image signs are drawn as independent fair bits.
 No rejection against the group is involved, so the draw is exactly uniform.
+The decode runs on bit-packed ints, like the Paulis: a vector of F2^2n is
+one int with qubit q's x bit at 2q and its z bit at 2q+1, a transvection is
+one XOR, and the matrix is a list of column ints.
 """
 
 from __future__ import annotations
@@ -332,106 +335,73 @@ def clifford_group_order(n: int) -> int:
     return symplectic_group_order(n) << (2 * n)
 
 
-def _int_to_bits(v: int, n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=np.int8)
-    for j in range(n):
-        out[j] = (v >> j) & 1
-    return out
+def _sym_inner(u: int, v: int, even: int) -> int:
+    # interleaved layout: qubit q holds x in bit 2q and z in bit 2q+1, and
+    # even masks the x bits
+    return ((u & (v >> 1) & even) ^ ((u >> 1) & v & even)).bit_count() & 1
 
 
-def _sym_inner(u: np.ndarray, v: np.ndarray) -> int:
-    # interleaved layout: qubit q occupies slots 2q (x) and 2q+1 (z)
-    return int(np.sum(u[0::2] * v[1::2]) + np.sum(u[1::2] * v[0::2])) & 1
+def _transvect(h: int, v: int, even: int) -> int:
+    return v ^ h if _sym_inner(h, v, even) else v
 
 
-def _transvect(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (v + _sym_inner(h, v) * h) % 2
+# the nonzero one-qubit vectors (x, z) = (0, 1), (1, 0), (1, 1), in the
+# order the search for a mediating vector tries them
+_PAIRS = (2, 1, 3)
 
 
-def _pair_inner(a: tuple[int, int], b: tuple[int, int]) -> int:
-    return (a[0] * b[1] + a[1] * b[0]) & 1
+def _pair_with(*vs: int) -> int:
+    """First nonzero one-qubit vector with odd product against every v."""
+    return next(c for c in _PAIRS if all(_sym_inner(v, c, 1) for v in vs))
 
 
-def _find_transvections(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _find_transvections(x: int, y: int, n: int, even: int) -> tuple[int, int]:
     """(h1, h2) with Tv_h1(Tv_h2(x)) == y, for nonzero x, y."""
-    nn = x.size
-    zero = np.zeros(nn, dtype=np.int8)
-    if np.array_equal(x, y):
-        return zero, zero
-    if _sym_inner(x, y) == 1:
-        return (x + y) % 2, zero
+    if x == y:
+        return 0, 0
+    if _sym_inner(x, y, even):
+        return x ^ y, 0
 
     # Need z with <x,z> = <y,z> = 1; then Tv_{x+z} after Tv_{z+y} maps x to y.
-    n = nn // 2
-    z = np.zeros(nn, dtype=np.int8)
-    for q in range(n):
-        xq = (int(x[2 * q]), int(x[2 * q + 1]))
-        yq = (int(y[2 * q]), int(y[2 * q + 1]))
-        if xq != (0, 0) and yq != (0, 0):
-            for cand in ((0, 1), (1, 0), (1, 1)):
-                if _pair_inner(xq, cand) == 1 and _pair_inner(yq, cand) == 1:
-                    z[2 * q], z[2 * q + 1] = cand
-                    return (x + z) % 2, (z + y) % 2
-    qx = next(q for q in range(n) if (x[2 * q], x[2 * q + 1]) != (0, 0))
-    qy = next(q for q in range(n) if (y[2 * q], y[2 * q + 1]) != (0, 0))
-    for cand in ((0, 1), (1, 0), (1, 1)):
-        if _pair_inner((int(x[2 * qx]), int(x[2 * qx + 1])), cand) == 1:
-            z[2 * qx], z[2 * qx + 1] = cand
-            break
-    for cand in ((0, 1), (1, 0), (1, 1)):
-        if _pair_inner((int(y[2 * qy]), int(y[2 * qy + 1])), cand) == 1:
-            z[2 * qy], z[2 * qy + 1] = cand
-            break
-    return (x + z) % 2, (z + y) % 2
-
-
-def _symplectic_interleaved(index: int, n: int) -> np.ndarray:
-    nn = 2 * n
-    s = (1 << nn) - 1
-    k = (index % s) + 1
-    index //= s
-
-    f1 = _int_to_bits(k, nn)
-    e1 = np.zeros(nn, dtype=np.int8)
-    e1[0] = 1
-    h1, h2 = _find_transvections(e1, f1)
-
-    bits = _int_to_bits(index % (1 << (nn - 1)), nn - 1)
-    index //= 1 << (nn - 1)
-
-    eprime = e1.copy()
-    for j in range(2, nn):
-        eprime[j] = bits[j - 1]
-    h0 = _transvect(h1, _transvect(h2, eprime))
-    # bits[0] selects one of the two cosets of images of the second basis
-    # vector; it toggles whether the final f1-transvection is applied.
-    flast = np.zeros(nn, dtype=np.int8) if bits[0] == 1 else f1
-
-    if n > 1:
-        rest = _symplectic_interleaved(index, n - 1)
-        g = np.zeros((nn, nn), dtype=np.int8)
-        g[:2, :2] = np.eye(2, dtype=np.int8)
-        g[2:, 2:] = rest
+    xs = [(x >> 2 * q) & 3 for q in range(n)]
+    ys = [(y >> 2 * q) & 3 for q in range(n)]
+    both = next((q for q in range(n) if xs[q] and ys[q]), None)
+    if both is not None:
+        z = _pair_with(xs[both], ys[both]) << 2 * both
     else:
-        g = np.eye(2, dtype=np.int8)
-
-    for j in range(nn):
-        col = g[:, j]
-        col = _transvect(h2, col)
-        col = _transvect(h1, col)
-        col = _transvect(h0, col)
-        col = _transvect(flast, col)
-        g[:, j] = col
-    return g
+        qx = next(q for q in range(n) if xs[q])
+        qy = next(q for q in range(n) if ys[q])
+        z = _pair_with(xs[qx]) << 2 * qx | _pair_with(ys[qy]) << 2 * qy
+    return x ^ z, z ^ y
 
 
-def symplectic_matrix(index: int, n: int) -> np.ndarray:
-    """Grouped-layout symplectic matrix for an index in [0, order)."""
-    if not 0 <= index < symplectic_group_order(n):
-        raise ValueError("symplectic index out of range")
-    f = _symplectic_interleaved(index, n)
-    perm = [2 * q for q in range(n)] + [2 * q + 1 for q in range(n)]
-    return f[np.ix_(perm, perm)]
+def _symplectic_columns(index: int, n: int) -> list[int]:
+    """Koenig-Smolin decode of an index in [0, order) into the interleaved
+    symplectic matrix, as 2n column ints (bit i of column j is entry i, j)."""
+    nn = 2 * n
+    even = (1 << nn) // 3
+    s = (1 << nn) - 1
+    f1 = (index % s) + 1
+    index //= s
+    h1, h2 = _find_transvections(1, f1, n, even)
+
+    bits = index % (1 << (nn - 1))
+    index >>= nn - 1
+    eprime = 1 | (bits >> 1) << 2
+    h0 = _transvect(h1, _transvect(h2, eprime, even), even)
+    # bit 0 selects one of the two cosets of images of the second basis
+    # vector; it toggles whether the final f1-transvection is applied.
+    flast = 0 if bits & 1 else f1
+
+    cols = [1, 2]
+    if n > 1:
+        cols += [c << 2 for c in _symplectic_columns(index, n - 1)]
+    out = []
+    for col in cols:
+        for h in (h2, h1, h0, flast):
+            col = _transvect(h, col, even)
+        out.append(col)
+    return out
 
 
 def _rand_below(rng: np.random.Generator, bound: int) -> int:
@@ -446,21 +416,25 @@ def _rand_below(rng: np.random.Generator, bound: int) -> int:
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
-    """Exactly uniform random tableau (symplectic index + fair sign bits)."""
+    """Exactly uniform random tableau (symplectic index + fair sign bits).
+
+    The index is decoded on bit-packed ints; tableau row r is row r of the
+    grouped-layout matrix, i.e. interleaved row 2r (x part) or 2(r-n)+1 (z
+    part), read across the x columns 2c and the z columns 2c+1.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     index = _rand_below(rng, symplectic_group_order(n))
-    mat = symplectic_matrix(index, n)
+    cols = _symplectic_columns(index, n)
     signs = rng.integers(0, 2, size=2 * n)
-    rows = []
-    for r in range(2 * n):
-        x = z = 0
-        for c in range(n):
-            if mat[r, c]:
-                x |= 1 << c
-            if mat[r, n + c]:
-                z |= 1 << c
-        rows.append(PauliOperator(n, x, z, -1 if signs[r] else 1))
+
+    def gather(part: list[int], i: int) -> int:
+        return sum(((col >> i) & 1) << c for c, col in enumerate(part))
+
+    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    rows = [PauliOperator(n, gather(cols[0::2], i), gather(cols[1::2], i),
+                          -1 if sign else 1)
+            for i, sign in zip(order, signs)]
     return CliffordTableau(n, tuple(rows[:n]), tuple(rows[n:]))
 
 
@@ -472,18 +446,19 @@ def synthesize_gates(t: CliffordTableau) -> tuple[GateApp, ...]:
     """Gate sequence (H, S, CNOT, CZ, X, Z) realizing the tableau's unitary.
 
     Applies gates that sweep the tableau to the identity, then returns the
-    daggered gates in reverse order.  Cost is O(n^2) gates.
+    daggered gates in reverse order.  Cost is O(n^2) gates.  The sweep acts
+    on the packed rows and records plain (name, qubits) pairs; a
+    :class:`GateApp` is built only for each returned gate.
     """
     n = t.n
     rows = [[p.x, p.z, p.sign] for p in (t.x_images + t.z_images)]
-    applied: list[GateApp] = []
+    applied: list[tuple[str, tuple[int, ...]]] = []
 
     def do(name: str, *qubits: int):
-        gate = GateApp(name, tuple(qubits))
         for row in rows:
             row[0], row[1], row[2] = _gate_conjugate_bits(
-                name, gate.qubits, row[0], row[1], row[2])
-        applied.append(gate)
+                name, qubits, row[0], row[1], row[2])
+        applied.append((name, qubits))
 
     def do_swap(a: int, b: int):
         do("CNOT", a, b)
@@ -533,19 +508,15 @@ def synthesize_gates(t: CliffordTableau) -> tuple[GateApp, ...]:
         if rows[n + i][2] == -1:
             do("X", i)
 
-    ident = identity_tableau(n)
-    for r in range(2 * n):
-        want = ident.x_images[r] if r < n else ident.z_images[r - n]
-        if rows[r] != [want.x, want.z, want.sign]:
+    for r, row in enumerate(rows):
+        if row != ([1 << r, 0, 1] if r < n else [0, 1 << (r - n), 1]):
             raise AssertionError("tableau sweep failed to reach identity")
 
     out: list[GateApp] = []
-    for gate in reversed(applied):
-        if gate.name == "S":
-            out.append(GateApp("S", gate.qubits))
-            out.append(GateApp("Z", gate.qubits))
-        else:
-            out.append(gate)
+    for name, qubits in reversed(applied):
+        out.append(GateApp(name, qubits))
+        if name == "S":
+            out.append(GateApp("Z", qubits))
     return tuple(out)
 
 

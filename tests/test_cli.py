@@ -1,5 +1,6 @@
 """Command-line interface: output format, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -229,6 +230,46 @@ def test_sampling_estimator_with_sparsity_never_builds_the_oracle(
     assert code == 0, captured.err
     outcomes = [json.loads(ln)["outcome"] for ln in captured.out.splitlines()[1:]]
     assert len(outcomes) == 2 and set(outcomes) <= {"000000", "111111"}
+
+
+def test_oracle_sparse_sample_builds_the_distribution_once(
+        capsys, monkeypatch, ghz_file):
+    calls = []
+
+    def counting(circuit):
+        calls.append(circuit)
+        return oracle.exact_distribution(circuit)
+    for module in (cli, polybox, samplers):
+        monkeypatch.setattr(module, "exact_distribution", counting)
+    code = run_command(["sample", "--circuit", ghz_file, "--method", "sparse",
+                        "--estimator", "oracle", "--count", "3", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert len(calls) == 1
+
+
+# sha256 of the stdout, recorded before the Clifford decode moved to packed
+# ints and the oracle to one array for all branches
+ANTICONCENTRATION_GOLDEN = [
+    pytest.param(
+        ["--n", "3", "--trials", "300", "--seed", "17"],
+        "43ec81274d6a57c48d28c4e5b1ec4d7a65a8dab57ac00854fe262c342d513d09",
+        id="n3-pure"),
+    pytest.param(
+        ["--n", "4", "--trials", "200", "--seed", "5", "--bloch", "0.3,0.2,0.5"],
+        "e869a22b63d3bad9c41d7c31cabfb1dd83397dfb8f645dbdb2f23d61b4d4b9a9",
+        id="n4-mixed"),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv, digest", ANTICONCENTRATION_GOLDEN)
+def test_anticoncentration_stdout_is_frozen(capsys, argv, digest, threads):
+    code = run_command(["experiment", "anticoncentration"] + argv
+                       + ["--threads", threads])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
 def test_out_flag(capsys, ghz_file, tmp_path):

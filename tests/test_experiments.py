@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bornbox import experiments, polybox, samplers
 from bornbox.circuits import ProdCircuit
 from bornbox.experiments import (AntiConcentrationReport,
                                  anticoncentration_bound,
@@ -116,11 +117,19 @@ def test_corrupted_distribution():
         corrupted_distribution(ExactDistribution(1, np.array([0.5, 0.5])), 1.5)
 
 
-def test_scheduled_bob_matches_sparse_stabilizer_target():
+def test_scheduled_bob_matches_sparse_stabilizer_target(monkeypatch):
     ghz = ghz_circuit(2)
     d = exact_distribution(ghz)
+    builds = []
+
+    def counting(circuit):
+        builds.append(circuit)
+        return exact_distribution(circuit)
+    for module in (experiments, polybox, samplers):
+        monkeypatch.setattr(module, "exact_distribution", counting)
     sb = scheduled_bob_distribution(ghz, 1, 0.05)
     assert l1_distance(sb, d) < 1e-12
+    assert len(builds) == 1
 
 
 def test_scheduled_bob_respects_budget_rounds():

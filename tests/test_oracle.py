@@ -10,11 +10,13 @@ from bornbox.circuits import (IqpCircuit, OutcomePattern, ProdCircuit,
 from bornbox.oracle import (ExactDistribution, OracleLimitError, StateVector,
                             exact_distribution, exact_probability,
                             exact_sample, l1_distance, min_sparsity,
-                            statevector)
+                            prod_probabilities, statevector)
 from bornbox.stabcore import (GateApp, ProductState, pauli_expansion_probability,
                               tableau_from_gates)
 
-from helpers import ghz_circuit, random_iqp_circuit, random_pattern, random_prod_circuit
+from helpers import (gate_lists, ghz_circuit, random_bloch, random_iqp_circuit,
+                     random_pattern, random_prod_circuit)
+from reference import reference_prod_probabilities
 
 
 def test_bell_distribution():
@@ -116,6 +118,23 @@ def test_distribution_normalized_after_rounding():
     for _ in range(10):
         c = random_prod_circuit(rng, 3, 10)
         assert abs(float(exact_distribution(c).probs.sum()) - 1.0) < 1e-12
+
+
+# pure |0>, pure |1> (the other eigenvector formula), maximally mixed, or a
+# random Bloch vector
+EDGE_BLOCH = (None, (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 0.0, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_prod_probabilities_match_per_branch_loop(data):
+    n, gates = data.draw(gate_lists())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    bloch = tuple(data.draw(st.sampled_from(EDGE_BLOCH))
+                  or random_bloch(rng, bool(rng.integers(2))) for _ in range(n))
+    c = ProdCircuit(n, n, ProductState(bloch), gates)
+    got = prod_probabilities(c)
+    assert got.tobytes() == reference_prod_probabilities(c).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

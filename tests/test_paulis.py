@@ -1,5 +1,7 @@
 """Tableau arithmetic cross-checked against dense matrices."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from bornbox import stabcore as sc
 
 from helpers import MIXED_GATES, S_HEAVY_GATES, gate_lists
+from reference import (reference_random_clifford, reference_symplectic_matrix,
+                       symplectic_matrix)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -132,14 +136,35 @@ def test_pull_back_rejects_out_of_range_gate():
 
 
 def test_symplectic_index_is_bijective():
-    seen1 = {sc.symplectic_matrix(i, 1).tobytes()
+    seen1 = {symplectic_matrix(i, 1).tobytes()
              for i in range(sc.symplectic_group_order(1))}
     assert sc.symplectic_group_order(1) == 6
     assert len(seen1) == 6
     order2 = sc.symplectic_group_order(2)
-    seen2 = {sc.symplectic_matrix(i, 2).tobytes() for i in range(order2)}
+    seen2 = {symplectic_matrix(i, 2).tobytes() for i in range(order2)}
     assert order2 == 720
     assert len(seen2) == 720
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bit_packed_decode_matches_int8_reference(data):
+    n = data.draw(st.integers(1, 6))
+    order = sc.symplectic_group_order(n)
+    index = data.draw(st.one_of(st.sampled_from((0, order - 1)),
+                                st.integers(0, order - 1)))
+    got = symplectic_matrix(index, n)
+    assert got.tobytes() == reference_symplectic_matrix(index, n).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_random_clifford_matches_reference_stream(n, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert sc.random_clifford(n, rng) == reference_random_clifford(n, ref_rng)
+    # both consumed the same draws
+    assert rng.integers(2**63) == ref_rng.integers(2**63)
 
 
 def test_group_orders():
@@ -277,3 +302,16 @@ def test_product_matches_dense(n, seed):
         b = a
     prod = sc.pauli_product(a, b)
     assert np.allclose(pauli_dense(prod), pauli_dense(a) @ pauli_dense(b))
+
+
+def test_synthesized_gate_lists_are_frozen():
+    # sha256 of the gate lists synthesized for 120 draws, recorded before the
+    # sweep stopped building a GateApp per applied gate
+    rng = np.random.default_rng(2024)
+    h = hashlib.sha256()
+    for n in range(1, 7):
+        for _ in range(20):
+            for g in sc.synthesize_gates(sc.random_clifford(n, rng)):
+                h.update(f"{g.name}{g.qubits};".encode())
+    assert h.hexdigest() == (
+        "29fc446d2f16b11c1dcdb53e19ff28526978cb6000a810d1d50ee0bd8fcba0a4")
