@@ -1,21 +1,20 @@
 """Additive-precision Born-rule estimators and epsilon-samplers."""
 
 from .circuits import (Circuit, CircuitSyntaxError, EncodedCircuit, IqpCircuit,
-                       OutcomePattern, ProdCircuit, ce_encode, circuit_k,
-                       circuit_n, index_to_outcome, outcome_to_index,
-                       parse_circuit, parse_pattern, serialize_circuit)
+                       OutcomePattern, ProdCircuit, ce_encode,
+                       index_to_outcome, outcome_to_index, parse_circuit,
+                       parse_pattern, serialize_circuit)
 from .oracle import (ExactDistribution, OracleLimitError, StateVector,
-                     exact_distribution, exact_probability, exact_sample,
-                     l1_distance, min_sparsity, statevector)
+                     exact_distribution, exact_probability, l1_distance,
+                     min_sparsity, statevector)
 from .polybox import (CePolyBox, Estimate, IqpPolyBox, OraclePolyBox,
-                      PolyBoxQuery, ProdPolyBox, alpha_weight_enumerator,
-                      auto_polybox, ce_estimate, evaluate, frequency_polybox,
-                      hoeffding_samples, iqp_estimate, prod_estimate)
+                      ProdPolyBox, alpha_weight_enumerator, auto_polybox,
+                      ce_estimate, frequency_polybox, hoeffding_samples)
 from .samplers import (CdfSamplerConfig, ExactPrefixEstimator,
-                       SparsityPolynomial, cdf_bitwise_sample,
-                       conditional_chain_sample, epsilon_simulate,
-                       heavy_prefixes, oracle_prefix_estimator, sparse_sample,
-                       survivor_cap, survivor_distribution)
+                       SparsityPolynomial, cdf_bitwise_sample, chain_outcome,
+                       epsilon_simulate, heavy_prefixes,
+                       oracle_prefix_estimator, sparse_sample, survivor_cap,
+                       survivor_distribution)
 from .stabcore import (CliffordTableau, GateApp, PauliOperator, ProductState,
                        clifford_group_order, conjugate_pauli, inverse_tableau,
                        pauli_product, product_expectation, pull_back,

@@ -38,7 +38,7 @@ order coincides with lexicographic outcome order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -155,7 +155,7 @@ class EncodedCircuit:
     inner: "Circuit"
 
     def __post_init__(self):
-        if circuit_k(self.inner) < 1:
+        if self.inner.k < 1:
             raise ValueError("inner circuit must measure at least one bit")
 
     @property
@@ -165,7 +165,7 @@ class EncodedCircuit:
     @property
     def y_bits(self) -> int:
         """Length of the uniform pad Y (= inner measured count)."""
-        return circuit_k(self.inner)
+        return self.inner.k
 
     @property
     def k(self) -> int:
@@ -173,18 +173,10 @@ class EncodedCircuit:
 
     @property
     def n(self) -> int:
-        return circuit_n(self.inner)
+        return self.inner.n
 
 
 Circuit = Union[ProdCircuit, IqpCircuit, EncodedCircuit]
-
-
-def circuit_k(c: Circuit) -> int:
-    return c.k
-
-
-def circuit_n(c: Circuit) -> int:
-    return c.n
 
 
 def ce_encode(inner: Circuit) -> EncodedCircuit:

@@ -14,6 +14,11 @@ lines on stdout: a single CommandResult object per invocation, except
 are serialized with 17 significant digits, so identical argv + seed gives
 byte-identical stdout at any worker count.  Wall time goes to stderr,
 keeping stdout reproducible.
+
+``run_command`` is the one way in, for the console script and for callers
+in-process alike, and it owns error handling: bad arguments or input exit 2
+with one ``error:`` line on stderr and nothing on stdout, and an internal
+error exits 1.
 """
 
 from __future__ import annotations
@@ -29,17 +34,17 @@ from typing import Optional
 import numpy as np
 
 from .circuits import (Circuit, CircuitSyntaxError, IqpCircuit, OutcomePattern,
-                       ProdCircuit, circuit_k, parse_circuit, parse_pattern)
+                       ProdCircuit, ce_encode, parse_circuit, parse_pattern)
 from .experiments import (anticoncentration_report, bob_epsilon_schedule,
                           run_hypothesis_test, sparsity_profile)
 from .oracle import (ExactDistribution, OracleLimitError, exact_distribution,
                      exact_probability, min_sparsity, oracle_limit)
-from .polybox import (OraclePolyBox, PolyBoxQuery, auto_polybox, evaluate,
-                      hoeffding_samples, iqp_estimate, prod_estimate)
+from .polybox import (CePolyBox, IqpPolyBox, OraclePolyBox, ProdPolyBox,
+                      auto_polybox, hoeffding_samples)
 from .samplers import (CdfSamplerConfig, ExactPrefixEstimator,
                        SparsityPolynomial, cdf_bitwise_sample,
-                       cdf_outcome_for_r, conditional_chain_sample,
-                       epsilon_simulate, oracle_prefix_estimator)
+                       cdf_outcome_for_r, chain_outcome, epsilon_simulate,
+                       oracle_prefix_estimator)
 from .stabcore import (GATE_ARITY, GateApp, ProductState, random_clifford,
                        synthesize_gates, tableau_from_gates)
 
@@ -125,9 +130,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _cmd_estimate(args) -> list[str]:
     circuit = _load_circuit(args.circuit)
     pattern = parse_pattern(args.pattern)
-    query = PolyBoxQuery(circuit, pattern, args.eps, args.delta)
     rng = np.random.default_rng(args.seed)
-    est = evaluate(query, rng, args.threads)
+    est = auto_polybox(circuit, args.threads).estimate(pattern, args.eps,
+                                                       args.delta, rng)
     params = {"circuit": args.circuit, "family": circuit.family,
               "pattern": pattern.trits, "eps": args.eps, "delta": args.delta}
     payload = {"value": est.value, "eps": est.eps, "delta": est.delta,
@@ -172,9 +177,9 @@ def _cmd_sample(args) -> list[str]:
         params.update(m=args.m)
     else:
         mult = oracle_prefix_estimator(circuit)
-        outcomes = [conditional_chain_sample(mult, circuit, rng)
+        outcomes = [chain_outcome(mult, circuit.k, rng)
                     for _ in range(args.count)]
-    payload = {"k": circuit_k(circuit), "count": len(outcomes)}
+    payload = {"k": circuit.k, "count": len(outcomes)}
     lines = [to_json(command_result("sample", params, args.seed, payload))]
     lines.extend(to_json({"outcome": o}) for o in outcomes)
     return lines
@@ -185,7 +190,7 @@ def _cmd_oracle(args) -> list[str]:
     params = {"circuit": args.circuit, "family": circuit.family}
     if args.pattern is not None:
         pattern = parse_pattern(args.pattern)
-        if pattern.k != circuit_k(circuit):
+        if pattern.k != circuit.k:
             raise ValueError("pattern length does not match measured bits")
         params["pattern"] = pattern.trits
         payload = {"probability": exact_probability(circuit, pattern)}
@@ -310,8 +315,9 @@ def _selftest_checks(seed: int, threads: int,
         c = _random_prod_circuit(3, 12, rng)
         pat = _random_pattern(c.k, rng)
         p = exact_probability(c, pat)
+        box = ProdPolyBox(c, threads)
         for _ in range(reps):
-            e = prod_estimate(c, pat, eps, delta, rng, threads)
+            e = box.estimate(pat, eps, delta, rng)
             violations += abs(e.value - p) >= eps
             total += 1
     bound = delta + 3.0 * math.sqrt(delta * (1 - delta) / total)
@@ -324,14 +330,13 @@ def _selftest_checks(seed: int, threads: int,
     c = IqpCircuit(3, 2, rows)
     pat = _random_pattern(2, rng)
     p = exact_probability(c, pat)
-    e = iqp_estimate(c, pat, 0.02, 0.05, rng, threads)
+    e = IqpPolyBox(c, threads).estimate(pat, 0.02, 0.05, rng)
     tol = 5.0 / math.sqrt(e.samples_used)
     checks.append({"check": "iqp-unbiasedness", "pass": abs(e.value - p) <= tol,
                    "value": abs(e.value - p), "bound": tol})
 
-    from .circuits import ce_encode
-    from .polybox import ce_estimate
     enc = ce_encode(_ghz_circuit(3))
+    cebox = CePolyBox(enc)
     ok = True
     for idx in range(3 ** enc.k):
         trits, v = "", idx
@@ -341,7 +346,7 @@ def _selftest_checks(seed: int, threads: int,
         pattern = OutcomePattern(trits)
         truth = exact_probability(enc, pattern)
         for eps_q in (0.5, 0.01, 2.0 ** -5):
-            err = abs(ce_estimate(enc, pattern, eps_q).value - truth)
+            err = abs(cebox.estimate(pattern, eps_q).value - truth)
             limit = 0.0 if not pattern.is_full else min(
                 2.0 ** -(enc.y_bits + 1), eps_q)
             ok = ok and err <= limit
@@ -371,7 +376,7 @@ def _selftest_checks(seed: int, threads: int,
     checks.append({"check": "cdf-chi2", "pass": pval > 0.01,
                    "value": pval, "bound": 0.01})
 
-    draws = [conditional_chain_sample(strong, ghz, rng) for _ in range(20000)]
+    draws = [chain_outcome(strong, ghz.k, rng) for _ in range(20000)]
     pval = _chi2_pvalue(draws, dist)
     checks.append({"check": "chain-chi2", "pass": pval > 0.01,
                    "value": pval, "bound": 0.01})
@@ -509,30 +514,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_handler(handler, args, out: Optional[str] = None) -> int:
-    """Emits handler(args)'s output lines and returns the exit code: 2 with
-    one ``error:`` line on stderr for bad input, 1 for an internal error."""
+def run_command(argv) -> int:
+    """Runs one subcommand and returns the exit code: 2 with one ``error:``
+    line on stderr for bad arguments or input, 1 for an internal error."""
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
     start = time.perf_counter()
     try:
-        lines = handler(args)
+        lines = args.handler(args)
     except (CircuitSyntaxError, OracleLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    _emit(lines, out)
+    _emit(lines, args.out)
     print(f"wall_time_s={time.perf_counter() - start:.3f}", file=sys.stderr)
     return 0
-
-
-def run_command(argv) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    return run_handler(args.handler, args, args.out)
 
 
 def main() -> None:

@@ -167,14 +167,14 @@ def corrupted_distribution(dist: ExactDistribution,
     return ExactDistribution(dist.k, probs)
 
 
-def scheduled_bob_distribution(circuit: Circuit, round_index: int,
+def scheduled_bob_distribution(box: OraclePolyBox, round_index: int,
                                delta: float,
                                sp: Optional[SparsityPolynomial] = None
                                ) -> ExactDistribution:
     """The distribution an honest imposter samples in a given round: the
     sparse pipeline run at accuracy budget eps_j from the schedule, over the
-    exact-answer estimator handle."""
-    box = OraclePolyBox(circuit)
+    exact-answer estimator handle of the circuit."""
+    circuit = box.circuit
     if sp is None:
         sp = SparsityPolynomial.constant(min_sparsity(box.dist, 0.0))
     eps_prime = bob_epsilon_schedule(round_index, delta)
@@ -237,9 +237,7 @@ class HypothesisTestResult:
 
 def run_hypothesis_test(circuit: Circuit, bob_mode: str, delta: float,
                         trials: int, seed: int, rounds: int = 1,
-                        corruption_l1: float = 0.4,
-                        sp: Optional[SparsityPolynomial] = None
-                        ) -> HypothesisTestResult:
+                        corruption_l1: float = 0.4) -> HypothesisTestResult:
     """Monte Carlo estimate of the referee's success rate against the chosen
     imposter.  The referee guesses the candidate with the larger transcript
     likelihood; ties go to the true distribution."""
@@ -247,13 +245,14 @@ def run_hypothesis_test(circuit: Circuit, bob_mode: str, delta: float,
         raise ValueError("trials must be >= 1000")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    alice = exact_distribution(circuit)
+    box = OraclePolyBox(circuit)
+    alice = box.dist
     if bob_mode == "exact":
         bob_rounds = [alice] * rounds
     elif bob_mode == "corrupted":
         bob_rounds = [corrupted_distribution(alice, corruption_l1)] * rounds
     elif bob_mode == "scheduled":
-        bob_rounds = [scheduled_bob_distribution(circuit, j, delta, sp)
+        bob_rounds = [scheduled_bob_distribution(box, j, delta)
                       for j in range(1, rounds + 1)]
     else:
         raise ValueError(f"unknown bob_mode {bob_mode!r}")

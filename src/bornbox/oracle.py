@@ -137,11 +137,6 @@ def min_sparsity(d, eps: float) -> int:
     return srt.size
 
 
-def exact_sample(d: ExactDistribution, rng: np.random.Generator) -> str:
-    """One categorical draw, returned as an outcome string."""
-    return d.sample_outcomes(rng, 1)[0]
-
-
 # ---------------------------------------------------------------------------
 # Statevector simulation
 # ---------------------------------------------------------------------------

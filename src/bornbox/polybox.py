@@ -15,9 +15,13 @@ Three circuit families get native estimators:
   expectation is the pattern probability (see ``odd_overlap_rows``);
 * parity-encoded circuits: deterministic answers, no sampling at all.
 
-``frequency_polybox`` turns any approximate sampler into an estimator, and
-the handle classes at the bottom give the samplers a uniform query surface:
-``estimate`` for one pattern and ``estimate_many`` for a batch.
+The handle classes at the bottom are the only query surface:
+``auto_polybox(circuit, threads)`` picks ``ProdPolyBox``, ``IqpPolyBox`` or
+``CePolyBox`` by family, ``OraclePolyBox`` answers exactly from the dense
+oracle, and each handle answers ``estimate`` for one pattern and
+``estimate_many`` for a batch.  A pattern whose length is not the circuit's
+measured count is refused with a ``ValueError`` naming the pattern length.
+``frequency_polybox`` turns any approximate sampler into an estimator.
 
 In both sampling families a pattern's bits enter a draw only through a sign:
 for a selection matrix ``sel`` over the fixed positions, the draw for bits s
@@ -74,18 +78,6 @@ class Estimate:
         if not 0.0 <= self.delta < 1.0:
             raise ValueError("delta must lie in [0, 1); 0 only for "
                              "deterministic estimators")
-
-
-@dataclass(frozen=True)
-class PolyBoxQuery:
-    circuit: Circuit
-    pattern: OutcomePattern
-    eps: float
-    delta: float
-
-    def __post_init__(self):
-        if self.pattern.k != self.circuit.k:
-            raise ValueError("pattern length != circuit measured count")
 
 
 def hoeffding_samples(eps: float, delta: float, range_width: float = 2.0) -> int:
@@ -213,12 +205,6 @@ def _prod_values(circuit: ProdCircuit, pattern: OutcomePattern):
     return value
 
 
-def prod_estimate(circuit: ProdCircuit, pattern: OutcomePattern, eps: float,
-                  delta: float, rng: np.random.Generator,
-                  threads: int = 1) -> Estimate:
-    return ProdPolyBox(circuit, threads).estimate(pattern, eps, delta, rng)
-
-
 # ---------------------------------------------------------------------------
 # X-programs
 # ---------------------------------------------------------------------------
@@ -283,18 +269,6 @@ def _iqp_values(circuit: IqpCircuit, pattern: OutcomePattern):
         return (1.0 - 2.0 * rs) * np.where(cancel, quarter, 0.0)
 
     return value
-
-
-def iqp_single_sample(circuit: IqpCircuit, pattern: OutcomePattern,
-                      rng: np.random.Generator) -> float:
-    sel = rng.integers(0, 2, size=(1, len(pattern.fixed)), dtype=np.int64)
-    return float(_iqp_values(circuit, pattern)(sel)[0])
-
-
-def iqp_estimate(circuit: IqpCircuit, pattern: OutcomePattern, eps: float,
-                 delta: float, rng: np.random.Generator,
-                 threads: int = 1) -> Estimate:
-    return IqpPolyBox(circuit, threads).estimate(pattern, eps, delta, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +396,3 @@ def auto_polybox(circuit: Circuit, threads: int = 1):
     if isinstance(circuit, EncodedCircuit):
         return CePolyBox(circuit)
     raise TypeError(f"not a circuit: {circuit!r}")
-
-
-def evaluate(query: PolyBoxQuery, rng: Optional[np.random.Generator] = None,
-             threads: int = 1) -> Estimate:
-    box = auto_polybox(query.circuit, threads)
-    return box.estimate(query.pattern, query.eps, query.delta, rng)

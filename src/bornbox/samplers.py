@@ -10,7 +10,7 @@ Three constructions:
 * ``cdf_bitwise_sample``: inverse-CDF sampling bit by bit from joint
   prefix-marginal queries against an exponential-precision estimator,
   with an m-bit discretized uniform draw.
-* ``conditional_chain_sample``: ancestral sampling from conditionals formed
+* ``chain_outcome``: ancestral sampling from conditionals formed
   as ratios of successive prefix marginals (multiplicative-precision
   estimator contract); exact estimates reproduce the target exactly.
 
@@ -62,16 +62,10 @@ class SparsityPolynomial:
 @dataclass(frozen=True)
 class CdfSamplerConfig:
     m: int
-    eps: float = 0.0
-    delta: float = 0.0
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError("delta must lie in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +259,3 @@ def chain_outcome(mult, k: int, rng: np.random.Generator) -> str:
             prefix += "1"
             q_prev = mult.prefix_probability(prefix)
     return prefix
-
-
-def conditional_chain_sample(mult, circuit: Circuit,
-                             rng: np.random.Generator) -> str:
-    return chain_outcome(mult, circuit.k, rng)

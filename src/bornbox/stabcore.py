@@ -30,7 +30,6 @@ one XOR, and the matrix is a list of column ints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 

@@ -20,12 +20,12 @@ from bornbox.experiments import (bob_epsilon_schedule,
                                  run_hypothesis_test)
 from bornbox.oracle import (ExactDistribution, exact_distribution,
                             exact_probability, l1_distance, min_sparsity)
-from bornbox.polybox import (OraclePolyBox, _iqp_values, ce_estimate,
-                             hoeffding_samples, iqp_estimate, prod_estimate)
+from bornbox.polybox import (IqpPolyBox, OraclePolyBox, ProdPolyBox,
+                             _iqp_values, ce_estimate, hoeffding_samples)
 from bornbox.samplers import (CdfSamplerConfig, ExactPrefixEstimator,
                               cdf_bitwise_sample, cdf_outcome_for_r,
-                              conditional_chain_sample,
-                              oracle_prefix_estimator, survivor_distribution)
+                              chain_outcome, oracle_prefix_estimator,
+                              survivor_distribution)
 from bornbox.stabcore import (GateApp, ProductState, random_clifford,
                               synthesize_gates)
 
@@ -66,9 +66,10 @@ def test_prod_estimator_coverage():
         c = random_prod_circuit(rng, 4, 30)
         pat = random_pattern(rng, 4)
         p = exact_probability(c, pat)
+        box = ProdPolyBox(c)
         violations = 0
         for _ in range(reps):
-            est = prod_estimate(c, pat, eps, delta, rng)
+            est = box.estimate(pat, eps, delta, rng)
             assert est.samples_used == 4239
             if abs(est.value - p) >= eps:
                 violations += 1
@@ -94,9 +95,10 @@ def test_iqp_estimator_coverage_and_unbiasedness():
         c = random_iqp_circuit(rng, 4, 6)
         pat = random_pattern(rng, 4)
         p = exact_probability(c, pat)
+        box = IqpPolyBox(c)
         violations = sum(
             1 for _ in range(reps)
-            if abs(iqp_estimate(c, pat, eps, delta, rng).value - p) >= eps)
+            if abs(box.estimate(pat, eps, delta, rng).value - p) >= eps)
         rate = violations / reps
         worst = max(worst, rate)
         assert rate <= delta + 3 * sigma, (rate, c.rows, pat.trits)
@@ -243,7 +245,7 @@ def test_chain_sampler_gof():
     pvals = {}
     for name, strong, circuit, probs in gof_instances():
         rng = np.random.default_rng(int.from_bytes(name.encode(), "big") + 7)
-        draws = [conditional_chain_sample(strong, circuit, rng)
+        draws = [chain_outcome(strong, circuit.k, rng)
                  for _ in range(100000)]
         pvals[name] = chi2_pvalue(draws, probs)
         assert pvals[name] > 0.01, (name, pvals[name])

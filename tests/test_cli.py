@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -179,15 +180,45 @@ def test_exit_codes(capsys, ghz_file, tmp_path):
     ["estimate", "--circuit", "{ghz}", "--pattern", "000", "--eps", "-0.1"],
     ["sample", "--circuit", "{ghz}", "--method", "chain", "--count", "-1"],
     ["estimate", "--circuit", "{ghz}", "--pattern", "000", "--eps", "1e-6"],
+    ["experiment", "distinguish", "--circuit", "{ghz}", "--trials", "200"],
 ], ids=["missing-file", "malformed-pattern", "pattern-length", "eps-zero",
-        "eps-negative", "negative-count", "over-draw-budget"])
+        "eps-negative", "negative-count", "over-draw-budget",
+        "distinguish-trials"])
 def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, tmp_path, argv):
     argv = [a.format(ghz=ghz_file, missing=str(tmp_path / "nope.qc"))
             for a in argv]
     assert run_command(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
+
+
+@pytest.fixture
+def encoded_file(tmp_path):
+    circuits = tmp_path / "circuits"
+    circuits.mkdir()
+    (circuits / "ghz3.qc").write_text(GHZ3)
+    path = circuits / "enc.qc"
+    path.write_text("family encoded\ninner ghz3.qc\n")
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["distinguish", "--bob", "exact", "--trials", "1000"],
+    ["sparsity", "--eps-grid", "0.0,0.5"],
+], ids=["distinguish", "sparsity"])
+def test_relative_inner_path_from_other_cwd(capsys, monkeypatch, tmp_path,
+                                            encoded_file, argv):
+    """A relative ``inner`` path resolves against the circuit file, not the
+    working directory."""
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    doc, _ = run_json(capsys, ["experiment", argv[0], "--circuit",
+                               os.path.relpath(encoded_file, elsewhere)]
+                      + argv[1:])
+    assert doc["command"] == "experiment"
 
 
 GHZ6 = ("family prod\nqubits 6\nmeasure 6\ngate H 0\n"

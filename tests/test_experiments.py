@@ -19,6 +19,7 @@ from bornbox.experiments import (AntiConcentrationReport,
                                  scheduled_bob_distribution, sparsity_profile,
                                  transcript_l1)
 from bornbox.oracle import ExactDistribution, exact_distribution, l1_distance
+from bornbox.polybox import OraclePolyBox
 from bornbox.samplers import SparsityPolynomial
 from bornbox.stabcore import GateApp, ProductState
 
@@ -127,7 +128,7 @@ def test_scheduled_bob_matches_sparse_stabilizer_target(monkeypatch):
         return exact_distribution(circuit)
     for module in (experiments, polybox, samplers):
         monkeypatch.setattr(module, "exact_distribution", counting)
-    sb = scheduled_bob_distribution(ghz, 1, 0.05)
+    sb = scheduled_bob_distribution(OraclePolyBox(ghz), 1, 0.05)
     assert l1_distance(sb, d) < 1e-12
     assert len(builds) == 1
 
@@ -135,15 +136,16 @@ def test_scheduled_bob_matches_sparse_stabilizer_target(monkeypatch):
 def test_scheduled_bob_respects_budget_rounds():
     ghz = ghz_circuit(2)
     d = exact_distribution(ghz)
+    box = OraclePolyBox(ghz)
     for j in (1, 2, 5):
-        sb = scheduled_bob_distribution(ghz, j, 0.05)
+        sb = scheduled_bob_distribution(box, j, 0.05)
         assert l1_distance(sb, d) <= bob_epsilon_schedule(j, 0.05) + 1e-12
 
 
 def test_scheduled_bob_undersized_sparsity_truncates():
     # forcing t=1 on a 2-sparse target truncates to the single heaviest
     ghz = ghz_circuit(2)
-    sb = scheduled_bob_distribution(ghz, 1, 0.05,
+    sb = scheduled_bob_distribution(OraclePolyBox(ghz), 1, 0.05,
                                     sp=SparsityPolynomial.constant(1))
     assert sorted(sb.probs)[-1] == 1.0
 
@@ -152,7 +154,8 @@ def test_transcript_l1():
     ghz = ghz_circuit(2)
     d = exact_distribution(ghz)
     assert transcript_l1([d], [d]) == 0.0
-    bobs = [scheduled_bob_distribution(ghz, j, 0.05) for j in (1, 2)]
+    box = OraclePolyBox(ghz)
+    bobs = [scheduled_bob_distribution(box, j, 0.05) for j in (1, 2)]
     budget = sum(bob_epsilon_schedule(j, 0.05) for j in (1, 2))
     assert transcript_l1([d, d], bobs) <= budget
     with pytest.raises(ValueError):
@@ -180,6 +183,19 @@ def test_hypothesis_scheduled_bob_capped():
     assert names == ["p_correct", "advantage_cap"]
     assert d["metrics"][1]["bound"] == 0.55
     assert d["metrics"][1]["pass"]
+
+
+def test_scheduled_rounds_share_one_oracle_build(monkeypatch):
+    builds = []
+
+    def counting(circuit):
+        builds.append(circuit)
+        return exact_distribution(circuit)
+    for module in (experiments, polybox, samplers):
+        monkeypatch.setattr(module, "exact_distribution", counting)
+    run_hypothesis_test(ghz_circuit(3), "scheduled", 0.05, 1000, seed=4,
+                        rounds=3)
+    assert len(builds) == 1
 
 
 def test_hypothesis_multi_round_improves():

@@ -13,13 +13,11 @@ from bornbox import polybox
 from bornbox.circuits import IqpCircuit, OutcomePattern, ProdCircuit, ce_encode
 from bornbox.oracle import exact_distribution, exact_probability
 from bornbox.polybox import (MAX_SAMPLES, CePolyBox, Estimate, IqpPolyBox,
-                             OraclePolyBox, PolyBoxQuery, ProdPolyBox,
-                             _batched_draws, _conjugated_factors,
-                             _iqp_values, _prod_values,
-                             alpha_weight_enumerator,
-                             auto_polybox, ce_estimate, evaluate,
-                             frequency_polybox, hoeffding_samples,
-                             iqp_estimate, odd_overlap_rows, prod_estimate,
+                             OraclePolyBox, ProdPolyBox, _batched_draws,
+                             _conjugated_factors, _iqp_values, _prod_values,
+                             alpha_weight_enumerator, auto_polybox,
+                             ce_estimate, frequency_polybox,
+                             hoeffding_samples, odd_overlap_rows,
                              prod_single_sample)
 from bornbox.stabcore import (CliffordTableau, GateApp, PauliOperator,
                               ProductState, conjugate_pauli, tableau_from_gates)
@@ -118,12 +116,14 @@ def test_prod_estimate_coverage_and_thread_invariance():
     c = random_prod_circuit(rng, 3, 12)
     pat = OutcomePattern("01*")
     p = exact_probability(c, pat)
-    est = prod_estimate(c, pat, 0.05, 0.01, np.random.default_rng(5))
+    box = ProdPolyBox(c)
+    est = box.estimate(pat, 0.05, 0.01, np.random.default_rng(5))
     assert est.samples_used == 4239
     assert abs(est.value - p) < 0.05
-    est8 = prod_estimate(c, pat, 0.05, 0.01, np.random.default_rng(5), threads=8)
+    est8 = ProdPolyBox(c, threads=8).estimate(pat, 0.05, 0.01,
+                                              np.random.default_rng(5))
     assert est8.value == est.value
-    est_again = prod_estimate(c, pat, 0.05, 0.01, np.random.default_rng(5))
+    est_again = box.estimate(pat, 0.05, 0.01, np.random.default_rng(5))
     assert est_again.value == est.value
 
 
@@ -156,7 +156,7 @@ def test_prod_estimate_never_builds_a_tableau(monkeypatch):
     n = 64
     c = ProdCircuit(n, n, ProductState.zero(n), random_gates(rng, n, 10 * n))
     pat = OutcomePattern("01" * 3 + "*" * (n - 6))
-    est = prod_estimate(c, pat, 0.1, 0.05, np.random.default_rng(3))
+    est = ProdPolyBox(c).estimate(pat, 0.1, 0.05, np.random.default_rng(3))
     assert est.samples_used == hoeffding_samples(0.1, 0.05)
     assert -1.0 <= est.value <= 1.0
 
@@ -203,12 +203,12 @@ def test_alpha_weight_enumerator():
 
 def test_iqp_estimate():
     c = IqpCircuit(1, 1, ((1,),))
-    est = iqp_estimate(c, OutcomePattern("0"), 0.05, 0.01,
-                       np.random.default_rng(3))
+    est = IqpPolyBox(c).estimate(OutcomePattern("0"), 0.05, 0.01,
+                                 np.random.default_rng(3))
     assert abs(est.value - 0.5) < 0.05
     c = IqpCircuit(2, 2, ())
-    est = iqp_estimate(c, OutcomePattern("00"), 0.5, 0.5,
-                       np.random.default_rng(3))
+    est = IqpPolyBox(c).estimate(OutcomePattern("00"), 0.5, 0.5,
+                                 np.random.default_rng(3))
     assert est.value == 1.0
 
 
@@ -255,9 +255,17 @@ def test_estimate_validation():
     Estimate(0.5, 0.1, 0.0, 1)
 
 
-def test_query_validation():
-    with pytest.raises(ValueError, match="pattern length"):
-        PolyBoxQuery(ghz_circuit(2), OutcomePattern("0"), 0.1, 0.1)
+@pytest.mark.parametrize("box", [
+    ProdPolyBox(ghz_circuit(2)),
+    IqpPolyBox(IqpCircuit(2, 2, ((1, 1),))),
+    CePolyBox(ce_encode(ghz_circuit(1))),
+    OraclePolyBox(ghz_circuit(2)),
+], ids=["prod", "iqp", "encoded", "oracle"])
+def test_query_validation(box):
+    assert box.circuit.k == 2
+    for pattern in (OutcomePattern("0"), OutcomePattern("0*1")):
+        with pytest.raises(ValueError, match="pattern length"):
+            box.estimate(pattern, 0.1, 0.1, np.random.default_rng(0))
 
 
 def test_handles():
@@ -267,6 +275,10 @@ def test_handles():
     assert not box.deterministic
     with pytest.raises(ValueError, match="needs an rng"):
         box.estimate(OutcomePattern("0*"), 0.1, 0.1)
+    est = box.estimate(OutcomePattern("11"), 0.1, 0.05,
+                       np.random.default_rng(2))
+    assert abs(est.value - 0.5) < 0.1
+    assert est.samples_used == hoeffding_samples(0.1, 0.05)
     iqp = IqpCircuit(1, 1, ((1,),))
     assert isinstance(auto_polybox(iqp), IqpPolyBox)
     with pytest.raises(ValueError, match="needs an rng"):
@@ -276,6 +288,7 @@ def test_handles():
     assert isinstance(cebox, CePolyBox)
     assert cebox.deterministic
     assert cebox.estimate(OutcomePattern("0**"), 0.25).value == 0.5
+    assert cebox.estimate(OutcomePattern("00*"), 0.1).value == 0.25
     oracle = OraclePolyBox(ghz)
     assert oracle.deterministic
     est = oracle.estimate(OutcomePattern("11"), 0.1)
@@ -286,23 +299,13 @@ def test_handles():
         auto_polybox("nope")
 
 
-def test_evaluate_routes_by_family():
-    q = PolyBoxQuery(ghz_circuit(2), OutcomePattern("11"), 0.1, 0.05)
-    est = evaluate(q, rng=np.random.default_rng(2))
-    assert abs(est.value - 0.5) < 0.1
-    assert est.samples_used == hoeffding_samples(0.1, 0.05)
-    enc = ce_encode(ghz_circuit(2))
-    est = evaluate(PolyBoxQuery(enc, OutcomePattern("00*"), 0.1, 0.0))
-    assert est.value == 0.25
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_estimates_live_in_unit_interval_shifted(seed):
     rng = np.random.default_rng(seed)
     c = random_prod_circuit(rng, int(rng.integers(1, 4)), int(rng.integers(0, 8)))
     pat = random_pattern(rng, c.k)
-    est = prod_estimate(c, pat, 0.5, 0.5, rng)
+    est = ProdPolyBox(c).estimate(pat, 0.5, 0.5, rng)
     assert -1.0 - 1e-9 <= est.value <= 1.0 + 1e-9
 
 

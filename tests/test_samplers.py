@@ -14,7 +14,7 @@ from bornbox.polybox import Estimate, OraclePolyBox, ProdPolyBox
 from bornbox.samplers import (CdfSamplerConfig, ExactPrefixEstimator,
                               SparsityPolynomial, cdf_bitwise_sample,
                               cdf_outcome_for_r, chain_outcome,
-                              conditional_chain_sample, epsilon_simulate,
+                              epsilon_simulate,
                               heavy_prefixes, oracle_prefix_estimator,
                               sparse_sample, survivor_cap,
                               survivor_distribution)
@@ -216,10 +216,6 @@ def test_cdf_partition_matches_cumulative_cells():
 def test_cdf_config_validation():
     with pytest.raises(ValueError):
         CdfSamplerConfig(m=0)
-    with pytest.raises(ValueError):
-        CdfSamplerConfig(m=4, eps=-0.1)
-    with pytest.raises(ValueError):
-        CdfSamplerConfig(m=4, delta=1.0)
 
 
 def test_cdf_and_chain_chi_square_on_ghz():
@@ -233,7 +229,7 @@ def test_cdf_and_chain_chi_square_on_ghz():
     assert stats.chisquare([counts["000"], counts["111"]],
                            [10000, 10000]).pvalue > 0.01
     rng = np.random.default_rng(12)
-    draws = [conditional_chain_sample(strong, ghz3, rng) for _ in range(20000)]
+    draws = [chain_outcome(strong, ghz3.k, rng) for _ in range(20000)]
     counts = Counter(draws)
     assert set(counts) == {"000", "111"}
     assert stats.chisquare([counts["000"], counts["111"]],
@@ -272,7 +268,7 @@ def test_cdf_error_bound_with_perturbed_queries():
             shift = eps if bits.count("1") % 2 else -eps
             return min(max(q + shift, 0.0), 1.0)
 
-    cfg = CdfSamplerConfig(m=30, eps=eps)
+    cfg = CdfSamplerConfig(m=30)
     rng = np.random.default_rng(21)
     draws = [cdf_bitwise_sample(Perturbed(), ghz_circuit(2), cfg, rng)
              for _ in range(30000)]
