@@ -275,10 +275,6 @@ def test_handles():
     assert not box.deterministic
     with pytest.raises(ValueError, match="needs an rng"):
         box.estimate(OutcomePattern("0*"), 0.1, 0.1)
-    est = box.estimate(OutcomePattern("11"), 0.1, 0.05,
-                       np.random.default_rng(2))
-    assert abs(est.value - 0.5) < 0.1
-    assert est.samples_used == hoeffding_samples(0.1, 0.05)
     iqp = IqpCircuit(1, 1, ((1,),))
     assert isinstance(auto_polybox(iqp), IqpPolyBox)
     with pytest.raises(ValueError, match="needs an rng"):
@@ -288,7 +284,6 @@ def test_handles():
     assert isinstance(cebox, CePolyBox)
     assert cebox.deterministic
     assert cebox.estimate(OutcomePattern("0**"), 0.25).value == 0.5
-    assert cebox.estimate(OutcomePattern("00*"), 0.1).value == 0.25
     oracle = OraclePolyBox(ghz)
     assert oracle.deterministic
     est = oracle.estimate(OutcomePattern("11"), 0.1)
@@ -297,6 +292,16 @@ def test_handles():
     assert est.samples_used == 1
     with pytest.raises(TypeError):
         auto_polybox("nope")
+
+
+def test_evaluate_routes_by_family():
+    est = auto_polybox(ghz_circuit(2)).estimate(
+        OutcomePattern("11"), 0.1, 0.05, np.random.default_rng(2))
+    assert abs(est.value - 0.5) < 0.1
+    assert est.samples_used == hoeffding_samples(0.1, 0.05)
+    enc = ce_encode(ghz_circuit(2))
+    est = auto_polybox(enc).estimate(OutcomePattern("00*"), 0.1)
+    assert est.value == 0.25
 
 
 @settings(max_examples=25, deadline=None)
