@@ -4,26 +4,20 @@ from .circuits import (Circuit, CircuitSyntaxError, EncodedCircuit, IqpCircuit,
                        OutcomePattern, ProdCircuit, ce_encode,
                        index_to_outcome, outcome_to_index, parse_circuit,
                        parse_pattern, serialize_circuit)
-from .oracle import (ExactDistribution, OracleLimitError, StateVector,
-                     exact_distribution, exact_probability, l1_distance,
-                     min_sparsity, statevector)
+from .oracle import (ExactDistribution, OracleLimitError, exact_distribution,
+                     exact_probability, l1_distance, min_sparsity)
 from .polybox import (CePolyBox, Estimate, IqpPolyBox, OraclePolyBox,
-                      ProdPolyBox, alpha_weight_enumerator, auto_polybox,
-                      ce_estimate, frequency_polybox, hoeffding_samples)
-from .samplers import (CdfSamplerConfig, ExactPrefixEstimator,
-                       SparsityPolynomial, cdf_bitwise_sample, chain_outcome,
-                       epsilon_simulate, heavy_prefixes,
-                       oracle_prefix_estimator, sparse_sample, survivor_cap,
-                       survivor_distribution)
+                      ProdPolyBox, auto_polybox, hoeffding_samples)
+from .samplers import (SparsityPolynomial, cdf_bitwise_sample, chain_outcome,
+                       epsilon_simulate, heavy_prefixes, sparse_sample,
+                       survivor_cap, survivor_distribution)
 from .stabcore import (CliffordTableau, GateApp, PauliOperator, ProductState,
-                       clifford_group_order, conjugate_pauli, inverse_tableau,
-                       pauli_product, product_expectation, pull_back,
+                       inverse_tableau, product_expectation, pull_back,
                        random_clifford, symplectic_group_order,
                        synthesize_gates, tableau_from_gates)
 from .experiments import (anticoncentration_bound, anticoncentration_report,
                           bob_epsilon_schedule, corrupted_distribution,
                           optimal_single_round_pcorrect, run_hypothesis_test,
-                          scheduled_bob_distribution, sparsity_profile,
-                          transcript_l1)
+                          scheduled_bob_distribution, sparsity_profile)
 
 __version__ = "0.1.0"

@@ -41,10 +41,8 @@ from .oracle import (ExactDistribution, OracleLimitError, exact_distribution,
                      exact_probability, min_sparsity, oracle_limit)
 from .polybox import (CePolyBox, IqpPolyBox, OraclePolyBox, ProdPolyBox,
                       auto_polybox, hoeffding_samples)
-from .samplers import (CdfSamplerConfig, ExactPrefixEstimator,
-                       SparsityPolynomial, cdf_bitwise_sample,
-                       cdf_outcome_for_r, chain_outcome, epsilon_simulate,
-                       oracle_prefix_estimator)
+from .samplers import (SparsityPolynomial, cdf_bitwise_sample,
+                       cdf_outcome_for_r, chain_outcome, epsilon_simulate)
 from .stabcore import (GATE_ARITY, GateApp, ProductState, random_clifford,
                        synthesize_gates, tableau_from_gates)
 
@@ -170,15 +168,13 @@ def _cmd_sample(args) -> list[str]:
         params.update(eps_prime=args.eps_prime, estimator=args.estimator,
                       sparsity=list(sp.coefficients))
     elif args.method == "cdf":
-        strong = oracle_prefix_estimator(circuit)
-        cfg = CdfSamplerConfig(args.m)
-        outcomes = [cdf_bitwise_sample(strong, circuit, cfg, rng)
+        strong = exact_distribution(circuit)
+        outcomes = [cdf_bitwise_sample(strong, args.m, rng)
                     for _ in range(args.count)]
         params.update(m=args.m)
     else:
-        mult = oracle_prefix_estimator(circuit)
-        outcomes = [chain_outcome(mult, circuit.k, rng)
-                    for _ in range(args.count)]
+        mult = exact_distribution(circuit)
+        outcomes = [chain_outcome(mult, rng) for _ in range(args.count)]
     payload = {"k": circuit.k, "count": len(outcomes)}
     lines = [to_json(command_result("sample", params, args.seed, payload))]
     lines.extend(to_json({"outcome": o}) for o in outcomes)
@@ -362,21 +358,18 @@ def _selftest_checks(seed: int, threads: int,
     checks.append({"check": "sparse-l1", "pass": l1 <= bound,
                    "value": l1, "bound": bound})
 
-    strong = ExactPrefixEstimator(
-        ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4])))
+    strong = ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
     checks.append({"check": "cdf-hand-pairs",
                    "pass": cdf_outcome_for_r(strong, 2, 0.25) == "01"
                    and cdf_outcome_for_r(strong, 2, 0.5) == "10"})
 
     rng = np.random.default_rng(kids[4])
-    strong = oracle_prefix_estimator(ghz)
-    cfg = CdfSamplerConfig(40)
-    draws = [cdf_bitwise_sample(strong, ghz, cfg, rng) for _ in range(20000)]
+    draws = [cdf_bitwise_sample(dist, 40, rng) for _ in range(20000)]
     pval = _chi2_pvalue(draws, dist)
     checks.append({"check": "cdf-chi2", "pass": pval > 0.01,
                    "value": pval, "bound": 0.01})
 
-    draws = [chain_outcome(strong, ghz.k, rng) for _ in range(20000)]
+    draws = [chain_outcome(dist, rng) for _ in range(20000)]
     pval = _chi2_pvalue(draws, dist)
     checks.append({"check": "chain-chi2", "pass": pval > 0.01,
                    "value": pval, "bound": 0.01})

@@ -18,7 +18,6 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -191,16 +190,6 @@ def scheduled_bob_distribution(box: OraclePolyBox, round_index: int,
         for bits, p in zip(outcomes, probs):
             full[int(bits, 2)] = p
     return ExactDistribution(circuit.k, full)
-
-
-def transcript_l1(alice_rounds, bob_rounds) -> float:
-    """Exact L1 between full multi-round transcripts (product measures),
-    by exhaustive enumeration; meant for small round counts and k."""
-    if len(alice_rounds) != len(bob_rounds):
-        raise ValueError("round counts differ")
-    pa = reduce(np.kron, [d.probs for d in alice_rounds])
-    pb = reduce(np.kron, [d.probs for d in bob_rounds])
-    return l1_distance(pa, pb)
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
-                       ProdCircuit, index_to_outcome)
+                       ProdCircuit)
 from .stabcore import GateApp
 
 _SQ = math.sqrt(0.5)
@@ -52,24 +53,13 @@ def _check_size(n: int):
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Dense pure state; amplitude index bit i is qubit i."""
-
-    n: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (1 << self.n,):
-            raise ValueError("amplitude vector has wrong length")
-        if abs(np.abs(amps).dot(np.abs(amps)) - 1.0) > 1e-10:
-            raise ValueError("state vector is not normalized")
-        object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True)
 class ExactDistribution:
-    """Full probability vector over k measured bits."""
+    """Full probability vector over k measured bits.
+
+    Also the exact prefix-marginal handle of the cdf and chain samplers:
+    ``prefix_probability`` is the exact instance of both the
+    exponential-precision and the multiplicative-precision contracts.
+    """
 
     k: int
     probs: np.ndarray
@@ -95,9 +85,21 @@ class ExactDistribution:
         p = p / p.sum()
         return rng.choice(1 << self.k, size=size, p=p)
 
-    def sample_outcomes(self, rng: np.random.Generator, size: int) -> list[str]:
-        return [index_to_outcome(int(i), self.k)
-                for i in self.sample_indices(rng, size)]
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        # built on the first prefix query, so other uses never pay for it
+        return np.concatenate(([0.0], np.cumsum(self.probs)))
+
+    def prefix_probability(self, bits: str) -> float:
+        """Joint prefix marginal Pr(first len(bits) bits = bits), read off
+        the cumulative table."""
+        j = len(bits)
+        if not 0 < j <= self.k:
+            raise ValueError("prefix length out of range")
+        if any(c not in "01" for c in bits):
+            raise ValueError("prefix must be over 0/1")
+        lo = int(bits, 2) << (self.k - j)
+        return float(self._cum[lo + (1 << (self.k - j))] - self._cum[lo])
 
 
 def pattern_index_mask(pattern: OutcomePattern) -> np.ndarray:
@@ -244,23 +246,6 @@ def iqp_statevector(circuit: IqpCircuit) -> np.ndarray:
             mask |= b << i
         psi = c * psi + 1j * s * psi[idx ^ mask]
     return psi
-
-
-def statevector(circuit) -> StateVector:
-    """Pure-state simulation; product inputs must have unit Bloch vectors."""
-    if isinstance(circuit, IqpCircuit):
-        return StateVector(circuit.n, iqp_statevector(circuit))
-    if isinstance(circuit, ProdCircuit):
-        _check_size(circuit.n)
-        branches = prod_branches(circuit)
-        if len(branches) != 1:
-            raise ValueError("mixed product input has no state vector")
-        psi = branches[0][1]
-        idx = np.arange(1 << circuit.n)
-        for gate in circuit.gates:
-            psi = _apply_gate(psi, gate, idx)
-        return StateVector(circuit.n, psi)
-    raise TypeError("state vectors exist only for prod and iqp circuits")
 
 
 def _marginalize(full: np.ndarray, n: int, k: int) -> np.ndarray:

@@ -12,7 +12,7 @@ Three circuit families get native estimators:
   [-1, 1]);
 * X-programs: a random parity vector r supported on the constrained
   positions selects rows of the program matrix; the draw is +-1 or 0 and its
-  expectation is the pattern probability (see ``odd_overlap_rows``);
+  expectation is the pattern probability (see ``_iqp_values``);
 * parity-encoded circuits: deterministic answers, no sampling at all.
 
 The handle classes at the bottom are the only query surface:
@@ -21,7 +21,6 @@ The handle classes at the bottom are the only query surface:
 oracle, and each handle answers ``estimate`` for one pattern and
 ``estimate_many`` for a batch.  A pattern whose length is not the circuit's
 measured count is refused with a ``ValueError`` naming the pattern length.
-``frequency_polybox`` turns any approximate sampler into an estimator.
 
 In both sampling families a pattern's bits enter a draw only through a sign:
 for a selection matrix ``sel`` over the fixed positions, the draw for bits s
@@ -51,8 +50,7 @@ import numpy as np
 from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
                        ProdCircuit)
 from .oracle import exact_distribution, exact_probability
-from .stabcore import (PauliOperator, _xz_phase, pauli_product,
-                       product_expectation, pull_back)
+from .stabcore import PauliOperator, _xz_phase, pull_back
 
 _CHUNK = 8192
 # patterns per sign block: a chunk holds at most _BLOCK x _CHUNK signed draws
@@ -60,7 +58,6 @@ _CHUNK = 8192
 _BLOCK = 64
 # draws per query; a larger Hoeffding count is refused before any allocation
 MAX_SAMPLES = 10 ** 8
-DEFAULT_COLUMN_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -156,17 +153,6 @@ def _conjugated_factors(circuit: ProdCircuit,
             for pos, bit in pattern.fixed]
 
 
-def prod_single_sample(circuit: ProdCircuit, pattern: OutcomePattern,
-                       rng: np.random.Generator) -> float:
-    """One unbiased draw in [-1, 1]: each fixed position contributes its
-    back-propagated signed Z with probability 1/2, identity otherwise."""
-    acc = PauliOperator.identity(circuit.n)
-    for factor in _conjugated_factors(circuit, pattern):
-        if rng.integers(0, 2):
-            acc = pauli_product(acc, factor)
-    return product_expectation(circuit.state, acc)
-
-
 def _prod_values(circuit: ProdCircuit, pattern: OutcomePattern):
     """Returns value(sel) -> ndarray of single-sample values, one per row of
     the (count, f) 0/1 matrix sel over the pattern's fixed positions.  The
@@ -209,42 +195,6 @@ def _prod_values(circuit: ProdCircuit, pattern: OutcomePattern):
 # X-programs
 # ---------------------------------------------------------------------------
 
-def alpha_weight_enumerator(matrix, theta: float,
-                            column_limit: int = DEFAULT_COLUMN_LIMIT) -> complex:
-    """(1/2^c) * sum over v in {0,1}^c of exp(-2i*theta*wt(Mv)) for an
-    m x c binary matrix M.  Brute-force enumeration over all 2^c column
-    combinations, chunked; columns above column_limit are refused."""
-    m = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
-    if m.size and not np.isin(m, (0, 1)).all():
-        raise ValueError("matrix entries must be 0/1")
-    cols = m.shape[1]
-    if cols > column_limit:
-        raise ValueError(f"{cols} columns exceeds enumeration limit "
-                         f"{column_limit}")
-    total = 0.0 + 0.0j
-    block = 1 << 16
-    shifts = np.arange(cols, dtype=np.uint64)
-    for lo in range(0, 1 << cols, block):
-        hi = min(lo + block, 1 << cols)
-        v = ((np.arange(lo, hi, dtype=np.uint64)[:, None] >> shifts) &
-             np.uint64(1)).astype(np.int64)
-        wt = ((v @ m.T) & 1).sum(axis=1)
-        total += np.exp(-2j * theta * wt).sum()
-    return complex(total / (1 << cols))
-
-
-def odd_overlap_rows(matrix: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rows of the program matrix with odd inner product against r, plus
-    their count.  One estimator draw for restriction bits s equals
-    Re[(-1)**(r.s) * 1j**count * alpha_weight_enumerator(rows, pi/2)]; the
-    production path evaluates that closed form without enumeration."""
-    m = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
-    r = np.asarray(r, dtype=np.int64)
-    odd = (m @ r) & 1
-    sub = m[odd == 1]
-    return sub, int(odd.sum())
-
-
 def _iqp_values(circuit: IqpCircuit, pattern: OutcomePattern):
     """Returns value(sel) -> ndarray of single-sample values, one per row of
     the (count, f) 0/1 matrix sel, row r selecting the parity vector r.  The
@@ -269,50 +219,6 @@ def _iqp_values(circuit: IqpCircuit, pattern: OutcomePattern):
         return (1.0 - 2.0 * rs) * np.where(cancel, quarter, 0.0)
 
     return value
-
-
-# ---------------------------------------------------------------------------
-# Parity-encoded circuits
-# ---------------------------------------------------------------------------
-
-def ce_estimate(circuit: EncodedCircuit, pattern: OutcomePattern,
-                eps: float) -> Estimate:
-    """Deterministic estimator for the parity-encoded family.
-
-    Any pattern with a wildcard has probability exactly 2**-(fixed count).
-    Full patterns are answered exactly when eps is below the 2**-n
-    resolution (n = inner measured count) and by the midpoint guess
-    2**-(n+1) otherwise; either way the error is <= min(2**-(n+1), eps).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if pattern.k != circuit.k:
-        raise ValueError("pattern length != circuit measured count")
-    if not pattern.is_full:
-        value = 2.0 ** -(pattern.k - pattern.wild_count)
-    elif eps < 2.0 ** -circuit.y_bits:
-        value = exact_probability(circuit, pattern)
-    else:
-        value = 2.0 ** -(circuit.y_bits + 1)
-    return Estimate(value, eps, 0.0, 1)
-
-
-# ---------------------------------------------------------------------------
-# Sampler-backed estimator
-# ---------------------------------------------------------------------------
-
-def frequency_polybox(sampler, circuit: Circuit, pattern: OutcomePattern,
-                      eps: float, delta: float,
-                      rng: np.random.Generator) -> Estimate:
-    """Estimate by observed frequency: run the sampler at internal accuracy
-    eps/2 and count hits; sampler(circuit, eps_internal, count, rng) must
-    return outcome strings."""
-    if pattern.k != circuit.k:
-        raise ValueError("pattern length != circuit measured count")
-    s = hoeffding_samples(eps / 2.0, delta, 1.0)
-    outcomes = sampler(circuit, eps / 2.0, s, rng)
-    hits = sum(1 for o in outcomes if pattern.matches(o))
-    return Estimate(hits / s, eps, delta, s)
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +271,32 @@ class _DeterministicPolyBox:
 
 
 class CePolyBox(_DeterministicPolyBox):
+    """Deterministic estimator for the parity-encoded family.
+
+    Any pattern with a wildcard has probability exactly 2**-(fixed count).
+    Full patterns are answered exactly when eps is below the 2**-n
+    resolution (n = inner measured count) and by the midpoint guess
+    2**-(n+1) otherwise; either way the error is <= min(2**-(n+1), eps).
+    """
+
     def __init__(self, circuit: EncodedCircuit):
         self.circuit = circuit
 
     def estimate(self, pattern: OutcomePattern, eps: float,
                  delta: float = 0.0,
                  rng: Optional[np.random.Generator] = None) -> Estimate:
-        return ce_estimate(self.circuit, pattern, eps)
+        circuit = self.circuit
+        if eps <= 0:
+            raise ValueError("eps must be positive")
+        if pattern.k != circuit.k:
+            raise ValueError("pattern length != circuit measured count")
+        if not pattern.is_full:
+            value = 2.0 ** -(pattern.k - pattern.wild_count)
+        elif eps < 2.0 ** -circuit.y_bits:
+            value = exact_probability(circuit, pattern)
+        else:
+            value = 2.0 ** -(circuit.y_bits + 1)
+        return Estimate(value, eps, 0.0, 1)
 
 
 class OraclePolyBox(_DeterministicPolyBox):

@@ -14,6 +14,10 @@ Three constructions:
   as ratios of successive prefix marginals (multiplicative-precision
   estimator contract); exact estimates reproduce the target exactly.
 
+The cdf and chain samplers query a handle with a measured count ``k`` and a
+``prefix_probability(bits)`` method; ``oracle.ExactDistribution`` is the
+exact one.
+
 Outcome strings, prefixes, and distribution indices all use the big-endian
 lexicographic convention from the circuits module.
 """
@@ -27,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, OutcomePattern
-from .oracle import ExactDistribution, exact_distribution
 
 
 @dataclass(frozen=True)
@@ -57,15 +60,6 @@ class SparsityPolynomial:
         for c in reversed(self.coefficients):
             total = total * x + c
         return total
-
-
-@dataclass(frozen=True)
-class CdfSamplerConfig:
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -172,33 +166,6 @@ def epsilon_simulate(est, sp: SparsityPolynomial, circuit: Circuit,
 
 
 # ---------------------------------------------------------------------------
-# Prefix-marginal estimator handles
-# ---------------------------------------------------------------------------
-
-class ExactPrefixEstimator:
-    """Joint prefix marginals Pr(first j bits = b) read off a tabulated
-    distribution via cumulative sums; serves as the exact instance of both
-    the exponential-precision and the multiplicative-precision contracts."""
-
-    def __init__(self, dist: ExactDistribution):
-        self.k = dist.k
-        self._cum = np.concatenate(([0.0], np.cumsum(dist.probs)))
-
-    def prefix_probability(self, bits: str) -> float:
-        j = len(bits)
-        if not 0 < j <= self.k:
-            raise ValueError("prefix length out of range")
-        if any(c not in "01" for c in bits):
-            raise ValueError("prefix must be over 0/1")
-        lo = int(bits, 2) << (self.k - j)
-        return float(self._cum[lo + (1 << (self.k - j))] - self._cum[lo])
-
-
-def oracle_prefix_estimator(circuit: Circuit) -> ExactPrefixEstimator:
-    return ExactPrefixEstimator(exact_distribution(circuit))
-
-
-# ---------------------------------------------------------------------------
 # CDF-inversion sampler
 # ---------------------------------------------------------------------------
 
@@ -223,32 +190,34 @@ def cdf_outcome_for_r(strong, k: int, r: float) -> str:
     return prefix
 
 
-def cdf_bitwise_sample(strong, circuit: Circuit, cfg: CdfSamplerConfig,
-                       rng: np.random.Generator) -> str:
+def cdf_bitwise_sample(strong, m: int, rng: np.random.Generator) -> str:
     """Draw r as m uniform bits (r = sum r_i 2^-i) and invert the CDF built
     from prefix-marginal queries.  With exact queries the output error is
     only the 2^-m discretization; with (eps, delta) queries the L1 error is
-    bounded by 2^k (2*eps + 2^-m + 1 - (1-delta)^k)."""
-    bits = rng.integers(0, 2, size=cfg.m)
+    bounded by 2^k (2*eps + 2^-m + 1 - (1-delta)^k).  m is at most 53, the
+    largest count for which r is exactly a double."""
+    if not 1 <= m <= 53:
+        raise ValueError(f"m must lie in [1, 53], got {m}")
+    bits = rng.integers(0, 2, size=m)
     v = 0
     for b in bits:
         v = (v << 1) | int(b)
-    r = v / float(1 << cfg.m)
-    return cdf_outcome_for_r(strong, circuit.k, r)
+    r = v / float(1 << m)
+    return cdf_outcome_for_r(strong, strong.k, r)
 
 
 # ---------------------------------------------------------------------------
 # Conditional-chain sampler
 # ---------------------------------------------------------------------------
 
-def chain_outcome(mult, k: int, rng: np.random.Generator) -> str:
+def chain_outcome(mult, rng: np.random.Generator) -> str:
     """Ancestral sampling: bit j is 0 with probability q_j/q_{j-1}, the
     ratio of successive joint prefix estimates (q_0 = 1).  A zero or
     negative denominator forces the 1 branch via the clamp; r is drawn in
     (0, 1] so a zero ratio can never take the 0 branch."""
     prefix = ""
     q_prev = 1.0
-    for _ in range(k):
+    for _ in range(mult.k):
         q0 = mult.prefix_probability(prefix + "0")
         ratio = 0.0 if q_prev <= 0.0 else min(max(q0 / q_prev, 0.0), 1.0)
         r = 1.0 - rng.random()

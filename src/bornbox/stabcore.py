@@ -15,9 +15,9 @@ product-input estimator uses it.
 
 A :class:`CliffordTableau` stores the images ``U X_i U^dag`` and ``U Z_i U^dag``
 for a Clifford unitary U.  :func:`compose_gate` left-multiplies a named gate
-onto U, and :func:`conjugate_pauli` gives the same ``U^dag P U`` from a
-tableau.  Tableaus serve uniform Clifford draws, gate synthesis and
-cross-checks of the gate-list route.
+onto U, :func:`apply_tableau` gives ``U P U^dag`` and, through
+:func:`inverse_tableau`, the same ``U^dag P U``.  Tableaus serve uniform
+Clifford draws, gate synthesis and cross-checks of the gate-list route.
 
 Uniform tableau sampling follows the Koenig-Smolin indexing of Sp(2n, F2)
 (arXiv:1406.2170): a uniform integer below the group order is decoded into a
@@ -119,10 +119,6 @@ class PauliOperator:
             raise ValueError("qubit-count mismatch")
         return _parity((self.x & other.z) ^ (self.z & other.x)) == 0
 
-    @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
 
 def _xz_phase(p: PauliOperator) -> int:
     """Phase exponent k of p written as i**k X**x Z**z."""
@@ -136,15 +132,6 @@ def _hermitian_from_xz(n: int, k: int, x: int, z: int) -> PauliOperator:
     if rem == 2:
         return PauliOperator(n, x, z, -1)
     raise AssertionError("non-Hermitian Pauli product; invalid tableau input")
-
-
-def pauli_product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    """a*b for commuting Hermitian Paulis; anticommuting inputs would give a
-    non-Hermitian (imaginary) result and are rejected."""
-    if a.n != b.n:
-        raise ValueError("operator sizes differ")
-    k = (_xz_phase(a) + _xz_phase(b) + 2 * _parity(a.z & b.x)) % 4
-    return _hermitian_from_xz(a.n, k, a.x ^ b.x, a.z ^ b.z)
 
 
 def _gate_conjugate_bits(name: str, qubits: tuple[int, ...], x: int, z: int,
@@ -295,11 +282,6 @@ def inverse_tableau(t: CliffordTableau) -> CliffordTableau:
     return CliffordTableau(n, tuple(inv_rows[:n]), tuple(inv_rows[n:]))
 
 
-def conjugate_pauli(t: CliffordTableau, p: PauliOperator) -> PauliOperator:
-    """U^dag P U for the tableau of U."""
-    return apply_tableau(inverse_tableau(t), p)
-
-
 def pull_back(gates, p: PauliOperator) -> PauliOperator:
     """U^dag P U for U = g_G ... g_1, without building a tableau.
 
@@ -327,11 +309,6 @@ def symplectic_group_order(n: int) -> int:
         order *= (1 << (2 * j)) - 1
         order *= 1 << (2 * j - 1)
     return order
-
-
-def clifford_group_order(n: int) -> int:
-    """Number of distinct tableaus (Clifford group modulo global phase)."""
-    return symplectic_group_order(n) << (2 * n)
 
 
 def _sym_inner(u: int, v: int, even: int) -> int:

@@ -1,4 +1,5 @@
-"""Independent reference implementations that the program is checked against.
+"""Independent reference implementations that the program is checked against,
+and cross-checks that only the tests call.
 
 The Koenig-Smolin decode here works on int8 numpy vectors, slot by slot, in
 the same interleaved layout as ``stabcore`` (qubit q's x in slot 2q, its z in
@@ -7,16 +8,31 @@ evolves one pure branch at a time, built with ``np.kron``; ``oracle`` evolves
 all branches as one array.  Both pairs must agree exactly.
 ``symplectic_matrix`` puts the program's decode in the reference's grouped
 matrix form.
+
+The rest are cross-checks kept out of the package: the tableau route to
+``U^dag P U`` and the Pauli product, the Clifford group order, pure-state
+simulation, the brute-force X-program enumerator and the per-draw
+product-input estimator, a frequency estimator over any sampler, outcome
+draws as strings, and the exact L1 between multi-round transcripts.
 """
 
 import math
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from bornbox import stabcore as sc
-from bornbox.oracle import _apply_gate, _bloch_eigvec
-from bornbox.stabcore import (CliffordTableau, PauliOperator, _rand_below,
-                              symplectic_group_order)
+from bornbox.circuits import (IqpCircuit, OutcomePattern, ProdCircuit,
+                              index_to_outcome)
+from bornbox.oracle import (ExactDistribution, _apply_gate, _bloch_eigvec,
+                            _check_size, iqp_statevector, l1_distance,
+                            prod_branches)
+from bornbox.polybox import Estimate, _conjugated_factors, hoeffding_samples
+from bornbox.stabcore import (CliffordTableau, PauliOperator,
+                              _hermitian_from_xz, _parity, _rand_below,
+                              _xz_phase, apply_tableau, inverse_tableau,
+                              product_expectation, symplectic_group_order)
 
 
 def _int_to_bits(v: int, n: int) -> np.ndarray:
@@ -174,3 +190,147 @@ def reference_prod_probabilities(circuit) -> np.ndarray:
             psi = _apply_gate(psi, gate, idx)
         probs += weight * np.abs(psi) ** 2
     return probs
+
+
+# ---------------------------------------------------------------------------
+# Pauli algebra and the Clifford group
+# ---------------------------------------------------------------------------
+
+def pauli_product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
+    """a*b for commuting Hermitian Paulis; anticommuting inputs would give a
+    non-Hermitian (imaginary) result and are rejected."""
+    if a.n != b.n:
+        raise ValueError("operator sizes differ")
+    k = (_xz_phase(a) + _xz_phase(b) + 2 * _parity(a.z & b.x)) % 4
+    return _hermitian_from_xz(a.n, k, a.x ^ b.x, a.z ^ b.z)
+
+
+def conjugate_pauli(t: CliffordTableau, p: PauliOperator) -> PauliOperator:
+    """U^dag P U for the tableau of U."""
+    return apply_tableau(inverse_tableau(t), p)
+
+
+def clifford_group_order(n: int) -> int:
+    """Number of distinct tableaus (Clifford group modulo global phase)."""
+    return symplectic_group_order(n) << (2 * n)
+
+
+# ---------------------------------------------------------------------------
+# Pure-state simulation and outcome draws
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class StateVector:
+    """Dense pure state; amplitude index bit i is qubit i."""
+
+    n: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if amps.shape != (1 << self.n,):
+            raise ValueError("amplitude vector has wrong length")
+        if abs(np.abs(amps).dot(np.abs(amps)) - 1.0) > 1e-10:
+            raise ValueError("state vector is not normalized")
+        object.__setattr__(self, "amplitudes", amps)
+
+
+def statevector(circuit) -> StateVector:
+    """Pure-state simulation; product inputs must have unit Bloch vectors."""
+    if isinstance(circuit, IqpCircuit):
+        return StateVector(circuit.n, iqp_statevector(circuit))
+    if isinstance(circuit, ProdCircuit):
+        _check_size(circuit.n)
+        branches = prod_branches(circuit)
+        if len(branches) != 1:
+            raise ValueError("mixed product input has no state vector")
+        psi = branches[0][1]
+        idx = np.arange(1 << circuit.n)
+        for gate in circuit.gates:
+            psi = _apply_gate(psi, gate, idx)
+        return StateVector(circuit.n, psi)
+    raise TypeError("state vectors exist only for prod and iqp circuits")
+
+
+def sample_outcomes(dist: ExactDistribution, rng: np.random.Generator,
+                    size: int) -> list[str]:
+    return [index_to_outcome(int(i), dist.k)
+            for i in dist.sample_indices(rng, size)]
+
+
+def transcript_l1(alice_rounds, bob_rounds) -> float:
+    """Exact L1 between full multi-round transcripts (product measures),
+    by exhaustive enumeration; meant for small round counts and k."""
+    if len(alice_rounds) != len(bob_rounds):
+        raise ValueError("round counts differ")
+    pa = reduce(np.kron, [d.probs for d in alice_rounds])
+    pb = reduce(np.kron, [d.probs for d in bob_rounds])
+    return l1_distance(pa, pb)
+
+
+# ---------------------------------------------------------------------------
+# Estimator cross-checks
+# ---------------------------------------------------------------------------
+
+DEFAULT_COLUMN_LIMIT = 24
+
+
+def prod_single_sample(circuit: ProdCircuit, pattern: OutcomePattern,
+                       rng: np.random.Generator) -> float:
+    """One unbiased draw in [-1, 1]: each fixed position contributes its
+    back-propagated signed Z with probability 1/2, identity otherwise."""
+    acc = PauliOperator.identity(circuit.n)
+    for factor in _conjugated_factors(circuit, pattern):
+        if rng.integers(0, 2):
+            acc = pauli_product(acc, factor)
+    return product_expectation(circuit.state, acc)
+
+
+def alpha_weight_enumerator(matrix, theta: float,
+                            column_limit: int = DEFAULT_COLUMN_LIMIT) -> complex:
+    """(1/2^c) * sum over v in {0,1}^c of exp(-2i*theta*wt(Mv)) for an
+    m x c binary matrix M.  Brute-force enumeration over all 2^c column
+    combinations, chunked; columns above column_limit are refused."""
+    m = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
+    if m.size and not np.isin(m, (0, 1)).all():
+        raise ValueError("matrix entries must be 0/1")
+    cols = m.shape[1]
+    if cols > column_limit:
+        raise ValueError(f"{cols} columns exceeds enumeration limit "
+                         f"{column_limit}")
+    total = 0.0 + 0.0j
+    block = 1 << 16
+    shifts = np.arange(cols, dtype=np.uint64)
+    for lo in range(0, 1 << cols, block):
+        hi = min(lo + block, 1 << cols)
+        v = ((np.arange(lo, hi, dtype=np.uint64)[:, None] >> shifts) &
+             np.uint64(1)).astype(np.int64)
+        wt = ((v @ m.T) & 1).sum(axis=1)
+        total += np.exp(-2j * theta * wt).sum()
+    return complex(total / (1 << cols))
+
+
+def odd_overlap_rows(matrix: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rows of the program matrix with odd inner product against r, plus
+    their count.  One estimator draw for restriction bits s equals
+    Re[(-1)**(r.s) * 1j**count * alpha_weight_enumerator(rows, pi/2)]; the
+    program evaluates that closed form without enumeration."""
+    m = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
+    r = np.asarray(r, dtype=np.int64)
+    odd = (m @ r) & 1
+    sub = m[odd == 1]
+    return sub, int(odd.sum())
+
+
+def frequency_polybox(sampler, circuit, pattern: OutcomePattern,
+                      eps: float, delta: float,
+                      rng: np.random.Generator) -> Estimate:
+    """Estimate by observed frequency: run the sampler at internal accuracy
+    eps/2 and count hits; sampler(circuit, eps_internal, count, rng) must
+    return outcome strings."""
+    if pattern.k != circuit.k:
+        raise ValueError("pattern length != circuit measured count")
+    s = hoeffding_samples(eps / 2.0, delta, 1.0)
+    outcomes = sampler(circuit, eps / 2.0, s, rng)
+    hits = sum(1 for o in outcomes if pattern.matches(o))
+    return Estimate(hits / s, eps, delta, s)

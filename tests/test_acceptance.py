@@ -8,7 +8,6 @@ import math
 import subprocess
 import sys
 import time
-import types
 
 import numpy as np
 from scipy import stats
@@ -20,12 +19,10 @@ from bornbox.experiments import (bob_epsilon_schedule,
                                  run_hypothesis_test)
 from bornbox.oracle import (ExactDistribution, exact_distribution,
                             exact_probability, l1_distance, min_sparsity)
-from bornbox.polybox import (IqpPolyBox, OraclePolyBox, ProdPolyBox,
-                             _iqp_values, ce_estimate, hoeffding_samples)
-from bornbox.samplers import (CdfSamplerConfig, ExactPrefixEstimator,
-                              cdf_bitwise_sample, cdf_outcome_for_r,
-                              chain_outcome, oracle_prefix_estimator,
-                              survivor_distribution)
+from bornbox.polybox import (CePolyBox, IqpPolyBox, OraclePolyBox,
+                             ProdPolyBox, _iqp_values, hoeffding_samples)
+from bornbox.samplers import (cdf_bitwise_sample, cdf_outcome_for_r,
+                              chain_outcome, survivor_distribution)
 from bornbox.stabcore import (GateApp, ProductState, random_clifford,
                               synthesize_gates)
 
@@ -137,7 +134,7 @@ def test_encoded_estimator_error_bounds():
                     digits.append("01*"[v % 3])
                     v //= 3
                 pat = OutcomePattern("".join(digits))
-                est = ce_estimate(enc, pat, eps)
+                est = CePolyBox(enc).estimate(pat, eps)
                 err = abs(est.value - exact_probability(enc, pat))
                 if pat.is_full:
                     bound = min(limit_full, eps)
@@ -204,33 +201,25 @@ def test_sparse_simulator_l1():
 
 def gof_instances():
     rng = np.random.default_rng(20250820)
-    hand = ExactPrefixEstimator(
-        ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4])))
-    yield "hand", hand, types.SimpleNamespace(k=2), np.array([0.1, 0.2, 0.3, 0.4])
-    ghz = ghz_circuit(3)
-    yield "ghz3", oracle_prefix_estimator(ghz), ghz, exact_distribution(ghz).probs
+    yield "hand", ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
+    yield "ghz3", exact_distribution(ghz_circuit(3))
     gates = synthesize_gates(random_clifford(4, rng))
     cliff = ProdCircuit(4, 4, ProductState.zero(4), gates)
-    yield ("clifford4", oracle_prefix_estimator(cliff), cliff,
-           exact_distribution(cliff).probs)
+    yield "clifford4", exact_distribution(cliff)
     biased = ProdCircuit(3, 3, ProductState(((0.0, 0.0, 0.5),) * 3), ())
-    yield ("biased3", oracle_prefix_estimator(biased), biased,
-           exact_distribution(biased).probs)
+    yield "biased3", exact_distribution(biased)
 
 
 def test_cdf_sampler_gof():
-    hand = ExactPrefixEstimator(
-        ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4])))
+    hand = ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
     assert cdf_outcome_for_r(hand, 2, 0.25) == "01"
     assert cdf_outcome_for_r(hand, 2, 0.5) == "10"
-    cfg = CdfSamplerConfig(m=40)
     start = time.perf_counter()
     pvals = {}
-    for name, strong, circuit, probs in gof_instances():
+    for name, strong in gof_instances():
         rng = np.random.default_rng(int.from_bytes(name.encode(), "big"))
-        draws = [cdf_bitwise_sample(strong, circuit, cfg, rng)
-                 for _ in range(100000)]
-        pvals[name] = chi2_pvalue(draws, probs)
+        draws = [cdf_bitwise_sample(strong, 40, rng) for _ in range(100000)]
+        pvals[name] = chi2_pvalue(draws, strong.probs)
         assert pvals[name] > 0.01, (name, pvals[name])
     elapsed = time.perf_counter() - start
     ok = all(p > 0.01 for p in pvals.values())
@@ -243,11 +232,10 @@ def test_cdf_sampler_gof():
 def test_chain_sampler_gof():
     start = time.perf_counter()
     pvals = {}
-    for name, strong, circuit, probs in gof_instances():
+    for name, strong in gof_instances():
         rng = np.random.default_rng(int.from_bytes(name.encode(), "big") + 7)
-        draws = [chain_outcome(strong, circuit.k, rng)
-                 for _ in range(100000)]
-        pvals[name] = chi2_pvalue(draws, probs)
+        draws = [chain_outcome(strong, rng) for _ in range(100000)]
+        pvals[name] = chi2_pvalue(draws, strong.probs)
         assert pvals[name] > 0.01, (name, pvals[name])
     elapsed = time.perf_counter() - start
     ok = all(p > 0.01 for p in pvals.values())

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from bornbox import cli, oracle, polybox, samplers
+from bornbox import cli, oracle, polybox
 from bornbox.cli import format_float, run_command, to_json
 
 GHZ3 = "family prod\nqubits 3\nmeasure 3\ngate H 0\ngate CNOT 0 1\ngate CNOT 1 2\n"
@@ -181,9 +181,10 @@ def test_exit_codes(capsys, ghz_file, tmp_path):
     ["sample", "--circuit", "{ghz}", "--method", "chain", "--count", "-1"],
     ["estimate", "--circuit", "{ghz}", "--pattern", "000", "--eps", "1e-6"],
     ["experiment", "distinguish", "--circuit", "{ghz}", "--trials", "200"],
+    ["sample", "--circuit", "{ghz}", "--method", "cdf", "--m", "1100"],
 ], ids=["missing-file", "malformed-pattern", "pattern-length", "eps-zero",
         "eps-negative", "negative-count", "over-draw-budget",
-        "distinguish-trials"])
+        "distinguish-trials", "cdf-m-too-large"])
 def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, tmp_path, argv):
     argv = [a.format(ghz=ghz_file, missing=str(tmp_path / "nope.qc"))
             for a in argv]
@@ -253,7 +254,7 @@ def test_sampling_estimator_with_sparsity_never_builds_the_oracle(
         capsys, monkeypatch, ghz6_above_oracle_limit):
     def refuse(circuit):
         raise AssertionError("exact_distribution called")
-    for module in (oracle, cli, polybox, samplers):
+    for module in (oracle, cli, polybox):
         monkeypatch.setattr(module, "exact_distribution", refuse)
     code = run_command(["sample", "--circuit", ghz6_above_oracle_limit,
                         "--sparsity", "2"] + SAMPLING)
@@ -270,7 +271,7 @@ def test_oracle_sparse_sample_builds_the_distribution_once(
     def counting(circuit):
         calls.append(circuit)
         return oracle.exact_distribution(circuit)
-    for module in (cli, polybox, samplers):
+    for module in (cli, polybox):
         monkeypatch.setattr(module, "exact_distribution", counting)
     code = run_command(["sample", "--circuit", ghz_file, "--method", "sparse",
                         "--estimator", "oracle", "--count", "3", "--seed", "1"])
@@ -298,6 +299,52 @@ ANTICONCENTRATION_GOLDEN = [
 def test_anticoncentration_stdout_is_frozen(capsys, argv, digest, threads):
     code = run_command(["experiment", "anticoncentration"] + argv
                        + ["--threads", threads])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+MIXED_PROD = ("family prod\nqubits 4\nmeasure 3\n"
+              "prep 0 bloch 0.6 0.0 0.0\nprep 2 bloch 0.0 0.3 -0.4\n"
+              "gate H 0\ngate CNOT 0 1\ngate S 1\ngate H 2\ngate CZ 2 3\n"
+              "gate CNOT 3 1\n")
+IQP3 = "family iqp\nqubits 3\nmeasure 3\nxrow 1 1 0\nxrow 0 1 1\nxrow 1 0 1\n"
+
+# sha256 of the stdout, recorded before the samplers took the exact
+# distribution itself as their prefix-marginal handle
+SAMPLER_GOLDEN = [
+    pytest.param("mixed.qc", ["cdf"],
+                 "5c2d22c4047eb9e7c715565ed22b473cb162ce1cc743645a6550692cc3c769da",
+                 id="mixed-cdf"),
+    pytest.param("mixed.qc", ["chain"],
+                 "5083039243d38797d5accfb9817a1aafee8113b5f09d7d487a77dd5d26e4172b",
+                 id="mixed-chain"),
+    pytest.param("mixed.qc", ["sparse", "--estimator", "oracle"],
+                 "09090d2d9b61a74555ca071fff9d21df4853d08821a0262f537179ec59b1e677",
+                 id="mixed-sparse"),
+    pytest.param("iqp.qc", ["cdf"],
+                 "62c7f414f85b28a809941380eedaa076bc38893b0be637c4707fe21364e743b6",
+                 id="iqp-cdf"),
+    pytest.param("iqp.qc", ["chain"],
+                 "8bbf7a6f89ababce006aef9985b21be7a61b3464aa8126fe84c07bcd94ec8b44",
+                 id="iqp-chain"),
+    pytest.param("iqp.qc", ["sparse", "--estimator", "oracle"],
+                 "32e20c2ff1f4841298b0c43978957abd4d69d556565e5efea9a62bbcdfff5cd4",
+                 id="iqp-sparse"),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("circuit, method, digest", SAMPLER_GOLDEN)
+def test_sampler_stdout_is_frozen(capsys, monkeypatch, tmp_path, circuit,
+                                  method, digest, threads):
+    # a relative path, since the circuit path is part of the header line
+    (tmp_path / "mixed.qc").write_text(MIXED_PROD)
+    (tmp_path / "iqp.qc").write_text(IQP3)
+    monkeypatch.chdir(tmp_path)
+    code = run_command(["sample", "--circuit", circuit, "--method"] + method
+                       + ["--count", "25", "--seed", "11",
+                          "--threads", threads])
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bornbox import experiments, polybox, samplers
+from bornbox import experiments, polybox
 from bornbox.circuits import ProdCircuit
 from bornbox.experiments import (AntiConcentrationReport,
                                  anticoncentration_bound,
@@ -16,14 +16,14 @@ from bornbox.experiments import (AntiConcentrationReport,
                                  corrupted_distribution,
                                  optimal_single_round_pcorrect,
                                  run_hypothesis_test,
-                                 scheduled_bob_distribution, sparsity_profile,
-                                 transcript_l1)
+                                 scheduled_bob_distribution, sparsity_profile)
 from bornbox.oracle import ExactDistribution, exact_distribution, l1_distance
 from bornbox.polybox import OraclePolyBox
 from bornbox.samplers import SparsityPolynomial
 from bornbox.stabcore import GateApp, ProductState
 
 from helpers import ghz_circuit
+from reference import transcript_l1
 
 
 def test_anticoncentration_bound():
@@ -126,7 +126,7 @@ def test_scheduled_bob_matches_sparse_stabilizer_target(monkeypatch):
     def counting(circuit):
         builds.append(circuit)
         return exact_distribution(circuit)
-    for module in (experiments, polybox, samplers):
+    for module in (experiments, polybox):
         monkeypatch.setattr(module, "exact_distribution", counting)
     sb = scheduled_bob_distribution(OraclePolyBox(ghz), 1, 0.05)
     assert l1_distance(sb, d) < 1e-12
@@ -191,7 +191,7 @@ def test_scheduled_rounds_share_one_oracle_build(monkeypatch):
     def counting(circuit):
         builds.append(circuit)
         return exact_distribution(circuit)
-    for module in (experiments, polybox, samplers):
+    for module in (experiments, polybox):
         monkeypatch.setattr(module, "exact_distribution", counting)
     run_hypothesis_test(ghz_circuit(3), "scheduled", 0.05, 1000, seed=4,
                         rounds=3)

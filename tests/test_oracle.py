@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from bornbox.circuits import (IqpCircuit, OutcomePattern, ProdCircuit,
                               ce_encode, index_to_outcome)
-from bornbox.oracle import (ExactDistribution, OracleLimitError, StateVector,
+from bornbox.oracle import (ExactDistribution, OracleLimitError,
                             exact_distribution, exact_probability,
-                            l1_distance, min_sparsity, prod_probabilities,
-                            statevector)
+                            l1_distance, min_sparsity, prod_probabilities)
 from bornbox.stabcore import (GateApp, ProductState, pauli_expansion_probability,
                               tableau_from_gates)
 
 from helpers import (gate_lists, ghz_circuit, random_bloch, random_iqp_circuit,
                      random_pattern, random_prod_circuit)
-from reference import reference_prod_probabilities
+from reference import (StateVector, reference_prod_probabilities,
+                       sample_outcomes, statevector)
 
 
 def test_bell_distribution():
@@ -153,6 +153,26 @@ def test_marginal_equals_sum_of_completions(seed):
     assert abs(exact_probability(c, pattern) - total) < 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_prefix_probability_matches_pattern_probability(seed):
+    # the cumulative-table route and the pattern-mask route to a prefix
+    # marginal, on mixed-input prod circuits and X-programs up to 6 qubits
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    k = int(rng.integers(1, n + 1))
+    if rng.integers(2):
+        c = random_prod_circuit(rng, n, int(rng.integers(0, 12)), k=k)
+    else:
+        c = random_iqp_circuit(rng, n, int(rng.integers(0, 8)), k=k)
+    dist = exact_distribution(c)
+    for j in range(1, k + 1):
+        for i in range(1 << j):
+            b = index_to_outcome(i, j)
+            want = dist.probability(OutcomePattern(b + "*" * (k - j)))
+            assert abs(dist.prefix_probability(b) - want) <= 1e-12
+
+
 def test_encoded_closed_form_agrees_with_distribution():
     rng = np.random.default_rng(23)
     for _ in range(5):
@@ -196,11 +216,11 @@ def test_l1_distance():
 
 def test_exact_sample_deterministic():
     d = exact_distribution(ghz_circuit(3))
-    a = d.sample_outcomes(np.random.default_rng(0), 1)[0]
-    b = d.sample_outcomes(np.random.default_rng(0), 1)[0]
+    a = sample_outcomes(d, np.random.default_rng(0), 1)[0]
+    b = sample_outcomes(d, np.random.default_rng(0), 1)[0]
     assert a == b
     assert a in ("000", "111")
-    draws = d.sample_outcomes(np.random.default_rng(1), 200)
+    draws = sample_outcomes(d, np.random.default_rng(1), 200)
     assert set(draws) <= {"000", "111"}
 
 

@@ -15,16 +15,16 @@ from bornbox.oracle import exact_distribution, exact_probability
 from bornbox.polybox import (MAX_SAMPLES, CePolyBox, Estimate, IqpPolyBox,
                              OraclePolyBox, ProdPolyBox, _batched_draws,
                              _conjugated_factors, _iqp_values, _prod_values,
-                             alpha_weight_enumerator, auto_polybox,
-                             ce_estimate, frequency_polybox,
-                             hoeffding_samples, odd_overlap_rows,
-                             prod_single_sample)
+                             auto_polybox, hoeffding_samples)
 from bornbox.stabcore import (CliffordTableau, GateApp, PauliOperator,
-                              ProductState, conjugate_pauli, tableau_from_gates)
+                              ProductState, tableau_from_gates)
 
 from helpers import (MIXED_GATES, S_HEAVY_GATES, gate_lists, ghz_circuit,
                      random_gates, random_iqp_circuit, random_pattern,
                      random_prod_circuit)
+from reference import (alpha_weight_enumerator, conjugate_pauli,
+                       frequency_polybox, odd_overlap_rows, prod_single_sample,
+                       sample_outcomes)
 
 
 class SeqRng:
@@ -219,7 +219,7 @@ def test_ce_estimate_exhaustive_bounds():
         for eps in (0.3, 2.0 ** -(n + 1), 2.0 ** -(n + 3)):
             for trits in itertools.product("01*", repeat=n + 1):
                 pat = OutcomePattern("".join(trits))
-                est = ce_estimate(enc, pat, eps)
+                est = CePolyBox(enc).estimate(pat, eps)
                 err = abs(est.value - exact_probability(enc, pat))
                 if not pat.is_full:
                     assert err == 0.0
@@ -234,7 +234,7 @@ def test_frequency_polybox():
     dist = exact_distribution(ghz)
 
     def oracle_sampler(circuit, eps_internal, count, rng):
-        return dist.sample_outcomes(rng, count)
+        return sample_outcomes(dist, rng, count)
 
     est = frequency_polybox(oracle_sampler, ghz, OutcomePattern("0*"), 0.1,
                             0.05, np.random.default_rng(8))

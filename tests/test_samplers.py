@@ -11,11 +11,9 @@ from scipy import stats
 from bornbox.circuits import OutcomePattern, ProdCircuit
 from bornbox.oracle import ExactDistribution, exact_distribution, l1_distance
 from bornbox.polybox import Estimate, OraclePolyBox, ProdPolyBox
-from bornbox.samplers import (CdfSamplerConfig, ExactPrefixEstimator,
-                              SparsityPolynomial, cdf_bitwise_sample,
+from bornbox.samplers import (SparsityPolynomial, cdf_bitwise_sample,
                               cdf_outcome_for_r, chain_outcome,
-                              epsilon_simulate,
-                              heavy_prefixes, oracle_prefix_estimator,
+                              epsilon_simulate, heavy_prefixes,
                               sparse_sample, survivor_cap,
                               survivor_distribution)
 from bornbox.stabcore import GateApp, ProductState
@@ -184,7 +182,7 @@ def test_epsilon_simulate_validation_and_empty():
 
 
 def test_exact_prefix_estimator():
-    hand = ExactPrefixEstimator(ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4])))
+    hand = ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
     assert hand.k == 2
     assert abs(hand.prefix_probability("0") - 0.3) < 1e-15
     assert abs(hand.prefix_probability("1") - 0.7) < 1e-15
@@ -199,7 +197,7 @@ def test_exact_prefix_estimator():
 
 
 def test_cdf_hand_pairs():
-    hand = ExactPrefixEstimator(ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4])))
+    hand = ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
     assert cdf_outcome_for_r(hand, 2, 0.25) == "01"
     assert cdf_outcome_for_r(hand, 2, 0.5) == "10"
     assert cdf_outcome_for_r(hand, 2, 0.0) == "00"
@@ -207,29 +205,33 @@ def test_cdf_hand_pairs():
 
 
 def test_cdf_partition_matches_cumulative_cells():
-    hand = ExactPrefixEstimator(ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4])))
+    hand = ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
     for r in np.arange(0.005, 1.0, 0.01):
         cell = 0 if r < 0.1 else 1 if r < 0.3 else 2 if r < 0.6 else 3
         assert cdf_outcome_for_r(hand, 2, float(r)) == format(cell, "02b")
 
 
 def test_cdf_config_validation():
+    hand = ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        CdfSamplerConfig(m=0)
+        cdf_bitwise_sample(hand, 0, rng)
+    # above 53 bits r would no longer be the exact m-bit value
+    with pytest.raises(ValueError):
+        cdf_bitwise_sample(hand, 54, rng)
 
 
 def test_cdf_and_chain_chi_square_on_ghz():
     ghz3 = ghz_circuit(3)
-    strong = oracle_prefix_estimator(ghz3)
-    cfg = CdfSamplerConfig(m=40)
+    strong = exact_distribution(ghz3)
     rng = np.random.default_rng(11)
-    draws = [cdf_bitwise_sample(strong, ghz3, cfg, rng) for _ in range(20000)]
+    draws = [cdf_bitwise_sample(strong, 40, rng) for _ in range(20000)]
     counts = Counter(draws)
     assert set(counts) == {"000", "111"}
     assert stats.chisquare([counts["000"], counts["111"]],
                            [10000, 10000]).pvalue > 0.01
     rng = np.random.default_rng(12)
-    draws = [chain_outcome(strong, ghz3.k, rng) for _ in range(20000)]
+    draws = [chain_outcome(strong, rng) for _ in range(20000)]
     counts = Counter(draws)
     assert set(counts) == {"000", "111"}
     assert stats.chisquare([counts["000"], counts["111"]],
@@ -237,41 +239,37 @@ def test_cdf_and_chain_chi_square_on_ghz():
 
 
 def test_chain_skewed_distribution():
-    skew = ExactPrefixEstimator(
-        ExactDistribution(2, np.array([0.7, 0.0, 0.05, 0.25])))
+    skew = ExactDistribution(2, np.array([0.7, 0.0, 0.05, 0.25]))
     rng = np.random.default_rng(5)
-    draws = [chain_outcome(skew, 2, rng) for _ in range(40000)]
+    draws = [chain_outcome(skew, rng) for _ in range(40000)]
     emp = empirical_distribution(draws, 2)
     assert l1_distance(emp, np.array([0.7, 0.0, 0.05, 0.25])) < 0.02
     assert emp[1] == 0.0
 
 
 def test_chain_point_mass_zero_prefix():
-    pm = ExactPrefixEstimator(ExactDistribution(2, np.array([0.0, 0.0, 0.0, 1.0])))
+    pm = ExactDistribution(2, np.array([0.0, 0.0, 0.0, 1.0]))
     rng = np.random.default_rng(9)
-    assert all(chain_outcome(pm, 2, rng) == "11" for _ in range(50))
+    assert all(chain_outcome(pm, rng) == "11" for _ in range(50))
 
 
 def test_cdf_error_bound_with_perturbed_queries():
     # prefix queries off by at most eps keep the sampled law within
     # 2^k (2 eps + 2^-m) of the target when delta = 0
     base = ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
-    exact = ExactPrefixEstimator(base)
     eps = 0.01
 
     class Perturbed:
         k = 2
 
         def prefix_probability(self, bits):
-            q = exact.prefix_probability(bits)
+            q = base.prefix_probability(bits)
             # deterministic off-center perturbation, alternating sign
             shift = eps if bits.count("1") % 2 else -eps
             return min(max(q + shift, 0.0), 1.0)
 
-    cfg = CdfSamplerConfig(m=30)
     rng = np.random.default_rng(21)
-    draws = [cdf_bitwise_sample(Perturbed(), ghz_circuit(2), cfg, rng)
-             for _ in range(30000)]
+    draws = [cdf_bitwise_sample(Perturbed(), 30, rng) for _ in range(30000)]
     emp = empirical_distribution(draws, 2)
     bound = (1 << 2) * (2 * eps + 2.0 ** -30)
     sampling_allowance = 3 * math.sqrt(4 / 30000)
