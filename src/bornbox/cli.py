@@ -42,7 +42,8 @@ from .oracle import (ExactDistribution, OracleLimitError, exact_distribution,
 from .polybox import (CePolyBox, IqpPolyBox, OraclePolyBox, ProdPolyBox,
                       auto_polybox, hoeffding_samples)
 from .samplers import (SparsityPolynomial, cdf_bitwise_sample,
-                       cdf_outcome_for_r, chain_outcome, epsilon_simulate)
+                       cdf_outcome_for_r, chain_outcome, check_cdf_bits,
+                       epsilon_simulate)
 from .stabcore import (GATE_ARITY, GateApp, ProductState, random_clifford,
                        synthesize_gates, tableau_from_gates)
 
@@ -168,6 +169,7 @@ def _cmd_sample(args) -> list[str]:
         params.update(eps_prime=args.eps_prime, estimator=args.estimator,
                       sparsity=list(sp.coefficients))
     elif args.method == "cdf":
+        check_cdf_bits(args.m)
         strong = exact_distribution(circuit)
         outcomes = [cdf_bitwise_sample(strong, args.m, rng)
                     for _ in range(args.count)]
@@ -205,14 +207,11 @@ def _cmd_experiment_anticoncentration(args) -> list[str]:
         state = ProductState((vec,) * args.n)
     else:
         state = ProductState.zero(args.n)
-    purity = 1.0
-    for q in range(args.n):
-        purity *= 1.0 - state.purity_defect(q) / 2.0
     report = anticoncentration_report(args.n, args.trials, alphas, state,
                                       args.seed, args.threads)
     params = {"n": args.n, "trials": args.trials, "alphas": list(alphas),
               "bloch": list(vec) if args.bloch is not None else None}
-    payload = report.report_dict(args.seed, purity)
+    payload = report.report_dict(args.seed)
     return [to_json(command_result("experiment", params, args.seed, payload))]
 
 
@@ -444,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=("sparse", "cdf", "chain"))
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--eps-prime", type=float, default=0.1,
-                   help="total L1 budget for the sparse converter")
+                   help="total L1 budget for the sparse converter, "
+                        "in (0, 13/6]")
     p.add_argument("--sparsity", default=None,
                    help="comma list of sparsity-polynomial coefficients, "
                         "ascending degree (default: exact support size, "
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "like (26/eps-prime)^2, so pair it with a coarse "
                         "--eps-prime")
     p.add_argument("--m", type=int, default=40,
-                   help="uniform bits behind the cdf sampler")
+                   help="uniform bits behind the cdf sampler, in [1, 53]")
     _add_common(p)
     p.set_defaults(handler=_cmd_sample)
 

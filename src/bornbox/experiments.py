@@ -15,8 +15,6 @@ keeps the summed advantage below delta over any number of rounds
 from __future__ import annotations
 
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,8 +23,9 @@ import numpy as np
 from .circuits import Circuit, ProdCircuit
 from .oracle import (ExactDistribution, exact_distribution, l1_distance,
                      min_sparsity, prod_probabilities)
-from .polybox import OraclePolyBox
-from .samplers import SparsityPolynomial, survivor_distribution
+from .polybox import OraclePolyBox, _chunked_map
+from .samplers import (SparsityPolynomial, sparse_budget,
+                       survivor_distribution)
 from .stabcore import ProductState, random_clifford, synthesize_gates
 
 _TRIAL_CHUNK = 256
@@ -44,26 +43,17 @@ def clifford_output_probabilities(n: int, trials: int, state: ProductState,
     substreams so the result array is identical for every thread count."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    root = np.random.default_rng(seed)
-    n_chunks = -(-trials // _TRIAL_CHUNK)
-    rngs = root.spawn(n_chunks)
-    sizes = [_TRIAL_CHUNK] * (n_chunks - 1) + [trials - _TRIAL_CHUNK * (n_chunks - 1)]
 
-    def work(i: int) -> np.ndarray:
-        rng = rngs[i]
-        out = np.empty(sizes[i])
-        for j in range(sizes[i]):
+    def work(rng, size: int) -> np.ndarray:
+        out = np.empty(size)
+        for j in range(size):
             gates = synthesize_gates(random_clifford(n, rng))
             circuit = ProdCircuit(n, n, state, gates)
             out[j] = prod_probabilities(circuit)[outcome_index]
         return out
 
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, range(n_chunks)))
-    else:
-        parts = [work(i) for i in range(n_chunks)]
-    return np.concatenate(parts)
+    return np.concatenate(_chunked_map(work, trials, _TRIAL_CHUNK,
+                                       np.random.default_rng(seed), threads))
 
 
 @dataclass(frozen=True)
@@ -75,6 +65,7 @@ class AntiConcentrationReport:
     bounds: tuple[float, ...]
     mean_px: float
     mean_px_sq: float
+    purity: float = 1.0
 
     def __post_init__(self):
         if self.trials < 1:
@@ -82,7 +73,7 @@ class AntiConcentrationReport:
         if any(not 0.0 <= f <= 1.0 for f in self.fractions):
             raise ValueError("fractions must lie in [0, 1]")
 
-    def metrics(self, purity: float = 1.0) -> list[dict]:
+    def metrics(self) -> list[dict]:
         out = []
         for alpha, frac, bound in zip(self.alphas, self.fractions, self.bounds):
             sigma = math.sqrt(max(frac * (1.0 - frac),
@@ -93,7 +84,7 @@ class AntiConcentrationReport:
                         "pass": frac > bound - 3.0 * sigma})
         dim = 2 ** self.n
         first = 1.0 / dim
-        second = (purity + 1.0) / (dim * (dim + 1.0))
+        second = (self.purity + 1.0) / (dim * (dim + 1.0))
         se1 = math.sqrt(max(self.mean_px_sq - self.mean_px ** 2, 0.0)
                         / self.trials)
         out.append({"name": "mean_px", "value": self.mean_px, "bound": first,
@@ -103,12 +94,11 @@ class AntiConcentrationReport:
                     "bound": second, "tolerance": None, "pass": None})
         return out
 
-    def report_dict(self, seed: Optional[int] = None,
-                    purity: float = 1.0) -> dict:
+    def report_dict(self, seed: Optional[int] = None) -> dict:
         return {"experiment": "anticoncentration",
                 "parameters": {"n": self.n, "trials": self.trials,
                                "alphas": list(self.alphas), "seed": seed},
-                "metrics": self.metrics(purity)}
+                "metrics": self.metrics()}
 
 
 def anticoncentration_report(n: int, trials: int, alphas, state: ProductState,
@@ -119,9 +109,10 @@ def anticoncentration_report(n: int, trials: int, alphas, state: ProductState,
     px = clifford_output_probabilities(n, trials, state, seed, 0, threads)
     fractions = tuple(float((px >= alpha / 2 ** n).mean()) for alpha in alphas)
     bounds = tuple(anticoncentration_bound(alpha) for alpha in alphas)
+    purity = math.prod(1.0 - state.purity_defect(q) / 2.0 for q in range(n))
     return AntiConcentrationReport(n, trials, alphas, fractions, bounds,
                                    float(px.mean()),
-                                   float((px ** 2).mean()))
+                                   float((px ** 2).mean()), purity)
 
 
 def sparsity_profile(circuit: Circuit, eps_grid) -> list[tuple[float, int]]:
@@ -167,28 +158,17 @@ def corrupted_distribution(dist: ExactDistribution,
 
 
 def scheduled_bob_distribution(box: OraclePolyBox, round_index: int,
-                               delta: float,
-                               sp: Optional[SparsityPolynomial] = None
-                               ) -> ExactDistribution:
+                               delta: float) -> ExactDistribution:
     """The distribution an honest imposter samples in a given round: the
     sparse pipeline run at accuracy budget eps_j from the schedule, over the
     exact-answer estimator handle of the circuit."""
     circuit = box.circuit
-    if sp is None:
-        sp = SparsityPolynomial.constant(min_sparsity(box.dist, 0.0))
-    eps_prime = bob_epsilon_schedule(round_index, delta)
-    inner = eps_prime / 13.0
-    t = math.ceil(sp(circuit.k / inner))
-    outcomes, probs = survivor_distribution(box, circuit, t, inner, inner,
-                                             None)
+    sp = SparsityPolynomial.constant(min_sparsity(box.dist, 0.0))
+    t, eps = sparse_budget(sp, circuit.k,
+                           bob_epsilon_schedule(round_index, delta))
+    outcomes, probs = survivor_distribution(box, circuit, t, eps, eps, None)
     full = np.zeros(1 << circuit.k)
-    if outcomes is None:
-        warnings.warn("no heavy prefixes for the scheduled imposter; "
-                      "falling back to a point mass on all-zeros")
-        full[0] = 1.0
-    else:
-        for bits, p in zip(outcomes, probs):
-            full[int(bits, 2)] = p
+    full[[int(bits, 2) for bits in outcomes]] = probs
     return ExactDistribution(circuit.k, full)
 
 

@@ -94,23 +94,29 @@ def hoeffding_samples(eps: float, delta: float, range_width: float = 2.0) -> int
     return max(1, math.ceil(need))
 
 
-def _chunked_mean(draw, total: int, rng: np.random.Generator,
-                  threads: int = 1) -> list[float]:
-    """Per-row means of the draws over fixed-size chunks; draw(rng_i, size_i)
-    yields blocks of draws with one row per estimated pattern.  Chunking and
-    the exact final summation depend only on total and the seed, so the
-    results are identical for every thread count."""
-    n_chunks = -(-total // _CHUNK)
+def _chunked_map(work, total: int, chunk: int, rng: np.random.Generator,
+                 threads: int = 1) -> list:
+    """[work(rng_i, size_i)] in chunk order over fixed-size chunks of total,
+    rng_i being spawned substreams of rng: the results depend only on total,
+    chunk and the seed, never on the thread count."""
+    n_chunks = -(-total // chunk)
     rngs = rng.spawn(n_chunks)
-    sizes = [_CHUNK] * (n_chunks - 1) + [total - _CHUNK * (n_chunks - 1)]
-    def part(i: int) -> np.ndarray:
-        return np.concatenate([block.sum(axis=1)
-                               for block in draw(rngs[i], sizes[i])])
+    sizes = [chunk] * (n_chunks - 1) + [total - chunk * (n_chunks - 1)]
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(part, range(n_chunks)))
-    else:
-        sums = [part(i) for i in range(n_chunks)]
+            return list(pool.map(work, rngs, sizes))
+    return list(map(work, rngs, sizes))
+
+
+def _chunked_mean(draw, total: int, rng: np.random.Generator,
+                  threads: int = 1) -> list[float]:
+    """Per-row means of the draws, summed exactly over the chunks of
+    ``_chunked_map``; draw(rng_i, size_i) yields blocks of draws with one
+    row per estimated pattern."""
+    def part(rng_i, size):
+        return np.concatenate([block.sum(axis=1)
+                               for block in draw(rng_i, size)])
+    sums = _chunked_map(part, total, _CHUNK, rng, threads)
     return [math.fsum(row) / total for row in zip(*sums)]
 
 

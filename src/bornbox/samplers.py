@@ -5,8 +5,10 @@ Three constructions:
 * ``sparse_sample`` / ``epsilon_simulate``: breadth-first heavy-prefix
   search over the outcome tree using any additive-precision estimator,
   followed by a categorical draw over the surviving heavy outcomes.  For
-  an eps-approximately t-sparse target the induced distribution is within
-  L1 distance 12*eps + delta.
+  an eps-approximately t-sparse target and eps <= 1/6 the induced
+  distribution is within L1 distance 12*eps + delta.  ``sparse_budget``
+  splits a total budget eps' into eps = delta = eps'/13 and
+  t = ceil(sp(k/eps)), refusing eps' outside (0, 13/6].
 * ``cdf_bitwise_sample``: inverse-CDF sampling bit by bit from joint
   prefix-marginal queries against an exponential-precision estimator,
   with an m-bit discretized uniform draw.
@@ -31,6 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, OutcomePattern
+
+_MAX_EPS = 1.0 / 6.0 + 1e-12  # the L1 bound 12*eps + delta needs eps <= 1/6
 
 
 @dataclass(frozen=True)
@@ -102,66 +106,57 @@ def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
 
 
 def survivor_distribution(est, circuit: Circuit, t: int, eps: float,
-                           delta: float, rng):
-    """Top-t surviving outcomes with clamped, renormalized weights.
-    Returns (outcomes, probs) or (None, None) when nothing survives."""
+                           delta: float, rng) -> tuple[list[str], np.ndarray]:
+    """Top-t surviving outcomes with renormalized weights, as (outcomes,
+    probs).  An empty search breaks the sparsity promise: it warns and
+    returns the point mass on all-zeros."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    if not 0.0 < eps <= _MAX_EPS:
+        raise ValueError("eps must lie in (0, 1/6]")
     threshold = eps / (2.0 * t)
-    survivors = heavy_prefixes(est, circuit, threshold, delta, rng)
-    ranked = sorted(((pat.trits, value) for pat, value in survivors),
-                    key=lambda sv: (-sv[1], sv[0]))[:t]
-    weights = np.array([max(value, 0.0) for _, value in ranked])
-    if not ranked or weights.sum() <= 0.0:
-        return None, None
-    return [bits for bits, _ in ranked], weights / weights.sum()
+    ranked = heavy_prefixes(est, circuit, threshold, delta, rng)[:t]
+    if not ranked:
+        warnings.warn(f"no heavy prefixes at threshold {threshold:g}; the "
+                      "sparsity promise does not hold, emitting all-zeros")
+        return ["0" * circuit.k], np.array([1.0])
+    weights = np.array([value for _, value in ranked])
+    return [pat.trits for pat, _ in ranked], weights / weights.sum()
 
 
-def _sparsity_warning(circuit: Circuit, threshold: float) -> str:
-    return (f"no heavy prefixes at threshold {threshold:g}; the sparsity "
-            "promise does not hold for this circuit, emitting all-zeros")
+def sparse_budget(sp: SparsityPolynomial, k: int,
+                  eps_prime: float) -> tuple[int, float]:
+    """(t, eps) for a total L1 budget eps_prime = 12*eps + delta, with
+    eps = delta = eps_prime/13 and t = ceil(sp(k/eps)).  As the bound needs
+    eps <= 1/6, eps_prime outside (0, 13/6] is refused."""
+    eps = eps_prime / 13.0
+    if not 0.0 < eps <= _MAX_EPS:
+        raise ValueError(f"eps_prime must lie in (0, 13/6], got {eps_prime:g}")
+    return math.ceil(sp(k / eps)), eps
 
 
 def sparse_sample(est, circuit: Circuit, t: int, eps: float, delta: float,
                   rng: np.random.Generator) -> str:
-    """One draw from the heavy-outcome restriction.  Requires eps <= 1/6;
-    if the search comes back empty (sparsity promise violated) the all-zeros
-    outcome is emitted along with a warning rather than aborting."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if eps <= 0 or eps > 1.0 / 6.0 + 1e-12:
-        raise ValueError("eps must lie in (0, 1/6]")
+    """One draw from the table of ``survivor_distribution``."""
     outcomes, probs = survivor_distribution(est, circuit, t, eps, delta, rng)
-    if outcomes is None:
-        warnings.warn(_sparsity_warning(circuit, eps / (2.0 * t)))
-        return "0" * circuit.k
     return outcomes[rng.choice(len(outcomes), p=probs)]
 
 
 def epsilon_simulate(est, sp: SparsityPolynomial, circuit: Circuit,
                      eps_prime: float, count: int,
                      rng: np.random.Generator) -> list[str]:
-    """count draws within total L1 budget eps_prime for poly-sparse
-    targets: the budget splits as eps = delta = eps_prime/13, and
-    12*(eps_prime/13) + eps_prime/13 = eps_prime.
-
-    A deterministic estimator gives the same survivor set on every draw, so
-    the categorical table is built once and sampled count times; the induced
-    distribution is identical to the per-draw path.
-    """
-    if eps_prime <= 0:
-        raise ValueError("eps_prime must be positive")
+    """count draws within total L1 budget eps_prime for poly-sparse targets,
+    split by ``sparse_budget``.  A deterministic estimator gives the same
+    survivors on every draw, so its table is built once and sampled count
+    times; the induced distribution is that of the per-draw path."""
+    t, eps = sparse_budget(sp, circuit.k, eps_prime)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    inner = eps_prime / 13.0
-    t = math.ceil(sp(circuit.k / inner))
     if getattr(est, "deterministic", False):
-        outcomes, probs = survivor_distribution(est, circuit, t, inner,
-                                                 inner, rng)
-        if outcomes is None:
-            warnings.warn(_sparsity_warning(circuit, inner / (2.0 * t)))
-            return ["0" * circuit.k] * count
+        outcomes, probs = survivor_distribution(est, circuit, t, eps, eps, rng)
         idx = rng.choice(len(outcomes), size=count, p=probs)
         return [outcomes[i] for i in idx]
-    return [sparse_sample(est, circuit, t, inner, inner, rng)
+    return [sparse_sample(est, circuit, t, eps, eps, rng)
             for _ in range(count)]
 
 
@@ -190,14 +185,18 @@ def cdf_outcome_for_r(strong, k: int, r: float) -> str:
     return prefix
 
 
+def check_cdf_bits(m: int) -> None:
+    if not 1 <= m <= 53:
+        raise ValueError(f"m must lie in [1, 53], got {m}")
+
+
 def cdf_bitwise_sample(strong, m: int, rng: np.random.Generator) -> str:
     """Draw r as m uniform bits (r = sum r_i 2^-i) and invert the CDF built
     from prefix-marginal queries.  With exact queries the output error is
     only the 2^-m discretization; with (eps, delta) queries the L1 error is
     bounded by 2^k (2*eps + 2^-m + 1 - (1-delta)^k).  m is at most 53, the
     largest count for which r is exactly a double."""
-    if not 1 <= m <= 53:
-        raise ValueError(f"m must lie in [1, 53], got {m}")
+    check_cdf_bits(m)
     bits = rng.integers(0, 2, size=m)
     v = 0
     for b in bits:

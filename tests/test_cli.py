@@ -182,9 +182,18 @@ def test_exit_codes(capsys, ghz_file, tmp_path):
     ["estimate", "--circuit", "{ghz}", "--pattern", "000", "--eps", "1e-6"],
     ["experiment", "distinguish", "--circuit", "{ghz}", "--trials", "200"],
     ["sample", "--circuit", "{ghz}", "--method", "cdf", "--m", "1100"],
+    ["sample", "--circuit", "{ghz}", "--method", "cdf", "--m", "0",
+     "--count", "0"],
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "oracle", "--eps-prime", "3"],
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "sampling", "--eps-prime", "3", "--count", "0"],
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--sparsity", "0"],
 ], ids=["missing-file", "malformed-pattern", "pattern-length", "eps-zero",
         "eps-negative", "negative-count", "over-draw-budget",
-        "distinguish-trials", "cdf-m-too-large"])
+        "distinguish-trials", "cdf-m-too-large", "cdf-m-zero-count-0",
+        "sparse-eps-prime-oracle", "sparse-eps-prime-count-0",
+        "sparse-zero-sparsity"])
 def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, tmp_path, argv):
     argv = [a.format(ghz=ghz_file, missing=str(tmp_path / "nope.qc"))
             for a in argv]

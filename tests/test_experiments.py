@@ -19,7 +19,8 @@ from bornbox.experiments import (AntiConcentrationReport,
                                  scheduled_bob_distribution, sparsity_profile)
 from bornbox.oracle import ExactDistribution, exact_distribution, l1_distance
 from bornbox.polybox import OraclePolyBox
-from bornbox.samplers import SparsityPolynomial
+from bornbox.samplers import (SparsityPolynomial, sparse_budget,
+                              survivor_distribution)
 from bornbox.stabcore import GateApp, ProductState
 
 from helpers import ghz_circuit
@@ -145,9 +146,22 @@ def test_scheduled_bob_respects_budget_rounds():
 def test_scheduled_bob_undersized_sparsity_truncates():
     # forcing t=1 on a 2-sparse target truncates to the single heaviest
     ghz = ghz_circuit(2)
-    sb = scheduled_bob_distribution(OraclePolyBox(ghz), 1, 0.05,
-                                    sp=SparsityPolynomial.constant(1))
-    assert sorted(sb.probs)[-1] == 1.0
+    t, eps = sparse_budget(SparsityPolynomial.constant(1), ghz.k,
+                           bob_epsilon_schedule(1, 0.05))
+    assert t == 1
+    outcomes, probs = survivor_distribution(OraclePolyBox(ghz), ghz, t, eps,
+                                            eps, None)
+    assert len(outcomes) == 1
+    assert list(probs) == [1.0]
+
+
+def test_scheduled_bob_refuses_a_first_round_budget_above_13_6():
+    # eps_1 = 24*delta/pi^2 exceeds 13/6 once delta > 13*pi^2/144
+    box = OraclePolyBox(ghz_circuit(2))
+    limit = 13 * math.pi ** 2 / 144
+    scheduled_bob_distribution(box, 1, limit * (1 - 1e-9))
+    with pytest.raises(ValueError, match="eps_prime"):
+        scheduled_bob_distribution(box, 1, limit * (1 + 1e-6))
 
 
 def test_transcript_l1():

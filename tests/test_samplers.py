@@ -14,7 +14,7 @@ from bornbox.polybox import Estimate, OraclePolyBox, ProdPolyBox
 from bornbox.samplers import (SparsityPolynomial, cdf_bitwise_sample,
                               cdf_outcome_for_r, chain_outcome,
                               epsilon_simulate, heavy_prefixes,
-                              sparse_sample, survivor_cap,
+                              sparse_budget, sparse_sample, survivor_cap,
                               survivor_distribution)
 from bornbox.stabcore import GateApp, ProductState
 
@@ -106,8 +106,28 @@ def test_survivor_distribution():
                                             0.1, 0.0, None)
     assert outcomes == ["000", "111"]
     assert np.allclose(probs, [0.5, 0.5])
-    outcomes, probs = survivor_distribution(ZeroBox(), ghz3, 2, 0.1, 0.0, None)
-    assert outcomes is None and probs is None
+    with pytest.warns(UserWarning, match="sparsity promise"):
+        outcomes, probs = survivor_distribution(ZeroBox(), ghz3, 2, 0.1, 0.0,
+                                                None)
+    assert outcomes == ["000"]
+    assert list(probs) == [1.0]
+
+
+def test_sparse_budget_splits_and_refuses():
+    sp = SparsityPolynomial((1.0, 0.5))
+    t, eps = sparse_budget(sp, 3, 1.3)
+    assert eps == 0.1 and t == math.ceil(sp(30.0)) == 16
+    assert sparse_budget(sp, 3, 13 / 6)[1] == pytest.approx(1 / 6)
+    for eps_prime in (0.0, -0.1, 13 / 6 + 1e-6, 3.0):
+        with pytest.raises(ValueError, match="eps_prime"):
+            sparse_budget(sp, 3, eps_prime)
+    # refused before any search, on both paths and at any count
+    ghz3 = ghz_circuit(3)
+    for box in (OraclePolyBox(ghz3), ProdPolyBox(ghz3)):
+        for count in (0, 2):
+            with pytest.raises(ValueError, match="eps_prime"):
+                epsilon_simulate(box, SparsityPolynomial.constant(2), ghz3,
+                                 3.0, count, np.random.default_rng(0))
 
 
 def test_sparse_sample_point_mass():
