@@ -29,6 +29,9 @@ from .samplers import (SparsityPolynomial, sparse_budget,
 from .stabcore import ProductState, random_clifford, synthesize_gates
 
 _TRIAL_CHUNK = 256
+# the scheduled imposter's first-round budget eps_1 = 24*delta/pi^2 stays
+# within the sparse converter's 13/6 up to this delta
+_MAX_SCHEDULED_DELTA = 13.0 * math.pi ** 2 / 144.0
 
 
 def anticoncentration_bound(alpha: float) -> float:
@@ -185,18 +188,28 @@ class HypothesisTestResult:
         if not 0.0 <= self.p_correct <= 1.0:
             raise ValueError("p_correct must lie in [0, 1]")
 
+    @property
+    def sigma(self) -> float:
+        """Standard error of p_correct."""
+        return math.sqrt(self.p_correct * (1.0 - self.p_correct)
+                         / self.trials) if self.trials else 0.0
+
+    def advantage_cap(self) -> dict:
+        """The honest scheduled imposter's bound p_correct <= 1/2 + delta,
+        met within 3 sigma."""
+        cap = 0.5 + self.delta
+        return {"name": "advantage_cap", "value": self.p_correct,
+                "bound": cap, "tolerance": 3.0 * self.sigma,
+                "pass": self.p_correct <= cap + 3.0 * self.sigma}
+
     def report_dict(self, seed: Optional[int] = None) -> dict:
-        sigma = math.sqrt(self.p_correct * (1.0 - self.p_correct)
-                          / self.trials) if self.trials else 0.0
+        sigma = self.sigma
         metrics = [{"name": "p_correct", "value": self.p_correct,
                     "bound": self.analytic, "tolerance": 3.0 * sigma,
                     "pass": (None if self.analytic is None else
                              abs(self.p_correct - self.analytic) <= 3.0 * sigma)}]
         if self.bob_mode == "scheduled":
-            cap = 0.5 + self.delta
-            metrics.append({"name": "advantage_cap", "value": self.p_correct,
-                            "bound": cap, "tolerance": 3.0 * sigma,
-                            "pass": self.p_correct <= cap + 3.0 * sigma})
+            metrics.append(self.advantage_cap())
         return {"experiment": "distinguish",
                 "parameters": {"bob_mode": self.bob_mode, "delta": self.delta,
                                "trials": self.trials, "rounds": self.rounds,
@@ -214,6 +227,10 @@ def run_hypothesis_test(circuit: Circuit, bob_mode: str, delta: float,
         raise ValueError("trials must be >= 1000")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if bob_mode == "scheduled" and delta > _MAX_SCHEDULED_DELTA:
+        raise ValueError(f"delta must be at most 13*pi^2/144 = "
+                         f"{_MAX_SCHEDULED_DELTA:.6g} for the scheduled "
+                         f"imposter, got {delta:g}")
     box = OraclePolyBox(circuit)
     alice = box.dist
     if bob_mode == "exact":

@@ -33,6 +33,16 @@ mean of s i.i.d. draws of its own unbiased estimator, so every per-pattern
 (eps, delta) guarantee holds; the draws are shared, not independent, across
 the patterns of a batch.  ``estimate(p)`` is ``estimate_many([p])[0]``.
 
+The sampling handles also answer ``exact_many(patterns)``, the exact
+probabilities of such a batch: the sampled mean is an average over uniform
+selections, so the same sign rows, fed every one of the 2^f selections
+instead of random ones, sum to the probability itself.  That costs 2^f draws
+per pattern and no rng; the heavy-prefix search uses it at the levels where
+2^f is at most the Hoeffding count of a sampled query (see
+``samplers.heavy_prefixes``).  ``estimate`` and ``estimate_many`` always
+sample and report their Hoeffding count.  ``CePolyBox`` and
+``OraclePolyBox`` have no ``exact_many``: they answer without sampling.
+
 Draws inside one estimate are split into fixed-size chunks with spawned RNG
 substreams and combined with exact summation, so the returned values depend
 only on the seed, never on the worker count.
@@ -120,10 +130,10 @@ def _chunked_mean(draw, total: int, rng: np.random.Generator,
     return [math.fsum(row) / total for row in zip(*sums)]
 
 
-def _batched_draws(values, circuit: Circuit, patterns):
-    """draw(rng, count) for ``_chunked_mean`` over patterns that share their
-    fixed positions.  One (count, f) selection matrix is drawn per chunk and
-    the sign-free draws v = values(circuit, base)(sel) are computed once, base
+def _batched_rows(values, circuit: Circuit, patterns):
+    """(rows, f): rows(sel) yields the draws of patterns that share their f
+    fixed positions, for a (count, f) 0/1 selection matrix sel.  The
+    sign-free draws v = values(circuit, base)(sel) are computed once, base
     being the pattern with every fixed bit 0; the row of a pattern with bits
     s is (-1)^(sel.s) * v, yielded _BLOCK rows at a time.  This is the only
     place the estimator handles apply a pattern's bits."""
@@ -135,13 +145,21 @@ def _batched_draws(values, circuit: Circuit, patterns):
     bits = np.array([[bit for _, bit in p.fixed] for p in patterns],
                     dtype=np.int64)
 
-    def draw(rng, count):
-        sel = rng.integers(0, 2, size=(count, bits.shape[1]), dtype=np.int64)
+    def rows(sel):
         v = value(sel)
         for lo in range(0, len(bits), _BLOCK):
             yield (1 - 2 * ((bits[lo:lo + _BLOCK] @ sel.T) & 1)) * v
 
-    return draw
+    return rows, bits.shape[1]
+
+
+def _batched_draws(values, circuit: Circuit, patterns):
+    """draw(rng, count) for ``_chunked_mean``: the rows of
+    ``_batched_rows`` for one uniformly random (count, f) selection
+    matrix per chunk."""
+    rows, f = _batched_rows(values, circuit, patterns)
+    return lambda rng, count: rows(
+        rng.integers(0, 2, size=(count, f), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +180,7 @@ def _conjugated_factors(circuit: ProdCircuit,
 def _prod_values(circuit: ProdCircuit, pattern: OutcomePattern):
     """Returns value(sel) -> ndarray of single-sample values, one per row of
     the (count, f) 0/1 matrix sel over the pattern's fixed positions.  The
-    estimators call it with every fixed bit 0 (see ``_batched_draws``); for
+    estimators call it with every fixed bit 0 (see ``_batched_rows``); for
     other bits the signed factors give the per-pattern draws directly, the
     reference the tests check the batched sign against."""
     factors = _conjugated_factors(circuit, pattern)
@@ -204,7 +222,7 @@ def _prod_values(circuit: ProdCircuit, pattern: OutcomePattern):
 def _iqp_values(circuit: IqpCircuit, pattern: OutcomePattern):
     """Returns value(sel) -> ndarray of single-sample values, one per row of
     the (count, f) 0/1 matrix sel, row r selecting the parity vector r.  The
-    estimators call it with every fixed bit 0 (see ``_batched_draws``); the
+    estimators call it with every fixed bit 0 (see ``_batched_rows``); the
     (-1)^(r.s) factor for other bits is the reference the tests check the
     batched sign against."""
     if pattern.k != circuit.k:
@@ -257,6 +275,21 @@ class _SamplingPolyBox:
         draw = _batched_draws(self.values, self.circuit, patterns)
         return [Estimate(mean, eps, delta, s)
                 for mean in _chunked_mean(draw, s, rng, self.threads)]
+
+    def exact_many(self, patterns) -> list[float]:
+        """Exact probability of each pattern, the patterns sharing their f
+        fixed positions: the mean of its draws over all 2^f selections,
+        enumerated in ``_CHUNK``-row chunks and summed exactly.  Costs 2^f
+        draws per pattern and no rng."""
+        rows, f = _batched_rows(self.values, self.circuit, patterns)
+        total = 1 << f
+        sums = []
+        for lo in range(0, total, _CHUNK):
+            sel = (np.arange(lo, min(lo + _CHUNK, total))[:, None]
+                   >> np.arange(f)) & 1
+            sums.append(np.concatenate([block.sum(axis=1)
+                                        for block in rows(sel)]))
+        return [math.fsum(row) / total for row in zip(*sums)]
 
 
 class ProdPolyBox(_SamplingPolyBox):

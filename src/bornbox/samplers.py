@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, OutcomePattern
+from .polybox import hoeffding_samples
 
 _MAX_EPS = 1.0 / 6.0 + 1e-12  # the L1 bound 12*eps + delta needs eps <= 1/6
 
@@ -74,13 +75,33 @@ def survivor_cap(threshold: float) -> int:
     return 2 * math.ceil(2.0 / threshold) + 2
 
 
+def _search_budget(est, k: int, threshold: float,
+                   delta: float) -> tuple[float, float, int]:
+    """(per_eps, per_delta, exact_levels) of a heavy-prefix search.  Each
+    prefix query runs at precision threshold/2 and confidence
+    delta/(2*k*cap).  A handle with ``exact_many`` scores level j exactly
+    when its 2^j selections cost no more than the Hoeffding count of one
+    sampled query, so levels 1..exact_levels are exact; the count is asked
+    only of such handles, and its ``MAX_SAMPLES`` refusal with it."""
+    per_eps = threshold / 2.0
+    per_delta = delta / (2.0 * k * survivor_cap(threshold))
+    exact_levels = 0
+    if hasattr(est, "exact_many"):
+        s = hoeffding_samples(per_eps, per_delta)
+        exact_levels = min(k, s.bit_length() - 1)
+    return per_eps, per_delta, exact_levels
+
+
 def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
                    rng=None) -> list[tuple[OutcomePattern, float]]:
     """Level-by-level search for outcomes whose prefix marginals all stay
     >= threshold.  Each level scores the two extensions of every survivor
-    with one ``estimate_many`` call: the candidates share their fixed
-    positions, so a sampling estimator draws one shared matrix per level.
-    Each prefix query runs at precision threshold/2 and confidence
+    as one batch: the candidates share their fixed positions.  Levels up
+    to the crossover of ``_search_budget`` take their exact values from one
+    ``exact_many`` call, which draws nothing; deeper levels, and every level
+    of a handle without ``exact_many``, take one ``estimate_many`` call,
+    from which a sampling estimator draws one shared matrix.  Each sampled
+    prefix query runs at precision threshold/2 and confidence
     delta/(2*k*cap), and the union bound over the queries does not need
     them to be independent; at most cap survivors per level, ties broken
     lexicographically."""
@@ -88,16 +109,18 @@ def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
         raise ValueError("threshold must lie in (0, 1)")
     k = circuit.k
     cap = survivor_cap(threshold)
-    per_eps = threshold / 2.0
-    per_delta = delta / (2.0 * k * cap)
+    per_eps, per_delta, exact_levels = _search_budget(est, k, threshold,
+                                                      delta)
     survivors: list[tuple[str, float]] = [("", 1.0)]
     for level in range(1, k + 1):
         candidates = [prefix + bit for prefix, _ in survivors for bit in "01"]
-        estimates = est.estimate_many(
-            [OutcomePattern(c + "*" * (k - level)) for c in candidates],
-            per_eps, per_delta, rng)
-        scored = [(c, e.value) for c, e in zip(candidates, estimates)
-                  if e.value >= threshold]
+        patterns = [OutcomePattern(c + "*" * (k - level)) for c in candidates]
+        if level <= exact_levels:
+            values = est.exact_many(patterns)
+        else:
+            values = [e.value for e in est.estimate_many(
+                patterns, per_eps, per_delta, rng)]
+        scored = [(c, v) for c, v in zip(candidates, values) if v >= threshold]
         scored.sort(key=lambda sv: (-sv[1], sv[0]))
         survivors = scored[:cap]
         if not survivors:
@@ -146,13 +169,19 @@ def epsilon_simulate(est, sp: SparsityPolynomial, circuit: Circuit,
                      eps_prime: float, count: int,
                      rng: np.random.Generator) -> list[str]:
     """count draws within total L1 budget eps_prime for poly-sparse targets,
-    split by ``sparse_budget``.  A deterministic estimator gives the same
-    survivors on every draw, so its table is built once and sampled count
-    times; the induced distribution is that of the per-draw path."""
+    split by ``sparse_budget``.  A deterministic estimator, or a search whose
+    every level is exact (see ``_search_budget``), gives the same survivors
+    on every draw, so the table is built once and sampled count times; the
+    induced distribution is that of the per-draw path."""
     t, eps = sparse_budget(sp, circuit.k, eps_prime)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if getattr(est, "deterministic", False):
+    # a sampling handle runs no query at count 0, so the crossover is only
+    # asked when drawing; t < 1 is left for survivor_distribution to refuse
+    fixed = getattr(est, "deterministic", False) or (
+        count > 0 and t >= 1 and _search_budget(
+            est, circuit.k, eps / (2.0 * t), eps)[2] == circuit.k)
+    if fixed:
         outcomes, probs = survivor_distribution(est, circuit, t, eps, eps, rng)
         idx = rng.choice(len(outcomes), size=count, p=probs)
         return [outcomes[i] for i in idx]

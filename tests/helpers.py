@@ -7,6 +7,14 @@ from bornbox.circuits import IqpCircuit, OutcomePattern, ProdCircuit
 from bornbox.stabcore import GATE_ARITY, GateApp, ProductState
 
 
+class NoSpawnRng:
+    """An rng for paths that must draw nothing: spawning a substream
+    fails."""
+
+    def spawn(self, n):
+        raise AssertionError(f"spawned {n} generators past the budget")
+
+
 def ghz_circuit(n: int) -> ProdCircuit:
     gates = [GateApp("H", (0,))]
     gates += [GateApp("CNOT", (q - 1, q)) for q in range(1, n)]

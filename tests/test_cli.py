@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from bornbox import cli, oracle, polybox
+from bornbox import cli, oracle, polybox, samplers
 from bornbox.cli import format_float, run_command, to_json
+from bornbox.samplers import heavy_prefixes
 
 GHZ3 = "family prod\nqubits 3\nmeasure 3\ngate H 0\ngate CNOT 0 1\ngate CNOT 1 2\n"
 
@@ -189,11 +190,13 @@ def test_exit_codes(capsys, ghz_file, tmp_path):
     ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
      "sampling", "--eps-prime", "3", "--count", "0"],
     ["sample", "--circuit", "{ghz}", "--method", "sparse", "--sparsity", "0"],
+    ["experiment", "distinguish", "--circuit", "{ghz}", "--bob", "scheduled",
+     "--delta", "0.9"],
 ], ids=["missing-file", "malformed-pattern", "pattern-length", "eps-zero",
         "eps-negative", "negative-count", "over-draw-budget",
         "distinguish-trials", "cdf-m-too-large", "cdf-m-zero-count-0",
         "sparse-eps-prime-oracle", "sparse-eps-prime-count-0",
-        "sparse-zero-sparsity"])
+        "sparse-zero-sparsity", "distinguish-scheduled-delta"])
 def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, tmp_path, argv):
     argv = [a.format(ghz=ghz_file, missing=str(tmp_path / "nope.qc"))
             for a in argv]
@@ -287,6 +290,25 @@ def test_oracle_sparse_sample_builds_the_distribution_once(
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert len(calls) == 1
+
+
+def test_all_exact_sampling_search_runs_once_per_command(
+        capsys, monkeypatch, ghz_file):
+    searches = []
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return heavy_prefixes(*args, **kwargs)
+    monkeypatch.setattr(samplers, "heavy_prefixes", counting)
+    code = run_command(["sample", "--circuit", ghz_file, "--method", "sparse",
+                        "--estimator", "sampling", "--eps-prime", "1",
+                        "--count", "50", "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    outcomes = [json.loads(ln)["outcome"]
+                for ln in captured.out.splitlines()[1:]]
+    assert len(outcomes) == 50 and set(outcomes) == {"000", "111"}
+    assert len(searches) == 1
 
 
 # sha256 of the stdout, recorded before the Clifford decode moved to packed

@@ -164,6 +164,22 @@ def test_scheduled_bob_refuses_a_first_round_budget_above_13_6():
         scheduled_bob_distribution(box, 1, limit * (1 + 1e-6))
 
 
+def test_hypothesis_test_refuses_delta_above_the_schedule_limit(monkeypatch):
+    def refuse(circuit):
+        raise AssertionError("oracle built before the delta check")
+    for module in (experiments, polybox):
+        monkeypatch.setattr(module, "exact_distribution", refuse)
+    limit = 13 * math.pi ** 2 / 144
+    with pytest.raises(ValueError, match=r"delta must be at most "
+                       r"13\*pi\^2/144 = 0\.891006 .* got 0\.9$"):
+        run_hypothesis_test(ghz_circuit(2), "scheduled", 0.9, 1000, seed=0)
+    with pytest.raises(ValueError, match="delta"):
+        run_hypothesis_test(ghz_circuit(2), "scheduled", limit * (1 + 1e-9),
+                            1000, seed=0)
+    monkeypatch.undo()
+    run_hypothesis_test(ghz_circuit(2), "scheduled", limit, 1000, seed=0)
+
+
 def test_transcript_l1():
     ghz = ghz_circuit(2)
     d = exact_distribution(ghz)
@@ -197,6 +213,7 @@ def test_hypothesis_scheduled_bob_capped():
     assert names == ["p_correct", "advantage_cap"]
     assert d["metrics"][1]["bound"] == 0.55
     assert d["metrics"][1]["pass"]
+    assert d["metrics"][1] == res.advantage_cap()
 
 
 def test_scheduled_rounds_share_one_oracle_build(monkeypatch):

@@ -19,9 +19,9 @@ from bornbox.polybox import (MAX_SAMPLES, CePolyBox, Estimate, IqpPolyBox,
 from bornbox.stabcore import (CliffordTableau, GateApp, PauliOperator,
                               ProductState, tableau_from_gates)
 
-from helpers import (MIXED_GATES, S_HEAVY_GATES, gate_lists, ghz_circuit,
-                     random_gates, random_iqp_circuit, random_pattern,
-                     random_prod_circuit)
+from helpers import (MIXED_GATES, S_HEAVY_GATES, NoSpawnRng, gate_lists,
+                     ghz_circuit, random_gates, random_iqp_circuit,
+                     random_pattern, random_prod_circuit)
 from reference import (alpha_weight_enumerator, conjugate_pauli,
                        frequency_polybox, odd_overlap_rows, prod_single_sample,
                        sample_outcomes)
@@ -62,11 +62,6 @@ def test_hoeffding_budget_boundary():
     assert hoeffding_samples(eps_at_cap * (1 + 1e-9), delta) == MAX_SAMPLES
     with pytest.raises(ValueError, match=r"eps=.* delta=0\.01 .* limit"):
         hoeffding_samples(eps_at_cap * (1 - 1e-9), delta)
-
-
-class NoSpawnRng:
-    def spawn(self, n):
-        raise AssertionError(f"spawned {n} generators past the budget")
 
 
 @pytest.mark.parametrize("box", [ProdPolyBox(ghz_circuit(3)),
@@ -286,6 +281,9 @@ def test_handles():
     assert cebox.estimate(OutcomePattern("0**"), 0.25).value == 0.5
     oracle = OraclePolyBox(ghz)
     assert oracle.deterministic
+    # only the sampling handles enumerate; the others answer without drawing
+    assert not hasattr(cebox, "exact_many")
+    assert not hasattr(oracle, "exact_many")
     est = oracle.estimate(OutcomePattern("11"), 0.1)
     assert est.value == 0.5
     assert est.delta == 0.0
@@ -409,3 +407,19 @@ def test_batch_needs_shared_fixed_positions():
     with pytest.raises(ValueError, match="share their fixed positions"):
         box.estimate_many([OutcomePattern("0**"), OutcomePattern("*1*")],
                           0.1, 0.1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("family", ["prod", "iqp"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exact_many_matches_oracle_prefix_marginals(family, data):
+    c = data.draw(circuits(family))
+    level = data.draw(st.integers(1, c.k))
+    prefixes = [format(i, f"0{level}b") for i in range(1 << level)]
+    # 8-row chunks, so that levels of up to 64 selections span several
+    with mock.patch.object(polybox, "_CHUNK", 8):
+        values = BOXES[family](c).exact_many(
+            [OutcomePattern(b + "*" * (c.k - level)) for b in prefixes])
+    dist = exact_distribution(c)
+    for bits, value in zip(prefixes, values):
+        assert abs(value - dist.prefix_probability(bits)) <= 1e-12

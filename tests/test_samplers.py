@@ -6,11 +6,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bornbox.circuits import OutcomePattern, ProdCircuit
-from bornbox.oracle import ExactDistribution, exact_distribution, l1_distance
-from bornbox.polybox import Estimate, OraclePolyBox, ProdPolyBox
+from bornbox.oracle import (ExactDistribution, exact_distribution, l1_distance,
+                            min_sparsity)
+from bornbox.polybox import (Estimate, IqpPolyBox, OraclePolyBox, ProdPolyBox,
+                             hoeffding_samples)
 from bornbox.samplers import (SparsityPolynomial, cdf_bitwise_sample,
                               cdf_outcome_for_r, chain_outcome,
                               epsilon_simulate, heavy_prefixes,
@@ -18,7 +22,8 @@ from bornbox.samplers import (SparsityPolynomial, cdf_bitwise_sample,
                               survivor_distribution)
 from bornbox.stabcore import GateApp, ProductState
 
-from helpers import empirical_distribution, ghz_circuit
+from helpers import (NoSpawnRng, empirical_distribution, ghz_circuit,
+                     random_iqp_circuit, random_prod_circuit)
 
 
 class ZeroBox:
@@ -62,27 +67,76 @@ def test_heavy_prefixes_ghz_sampling_estimator():
 
 
 class CountingBox(ProdPolyBox):
-    """Records the size of every batch; a per-candidate query fails."""
+    """Records the size and route of every batch; a per-candidate query
+    fails."""
 
     def __init__(self, circuit):
         super().__init__(circuit)
         self.batches = []
+        self.routes = []
 
     def estimate(self, pattern, eps, delta, rng=None):
         raise AssertionError("per-candidate estimate call")
 
     def estimate_many(self, patterns, eps, delta, rng=None):
         self.batches.append(len(patterns))
+        self.routes.append("sampled")
         return super().estimate_many(patterns, eps, delta, rng)
+
+    def exact_many(self, patterns):
+        self.batches.append(len(patterns))
+        self.routes.append("exact")
+        return super().exact_many(patterns)
 
 
 def test_heavy_prefixes_one_batch_per_level():
     ghz3 = ghz_circuit(3)
     box = CountingBox(ghz3)
-    surv = heavy_prefixes(box, ghz3, 0.25, 0.2, np.random.default_rng(42))
+    # every level is exact here, so the search draws nothing
+    surv = heavy_prefixes(box, ghz3, 0.25, 0.2, NoSpawnRng())
     assert sorted(p.trits for p, _ in surv) == ["000", "111"]
     # level 1 scores 0 and 1; then both survive and each has two extensions
     assert box.batches == [2, 4, 4]
+    assert box.routes == ["exact"] * 3
+    assert [v for _, v in surv] == [0.5, 0.5]
+
+
+def test_heavy_prefixes_samples_past_the_crossover():
+    point6 = ProdCircuit(6, 6, ProductState.zero(6),
+                         (GateApp("X", (0,)), GateApp("X", (3,))))
+    threshold, delta = 0.9, 0.5
+    # one query's Hoeffding count lies in [2^5, 2^6): levels 1-5 enumerate
+    # their 2^level selections, level 6 samples
+    count = hoeffding_samples(threshold / 2,
+                              delta / (2 * 6 * survivor_cap(threshold)))
+    assert 2 ** 5 <= count < 2 ** 6
+    box = CountingBox(point6)
+    surv = heavy_prefixes(box, point6, threshold, delta,
+                          np.random.default_rng(0))
+    assert [(p.trits, v) for p, v in surv] == [("100100", 1.0)]
+    assert box.batches == [2] * 6
+    assert box.routes == ["exact"] * 5 + ["sampled"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(("prod", "mixed-prod", "iqp")),
+       n=st.integers(1, 5), eps=st.sampled_from((0.1, 0.125, 1 / 6)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_all_exact_search_meets_the_l1_bound(family, n, eps, seed):
+    """With t = min_sparsity(dist, eps) and every level exact, the survivor
+    table is within L1 12*eps of the target, with no failure chance.  (At
+    eps = 0.1 and t up to 2^5, one query's Hoeffding count stays below
+    MAX_SAMPLES.)"""
+    rng = np.random.default_rng(seed)
+    c = (random_iqp_circuit(rng, n, n + 2) if family == "iqp" else
+         random_prod_circuit(rng, n, 3 * n, mixed=family == "mixed-prod"))
+    dist = exact_distribution(c)
+    t = min_sparsity(dist, eps)
+    box = IqpPolyBox(c) if family == "iqp" else ProdPolyBox(c)
+    outcomes, probs = survivor_distribution(box, c, t, eps, eps, NoSpawnRng())
+    table = np.zeros(1 << c.k)
+    table[[int(o, 2) for o in outcomes]] = probs
+    assert l1_distance(table, dist.probs) <= 12 * eps
 
 
 def test_heavy_prefixes_point_mass():
