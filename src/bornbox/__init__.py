@@ -1,9 +1,8 @@
 """Additive-precision Born-rule estimators and epsilon-samplers."""
 
 from .circuits import (Circuit, CircuitSyntaxError, EncodedCircuit, IqpCircuit,
-                       OutcomePattern, ProdCircuit, ce_encode,
-                       index_to_outcome, outcome_to_index, parse_circuit,
-                       parse_pattern, serialize_circuit)
+                       OutcomePattern, ProdCircuit, ce_encode, parse_circuit,
+                       parse_pattern)
 from .oracle import (ExactDistribution, OracleLimitError, exact_distribution,
                      exact_probability, l1_distance, min_sparsity)
 from .polybox import (CePolyBox, Estimate, IqpPolyBox, OraclePolyBox,

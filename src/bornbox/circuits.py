@@ -85,18 +85,11 @@ class OutcomePattern:
     def is_full(self) -> bool:
         return self.wild_count == 0
 
-    def matches(self, outcome: str) -> bool:
-        if len(outcome) != self.k:
-            raise ValueError("outcome length mismatch")
-        return all(c == "*" or c == o for c, o in zip(self.trits, outcome))
 
-
-def outcome_to_index(outcome: str) -> int:
-    return int(outcome, 2)
-
-
-def index_to_outcome(index: int, k: int) -> str:
-    return format(index, f"0{k}b")
+def check_pattern_length(pattern: OutcomePattern, k: int) -> None:
+    """Refuses a pattern that is not over the k measured bits."""
+    if pattern.k != k:
+        raise ValueError(f"pattern length {pattern.k} != measured count {k}")
 
 
 @dataclass(frozen=True)
@@ -246,10 +239,8 @@ def parse_circuit(text: str, base_dir: str | Path | None = None) -> Circuit:
     if len(head) != 2 or head[0] != "family":
         raise CircuitSyntaxError("first directive must be 'family <name>'", first_no)
     family = head[1]
-    if family == "prod":
-        return _parse_prod(numbered[1:])
-    if family == "iqp":
-        return _parse_iqp(numbered[1:])
+    if family in _BODY_DIRECTIVES:
+        return _parse_program(family, numbered[1:])
     if family == "encoded":
         return _parse_encoded(numbered[1:], lines, base_dir)
     raise CircuitSyntaxError(f"unknown family {family!r}", first_no)
@@ -269,25 +260,35 @@ def _parse_float(tok: str, what: str, line: int) -> float:
         raise CircuitSyntaxError(f"bad {what} {tok!r}", line) from None
 
 
-def _parse_prod(body) -> ProdCircuit:
+# the directives each family takes besides qubits and measure
+_BODY_DIRECTIVES = {"prod": ("prep", "gate"), "iqp": ("xrow",)}
+
+
+def _parse_program(family: str, body) -> Circuit:
+    """The prod and iqp families: one directive loop, so qubits, measure
+    and the final validation are read the same way for both."""
     n = None
     k = None
     preps: dict[int, tuple[float, float, float]] = {}
     gates: list[GateApp] = []
+    rows: list[tuple[int, ...]] = []
     for line_no, line in body:
         toks = line.split()
         kind = toks[0]
-        if kind == "qubits":
+        if kind in ("qubits", "measure"):
             if len(toks) != 2:
-                raise CircuitSyntaxError("qubits takes one integer", line_no)
-            n = _parse_int(toks[1], "qubit count", line_no)
-        elif kind == "measure":
-            if len(toks) != 2:
-                raise CircuitSyntaxError("measure takes one integer", line_no)
-            k = _parse_int(toks[1], "measured count", line_no)
-        elif kind == "prep":
-            if n is None:
-                raise CircuitSyntaxError("prep before qubits", line_no)
+                raise CircuitSyntaxError(f"{kind} takes one integer", line_no)
+            if kind == "qubits":
+                n = _parse_int(toks[1], "qubit count", line_no)
+            else:
+                k = _parse_int(toks[1], "measured count", line_no)
+            continue
+        if kind not in _BODY_DIRECTIVES[family]:
+            raise CircuitSyntaxError(
+                f"unknown directive {kind!r} in {family} circuit", line_no)
+        if n is None:
+            raise CircuitSyntaxError(f"{kind} before qubits", line_no)
+        if kind == "prep":
             if len(toks) < 3:
                 raise CircuitSyntaxError("prep needs qubit and form", line_no)
             q = _parse_int(toks[1], "qubit index", line_no)
@@ -313,8 +314,6 @@ def _parse_prod(body) -> ProdCircuit:
             else:
                 raise CircuitSyntaxError(f"unknown prep form {toks[2]!r}", line_no)
         elif kind == "gate":
-            if n is None:
-                raise CircuitSyntaxError("gate before qubits", line_no)
             if len(toks) < 3:
                 raise CircuitSyntaxError("gate needs a name and qubits", line_no)
             name = toks[1]
@@ -329,46 +328,20 @@ def _parse_prod(body) -> ProdCircuit:
                 raise CircuitSyntaxError("gate qubit out of range", line_no)
             gates.append(gate)
         else:
-            raise CircuitSyntaxError(f"unknown directive {kind!r} in prod circuit", line_no)
-    if n is None:
-        raise CircuitSyntaxError("missing qubits directive")
-    bloch = tuple(preps.get(q, (0.0, 0.0, 1.0)) for q in range(n))
-    try:
-        return ProdCircuit(n, n if k is None else k, ProductState(bloch), tuple(gates))
-    except ValueError as exc:
-        raise CircuitSyntaxError(str(exc)) from exc
-
-
-def _parse_iqp(body) -> IqpCircuit:
-    n = None
-    k = None
-    rows: list[tuple[int, ...]] = []
-    for line_no, line in body:
-        toks = line.split()
-        kind = toks[0]
-        if kind == "qubits":
-            n = _parse_int(toks[1], "qubit count", line_no) if len(toks) == 2 else None
-            if n is None:
-                raise CircuitSyntaxError("qubits takes one integer", line_no)
-        elif kind == "measure":
-            if len(toks) != 2:
-                raise CircuitSyntaxError("measure takes one integer", line_no)
-            k = _parse_int(toks[1], "measured count", line_no)
-        elif kind == "xrow":
-            if n is None:
-                raise CircuitSyntaxError("xrow before qubits", line_no)
             if len(toks) != n + 1:
                 raise CircuitSyntaxError(f"xrow needs {n} bits", line_no)
             bits = tuple(_parse_int(t, "xrow bit", line_no) for t in toks[1:])
             if any(b not in (0, 1) for b in bits):
                 raise CircuitSyntaxError("xrow entries must be 0/1", line_no)
             rows.append(bits)
-        else:
-            raise CircuitSyntaxError(f"unknown directive {kind!r} in iqp circuit", line_no)
     if n is None:
         raise CircuitSyntaxError("missing qubits directive")
+    k = n if k is None else k
     try:
-        return IqpCircuit(n, n if k is None else k, tuple(rows))
+        if family == "iqp":
+            return IqpCircuit(n, k, tuple(rows))
+        bloch = tuple(preps.get(q, (0.0, 0.0, 1.0)) for q in range(n))
+        return ProdCircuit(n, k, ProductState(bloch), tuple(gates))
     except ValueError as exc:
         raise CircuitSyntaxError(str(exc)) from exc
 
@@ -414,31 +387,3 @@ def _parse_encoded(body, raw_lines, base_dir) -> EncodedCircuit:
         raise CircuitSyntaxError("empty inner block", line_no)
     return EncodedCircuit(parse_circuit("\n".join(block), base_dir=base_dir))
 
-
-# ---------------------------------------------------------------------------
-# Serialization (canonical form; parse(serialize(c)) == c)
-# ---------------------------------------------------------------------------
-
-def serialize_circuit(c: Circuit) -> str:
-    return "\n".join(_serialize_lines(c)) + "\n"
-
-
-def _serialize_lines(c: Circuit) -> list[str]:
-    if isinstance(c, ProdCircuit):
-        out = ["family prod", f"qubits {c.n}", f"measure {c.k}"]
-        for q, vec in enumerate(c.state.bloch):
-            if vec != (0.0, 0.0, 1.0):
-                out.append(f"prep {q} bloch {vec[0]!r} {vec[1]!r} {vec[2]!r}")
-        for g in c.gates:
-            out.append("gate " + g.name + " " + " ".join(str(q) for q in g.qubits))
-        return out
-    if isinstance(c, IqpCircuit):
-        out = ["family iqp", f"qubits {c.n}", f"measure {c.k}"]
-        for row in c.rows:
-            out.append("xrow " + " ".join(str(b) for b in row))
-        return out
-    if isinstance(c, EncodedCircuit):
-        out = ["family encoded", "inner"]
-        out.extend("  " + line for line in _serialize_lines(c.inner))
-        return out
-    raise TypeError(f"not a circuit: {c!r}")

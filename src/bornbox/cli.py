@@ -34,7 +34,8 @@ from typing import Optional
 import numpy as np
 
 from .circuits import (Circuit, CircuitSyntaxError, IqpCircuit, OutcomePattern,
-                       ProdCircuit, ce_encode, parse_circuit, parse_pattern)
+                       ProdCircuit, ce_encode, check_pattern_length,
+                       parse_circuit, parse_pattern)
 from .experiments import (anticoncentration_report, bob_epsilon_schedule,
                           run_hypothesis_test, sparsity_profile)
 from .oracle import (ExactDistribution, OracleLimitError, exact_distribution,
@@ -188,8 +189,7 @@ def _cmd_oracle(args) -> list[str]:
     params = {"circuit": args.circuit, "family": circuit.family}
     if args.pattern is not None:
         pattern = parse_pattern(args.pattern)
-        if pattern.k != circuit.k:
-            raise ValueError("pattern length does not match measured bits")
+        check_pattern_length(pattern, circuit.k)
         params["pattern"] = pattern.trits
         payload = {"probability": exact_probability(circuit, pattern)}
     else:
@@ -239,9 +239,9 @@ def _cmd_experiment_distinguish(args) -> list[str]:
 # Selftest: the fast deterministic release gate
 # ---------------------------------------------------------------------------
 
-def _ghz_circuit(n: int) -> ProdCircuit:
+def ghz_circuit(n: int) -> ProdCircuit:
     gates = [GateApp("H", (0,))]
-    gates += [GateApp("CNOT", (0, q)) for q in range(1, n)]
+    gates += [GateApp("CNOT", (q - 1, q)) for q in range(1, n)]
     return ProdCircuit(n, n, ProductState.zero(n), tuple(gates))
 
 
@@ -264,16 +264,28 @@ def _random_prod_circuit(n: int, gate_count: int,
     return ProdCircuit(n, k, ProductState(tuple(bloch)), tuple(gates))
 
 
-def _random_pattern(k: int, rng: np.random.Generator) -> OutcomePattern:
+def random_iqp_circuit(rng: np.random.Generator, n: int, m: int,
+                       k: int | None = None) -> IqpCircuit:
+    rows = tuple(tuple(int(b) for b in rng.integers(0, 2, n)) for _ in range(m))
+    return IqpCircuit(n, n if k is None else k, rows)
+
+
+def random_pattern(rng: np.random.Generator, k: int) -> OutcomePattern:
     return OutcomePattern("".join(str(rng.choice(("0", "1", "*")))
                                   for _ in range(k)))
 
 
-def _chi2_pvalue(draws: list[str], dist: ExactDistribution) -> float:
-    from scipy import stats
-    counts = np.zeros(1 << dist.k)
+def draw_counts(draws: list[str], k: int) -> np.ndarray:
+    """Occurrences of each big-endian outcome index among the draws."""
+    counts = np.zeros(1 << k)
     for bits in draws:
         counts[int(bits, 2)] += 1
+    return counts
+
+
+def _chi2_pvalue(draws: list[str], dist: ExactDistribution) -> float:
+    from scipy import stats
+    counts = draw_counts(draws, dist.k)
     expected = dist.probs * len(draws)
     support = expected > 0
     if counts[~support].sum() > 0:
@@ -282,9 +294,7 @@ def _chi2_pvalue(draws: list[str], dist: ExactDistribution) -> float:
 
 
 def _empirical_l1(draws: list[str], dist: ExactDistribution) -> float:
-    counts = np.zeros(1 << dist.k)
-    for bits in draws:
-        counts[int(bits, 2)] += 1
+    counts = draw_counts(draws, dist.k)
     return float(np.abs(counts / len(draws) - dist.probs).sum())
 
 
@@ -308,7 +318,7 @@ def _selftest_checks(seed: int, threads: int,
     violations = total = 0
     for _ in range(5):
         c = _random_prod_circuit(3, 12, rng)
-        pat = _random_pattern(c.k, rng)
+        pat = random_pattern(rng, c.k)
         p = exact_probability(c, pat)
         box = ProdPolyBox(c, threads)
         for _ in range(reps):
@@ -320,17 +330,15 @@ def _selftest_checks(seed: int, threads: int,
                    "value": violations / total, "bound": bound})
 
     rng = np.random.default_rng(kids[2])
-    rows = tuple(tuple(int(b) for b in rng.integers(0, 2, size=3))
-                 for _ in range(5))
-    c = IqpCircuit(3, 2, rows)
-    pat = _random_pattern(2, rng)
+    c = random_iqp_circuit(rng, 3, 5, k=2)
+    pat = random_pattern(rng, 2)
     p = exact_probability(c, pat)
     e = IqpPolyBox(c, threads).estimate(pat, 0.02, 0.05, rng)
     tol = 5.0 / math.sqrt(e.samples_used)
     checks.append({"check": "iqp-unbiasedness", "pass": abs(e.value - p) <= tol,
                    "value": abs(e.value - p), "bound": tol})
 
-    enc = ce_encode(_ghz_circuit(3))
+    enc = ce_encode(ghz_circuit(3))
     cebox = CePolyBox(enc)
     ok = True
     for idx in range(3 ** enc.k):
@@ -347,7 +355,7 @@ def _selftest_checks(seed: int, threads: int,
             ok = ok and err <= limit
     checks.append({"check": "ce-exact-bounds", "pass": ok})
 
-    ghz = _ghz_circuit(3)
+    ghz = ghz_circuit(3)
     dist = exact_distribution(ghz)
     rng = np.random.default_rng(kids[3])
     sp = SparsityPolynomial.constant(min_sparsity(dist, 0.0))

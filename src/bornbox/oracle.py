@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
-                       ProdCircuit)
+                       ProdCircuit, check_pattern_length)
 from .stabcore import GateApp
 
 _SQ = math.sqrt(0.5)
@@ -75,8 +75,7 @@ class ExactDistribution:
         object.__setattr__(self, "probs", probs)
 
     def probability(self, pattern: OutcomePattern) -> float:
-        if pattern.k != self.k:
-            raise ValueError("pattern length != measured count")
+        check_pattern_length(pattern, self.k)
         mask = pattern_index_mask(pattern)
         return float(self.probs[mask].sum())
 
@@ -257,13 +256,16 @@ def _marginalize(full: np.ndarray, n: int, k: int) -> np.ndarray:
     return tensor.reshape(-1)
 
 
-def encoded_probabilities(circuit: EncodedCircuit) -> np.ndarray:
-    """Analytic distribution of (X xor Par(Y), Y): uniform pad Y, first
-    output bit carries the inner first-bit marginal."""
+def encoded_probabilities(circuit: EncodedCircuit, idx) -> np.ndarray:
+    """Analytic probabilities of the big-endian outcome indices idx under
+    (X xor Par(Y), Y): the uniform pad Y carries 2^-y, and the first output
+    bit, flipped by the pad's parity, carries the inner first-bit
+    marginal."""
     inner = circuit.inner
     p0 = exact_probability(inner, OutcomePattern("0" + "*" * (inner.k - 1)))
+    p0 = min(max(p0, 0.0), 1.0)
     y = circuit.y_bits
-    idx = np.arange(1 << (y + 1), dtype=np.uint64)
+    idx = np.asarray(idx, dtype=np.uint64)
     z0 = (idx >> np.uint64(y)) & np.uint64(1)
     par = np.bitwise_count(idx & np.uint64((1 << y) - 1)) & 1
     q = np.where((z0 ^ par) == 0, p0, 1.0 - p0)
@@ -277,7 +279,7 @@ def exact_distribution(circuit: Circuit) -> ExactDistribution:
         full = np.abs(iqp_statevector(circuit)) ** 2
         probs = _marginalize(full, circuit.n, circuit.k)
     elif isinstance(circuit, EncodedCircuit):
-        probs = encoded_probabilities(circuit)
+        probs = encoded_probabilities(circuit, np.arange(1 << circuit.k))
     else:
         raise TypeError(f"not a circuit: {circuit!r}")
     total = float(probs.sum())
@@ -295,14 +297,8 @@ def exact_probability(circuit: Circuit, pattern: OutcomePattern) -> float:
     construction and are returned exactly, without summing floats.
     """
     if isinstance(circuit, EncodedCircuit):
-        if pattern.k != circuit.k:
-            raise ValueError("pattern length != measured count")
+        check_pattern_length(pattern, circuit.k)
         if not pattern.is_full:
             return 2.0 ** -(pattern.k - pattern.wild_count)
-        inner = circuit.inner
-        p0 = exact_probability(inner, OutcomePattern("0" + "*" * (inner.k - 1)))
-        bits = [int(c) for c in pattern.trits]
-        par = sum(bits[1:]) % 2
-        q = p0 if (bits[0] ^ par) == 0 else 1.0 - p0
-        return min(max(q, 0.0), 1.0) * (2.0 ** -circuit.y_bits)
+        return float(encoded_probabilities(circuit, int(pattern.trits, 2)))
     return exact_distribution(circuit).probability(pattern)

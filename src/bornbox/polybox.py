@@ -20,7 +20,7 @@ The handle classes at the bottom are the only query surface:
 ``CePolyBox`` by family, ``OraclePolyBox`` answers exactly from the dense
 oracle, and each handle answers ``estimate`` for one pattern and
 ``estimate_many`` for a batch.  A pattern whose length is not the circuit's
-measured count is refused with a ``ValueError`` naming the pattern length.
+measured count is refused with a ``ValueError`` naming both lengths.
 
 In both sampling families a pattern's bits enter a draw only through a sign:
 for a selection matrix ``sel`` over the fixed positions, the draw for bits s
@@ -58,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
-                       ProdCircuit)
+                       ProdCircuit, check_pattern_length)
 from .oracle import exact_distribution, exact_probability
 from .stabcore import PauliOperator, _xz_phase, pull_back
 
@@ -87,17 +87,21 @@ class Estimate:
                              "deterministic estimators")
 
 
-def hoeffding_samples(eps: float, delta: float, range_width: float = 2.0) -> int:
-    """Draw count for an additive (eps, delta) guarantee on a mean of
-    i.i.d. values spanning range_width; clamps to 1 when the bound is
-    vacuous (delta >= 2).  Counts above MAX_SAMPLES raise ValueError."""
+def hoeffding_need(eps: float, delta: float) -> float:
+    """Unrounded Hoeffding draw count for an additive (eps, delta)
+    guarantee on a mean of i.i.d. values in [-1, 1], without the
+    ``MAX_SAMPLES`` limit."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if range_width <= 0:
-        raise ValueError("range_width must be positive")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    need = range_width ** 2 / (2.0 * eps * eps) * math.log(2.0 / delta)
+    return 2.0 / (eps * eps) * math.log(2.0 / delta)
+
+
+def hoeffding_samples(eps: float, delta: float) -> int:
+    """``hoeffding_need`` rounded up; clamps to 1 when the bound is vacuous
+    (delta >= 2).  Counts above MAX_SAMPLES raise ValueError."""
+    need = hoeffding_need(eps, delta)
     if need > MAX_SAMPLES:
         raise ValueError(f"eps={eps:g}, delta={delta:g} needs {need:.3g} draws "
                          f"per query, above the limit of {MAX_SAMPLES:g}")
@@ -170,8 +174,7 @@ def _conjugated_factors(circuit: ProdCircuit,
                         pattern: OutcomePattern) -> list[PauliOperator]:
     """U^dag (s_i Z_i) U for every fixed pattern position, s_i = +-1 for
     outcome 0/1.  These commute pairwise."""
-    if pattern.k != circuit.k:
-        raise ValueError("pattern length != circuit measured count")
+    check_pattern_length(pattern, circuit.k)
     return [pull_back(circuit.gates, PauliOperator.single_z(
                 circuit.n, pos, 1 if bit == 0 else -1))
             for pos, bit in pattern.fixed]
@@ -225,8 +228,7 @@ def _iqp_values(circuit: IqpCircuit, pattern: OutcomePattern):
     estimators call it with every fixed bit 0 (see ``_batched_rows``); the
     (-1)^(r.s) factor for other bits is the reference the tests check the
     batched sign against."""
-    if pattern.k != circuit.k:
-        raise ValueError("pattern length != circuit measured count")
+    check_pattern_length(pattern, circuit.k)
     p = circuit.row_matrix().astype(np.int64)
     positions = np.array([pos for pos, _ in pattern.fixed], dtype=np.int64)
     sbits = np.array([bit for _, bit in pattern.fixed], dtype=np.int64)
@@ -271,7 +273,7 @@ class _SamplingPolyBox:
         positions."""
         if rng is None:
             raise ValueError("sampling estimator needs an rng")
-        s = hoeffding_samples(eps, delta, 2.0)
+        s = hoeffding_samples(eps, delta)
         draw = _batched_draws(self.values, self.circuit, patterns)
         return [Estimate(mean, eps, delta, s)
                 for mean in _chunked_mean(draw, s, rng, self.threads)]
@@ -327,14 +329,11 @@ class CePolyBox(_DeterministicPolyBox):
         circuit = self.circuit
         if eps <= 0:
             raise ValueError("eps must be positive")
-        if pattern.k != circuit.k:
-            raise ValueError("pattern length != circuit measured count")
-        if not pattern.is_full:
-            value = 2.0 ** -(pattern.k - pattern.wild_count)
-        elif eps < 2.0 ** -circuit.y_bits:
-            value = exact_probability(circuit, pattern)
-        else:
+        check_pattern_length(pattern, circuit.k)
+        if pattern.is_full and eps >= 2.0 ** -circuit.y_bits:
             value = 2.0 ** -(circuit.y_bits + 1)
+        else:
+            value = exact_probability(circuit, pattern)
         return Estimate(value, eps, 0.0, 1)
 
 

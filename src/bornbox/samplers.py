@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, OutcomePattern
-from .polybox import hoeffding_samples
+from .polybox import MAX_SAMPLES, hoeffding_need, hoeffding_samples
 
 _MAX_EPS = 1.0 / 6.0 + 1e-12  # the L1 bound 12*eps + delta needs eps <= 1/6
 
@@ -81,14 +81,17 @@ def _search_budget(est, k: int, threshold: float,
     prefix query runs at precision threshold/2 and confidence
     delta/(2*k*cap).  A handle with ``exact_many`` scores level j exactly
     when its 2^j selections cost no more than the Hoeffding count of one
-    sampled query, so levels 1..exact_levels are exact; the count is asked
-    only of such handles, and its ``MAX_SAMPLES`` refusal with it."""
+    sampled query, capped at ``MAX_SAMPLES``, so levels 1..exact_levels are
+    exact.  A search with a sampled level is refused here, before its
+    first level, when that level's count is above ``MAX_SAMPLES``."""
     per_eps = threshold / 2.0
     per_delta = delta / (2.0 * k * survivor_cap(threshold))
     exact_levels = 0
     if hasattr(est, "exact_many"):
-        s = hoeffding_samples(per_eps, per_delta)
+        s = min(math.ceil(hoeffding_need(per_eps, per_delta)), MAX_SAMPLES)
         exact_levels = min(k, s.bit_length() - 1)
+        if exact_levels < k:
+            hoeffding_samples(per_eps, per_delta)
     return per_eps, per_delta, exact_levels
 
 

@@ -80,39 +80,8 @@ class PauliOperator:
             raise ValueError("x/z bits outside qubit range")
 
     @classmethod
-    def identity(cls, n: int) -> "PauliOperator":
-        return cls(n, 0, 0, 1)
-
-    @classmethod
     def single_z(cls, n: int, qubit: int, sign: int = 1) -> "PauliOperator":
         return cls(n, 0, 1 << qubit, sign)
-
-    @classmethod
-    def from_label(cls, label: str) -> "PauliOperator":
-        sign = 1
-        if label and label[0] in "+-":
-            sign = 1 if label[0] == "+" else -1
-            label = label[1:]
-        x = z = 0
-        for i, ch in enumerate(label):
-            if ch == "X":
-                x |= 1 << i
-            elif ch == "Z":
-                z |= 1 << i
-            elif ch == "Y":
-                x |= 1 << i
-                z |= 1 << i
-            elif ch != "I":
-                raise ValueError(f"bad Pauli letter {ch!r}")
-        return cls(len(label), x, z, sign)
-
-    def label(self) -> str:
-        letters = []
-        for i in range(self.n):
-            xi = (self.x >> i) & 1
-            zi = (self.z >> i) & 1
-            letters.append("IXZY"[xi + 2 * zi] if not (xi and zi) else "Y")
-        return ("+" if self.sign == 1 else "-") + "".join(letters)
 
     def commutes_with(self, other: "PauliOperator") -> bool:
         if self.n != other.n:

@@ -1,9 +1,13 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite.  ``ghz_circuit``, ``random_pattern``
+and ``random_iqp_circuit`` are the selftest's own builders, re-exported."""
 
 import numpy as np
 from hypothesis import strategies as st
 
-from bornbox.circuits import IqpCircuit, OutcomePattern, ProdCircuit
+from bornbox.circuits import (EncodedCircuit, IqpCircuit, OutcomePattern,
+                              ProdCircuit)
+from bornbox.cli import (draw_counts, ghz_circuit, random_iqp_circuit,  # noqa: F401
+                         random_pattern)
 from bornbox.stabcore import GATE_ARITY, GateApp, ProductState
 
 
@@ -13,12 +17,6 @@ class NoSpawnRng:
 
     def spawn(self, n):
         raise AssertionError(f"spawned {n} generators past the budget")
-
-
-def ghz_circuit(n: int) -> ProdCircuit:
-    gates = [GateApp("H", (0,))]
-    gates += [GateApp("CNOT", (q - 1, q)) for q in range(1, n)]
-    return ProdCircuit(n, n, ProductState.zero(n), tuple(gates))
 
 
 def bell_circuit() -> ProdCircuit:
@@ -75,22 +73,51 @@ def random_prod_circuit(rng: np.random.Generator, n: int, n_gates: int,
                        random_gates(rng, n, n_gates))
 
 
-def random_iqp_circuit(rng: np.random.Generator, n: int, m: int,
-                       k: int | None = None) -> IqpCircuit:
-    rows = tuple(tuple(int(b) for b in rng.integers(0, 2, n)) for _ in range(m))
-    return IqpCircuit(n, n if k is None else k, rows)
-
-
-def random_pattern(rng: np.random.Generator, k: int,
-                   allow_all_wild: bool = True) -> OutcomePattern:
+def random_constrained_pattern(rng: np.random.Generator,
+                               k: int) -> OutcomePattern:
+    """``random_pattern`` redrawn until some position is fixed."""
     while True:
-        trits = "".join(str(rng.choice(("0", "1", "*"))) for _ in range(k))
-        if allow_all_wild or trits.count("*") < k:
-            return OutcomePattern(trits)
+        pattern = random_pattern(rng, k)
+        if pattern.wild_count < k:
+            return pattern
+
+
+def index_to_outcome(index: int, k: int) -> str:
+    return format(index, f"0{k}b")
+
+
+def pattern_matches(pattern: OutcomePattern, outcome: str) -> bool:
+    if len(outcome) != pattern.k:
+        raise ValueError("outcome length mismatch")
+    return all(c == "*" or c == o for c, o in zip(pattern.trits, outcome))
 
 
 def empirical_distribution(draws, k: int) -> np.ndarray:
-    counts = np.zeros(1 << k)
-    for bits in draws:
-        counts[int(bits, 2)] += 1
-    return counts / len(draws)
+    return draw_counts(draws, k) / len(draws)
+
+
+def serialize_circuit(c) -> str:
+    """Canonical text form of a circuit: parse_circuit(serialize_circuit(c))
+    == c."""
+    return "\n".join(_serialize_lines(c)) + "\n"
+
+
+def _serialize_lines(c) -> list[str]:
+    if isinstance(c, ProdCircuit):
+        out = ["family prod", f"qubits {c.n}", f"measure {c.k}"]
+        for q, vec in enumerate(c.state.bloch):
+            if vec != (0.0, 0.0, 1.0):
+                out.append(f"prep {q} bloch {vec[0]!r} {vec[1]!r} {vec[2]!r}")
+        for g in c.gates:
+            out.append("gate " + g.name + " " + " ".join(str(q) for q in g.qubits))
+        return out
+    if isinstance(c, IqpCircuit):
+        out = ["family iqp", f"qubits {c.n}", f"measure {c.k}"]
+        for row in c.rows:
+            out.append("xrow " + " ".join(str(b) for b in row))
+        return out
+    if isinstance(c, EncodedCircuit):
+        out = ["family encoded", "inner"]
+        out.extend("  " + line for line in _serialize_lines(c.inner))
+        return out
+    raise TypeError(f"not a circuit: {c!r}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from bornbox import stabcore as sc
 from bornbox.circuits import (IqpCircuit, OutcomePattern, ProdCircuit,
-                              index_to_outcome)
+                              check_pattern_length)
 from bornbox.oracle import (ExactDistribution, _apply_gate, _bloch_eigvec,
                             _check_size, iqp_statevector, l1_distance,
                             prod_branches)
@@ -33,6 +33,8 @@ from bornbox.stabcore import (CliffordTableau, PauliOperator,
                               _hermitian_from_xz, _parity, _rand_below,
                               _xz_phase, apply_tableau, inverse_tableau,
                               product_expectation, symplectic_group_order)
+
+from helpers import index_to_outcome, pattern_matches
 
 
 def _int_to_bits(v: int, n: int) -> np.ndarray:
@@ -279,7 +281,7 @@ def prod_single_sample(circuit: ProdCircuit, pattern: OutcomePattern,
                        rng: np.random.Generator) -> float:
     """One unbiased draw in [-1, 1]: each fixed position contributes its
     back-propagated signed Z with probability 1/2, identity otherwise."""
-    acc = PauliOperator.identity(circuit.n)
+    acc = PauliOperator(circuit.n, 0, 0)
     for factor in _conjugated_factors(circuit, pattern):
         if rng.integers(0, 2):
             acc = pauli_product(acc, factor)
@@ -328,9 +330,10 @@ def frequency_polybox(sampler, circuit, pattern: OutcomePattern,
     """Estimate by observed frequency: run the sampler at internal accuracy
     eps/2 and count hits; sampler(circuit, eps_internal, count, rng) must
     return outcome strings."""
-    if pattern.k != circuit.k:
-        raise ValueError("pattern length != circuit measured count")
-    s = hoeffding_samples(eps / 2.0, delta, 1.0)
+    check_pattern_length(pattern, circuit.k)
+    # frequencies span [0, 1]: the range-2 count at eps is the range-1
+    # count at eps/2
+    s = hoeffding_samples(eps, delta)
     outcomes = sampler(circuit, eps / 2.0, s, rng)
-    hits = sum(1 for o in outcomes if pattern.matches(o))
+    hits = sum(1 for o in outcomes if pattern_matches(pattern, o))
     return Estimate(hits / s, eps, delta, s)

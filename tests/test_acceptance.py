@@ -12,8 +12,7 @@ import time
 import numpy as np
 from scipy import stats
 
-from bornbox.circuits import (IqpCircuit, OutcomePattern, ProdCircuit,
-                              ce_encode, index_to_outcome)
+from bornbox.circuits import IqpCircuit, OutcomePattern, ProdCircuit, ce_encode
 from bornbox.experiments import (bob_epsilon_schedule,
                                  clifford_output_probabilities,
                                  run_hypothesis_test)

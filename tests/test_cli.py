@@ -311,6 +311,59 @@ def test_all_exact_sampling_search_runs_once_per_command(
     assert len(searches) == 1
 
 
+def test_all_exact_sampling_search_is_not_refused_at_the_draw_limit(
+        capsys, ghz_file):
+    """At eps' = 0.001 one sampled GHZ-3 query would need 5.24e11 draws,
+    but its three levels enumerate 2, 4 and 4 selections, so nothing is
+    sampled and nothing is refused."""
+    code = run_command(["sample", "--circuit", ghz_file, "--method", "sparse",
+                        "--estimator", "sampling", "--eps-prime", "0.001",
+                        "--count", "1"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert json.loads(captured.out.splitlines()[1])["outcome"] in ("000",
+                                                                   "111")
+
+
+def test_sampled_search_level_is_refused_at_the_draw_limit(capsys, tmp_path):
+    """GHZ-27 at eps' = 0.001: level 27 would enumerate 2^27 > 10^8
+    selections, so it is sampled, and its Hoeffding count is refused
+    before the first level."""
+    path = tmp_path / "ghz27.qc"
+    path.write_text("family prod\nqubits 27\ngate H 0\n"
+                    + "".join(f"gate CNOT {q - 1} {q}\n" for q in range(1, 27)))
+    code = run_command(["sample", "--circuit", str(path), "--method",
+                        "sparse", "--estimator", "sampling", "--sparsity", "2",
+                        "--eps-prime", "0.001", "--count", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert ("needs 5.71e+11 draws per query, above the limit of 1e+08"
+            in captured.err)
+
+
+# sha256 of the stdout, recorded before the selftest took its GHZ, pattern
+# and X-program builders from the ones the test suite shares
+SELFTEST_GOLDEN = [
+    pytest.param([],
+                 "07ea82310b36313e89f4dd20c21e3019078f98188f831599352356dea746d796",
+                 id="honest"),
+    pytest.param(["--inject-corrupted-bob"],
+                 "32450acf0ab33e652185c03013f533e71f8e74b7cf89925af017c59e5751c38c",
+                 id="inject"),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("flags, digest", SELFTEST_GOLDEN)
+def test_selftest_stdout_is_frozen(capsys, flags, digest, threads):
+    code = run_command(["selftest", "--seed", "3", "--threads", threads]
+                       + flags)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
 # sha256 of the stdout, recorded before the Clifford decode moved to packed
 # ints and the oracle to one array for all branches
 ANTICONCENTRATION_GOLDEN = [

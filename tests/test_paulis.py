@@ -256,37 +256,24 @@ def test_bad_inputs_rejected():
     with pytest.raises(ValueError):
         sc.ProductState(((0.9, 0.9, 0.9),))
     with pytest.raises(Exception):
-        pauli_product(sc.PauliOperator.from_label("X"),
-                      sc.PauliOperator.from_label("Z"))
+        pauli_product(sc.PauliOperator(1, 1, 0), sc.PauliOperator(1, 0, 1))
 
 
-labels = st.integers(1, 5).flatmap(
-    lambda n: st.tuples(
-        st.sampled_from("+-"),
-        st.text(alphabet="IXYZ", min_size=n, max_size=n),
-    )
-).map(lambda t: t[0] + t[1])
+paulis = st.integers(1, 5).flatmap(
+    lambda n: st.builds(sc.PauliOperator, st.just(n),
+                        st.integers(0, (1 << n) - 1),
+                        st.integers(0, (1 << n) - 1), st.sampled_from((1, -1))))
 
 
-@given(labels)
-def test_label_roundtrip(label):
-    p = sc.PauliOperator.from_label(label)
-    assert p.label() == label
-    assert sc.PauliOperator.from_label(p.label()) == p
-
-
-@given(labels, labels)
-def test_commutation_is_symmetric(la, lb):
-    a = sc.PauliOperator.from_label(la)
-    b = sc.PauliOperator.from_label(lb)
+@given(paulis, paulis)
+def test_commutation_is_symmetric(a, b):
     if a.n == b.n:
         assert a.commutes_with(b) == b.commutes_with(a)
 
 
-@given(labels)
-def test_self_product_is_identity(label):
-    p = sc.PauliOperator.from_label(label)
-    assert pauli_product(p, p) == sc.PauliOperator.identity(p.n)
+@given(paulis)
+def test_self_product_is_identity(p):
+    assert pauli_product(p, p) == sc.PauliOperator(p.n, 0, 0)
 
 
 @settings(max_examples=30, deadline=None)

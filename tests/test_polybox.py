@@ -20,8 +20,8 @@ from bornbox.stabcore import (CliffordTableau, GateApp, PauliOperator,
                               ProductState, tableau_from_gates)
 
 from helpers import (MIXED_GATES, S_HEAVY_GATES, NoSpawnRng, gate_lists,
-                     ghz_circuit, random_gates, random_iqp_circuit,
-                     random_pattern, random_prod_circuit)
+                     ghz_circuit, random_constrained_pattern, random_gates,
+                     random_iqp_circuit, random_pattern, random_prod_circuit)
 from reference import (alpha_weight_enumerator, conjugate_pauli,
                        frequency_polybox, odd_overlap_rows, prod_single_sample,
                        sample_outcomes)
@@ -36,21 +36,19 @@ class SeqRng:
 
 
 def test_hoeffding_frozen():
-    assert hoeffding_samples(0.1, 0.05, 2) == 738
-    assert hoeffding_samples(1, 2 * math.exp(-2), 2) == 4
-    assert hoeffding_samples(0.1, 3.0, 2) == 1
-    assert hoeffding_samples(0.05, 0.01, 2) == 4239
+    assert hoeffding_samples(0.1, 0.05) == 738
+    assert hoeffding_samples(1, 2 * math.exp(-2)) == 4
+    assert hoeffding_samples(0.1, 3.0) == 1
+    assert hoeffding_samples(0.05, 0.01) == 4239
     with pytest.raises(ValueError):
         hoeffding_samples(0.0, 0.1)
     with pytest.raises(ValueError):
         hoeffding_samples(0.1, 0.0)
-    with pytest.raises(ValueError):
-        hoeffding_samples(0.1, 0.1, 0.0)
 
 
 @given(st.floats(0.001, 1.0), st.floats(0.001, 1.0))
 def test_hoeffding_guarantee_shape(eps, delta):
-    s = hoeffding_samples(eps, delta, 2.0)
+    s = hoeffding_samples(eps, delta)
     # s draws of range-2 values give additive eps with failure prob <= delta
     assert 2 * math.exp(-s * eps * eps / 2.0) <= delta + 1e-12
 
@@ -77,7 +75,7 @@ def test_prod_subset_average_is_exactly_unbiased():
     for trial in range(25):
         n = int(rng.integers(1, 5))
         c = random_prod_circuit(rng, n, int(rng.integers(0, 14)))
-        pat = random_pattern(rng, n, allow_all_wild=False)
+        pat = random_constrained_pattern(rng, n)
         f = len(pat.fixed)
         sel = np.array(list(itertools.product((0, 1), repeat=f)), dtype=np.int64)
         vals = _prod_values(c, pat)(sel)
@@ -97,7 +95,7 @@ def test_prod_scalar_path_matches_vectorized():
     for trial in range(12):
         n = int(rng.integers(1, 4))
         c = random_prod_circuit(rng, n, int(rng.integers(0, 10)))
-        pat = random_pattern(rng, n, allow_all_wild=False)
+        pat = random_constrained_pattern(rng, n)
         f = len(pat.fixed)
         value = _prod_values(c, pat)
         for subset in itertools.product((0, 1), repeat=f):
@@ -162,7 +160,7 @@ def test_iqp_subset_average_and_enumerator_identity():
         n = int(rng.integers(1, 5))
         c = random_iqp_circuit(rng, n, int(rng.integers(0, 7)),
                                k=int(rng.integers(1, n + 1)))
-        pat = random_pattern(rng, c.k, allow_all_wild=False)
+        pat = random_constrained_pattern(rng, c.k)
         f = len(pat.fixed)
         sel = np.array(list(itertools.product((0, 1), repeat=f)), dtype=np.int64)
         vals = _iqp_values(c, pat)(sel)
@@ -233,7 +231,8 @@ def test_frequency_polybox():
 
     est = frequency_polybox(oracle_sampler, ghz, OutcomePattern("0*"), 0.1,
                             0.05, np.random.default_rng(8))
-    assert est.samples_used == hoeffding_samples(0.05, 0.05, 1.0)
+    # range-1 frequencies at eps/2 need the range-2 count at eps
+    assert est.samples_used == hoeffding_samples(0.1, 0.05)
     assert abs(est.value - 0.5) < 0.1
     est = frequency_polybox(oracle_sampler, ghz, OutcomePattern("**"), 0.1,
                             0.05, np.random.default_rng(8))
