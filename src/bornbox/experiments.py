@@ -1,6 +1,10 @@
 """Empirical harnesses: output anti-concentration under uniform random
 Cliffords, sparsity profiling, and the sampler-distinguishability game.
 
+The anti-concentration trials run in seeded chunks: a chunk draws its
+tableaus and synthesizes their gate lists, then evolves them all in one
+batched oracle call.
+
 The distinguishability game: a referee secretly flips a fair coin, requests
 samples from either the true circuit distribution ("Alice") or an imposter
 sampler ("Bob"), and applies the likelihood-ratio test with full knowledge
@@ -20,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .circuits import Circuit, ProdCircuit
-from .oracle import (ExactDistribution, exact_distribution, l1_distance,
-                     min_sparsity, prod_probabilities)
+from .circuits import Circuit
+from .oracle import (ExactDistribution, _check_size, exact_distribution,
+                     l1_distance, min_sparsity, prod_probabilities_many)
 from .polybox import OraclePolyBox, _chunked_map
 from .samplers import (SparsityPolynomial, sparse_budget,
                        survivor_distribution)
@@ -43,17 +47,18 @@ def clifford_output_probabilities(n: int, trials: int, state: ProductState,
                                   threads: int = 1) -> np.ndarray:
     """p_x for a fixed outcome x under `trials` independent uniformly random
     Clifford circuits applied to the product input.  Chunked with spawned
-    substreams so the result array is identical for every thread count."""
+    substreams so the result array is identical for every thread count.
+    A chunk draws its tableaus in stream order, synthesizing each gate list
+    as it goes, and evolves the lists together in one batched oracle call.
+    The oracle's size limit is checked before anything is drawn."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_size(n)
 
     def work(rng, size: int) -> np.ndarray:
-        out = np.empty(size)
-        for j in range(size):
-            gates = synthesize_gates(random_clifford(n, rng))
-            circuit = ProdCircuit(n, n, state, gates)
-            out[j] = prod_probabilities(circuit)[outcome_index]
-        return out
+        gate_lists = [synthesize_gates(random_clifford(n, rng))
+                      for _ in range(size)]
+        return prod_probabilities_many(state, gate_lists)[:, outcome_index]
 
     return np.concatenate(_chunked_map(work, trials, _TRIAL_CHUNK,
                                        np.random.default_rng(seed), threads))
@@ -109,6 +114,10 @@ def anticoncentration_report(n: int, trials: int, alphas, state: ProductState,
     if trials < 100:
         raise ValueError("trials must be >= 100")
     alphas = tuple(float(a) for a in alphas)
+    for alpha in alphas:
+        # the Paley-Zygmund bound (1 - alpha)^2 / 2 holds on [0, 1] only
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {alpha:g}")
     px = clifford_output_probabilities(n, trials, state, seed, 0, threads)
     fractions = tuple(float((px >= alpha / 2 ** n).mean()) for alpha in alphas)
     bounds = tuple(anticoncentration_bound(alpha) for alpha in alphas)

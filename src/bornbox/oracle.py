@@ -8,6 +8,11 @@ a size limit (``BORNBOX_ORACLE_LIMIT`` environment variable, default 20).
 
 Distribution arrays are indexed by the big-endian reading of the outcome
 string, so array order equals lexicographic outcome order.
+
+Product inputs are evolved by :func:`prod_probabilities_many`, which runs a
+stack of gate lists on one input as one array, with the same generic
+update for every gate kind and in sub-batches capped at a fixed amplitude
+count; :func:`prod_probabilities` is its one-list case.
 """
 
 from __future__ import annotations
@@ -21,10 +26,16 @@ import numpy as np
 
 from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
                        ProdCircuit, check_pattern_length)
-from .stabcore import GateApp
+from .stabcore import ProductState
 
 _SQ = math.sqrt(0.5)
 DEFAULT_ORACLE_LIMIT = 20
+# amplitudes one sub-batch of a batched evolution holds at once
+_BATCH_AMPLITUDES = 1 << 16
+# gate codes of a batched evolution; 0 pads a short gate list
+_GATE_CODES = {"H": 1, "S": 2, "X": 3, "Z": 4, "CNOT": 5, "CZ": 6}
+# the factor k of the generic gate update: i^e for e = 0..3, and H's scale
+_FACTORS = np.array([1, 1j, -1, -1j, _SQ])
 
 
 class OracleLimitError(RuntimeError):
@@ -142,45 +153,14 @@ def min_sparsity(d, eps: float) -> int:
 # Statevector simulation
 # ---------------------------------------------------------------------------
 
-def _apply_gate(psi: np.ndarray, gate: GateApp, idx: np.ndarray) -> np.ndarray:
-    """The gate applied to every state along the last axis of psi."""
-    name = gate.name
-    if name == "H":
-        m = 1 << gate.qubits[0]
-        sign = 1.0 - 2.0 * ((idx & m) != 0)
-        return _SQ * (psi[..., idx & ~m] + sign * psi[..., idx | m])
-    if name == "S":
-        m = 1 << gate.qubits[0]
-        out = psi.copy()
-        out[..., (idx & m) != 0] *= 1j
-        return out
-    if name == "X":
-        return psi[..., idx ^ (1 << gate.qubits[0])]
-    if name == "Z":
-        m = 1 << gate.qubits[0]
-        out = psi.copy()
-        out[..., (idx & m) != 0] *= -1.0
-        return out
-    if name == "CNOT":
-        c, t = gate.qubits
-        return psi[..., idx ^ (((idx >> c) & 1) << t)]
-    if name == "CZ":
-        c, t = gate.qubits
-        both = ((idx >> c) & (idx >> t) & 1) != 0
-        out = psi.copy()
-        out[..., both] *= -1.0
-        return out
-    raise ValueError(f"unknown gate {name!r}")
-
-
-def prod_branches(circuit: ProdCircuit) -> list[tuple[float, np.ndarray]]:
+def prod_branches(state: ProductState) -> list[tuple[float, np.ndarray]]:
     """Decompose a (possibly mixed) product input into weighted pure branches.
 
     Each qubit with Bloch norm < 1 contributes two eigenbranches, so the
     count is 2**(number of strictly mixed qubits).
     """
     per_qubit: list[list[tuple[float, np.ndarray]]] = []
-    for vec in circuit.state.bloch:
+    for vec in state.bloch:
         s = math.sqrt(sum(c * c for c in vec))
         if s > 1.0 - 1e-12:
             per_qubit.append([(1.0, _bloch_eigvec(vec, s))])
@@ -211,23 +191,108 @@ def _bloch_eigvec(vec, s) -> np.ndarray:
 
 def prod_probabilities(circuit: ProdCircuit) -> np.ndarray:
     """Exact |amplitude|^2 vector over all n qubits (bit i of the array
-    index is qubit i).
+    index is qubit i): the one-row case of :func:`prod_probabilities_many`."""
+    return prod_probabilities_many(circuit.state, [circuit.gates])[0]
 
-    The pure branches are evolved together as one B x 2^n array, one array
-    operation per gate; their weighted squares are then summed row by row in
-    branch order, so the result equals a branch-by-branch loop bit for bit.
+
+def prod_probabilities_many(state: ProductState, gate_lists) -> np.ndarray:
+    """Row j: the exact |amplitude|^2 vector of gate list j applied to the
+    product input, bit i of the column index being qubit i.
+
+    The pure branches of the input are evolved under every gate list at once
+    as one (T, B, 2^n) array, in sub-batches of at most
+    ``_BATCH_AMPLITUDES`` amplitudes (at least one gate list each), so a
+    large n evolves one gate list at a time.  Every gate, at every gate
+    position of the stack, is the update out[i] = k[i] (psi[g1[i]] +
+    c[i] psi[g2[i]]); see :func:`_evolve`.  The weighted squares of the
+    branches are summed in branch order.  Each row equals a gate-by-gate,
+    branch-by-branch loop bit for bit: k and c are 0, +-1, +-i or 1/sqrt(2),
+    so the only rounding steps are H's sum and scaling, taken in the same
+    order.
     """
-    _check_size(circuit.n)
-    idx = np.arange(1 << circuit.n)
-    branches = prod_branches(circuit)
-    psi = np.array([b for _, b in branches])
-    for gate in circuit.gates:
-        psi = _apply_gate(psi, gate, idx)
-    sq = np.abs(psi) ** 2
-    probs = np.zeros(1 << circuit.n, dtype=float)
-    for (weight, _), row in zip(branches, sq):
-        probs += weight * row
+    _check_size(state.n)
+    weights, vectors = zip(*prod_branches(state))
+    psi = np.array(vectors)
+    del vectors  # at large n, hold the input branches once
+    step = max(1, _BATCH_AMPLITUDES // psi.size)
+    probs = np.zeros((len(gate_lists), psi.shape[1]))
+    for lo in range(0, len(gate_lists), step):
+        sq = np.abs(_evolve(psi, gate_lists[lo:lo + step])) ** 2
+        rows = probs[lo:lo + step]
+        for b, weight in enumerate(weights):
+            rows += weight * sq[:, b]
     return probs
+
+
+def _evolve(psi0: np.ndarray, gate_lists) -> np.ndarray:
+    """(T, B, D) amplitudes of the (B, D) branches psi0 under T gate lists.
+
+    The lists are padded with the identity to a common length, and at each
+    gate position every list's gate becomes a few int masks: ``clr`` the
+    qubit bit of an H, ``flip`` that of an X, ``ctl``/``tgt`` those of a
+    CNOT, ``half`` that of an S (phase i) and ``minus`` the bits that must
+    all be set for a phase of -1 (Z, CZ; D, never set, elsewhere).  Then,
+    with i a basis index,
+      g1 = (i & ~clr) ^ flip ^ (tgt if i & ctl),   g2 = i | clr,
+      c = +-1 by bit clr of i for an H and 0 otherwise,
+      k = 1/sqrt(2) for an H and i^e otherwise, e = [i & half] + 2 [i has
+          every minus bit].
+    A position where no list has an H skips the psi[g2] term, one with
+    only phase gates the gather, and one with no phase gate or H the k.
+    """
+    n_lists = len(gate_lists)
+    n_branches, dim = psi0.shape
+    depth = max((len(gates) for gates in gate_lists), default=0)
+    # per position and list: the gate's code and its first and last
+    # qubit's bit
+    code = np.zeros((depth, n_lists), np.int64)
+    a = np.zeros((depth, n_lists), np.int64)
+    b = np.zeros((depth, n_lists), np.int64)
+    for j, gates in enumerate(gate_lists):
+        code[:len(gates), j] = [_GATE_CODES[g.name] for g in gates]
+        a[:len(gates), j] = [1 << g.qubits[0] for g in gates]
+        b[:len(gates), j] = [1 << g.qubits[-1] for g in gates]
+
+    idx = np.arange(dim)
+    # flat offset of each (list, branch) row; one list needs none
+    offsets = (np.arange(n_lists * n_branches) * dim).reshape(
+        n_lists, n_branches, 1) if n_lists > 1 else None
+    start = psi = np.broadcast_to(psi0, (n_lists, n_branches, dim))
+    for kind, a_p, b_p in zip(code[:, :, None], a[:, :, None], b[:, :, None]):
+        is_h = kind == _GATE_CODES["H"]
+        is_cnot = kind == _GATE_CODES["CNOT"]
+        clr = a_p * is_h
+        flip = a_p * (kind == _GATE_CODES["X"])
+        ctl, tgt = a_p * is_cnot, b_p * is_cnot
+        half = a_p * (kind == _GATE_CODES["S"])
+        minus = np.where(kind == _GATE_CODES["Z"], a_p,
+                         np.where(kind == _GATE_CODES["CZ"], a_p | b_p, dim))
+        h = is_h.any()
+        if h or flip.any() or ctl.any():
+            g1 = idx & ~clr
+            g1 ^= flip
+            g1 ^= ((idx & ctl) != 0) * tgt
+            amp = _gather(psi, g1, offsets)
+            if h:
+                other = _gather(psi, idx | clr, offsets)
+                other *= (is_h - 2.0 * ((idx & clr) != 0))[:, None, :]
+                amp += other
+                del other
+            psi = amp
+        if h or half.any() or (minus < dim).any():
+            e = ((idx & half) != 0) + 2 * ((idx & minus) == minus) + 4 * is_h
+            if psi is start:
+                psi = psi * _FACTORS[e][:, None, :]
+            else:
+                psi *= _FACTORS[e][:, None, :]
+    return psi
+
+
+def _gather(psi: np.ndarray, index: np.ndarray, offsets) -> np.ndarray:
+    """psi[j, b, index[j, i]] for every list j, branch b and basis index i."""
+    if offsets is None:
+        return np.take(psi, index[0], axis=-1)
+    return np.take(psi, offsets + index[:, None, :])
 
 
 def iqp_statevector(circuit: IqpCircuit) -> np.ndarray:

@@ -26,6 +26,12 @@ No rejection against the group is involved, so the draw is exactly uniform.
 The decode runs on bit-packed ints, like the Paulis: a vector of F2^2n is
 one int with qubit q's x bit at 2q and its z bit at 2q+1, a transvection is
 one XOR, and the matrix is a list of column ints.
+
+:func:`synthesize_gates` sweeps a tableau to the identity on packed
+columns, one int per qubit holding that qubit's x (or z) bit of all 2n
+rows, so each sweep gate is a few word operations (Stim-style bit planes,
+arXiv:2103.02202).  Its gates come from a process-wide intern table, so
+each distinct (name, qubits) is validated as a :class:`GateApp` once.
 """
 
 from __future__ import annotations
@@ -387,81 +393,107 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
 # Tableau -> gate-list synthesis (sweep to identity, emit inverses reversed)
 # ---------------------------------------------------------------------------
 
+# one GateApp per (name, qubits), so each distinct gate is validated once
+_INTERNED: dict[tuple[str, tuple[int, ...]], GateApp] = {}
+
+
+def _interned_gate(name: str, qubits: tuple[int, ...]) -> GateApp:
+    gate = _INTERNED.get((name, qubits))
+    if gate is None:
+        gate = _INTERNED[name, qubits] = GateApp(name, qubits)
+    return gate
+
+
 def synthesize_gates(t: CliffordTableau) -> tuple[GateApp, ...]:
     """Gate sequence (H, S, CNOT, CZ, X, Z) realizing the tableau's unitary.
 
     Applies gates that sweep the tableau to the identity, then returns the
     daggered gates in reverse order.  Cost is O(n^2) gates.  The sweep acts
-    on the packed rows and records plain (name, qubits) pairs; a
-    :class:`GateApp` is built only for each returned gate.
+    on packed columns, Stim-style: ``xs[q]`` and ``zs[q]`` hold the x and z
+    bits on qubit q of all 2n rows (bit r for row r) and ``sg`` their signs
+    (bit r set for -1), so a gate is a few int operations on every row at
+    once, and a row's bits are read only where the sweep branches on them.
+    Returned gates come from a process-wide intern table.
     """
     n = t.n
-    rows = [[p.x, p.z, p.sign] for p in (t.x_images + t.z_images)]
+    rows = t.x_images + t.z_images
+    xs = [sum(((p.x >> q) & 1) << r for r, p in enumerate(rows))
+          for q in range(n)]
+    zs = [sum(((p.z >> q) & 1) << r for r, p in enumerate(rows))
+          for q in range(n)]
+    sg = sum(1 << r for r, p in enumerate(rows) if p.sign == -1)
     applied: list[tuple[str, tuple[int, ...]]] = []
 
-    def do(name: str, *qubits: int):
-        for row in rows:
-            row[0], row[1], row[2] = _gate_conjugate_bits(
-                name, qubits, row[0], row[1], row[2])
-        applied.append((name, qubits))
+    # each gate: the sign rule of _gate_conjugate_bits on the old bits, then
+    # the bit update
+    def h(q: int):
+        nonlocal sg
+        sg ^= xs[q] & zs[q]
+        xs[q], zs[q] = zs[q], xs[q]
+        applied.append(("H", (q,)))
 
-    def do_swap(a: int, b: int):
-        do("CNOT", a, b)
-        do("CNOT", b, a)
-        do("CNOT", a, b)
+    def s(q: int):
+        nonlocal sg
+        sg ^= xs[q] & zs[q]
+        zs[q] ^= xs[q]
+        applied.append(("S", (q,)))
+
+    def cnot(a: int, b: int):
+        nonlocal sg
+        sg ^= xs[a] & zs[b] & ~(xs[b] ^ zs[a])
+        xs[b] ^= xs[a]
+        zs[a] ^= zs[b]
+        applied.append(("CNOT", (a, b)))
+
+    def cz(a: int, b: int):
+        nonlocal sg
+        sg ^= xs[a] & xs[b] & (zs[a] ^ zs[b])
+        zs[b] ^= xs[a]
+        zs[a] ^= xs[b]
+        applied.append(("CZ", (a, b)))
+
+    def clear_row(i: int, r: int):
+        # CNOT clears row r's x bits and CZ its z bits above qubit i; a gate
+        # on (i, j) leaves the columns of every later j untouched, so each
+        # bit is read when its turn comes
+        for j in range(i + 1, n):
+            if (xs[j] >> r) & 1:
+                cnot(i, j)
+        for j in range(i + 1, n):
+            if (zs[j] >> r) & 1:
+                cz(i, j)
+        if (zs[i] >> r) & 1:
+            s(i)
 
     for i in range(n):
-        a = rows[i]
-        high = ~((1 << i) - 1)
-        if not a[0] & high:
-            j = (a[1] & high & -(a[1] & high)).bit_length() - 1
-            do("H", j)
-        pivot = (rows[i][0] & high & -(rows[i][0] & high)).bit_length() - 1
+        pivot = next((q for q in range(i, n) if (xs[q] >> i) & 1), None)
+        if pivot is None:
+            pivot = next(q for q in range(i, n) if (zs[q] >> i) & 1)
+            h(pivot)
         if pivot != i:
-            do_swap(i, pivot)
-        rest = rows[i][0] & ~((1 << (i + 1)) - 1)
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            do("CNOT", i, j)
-        rest = rows[i][1] & ~((1 << (i + 1)) - 1)
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            do("CZ", i, j)
-        if (rows[i][1] >> i) & 1:
-            do("S", i)
-
+            cnot(i, pivot)
+            cnot(pivot, i)
+            cnot(i, pivot)
+        clear_row(i, i)
         # Same sweep for the Z_i image, flipped into the X picture around i.
-        do("H", i)
-        rest = rows[n + i][0] & ~((1 << (i + 1)) - 1)
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            do("CNOT", i, j)
-        rest = rows[n + i][1] & ~((1 << (i + 1)) - 1)
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            do("CZ", i, j)
-        if (rows[n + i][1] >> i) & 1:
-            do("S", i)
-        do("H", i)
+        h(i)
+        clear_row(i, n + i)
+        h(i)
+        if (sg >> i) & 1:
+            sg ^= xs[i]
+            applied.append(("Z", (i,)))
+        if (sg >> (n + i)) & 1:
+            sg ^= zs[i]
+            applied.append(("X", (i,)))
 
-        if rows[i][2] == -1:
-            do("Z", i)
-        if rows[n + i][2] == -1:
-            do("X", i)
-
-    for r, row in enumerate(rows):
-        if row != ([1 << r, 0, 1] if r < n else [0, 1 << (r - n), 1]):
-            raise AssertionError("tableau sweep failed to reach identity")
+    if sg or any(xs[q] != 1 << q or zs[q] != 1 << (n + q) for q in range(n)):
+        raise AssertionError("tableau sweep failed to reach identity")
 
     out: list[GateApp] = []
     for name, qubits in reversed(applied):
-        out.append(GateApp(name, qubits))
+        out.append(_interned_gate(name, qubits))
         if name == "S":
-            out.append(GateApp("Z", qubits))
+            out.append(_interned_gate("Z", qubits))
     return tuple(out)
 
 

@@ -4,10 +4,12 @@ and cross-checks that only the tests call.
 The Koenig-Smolin decode here works on int8 numpy vectors, slot by slot, in
 the same interleaved layout as ``stabcore`` (qubit q's x in slot 2q, its z in
 slot 2q+1); ``stabcore`` decodes on bit-packed ints.  The dense oracle loop
-evolves one pure branch at a time, built with ``np.kron``; ``oracle`` evolves
-all branches as one array.  Both pairs must agree exactly.
-``symplectic_matrix`` puts the program's decode in the reference's grouped
-matrix form.
+evolves one pure branch at a time, built with ``np.kron``, one array
+operation per gate kind; ``oracle`` evolves all branches of a stack of gate
+lists as one array through one generic gate update.  The gate-list synthesis
+here conjugates the tableau one row at a time; ``stabcore`` sweeps packed
+columns.  Each pair must agree exactly.  ``symplectic_matrix`` puts the
+program's decode in the reference's grouped matrix form.
 
 The rest are cross-checks kept out of the package: the tableau route to
 ``U^dag P U`` and the Pauli product, the Clifford group order, pure-state
@@ -25,16 +27,19 @@ import numpy as np
 from bornbox import stabcore as sc
 from bornbox.circuits import (IqpCircuit, OutcomePattern, ProdCircuit,
                               check_pattern_length)
-from bornbox.oracle import (ExactDistribution, _apply_gate, _bloch_eigvec,
+from bornbox.oracle import (ExactDistribution, _bloch_eigvec,
                             _check_size, iqp_statevector, l1_distance,
                             prod_branches)
 from bornbox.polybox import Estimate, _conjugated_factors, hoeffding_samples
-from bornbox.stabcore import (CliffordTableau, PauliOperator,
-                              _hermitian_from_xz, _parity, _rand_below,
-                              _xz_phase, apply_tableau, inverse_tableau,
-                              product_expectation, symplectic_group_order)
+from bornbox.stabcore import (CliffordTableau, GateApp, PauliOperator,
+                              _gate_conjugate_bits, _hermitian_from_xz,
+                              _parity, _rand_below, _xz_phase, apply_tableau,
+                              inverse_tableau, product_expectation,
+                              symplectic_group_order)
 
 from helpers import index_to_outcome, pattern_matches
+
+_SQ = math.sqrt(0.5)
 
 
 def _int_to_bits(v: int, n: int) -> np.ndarray:
@@ -168,6 +173,37 @@ def reference_random_clifford(n: int, rng: np.random.Generator) -> CliffordTable
     return CliffordTableau(n, tuple(rows[:n]), tuple(rows[n:]))
 
 
+def _apply_gate(psi: np.ndarray, gate: GateApp, idx: np.ndarray) -> np.ndarray:
+    """The gate applied to every state along the last axis of psi."""
+    name = gate.name
+    if name == "H":
+        m = 1 << gate.qubits[0]
+        sign = 1.0 - 2.0 * ((idx & m) != 0)
+        return _SQ * (psi[..., idx & ~m] + sign * psi[..., idx | m])
+    if name == "S":
+        m = 1 << gate.qubits[0]
+        out = psi.copy()
+        out[..., (idx & m) != 0] *= 1j
+        return out
+    if name == "X":
+        return psi[..., idx ^ (1 << gate.qubits[0])]
+    if name == "Z":
+        m = 1 << gate.qubits[0]
+        out = psi.copy()
+        out[..., (idx & m) != 0] *= -1.0
+        return out
+    if name == "CNOT":
+        c, t = gate.qubits
+        return psi[..., idx ^ (((idx >> c) & 1) << t)]
+    if name == "CZ":
+        c, t = gate.qubits
+        both = ((idx >> c) & (idx >> t) & 1) != 0
+        out = psi.copy()
+        out[..., both] *= -1.0
+        return out
+    raise ValueError(f"unknown gate {name!r}")
+
+
 def reference_prod_probabilities(circuit) -> np.ndarray:
     """|amplitude|^2 over all n qubits, one pure branch at a time."""
     branches = [(1.0, np.array([1.0], complex))]
@@ -192,6 +228,79 @@ def reference_prod_probabilities(circuit) -> np.ndarray:
             psi = _apply_gate(psi, gate, idx)
         probs += weight * np.abs(psi) ** 2
     return probs
+
+
+def reference_synthesize_gates(t: CliffordTableau) -> tuple[GateApp, ...]:
+    """The gate list of ``stabcore.synthesize_gates``, sweeping one tableau
+    row at a time: every gate conjugates each of the 2n rows in turn."""
+    n = t.n
+    rows = [[p.x, p.z, p.sign] for p in (t.x_images + t.z_images)]
+    applied: list[tuple[str, tuple[int, ...]]] = []
+
+    def do(name: str, *qubits: int):
+        for row in rows:
+            row[0], row[1], row[2] = _gate_conjugate_bits(
+                name, qubits, row[0], row[1], row[2])
+        applied.append((name, qubits))
+
+    def do_swap(a: int, b: int):
+        do("CNOT", a, b)
+        do("CNOT", b, a)
+        do("CNOT", a, b)
+
+    for i in range(n):
+        a = rows[i]
+        high = ~((1 << i) - 1)
+        if not a[0] & high:
+            j = (a[1] & high & -(a[1] & high)).bit_length() - 1
+            do("H", j)
+        pivot = (rows[i][0] & high & -(rows[i][0] & high)).bit_length() - 1
+        if pivot != i:
+            do_swap(i, pivot)
+        rest = rows[i][0] & ~((1 << (i + 1)) - 1)
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            do("CNOT", i, j)
+        rest = rows[i][1] & ~((1 << (i + 1)) - 1)
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            do("CZ", i, j)
+        if (rows[i][1] >> i) & 1:
+            do("S", i)
+
+        # Same sweep for the Z_i image, flipped into the X picture around i.
+        do("H", i)
+        rest = rows[n + i][0] & ~((1 << (i + 1)) - 1)
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            do("CNOT", i, j)
+        rest = rows[n + i][1] & ~((1 << (i + 1)) - 1)
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            do("CZ", i, j)
+        if (rows[n + i][1] >> i) & 1:
+            do("S", i)
+        do("H", i)
+
+        if rows[i][2] == -1:
+            do("Z", i)
+        if rows[n + i][2] == -1:
+            do("X", i)
+
+    for r, row in enumerate(rows):
+        if row != ([1 << r, 0, 1] if r < n else [0, 1 << (r - n), 1]):
+            raise AssertionError("tableau sweep failed to reach identity")
+
+    out: list[GateApp] = []
+    for name, qubits in reversed(applied):
+        out.append(GateApp(name, qubits))
+        if name == "S":
+            out.append(GateApp("Z", qubits))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +352,7 @@ def statevector(circuit) -> StateVector:
         return StateVector(circuit.n, iqp_statevector(circuit))
     if isinstance(circuit, ProdCircuit):
         _check_size(circuit.n)
-        branches = prod_branches(circuit)
+        branches = prod_branches(circuit.state)
         if len(branches) != 1:
             raise ValueError("mixed product input has no state vector")
         psi = branches[0][1]

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from bornbox import cli, oracle, polybox, samplers
+from bornbox import cli, experiments, oracle, polybox, samplers
 from bornbox.cli import format_float, run_command, to_json
 from bornbox.samplers import heavy_prefixes
 
@@ -192,11 +192,19 @@ def test_exit_codes(capsys, ghz_file, tmp_path):
     ["sample", "--circuit", "{ghz}", "--method", "sparse", "--sparsity", "0"],
     ["experiment", "distinguish", "--circuit", "{ghz}", "--bob", "scheduled",
      "--delta", "0.9"],
+    ["experiment", "anticoncentration", "--n", "2", "--trials", "100",
+     "--alphas", "0.5,2"],
+    ["experiment", "anticoncentration", "--n", "2", "--trials", "100",
+     "--alphas=-0.1"],
+    ["experiment", "anticoncentration", "--n", "2", "--trials", "100",
+     "--alphas", "nan"],
 ], ids=["missing-file", "malformed-pattern", "pattern-length", "eps-zero",
         "eps-negative", "negative-count", "over-draw-budget",
         "distinguish-trials", "cdf-m-too-large", "cdf-m-zero-count-0",
         "sparse-eps-prime-oracle", "sparse-eps-prime-count-0",
-        "sparse-zero-sparsity", "distinguish-scheduled-delta"])
+        "sparse-zero-sparsity", "distinguish-scheduled-delta",
+        "anticoncentration-alpha-above-1", "anticoncentration-alpha-negative",
+        "anticoncentration-alpha-nan"])
 def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, tmp_path, argv):
     argv = [a.format(ghz=ghz_file, missing=str(tmp_path / "nope.qc"))
             for a in argv]
@@ -205,6 +213,22 @@ def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, tmp_path, argv):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error: ")
+    if argv[1] == "anticoncentration":
+        assert "alpha" in line
+
+
+def test_anticoncentration_above_oracle_limit_draws_nothing(capsys,
+                                                             monkeypatch):
+    def refuse(n, rng):
+        raise AssertionError("random_clifford called")
+    monkeypatch.setattr(experiments, "random_clifford", refuse)
+    code = run_command(["experiment", "anticoncentration", "--n", "21",
+                        "--trials", "100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "limit" in line
 
 
 @pytest.fixture

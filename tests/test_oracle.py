@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bornbox import oracle
 from bornbox.circuits import IqpCircuit, OutcomePattern, ProdCircuit, ce_encode
 from bornbox.oracle import (ExactDistribution, OracleLimitError,
                             exact_distribution, exact_probability,
-                            l1_distance, min_sparsity, prod_probabilities)
+                            l1_distance, min_sparsity, prod_probabilities,
+                            prod_probabilities_many)
 from bornbox.stabcore import (GateApp, ProductState, pauli_expansion_probability,
                               tableau_from_gates)
 
-from helpers import (gate_lists, ghz_circuit, index_to_outcome, pattern_matches,
-                     random_bloch, random_iqp_circuit, random_pattern,
-                     random_prod_circuit)
+from helpers import (MIXED_GATES, gate_lists, ghz_circuit, index_to_outcome,
+                     pattern_matches, random_bloch, random_iqp_circuit,
+                     random_pattern, random_prod_circuit)
 from reference import (StateVector, reference_prod_probabilities,
                        sample_outcomes, statevector)
 
@@ -135,6 +137,48 @@ def test_prod_probabilities_match_per_branch_loop(data):
     c = ProdCircuit(n, n, ProductState(bloch), gates)
     got = prod_probabilities(c)
     assert got.tobytes() == reference_prod_probabilities(c).tobytes()
+
+
+def _stack_case(data):
+    """A product input on n qubits and 1-5 gate lists on it, ragged and
+    possibly empty, drawn from every gate kind."""
+    n = data.draw(st.integers(1, 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    bloch = tuple(data.draw(st.sampled_from(EDGE_BLOCH))
+                  or random_bloch(rng, bool(rng.integers(2))) for _ in range(n))
+    lists = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        count = data.draw(st.integers(0, 30))
+        # every kind at least once when the list is long enough
+        names = list(MIXED_GATES) * (count >= len(MIXED_GATES))
+        names += [data.draw(st.sampled_from(MIXED_GATES))
+                  for _ in range(count - len(names))]
+        gates = []
+        for name in data.draw(st.permutations(names)):
+            if name in ("CNOT", "CZ") and n < 2:
+                name = "S"
+            qubits = rng.choice(n, 2 if name in ("CNOT", "CZ") else 1,
+                                replace=False)
+            gates.append(GateApp(name, tuple(int(q) for q in qubits)))
+        lists.append(tuple(gates))
+    return ProductState(bloch), lists
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_evolution_equals_per_gate_reference(data):
+    state, lists = _stack_case(data)
+    n = state.n
+    want = [reference_prod_probabilities(ProdCircuit(n, n, state, gates))
+            for gates in lists]
+    got = prod_probabilities_many(state, lists)
+    assert got.shape == (len(lists), 1 << n)
+    for row, ref in zip(got, want):
+        assert (row == ref).all()
+    # a cap below one list's amplitudes evolves one list at a time
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_BATCH_AMPLITUDES", 1)
+        assert (prod_probabilities_many(state, lists) == got).all()
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,7 +12,7 @@ from bornbox import stabcore as sc
 from helpers import MIXED_GATES, S_HEAVY_GATES, gate_lists
 from reference import (clifford_group_order, conjugate_pauli, pauli_product,
                        reference_random_clifford, reference_symplectic_matrix,
-                       symplectic_matrix)
+                       reference_synthesize_gates, symplectic_matrix)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -290,6 +290,16 @@ def test_product_matches_dense(n, seed):
         b = a
     prod = pauli_product(a, b)
     assert np.allclose(pauli_dense(prod), pauli_dense(a) @ pauli_dense(b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_packed_sweep_matches_row_sweep(n, seed):
+    # the frozen digest below covers n <= 6 only
+    t = sc.random_clifford(n, np.random.default_rng(seed))
+    gates = sc.synthesize_gates(t)
+    assert gates == reference_synthesize_gates(t)
+    assert sc.tableau_from_gates(n, gates) == t
 
 
 def test_synthesized_gate_lists_are_frozen():
