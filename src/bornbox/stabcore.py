@@ -14,30 +14,27 @@ input state.  It walks the gates in reverse with the per-gate sign rules
 product-input estimator uses it.
 
 A :class:`CliffordTableau` stores the images ``U X_i U^dag`` and ``U Z_i U^dag``
-for a Clifford unitary U.  :func:`compose_gate` left-multiplies a named gate
-onto U, :func:`apply_tableau` gives ``U P U^dag`` and, through
-:func:`inverse_tableau`, the same ``U^dag P U``.  Tableaus serve uniform
-Clifford draws, gate synthesis and cross-checks of the gate-list route.
+of a Clifford U as Stim-style bit planes (arXiv:2103.02202): bit r of
+``xs[q]`` (``zs[q]``) is image row r's x (z) bit on qubit q and bit r of
+``signs`` its sign, so one word rule per gate updates all rows at once, in
+:func:`tableau_from_gates` and in the :func:`synthesize_gates` sweep.  Every
+tableau passes :func:`check_symplectic`, the rows' n(2n-1) commutation
+conditions checked on the 2n column words.  :func:`apply_tableau` gives
+``U P U^dag`` and, through :func:`inverse_tableau`, ``U^dag P U``.
 
 Uniform tableau sampling follows the Koenig-Smolin indexing of Sp(2n, F2)
 (arXiv:1406.2170): a uniform integer below the group order is decoded into a
 symplectic matrix, and the 2n image signs are drawn as independent fair bits.
 No rejection against the group is involved, so the draw is exactly uniform.
-The decode runs on bit-packed ints, like the Paulis: a vector of F2^2n is
-one int with qubit q's x bit at 2q and its z bit at 2q+1, a transvection is
-one XOR, and the matrix is a list of column ints.
-
-:func:`synthesize_gates` sweeps a tableau to the identity on packed
-columns, one int per qubit holding that qubit's x (or z) bit of all 2n
-rows, so each sweep gate is a few word operations (Stim-style bit planes,
-arXiv:2103.02202).  Its gates come from a process-wide intern table, so
+The decode runs on ints with qubit q's x bit at 2q and its z bit at 2q+1, so
+a transvection is one XOR, and each column of the matrix is deinterleaved by
+a byte table straight into a tableau word.  Synthesized gates are interned:
 each distinct (name, qubits) is validated as a :class:`GateApp` once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -88,11 +85,6 @@ class PauliOperator:
     @classmethod
     def single_z(cls, n: int, qubit: int, sign: int = 1) -> "PauliOperator":
         return cls(n, 0, 1 << qubit, sign)
-
-    def commutes_with(self, other: "PauliOperator") -> bool:
-        if self.n != other.n:
-            raise ValueError("qubit-count mismatch")
-        return _parity((self.x & other.z) ^ (self.z & other.x)) == 0
 
 
 def _xz_phase(p: PauliOperator) -> int:
@@ -155,108 +147,6 @@ def _gate_conjugate_bits(name: str, qubits: tuple[int, ...], x: int, z: int,
     return x, z, sign
 
 
-def conjugate_by_gate(p: PauliOperator, gate: GateApp) -> PauliOperator:
-    if max(gate.qubits) >= p.n:
-        raise ValueError("gate qubit outside operator range")
-    x, z, sign = _gate_conjugate_bits(gate.name, gate.qubits, p.x, p.z, p.sign)
-    return PauliOperator(p.n, x, z, sign)
-
-
-@dataclass(frozen=True)
-class CliffordTableau:
-    """Images of the 2n Pauli generators under conjugation by a Clifford U."""
-
-    n: int
-    x_images: tuple[PauliOperator, ...]
-    z_images: tuple[PauliOperator, ...]
-
-    def __post_init__(self):
-        if len(self.x_images) != self.n or len(self.z_images) != self.n:
-            raise ValueError("tableau needs n X-images and n Z-images")
-        rows = self.x_images + self.z_images
-        if any(p.n != self.n for p in rows):
-            raise ValueError("image qubit-count mismatch")
-        # Conjugation preserves the commutation pattern of the generators;
-        # anything violating it is not realizable by a unitary.
-        for a, b in combinations(range(2 * self.n), 2):
-            want = 1 if (a % self.n == b % self.n and a != b) else 0
-            got = 0 if rows[a].commutes_with(rows[b]) else 1
-            if got != want:
-                raise ValueError("images do not satisfy the symplectic condition")
-
-
-def identity_tableau(n: int) -> CliffordTableau:
-    xs = tuple(PauliOperator(n, 1 << i, 0, 1) for i in range(n))
-    zs = tuple(PauliOperator(n, 0, 1 << i, 1) for i in range(n))
-    return CliffordTableau(n, xs, zs)
-
-
-def compose_gate(t: CliffordTableau, gate: GateApp) -> CliffordTableau:
-    """Tableau of (gate * U) for tableau of U."""
-    if max(gate.qubits) >= t.n:
-        raise ValueError("gate qubit outside tableau range")
-    xs = tuple(conjugate_by_gate(p, gate) for p in t.x_images)
-    zs = tuple(conjugate_by_gate(p, gate) for p in t.z_images)
-    return CliffordTableau(t.n, xs, zs)
-
-
-def tableau_from_gates(n: int, gates) -> CliffordTableau:
-    t = identity_tableau(n)
-    for g in gates:
-        t = compose_gate(t, g)
-    return t
-
-
-def apply_tableau(t: CliffordTableau, p: PauliOperator) -> PauliOperator:
-    """U P U^dag, by multiplying out generator images."""
-    if p.n != t.n:
-        raise ValueError("qubit-count mismatch")
-    k = _xz_phase(p)
-    x = z = 0
-    for imgs, bits in ((t.x_images, p.x), (t.z_images, p.z)):
-        b = bits
-        while b:
-            j = (b & -b).bit_length() - 1
-            b &= b - 1
-            img = imgs[j]
-            k = (k + _xz_phase(img) + 2 * _parity(z & img.x)) % 4
-            x ^= img.x
-            z ^= img.z
-    return _hermitian_from_xz(t.n, k, x, z)
-
-
-def inverse_tableau(t: CliffordTableau) -> CliffordTableau:
-    """Tableau of U^dag.
-
-    The bit part is the symplectic inverse Omega M^T Omega; each sign is then
-    fixed by pushing the candidate forward through t and reading off the sign
-    it lands with.
-    """
-    n = t.n
-    rows = t.x_images + t.z_images
-
-    def bit(r: int, c: int) -> int:
-        p = rows[r]
-        return (p.x >> c) & 1 if c < n else (p.z >> (c - n)) & 1
-
-    def swap(i: int) -> int:
-        return i + n if i < n else i - n
-
-    inv_rows = []
-    for r in range(2 * n):
-        x = z = 0
-        for c in range(2 * n):
-            if bit(swap(c), swap(r)):
-                if c < n:
-                    x |= 1 << c
-                else:
-                    z |= 1 << (c - n)
-        candidate = PauliOperator(n, x, z, 1)
-        image = apply_tableau(t, candidate)
-        inv_rows.append(PauliOperator(n, x, z, image.sign))
-    return CliffordTableau(n, tuple(inv_rows[:n]), tuple(inv_rows[n:]))
-
-
 def pull_back(gates, p: PauliOperator) -> PauliOperator:
     """U^dag P U for U = g_G ... g_1, without building a tableau.
 
@@ -274,6 +164,153 @@ def pull_back(gates, p: PauliOperator) -> PauliOperator:
     return PauliOperator(p.n, x, z, sign)
 
 
+def _conjugate_words(name: str, qubits: tuple[int, ...], xs: list[int],
+                     zs: list[int], sg: int) -> int:
+    """g P g^dag for gate g on every row P of the words laid out as in a
+    tableau: the sign rule reads the old bits, then ``xs`` and ``zs`` are
+    updated in place; returns the new sign word."""
+    a = qubits[0]
+    if name == "CNOT":
+        b = qubits[1]
+        sg ^= xs[a] & zs[b] & ~(xs[b] ^ zs[a])
+        xs[b] ^= xs[a]
+        zs[a] ^= zs[b]
+    elif name == "CZ":
+        b = qubits[1]
+        sg ^= xs[a] & xs[b] & (zs[a] ^ zs[b])
+        zs[b] ^= xs[a]
+        zs[a] ^= xs[b]
+    elif name == "H":
+        xs[a], zs[a] = zs[a], xs[a]
+        sg ^= xs[a] & zs[a]
+    elif name == "S":
+        sg ^= xs[a] & zs[a]
+        zs[a] ^= xs[a]
+    elif name == "X":
+        sg ^= zs[a]
+    elif name == "Z":
+        sg ^= xs[a]
+    else:
+        raise ValueError(f"unknown gate {name!r}")
+    return sg
+
+
+@dataclass(frozen=True, init=False)
+class CliffordTableau:
+    """Images of the 2n Pauli generators under conjugation by a Clifford U.
+
+    Row r < n is ``U X_r U^dag`` and row n + r is ``U Z_r U^dag``, packed as
+    described above (a ``signs`` bit is set for sign -1).  The constructor
+    takes the rows, and ``x_images`` and ``z_images`` read them back.
+    """
+
+    n: int
+    xs: tuple[int, ...]
+    zs: tuple[int, ...]
+    signs: int
+
+    def __init__(self, n: int, x_images, z_images):
+        if len(x_images) != n or len(z_images) != n:
+            raise ValueError("tableau needs n X-images and n Z-images")
+        rows = (*x_images, *z_images)
+        if any(p.n != n for p in rows):
+            raise ValueError("image qubit-count mismatch")
+
+        def words(bits: list[int]) -> list[int]:
+            return [sum(((b >> q) & 1) << r for r, b in enumerate(bits))
+                    for q in range(n)]
+        self._set_words(n, words([p.x for p in rows]), words([p.z for p in rows]),
+                        sum(1 << r for r, p in enumerate(rows) if p.sign == -1))
+
+    @classmethod
+    def from_words(cls, n: int, xs, zs, signs: int) -> "CliffordTableau":
+        """The tableau with these packed words, checked like any other."""
+        t = object.__new__(cls)
+        t._set_words(n, xs, zs, signs)
+        return t
+
+    def _set_words(self, n: int, xs, zs, signs: int):
+        # every tableau is built here, so every one passes the check
+        check_symplectic(n, xs, zs)
+        for name, value in (("n", n), ("xs", tuple(xs)), ("zs", tuple(zs)),
+                            ("signs", signs)):
+            object.__setattr__(self, name, value)
+
+    def _image(self, r: int) -> PauliOperator:
+        x = sum(((w >> r) & 1) << q for q, w in enumerate(self.xs))
+        z = sum(((w >> r) & 1) << q for q, w in enumerate(self.zs))
+        return PauliOperator(self.n, x, z, -1 if (self.signs >> r) & 1 else 1)
+
+    @property
+    def x_images(self) -> tuple[PauliOperator, ...]:
+        return tuple(self._image(r) for r in range(self.n))
+
+    @property
+    def z_images(self) -> tuple[PauliOperator, ...]:
+        return tuple(self._image(self.n + r) for r in range(self.n))
+
+
+def check_symplectic(n: int, xs, zs) -> None:
+    """Refuse words whose rows break the generators' commutation pattern,
+    which conjugation by a unitary preserves.  A matrix is symplectic iff its
+    transpose is, so the n(2n-1) row pairs are checked as column pairs, with
+    row r paired against row n + r: <xs[q], zs[p]> = [p == q] and every
+    other pair of columns has product 0."""
+    cols = (*xs, *zs)
+    if len(cols) != 2 * n or any(w >> (2 * n) for w in cols):
+        raise ValueError("tableau needs 2n-bit words on n qubits")
+    low = (1 << n) - 1
+    for a, u in enumerate(cols):
+        su = u >> n | (u & low) << n  # <u, v> is the parity of su & v
+        for b in range(a + 1, 2 * n):
+            if (su & cols[b]).bit_count() & 1 != (b == a + n):
+                raise ValueError("images do not satisfy the symplectic condition")
+
+
+def tableau_from_gates(n: int, gates) -> CliffordTableau:
+    """Tableau of g_G ... g_1: the identity's words taken through each gate."""
+    xs, zs, sg = [1 << q for q in range(n)], [1 << (n + q) for q in range(n)], 0
+    for g in gates:
+        if max(g.qubits) >= n:
+            raise ValueError("gate qubit outside tableau range")
+        sg = _conjugate_words(g.name, g.qubits, xs, zs, sg)
+    return CliffordTableau.from_words(n, xs, zs, sg)
+
+
+def apply_tableau(t: CliffordTableau, p: PauliOperator) -> PauliOperator:
+    """U P U^dag, by multiplying out generator images."""
+    if p.n != t.n:
+        raise ValueError("qubit-count mismatch")
+    k = _xz_phase(p)
+    x = z = 0
+    for offset, bits in ((0, p.x), (t.n, p.z)):
+        b = bits
+        while b:
+            j = (b & -b).bit_length() - 1
+            b &= b - 1
+            img = t._image(offset + j)
+            k = (k + _xz_phase(img) + 2 * _parity(z & img.x)) % 4
+            x ^= img.x
+            z ^= img.z
+    return _hermitian_from_xz(t.n, k, x, z)
+
+
+def inverse_tableau(t: CliffordTableau) -> CliffordTableau:
+    """Tableau of U^dag.
+
+    The bit part is the symplectic inverse Omega M^T Omega: its x (z) word on
+    qubit q is the image of Z_q (X_q) with the z bits low and the x bits
+    high.  Each sign is then fixed by pushing the row forward through t and
+    reading off the sign it lands with.
+    """
+    n = t.n
+    swapped = [img.z | img.x << n for img in t.x_images + t.z_images]
+    bare = CliffordTableau.from_words(n, swapped[n:], swapped[:n], 0)
+    signs = sum(1 << r for r in range(2 * n)
+                if apply_tableau(t, bare._image(r)).sign == -1)
+    return CliffordTableau.from_words(n, swapped[n:], swapped[:n], signs)
+
+
 # ---------------------------------------------------------------------------
 # Uniform Clifford sampling (Koenig-Smolin symplectic indexing + sign bits)
 # ---------------------------------------------------------------------------
@@ -286,44 +323,25 @@ def symplectic_group_order(n: int) -> int:
     return order
 
 
-def _sym_inner(u: int, v: int, even: int) -> int:
-    # interleaved layout: qubit q holds x in bit 2q and z in bit 2q+1, and
-    # even masks the x bits
-    return ((u & (v >> 1) & even) ^ ((u >> 1) & v & even)).bit_count() & 1
+# for a nonzero one-qubit vector v (x in bit 0, z in bit 1), the first of
+# (x, z) = (0, 1), (1, 0), (1, 1) with odd symplectic product against it
+_PAIR = (0, 2, 1, 2)
 
 
-def _transvect(h: int, v: int, even: int) -> int:
-    return v ^ h if _sym_inner(h, v, even) else v
-
-
-# the nonzero one-qubit vectors (x, z) = (0, 1), (1, 0), (1, 1), in the
-# order the search for a mediating vector tries them
-_PAIRS = (2, 1, 3)
-
-
-def _pair_with(*vs: int) -> int:
-    """First nonzero one-qubit vector with odd product against every v."""
-    return next(c for c in _PAIRS if all(_sym_inner(v, c, 1) for v in vs))
-
-
-def _find_transvections(x: int, y: int, n: int, even: int) -> tuple[int, int]:
-    """(h1, h2) with Tv_h1(Tv_h2(x)) == y, for nonzero x, y."""
-    if x == y:
+def _find_transvections(y: int) -> tuple[int, int]:
+    """(h1, h2) with Tv_h1(Tv_h2(e1)) == y for nonzero y, where e1 = 1 is
+    qubit 0's x bit in the interleaved layout (qubit q's x at bit 2q, z at
+    2q+1)."""
+    if y == 1:
         return 0, 0
-    if _sym_inner(x, y, even):
-        return x ^ y, 0
-
-    # Need z with <x,z> = <y,z> = 1; then Tv_{x+z} after Tv_{z+y} maps x to y.
-    xs = [(x >> 2 * q) & 3 for q in range(n)]
-    ys = [(y >> 2 * q) & 3 for q in range(n)]
-    both = next((q for q in range(n) if xs[q] and ys[q]), None)
-    if both is not None:
-        z = _pair_with(xs[both], ys[both]) << 2 * both
-    else:
-        qx = next(q for q in range(n) if xs[q])
-        qy = next(q for q in range(n) if ys[q])
-        z = _pair_with(xs[qx]) << 2 * qx | _pair_with(ys[qy]) << 2 * qy
-    return x ^ z, z ^ y
+    if y & 2:  # <e1, y> = 1
+        return 1 ^ y, 0
+    # Need z with <e1,z> = <y,z> = 1; then Tv_{e1+z} after Tv_{z+y} maps e1
+    # to y.  z's qubit 0 is (0, 1); when y's qubit 0 is zero, z also pairs
+    # with y's lowest nonzero qubit.
+    q = ((y & -y).bit_length() - 1) >> 1
+    z = 2 if q == 0 else 2 | _PAIR[(y >> 2 * q) & 3] << 2 * q
+    return 1 ^ z, z ^ y
 
 
 def _symplectic_columns(index: int, n: int) -> list[int]:
@@ -334,25 +352,32 @@ def _symplectic_columns(index: int, n: int) -> list[int]:
     s = (1 << nn) - 1
     f1 = (index % s) + 1
     index //= s
-    h1, h2 = _find_transvections(1, f1, n, even)
-
     bits = index % (1 << (nn - 1))
     index >>= nn - 1
-    eprime = 1 | (bits >> 1) << 2
-    h0 = _transvect(h1, _transvect(h2, eprime, even), even)
-    # bit 0 selects one of the two cosets of images of the second basis
-    # vector; it toggles whether the final f1-transvection is applied.
-    flast = 0 if bits & 1 else f1
 
+    # Tv_h maps v to v + <h, v> h, and <h, v> is the parity of v & sh, sh
+    # being h with its x and z bits swapped; Tv_0 is the identity
+    hs = []
+
+    def then(*vs: int):
+        hs.extend((h, (h >> 1) & even | (h & even) << 1) for h in vs if h)
+
+    def transvect(v: int) -> int:
+        for h, sh in hs:
+            if (sh & v).bit_count() & 1:
+                v ^= h
+        return v
+
+    h1, h2 = _find_transvections(f1)
+    then(h2, h1)
+    # h0 is e' = e1 plus the free bits, taken through Tv_h2 and then Tv_h1;
+    # bit 0 selects one of the two cosets of images of the second basis
+    # vector: it toggles whether the final f1-transvection is applied.
+    then(transvect(1 | (bits >> 1) << 2), 0 if bits & 1 else f1)
     cols = [1, 2]
     if n > 1:
         cols += [c << 2 for c in _symplectic_columns(index, n - 1)]
-    out = []
-    for col in cols:
-        for h in (h2, h1, h0, flast):
-            col = _transvect(h, col, even)
-        out.append(col)
-    return out
+    return [transvect(col) for col in cols]
 
 
 def _rand_below(rng: np.random.Generator, bound: int) -> int:
@@ -366,27 +391,33 @@ def _rand_below(rng: np.random.Generator, bound: int) -> int:
             return v
 
 
+# byte b's four even bits in the low nibble and its four odd bits above
+_SPLIT = [sum(((b >> 2 * i) & 1) << i | ((b >> (2 * i + 1)) & 1) << (4 + i)
+              for i in range(4)) for b in range(256)]
+
+
+def _deinterleave(col: int, n: int) -> int:
+    """Interleaved column -> tableau word: bit 2r to bit r, bit 2r+1 to n+r."""
+    even = odd = 0
+    for k in range(0, n, 4):
+        b = _SPLIT[col & 255]
+        even |= (b & 15) << k
+        odd |= (b >> 4) << k
+        col >>= 8
+    return even | odd << n
+
+
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
     """Exactly uniform random tableau (symplectic index + fair sign bits).
-
-    The index is decoded on bit-packed ints; tableau row r is row r of the
-    grouped-layout matrix, i.e. interleaved row 2r (x part) or 2(r-n)+1 (z
-    part), read across the x columns 2c and the z columns 2c+1.
-    """
+    Tableau row r is interleaved row 2r (r < n) or 2(r-n)+1, so the word
+    ``xs[q]`` (``zs[q]``) is decoded column 2q (2q+1) deinterleaved."""
     if n < 1:
         raise ValueError("n must be positive")
     index = _rand_below(rng, symplectic_group_order(n))
-    cols = _symplectic_columns(index, n)
-    signs = rng.integers(0, 2, size=2 * n)
-
-    def gather(part: list[int], i: int) -> int:
-        return sum(((col >> i) & 1) << c for c, col in enumerate(part))
-
-    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
-    rows = [PauliOperator(n, gather(cols[0::2], i), gather(cols[1::2], i),
-                          -1 if sign else 1)
-            for i, sign in zip(order, signs)]
-    return CliffordTableau(n, tuple(rows[:n]), tuple(rows[n:]))
+    cols = [_deinterleave(col, n) for col in _symplectic_columns(index, n)]
+    signs = rng.integers(0, 2, size=2 * n).tolist()
+    return CliffordTableau.from_words(n, cols[0::2], cols[1::2],
+                                      sum(b << r for r, b in enumerate(signs)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,50 +438,22 @@ def _interned_gate(name: str, qubits: tuple[int, ...]) -> GateApp:
 def synthesize_gates(t: CliffordTableau) -> tuple[GateApp, ...]:
     """Gate sequence (H, S, CNOT, CZ, X, Z) realizing the tableau's unitary.
 
-    Applies gates that sweep the tableau to the identity, then returns the
-    daggered gates in reverse order.  Cost is O(n^2) gates.  The sweep acts
-    on packed columns, Stim-style: ``xs[q]`` and ``zs[q]`` hold the x and z
-    bits on qubit q of all 2n rows (bit r for row r) and ``sg`` their signs
-    (bit r set for -1), so a gate is a few int operations on every row at
-    once, and a row's bits are read only where the sweep branches on them.
-    Returned gates come from a process-wide intern table.
+    Applies gates that sweep copies of the tableau's words to the identity,
+    then returns the daggered gates in reverse order.  Cost is O(n^2) gates,
+    each a few int operations on all rows; a row's bits are read only where
+    the sweep branches on them.
     """
     n = t.n
-    rows = t.x_images + t.z_images
-    xs = [sum(((p.x >> q) & 1) << r for r, p in enumerate(rows))
-          for q in range(n)]
-    zs = [sum(((p.z >> q) & 1) << r for r, p in enumerate(rows))
-          for q in range(n)]
-    sg = sum(1 << r for r, p in enumerate(rows) if p.sign == -1)
-    applied: list[tuple[str, tuple[int, ...]]] = []
+    xs, zs, sg = list(t.xs), list(t.zs), t.signs
+    applied: list[GateApp] = []
 
-    # each gate: the sign rule of _gate_conjugate_bits on the old bits, then
-    # the bit update
-    def h(q: int):
+    def do(name: str, *qubits: int):
+        # applied holds the daggered gates last first; S^dag = Z S
         nonlocal sg
-        sg ^= xs[q] & zs[q]
-        xs[q], zs[q] = zs[q], xs[q]
-        applied.append(("H", (q,)))
-
-    def s(q: int):
-        nonlocal sg
-        sg ^= xs[q] & zs[q]
-        zs[q] ^= xs[q]
-        applied.append(("S", (q,)))
-
-    def cnot(a: int, b: int):
-        nonlocal sg
-        sg ^= xs[a] & zs[b] & ~(xs[b] ^ zs[a])
-        xs[b] ^= xs[a]
-        zs[a] ^= zs[b]
-        applied.append(("CNOT", (a, b)))
-
-    def cz(a: int, b: int):
-        nonlocal sg
-        sg ^= xs[a] & xs[b] & (zs[a] ^ zs[b])
-        zs[b] ^= xs[a]
-        zs[a] ^= xs[b]
-        applied.append(("CZ", (a, b)))
+        sg = _conjugate_words(name, qubits, xs, zs, sg)
+        if name == "S":
+            applied.append(_interned_gate("Z", qubits))
+        applied.append(_interned_gate(name, qubits))
 
     def clear_row(i: int, r: int):
         # CNOT clears row r's x bits and CZ its z bits above qubit i; a gate
@@ -458,43 +461,34 @@ def synthesize_gates(t: CliffordTableau) -> tuple[GateApp, ...]:
         # bit is read when its turn comes
         for j in range(i + 1, n):
             if (xs[j] >> r) & 1:
-                cnot(i, j)
+                do("CNOT", i, j)
         for j in range(i + 1, n):
             if (zs[j] >> r) & 1:
-                cz(i, j)
+                do("CZ", i, j)
         if (zs[i] >> r) & 1:
-            s(i)
+            do("S", i)
 
     for i in range(n):
         pivot = next((q for q in range(i, n) if (xs[q] >> i) & 1), None)
         if pivot is None:
             pivot = next(q for q in range(i, n) if (zs[q] >> i) & 1)
-            h(pivot)
-        if pivot != i:
-            cnot(i, pivot)
-            cnot(pivot, i)
-            cnot(i, pivot)
+            do("H", pivot)
+        if pivot != i:  # swap qubits i and pivot
+            for a, b in ((i, pivot), (pivot, i), (i, pivot)):
+                do("CNOT", a, b)
         clear_row(i, i)
         # Same sweep for the Z_i image, flipped into the X picture around i.
-        h(i)
+        do("H", i)
         clear_row(i, n + i)
-        h(i)
+        do("H", i)
         if (sg >> i) & 1:
-            sg ^= xs[i]
-            applied.append(("Z", (i,)))
+            do("Z", i)
         if (sg >> (n + i)) & 1:
-            sg ^= zs[i]
-            applied.append(("X", (i,)))
+            do("X", i)
 
     if sg or any(xs[q] != 1 << q or zs[q] != 1 << (n + q) for q in range(n)):
         raise AssertionError("tableau sweep failed to reach identity")
-
-    out: list[GateApp] = []
-    for name, qubits in reversed(applied):
-        out.append(_interned_gate(name, qubits))
-        if name == "S":
-            out.append(_interned_gate("Z", qubits))
-    return tuple(out)
+    return tuple(reversed(applied))
 
 
 # ---------------------------------------------------------------------------

@@ -6,21 +6,24 @@ the same interleaved layout as ``stabcore`` (qubit q's x in slot 2q, its z in
 slot 2q+1); ``stabcore`` decodes on bit-packed ints.  The dense oracle loop
 evolves one pure branch at a time, built with ``np.kron``, one array
 operation per gate kind; ``oracle`` evolves all branches of a stack of gate
-lists as one array through one generic gate update.  The gate-list synthesis
-here conjugates the tableau one row at a time; ``stabcore`` sweeps packed
-columns.  Each pair must agree exactly.  ``symplectic_matrix`` puts the
+lists as one array through one generic gate update.  The tableau of a gate
+list and the gate-list synthesis here conjugate one row at a time through
+the per-Pauli gate rule; ``stabcore`` updates packed column words through
+its word rule, all rows at once.  Each pair must agree exactly.  ``symplectic_matrix`` puts the
 program's decode in the reference's grouped matrix form.
 
 The rest are cross-checks kept out of the package: the tableau route to
-``U^dag P U`` and the Pauli product, the Clifford group order, pure-state
-simulation, the brute-force X-program enumerator and the per-draw
-product-input estimator, a frequency estimator over any sampler, outcome
-draws as strings, and the exact L1 between multi-round transcripts.
+``U^dag P U``, the Pauli product, the row-pair symplectic check, the
+Clifford group order, pure-state simulation, the brute-force X-program
+enumerator and the per-draw product-input estimator, a frequency estimator
+over any sampler, outcome draws as strings, and the exact L1 between
+multi-round transcripts.
 """
 
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -230,6 +233,17 @@ def reference_prod_probabilities(circuit) -> np.ndarray:
     return probs
 
 
+def reference_tableau_from_gates(n: int, gates) -> CliffordTableau:
+    """The tableau of ``stabcore.tableau_from_gates``, conjugating each
+    generator's image row by row through every gate."""
+    rows = [[1 << q, 0, 1] for q in range(n)] + [[0, 1 << q, 1] for q in range(n)]
+    for g in gates:
+        for row in rows:
+            row[:] = _gate_conjugate_bits(g.name, g.qubits, *row)
+    images = [PauliOperator(n, *row) for row in rows]
+    return CliffordTableau(n, tuple(images[:n]), tuple(images[n:]))
+
+
 def reference_synthesize_gates(t: CliffordTableau) -> tuple[GateApp, ...]:
     """The gate list of ``stabcore.synthesize_gates``, sweeping one tableau
     row at a time: every gate conjugates each of the 2n rows in turn."""
@@ -306,6 +320,20 @@ def reference_synthesize_gates(t: CliffordTableau) -> tuple[GateApp, ...]:
 # ---------------------------------------------------------------------------
 # Pauli algebra and the Clifford group
 # ---------------------------------------------------------------------------
+
+def commutes(a: PauliOperator, b: PauliOperator) -> bool:
+    if a.n != b.n:
+        raise ValueError("qubit-count mismatch")
+    return _parity((a.x & b.z) ^ (a.z & b.x)) == 0
+
+
+def rows_are_symplectic(rows: list[PauliOperator]) -> bool:
+    """The generators' commutation pattern, checked on the 2n image rows pair
+    by pair: rows r and n + r anticommute, every other pair commutes."""
+    n = len(rows) // 2
+    return all(commutes(rows[a], rows[b]) == (b != a + n)
+               for a, b in combinations(range(2 * n), 2))
+
 
 def pauli_product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     """a*b for commuting Hermitian Paulis; anticommuting inputs would give a

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from bornbox import stabcore as sc
 
 from helpers import MIXED_GATES, S_HEAVY_GATES, gate_lists
-from reference import (clifford_group_order, conjugate_pauli, pauli_product,
-                       reference_random_clifford, reference_symplectic_matrix,
-                       reference_synthesize_gates, symplectic_matrix)
+from reference import (clifford_group_order, commutes, conjugate_pauli,
+                       pauli_product, reference_random_clifford,
+                       reference_symplectic_matrix, reference_synthesize_gates,
+                       reference_tableau_from_gates, rows_are_symplectic,
+                       symplectic_matrix)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -78,14 +80,20 @@ def random_gate_list(rng, n, count):
     return gates
 
 
+def assert_conjugations_match_dense(gates, U, p):
+    """g P g^dag through the tableau's words and g^dag P g through pull_back."""
+    fwd = sc.apply_tableau(sc.tableau_from_gates(p.n, gates), p)
+    assert np.allclose(pauli_dense(fwd), U @ pauli_dense(p) @ U.conj().T)
+    bwd = sc.pull_back(gates, p)
+    assert np.allclose(pauli_dense(bwd), U.conj().T @ pauli_dense(p) @ U)
+
+
 def test_single_qubit_conjugation_matches_dense():
     for name, U in ONE_QUBIT.items():
         for xz in range(1, 4):
             for sign in (1, -1):
                 p = sc.PauliOperator(1, xz & 1, (xz >> 1) & 1, sign)
-                got = sc.conjugate_by_gate(p, sc.GateApp(name, (0,)))
-                want = U @ pauli_dense(p) @ U.conj().T
-                assert np.allclose(pauli_dense(got), want)
+                assert_conjugations_match_dense([sc.GateApp(name, (0,))], U, p)
 
 
 def test_two_qubit_conjugation_matches_dense_both_orders():
@@ -96,9 +104,8 @@ def test_two_qubit_conjugation_matches_dense_both_orders():
                 for z in range(4):
                     for sign in (1, -1):
                         p = sc.PauliOperator(2, x, z, sign)
-                        got = sc.conjugate_by_gate(p, sc.GateApp(name, qs))
-                        want = U @ pauli_dense(p) @ U.conj().T
-                        assert np.allclose(pauli_dense(got), want)
+                        assert_conjugations_match_dense(
+                            [sc.GateApp(name, qs)], U, p)
 
 
 def test_apply_tableau_matches_dense_on_random_circuits():
@@ -116,6 +123,15 @@ def test_apply_tableau_matches_dense_on_random_circuits():
             bwd = conjugate_pauli(t, p)
             assert np.allclose(pauli_dense(bwd), U.conj().T @ pauli_dense(p) @ U)
             assert sc.pull_back(gates, p) == bwd
+
+
+@pytest.mark.parametrize("pool", [MIXED_GATES, S_HEAVY_GATES],
+                         ids=["mixed", "s-heavy"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_word_tableau_matches_row_tableau(pool, data):
+    n, gates = data.draw(gate_lists(pool))
+    assert sc.tableau_from_gates(n, gates) == reference_tableau_from_gates(n, gates)
 
 
 @pytest.mark.parametrize("pool", [MIXED_GATES, S_HEAVY_GATES],
@@ -200,6 +216,70 @@ def test_inverse_tableau_is_involutive_and_cancels():
             assert sc.apply_tableau(t, sc.apply_tableau(inv, p)) == p
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_drawn_tableaus_round_trip_through_their_rows(n, seed):
+    t = sc.random_clifford(n, np.random.default_rng(seed))
+    back = sc.CliffordTableau(n, t.x_images, t.z_images)
+    assert back == t and hash(back) == hash(t)
+
+
+SYMPLECTIC_ERROR = "images do not satisfy the symplectic condition"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_check_symplectic_refuses_bit_flips(n):
+    """Flip one x or z bit of a valid tableau, as a word bit (the packed
+    path) and as the same image-row bit (the row constructor).  Both paths
+    refuse exactly the flips whose rows break the row-pair commutation
+    pattern.  Not every flip does: flipping bit r of one column keeps the
+    matrix symplectic when its partner column (xs[q] <-> zs[q]) is the unit
+    word 1 << r, and the flipped matrix is another Clifford's (on the
+    identity, turning X_q's row into Y_q gives the tableau of S_q)."""
+    rng = np.random.default_rng(80 + n)
+    tableaus = [sc.tableau_from_gates(n, ())]
+    tableaus += [sc.random_clifford(n, rng) for _ in range(3)]
+    refused = 0
+    for t in tableaus:
+        for part, partner in ((0, 1), (1, 0)):
+            for q in range(n):
+                for r in range(2 * n):
+                    words = [list(t.xs), list(t.zs)]
+                    words[part][q] ^= 1 << r
+                    rows = list(t.x_images + t.z_images)
+                    p, bit = rows[r], 1 << q
+                    rows[r] = sc.PauliOperator(
+                        n, p.x ^ (bit if part == 0 else 0),
+                        p.z ^ (bit if part == 1 else 0), p.sign)
+                    keeps = rows_are_symplectic(rows)
+                    assert keeps == (words[partner][q] == 1 << r)
+                    if keeps:
+                        built = sc.CliffordTableau.from_words(n, *words, t.signs)
+                        assert built == sc.CliffordTableau(n, rows[:n], rows[n:])
+                        continue
+                    refused += 1
+                    with pytest.raises(ValueError, match=SYMPLECTIC_ERROR):
+                        sc.check_symplectic(n, *words)
+                    with pytest.raises(ValueError, match=SYMPLECTIC_ERROR):
+                        sc.CliffordTableau.from_words(n, *words, t.signs)
+                    with pytest.raises(ValueError, match=SYMPLECTIC_ERROR):
+                        sc.CliffordTableau(n, rows[:n], rows[n:])
+    # each column has one partner word, so at most 2n of 4n^2 flips pass
+    assert refused >= len(tableaus) * (4 * n * n - 2 * n)
+
+
+def test_tableau_refuses_wrong_counts_and_sizes():
+    x, z = sc.PauliOperator(2, 1, 0), sc.PauliOperator(2, 0, 1)
+    with pytest.raises(ValueError, match="n X-images and n Z-images"):
+        sc.CliffordTableau(2, (x,), (z, z))
+    with pytest.raises(ValueError, match="image qubit-count mismatch"):
+        sc.CliffordTableau(1, (x,), (z,))
+    with pytest.raises(ValueError, match="2n-bit words on n qubits"):
+        sc.CliffordTableau.from_words(1, (1,), (2, 0), 0)
+    with pytest.raises(ValueError, match="2n-bit words on n qubits"):
+        sc.check_symplectic(1, (4,), (2,))
+
+
 def test_random_clifford_reaches_all_24_single_qubit_tableaus():
     rng = np.random.default_rng(5)
     seen = set()
@@ -268,7 +348,7 @@ paulis = st.integers(1, 5).flatmap(
 @given(paulis, paulis)
 def test_commutation_is_symmetric(a, b):
     if a.n == b.n:
-        assert a.commutes_with(b) == b.commutes_with(a)
+        assert commutes(a, b) == commutes(b, a)
 
 
 @given(paulis)
@@ -284,9 +364,9 @@ def test_product_matches_dense(n, seed):
                          1 if rng.integers(2) else -1)
     b = sc.PauliOperator(n, int(rng.integers(2**n)), int(rng.integers(2**n)),
                          1 if rng.integers(2) else -1)
-    if not a.commutes_with(b):
+    if not commutes(a, b):
         b = sc.PauliOperator(b.n, b.x, b.x, b.sign)
-    if not a.commutes_with(b):
+    if not commutes(a, b):
         b = a
     prod = pauli_product(a, b)
     assert np.allclose(pauli_dense(prod), pauli_dense(a) @ pauli_dense(b))

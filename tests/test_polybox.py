@@ -17,7 +17,8 @@ from bornbox.polybox import (MAX_SAMPLES, CePolyBox, Estimate, IqpPolyBox,
                              _conjugated_factors, _iqp_values, _prod_values,
                              auto_polybox, hoeffding_samples)
 from bornbox.stabcore import (CliffordTableau, GateApp, PauliOperator,
-                              ProductState, tableau_from_gates)
+                              ProductState, random_clifford,
+                              tableau_from_gates)
 
 from helpers import (MIXED_GATES, S_HEAVY_GATES, NoSpawnRng, gate_lists,
                      ghz_circuit, random_constrained_pattern, random_gates,
@@ -139,12 +140,15 @@ def test_prod_estimate_never_builds_a_tableau(monkeypatch):
     """The product-input estimator pulls the Z's back through the gate list;
     at n=64 with 640 gates the tableau route would cost O(G n^2) Python
     steps, so any tableau construction fails the test."""
-    def refuse(self):
+    def refuse(self, *args):
         raise AssertionError("tableau built on the polynomial path")
 
-    monkeypatch.setattr(CliffordTableau, "__post_init__", refuse)
+    # every tableau, from rows or from words, is built through _set_words
+    monkeypatch.setattr(CliffordTableau, "_set_words", refuse)
     with pytest.raises(AssertionError):
         tableau_from_gates(2, ())
+    with pytest.raises(AssertionError):
+        random_clifford(2, np.random.default_rng(0))
     rng = np.random.default_rng(64)
     n = 64
     c = ProdCircuit(n, n, ProductState.zero(n), random_gates(rng, n, 10 * n))
