@@ -255,9 +255,12 @@ def _parse_int(tok: str, what: str, line: int) -> int:
 
 def _parse_float(tok: str, what: str, line: int) -> float:
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
-        raise CircuitSyntaxError(f"bad {what} {tok!r}", line) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise CircuitSyntaxError(f"bad {what} {tok!r}", line)
+    return value
 
 
 # the directives each family takes besides qubits and measure

@@ -6,10 +6,10 @@ Pr(|p - p_hat| >= eps) <= delta, at sample cost set by the Hoeffding bound.
 
 Three circuit families get native estimators:
 
-* product-input Clifford circuits: pull each measured signed Z back through
-  the gate list (``stabcore.pull_back``), multiply a random subset of them
-  and evaluate the product on the product input (single-copy, range
-  [-1, 1]);
+* product-input Clifford circuits: pull the measured signed Z's back
+  through the gate list, all in one pass of the tableau word rule
+  (``stabcore.pull_back``), multiply a random subset of them and evaluate
+  the product on the product input (single-copy, range [-1, 1]);
 * X-programs: a random parity vector r supported on the constrained
   positions selects rows of the program matrix; the draw is +-1 or 0 and its
   expectation is the pattern probability (see ``_iqp_values``);
@@ -82,6 +82,8 @@ class Estimate:
             raise ValueError("samples_used must be >= 1")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        if not math.isfinite(self.eps):
+            raise ValueError(f"eps must be finite, got {self.eps}")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError("delta must lie in [0, 1); 0 only for "
                              "deterministic estimators")
@@ -95,6 +97,9 @@ def hoeffding_need(eps: float, delta: float) -> float:
         raise ValueError("eps must be positive")
     if delta <= 0:
         raise ValueError("delta must be positive")
+    for name, value in (("eps", eps), ("delta", delta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     return 2.0 / (eps * eps) * math.log(2.0 / delta)
 
 
@@ -173,11 +178,12 @@ def _batched_draws(values, circuit: Circuit, patterns):
 def _conjugated_factors(circuit: ProdCircuit,
                         pattern: OutcomePattern) -> list[PauliOperator]:
     """U^dag (s_i Z_i) U for every fixed pattern position, s_i = +-1 for
-    outcome 0/1.  These commute pairwise."""
+    outcome 0/1, pulled back in one pass over the gates.  These commute
+    pairwise."""
     check_pattern_length(pattern, circuit.k)
-    return [pull_back(circuit.gates, PauliOperator.single_z(
-                circuit.n, pos, 1 if bit == 0 else -1))
-            for pos, bit in pattern.fixed]
+    return list(pull_back(circuit.n, circuit.gates, [
+        PauliOperator.single_z(circuit.n, pos, 1 if bit == 0 else -1)
+        for pos, bit in pattern.fixed]))
 
 
 def _prod_values(circuit: ProdCircuit, pattern: OutcomePattern):
@@ -329,6 +335,8 @@ class CePolyBox(_DeterministicPolyBox):
         circuit = self.circuit
         if eps <= 0:
             raise ValueError("eps must be positive")
+        if not math.isfinite(delta):  # unused, but echoed in results
+            raise ValueError(f"delta must be finite, got {delta}")
         check_pattern_length(pattern, circuit.k)
         if pattern.is_full and eps >= 2.0 ** -circuit.y_bits:
             value = 2.0 ** -(circuit.y_bits + 1)

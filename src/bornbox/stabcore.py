@@ -7,20 +7,18 @@ The i-factor makes every stored operator Hermitian, so ``sign`` is +1 or -1 and
 the letter on qubit i is I, X, Z or Y for (x_i, z_i) = (0,0), (1,0), (0,1),
 (1,1).  Bit i of the packed integers ``x`` and ``z`` refers to qubit i.
 
-:func:`pull_back` returns ``U^dag P U`` for a gate list U, the direction
-needed to pull a measurement observable back through a circuit onto the
-input state.  It walks the gates in reverse with the per-gate sign rules
-(Heisenberg picture), at O(1) per gate and without building a tableau; the
-product-input estimator uses it.
-
 A :class:`CliffordTableau` stores the images ``U X_i U^dag`` and ``U Z_i U^dag``
 of a Clifford U as Stim-style bit planes (arXiv:2103.02202): bit r of
 ``xs[q]`` (``zs[q]``) is image row r's x (z) bit on qubit q and bit r of
-``signs`` its sign, so one word rule per gate updates all rows at once, in
-:func:`tableau_from_gates` and in the :func:`synthesize_gates` sweep.  Every
-tableau passes :func:`check_symplectic`, the rows' n(2n-1) commutation
-conditions checked on the 2n column words.  :func:`apply_tableau` gives
-``U P U^dag`` and, through :func:`inverse_tableau`, ``U^dag P U``.
+``signs`` its sign, so one word rule per gate, the only gate-conjugation rule
+here, updates all rows at once: in :func:`tableau_from_gates`, in the
+:func:`synthesize_gates` sweep and in :func:`pull_back`, which packs f Paulis
+P as f rows of such words and walks the gates once in reverse (Heisenberg
+picture) to return every ``U^dag P U``, pulling the estimator's measured Z's
+back onto the input state without building a tableau.  Every tableau passes
+:func:`check_symplectic`, the rows' n(2n-1) commutation conditions checked
+on the 2n column words.  :func:`apply_tableau` gives ``U P U^dag`` and,
+through :func:`inverse_tableau`, ``U^dag P U``.
 
 Uniform tableau sampling follows the Koenig-Smolin indexing of Sp(2n, F2)
 (arXiv:1406.2170): a uniform integer below the group order is decoded into a
@@ -34,6 +32,7 @@ each distinct (name, qubits) is validated as a :class:`GateApp` once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,69 +100,6 @@ def _hermitian_from_xz(n: int, k: int, x: int, z: int) -> PauliOperator:
     raise AssertionError("non-Hermitian Pauli product; invalid tableau input")
 
 
-def _gate_conjugate_bits(name: str, qubits: tuple[int, ...], x: int, z: int,
-                         sign: int) -> tuple[int, int, int]:
-    """Bits and sign of g P g^dag for elementary gate g, Hermitian convention."""
-    if name == "H":
-        b = 1 << qubits[0]
-        xq, zq = x & b, z & b
-        if xq and zq:
-            sign = -sign
-        x = (x & ~b) | zq
-        z = (z & ~b) | xq
-    elif name == "S":
-        b = 1 << qubits[0]
-        if (x & b) and (z & b):
-            sign = -sign
-        z ^= x & b
-    elif name == "X":
-        if z & (1 << qubits[0]):
-            sign = -sign
-    elif name == "Z":
-        if x & (1 << qubits[0]):
-            sign = -sign
-    elif name == "CNOT":
-        c, t = qubits
-        xc, zc = (x >> c) & 1, (z >> c) & 1
-        xt, zt = (x >> t) & 1, (z >> t) & 1
-        if xc and zt and (xt ^ zc ^ 1):
-            sign = -sign
-        if xc:
-            x ^= 1 << t
-        if zt:
-            z ^= 1 << c
-    elif name == "CZ":
-        c, t = qubits
-        xc, zc = (x >> c) & 1, (z >> c) & 1
-        xt, zt = (x >> t) & 1, (z >> t) & 1
-        if xc and xt and (zc ^ zt):
-            sign = -sign
-        if xc:
-            z ^= 1 << t
-        if xt:
-            z ^= 1 << c
-    else:
-        raise ValueError(f"unknown gate {name!r}")
-    return x, z, sign
-
-
-def pull_back(gates, p: PauliOperator) -> PauliOperator:
-    """U^dag P U for U = g_G ... g_1, without building a tableau.
-
-    Heisenberg picture: P is conjugated by g_G^dag, then g_{G-1}^dag, down to
-    g_1^dag, at O(1) cost per gate.  Every gate but S is self-inverse; for S,
-    S^dag = Z S, so S^dag P S is conjugation by S followed by Z.
-    """
-    x, z, sign = p.x, p.z, p.sign
-    for gate in reversed(gates):
-        if max(gate.qubits) >= p.n:
-            raise ValueError("gate qubit outside operator range")
-        x, z, sign = _gate_conjugate_bits(gate.name, gate.qubits, x, z, sign)
-        if gate.name == "S":
-            x, z, sign = _gate_conjugate_bits("Z", gate.qubits, x, z, sign)
-    return PauliOperator(p.n, x, z, sign)
-
-
 def _conjugate_words(name: str, qubits: tuple[int, ...], xs: list[int],
                      zs: list[int], sg: int) -> int:
     """g P g^dag for gate g on every row P of the words laid out as in a
@@ -195,6 +131,48 @@ def _conjugate_words(name: str, qubits: tuple[int, ...], xs: list[int],
     return sg
 
 
+def _to_words(n: int, rows) -> tuple[list[int], list[int], int]:
+    """Rows of n-qubit Paulis as words laid out as in a tableau: bit r of
+    ``xs[q]`` (``zs[q]``) is row r's x (z) bit on qubit q, and bit r of the
+    sign word is set for sign -1.  Costs one step per set bit."""
+    xs, zs, signs = [0] * n, [0] * n, 0
+    for r, p in enumerate(rows):
+        if p.n != n:
+            raise ValueError("image qubit-count mismatch")
+        for words, bits in ((xs, p.x), (zs, p.z)):
+            while bits:
+                words[(bits & -bits).bit_length() - 1] |= 1 << r
+                bits &= bits - 1
+        if p.sign == -1:
+            signs |= 1 << r
+    return xs, zs, signs
+
+
+def _row(n: int, xs, zs, signs: int, r: int) -> PauliOperator:
+    """Row r of words laid out as in ``_to_words``."""
+    x = sum(((w >> r) & 1) << q for q, w in enumerate(xs))
+    z = sum(((w >> r) & 1) << q for q, w in enumerate(zs))
+    return PauliOperator(n, x, z, -1 if (signs >> r) & 1 else 1)
+
+
+def pull_back(n: int, gates, paulis) -> tuple[PauliOperator, ...]:
+    """U^dag P U for U = g_G ... g_1 and each n-qubit P in the sequence
+    paulis, in one pass over the gates and without building a tableau.
+
+    Heisenberg picture: the Paulis are packed as the rows of tableau-layout
+    words, which each gate's word rule takes through g_G^dag down to g_1^dag.
+    Every gate but S is self-inverse; S^dag = Z S, so S is followed by Z.
+    """
+    xs, zs, sg = _to_words(n, paulis)
+    for gate in reversed(gates):
+        if max(gate.qubits) >= n:
+            raise ValueError("gate qubit outside operator range")
+        sg = _conjugate_words(gate.name, gate.qubits, xs, zs, sg)
+        if gate.name == "S":
+            sg = _conjugate_words("Z", gate.qubits, xs, zs, sg)
+    return tuple(_row(n, xs, zs, sg, r) for r in range(len(paulis)))
+
+
 @dataclass(frozen=True, init=False)
 class CliffordTableau:
     """Images of the 2n Pauli generators under conjugation by a Clifford U.
@@ -212,15 +190,7 @@ class CliffordTableau:
     def __init__(self, n: int, x_images, z_images):
         if len(x_images) != n or len(z_images) != n:
             raise ValueError("tableau needs n X-images and n Z-images")
-        rows = (*x_images, *z_images)
-        if any(p.n != n for p in rows):
-            raise ValueError("image qubit-count mismatch")
-
-        def words(bits: list[int]) -> list[int]:
-            return [sum(((b >> q) & 1) << r for r, b in enumerate(bits))
-                    for q in range(n)]
-        self._set_words(n, words([p.x for p in rows]), words([p.z for p in rows]),
-                        sum(1 << r for r, p in enumerate(rows) if p.sign == -1))
+        self._set_words(n, *_to_words(n, (*x_images, *z_images)))
 
     @classmethod
     def from_words(cls, n: int, xs, zs, signs: int) -> "CliffordTableau":
@@ -237,9 +207,7 @@ class CliffordTableau:
             object.__setattr__(self, name, value)
 
     def _image(self, r: int) -> PauliOperator:
-        x = sum(((w >> r) & 1) << q for q, w in enumerate(self.xs))
-        z = sum(((w >> r) & 1) << q for q, w in enumerate(self.zs))
-        return PauliOperator(self.n, x, z, -1 if (self.signs >> r) & 1 else 1)
+        return _row(self.n, self.xs, self.zs, self.signs, r)
 
     @property
     def x_images(self) -> tuple[PauliOperator, ...]:
@@ -507,6 +475,8 @@ class ProductState:
             if len(r) != 3:
                 raise ValueError("Bloch vector needs 3 components")
             rx, ry, rz = (float(c) for c in r)
+            if not all(map(math.isfinite, (rx, ry, rz))):
+                raise ValueError("Bloch components must be finite")
             if rx * rx + ry * ry + rz * rz > 1.0 + 1e-9:
                 raise ValueError("Bloch vector outside the unit ball")
             cleaned.append((rx, ry, rz))

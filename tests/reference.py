@@ -7,9 +7,11 @@ slot 2q+1); ``stabcore`` decodes on bit-packed ints.  The dense oracle loop
 evolves one pure branch at a time, built with ``np.kron``, one array
 operation per gate kind; ``oracle`` evolves all branches of a stack of gate
 lists as one array through one generic gate update.  The tableau of a gate
-list and the gate-list synthesis here conjugate one row at a time through
-the per-Pauli gate rule; ``stabcore`` updates packed column words through
-its word rule, all rows at once.  Each pair must agree exactly.  ``symplectic_matrix`` puts the
+list, the gate-list synthesis and the pull-back of one Pauli through a gate
+list here conjugate one row at a time through the per-Pauli gate rule
+``_gate_conjugate_bits``; ``stabcore`` updates packed column words through
+its word rule, all rows at once, and pulls a whole batch of Paulis back in
+one pass.  Each pair must agree exactly.  ``symplectic_matrix`` puts the
 program's decode in the reference's grouped matrix form.
 
 The rest are cross-checks kept out of the package: the tableau route to
@@ -35,10 +37,9 @@ from bornbox.oracle import (ExactDistribution, _bloch_eigvec,
                             prod_branches)
 from bornbox.polybox import Estimate, _conjugated_factors, hoeffding_samples
 from bornbox.stabcore import (CliffordTableau, GateApp, PauliOperator,
-                              _gate_conjugate_bits, _hermitian_from_xz,
-                              _parity, _rand_below, _xz_phase, apply_tableau,
-                              inverse_tableau, product_expectation,
-                              symplectic_group_order)
+                              _hermitian_from_xz, _parity, _rand_below,
+                              _xz_phase, apply_tableau, inverse_tableau,
+                              product_expectation, symplectic_group_order)
 
 from helpers import index_to_outcome, pattern_matches
 
@@ -231,6 +232,67 @@ def reference_prod_probabilities(circuit) -> np.ndarray:
             psi = _apply_gate(psi, gate, idx)
         probs += weight * np.abs(psi) ** 2
     return probs
+
+
+def _gate_conjugate_bits(name: str, qubits: tuple[int, ...], x: int, z: int,
+                         sign: int) -> tuple[int, int, int]:
+    """Bits and sign of g P g^dag for elementary gate g, Hermitian convention."""
+    if name == "H":
+        b = 1 << qubits[0]
+        xq, zq = x & b, z & b
+        if xq and zq:
+            sign = -sign
+        x = (x & ~b) | zq
+        z = (z & ~b) | xq
+    elif name == "S":
+        b = 1 << qubits[0]
+        if (x & b) and (z & b):
+            sign = -sign
+        z ^= x & b
+    elif name == "X":
+        if z & (1 << qubits[0]):
+            sign = -sign
+    elif name == "Z":
+        if x & (1 << qubits[0]):
+            sign = -sign
+    elif name == "CNOT":
+        c, t = qubits
+        xc, zc = (x >> c) & 1, (z >> c) & 1
+        xt, zt = (x >> t) & 1, (z >> t) & 1
+        if xc and zt and (xt ^ zc ^ 1):
+            sign = -sign
+        if xc:
+            x ^= 1 << t
+        if zt:
+            z ^= 1 << c
+    elif name == "CZ":
+        c, t = qubits
+        xc, zc = (x >> c) & 1, (z >> c) & 1
+        xt, zt = (x >> t) & 1, (z >> t) & 1
+        if xc and xt and (zc ^ zt):
+            sign = -sign
+        if xc:
+            z ^= 1 << t
+        if xt:
+            z ^= 1 << c
+    else:
+        raise ValueError(f"unknown gate {name!r}")
+    return x, z, sign
+
+
+def reference_pull_back(gates, p: PauliOperator) -> PauliOperator:
+    """U^dag P U for U = g_G ... g_1, one Pauli at a time: P is conjugated
+    by g_G^dag down to g_1^dag through the per-Pauli rule, where
+    ``stabcore.pull_back`` takes a batch through the word rule.  S^dag = Z S,
+    so S^dag P S is conjugation by S followed by Z."""
+    x, z, sign = p.x, p.z, p.sign
+    for gate in reversed(gates):
+        if max(gate.qubits) >= p.n:
+            raise ValueError("gate qubit outside operator range")
+        x, z, sign = _gate_conjugate_bits(gate.name, gate.qubits, x, z, sign)
+        if gate.name == "S":
+            x, z, sign = _gate_conjugate_bits("Z", gate.qubits, x, z, sign)
+    return PauliOperator(p.n, x, z, sign)
 
 
 def reference_tableau_from_gates(n: int, gates) -> CliffordTableau:

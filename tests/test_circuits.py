@@ -99,6 +99,10 @@ def test_roundtrip_examples():
      "line 4: duplicate prep for qubit 0"),
     ("family prod\nqubits 1\nprep 0 bloch 0 0\n", "line 3: prep bloch needs 3 components"),
     ("family prod\nqubits 1\nprep 0 bloch 1 1 1\n", "line 3: bloch vector outside unit ball"),
+    ("family prod\nqubits 1\nprep 0 bloch nan 0 0\n", "line 3: bad bloch component 'nan'"),
+    ("family prod\nqubits 1\nprep 0 bloch 0 inf 0\n", "line 3: bad bloch component 'inf'"),
+    ("family prod\nqubits 1\nprep 0 bloch 0 0 -inf\n", "line 3: bad bloch component '-inf'"),
+    ("family prod\nqubits 1\nprep 0 bloch 0 0 x\n", "line 3: bad bloch component 'x'"),
     ("family prod\nqubits 1\nprep 0 gates\n", "line 3: prep gates needs at least one word"),
     ("family prod\nqubits 1\nprep 0 magic H\n", "line 3: unknown prep form 'magic'"),
     ("family prod\ngate H 0\n", "line 2: gate before qubits"),

@@ -6,11 +6,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bornbox import cli, experiments, oracle, polybox, samplers
 from bornbox.cli import format_float, run_command, to_json
 from bornbox.samplers import heavy_prefixes
+
+from helpers import random_prod_circuit, serialize_circuit
 
 GHZ3 = "family prod\nqubits 3\nmeasure 3\ngate H 0\ngate CNOT 0 1\ngate CNOT 1 2\n"
 
@@ -215,6 +218,38 @@ def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, tmp_path, argv):
     assert line.startswith("error: ")
     if argv[1] == "anticoncentration":
         assert "alpha" in line
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["experiment", "anticoncentration", "--n", "2", "--trials", "100",
+      "--bloch", "nan,0,0"], "Bloch components must be finite"),
+    (["oracle", "--circuit", "{nan_prep}"],
+     "line 4: bad bloch component 'nan'"),
+    (["estimate", "--circuit", "{ghz}", "--pattern", "000", "--eps", "nan"],
+     "eps must be finite"),
+    (["estimate", "--circuit", "{ghz}", "--pattern", "000", "--eps", "inf"],
+     "eps must be finite"),
+    (["estimate", "--circuit", "{ghz}", "--pattern", "000", "--delta", "nan"],
+     "delta must be finite"),
+    (["estimate", "--circuit", "{ghz}", "--pattern", "000", "--delta", "inf"],
+     "delta must be finite"),
+    (["estimate", "--circuit", "{encoded}", "--pattern", "0000", "--delta",
+      "nan"], "delta must be finite"),
+], ids=["anticoncentration-bloch-nan", "prep-bloch-nan", "eps-nan", "eps-inf",
+        "delta-nan", "delta-inf", "encoded-delta-nan"])
+def test_non_finite_inputs_exit_2_naming_them(capsys, ghz_file, encoded_file,
+                                              tmp_path, argv, message):
+    nan_prep = tmp_path / "nan.qc"
+    nan_prep.write_text("family prod\nqubits 1\nmeasure 1\n"
+                        "prep 0 bloch nan 0 0\n")
+    argv = [a.format(ghz=ghz_file, encoded=encoded_file, nan_prep=nan_prep)
+            for a in argv]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
 
 
 def test_anticoncentration_above_oracle_limit_draws_nothing(capsys,
@@ -456,6 +491,31 @@ def test_sampler_stdout_is_frozen(capsys, monkeypatch, tmp_path, circuit,
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+# a deep product-input circuit: 30 qubits, all mixed inputs, 300 gates
+DEEP_PROD = serialize_circuit(
+    random_prod_circuit(np.random.default_rng(30), 30, 300))
+DEEP_PATTERN = "".join({3: "0", 8: "1", 12: "1", 19: "0", 24: "1",
+                        28: "0"}.get(i, "*") for i in range(30))
+# sha256 of the stdout, recorded before the measured Z's were pulled back
+# through the gate list in one pass
+ESTIMATE_GOLDEN = (
+    "5a63846077219d36eef7d8a22916789b3b34e0891b2b435b025bec790db7a1e4")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_estimate_stdout_is_frozen(capsys, monkeypatch, tmp_path, threads):
+    """At eps = 0.01 the 105967 draws span 13 chunks."""
+    (tmp_path / "deep.qc").write_text(DEEP_PROD)
+    monkeypatch.chdir(tmp_path)
+    code = run_command(["estimate", "--circuit", "deep.qc", "--pattern",
+                        DEEP_PATTERN, "--eps", "0.01", "--seed", "5",
+                        "--threads", threads])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert json.loads(captured.out)["payload"]["samples_used"] == 105967
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == ESTIMATE_GOLDEN
 
 
 def test_out_flag(capsys, ghz_file, tmp_path):

@@ -11,8 +11,9 @@ from bornbox import stabcore as sc
 
 from helpers import MIXED_GATES, S_HEAVY_GATES, gate_lists
 from reference import (clifford_group_order, commutes, conjugate_pauli,
-                       pauli_product, reference_random_clifford,
-                       reference_symplectic_matrix, reference_synthesize_gates,
+                       pauli_product, reference_pull_back,
+                       reference_random_clifford, reference_symplectic_matrix,
+                       reference_synthesize_gates,
                        reference_tableau_from_gates, rows_are_symplectic,
                        symplectic_matrix)
 
@@ -80,32 +81,31 @@ def random_gate_list(rng, n, count):
     return gates
 
 
-def assert_conjugations_match_dense(gates, U, p):
-    """g P g^dag through the tableau's words and g^dag P g through pull_back."""
-    fwd = sc.apply_tableau(sc.tableau_from_gates(p.n, gates), p)
-    assert np.allclose(pauli_dense(fwd), U @ pauli_dense(p) @ U.conj().T)
-    bwd = sc.pull_back(gates, p)
-    assert np.allclose(pauli_dense(bwd), U.conj().T @ pauli_dense(p) @ U)
+def assert_conjugations_match_dense(n, gates, U, paulis):
+    """g P g^dag through the tableau's words for each P, and g^dag P g for
+    the whole batch through one pull_back."""
+    t = sc.tableau_from_gates(n, gates)
+    for p, bwd in zip(paulis, sc.pull_back(n, gates, paulis), strict=True):
+        fwd = sc.apply_tableau(t, p)
+        assert np.allclose(pauli_dense(fwd), U @ pauli_dense(p) @ U.conj().T)
+        assert np.allclose(pauli_dense(bwd), U.conj().T @ pauli_dense(p) @ U)
 
 
 def test_single_qubit_conjugation_matches_dense():
+    paulis = [sc.PauliOperator(1, xz & 1, (xz >> 1) & 1, sign)
+              for xz in range(1, 4) for sign in (1, -1)]
     for name, U in ONE_QUBIT.items():
-        for xz in range(1, 4):
-            for sign in (1, -1):
-                p = sc.PauliOperator(1, xz & 1, (xz >> 1) & 1, sign)
-                assert_conjugations_match_dense([sc.GateApp(name, (0,))], U, p)
+        assert_conjugations_match_dense(1, [sc.GateApp(name, (0,))], U, paulis)
 
 
 def test_two_qubit_conjugation_matches_dense_both_orders():
+    paulis = [sc.PauliOperator(2, x, z, sign)
+              for x in range(4) for z in range(4) for sign in (1, -1)]
     for name in ("CNOT", "CZ"):
         for qs in ((0, 1), (1, 0)):
             U = gate_dense(sc.GateApp(name, qs), 2)
-            for x in range(4):
-                for z in range(4):
-                    for sign in (1, -1):
-                        p = sc.PauliOperator(2, x, z, sign)
-                        assert_conjugations_match_dense(
-                            [sc.GateApp(name, qs)], U, p)
+            assert_conjugations_match_dense(2, [sc.GateApp(name, qs)], U,
+                                            paulis)
 
 
 def test_apply_tableau_matches_dense_on_random_circuits():
@@ -115,14 +115,17 @@ def test_apply_tableau_matches_dense_on_random_circuits():
         gates = random_gate_list(rng, n, int(rng.integers(0, 12)))
         t = sc.tableau_from_gates(n, gates)
         U = circuit_unitary(gates, n)
-        for _ in range(6):
-            p = sc.PauliOperator(n, int(rng.integers(2**n)), int(rng.integers(2**n)),
-                                 1 if rng.integers(2) else -1)
+        paulis = [sc.PauliOperator(n, int(rng.integers(2**n)),
+                                   int(rng.integers(2**n)),
+                                   1 if rng.integers(2) else -1)
+                  for _ in range(6)]
+        for p, pulled in zip(paulis, sc.pull_back(n, gates, paulis),
+                             strict=True):
             fwd = sc.apply_tableau(t, p)
             assert np.allclose(pauli_dense(fwd), U @ pauli_dense(p) @ U.conj().T)
             bwd = conjugate_pauli(t, p)
             assert np.allclose(pauli_dense(bwd), U.conj().T @ pauli_dense(p) @ U)
-            assert sc.pull_back(gates, p) == bwd
+            assert pulled == bwd
 
 
 @pytest.mark.parametrize("pool", [MIXED_GATES, S_HEAVY_GATES],
@@ -134,22 +137,62 @@ def test_word_tableau_matches_row_tableau(pool, data):
     assert sc.tableau_from_gates(n, gates) == reference_tableau_from_gates(n, gates)
 
 
+def signed_paulis(n: int):
+    return st.builds(sc.PauliOperator, st.just(n), st.integers(0, 2**n - 1),
+                     st.integers(0, 2**n - 1), st.sampled_from((1, -1)))
+
+
 @pytest.mark.parametrize("pool", [MIXED_GATES, S_HEAVY_GATES],
                          ids=["mixed", "s-heavy"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_pull_back_matches_tableau_route(pool, data):
     n, gates = data.draw(gate_lists(pool))
-    p = sc.PauliOperator(n, data.draw(st.integers(0, 2**n - 1)),
-                         data.draw(st.integers(0, 2**n - 1)),
-                         data.draw(st.sampled_from((1, -1))))
-    want = conjugate_pauli(sc.tableau_from_gates(n, gates), p)
-    assert sc.pull_back(gates, p) == want
+    paulis = data.draw(st.lists(signed_paulis(n), min_size=1, max_size=8))
+    t = sc.tableau_from_gates(n, gates)
+    assert sc.pull_back(n, gates, paulis) == tuple(
+        conjugate_pauli(t, p) for p in paulis)
 
 
 def test_pull_back_rejects_out_of_range_gate():
-    with pytest.raises(ValueError):
-        sc.pull_back([sc.GateApp("H", (2,))], sc.PauliOperator.single_z(2, 0))
+    for paulis in ([sc.PauliOperator.single_z(2, 0)], []):
+        with pytest.raises(ValueError, match="outside operator range"):
+            sc.pull_back(2, [sc.GateApp("H", (2,))], paulis)
+
+
+@pytest.mark.parametrize("pool", [MIXED_GATES, S_HEAVY_GATES],
+                         ids=["mixed", "s-heavy"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_pull_back_matches_per_pauli_reference(pool, data):
+    n, gates = data.draw(gate_lists(pool))
+    paulis = data.draw(st.lists(signed_paulis(n), max_size=12))
+    assert sc.pull_back(n, gates, paulis) == tuple(
+        reference_pull_back(gates, p) for p in paulis)
+
+
+@pytest.mark.parametrize("pool", [MIXED_GATES, S_HEAVY_GATES],
+                         ids=["mixed", "s-heavy"])
+@pytest.mark.parametrize("n, rows", [(3, 0), (5, 1), (64, 64)],
+                         ids=["empty", "one-row", "64-rows"])
+def test_pull_back_batch_sizes(pool, n, rows):
+    """An empty batch, one row, and 64 single Z's at n = 64, where row 63 is
+    -Z_63: its sign and qubit bits sit at bit 63 of the words."""
+    rng = np.random.default_rng(n + rows)
+    gates = [sc.GateApp(str(name), tuple(int(q) for q in rng.choice(
+                 n, size=sc.GATE_ARITY[name], replace=False)))
+             for name in rng.choice(pool, size=10 * n)]
+    paulis = [sc.PauliOperator.single_z(n, r % n, -1 if r % 2 else 1)
+              for r in range(rows)]
+    got = sc.pull_back(n, gates, paulis)
+    assert got == tuple(reference_pull_back(gates, p) for p in paulis)
+    assert len(got) == rows
+
+
+def test_pull_back_refuses_mixed_qubit_counts():
+    paulis = [sc.PauliOperator.single_z(3, 0), sc.PauliOperator.single_z(2, 0)]
+    with pytest.raises(ValueError, match="qubit-count mismatch"):
+        sc.pull_back(3, [sc.GateApp("H", (0,))], paulis)
 
 
 def test_symplectic_index_is_bijective():
@@ -339,10 +382,14 @@ def test_bad_inputs_rejected():
         pauli_product(sc.PauliOperator(1, 1, 0), sc.PauliOperator(1, 0, 1))
 
 
-paulis = st.integers(1, 5).flatmap(
-    lambda n: st.builds(sc.PauliOperator, st.just(n),
-                        st.integers(0, (1 << n) - 1),
-                        st.integers(0, (1 << n) - 1), st.sampled_from((1, -1))))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_product_state_refuses_non_finite_components(bad):
+    for vec in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+        with pytest.raises(ValueError, match="Bloch components must be finite"):
+            sc.ProductState((vec,))
+
+
+paulis = st.integers(1, 5).flatmap(signed_paulis)
 
 
 @given(paulis, paulis)

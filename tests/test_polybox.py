@@ -253,6 +253,41 @@ def test_estimate_validation():
     Estimate(0.5, 0.1, 0.0, 1)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("eps, delta, message", [
+    (NAN, 0.1, "eps must be finite"),
+    (INF, 0.1, "eps must be finite"),
+    (0.1, NAN, "delta must be finite"),
+    (0.1, INF, "delta must be finite"),
+    (-INF, 0.1, "eps must be positive"),
+    (0.1, -INF, "delta must be positive"),
+], ids=["eps-nan", "eps-inf", "delta-nan", "delta-inf", "eps-minus-inf",
+        "delta-minus-inf"])
+def test_hoeffding_refuses_non_finite_eps_and_delta(eps, delta, message):
+    with pytest.raises(ValueError, match=message):
+        hoeffding_samples(eps, delta)
+    with pytest.raises(ValueError, match=message):
+        ProdPolyBox(ghz_circuit(2)).estimate(OutcomePattern("00"), eps, delta,
+                                            np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("eps, delta, message, ce_message", [
+    (NAN, 0.0, "eps must be finite", "eps must be finite"),
+    (INF, 0.0, "eps must be finite", "eps must be finite"),
+    (0.1, NAN, r"delta must lie in \[0, 1\)", "delta must be finite"),
+    (0.1, INF, r"delta must lie in \[0, 1\)", "delta must be finite"),
+], ids=["eps-nan", "eps-inf", "delta-nan", "delta-inf"])
+def test_deterministic_answers_refuse_non_finite_eps_and_delta(
+        eps, delta, message, ce_message):
+    with pytest.raises(ValueError, match=message):
+        Estimate(0.5, eps, delta, 1)
+    with pytest.raises(ValueError, match=ce_message):
+        CePolyBox(ce_encode(ghz_circuit(1))).estimate(OutcomePattern("0*"),
+                                                      eps, delta)
+
+
 @pytest.mark.parametrize("box", [
     ProdPolyBox(ghz_circuit(2)),
     IqpPolyBox(IqpCircuit(2, 2, ((1, 1),))),
