@@ -44,7 +44,7 @@ from typing import Union
 
 import numpy as np
 
-from .stabcore import GATE_ARITY, GateApp, ProductState
+from .stabcore import GATE_ARITY, GateApp, ProductState, _interned_gate
 
 
 class CircuitSyntaxError(ValueError):
@@ -323,8 +323,8 @@ def _parse_program(family: str, body) -> Circuit:
             if name not in GATE_ARITY:
                 raise CircuitSyntaxError(f"unknown gate {name!r}", line_no)
             qs = tuple(_parse_int(t, "qubit index", line_no) for t in toks[2:])
-            try:
-                gate = GateApp(name, qs)
+            try:  # equal gate lines share one GateApp, validated once
+                gate = _interned_gate(name, qs)
             except ValueError as exc:
                 raise CircuitSyntaxError(str(exc), line_no) from exc
             if max(qs) >= n:

@@ -18,7 +18,10 @@ keeping stdout reproducible.
 ``run_command`` is the one way in, for the console script and for callers
 in-process alike, and it owns error handling: bad arguments or input exit 2
 with one ``error:`` line on stderr and nothing on stdout, and an internal
-error exits 1.
+error exits 1.  Each call builds its own parser, holding only the
+subcommand its argv names; top-level help, a missing subcommand and an
+unknown one get the parser with every subcommand.  Both print the same usage
+and errors.
 """
 
 from __future__ import annotations
@@ -428,14 +431,7 @@ def _cmd_selftest(args) -> list[str]:
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bornbox",
-        description="Born-rule estimators, approximate samplers, and "
-                    "experiment harnesses for restricted circuit families.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("estimate", help="additive-precision probability query")
+def _add_estimate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--circuit", required=True, help="circuit file")
     p.add_argument("--pattern", required=True, help="outcome pattern over 01*")
     p.add_argument("--eps", type=float, default=0.05)
@@ -443,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_estimate)
 
-    p = sub.add_parser("sample", help="draw outcomes from a converter")
+
+def _add_sample(p: argparse.ArgumentParser) -> None:
     p.add_argument("--circuit", required=True, help="circuit file")
     p.add_argument("--method", required=True, choices=("sparse", "cdf", "chain"))
     p.add_argument("--count", type=int, default=1)
@@ -468,14 +465,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_sample)
 
-    p = sub.add_parser("oracle", help="exact probability or distribution")
+
+def _add_oracle(p: argparse.ArgumentParser) -> None:
     p.add_argument("--circuit", required=True, help="circuit file")
     p.add_argument("--pattern", default=None,
                    help="outcome pattern; omit for the full distribution")
     _add_common(p)
     p.set_defaults(handler=_cmd_oracle)
 
-    p = sub.add_parser("experiment", help="run a verification harness")
+
+def _add_experiment(p: argparse.ArgumentParser) -> None:
     esub = p.add_subparsers(dest="experiment", required=True)
 
     e = esub.add_parser("anticoncentration")
@@ -505,21 +504,54 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(e)
     e.set_defaults(handler=_cmd_experiment_distinguish)
 
-    p = sub.add_parser("selftest", help="fast release gate, always exits 0")
+
+def _add_selftest(p: argparse.ArgumentParser) -> None:
     p.add_argument("--inject-corrupted-bob", action="store_true",
                    help="corrupt the scheduled imposter so the advantage-cap "
                         "check demonstrates its expected failure")
     _add_common(p)
     p.set_defaults(handler=_cmd_selftest)
+
+
+# The subcommands in help order, each with its help line and the function
+# that adds its arguments; the one list of subcommand names.
+_SUBCOMMANDS = {
+    "estimate": ("additive-precision probability query", _add_estimate),
+    "sample": ("draw outcomes from a converter", _add_sample),
+    "oracle": ("exact probability or distribution", _add_oracle),
+    "experiment": ("run a verification harness", _add_experiment),
+    "selftest": ("fast release gate, always exits 0", _add_selftest),
+}
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand, or with just ``only``.
+
+    A parser narrowed to one subcommand still shows the full choice list in
+    its usage line, so the errors it raises read as the full parser's.
+    """
+    parser = argparse.ArgumentParser(
+        prog="bornbox",
+        description="Born-rule estimators, approximate samplers, and "
+                    "experiment harnesses for restricted circuit families.")
+    # On the full parser a metavar would stand in for "subcommand" in the
+    # "required" and "invalid choice" errors, which only that parser raises.
+    metavar = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                metavar=metavar)
+    for name in _SUBCOMMANDS if only is None else (only,):
+        help_text, add_arguments = _SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def run_command(argv) -> int:
     """Runs one subcommand and returns the exit code: 2 with one ``error:``
     line on stderr for bad arguments or input, 1 for an internal error."""
-    parser = build_parser()
+    # top-level help, a missing subcommand and an unknown one get the full tree
+    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(only).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     start = time.perf_counter()

@@ -337,6 +337,8 @@ class CePolyBox(_DeterministicPolyBox):
             raise ValueError("eps must be positive")
         if not math.isfinite(delta):  # unused, but echoed in results
             raise ValueError(f"delta must be finite, got {delta}")
+        if not 0.0 <= delta < 1.0:
+            raise ValueError(f"delta must lie in [0, 1), got {delta}")
         check_pattern_length(pattern, circuit.k)
         if pattern.is_full and eps >= 2.0 ** -circuit.y_bits:
             value = 2.0 ** -(circuit.y_bits + 1)

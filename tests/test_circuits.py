@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bornbox import stabcore
 from bornbox.circuits import (CircuitSyntaxError, EncodedCircuit, IqpCircuit,
                               OutcomePattern, ProdCircuit, bloch_from_words,
                               ce_encode, parse_circuit, parse_pattern)
@@ -150,6 +151,26 @@ def test_bad_numeric_tokens():
 def test_gate_repeated_qubit_is_syntax_error():
     with pytest.raises(CircuitSyntaxError):
         parse_circuit("family prod\nqubits 2\ngate CNOT 1 1\n")
+
+
+def test_equal_gate_lines_share_one_gate():
+    text = "family prod\nqubits 2\ngate CNOT 0 1\ngate H 1\ngate CNOT 0 1\n"
+    first, second = parse_circuit(text), parse_circuit(text)
+    assert first.gates[0] is first.gates[2]
+    assert all(a is b for a, b in zip(first.gates, second.gates))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("gate CNOT 1 1", "line 3: gate CNOT qubits must be distinct"),
+    ("gate H -1", "line 3: negative qubit index"),
+])
+def test_refused_gate_lines_are_never_interned(line, message):
+    interned = dict(stabcore._INTERNED)
+    for _ in range(2):
+        with pytest.raises(CircuitSyntaxError) as exc:
+            parse_circuit(f"family prod\nqubits 2\n{line}\n")
+        assert str(exc.value) == message
+    assert stabcore._INTERNED == interned
 
 
 def test_measure_out_of_range():

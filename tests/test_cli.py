@@ -176,6 +176,44 @@ def test_exit_codes(capsys, ghz_file, tmp_path):
     capsys.readouterr()
 
 
+# each subcommand with a complete argument list, so an option added after it
+# reaches the top-level parser
+COMPLETE = {"estimate": ["--circuit", "x", "--pattern", "0"],
+            "sample": ["--circuit", "x", "--method", "chain"],
+            "oracle": ["--circuit", "x"],
+            "experiment": ["anticoncentration", "--n", "2"],
+            "selftest": []}
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["experiment"], ["experiment", "bogus"],
+    *([sub, "-h"] for sub in COMPLETE),
+    *([sub, *args, "--bogus", "1"] for sub, args in COMPLETE.items()),
+    ["estimate", "--circuit", "x"],
+    ["sample", "--method", "foo"],
+    ["experiment", "anticoncentration", "--n"],
+], ids=lambda argv: " ".join(argv) or "no-args")
+def test_argument_errors_and_help_match_the_full_parser(capsys, argv):
+    """run_command builds only the named subcommand's parser; what it
+    prints and returns is what the parser with every subcommand gives."""
+    code = run_command(argv)
+    got = (code, *capsys.readouterr())
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert got == (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "error: the following arguments are required: subcommand"),
+    (["bogus"], "error: argument subcommand: invalid choice: 'bogus'"),
+], ids=["no-args", "bogus"])
+def test_subcommand_errors_name_the_subcommand(capsys, argv, message):
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err.splitlines()[-1]
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--circuit", "{missing}", "--pattern", "000"],
     ["estimate", "--circuit", "{ghz}", "--pattern", "0x1"],
@@ -201,15 +239,21 @@ def test_exit_codes(capsys, ghz_file, tmp_path):
      "--alphas=-0.1"],
     ["experiment", "anticoncentration", "--n", "2", "--trials", "100",
      "--alphas", "nan"],
+    ["estimate", "--circuit", "{encoded}", "--pattern", "0000",
+     "--delta=-0.5"],
+    ["estimate", "--circuit", "{encoded}", "--pattern", "0000", "--delta", "7"],
 ], ids=["missing-file", "malformed-pattern", "pattern-length", "eps-zero",
         "eps-negative", "negative-count", "over-draw-budget",
         "distinguish-trials", "cdf-m-too-large", "cdf-m-zero-count-0",
         "sparse-eps-prime-oracle", "sparse-eps-prime-count-0",
         "sparse-zero-sparsity", "distinguish-scheduled-delta",
         "anticoncentration-alpha-above-1", "anticoncentration-alpha-negative",
-        "anticoncentration-alpha-nan"])
-def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, tmp_path, argv):
-    argv = [a.format(ghz=ghz_file, missing=str(tmp_path / "nope.qc"))
+        "anticoncentration-alpha-nan", "encoded-delta-negative",
+        "encoded-delta-above-1"])
+def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, encoded_file,
+                                              tmp_path, argv):
+    argv = [a.format(ghz=ghz_file, encoded=encoded_file,
+                     missing=str(tmp_path / "nope.qc"))
             for a in argv]
     assert run_command(argv) == 2
     captured = capsys.readouterr()
@@ -218,6 +262,8 @@ def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, tmp_path, argv):
     assert line.startswith("error: ")
     if argv[1] == "anticoncentration":
         assert "alpha" in line
+    if "--delta" in " ".join(argv):
+        assert "delta" in line
 
 
 @pytest.mark.filterwarnings("error")

@@ -278,7 +278,10 @@ def test_hoeffding_refuses_non_finite_eps_and_delta(eps, delta, message):
     (INF, 0.0, "eps must be finite", "eps must be finite"),
     (0.1, NAN, r"delta must lie in \[0, 1\)", "delta must be finite"),
     (0.1, INF, r"delta must lie in \[0, 1\)", "delta must be finite"),
-], ids=["eps-nan", "eps-inf", "delta-nan", "delta-inf"])
+    (0.1, -0.5, r"delta must lie in \[0, 1\)", r"delta must lie in \[0, 1\)"),
+    (0.1, 7.0, r"delta must lie in \[0, 1\)", r"delta must lie in \[0, 1\)"),
+], ids=["eps-nan", "eps-inf", "delta-nan", "delta-inf", "delta-negative",
+        "delta-above-1"])
 def test_deterministic_answers_refuse_non_finite_eps_and_delta(
         eps, delta, message, ce_message):
     with pytest.raises(ValueError, match=message):
