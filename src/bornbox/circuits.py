@@ -44,7 +44,7 @@ from typing import Union
 
 import numpy as np
 
-from .stabcore import GATE_ARITY, GateApp, ProductState, _interned_gate
+from .stabcore import GATE_ARITY, GateApp, ProductState
 
 
 class CircuitSyntaxError(ValueError):
@@ -274,6 +274,8 @@ def _parse_program(family: str, body) -> Circuit:
     k = None
     preps: dict[int, tuple[float, float, float]] = {}
     gates: list[GateApp] = []
+    # equal gate lines of this file share one GateApp, validated once
+    built: dict[tuple[str, tuple[int, ...]], GateApp] = {}
     rows: list[tuple[int, ...]] = []
     for line_no, line in body:
         toks = line.split()
@@ -323,10 +325,12 @@ def _parse_program(family: str, body) -> Circuit:
             if name not in GATE_ARITY:
                 raise CircuitSyntaxError(f"unknown gate {name!r}", line_no)
             qs = tuple(_parse_int(t, "qubit index", line_no) for t in toks[2:])
-            try:  # equal gate lines share one GateApp, validated once
-                gate = _interned_gate(name, qs)
-            except ValueError as exc:
-                raise CircuitSyntaxError(str(exc), line_no) from exc
+            gate = built.get((name, qs))
+            if gate is None:
+                try:
+                    gate = built[name, qs] = GateApp(name, qs)
+                except ValueError as exc:
+                    raise CircuitSyntaxError(str(exc), line_no) from exc
             if max(qs) >= n:
                 raise CircuitSyntaxError("gate qubit out of range", line_no)
             gates.append(gate)

@@ -153,24 +153,32 @@ def test_gate_repeated_qubit_is_syntax_error():
         parse_circuit("family prod\nqubits 2\ngate CNOT 1 1\n")
 
 
-def test_equal_gate_lines_share_one_gate():
+def test_equal_gate_lines_share_one_gate_within_a_parse():
     text = "family prod\nqubits 2\ngate CNOT 0 1\ngate H 1\ngate CNOT 0 1\n"
     first, second = parse_circuit(text), parse_circuit(text)
     assert first.gates[0] is first.gates[2]
-    assert all(a is b for a, b in zip(first.gates, second.gates))
+    assert first.gates == second.gates
+    assert first.gates[0] is not second.gates[0]
 
 
 @pytest.mark.parametrize("line, message", [
+    ("gate CNOT 0 1", None),
     ("gate CNOT 1 1", "line 3: gate CNOT qubits must be distinct"),
     ("gate H -1", "line 3: negative qubit index"),
+    ("gate CNOT 0 999999", "line 3: gate qubit out of range"),
 ])
-def test_refused_gate_lines_are_never_interned(line, message):
-    interned = dict(stabcore._INTERNED)
+def test_parsing_leaves_the_intern_table_alone(monkeypatch, line, message):
+    """Gates read from a file never enter stabcore's process-wide table,
+    accepted or refused, so nothing from outside input outlives a parse."""
+    monkeypatch.setattr(stabcore, "_INTERNED", {})
     for _ in range(2):
+        if message is None:
+            parse_circuit(f"family prod\nqubits 2\n{line}\n")
+            continue
         with pytest.raises(CircuitSyntaxError) as exc:
             parse_circuit(f"family prod\nqubits 2\n{line}\n")
         assert str(exc.value) == message
-    assert stabcore._INTERNED == interned
+    assert stabcore._INTERNED == {}
 
 
 def test_measure_out_of_range():
