@@ -556,6 +556,8 @@ def run_command(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     start = time.perf_counter()
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         lines = args.handler(args)
     except (CircuitSyntaxError, OracleLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

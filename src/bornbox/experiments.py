@@ -1,9 +1,10 @@
 """Empirical harnesses: output anti-concentration under uniform random
 Cliffords, sparsity profiling, and the sampler-distinguishability game.
 
-The anti-concentration trials run in seeded chunks: a chunk draws its
-tableaus and synthesizes their gate lists, then evolves them all in one
-batched oracle call.
+The anti-concentration trials run in seeded chunks, each as arrays from the
+rng to the probabilities: a chunk draws its tableaus as one stack of words,
+sweeps the stack to gate-code arrays, and evolves them all in one batched
+oracle call.
 
 The distinguishability game: a referee secretly flips a fair coin, requests
 samples from either the true circuit distribution ("Alice") or an imposter
@@ -30,7 +31,7 @@ from .oracle import (ExactDistribution, _check_size, exact_distribution,
 from .polybox import OraclePolyBox, _chunked_map
 from .samplers import (SparsityPolynomial, sparse_budget,
                        survivor_distribution)
-from .stabcore import ProductState, random_clifford, synthesize_gates
+from .stabcore import ProductState, random_clifford_words, synthesis_codes
 
 _TRIAL_CHUNK = 256
 # the scheduled imposter's first-round budget eps_1 = 24*delta/pi^2 stays
@@ -48,17 +49,17 @@ def clifford_output_probabilities(n: int, trials: int, state: ProductState,
     """p_x for a fixed outcome x under `trials` independent uniformly random
     Clifford circuits applied to the product input.  Chunked with spawned
     substreams so the result array is identical for every thread count.
-    A chunk draws its tableaus in stream order, synthesizing each gate list
-    as it goes, and evolves the lists together in one batched oracle call.
-    The oracle's size limit is checked before anything is drawn."""
+    A chunk draws its tableaus as one stack, in stream order, synthesizes
+    the stack's gate codes in one sweep, and evolves them together in one
+    batched oracle call.  The oracle's size limit is checked before
+    anything is drawn."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_size(n)
 
     def work(rng, size: int) -> np.ndarray:
-        gate_lists = [synthesize_gates(random_clifford(n, rng))
-                      for _ in range(size)]
-        return prod_probabilities_many(state, gate_lists)[:, outcome_index]
+        codes = synthesis_codes(n, *random_clifford_words(n, size, rng))
+        return prod_probabilities_many(state, codes)[:, outcome_index]
 
     return np.concatenate(_chunked_map(work, trials, _TRIAL_CHUNK,
                                        np.random.default_rng(seed), threads))

@@ -10,9 +10,11 @@ Distribution arrays are indexed by the big-endian reading of the outcome
 string, so array order equals lexicographic outcome order.
 
 Product inputs are evolved by :func:`prod_probabilities_many`, which runs a
-stack of gate lists on one input as one array, with the same generic
-update for every gate kind and in sub-batches capped at a fixed amplitude
-count; :func:`prod_probabilities` is its one-list case.
+stack of gate lists, given as the gate-code arrays of
+:func:`stabcore.gate_codes` (the arrays Clifford synthesis emits), on one
+input as one array, with the same generic update for every gate kind and in
+sub-batches of the lists' columns capped at a fixed amplitude count;
+:func:`prod_probabilities` is its one-list case.
 """
 
 from __future__ import annotations
@@ -26,14 +28,12 @@ import numpy as np
 
 from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
                        ProdCircuit, check_pattern_length)
-from .stabcore import ProductState
+from .stabcore import _GATE_CODES, ProductState, gate_codes
 
 _SQ = math.sqrt(0.5)
 DEFAULT_ORACLE_LIMIT = 20
 # amplitudes one sub-batch of a batched evolution holds at once
 _BATCH_AMPLITUDES = 1 << 16
-# gate codes of a batched evolution; 0 pads a short gate list
-_GATE_CODES = {"H": 1, "S": 2, "X": 3, "Z": 4, "CNOT": 5, "CZ": 6}
 # the factor k of the generic gate update: i^e for e = 0..3, and H's scale
 _FACTORS = np.array([1, 1j, -1, -1j, _SQ])
 
@@ -192,12 +192,14 @@ def _bloch_eigvec(vec, s) -> np.ndarray:
 def prod_probabilities(circuit: ProdCircuit) -> np.ndarray:
     """Exact |amplitude|^2 vector over all n qubits (bit i of the array
     index is qubit i): the one-row case of :func:`prod_probabilities_many`."""
-    return prod_probabilities_many(circuit.state, [circuit.gates])[0]
+    return prod_probabilities_many(circuit.state,
+                                   gate_codes([circuit.gates]))[0]
 
 
-def prod_probabilities_many(state: ProductState, gate_lists) -> np.ndarray:
+def prod_probabilities_many(state: ProductState, codes: np.ndarray) -> np.ndarray:
     """Row j: the exact |amplitude|^2 vector of gate list j applied to the
-    product input, bit i of the column index being qubit i.
+    product input, bit i of the column index being qubit i.  The lists are
+    given as gate codes, laid out as by :func:`stabcore.gate_codes`.
 
     The pure branches of the input are evolved under every gate list at once
     as one (T, B, 2^n) array, in sub-batches of at most
@@ -214,25 +216,29 @@ def prod_probabilities_many(state: ProductState, gate_lists) -> np.ndarray:
     weights, vectors = zip(*prod_branches(state))
     psi = np.array(vectors)
     del vectors  # at large n, hold the input branches once
+    n_lists = codes.shape[2]
     step = max(1, _BATCH_AMPLITUDES // psi.size)
-    probs = np.zeros((len(gate_lists), psi.shape[1]))
-    for lo in range(0, len(gate_lists), step):
-        sq = np.abs(_evolve(psi, gate_lists[lo:lo + step])) ** 2
+    probs = np.zeros((n_lists, psi.shape[1]))
+    for lo in range(0, n_lists, step):
+        batch = codes[:, :, lo:lo + step]
+        # the lists are front-packed: a sub-batch ends at its longest list
+        batch = batch[:, :np.count_nonzero(batch[0].any(axis=1))]
+        sq = np.abs(_evolve(psi, batch)) ** 2
         rows = probs[lo:lo + step]
         for b, weight in enumerate(weights):
             rows += weight * sq[:, b]
     return probs
 
 
-def _evolve(psi0: np.ndarray, gate_lists) -> np.ndarray:
-    """(T, B, D) amplitudes of the (B, D) branches psi0 under T gate lists.
+def _evolve(psi0: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """(T, B, D) amplitudes of the (B, D) branches psi0 under the T gate
+    lists of the codes.
 
-    The lists are padded with the identity to a common length, and at each
-    gate position every list's gate becomes a few int masks: ``clr`` the
-    qubit bit of an H, ``flip`` that of an X, ``ctl``/``tgt`` those of a
+    At each gate position every list's gate becomes a few int masks: ``clr``
+    the qubit bit of an H, ``flip`` that of an X, ``ctl``/``tgt`` those of a
     CNOT, ``half`` that of an S (phase i) and ``minus`` the bits that must
-    all be set for a phase of -1 (Z, CZ; D, never set, elsewhere).  Then,
-    with i a basis index,
+    all be set for a phase of -1 (Z, CZ; D, never set, elsewhere); code 0,
+    the padding, sets none.  Then, with i a basis index,
       g1 = (i & ~clr) ^ flip ^ (tgt if i & ctl),   g2 = i | clr,
       c = +-1 by bit clr of i for an H and 0 otherwise,
       k = 1/sqrt(2) for an H and i^e otherwise, e = [i & half] + 2 [i has
@@ -240,18 +246,9 @@ def _evolve(psi0: np.ndarray, gate_lists) -> np.ndarray:
     A position where no list has an H skips the psi[g2] term, one with
     only phase gates the gather, and one with no phase gate or H the k.
     """
-    n_lists = len(gate_lists)
     n_branches, dim = psi0.shape
-    depth = max((len(gates) for gates in gate_lists), default=0)
-    # per position and list: the gate's code and its first and last
-    # qubit's bit
-    code = np.zeros((depth, n_lists), np.int64)
-    a = np.zeros((depth, n_lists), np.int64)
-    b = np.zeros((depth, n_lists), np.int64)
-    for j, gates in enumerate(gate_lists):
-        code[:len(gates), j] = [_GATE_CODES[g.name] for g in gates]
-        a[:len(gates), j] = [1 << g.qubits[0] for g in gates]
-        b[:len(gates), j] = [1 << g.qubits[-1] for g in gates]
+    code, a, b = codes[0], 1 << codes[1], 1 << codes[2]
+    n_lists = code.shape[1]
 
     idx = np.arange(dim)
     # flat offset of each (list, branch) row; one list needs none

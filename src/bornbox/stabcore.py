@@ -12,22 +12,36 @@ of a Clifford U as Stim-style bit planes (arXiv:2103.02202): bit r of
 ``xs[q]`` (``zs[q]``) is image row r's x (z) bit on qubit q and bit r of
 ``signs`` its sign, so one word rule per gate, the only gate-conjugation rule
 here, updates all rows at once: in :func:`tableau_from_gates`, in the
-:func:`synthesize_gates` sweep and in :func:`pull_back`, which packs f Paulis
-P as f rows of such words and walks the gates once in reverse (Heisenberg
-picture) to return every ``U^dag P U``, pulling the estimator's measured Z's
-back onto the input state without building a tableau.  Every tableau passes
+synthesis sweep and in :func:`pull_back`, which packs f Paulis P as f rows
+of such words and walks the gates once in reverse (Heisenberg picture) to
+return every ``U^dag P U``, pulling the estimator's measured Z's back onto
+the input state without building a tableau.  The rule takes a mask that
+selects the rows, or, on a stack of tableaus whose words are uint64 arrays
+over trials, the trials it applies to.  Every tableau passes
 :func:`check_symplectic`, the rows' n(2n-1) commutation conditions checked
-on the 2n column words.  :func:`apply_tableau` gives ``U P U^dag`` and,
-through :func:`inverse_tableau`, ``U^dag P U``.
+on the 2n column words, as one array check over a whole stack of draws or
+on a stack of one.  :func:`apply_tableau` gives ``U P U^dag`` and, through
+:func:`inverse_tableau`, ``U^dag P U``.
 
 Uniform tableau sampling follows the Koenig-Smolin indexing of Sp(2n, F2)
 (arXiv:1406.2170): a uniform integer below the group order is decoded into a
 symplectic matrix, and the 2n image signs are drawn as independent fair bits.
 No rejection against the group is involved, so the draw is exactly uniform.
-The decode runs on ints with qubit q's x bit at 2q and its z bit at 2q+1, so
-a transvection is one XOR, and each column of the matrix is deinterleaved by
-a byte table straight into a tableau word.  Synthesized gates are interned:
-each distinct (name, qubits) is validated as a :class:`GateApp` once.
+:func:`random_clifford_words` draws a whole chunk of tableaus as arrays: one
+bulk draw of 32-bit words replays the stream of numpy calls that one draw at
+a time would make, index rejections included, and the decode runs every
+level's transvections on (T, 2n) uint64 columns, with qubit q's x bit at 2q
+and its z bit at 2q+1, before deinterleaving them into tableau words.
+:func:`random_clifford` is its one-trial case.  64-bit words cap draws and
+synthesis at 32 qubits.
+
+Synthesis sweeps a stack of tableaus to the identity at once:
+:func:`synthesis_codes` makes every potential gate of the sweep one masked
+word update and emits each trial's daggered gates, reversed, as gate-code
+arrays (:func:`gate_codes` gives the same arrays for gate lists), which the
+oracle evolves directly.  :func:`synthesize_gates` is its one-tableau case,
+with each distinct (name, qubits) interned and validated as a
+:class:`GateApp` once.
 """
 
 from __future__ import annotations
@@ -38,6 +52,9 @@ from dataclasses import dataclass
 import numpy as np
 
 GATE_ARITY = {"H": 1, "S": 1, "X": 1, "Z": 1, "CNOT": 2, "CZ": 2}
+# gate codes of the arrays that synthesis emits and the oracle evolves; 0
+# pads a short gate list
+_GATE_CODES = {"H": 1, "S": 2, "X": 3, "Z": 4, "CNOT": 5, "CZ": 6}
 
 
 def _parity(v: int) -> int:
@@ -100,32 +117,38 @@ def _hermitian_from_xz(n: int, k: int, x: int, z: int) -> PauliOperator:
     raise AssertionError("non-Hermitian Pauli product; invalid tableau input")
 
 
-def _conjugate_words(name: str, qubits: tuple[int, ...], xs: list[int],
-                     zs: list[int], sg: int) -> int:
+def _conjugate_words(name: str, qubits: tuple, xs, zs, sg, m=-1):
     """g P g^dag for gate g on every row P of the words laid out as in a
-    tableau: the sign rule reads the old bits, then ``xs`` and ``zs`` are
-    updated in place; returns the new sign word."""
+    tableau, or only on the rows whose bit in the mask m is set (for a stack
+    of tableaus, whose words are arrays over trials, m selects trials): the
+    sign rule reads the old bits, then ``xs`` and ``zs`` are updated in
+    place; returns the new sign word."""
     a = qubits[0]
     if name == "CNOT":
         b = qubits[1]
-        sg ^= xs[a] & zs[b] & ~(xs[b] ^ zs[a])
-        xs[b] ^= xs[a]
-        zs[a] ^= zs[b]
+        xa, zb = xs[a] & m, zs[b] & m
+        sg ^= xa & zb & ~(xs[b] ^ zs[a])
+        xs[b] ^= xa
+        zs[a] ^= zb
     elif name == "CZ":
         b = qubits[1]
-        sg ^= xs[a] & xs[b] & (zs[a] ^ zs[b])
-        zs[b] ^= xs[a]
-        zs[a] ^= xs[b]
+        xa, xb = xs[a] & m, xs[b] & m
+        sg ^= xa & xb & (zs[a] ^ zs[b])
+        zs[b] ^= xa
+        zs[a] ^= xb
     elif name == "H":
-        xs[a], zs[a] = zs[a], xs[a]
-        sg ^= xs[a] & zs[a]
+        swap = (xs[a] ^ zs[a]) & m
+        xs[a] ^= swap
+        zs[a] ^= swap
+        sg ^= xs[a] & zs[a] & m
     elif name == "S":
-        sg ^= xs[a] & zs[a]
-        zs[a] ^= xs[a]
+        xa = xs[a] & m
+        sg ^= xa & zs[a]
+        zs[a] ^= xa
     elif name == "X":
-        sg ^= zs[a]
+        sg ^= zs[a] & m
     elif name == "Z":
-        sg ^= xs[a]
+        sg ^= xs[a] & m
     else:
         raise ValueError(f"unknown gate {name!r}")
     return sg
@@ -220,19 +243,29 @@ class CliffordTableau:
 
 def check_symplectic(n: int, xs, zs) -> None:
     """Refuse words whose rows break the generators' commutation pattern,
-    which conjugation by a unitary preserves.  A matrix is symplectic iff its
-    transpose is, so the n(2n-1) row pairs are checked as column pairs, with
-    row r paired against row n + r: <xs[q], zs[p]> = [p == q] and every
-    other pair of columns has product 0."""
-    cols = (*xs, *zs)
-    if len(cols) != 2 * n or any(w >> (2 * n) for w in cols):
+    which conjugation by a unitary preserves.  ``xs`` and ``zs`` are one
+    tableau's n words each, or a stack of tableaus' words as (T, n) uint64
+    arrays, checked at once.  A matrix is symplectic iff its transpose is,
+    so the n(2n-1) row pairs are checked as column pairs, with row r paired
+    against row n + r: <xs[q], zs[p]> = [p == q] and every other pair of
+    columns has product 0.  A column is split into its X-image rows (low n
+    bits) and its Z-image rows (high n bits), one uint64 each, so a tableau
+    has at most 64 qubits; <u, v> is the parity of lo(u) & hi(v) plus that
+    of hi(u) & lo(v)."""
+    if n > 64:
+        raise ValueError(f"tableaus hold at most 64 qubits, got {n}")
+    if not isinstance(xs, np.ndarray):  # one tableau's ints, of any size
+        xs, zs = np.array([xs], dtype=object), np.array([zs], dtype=object)
+    cols = np.concatenate((xs, zs), axis=1)
+    if cols.shape[1] != 2 * n or (cols >> 2 * n != 0).any():
         raise ValueError("tableau needs 2n-bit words on n qubits")
-    low = (1 << n) - 1
-    for a, u in enumerate(cols):
-        su = u >> n | (u & low) << n  # <u, v> is the parity of su & v
-        for b in range(a + 1, 2 * n):
-            if (su & cols[b]).bit_count() & 1 != (b == a + n):
-                raise ValueError("images do not satisfy the symplectic condition")
+    lo = (cols & (1 << n) - 1).astype(np.uint64)
+    hi = (cols >> n).astype(np.uint64)
+    half = np.bitwise_count(lo[:, :, None] & hi[:, None, :]) & 1
+    omega = np.eye(2 * n, k=n, dtype=np.uint8) | np.eye(2 * n, k=-n,
+                                                        dtype=np.uint8)
+    if (half ^ half.transpose(0, 2, 1) != omega).any():
+        raise ValueError("images do not satisfy the symplectic condition")
 
 
 def tableau_from_gates(n: int, gates) -> CliffordTableau:
@@ -291,107 +324,163 @@ def symplectic_group_order(n: int) -> int:
     return order
 
 
+# uint64 words hold a draw's interleaved 2n-bit columns and the sweep's
+# 2n-bit tableau words
+_WORD_QUBITS = 32
+_EVEN = 0x5555555555555555
 # for a nonzero one-qubit vector v (x in bit 0, z in bit 1), the first of
 # (x, z) = (0, 1), (1, 0), (1, 1) with odd symplectic product against it
-_PAIR = (0, 2, 1, 2)
+_PAIR = np.array([0, 2, 1, 2], np.uint64)
 
 
-def _find_transvections(y: int) -> tuple[int, int]:
-    """(h1, h2) with Tv_h1(Tv_h2(e1)) == y for nonzero y, where e1 = 1 is
-    qubit 0's x bit in the interleaved layout (qubit q's x at bit 2q, z at
-    2q+1)."""
-    if y == 1:
-        return 0, 0
-    if y & 2:  # <e1, y> = 1
-        return 1 ^ y, 0
-    # Need z with <e1,z> = <y,z> = 1; then Tv_{e1+z} after Tv_{z+y} maps e1
-    # to y.  z's qubit 0 is (0, 1); when y's qubit 0 is zero, z also pairs
-    # with y's lowest nonzero qubit.
-    q = ((y & -y).bit_length() - 1) >> 1
-    z = 2 if q == 0 else 2 | _PAIR[(y >> 2 * q) & 3] << 2 * q
-    return 1 ^ z, z ^ y
+def _check_word_size(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > _WORD_QUBITS:
+        raise ValueError(f"{n} qubits exceeds the {_WORD_QUBITS} that "
+                         "Clifford draws and synthesis hold in 64-bit words")
 
 
-def _symplectic_columns(index: int, n: int) -> list[int]:
-    """Koenig-Smolin decode of an index in [0, order) into the interleaved
-    symplectic matrix, as 2n column ints (bit i of column j is entry i, j)."""
-    nn = 2 * n
-    even = (1 << nn) // 3
-    s = (1 << nn) - 1
-    f1 = (index % s) + 1
-    index //= s
-    bits = index % (1 << (nn - 1))
-    index >>= nn - 1
-
-    # Tv_h maps v to v + <h, v> h, and <h, v> is the parity of v & sh, sh
-    # being h with its x and z bits swapped; Tv_0 is the identity
-    hs = []
-
-    def then(*vs: int):
-        hs.extend((h, (h >> 1) & even | (h & even) << 1) for h in vs if h)
-
-    def transvect(v: int) -> int:
-        for h, sh in hs:
-            if (sh & v).bit_count() & 1:
-                v ^= h
-        return v
-
-    h1, h2 = _find_transvections(f1)
-    then(h2, h1)
-    # h0 is e' = e1 plus the free bits, taken through Tv_h2 and then Tv_h1;
-    # bit 0 selects one of the two cosets of images of the second basis
-    # vector: it toggles whether the final f1-transvection is applied.
-    then(transvect(1 | (bits >> 1) << 2), 0 if bits & 1 else f1)
-    cols = [1, 2]
-    if n > 1:
-        cols += [c << 2 for c in _symplectic_columns(index, n - 1)]
-    return [transvect(col) for col in cols]
-
-
-def _rand_below(rng: np.random.Generator, bound: int) -> int:
-    nbits = bound.bit_length()
+def _draw_indices(rng: np.random.Generator, n: int,
+                  count: int) -> tuple[list[int], np.ndarray]:
+    """count uniform indices below the group order and their (count, 2n)
+    sign bits, taking from rng exactly the 32-bit words that count
+    one-at-a-time draws take.  An index attempt is nbytes
+    ``rng.integers(0, 256, dtype=np.uint8)`` bytes, which numpy packs four
+    to a word, little-endian, and is rejected at or above the order; an
+    accepted index is followed by 2n ``rng.integers(0, 2)`` signs, one word
+    each, the sign being the word's top bit.  Words are drawn in bulk, never
+    more than the remaining trials need at least, and topped up when
+    rejections use them up, so the generator ends where the one-at-a-time
+    draws leave it."""
+    order = symplectic_group_order(n)
+    nbits = order.bit_length()
     nbytes = (nbits + 7) // 8
+    step = (nbytes + 3) // 4
     mask = (1 << nbits) - 1
-    while True:
-        raw = rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
-        v = int.from_bytes(raw, "little") & mask
-        if v < bound:
-            return v
+    per_trial = step + 2 * n
+    words = np.empty(0, np.uint32)
+    indices: list[int] = []
+    starts: list[int] = []
+    pos = 0
+    while len(indices) < count:
+        if len(words) - pos < per_trial:
+            more = (count - len(indices)) * per_trial - (len(words) - pos)
+            words = np.concatenate(
+                (words, rng.integers(0, 2 ** 32, size=more, dtype=np.uint32)))
+            raw = words.astype("<u4").tobytes()
+        index = int.from_bytes(raw[4 * pos:4 * pos + nbytes], "little") & mask
+        pos += step
+        if index < order:
+            indices.append(index)
+            starts.append(pos)
+            pos += 2 * n
+    signs = words[np.array(starts, np.intp)[:, None] + np.arange(2 * n)] >> 31
+    return indices, signs
 
 
-# byte b's four even bits in the low nibble and its four odd bits above
-_SPLIT = [sum(((b >> 2 * i) & 1) << i | ((b >> (2 * i + 1)) & 1) << (4 + i)
-              for i in range(4)) for b in range(256)]
+def _transvect(cols: np.ndarray, h: np.ndarray) -> None:
+    """Tv_h on every column of each row of cols, in place: v maps to
+    v + <h, v> h, and <h, v> is the parity of v & sh, sh being h with its x
+    and z bits swapped; Tv_0 is the identity."""
+    sh = (h >> 1) & _EVEN | (h & _EVEN) << 1
+    cols ^= h[:, None] * (np.bitwise_count(cols & sh[:, None]) & 1)
 
 
-def _deinterleave(col: int, n: int) -> int:
-    """Interleaved column -> tableau word: bit 2r to bit r, bit 2r+1 to n+r."""
-    even = odd = 0
-    for k in range(0, n, 4):
-        b = _SPLIT[col & 255]
-        even |= (b & 15) << k
-        odd |= (b >> 4) << k
-        col >>= 8
-    return even | odd << n
+def _decode_columns(indices, n: int) -> np.ndarray:
+    """Koenig-Smolin decode of indices in [0, order) into the interleaved
+    symplectic matrices, as a (T, 2n) array of columns (bit i of column j is
+    entry i, j; qubit q's x bit at 2q, its z bit at 2q+1).
+
+    Each index is split into its mixed-radix digits, one (f1, free bits)
+    pair per level; level q fixes the images of qubit q's two basis vectors
+    and is applied after the levels of qubits q+1..n-1, so the columns are
+    built from the last qubit up, every level's transvections running on
+    the whole stack."""
+    radices = [((1 << 2 * j) - 1, 2 * j - 1) for j in range(n, 0, -1)]
+    digits = []
+    for index in indices:
+        row = []
+        for s, w in radices:
+            index, f = divmod(index, s)
+            row += (f + 1, index & ((1 << w) - 1))
+            index >>= w
+        digits.append(row)
+    digits = np.array(digits, np.uint64).reshape(len(indices), n, 2)
+    cols = np.zeros((len(indices), 2 * n), np.uint64)
+    for q in range(n - 1, -1, -1):
+        y, bits = digits[:, q, 0], digits[:, q, 1]
+        # (h1, h2) with Tv_h1(Tv_h2(e1)) == y, e1 = 1 being the level's x
+        # bit: h2 = 0 when <e1, y> = 1 (y's bit 1); otherwise through z
+        # with <e1,z> = <y,z> = 1, whose qubit 0 is (0, 1) and which also
+        # pairs with y's lowest nonzero qubit when y's qubit 0 is zero
+        low = np.bitwise_count((y & (~y + 1)) - 1) >> 1 << 1
+        z = 2 | _PAIR[(y >> low) & 3] << low
+        direct = (y == 1) | (y & 2 != 0)
+        h1 = np.where(direct, 1 ^ y, 1 ^ z)
+        h2 = np.where(direct, 0, z ^ y)
+        # h0 is e' = e1 plus the free bits, taken through Tv_h2 and then
+        # Tv_h1; bit 0 selects one of the two cosets of images of the
+        # second basis vector: it toggles whether the final f1-transvection
+        # is applied.  Everything is shifted into qubit q's place.
+        shift = 2 * q
+        h1, h2, f1 = h1 << shift, h2 << shift, y << shift
+        h0 = ((1 | (bits >> 1) << 2) << shift)[:, None]
+        _transvect(h0, h2)
+        _transvect(h0, h1)
+        level = cols[:, shift:]
+        level[:, 0], level[:, 1] = 1 << shift, 2 << shift
+        for h in (h2, h1, h0[:, 0], np.where(bits & 1, 0, f1)):
+            _transvect(level, h)
+    return cols
+
+
+def _unzip(cols: np.ndarray, n: int) -> np.ndarray:
+    """Interleaved columns -> tableau words: bit 2r to bit r, bit 2r+1 to
+    n + r."""
+    def even(v):
+        v = v & _EVEN
+        for shift, keep in ((1, 0x3333333333333333), (2, 0x0F0F0F0F0F0F0F0F),
+                            (4, 0x00FF00FF00FF00FF), (8, 0x0000FFFF0000FFFF),
+                            (16, 0x00000000FFFFFFFF)):
+            v = (v | v >> shift) & keep
+        return v
+    return even(cols) | even(cols >> 1) << n
+
+
+def random_clifford_words(n: int, count: int, rng: np.random.Generator
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """count independent, exactly uniform random tableaus (symplectic index
+    + fair sign bits), as (count, n) uint64 words ``xs`` and ``zs`` and
+    (count,) sign words laid out as in :class:`CliffordTableau`, all passing
+    :func:`check_symplectic`.  Tableau row r is interleaved row 2r (r < n)
+    or 2(r-n)+1, so ``xs[:, q]`` (``zs[:, q]``) is decoded column 2q (2q+1)
+    deinterleaved.  Draws the same tableaus from the same words as count
+    :func:`random_clifford` calls, and leaves rng where they would."""
+    _check_word_size(n)
+    indices, sign_bits = _draw_indices(rng, n, count)
+    cols = _decode_columns(indices, n)
+    xs, zs = _unzip(cols[:, 0::2], n), _unzip(cols[:, 1::2], n)
+    check_symplectic(n, xs, zs)
+    signs = np.bitwise_or.reduce(
+        sign_bits.astype(np.uint64) << np.arange(2 * n, dtype=np.uint64),
+        axis=1)
+    return xs, zs, signs
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
-    """Exactly uniform random tableau (symplectic index + fair sign bits).
-    Tableau row r is interleaved row 2r (r < n) or 2(r-n)+1, so the word
-    ``xs[q]`` (``zs[q]``) is decoded column 2q (2q+1) deinterleaved."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    index = _rand_below(rng, symplectic_group_order(n))
-    cols = [_deinterleave(col, n) for col in _symplectic_columns(index, n)]
-    signs = rng.integers(0, 2, size=2 * n).tolist()
-    return CliffordTableau.from_words(n, cols[0::2], cols[1::2],
-                                      sum(b << r for r, b in enumerate(signs)))
+    """Exactly uniform random tableau: the one-trial case of
+    :func:`random_clifford_words`."""
+    xs, zs, signs = random_clifford_words(n, 1, rng)
+    return CliffordTableau.from_words(n, xs[0].tolist(), zs[0].tolist(),
+                                      int(signs[0]))
 
 
 # ---------------------------------------------------------------------------
 # Tableau -> gate-list synthesis (sweep to identity, emit inverses reversed)
 # ---------------------------------------------------------------------------
 
+_GATE_NAMES = {code: name for name, code in _GATE_CODES.items()}
 # one GateApp per (name, qubits), so each distinct gate is validated once
 _INTERNED: dict[tuple[str, tuple[int, ...]], GateApp] = {}
 
@@ -403,60 +492,108 @@ def _interned_gate(name: str, qubits: tuple[int, ...]) -> GateApp:
     return gate
 
 
-def synthesize_gates(t: CliffordTableau) -> tuple[GateApp, ...]:
-    """Gate sequence (H, S, CNOT, CZ, X, Z) realizing the tableau's unitary.
+def gate_codes(gate_lists) -> np.ndarray:
+    """Gate lists as one int array of shape (3, depth, T): [0, :, j] holds
+    list j's gate codes (``_GATE_CODES``), padded with 0, and [1, :, j]
+    and [2, :, j] its gates' first and last qubits."""
+    codes = np.zeros((3, max(map(len, gate_lists), default=0),
+                      len(gate_lists)), np.int64)
+    for j, gates in enumerate(gate_lists):
+        codes[:, :len(gates), j] = [[_GATE_CODES[g.name] for g in gates],
+                                    [g.qubits[0] for g in gates],
+                                    [g.qubits[-1] for g in gates]]
+    return codes
 
-    Applies gates that sweep copies of the tableau's words to the identity,
-    then returns the daggered gates in reverse order.  Cost is O(n^2) gates,
-    each a few int operations on all rows; a row's bits are read only where
-    the sweep branches on them.
+
+def synthesis_codes(n: int, xs, zs, signs) -> np.ndarray:
+    """Gate codes, laid out as by :func:`gate_codes`, of gate lists (H, S,
+    CNOT, CZ, X, Z) realizing a stack of tableaus given as (T, n) words and
+    (T,) sign words.
+
+    Applies gates that sweep copies of the words to the identity, then
+    emits each trial's daggered gates in reverse order.  Every potential
+    gate of the sweep is one masked word update on the whole stack, the
+    mask selecting the trials whose bits call for it; only the pivot's H
+    and swap act on a qubit that differs between trials.  Cost is O(n^2)
+    potential gates, each a few array operations on all rows of all trials;
+    a row's bits are read only where the sweep branches on them.
     """
-    n = t.n
-    xs, zs, sg = list(t.xs), list(t.zs), t.signs
-    applied: list[GateApp] = []
+    _check_word_size(n)
+    xs = np.array(xs, np.uint64).T.copy()
+    zs = np.array(zs, np.uint64).T.copy()
+    sg = np.array(signs, np.uint64)
+    trials = np.arange(len(sg))
+    everyone = np.full(len(sg), ~np.uint64(0))
+    steps: list[tuple[int, object, object]] = []
+    masks: list[np.ndarray] = []
 
-    def do(name: str, *qubits: int):
-        # applied holds the daggered gates last first; S^dag = Z S
+    def bit(words, r: int) -> np.ndarray:
+        return -((words >> r) & 1)
+
+    def do(name: str, m: np.ndarray, *qubits):
+        # a qubit is an int, or an array giving each trial's own qubit;
+        # steps hold the daggered gates last first, and S^dag = Z S
         nonlocal sg
-        sg = _conjugate_words(name, qubits, xs, zs, sg)
-        if name == "S":
-            applied.append(_interned_gate("Z", qubits))
-        applied.append(_interned_gate(name, qubits))
+        rows = tuple(q if isinstance(q, int) else (q, trials) for q in qubits)
+        sg = _conjugate_words(name, rows, xs, zs, sg, m)
+        for gate in (("Z", "S") if name == "S" else (name,)):
+            steps.append((_GATE_CODES[gate], qubits[0], qubits[-1]))
+            masks.append(m)
 
     def clear_row(i: int, r: int):
         # CNOT clears row r's x bits and CZ its z bits above qubit i; a gate
         # on (i, j) leaves the columns of every later j untouched, so each
         # bit is read when its turn comes
         for j in range(i + 1, n):
-            if (xs[j] >> r) & 1:
-                do("CNOT", i, j)
+            do("CNOT", bit(xs[j], r), i, j)
         for j in range(i + 1, n):
-            if (zs[j] >> r) & 1:
-                do("CZ", i, j)
-        if (zs[i] >> r) & 1:
-            do("S", i)
+            do("CZ", bit(zs[j], r), i, j)
+        do("S", bit(zs[i], r), i)
 
     for i in range(n):
-        pivot = next((q for q in range(i, n) if (xs[q] >> i) & 1), None)
-        if pivot is None:
-            pivot = next(q for q in range(i, n) if (zs[q] >> i) & 1)
-            do("H", pivot)
-        if pivot != i:  # swap qubits i and pivot
-            for a, b in ((i, pivot), (pivot, i), (i, pivot)):
-                do("CNOT", a, b)
+        has_x = (xs[i:] >> i) & 1
+        found = has_x.any(axis=0)
+        pivot = i + np.where(found, has_x.argmax(axis=0),
+                             ((zs[i:] >> i) & 1).argmax(axis=0))
+        do("H", -(~found).astype(np.uint64), pivot)
+        swap = -(pivot != i).astype(np.uint64)
+        for a, b in ((i, pivot), (pivot, i), (i, pivot)):
+            do("CNOT", swap, a, b)
         clear_row(i, i)
         # Same sweep for the Z_i image, flipped into the X picture around i.
-        do("H", i)
+        do("H", everyone, i)
         clear_row(i, n + i)
-        do("H", i)
-        if (sg >> i) & 1:
-            do("Z", i)
-        if (sg >> (n + i)) & 1:
-            do("X", i)
+        do("H", everyone, i)
+        do("Z", bit(sg, i), i)
+        do("X", bit(sg, n + i), i)
 
-    if sg or any(xs[q] != 1 << q or zs[q] != 1 << (n + q) for q in range(n)):
+    qubit = 1 << np.arange(n, dtype=np.uint64)[:, None]
+    if sg.any() or (xs != qubit).any() or (zs != qubit << n).any():
         raise AssertionError("tableau sweep failed to reach identity")
-    return tuple(reversed(applied))
+    # pack each trial's applied steps, last first, to the top of its column
+    applied = (np.array(masks) != 0)[::-1]
+    table = np.empty((3, *applied.shape), np.int64)
+    for k, step in enumerate(reversed(steps)):
+        for row, value in zip(table, step):
+            row[k] = value
+    k_idx, t_idx = np.nonzero(applied)
+    slot = np.cumsum(applied, axis=0) - 1
+    codes = np.zeros((3, applied.sum(axis=0).max(initial=0), len(sg)),
+                     np.int64)
+    codes[:, slot[k_idx, t_idx], t_idx] = table[:, k_idx, t_idx]
+    return codes
+
+
+def synthesize_gates(t: CliffordTableau) -> tuple[GateApp, ...]:
+    """Gate sequence realizing the tableau's unitary: the one-tableau case
+    of :func:`synthesis_codes`, as interned gates."""
+    codes = synthesis_codes(t.n, [t.xs], [t.zs], [t.signs])[:, :, 0]
+    gates = []
+    for code, a, b in zip(*codes.tolist()):
+        name = _GATE_NAMES[code]
+        gates.append(_interned_gate(name, (a,) if GATE_ARITY[name] == 1
+                                    else (a, b)))
+    return tuple(gates)
 
 
 # ---------------------------------------------------------------------------

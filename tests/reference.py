@@ -3,15 +3,17 @@ and cross-checks that only the tests call.
 
 The Koenig-Smolin decode here works on int8 numpy vectors, slot by slot, in
 the same interleaved layout as ``stabcore`` (qubit q's x in slot 2q, its z in
-slot 2q+1); ``stabcore`` decodes on bit-packed ints.  The dense oracle loop
+slot 2q+1), and draws one tableau at a time through numpy's per-call
+stream; ``stabcore`` replays that stream from bulk word draws and decodes a
+whole stack on uint64 column arrays.  The dense oracle loop
 evolves one pure branch at a time, built with ``np.kron``, one array
 operation per gate kind; ``oracle`` evolves all branches of a stack of gate
 lists as one array through one generic gate update.  The tableau of a gate
 list, the gate-list synthesis and the pull-back of one Pauli through a gate
 list here conjugate one row at a time through the per-Pauli gate rule
 ``_gate_conjugate_bits``; ``stabcore`` updates packed column words through
-its word rule, all rows at once, and pulls a whole batch of Paulis back in
-one pass.  Each pair must agree exactly.  ``symplectic_matrix`` puts the
+its word rule, all rows at once, sweeps a whole stack of tableaus at once
+and pulls a whole batch of Paulis back in one pass.  Each pair must agree exactly.  ``symplectic_matrix`` puts the
 program's decode in the reference's grouped matrix form.
 
 The rest are cross-checks kept out of the package: the tableau route to
@@ -37,8 +39,7 @@ from bornbox.oracle import (ExactDistribution, _bloch_eigvec,
                             prod_branches)
 from bornbox.polybox import Estimate, _conjugated_factors, hoeffding_samples
 from bornbox.stabcore import (CliffordTableau, GateApp, PauliOperator,
-                              _hermitian_from_xz, _parity, _rand_below,
-                              _xz_phase, apply_tableau, inverse_tableau,
+                              _hermitian_from_xz, _parity, _xz_phase, apply_tableau, inverse_tableau,
                               product_expectation, symplectic_group_order)
 
 from helpers import index_to_outcome, pattern_matches
@@ -153,15 +154,29 @@ def symplectic_matrix(index: int, n: int) -> np.ndarray:
     """Grouped-layout matrix from the program's bit-packed decode."""
     if not 0 <= index < symplectic_group_order(n):
         raise ValueError("symplectic index out of range")
-    cols = sc._symplectic_columns(index, n)
+    cols = sc._decode_columns([index], n)[0].tolist()
     f = np.array([[(col >> i) & 1 for col in cols] for i in range(2 * n)],
                  dtype=np.int8)
     return _grouped(f, n)
 
 
+def _rand_below(rng: np.random.Generator, bound: int) -> int:
+    """Uniform int below bound by rejection, one numpy call per attempt."""
+    nbits = bound.bit_length()
+    nbytes = (nbits + 7) // 8
+    mask = (1 << nbits) - 1
+    while True:
+        raw = rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
+        v = int.from_bytes(raw, "little") & mask
+        if v < bound:
+            return v
+
+
 def reference_random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
-    """Uniform tableau read from the int8 decode's grouped matrix, consuming
-    the rng stream in the same calls as ``stabcore.random_clifford``."""
+    """Uniform tableau read from the int8 decode's grouped matrix, one draw
+    at a time through numpy calls per index attempt and for the signs;
+    ``stabcore.random_clifford_words`` replays this stream from bulk draws
+    of 32-bit words."""
     index = _rand_below(rng, symplectic_group_order(n))
     mat = reference_symplectic_matrix(index, n)
     signs = rng.integers(0, 2, size=2 * n)

@@ -298,11 +298,25 @@ def test_non_finite_inputs_exit_2_naming_them(capsys, ghz_file, encoded_file,
     assert line.startswith("error: ") and message in line
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--circuit", "{ghz}", "--pattern", "000"],
+    ["experiment", "anticoncentration", "--n", "3", "--trials", "100"],
+], ids=["estimate", "anticoncentration"])
+def test_threads_below_one_exit_2(capsys, ghz_file, argv, threads):
+    argv = [a.format(ghz=ghz_file) for a in argv]
+    assert run_command(argv + ["--threads", threads]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "--threads" in line
+
+
 def test_anticoncentration_above_oracle_limit_draws_nothing(capsys,
                                                              monkeypatch):
-    def refuse(n, rng):
-        raise AssertionError("random_clifford called")
-    monkeypatch.setattr(experiments, "random_clifford", refuse)
+    def refuse(n, count, rng):
+        raise AssertionError("random_clifford_words called")
+    monkeypatch.setattr(experiments, "random_clifford_words", refuse)
     code = run_command(["experiment", "anticoncentration", "--n", "21",
                         "--trials", "100"])
     captured = capsys.readouterr()
@@ -480,6 +494,21 @@ ANTICONCENTRATION_GOLDEN = [
         ["--n", "4", "--trials", "200", "--seed", "5", "--bloch", "0.3,0.2,0.5"],
         "e869a22b63d3bad9c41d7c31cabfb1dd83397dfb8f645dbdb2f23d61b4d4b9a9",
         id="n4-mixed"),
+    # recorded before the chunk was drawn, swept and evolved as arrays:
+    # 64 branches, so 16-list sub-batches
+    pytest.param(
+        ["--n", "6", "--trials", "100", "--seed", "3", "--bloch", "0.3,0.2,0.5"],
+        "48d2baeffd4186c77401887c00e33e3f5e1d101dda0f9daa6b601122ed083d24",
+        id="n6-mixed-sub-batched"),
+    pytest.param(
+        ["--n", "1", "--trials", "300", "--seed", "9"],
+        "9127ee0471010fa12e5c32c28ae464b62b8db663360bb5aa31765f0f5827e627",
+        id="n1-pure"),
+    # the last chunk holds one trial
+    pytest.param(
+        ["--n", "8", "--trials", "257", "--seed", "4"],
+        "16303f5bb24862147aac1dc581163b1d54a9b52bd14e6285a029376ca504c92d",
+        id="n8-one-trial-chunk"),
 ]
 
 

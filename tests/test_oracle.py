@@ -11,8 +11,8 @@ from bornbox.oracle import (ExactDistribution, OracleLimitError,
                             exact_distribution, exact_probability,
                             l1_distance, min_sparsity, prod_probabilities,
                             prod_probabilities_many)
-from bornbox.stabcore import (GateApp, ProductState, pauli_expansion_probability,
-                              tableau_from_gates)
+from bornbox.stabcore import (GateApp, ProductState, gate_codes,
+                              pauli_expansion_probability, tableau_from_gates)
 
 from helpers import (MIXED_GATES, gate_lists, ghz_circuit, index_to_outcome,
                      pattern_matches, random_bloch, random_iqp_circuit,
@@ -171,14 +171,14 @@ def test_batched_evolution_equals_per_gate_reference(data):
     n = state.n
     want = [reference_prod_probabilities(ProdCircuit(n, n, state, gates))
             for gates in lists]
-    got = prod_probabilities_many(state, lists)
+    got = prod_probabilities_many(state, gate_codes(lists))
     assert got.shape == (len(lists), 1 << n)
     for row, ref in zip(got, want):
         assert (row == ref).all()
     # a cap below one list's amplitudes evolves one list at a time
     with pytest.MonkeyPatch.context() as m:
         m.setattr(oracle, "_BATCH_AMPLITUDES", 1)
-        assert (prod_probabilities_many(state, lists) == got).all()
+        assert (prod_probabilities_many(state, gate_codes(lists)) == got).all()
 
 
 @settings(max_examples=40, deadline=None)

@@ -227,6 +227,62 @@ def test_random_clifford_matches_reference_stream(n, seed):
     assert rng.integers(2**63) == ref_rng.integers(2**63)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_chunk_draw_replays_sequential_reference_draws(n, count, seed):
+    """About 31% of index draws are rejected, so the bulk draw is topped up
+    on most chunks; the generator must still end where the one-at-a-time
+    draws leave it."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    xs, zs, signs = sc.random_clifford_words(n, count, rng)
+    want = [reference_random_clifford(n, ref_rng) for _ in range(count)]
+    assert [sc.CliffordTableau.from_words(n, x, z, s) for x, z, s in
+            zip(xs.tolist(), zs.tolist(), signs.tolist())] == want
+    assert rng.integers(2**63) == ref_rng.integers(2**63)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_chunk_sweep_matches_row_sweep(n, count, seed):
+    words = sc.random_clifford_words(n, count, np.random.default_rng(seed))
+    tableaus = [sc.CliffordTableau.from_words(n, x, z, s) for x, z, s in
+                zip(*(w.tolist() for w in words))]
+    want = sc.gate_codes([reference_synthesize_gates(t) for t in tableaus])
+    assert np.array_equal(sc.synthesis_codes(n, *words), want)
+
+
+def test_stack_check_refuses_one_bad_tableau():
+    xs, zs, signs = sc.random_clifford_words(4, 6, np.random.default_rng(1))
+    sc.check_symplectic(4, xs, zs)
+    xs[3, 2] = xs[3, 1]
+    with pytest.raises(ValueError, match=SYMPLECTIC_ERROR):
+        sc.check_symplectic(4, xs, zs)
+    with pytest.raises(AssertionError, match="failed to reach identity"):
+        sc.synthesis_codes(4, xs, zs, signs)
+
+
+def test_word_bounds():
+    """Draws and synthesis hold interleaved 2n-bit columns in uint64 words,
+    so they stop at 32 qubits; the check splits a column in two and takes a
+    single tableau up to 64 qubits."""
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="exceeds the 32"):
+        sc.random_clifford_words(33, 1, rng)
+    with pytest.raises(ValueError, match="exceeds the 32"):
+        sc.random_clifford(33, rng)
+    assert rng.integers(2**63) == np.random.default_rng(0).integers(2**63)
+    t = sc.tableau_from_gates(33, [sc.GateApp("CNOT", (32, 0)),
+                                   sc.GateApp("H", (32,))])
+    with pytest.raises(ValueError, match="exceeds the 32"):
+        sc.synthesize_gates(t)
+    xs = list(t.xs)
+    xs[0] ^= 1 << 65
+    with pytest.raises(ValueError, match=SYMPLECTIC_ERROR):
+        sc.CliffordTableau.from_words(33, xs, t.zs, t.signs)
+    with pytest.raises(ValueError, match="at most 64 qubits"):
+        sc.tableau_from_gates(65, ())
+
+
 def test_group_orders():
     assert clifford_group_order(1) == 24
     assert clifford_group_order(2) == 11520
