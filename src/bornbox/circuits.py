@@ -274,7 +274,8 @@ def _parse_program(family: str, body) -> Circuit:
     k = None
     preps: dict[int, tuple[float, float, float]] = {}
     gates: list[GateApp] = []
-    # equal gate lines of this file share one GateApp, validated once
+    # equal gate lines of this file share one GateApp, validated and
+    # range-checked once
     built: dict[tuple[str, tuple[int, ...]], GateApp] = {}
     rows: list[tuple[int, ...]] = []
     for line_no, line in body:
@@ -285,6 +286,7 @@ def _parse_program(family: str, body) -> Circuit:
                 raise CircuitSyntaxError(f"{kind} takes one integer", line_no)
             if kind == "qubits":
                 n = _parse_int(toks[1], "qubit count", line_no)
+                built.clear()  # its gates were range-checked against the old n
             else:
                 k = _parse_int(toks[1], "measured count", line_no)
             continue
@@ -328,11 +330,12 @@ def _parse_program(family: str, body) -> Circuit:
             gate = built.get((name, qs))
             if gate is None:
                 try:
-                    gate = built[name, qs] = GateApp(name, qs)
+                    gate = GateApp(name, qs)
                 except ValueError as exc:
                     raise CircuitSyntaxError(str(exc), line_no) from exc
-            if max(qs) >= n:
-                raise CircuitSyntaxError("gate qubit out of range", line_no)
+                if max(qs) >= n:
+                    raise CircuitSyntaxError("gate qubit out of range", line_no)
+                built[name, qs] = gate
             gates.append(gate)
         else:
             if len(toks) != n + 1:

@@ -3,7 +3,7 @@ Cliffords, sparsity profiling, and the sampler-distinguishability game.
 
 The anti-concentration trials run in seeded chunks, each as arrays from the
 rng to the probabilities: a chunk draws its tableaus as one stack of words,
-sweeps the stack to gate-code arrays, and evolves them all in one batched
+sweeps the stack to masked gate steps, and evolves them all in one batched
 oracle call.
 
 The distinguishability game: a referee secretly flips a fair coin, requests
@@ -31,7 +31,7 @@ from .oracle import (ExactDistribution, _check_size, exact_distribution,
 from .polybox import OraclePolyBox, _chunked_map
 from .samplers import (SparsityPolynomial, sparse_budget,
                        survivor_distribution)
-from .stabcore import ProductState, random_clifford_words, synthesis_codes
+from .stabcore import ProductState, random_clifford_words, synthesis_steps
 
 _TRIAL_CHUNK = 256
 # the scheduled imposter's first-round budget eps_1 = 24*delta/pi^2 stays
@@ -50,7 +50,7 @@ def clifford_output_probabilities(n: int, trials: int, state: ProductState,
     Clifford circuits applied to the product input.  Chunked with spawned
     substreams so the result array is identical for every thread count.
     A chunk draws its tableaus as one stack, in stream order, synthesizes
-    the stack's gate codes in one sweep, and evolves them together in one
+    the stack's gate steps in one sweep, and evolves them together in one
     batched oracle call.  The oracle's size limit is checked before
     anything is drawn."""
     if trials < 1:
@@ -58,8 +58,8 @@ def clifford_output_probabilities(n: int, trials: int, state: ProductState,
     _check_size(n)
 
     def work(rng, size: int) -> np.ndarray:
-        codes = synthesis_codes(n, *random_clifford_words(n, size, rng))
-        return prod_probabilities_many(state, codes)[:, outcome_index]
+        steps = synthesis_steps(n, *random_clifford_words(n, size, rng))
+        return prod_probabilities_many(state, steps, size)[:, outcome_index]
 
     return np.concatenate(_chunked_map(work, trials, _TRIAL_CHUNK,
                                        np.random.default_rng(seed), threads))

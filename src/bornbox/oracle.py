@@ -10,11 +10,15 @@ Distribution arrays are indexed by the big-endian reading of the outcome
 string, so array order equals lexicographic outcome order.
 
 Product inputs are evolved by :func:`prod_probabilities_many`, which runs a
-stack of gate lists, given as the gate-code arrays of
-:func:`stabcore.gate_codes` (the arrays Clifford synthesis emits), on one
-input as one array, with the same generic update for every gate kind and in
-sub-batches of the lists' columns capped at a fixed amplitude count;
-:func:`prod_probabilities` is its one-list case.
+stack of gate lists, given as the masked steps that Clifford synthesis
+emits (:func:`stabcore.synthesis_steps`), on one input as one array, in
+sub-batches of lists capped at a fixed amplitude count.  Between two H
+steps each list's gates are composed into one integer table of source
+indices and phase quarter-turns: CNOT, CZ, S, X and Z only permute the
+basis and multiply by i^e, so they are exact, and H is the only step that
+adds and rounds amplitudes.  Each row therefore equals a gate-by-gate loop
+bit for bit, up to the sign of a zero, which |.|^2 erases.
+:func:`prod_probabilities` is the one-list case, every step's mask set.
 """
 
 from __future__ import annotations
@@ -28,14 +32,14 @@ import numpy as np
 
 from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
                        ProdCircuit, check_pattern_length)
-from .stabcore import _GATE_CODES, ProductState, gate_codes
+from .stabcore import ProductState
 
 _SQ = math.sqrt(0.5)
 DEFAULT_ORACLE_LIMIT = 20
 # amplitudes one sub-batch of a batched evolution holds at once
 _BATCH_AMPLITUDES = 1 << 16
-# the factor k of the generic gate update: i^e for e = 0..3, and H's scale
-_FACTORS = np.array([1, 1j, -1, -1j, _SQ])
+# i^e for the e quarter turns of a monomial table entry
+_TURNS = np.array([1, 1j, -1, -1j])
 
 
 class OracleLimitError(RuntimeError):
@@ -191,105 +195,129 @@ def _bloch_eigvec(vec, s) -> np.ndarray:
 
 def prod_probabilities(circuit: ProdCircuit) -> np.ndarray:
     """Exact |amplitude|^2 vector over all n qubits (bit i of the array
-    index is qubit i): the one-row case of :func:`prod_probabilities_many`."""
-    return prod_probabilities_many(circuit.state,
-                                   gate_codes([circuit.gates]))[0]
+    index is qubit i): the one-list case of :func:`prod_probabilities_many`,
+    every step's mask set."""
+    everyone = np.ones(1, bool)
+    steps = [(g.name, g.qubits[0], g.qubits[-1], everyone)
+             for g in circuit.gates]
+    return prod_probabilities_many(circuit.state, steps, 1)[0]
 
 
-def prod_probabilities_many(state: ProductState, codes: np.ndarray) -> np.ndarray:
-    """Row j: the exact |amplitude|^2 vector of gate list j applied to the
-    product input, bit i of the column index being qubit i.  The lists are
-    given as gate codes, laid out as by :func:`stabcore.gate_codes`.
+def prod_probabilities_many(state: ProductState, steps,
+                            trials: int) -> np.ndarray:
+    """Row j: the exact |amplitude|^2 vector of gate list j of `trials`
+    lists applied to the product input, bit i of the column index being
+    qubit i.  The lists are given as masked steps in the order the gates
+    act, laid out as by :func:`stabcore.synthesis_steps`: list j applies
+    the steps whose mask is set at j.
 
     The pure branches of the input are evolved under every gate list at once
     as one (T, B, 2^n) array, in sub-batches of at most
     ``_BATCH_AMPLITUDES`` amplitudes (at least one gate list each), so a
-    large n evolves one gate list at a time.  Every gate, at every gate
-    position of the stack, is the update out[i] = k[i] (psi[g1[i]] +
-    c[i] psi[g2[i]]); see :func:`_evolve`.  The weighted squares of the
-    branches are summed in branch order.  Each row equals a gate-by-gate,
-    branch-by-branch loop bit for bit: k and c are 0, +-1, +-i or 1/sqrt(2),
-    so the only rounding steps are H's sum and scaling, taken in the same
-    order.
+    large n evolves one gate list at a time; a sub-batch's (T, 2^n) index
+    tables are no larger.  See :func:`_evolve`.  The
+    weighted squares of the branches are summed in branch order.  Each row
+    equals a gate-by-gate, branch-by-branch loop bit for bit: every gate
+    but H is a monomial, a permutation times factors i^e, which moves or
+    negates the parts of an amplitude exactly, so H's sum and scaling see
+    the same operands as in the loop, up to the sign of a zero, which the
+    square erases.
     """
     _check_size(state.n)
     weights, vectors = zip(*prod_branches(state))
     psi = np.array(vectors)
     del vectors  # at large n, hold the input branches once
-    n_lists = codes.shape[2]
-    step = max(1, _BATCH_AMPLITUDES // psi.size)
-    probs = np.zeros((n_lists, psi.shape[1]))
-    for lo in range(0, n_lists, step):
-        batch = codes[:, :, lo:lo + step]
-        # the lists are front-packed: a sub-batch ends at its longest list
-        batch = batch[:, :np.count_nonzero(batch[0].any(axis=1))]
-        sq = np.abs(_evolve(psi, batch)) ** 2
-        rows = probs[lo:lo + step]
+    runs = _runs(steps)
+    span = max(1, _BATCH_AMPLITUDES // psi.size)
+    probs = np.zeros((trials, psi.shape[1]))
+    for lo in range(0, trials, span):
+        hi = min(lo + span, trials)
+        batch = [(name, ctl[lo:hi, None] if isinstance(ctl, np.ndarray)
+                  else ctl, word[lo:hi, None]) for name, ctl, word in runs]
+        sq = np.abs(_evolve(psi, batch, hi - lo)) ** 2
+        rows = probs[lo:hi]
         for b, weight in enumerate(weights):
             rows += weight * sq[:, b]
     return probs
 
 
-def _evolve(psi0: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """(T, B, D) amplitudes of the (B, D) branches psi0 under the T gate
-    lists of the codes.
+def _runs(steps) -> list[tuple]:
+    """Masked steps as (name, ctl, word): word holds, per list, the bit of
+    the qubit a step acts on (its target, for CNOT and CZ), or 0 where its
+    mask is unset, and ctl the control's bit (an int, or an array over
+    lists) or None.  A run of CNOTs, or of CZs, on one int control commutes
+    and is one step on the XOR of their words."""
+    runs: list[list] = []
+    last = None
+    for name, a, b, mask in steps:
+        two = name in ("CNOT", "CZ")
+        word = np.where(mask, np.left_shift(1, b if two else a), 0)
+        key = (name, a) if two and isinstance(a, int) else None
+        if key is not None and key == last:
+            runs[-1][2] ^= word
+            continue
+        last = key
+        runs.append([name, (1 << a) if two else None, word])
+    return runs
 
-    At each gate position every list's gate becomes a few int masks: ``clr``
-    the qubit bit of an H, ``flip`` that of an X, ``ctl``/``tgt`` those of a
-    CNOT, ``half`` that of an S (phase i) and ``minus`` the bits that must
-    all be set for a phase of -1 (Z, CZ; D, never set, elsewhere); code 0,
-    the padding, sets none.  Then, with i a basis index,
-      g1 = (i & ~clr) ^ flip ^ (tgt if i & ctl),   g2 = i | clr,
-      c = +-1 by bit clr of i for an H and 0 otherwise,
-      k = 1/sqrt(2) for an H and i^e otherwise, e = [i & half] + 2 [i has
-          every minus bit].
-    A position where no list has an H skips the psi[g2] term, one with
-    only phase gates the gather, and one with no phase gate or H the k.
+
+def _evolve(psi0: np.ndarray, runs, trials: int) -> np.ndarray:
+    """(T, B, D) amplitudes of the (B, D) branches psi0 under the T gate
+    lists of the runs of :func:`_runs`, sliced to (T, 1) arrays.
+
+    The monomial gates are composed per list into one integer table over
+    the basis: entry i holds src | e << n for pending amplitude
+    i^e psi[src].  X and CNOT gather the table through i ^ word (the word
+    only where i has the control bit), and S, Z and CZ add the quarter
+    turns of their phase: 1 (S) or 2 (Z, CZ) times the number of word bits
+    set in i, for CZ only where i has the control bit.  Only an H touches
+    the amplitudes: out[i] = (psi'[i & ~m] + (-1)^[i & m] psi'[i | m]) / sqrt 2
+    reads the pending psi' through the table, the sign being two more
+    turns, and leaves the identity table.  A list without the H at that
+    step (m = 0) takes (psi'[i] + psi'[i]) / 2 = psi'[i], exactly.
     """
     n_branches, dim = psi0.shape
-    code, a, b = codes[0], 1 << codes[1], 1 << codes[2]
-    n_lists = code.shape[1]
-
+    n = dim.bit_length() - 1
     idx = np.arange(dim)
-    # flat offset of each (list, branch) row; one list needs none
-    offsets = (np.arange(n_lists * n_branches) * dim).reshape(
-        n_lists, n_branches, 1) if n_lists > 1 else None
-    start = psi = np.broadcast_to(psi0, (n_lists, n_branches, dim))
-    for kind, a_p, b_p in zip(code[:, :, None], a[:, :, None], b[:, :, None]):
-        is_h = kind == _GATE_CODES["H"]
-        is_cnot = kind == _GATE_CODES["CNOT"]
-        clr = a_p * is_h
-        flip = a_p * (kind == _GATE_CODES["X"])
-        ctl, tgt = a_p * is_cnot, b_p * is_cnot
-        half = a_p * (kind == _GATE_CODES["S"])
-        minus = np.where(kind == _GATE_CODES["Z"], a_p,
-                         np.where(kind == _GATE_CODES["CZ"], a_p | b_p, dim))
-        h = is_h.any()
-        if h or flip.any() or ctl.any():
-            g1 = idx & ~clr
-            g1 ^= flip
-            g1 ^= ((idx & ctl) != 0) * tgt
-            amp = _gather(psi, g1, offsets)
-            if h:
-                other = _gather(psi, idx | clr, offsets)
-                other *= (is_h - 2.0 * ((idx & clr) != 0))[:, None, :]
-                amp += other
-                del other
-            psi = amp
-        if h or half.any() or (minus < dim).any():
-            e = ((idx & half) != 0) + 2 * ((idx & minus) == minus) + 4 * is_h
-            if psi is start:
-                psi = psi * _FACTORS[e][:, None, :]
-            else:
-                psi *= _FACTORS[e][:, None, :]
-    return psi
+    rows = np.arange(trials)[:, None] * dim
+    psi, table = psi0, None  # None: the identity table
+    for name, ctl, word in runs:
+        if not word.any():
+            continue
+        if name == "H":
+            lo, hi = idx & ~word, idx | word
+            if table is not None:
+                lo, hi = np.take(table, rows + lo), np.take(table, rows + hi)
+            hi = hi + np.where(idx & word, 2 << n, 0)
+            psi = _pull(psi, lo, n) + _pull(psi, hi, n)
+            psi *= np.where(word != 0, _SQ, 0.5)[:, :, None]
+            table = None
+        elif name in ("X", "CNOT"):
+            flip = word if ctl is None else ((idx & ctl) != 0) * word
+            table = idx ^ flip if table is None else np.take(
+                table, rows + (idx ^ flip))
+        else:
+            turns = np.bitwise_count(idx & word).astype(np.int64)
+            if ctl is not None:
+                turns *= (idx & ctl) != 0
+            turns <<= n + (name != "S")
+            table = idx + turns if table is None else table + turns
+    if table is not None:
+        psi = _pull(psi, table, n)
+    return np.broadcast_to(psi, (trials, n_branches, dim))
 
 
-def _gather(psi: np.ndarray, index: np.ndarray, offsets) -> np.ndarray:
-    """psi[j, b, index[j, i]] for every list j, branch b and basis index i."""
-    if offsets is None:
-        return np.take(psi, index[0], axis=-1)
-    return np.take(psi, offsets + index[:, None, :])
+def _pull(psi: np.ndarray, entries: np.ndarray, n: int) -> np.ndarray:
+    """(T, B, D) amplitudes i^e psi[j, b, src] for the (T, D) table entries
+    src | e << n of every list j and branch b; psi is (T, B, D), or the
+    (B, D) branches that every list starts from."""
+    n_branches, dim = psi.shape[-2:]
+    offsets = np.arange(n_branches)[:, None] * dim
+    if psi.ndim == 3:
+        offsets = offsets + np.arange(psi.shape[0])[:, None, None] * psi[0].size
+    amp = np.take(psi, offsets + (entries & (dim - 1))[:, None, :])
+    amp *= _TURNS[(entries >> n) & 3][:, None, :]
+    return amp
 
 
 def iqp_statevector(circuit: IqpCircuit) -> np.ndarray:

@@ -36,12 +36,13 @@ and its z bit at 2q+1, before deinterleaving them into tableau words.
 synthesis at 32 qubits.
 
 Synthesis sweeps a stack of tableaus to the identity at once:
-:func:`synthesis_codes` makes every potential gate of the sweep one masked
-word update and emits each trial's daggered gates, reversed, as gate-code
-arrays (:func:`gate_codes` gives the same arrays for gate lists), which the
-oracle evolves directly.  :func:`synthesize_gates` is its one-tableau case,
-with each distinct (name, qubits) interned and validated as a
-:class:`GateApp` once.
+:func:`synthesis_steps` makes every potential gate of the sweep one masked
+word update and emits the daggered gates, reversed, as steps in the order
+they act, each a gate name, its qubit(s) as an int or a per-trial array,
+and the mask of the trials that apply it; the oracle evolves those steps
+directly.  :func:`synthesize_gates` is its one-tableau case, reading the
+trial's masked steps, with each distinct (name, qubits) interned and
+validated as a :class:`GateApp` once.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ from dataclasses import dataclass
 import numpy as np
 
 GATE_ARITY = {"H": 1, "S": 1, "X": 1, "Z": 1, "CNOT": 2, "CZ": 2}
-# gate codes of the arrays that synthesis emits and the oracle evolves; 0
-# pads a short gate list
-_GATE_CODES = {"H": 1, "S": 2, "X": 3, "Z": 4, "CNOT": 5, "CZ": 6}
 
 
 def _parity(v: int) -> int:
@@ -480,7 +478,6 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
 # Tableau -> gate-list synthesis (sweep to identity, emit inverses reversed)
 # ---------------------------------------------------------------------------
 
-_GATE_NAMES = {code: name for name, code in _GATE_CODES.items()}
 # one GateApp per (name, qubits), so each distinct gate is validated once
 _INTERNED: dict[tuple[str, tuple[int, ...]], GateApp] = {}
 
@@ -492,31 +489,21 @@ def _interned_gate(name: str, qubits: tuple[int, ...]) -> GateApp:
     return gate
 
 
-def gate_codes(gate_lists) -> np.ndarray:
-    """Gate lists as one int array of shape (3, depth, T): [0, :, j] holds
-    list j's gate codes (``_GATE_CODES``), padded with 0, and [1, :, j]
-    and [2, :, j] its gates' first and last qubits."""
-    codes = np.zeros((3, max(map(len, gate_lists), default=0),
-                      len(gate_lists)), np.int64)
-    for j, gates in enumerate(gate_lists):
-        codes[:, :len(gates), j] = [[_GATE_CODES[g.name] for g in gates],
-                                    [g.qubits[0] for g in gates],
-                                    [g.qubits[-1] for g in gates]]
-    return codes
-
-
-def synthesis_codes(n: int, xs, zs, signs) -> np.ndarray:
-    """Gate codes, laid out as by :func:`gate_codes`, of gate lists (H, S,
-    CNOT, CZ, X, Z) realizing a stack of tableaus given as (T, n) words and
-    (T,) sign words.
+def synthesis_steps(n: int, xs, zs, signs) -> list[tuple]:
+    """Gate lists (H, S, CNOT, CZ, X, Z) realizing a stack of tableaus
+    given as (T, n) words and (T,) sign words, as masked steps in the order
+    the gates act: step (name, a, b, mask) applies gate name on qubits a
+    (and b, for CNOT and CZ; b is a for the others) in the trials whose
+    (T,) bool mask is set, a qubit being an int or a (T,) array giving each
+    trial's own qubit.
 
     Applies gates that sweep copies of the words to the identity, then
-    emits each trial's daggered gates in reverse order.  Every potential
-    gate of the sweep is one masked word update on the whole stack, the
-    mask selecting the trials whose bits call for it; only the pivot's H
-    and swap act on a qubit that differs between trials.  Cost is O(n^2)
-    potential gates, each a few array operations on all rows of all trials;
-    a row's bits are read only where the sweep branches on them.
+    emits the daggered gates in reverse order.  Every potential gate of the
+    sweep is one masked word update on the whole stack, the mask selecting
+    the trials whose bits call for it; only the pivot's H and swap act on a
+    qubit that differs between trials.  Cost is O(n^2) potential gates,
+    each a few array operations on all rows of all trials; a row's bits
+    are read only where the sweep branches on them.
     """
     _check_word_size(n)
     xs = np.array(xs, np.uint64).T.copy()
@@ -524,21 +511,18 @@ def synthesis_codes(n: int, xs, zs, signs) -> np.ndarray:
     sg = np.array(signs, np.uint64)
     trials = np.arange(len(sg))
     everyone = np.full(len(sg), ~np.uint64(0))
-    steps: list[tuple[int, object, object]] = []
-    masks: list[np.ndarray] = []
+    steps: list[tuple] = []
 
     def bit(words, r: int) -> np.ndarray:
         return -((words >> r) & 1)
 
     def do(name: str, m: np.ndarray, *qubits):
-        # a qubit is an int, or an array giving each trial's own qubit;
         # steps hold the daggered gates last first, and S^dag = Z S
         nonlocal sg
         rows = tuple(q if isinstance(q, int) else (q, trials) for q in qubits)
         sg = _conjugate_words(name, rows, xs, zs, sg, m)
         for gate in (("Z", "S") if name == "S" else (name,)):
-            steps.append((_GATE_CODES[gate], qubits[0], qubits[-1]))
-            masks.append(m)
+            steps.append((gate, qubits[0], qubits[-1], m != 0))
 
     def clear_row(i: int, r: int):
         # CNOT clears row r's x bits and CZ its z bits above qubit i; a gate
@@ -570,30 +554,25 @@ def synthesis_codes(n: int, xs, zs, signs) -> np.ndarray:
     qubit = 1 << np.arange(n, dtype=np.uint64)[:, None]
     if sg.any() or (xs != qubit).any() or (zs != qubit << n).any():
         raise AssertionError("tableau sweep failed to reach identity")
-    # pack each trial's applied steps, last first, to the top of its column
-    applied = (np.array(masks) != 0)[::-1]
-    table = np.empty((3, *applied.shape), np.int64)
-    for k, step in enumerate(reversed(steps)):
-        for row, value in zip(table, step):
-            row[k] = value
-    k_idx, t_idx = np.nonzero(applied)
-    slot = np.cumsum(applied, axis=0) - 1
-    codes = np.zeros((3, applied.sum(axis=0).max(initial=0), len(sg)),
-                     np.int64)
-    codes[:, slot[k_idx, t_idx], t_idx] = table[:, k_idx, t_idx]
-    return codes
+    return steps[::-1]
+
+
+def _trial_gates(steps, j: int) -> tuple[GateApp, ...]:
+    """Trial j's gate list in masked steps laid out as by
+    :func:`synthesis_steps`, as interned gates."""
+    gates = []
+    for name, a, b, mask in steps:
+        if mask[j]:
+            qubits = (a,) if GATE_ARITY[name] == 1 else (a, b)
+            gates.append(_interned_gate(name, tuple(
+                q if isinstance(q, int) else int(q[j]) for q in qubits)))
+    return tuple(gates)
 
 
 def synthesize_gates(t: CliffordTableau) -> tuple[GateApp, ...]:
     """Gate sequence realizing the tableau's unitary: the one-tableau case
-    of :func:`synthesis_codes`, as interned gates."""
-    codes = synthesis_codes(t.n, [t.xs], [t.zs], [t.signs])[:, :, 0]
-    gates = []
-    for code, a, b in zip(*codes.tolist()):
-        name = _GATE_NAMES[code]
-        gates.append(_interned_gate(name, (a,) if GATE_ARITY[name] == 1
-                                    else (a, b)))
-    return tuple(gates)
+    of :func:`synthesis_steps`, as interned gates."""
+    return _trial_gates(synthesis_steps(t.n, [t.xs], [t.zs], [t.signs]), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ stream; ``stabcore`` replays that stream from bulk word draws and decodes a
 whole stack on uint64 column arrays.  The dense oracle loop
 evolves one pure branch at a time, built with ``np.kron``, one array
 operation per gate kind; ``oracle`` evolves all branches of a stack of gate
-lists as one array through one generic gate update.  The tableau of a gate
-list, the gate-list synthesis and the pull-back of one Pauli through a gate
+lists, given as masked steps (``gate_steps`` lays gate lists out so), as one
+array, composing the gates between two H's into one index and phase table.
+The tableau of a gate list, the gate-list synthesis and the pull-back of one Pauli through a gate
 list here conjugate one row at a time through the per-Pauli gate rule
 ``_gate_conjugate_bits``; ``stabcore`` updates packed column words through
 its word rule, all rows at once, sweeps a whole stack of tableaus at once
@@ -221,6 +222,34 @@ def _apply_gate(psi: np.ndarray, gate: GateApp, idx: np.ndarray) -> np.ndarray:
         out[..., both] *= -1.0
         return out
     raise ValueError(f"unknown gate {name!r}")
+
+
+def gate_steps(gate_lists) -> list[tuple]:
+    """Ragged gate lists as the masked steps of ``stabcore.synthesis_steps``:
+    gate k of every list is a step at position k, one step per gate kind
+    there, masked to the lists that have that kind at k.  A qubit the
+    kind's gates share is an int, otherwise an array over the lists."""
+    steps = []
+    for k in range(max(map(len, gate_lists), default=0)):
+        at_k = {}
+        for j, gates in enumerate(gate_lists):
+            if k < len(gates):
+                at_k.setdefault(gates[k].name, []).append((j, gates[k]))
+        for name, members in at_k.items():
+            mask = np.zeros(len(gate_lists), bool)
+            mask[[j for j, _ in members]] = True
+            qubits = []
+            for pos in (0, -1):
+                values = {g.qubits[pos] for _, g in members}
+                if len(values) == 1:
+                    qubits.append(values.pop())
+                else:
+                    column = np.zeros(len(gate_lists), np.intp)
+                    for j, g in members:
+                        column[j] = g.qubits[pos]
+                    qubits.append(column)
+            steps.append((name, *qubits, mask))
+    return steps
 
 
 def reference_prod_probabilities(circuit) -> np.ndarray:

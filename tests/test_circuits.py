@@ -161,6 +161,15 @@ def test_equal_gate_lines_share_one_gate_within_a_parse():
     assert first.gates[0] is not second.gates[0]
 
 
+def test_gate_line_after_a_second_qubits_line_is_range_checked_again():
+    """A shared gate is range-checked once, against the qubit count in
+    force when it was first read; a later qubits line starts afresh."""
+    text = "family prod\nqubits 2\ngate CNOT 0 1\nqubits 1\ngate CNOT 0 1\n"
+    with pytest.raises(CircuitSyntaxError) as exc:
+        parse_circuit(text)
+    assert str(exc.value) == "line 5: gate qubit out of range"
+
+
 @pytest.mark.parametrize("line, message", [
     ("gate CNOT 0 1", None),
     ("gate CNOT 1 1", "line 3: gate CNOT qubits must be distinct"),

@@ -6,19 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornbox import oracle
+from bornbox import stabcore as sc
 from bornbox.circuits import IqpCircuit, OutcomePattern, ProdCircuit, ce_encode
 from bornbox.oracle import (ExactDistribution, OracleLimitError,
                             exact_distribution, exact_probability,
                             l1_distance, min_sparsity, prod_probabilities,
                             prod_probabilities_many)
-from bornbox.stabcore import (GateApp, ProductState, gate_codes,
+from bornbox.stabcore import (GateApp, ProductState,
                               pauli_expansion_probability, tableau_from_gates)
 
 from helpers import (MIXED_GATES, gate_lists, ghz_circuit, index_to_outcome,
                      pattern_matches, random_bloch, random_iqp_circuit,
                      random_pattern, random_prod_circuit)
-from reference import (StateVector, reference_prod_probabilities,
-                       sample_outcomes, statevector)
+from reference import (StateVector, gate_steps, reference_prod_probabilities,
+                       reference_synthesize_gates, sample_outcomes,
+                       statevector)
 
 
 def test_bell_distribution():
@@ -164,21 +166,44 @@ def _stack_case(data):
     return ProductState(bloch), lists
 
 
+def _assert_rows_equal_reference(state, steps, lists):
+    """Row j of the step evolution equals the per-gate reference loop on
+    gate list j bit for bit, also when the cap evolves one list at a
+    time."""
+    n = state.n
+    got = prod_probabilities_many(state, steps, len(lists))
+    assert got.shape == (len(lists), 1 << n)
+    for row, gates in zip(got, lists):
+        want = reference_prod_probabilities(ProdCircuit(n, n, state, gates))
+        assert (row == want).all()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_BATCH_AMPLITUDES", 1)
+        assert (prod_probabilities_many(state, steps, len(lists)) == got).all()
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_batched_evolution_equals_per_gate_reference(data):
     state, lists = _stack_case(data)
-    n = state.n
-    want = [reference_prod_probabilities(ProdCircuit(n, n, state, gates))
-            for gates in lists]
-    got = prod_probabilities_many(state, gate_codes(lists))
-    assert got.shape == (len(lists), 1 << n)
-    for row, ref in zip(got, want):
-        assert (row == ref).all()
-    # a cap below one list's amplitudes evolves one list at a time
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(oracle, "_BATCH_AMPLITUDES", 1)
-        assert (prod_probabilities_many(state, gate_codes(lists)) == got).all()
+    _assert_rows_equal_reference(state, gate_steps(lists), lists)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.integers(0, 3))
+def test_synthesized_stack_evolution_equals_per_gate_reference(
+        n, count, seed, mixed):
+    """The sweep's own steps, with their per-trial pivots and the runs of
+    CNOTs and CZs on one control, on a pure input or one with up to three
+    mixed qubits (each doubles the reference's branches)."""
+    rng = np.random.default_rng(seed)
+    words = sc.random_clifford_words(n, count, rng)
+    bloch = [random_bloch(rng, q < mixed) for q in range(n)]
+    rng.shuffle(bloch)
+    state = ProductState(tuple(bloch))
+    lists = [reference_synthesize_gates(sc.CliffordTableau.from_words(
+        n, x, z, s)) for x, z, s in zip(*(w.tolist() for w in words))]
+    _assert_rows_equal_reference(state, sc.synthesis_steps(n, *words), lists)
 
 
 @settings(max_examples=40, deadline=None)
