@@ -12,8 +12,7 @@ from .samplers import (SparsityPolynomial, cdf_bitwise_sample, chain_outcome,
                        survivor_cap, survivor_distribution)
 from .stabcore import (CliffordTableau, GateApp, PauliOperator, ProductState,
                        inverse_tableau, product_expectation, pull_back,
-                       random_clifford, symplectic_group_order,
-                       synthesize_gates, tableau_from_gates)
+                       symplectic_group_order, tableau_from_gates)
 from .experiments import (anticoncentration_bound, anticoncentration_report,
                           bob_epsilon_schedule, corrupted_distribution,
                           optimal_single_round_pcorrect, run_hypothesis_test,

@@ -284,9 +284,10 @@ def _parse_program(family: str, body) -> Circuit:
         if kind in ("qubits", "measure"):
             if len(toks) != 2:
                 raise CircuitSyntaxError(f"{kind} takes one integer", line_no)
+            if (n if kind == "qubits" else k) is not None:
+                raise CircuitSyntaxError(f"duplicate {kind} directive", line_no)
             if kind == "qubits":
                 n = _parse_int(toks[1], "qubit count", line_no)
-                built.clear()  # its gates were range-checked against the old n
             else:
                 k = _parse_int(toks[1], "measured count", line_no)
             continue

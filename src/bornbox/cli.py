@@ -48,8 +48,8 @@ from .polybox import (CePolyBox, IqpPolyBox, OraclePolyBox, ProdPolyBox,
 from .samplers import (SparsityPolynomial, cdf_bitwise_sample,
                        cdf_outcome_for_r, chain_outcome, check_cdf_bits,
                        epsilon_simulate)
-from .stabcore import (GATE_ARITY, GateApp, ProductState, random_clifford,
-                       synthesize_gates, tableau_from_gates)
+from .stabcore import (GATE_ARITY, GateApp, ProductState,
+                       random_clifford_words, replay_steps, synthesis_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +311,9 @@ def _selftest_checks(seed: int, threads: int,
                    "pass": hoeffding_samples(0.1, 0.05) == 738
                    and hoeffding_samples(1.0, 2 * math.exp(-2)) == 4})
 
-    rng = np.random.default_rng(kids[0])
-    ok = all(tableau_from_gates(3, synthesize_gates(t)) == t
-             for t in (random_clifford(3, rng) for _ in range(10)))
+    words = random_clifford_words(3, 10, np.random.default_rng(kids[0]))
+    rebuilt = replay_steps(3, synthesis_steps(3, *words), 10)
+    ok = all(map(np.array_equal, rebuilt, words))
     checks.append({"check": "clifford-synthesis-roundtrip", "pass": ok})
 
     rng = np.random.default_rng(kids[1])

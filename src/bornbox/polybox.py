@@ -68,6 +68,7 @@ _CHUNK = 8192
 _BLOCK = 64
 # draws per query; a larger Hoeffding count is refused before any allocation
 MAX_SAMPLES = 10 ** 8
+_DELTA_RANGE = "delta must lie in [0, 1); 0 only for deterministic estimators"
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,7 @@ class Estimate:
         if not math.isfinite(self.eps):
             raise ValueError(f"eps must be finite, got {self.eps}")
         if not 0.0 <= self.delta < 1.0:
-            raise ValueError("delta must lie in [0, 1); 0 only for "
-                             "deterministic estimators")
+            raise ValueError(_DELTA_RANGE)
 
 
 def hoeffding_need(eps: float, delta: float) -> float:
@@ -279,7 +279,9 @@ class _SamplingPolyBox:
         positions."""
         if rng is None:
             raise ValueError("sampling estimator needs an rng")
-        s = hoeffding_samples(eps, delta)
+        s = hoeffding_samples(eps, delta)  # refuses delta <= 0, non-finite
+        if delta >= 1.0:  # refused before any draw
+            raise ValueError(_DELTA_RANGE)
         draw = _batched_draws(self.values, self.circuit, patterns)
         return [Estimate(mean, eps, delta, s)
                 for mean in _chunked_mean(draw, s, rng, self.threads)]

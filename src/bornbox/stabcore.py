@@ -28,11 +28,11 @@ Uniform tableau sampling follows the Koenig-Smolin indexing of Sp(2n, F2)
 symplectic matrix, and the 2n image signs are drawn as independent fair bits.
 No rejection against the group is involved, so the draw is exactly uniform.
 :func:`random_clifford_words` draws a whole chunk of tableaus as arrays: one
-bulk draw of 32-bit words replays the stream of numpy calls that one draw at
-a time would make, index rejections included, and the decode runs every
-level's transvections on (T, 2n) uint64 columns, with qubit q's x bit at 2q
-and its z bit at 2q+1, before deinterleaving them into tableau words.
-:func:`random_clifford` is its one-trial case.  64-bit words cap draws and
+bulk draw of 32-bit words replays the stream of numpy calls that the tests'
+one-at-a-time ``reference_random_clifford`` makes, index rejections
+included, and the decode runs every level's transvections on (T, 2n) uint64
+columns, with qubit q's x bit at 2q and its z bit at 2q+1, before
+deinterleaving them into tableau words.  64-bit words cap draws and
 synthesis at 32 qubits.
 
 Synthesis sweeps a stack of tableaus to the identity at once:
@@ -40,9 +40,8 @@ Synthesis sweeps a stack of tableaus to the identity at once:
 word update and emits the daggered gates, reversed, as steps in the order
 they act, each a gate name, its qubit(s) as an int or a per-trial array,
 and the mask of the trials that apply it; the oracle evolves those steps
-directly.  :func:`synthesize_gates` is its one-tableau case, reading the
-trial's masked steps, with each distinct (name, qubits) interned and
-validated as a :class:`GateApp` once.
+directly, and :func:`replay_steps` takes a stack of identities through them,
+which rebuilds the swept words.
 """
 
 from __future__ import annotations
@@ -454,7 +453,8 @@ def random_clifford_words(n: int, count: int, rng: np.random.Generator
     :func:`check_symplectic`.  Tableau row r is interleaved row 2r (r < n)
     or 2(r-n)+1, so ``xs[:, q]`` (``zs[:, q]``) is decoded column 2q (2q+1)
     deinterleaved.  Draws the same tableaus from the same words as count
-    :func:`random_clifford` calls, and leaves rng where they would."""
+    calls of the tests' ``reference_random_clifford``, one draw at a time,
+    and leaves rng where they would."""
     _check_word_size(n)
     indices, sign_bits = _draw_indices(rng, n, count)
     cols = _decode_columns(indices, n)
@@ -466,28 +466,9 @@ def random_clifford_words(n: int, count: int, rng: np.random.Generator
     return xs, zs, signs
 
 
-def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
-    """Exactly uniform random tableau: the one-trial case of
-    :func:`random_clifford_words`."""
-    xs, zs, signs = random_clifford_words(n, 1, rng)
-    return CliffordTableau.from_words(n, xs[0].tolist(), zs[0].tolist(),
-                                      int(signs[0]))
-
-
 # ---------------------------------------------------------------------------
 # Tableau -> gate-list synthesis (sweep to identity, emit inverses reversed)
 # ---------------------------------------------------------------------------
-
-# one GateApp per (name, qubits), so each distinct gate is validated once
-_INTERNED: dict[tuple[str, tuple[int, ...]], GateApp] = {}
-
-
-def _interned_gate(name: str, qubits: tuple[int, ...]) -> GateApp:
-    gate = _INTERNED.get((name, qubits))
-    if gate is None:
-        gate = _INTERNED[name, qubits] = GateApp(name, qubits)
-    return gate
-
 
 def synthesis_steps(n: int, xs, zs, signs) -> list[tuple]:
     """Gate lists (H, S, CNOT, CZ, X, Z) realizing a stack of tableaus
@@ -557,22 +538,18 @@ def synthesis_steps(n: int, xs, zs, signs) -> list[tuple]:
     return steps[::-1]
 
 
-def _trial_gates(steps, j: int) -> tuple[GateApp, ...]:
-    """Trial j's gate list in masked steps laid out as by
-    :func:`synthesis_steps`, as interned gates."""
-    gates = []
+def replay_steps(n: int, steps, count: int) -> tuple[np.ndarray, ...]:
+    """The stack of count tableaus that masked steps laid out as by
+    :func:`synthesis_steps` realize: identity words taken through each step
+    in order, as (count, n) words ``xs`` and ``zs`` and (count,) signs."""
+    trials = np.arange(count)
+    xs = np.repeat(1 << np.arange(n, dtype=np.uint64)[:, None], count, axis=1)
+    zs = xs << n
+    sg = np.zeros(count, np.uint64)
     for name, a, b, mask in steps:
-        if mask[j]:
-            qubits = (a,) if GATE_ARITY[name] == 1 else (a, b)
-            gates.append(_interned_gate(name, tuple(
-                q if isinstance(q, int) else int(q[j]) for q in qubits)))
-    return tuple(gates)
-
-
-def synthesize_gates(t: CliffordTableau) -> tuple[GateApp, ...]:
-    """Gate sequence realizing the tableau's unitary: the one-tableau case
-    of :func:`synthesis_steps`, as interned gates."""
-    return _trial_gates(synthesis_steps(t.n, [t.xs], [t.zs], [t.signs]), 0)
+        rows = tuple(q if isinstance(q, int) else (q, trials) for q in (a, b))
+        sg = _conjugate_words(name, rows, xs, zs, sg, -mask.astype(np.uint64))
+    return xs.T, zs.T, sg
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ from bornbox.circuits import (EncodedCircuit, IqpCircuit, OutcomePattern,
                               ProdCircuit)
 from bornbox.cli import (draw_counts, ghz_circuit, random_iqp_circuit,  # noqa: F401
                          random_pattern)
-from bornbox.stabcore import GATE_ARITY, GateApp, ProductState
+from bornbox.stabcore import (GATE_ARITY, CliffordTableau, GateApp,
+                              ProductState, random_clifford_words,
+                              synthesis_steps)
 
 
 class NoSpawnRng:
@@ -44,6 +46,30 @@ def random_gates(rng: np.random.Generator, n: int, count: int):
             q = rng.choice(n, size=2, replace=False)
             gates.append(GateApp(name, (int(q[0]), int(q[1]))))
     return tuple(gates)
+
+
+def drawn_tableau(n: int, rng: np.random.Generator) -> CliffordTableau:
+    """One exactly uniform tableau, a chunk of one: reads the rng stream
+    that one ``reference_random_clifford`` call reads."""
+    xs, zs, signs = random_clifford_words(n, 1, rng)
+    return CliffordTableau.from_words(n, xs[0].tolist(), zs[0].tolist(),
+                                      int(signs[0]))
+
+
+def trial_gates(steps, j: int = 0) -> tuple[GateApp, ...]:
+    """Trial j's gates in masked steps laid out as by ``synthesis_steps``."""
+    gates = []
+    for name, a, b, mask in steps:
+        if mask[j]:
+            qubits = (a,) if GATE_ARITY[name] == 1 else (a, b)
+            gates.append(GateApp(name, tuple(
+                q if isinstance(q, int) else int(q[j]) for q in qubits)))
+    return tuple(gates)
+
+
+def synthesized_gates(t: CliffordTableau) -> tuple[GateApp, ...]:
+    """The gate list that the sweep of a stack of one emits for t."""
+    return trial_gates(synthesis_steps(t.n, [t.xs], [t.zs], [t.signs]))
 
 
 MIXED_GATES = tuple(sorted(GATE_ARITY))

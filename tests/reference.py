@@ -351,8 +351,9 @@ def reference_tableau_from_gates(n: int, gates) -> CliffordTableau:
 
 
 def reference_synthesize_gates(t: CliffordTableau) -> tuple[GateApp, ...]:
-    """The gate list of ``stabcore.synthesize_gates``, sweeping one tableau
-    row at a time: every gate conjugates each of the 2n rows in turn."""
+    """The gate list that ``stabcore.synthesis_steps`` emits for a stack of
+    one tableau, sweeping it row at a time: every gate conjugates each of
+    the 2n rows in turn."""
     n = t.n
     rows = [[p.x, p.z, p.sign] for p in (t.x_images + t.z_images)]
     applied: list[tuple[str, tuple[int, ...]]] = []

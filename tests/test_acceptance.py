@@ -22,11 +22,10 @@ from bornbox.polybox import (CePolyBox, IqpPolyBox, OraclePolyBox,
                              ProdPolyBox, _iqp_values, hoeffding_samples)
 from bornbox.samplers import (cdf_bitwise_sample, cdf_outcome_for_r,
                               chain_outcome, survivor_distribution)
-from bornbox.stabcore import (GateApp, ProductState, random_clifford,
-                              synthesize_gates)
+from bornbox.stabcore import GateApp, ProductState
 
-from helpers import (ghz_circuit, random_iqp_circuit, random_pattern,
-                     random_prod_circuit)
+from helpers import (drawn_tableau, ghz_circuit, random_iqp_circuit,
+                     random_pattern, random_prod_circuit, synthesized_gates)
 
 
 def report(index: int, name: str, ok: bool, detail: str) -> None:
@@ -202,7 +201,7 @@ def gof_instances():
     rng = np.random.default_rng(20250820)
     yield "hand", ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
     yield "ghz3", exact_distribution(ghz_circuit(3))
-    gates = synthesize_gates(random_clifford(4, rng))
+    gates = synthesized_gates(drawn_tableau(4, rng))
     cliff = ProdCircuit(4, 4, ProductState.zero(4), gates)
     yield "clifford4", exact_distribution(cliff)
     biased = ProdCircuit(3, 3, ProductState(((0.0, 0.0, 0.5),) * 3), ())

@@ -150,6 +150,21 @@ def test_selftest_all_pass(capsys):
     assert doc["payload"]["expected_failures"] == []
 
 
+def test_selftest_roundtrip_fails_when_the_sweep_drops_a_step(capsys,
+                                                              monkeypatch):
+    sweep = cli.synthesis_steps
+
+    def drop_one(*args):
+        steps = sweep(*args)
+        del steps[next(i for i, step in enumerate(steps) if step[3].any())]
+        return steps
+    monkeypatch.setattr(cli, "synthesis_steps", drop_one)
+    doc, _ = run_json(capsys, ["selftest"])
+    names = {c["check"]: c["pass"] for c in doc["payload"]["checks"]}
+    assert names["clifford-synthesis-roundtrip"] is False
+    assert doc["payload"]["failed"] == 1
+
+
 def test_selftest_injection_expected_failure(capsys):
     doc, _ = run_json(capsys, ["selftest", "--inject-corrupted-bob"])
     assert doc["payload"]["expected_failures"] == ["scheduled-advantage-cap"]
@@ -324,6 +339,20 @@ def test_anticoncentration_above_oracle_limit_draws_nothing(capsys,
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and "limit" in line
+
+
+def test_delta_above_one_is_refused_before_any_draw(capsys, monkeypatch,
+                                                     ghz_file):
+    def refuse(*args):
+        raise AssertionError("draw kernel entered")
+    monkeypatch.setattr(polybox, "_batched_draws", refuse)
+    code = run_command(["estimate", "--circuit", ghz_file, "--pattern", "0**",
+                        "--eps", "0.0002", "--delta", "1.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: delta must lie in [0, 1); 0 only for "
+                            "deterministic estimators\n")
 
 
 @pytest.fixture

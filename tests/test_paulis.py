@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from bornbox import stabcore as sc
 
-from helpers import MIXED_GATES, S_HEAVY_GATES, gate_lists
+from helpers import (MIXED_GATES, S_HEAVY_GATES, drawn_tableau, gate_lists,
+                     synthesized_gates, trial_gates)
 from reference import (clifford_group_order, commutes, conjugate_pauli,
                        pauli_product, reference_pull_back,
                        reference_random_clifford, reference_symplectic_matrix,
@@ -222,7 +223,7 @@ def test_bit_packed_decode_matches_int8_reference(data):
 def test_random_clifford_matches_reference_stream(n, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
-        assert sc.random_clifford(n, rng) == reference_random_clifford(n, ref_rng)
+        assert drawn_tableau(n, rng) == reference_random_clifford(n, ref_rng)
     # both consumed the same draws
     assert rng.integers(2**63) == ref_rng.integers(2**63)
 
@@ -248,8 +249,9 @@ def test_chunk_sweep_matches_row_sweep(n, count, seed):
     tableaus = [sc.CliffordTableau.from_words(n, x, z, s) for x, z, s in
                 zip(*(w.tolist() for w in words))]
     steps = sc.synthesis_steps(n, *words)
-    assert [sc._trial_gates(steps, j) for j in range(count)] == [
+    assert [trial_gates(steps, j) for j in range(count)] == [
         reference_synthesize_gates(t) for t in tableaus]
+    assert all(map(np.array_equal, sc.replay_steps(n, steps, count), words))
 
 
 def test_stack_check_refuses_one_bad_tableau():
@@ -270,12 +272,12 @@ def test_word_bounds():
     with pytest.raises(ValueError, match="exceeds the 32"):
         sc.random_clifford_words(33, 1, rng)
     with pytest.raises(ValueError, match="exceeds the 32"):
-        sc.random_clifford(33, rng)
+        drawn_tableau(33, rng)
     assert rng.integers(2**63) == np.random.default_rng(0).integers(2**63)
     t = sc.tableau_from_gates(33, [sc.GateApp("CNOT", (32, 0)),
                                    sc.GateApp("H", (32,))])
     with pytest.raises(ValueError, match="exceeds the 32"):
-        sc.synthesize_gates(t)
+        sc.synthesis_steps(33, [t.xs], [t.zs], [t.signs])
     xs = list(t.xs)
     xs[0] ^= 1 << 65
     with pytest.raises(ValueError, match=SYMPLECTIC_ERROR):
@@ -294,8 +296,8 @@ def test_synthesis_roundtrip_matches_dense():
     rng = np.random.default_rng(777)
     for trial in range(25):
         n = int(rng.integers(1, 4))
-        t = sc.random_clifford(n, rng)
-        U = circuit_unitary(sc.synthesize_gates(t), n)
+        t = drawn_tableau(n, rng)
+        U = circuit_unitary(synthesized_gates(t), n)
         for j in range(n):
             for p, img in ((sc.PauliOperator(n, 1 << j, 0), t.x_images[j]),
                            (sc.PauliOperator(n, 0, 1 << j), t.z_images[j])):
@@ -307,7 +309,7 @@ def test_inverse_tableau_is_involutive_and_cancels():
     rng = np.random.default_rng(99)
     for trial in range(30):
         n = int(rng.integers(1, 5))
-        t = sc.random_clifford(n, rng)
+        t = drawn_tableau(n, rng)
         inv = sc.inverse_tableau(t)
         assert sc.inverse_tableau(inv) == t
         for _ in range(4):
@@ -319,7 +321,7 @@ def test_inverse_tableau_is_involutive_and_cancels():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
 def test_drawn_tableaus_round_trip_through_their_rows(n, seed):
-    t = sc.random_clifford(n, np.random.default_rng(seed))
+    t = drawn_tableau(n, np.random.default_rng(seed))
     back = sc.CliffordTableau(n, t.x_images, t.z_images)
     assert back == t and hash(back) == hash(t)
 
@@ -338,7 +340,7 @@ def test_check_symplectic_refuses_bit_flips(n):
     identity, turning X_q's row into Y_q gives the tableau of S_q)."""
     rng = np.random.default_rng(80 + n)
     tableaus = [sc.tableau_from_gates(n, ())]
-    tableaus += [sc.random_clifford(n, rng) for _ in range(3)]
+    tableaus += [drawn_tableau(n, rng) for _ in range(3)]
     refused = 0
     for t in tableaus:
         for part, partner in ((0, 1), (1, 0)):
@@ -384,7 +386,7 @@ def test_random_clifford_reaches_all_24_single_qubit_tableaus():
     rng = np.random.default_rng(5)
     seen = set()
     for _ in range(2000):
-        t = sc.random_clifford(1, rng)
+        t = drawn_tableau(1, rng)
         seen.add((t.x_images[0], t.z_images[0]))
     assert len(seen) == 24
 
@@ -480,8 +482,8 @@ def test_product_matches_dense(n, seed):
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
 def test_packed_sweep_matches_row_sweep(n, seed):
     # the frozen digest below covers n <= 6 only
-    t = sc.random_clifford(n, np.random.default_rng(seed))
-    gates = sc.synthesize_gates(t)
+    t = drawn_tableau(n, np.random.default_rng(seed))
+    gates = synthesized_gates(t)
     assert gates == reference_synthesize_gates(t)
     assert sc.tableau_from_gates(n, gates) == t
 
@@ -493,7 +495,7 @@ def test_synthesized_gate_lists_are_frozen():
     h = hashlib.sha256()
     for n in range(1, 7):
         for _ in range(20):
-            for g in sc.synthesize_gates(sc.random_clifford(n, rng)):
+            for g in synthesized_gates(drawn_tableau(n, rng)):
                 h.update(f"{g.name}{g.qubits};".encode())
     assert h.hexdigest() == (
         "29fc446d2f16b11c1dcdb53e19ff28526978cb6000a810d1d50ee0bd8fcba0a4")

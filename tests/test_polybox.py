@@ -17,12 +17,12 @@ from bornbox.polybox import (MAX_SAMPLES, CePolyBox, Estimate, IqpPolyBox,
                              _conjugated_factors, _iqp_values, _prod_values,
                              auto_polybox, hoeffding_samples)
 from bornbox.stabcore import (CliffordTableau, GateApp, PauliOperator,
-                              ProductState, random_clifford,
-                              tableau_from_gates)
+                              ProductState, tableau_from_gates)
 
-from helpers import (MIXED_GATES, S_HEAVY_GATES, NoSpawnRng, gate_lists,
-                     ghz_circuit, random_constrained_pattern, random_gates,
-                     random_iqp_circuit, random_pattern, random_prod_circuit)
+from helpers import (MIXED_GATES, S_HEAVY_GATES, NoSpawnRng, drawn_tableau,
+                     gate_lists, ghz_circuit, random_constrained_pattern,
+                     random_gates, random_iqp_circuit, random_pattern,
+                     random_prod_circuit)
 from reference import (alpha_weight_enumerator, conjugate_pauli,
                        frequency_polybox, odd_overlap_rows, prod_single_sample,
                        sample_outcomes)
@@ -148,7 +148,7 @@ def test_prod_estimate_never_builds_a_tableau(monkeypatch):
     with pytest.raises(AssertionError):
         tableau_from_gates(2, ())
     with pytest.raises(AssertionError):
-        random_clifford(2, np.random.default_rng(0))
+        drawn_tableau(2, np.random.default_rng(0))
     rng = np.random.default_rng(64)
     n = 64
     c = ProdCircuit(n, n, ProductState.zero(n), random_gates(rng, n, 10 * n))
