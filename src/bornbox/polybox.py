@@ -6,7 +6,7 @@ Pr(|p - p_hat| >= eps) <= delta, at sample cost set by the Hoeffding bound.
 
 Three circuit families get native estimators:
 
-* product-input Clifford circuits: pull the measured signed Z's back
+* product-input Clifford circuits: pull the measured Z's back
   through the gate list, all in one pass of the tableau word rule
   (``stabcore.pull_back``), multiply a random subset of them and evaluate
   the product on the product input (single-copy, range [-1, 1]);
@@ -22,24 +22,28 @@ oracle, and each handle answers ``estimate`` for one pattern and
 ``estimate_many`` for a batch.  A pattern whose length is not the circuit's
 measured count is refused with a ``ValueError`` naming both lengths.
 
-In both sampling families a pattern's bits enter a draw only through a sign:
-for a selection matrix ``sel`` over the fixed positions, the draw for bits s
-is (-1)^(sel.s) times the draw for the pattern with those positions at 0.
-So a batch of patterns that share their fixed positions (every candidate
-prefix of one heavy-prefix search level) is scored from one shared draw
-matrix: ``sel`` is drawn once per chunk, the sign-free draws are computed
-once, and each pattern pays only for its signs.  Each pattern still gets the
-mean of s i.i.d. draws of its own unbiased estimator, so every per-pattern
-(eps, delta) guarantee holds; the draws are shared, not independent, across
-the patterns of a batch.  ``estimate(p)`` is ``estimate_many([p])[0]``.
+Each sampling family has one kernel, ``values(circuit, positions)``: its
+value(sel) draws, per row of a (count, f) 0/1 selection matrix sel over f
+measured positions, for the pattern that fixes each of them to 0.  A
+pattern's bits enter a draw only as a sign, applied in ``_batched_sums``
+alone: the draw for bits s is (-1)^(sel.s) times the sign-free one.  So a
+batch of patterns that share their fixed positions (every candidate prefix
+of one heavy-prefix search level) is scored from one shared draw matrix:
+the sign-free draws are computed once per chunk of sel, and each pattern
+pays only for its signs.  Each pattern
+still gets the mean of s i.i.d. draws of its own unbiased estimator, so
+every per-pattern (eps, delta) guarantee holds; the draws are shared, not
+independent, across the patterns of a batch.  ``estimate(p)`` is
+``estimate_many([p])[0]``.
 
-The sampling handles also answer ``exact_many(patterns)``, the exact
-probabilities of such a batch: the sampled mean is an average over uniform
-selections, so the same sign rows, fed every one of the 2^f selections
-instead of random ones, sum to the probability itself.  That costs 2^f draws
-per pattern and no rng; the heavy-prefix search uses it at the levels where
-2^f is at most the Hoeffding count of a sampled query (see
-``samplers.heavy_prefixes``).  ``estimate`` and ``estimate_many`` always
+Sampled and exact scoring differ only in where sel comes from.
+``estimate_many`` draws s uniformly random rows; ``exact_many(patterns)``
+feeds every one of the 2^f selections, and since the sampled mean is an
+average over uniform selections, that mean is the probability itself.  It
+costs 2^f draws per pattern and no rng; the heavy-prefix search uses it at
+the levels where 2^f is at most the Hoeffding count of a sampled query (see
+``samplers.heavy_prefixes``).  Both sum each chunk of rows per pattern and
+add the chunk sums exactly.  ``estimate`` and ``estimate_many`` always
 sample and report their Hoeffding count.  ``CePolyBox`` and
 ``OraclePolyBox`` have no ``exact_many``: they answer without sampling.
 
@@ -127,78 +131,54 @@ def _chunked_map(work, total: int, chunk: int, rng: np.random.Generator,
     return list(map(work, rngs, sizes))
 
 
-def _chunked_mean(draw, total: int, rng: np.random.Generator,
-                  threads: int = 1) -> list[float]:
-    """Per-row means of the draws, summed exactly over the chunks of
-    ``_chunked_map``; draw(rng_i, size_i) yields blocks of draws with one
-    row per estimated pattern."""
-    def part(rng_i, size):
-        return np.concatenate([block.sum(axis=1)
-                               for block in draw(rng_i, size)])
-    sums = _chunked_map(part, total, _CHUNK, rng, threads)
-    return [math.fsum(row) / total for row in zip(*sums)]
+def _means(parts, total: int) -> list[float]:
+    """Per-pattern means of per-chunk sums, summed exactly over the chunks."""
+    return [math.fsum(row) / total for row in zip(*parts)]
 
 
-def _batched_rows(values, circuit: Circuit, patterns):
-    """(rows, f): rows(sel) yields the draws of patterns that share their f
-    fixed positions, for a (count, f) 0/1 selection matrix sel.  The
-    sign-free draws v = values(circuit, base)(sel) are computed once, base
-    being the pattern with every fixed bit 0; the row of a pattern with bits
-    s is (-1)^(sel.s) * v, yielded _BLOCK rows at a time.  This is the only
-    place the estimator handles apply a pattern's bits."""
-    base = OutcomePattern(patterns[0].trits.replace("1", "0"))
-    if any(p.trits.replace("1", "0") != base.trits for p in patterns):
+def _batched_sums(values, circuit: Circuit, patterns):
+    """(sums, f) for patterns that share their f fixed positions: sums(sel)
+    is each pattern's draws summed over the rows of a (count, f) 0/1
+    selection matrix sel.  The sign-free draws v = values(circuit,
+    positions)(sel) are computed once, and a pattern with bits s draws
+    (-1)^(sel.s) * v, signed _BLOCK patterns at a time; a pattern that fixes
+    nothing draws exactly 1.0.  This is the only place the estimator handles
+    apply a pattern's bits."""
+    base = patterns[0].trits.replace("1", "0")
+    if any(p.trits.replace("1", "0") != base for p in patterns):
         raise ValueError("patterns in one batch must share their fixed "
                          "positions")
-    value = values(circuit, base)
+    check_pattern_length(patterns[0], circuit.k)
+    positions = [pos for pos, _ in patterns[0].fixed]
     bits = np.array([[bit for _, bit in p.fixed] for p in patterns],
                     dtype=np.int64)
+    value = (values(circuit, positions) if positions
+             else lambda sel: np.ones(len(sel)))
 
-    def rows(sel):
+    def sums(sel):
         v = value(sel)
-        for lo in range(0, len(bits), _BLOCK):
-            yield (1 - 2 * ((bits[lo:lo + _BLOCK] @ sel.T) & 1)) * v
+        return np.concatenate([
+            ((1 - 2 * ((bits[lo:lo + _BLOCK] @ sel.T) & 1)) * v).sum(axis=1)
+            for lo in range(0, len(bits), _BLOCK)])
 
-    return rows, bits.shape[1]
-
-
-def _batched_draws(values, circuit: Circuit, patterns):
-    """draw(rng, count) for ``_chunked_mean``: the rows of
-    ``_batched_rows`` for one uniformly random (count, f) selection
-    matrix per chunk."""
-    rows, f = _batched_rows(values, circuit, patterns)
-    return lambda rng, count: rows(
-        rng.integers(0, 2, size=(count, f), dtype=np.int64))
+    return sums, len(positions)
 
 
 # ---------------------------------------------------------------------------
 # Product-input Clifford circuits
 # ---------------------------------------------------------------------------
 
-def _conjugated_factors(circuit: ProdCircuit,
-                        pattern: OutcomePattern) -> list[PauliOperator]:
-    """U^dag (s_i Z_i) U for every fixed pattern position, s_i = +-1 for
-    outcome 0/1, pulled back in one pass over the gates.  These commute
-    pairwise."""
-    check_pattern_length(pattern, circuit.k)
-    return list(pull_back(circuit.n, circuit.gates, [
-        PauliOperator.single_z(circuit.n, pos, 1 if bit == 0 else -1)
-        for pos, bit in pattern.fixed]))
-
-
-def _prod_values(circuit: ProdCircuit, pattern: OutcomePattern):
+def _prod_values(circuit: ProdCircuit, positions):
     """Returns value(sel) -> ndarray of single-sample values, one per row of
-    the (count, f) 0/1 matrix sel over the pattern's fixed positions.  The
-    estimators call it with every fixed bit 0 (see ``_batched_rows``); for
-    other bits the signed factors give the per-pattern draws directly, the
-    reference the tests check the batched sign against."""
-    factors = _conjugated_factors(circuit, pattern)
+    the (count, f) 0/1 matrix sel over the f measured positions: the draws
+    of the pattern that fixes each of them to 0.  Row r multiplies the
+    pulled-back Z's that r selects and evaluates the product on the product
+    input; the Z's commute pairwise."""
     n = circuit.n
-    f = len(factors)
+    factors = pull_back(n, circuit.gates,
+                        [PauliOperator.single_z(n, pos) for pos in positions])
     weights = np.array([[1.0, rx, rz, ry] for (rx, ry, rz) in
                         circuit.state.bloch])
-    if f == 0:
-        return lambda sel: np.ones(len(sel))
     fx = np.array([[(q.x >> i) & 1 for i in range(n)] for q in factors],
                   dtype=np.int64)
     fz = np.array([[(q.z >> i) & 1 for i in range(n)] for q in factors],
@@ -206,10 +186,7 @@ def _prod_values(circuit: ProdCircuit, pattern: OutcomePattern):
     kappa = np.array([_xz_phase(q) for q in factors], dtype=np.int64)
     # pair[a, b] feeds the i**2 correction when factor a's Z bits cross
     # factor b's X bits in the left-to-right product (a < b only)
-    pair = np.zeros((f, f), dtype=np.int64)
-    for a in range(f):
-        for b in range(a + 1, f):
-            pair[a, b] = int((fz[a] & fx[b]).sum() & 1)
+    pair = np.triu((fz @ fx.T) & 1, 1)
     qubit_idx = np.arange(n)
 
     def value(sel):
@@ -228,27 +205,20 @@ def _prod_values(circuit: ProdCircuit, pattern: OutcomePattern):
 # X-programs
 # ---------------------------------------------------------------------------
 
-def _iqp_values(circuit: IqpCircuit, pattern: OutcomePattern):
+def _iqp_values(circuit: IqpCircuit, positions):
     """Returns value(sel) -> ndarray of single-sample values, one per row of
-    the (count, f) 0/1 matrix sel, row r selecting the parity vector r.  The
-    estimators call it with every fixed bit 0 (see ``_batched_rows``); the
-    (-1)^(r.s) factor for other bits is the reference the tests check the
-    batched sign against."""
-    check_pattern_length(pattern, circuit.k)
+    the (count, f) 0/1 matrix sel over the f measured positions, row r
+    selecting the parity vector r supported on them: the draws of the
+    pattern that fixes each of them to 0."""
     p = circuit.row_matrix().astype(np.int64)
-    positions = np.array([pos for pos, _ in pattern.fixed], dtype=np.int64)
-    sbits = np.array([bit for _, bit in pattern.fixed], dtype=np.int64)
-    if positions.size == 0:
-        return lambda sel: np.ones(len(sel))
     psub = p[:, positions]  # rows x f
 
     def value(sel):
         hit = (sel @ psub.T) & 1           # which rows have odd overlap
         mr = hit.sum(axis=1)
         cancel = ((hit @ p) & 1 == 0).all(axis=1)  # selected rows XOR to zero
-        rs = (sel @ sbits) & 1
         quarter = np.where(mr & 1, 0.0, 1.0 - 2.0 * ((mr >> 1) & 1))
-        return (1.0 - 2.0 * rs) * np.where(cancel, quarter, 0.0)
+        return np.where(cancel, quarter, 0.0)
 
     return value
 
@@ -259,8 +229,8 @@ def _iqp_values(circuit: IqpCircuit, pattern: OutcomePattern):
 
 class _SamplingPolyBox:
     """Hoeffding-scheduled sampling estimator over a family kernel
-    ``values(circuit, pattern) -> value(sel)``; a batch of patterns sharing
-    their fixed positions is scored from one shared draw matrix."""
+    ``values(circuit, positions) -> value(sel)``; a batch of patterns
+    sharing their fixed positions is scored from one shared draw matrix."""
 
     deterministic = False
 
@@ -282,24 +252,23 @@ class _SamplingPolyBox:
         s = hoeffding_samples(eps, delta)  # refuses delta <= 0, non-finite
         if delta >= 1.0:  # refused before any draw
             raise ValueError(_DELTA_RANGE)
-        draw = _batched_draws(self.values, self.circuit, patterns)
-        return [Estimate(mean, eps, delta, s)
-                for mean in _chunked_mean(draw, s, rng, self.threads)]
+        sums, f = _batched_sums(self.values, self.circuit, patterns)
+
+        def part(rng_i, count):
+            return sums(rng_i.integers(0, 2, size=(count, f), dtype=np.int64))
+        parts = _chunked_map(part, s, _CHUNK, rng, self.threads)
+        return [Estimate(mean, eps, delta, s) for mean in _means(parts, s)]
 
     def exact_many(self, patterns) -> list[float]:
         """Exact probability of each pattern, the patterns sharing their f
         fixed positions: the mean of its draws over all 2^f selections,
         enumerated in ``_CHUNK``-row chunks and summed exactly.  Costs 2^f
         draws per pattern and no rng."""
-        rows, f = _batched_rows(self.values, self.circuit, patterns)
+        sums, f = _batched_sums(self.values, self.circuit, patterns)
         total = 1 << f
-        sums = []
-        for lo in range(0, total, _CHUNK):
-            sel = (np.arange(lo, min(lo + _CHUNK, total))[:, None]
-                   >> np.arange(f)) & 1
-            sums.append(np.concatenate([block.sum(axis=1)
-                                        for block in rows(sel)]))
-        return [math.fsum(row) / total for row in zip(*sums)]
+        return _means([sums((np.arange(lo, min(lo + _CHUNK, total))[:, None]
+                             >> np.arange(f)) & 1)
+                       for lo in range(0, total, _CHUNK)], total)
 
 
 class ProdPolyBox(_SamplingPolyBox):

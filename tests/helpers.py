@@ -108,6 +108,19 @@ def random_constrained_pattern(rng: np.random.Generator,
             return pattern
 
 
+def pattern_draws(values, circuit, pattern: OutcomePattern,
+                  sel: np.ndarray) -> np.ndarray:
+    """One pattern's signed draws, one per row of the (count, f) selection
+    matrix sel over its fixed positions: the family kernel's sign-free
+    draws times (-1)^(sel.s) for the pattern's bits s, or ones when the
+    pattern fixes nothing."""
+    if not pattern.fixed:
+        return np.ones(len(sel))
+    positions = [pos for pos, _ in pattern.fixed]
+    s = np.array([bit for _, bit in pattern.fixed], dtype=np.int64)
+    return (1 - 2 * ((sel @ s) & 1)) * values(circuit, positions)(sel)
+
+
 def index_to_outcome(index: int, k: int) -> str:
     return format(index, f"0{k}b")
 

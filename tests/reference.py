@@ -38,7 +38,7 @@ from bornbox.circuits import (IqpCircuit, OutcomePattern, ProdCircuit,
 from bornbox.oracle import (ExactDistribution, _bloch_eigvec,
                             _check_size, iqp_statevector, l1_distance,
                             prod_branches)
-from bornbox.polybox import Estimate, _conjugated_factors, hoeffding_samples
+from bornbox.polybox import Estimate, hoeffding_samples
 from bornbox.stabcore import (CliffordTableau, GateApp, PauliOperator,
                               _hermitian_from_xz, _parity, _xz_phase, apply_tableau, inverse_tableau,
                               product_expectation, symplectic_group_order)
@@ -524,9 +524,13 @@ DEFAULT_COLUMN_LIMIT = 24
 def prod_single_sample(circuit: ProdCircuit, pattern: OutcomePattern,
                        rng: np.random.Generator) -> float:
     """One unbiased draw in [-1, 1]: each fixed position contributes its
-    back-propagated signed Z with probability 1/2, identity otherwise."""
+    back-propagated signed Z with probability 1/2, identity otherwise.  The
+    Z's are pulled back one at a time by ``reference_pull_back``."""
+    check_pattern_length(pattern, circuit.k)
+    factors = [reference_pull_back(circuit.gates, PauliOperator.single_z(
+        circuit.n, pos, 1 - 2 * bit)) for pos, bit in pattern.fixed]
     acc = PauliOperator(circuit.n, 0, 0)
-    for factor in _conjugated_factors(circuit, pattern):
+    for factor in factors:
         if rng.integers(0, 2):
             acc = pauli_product(acc, factor)
     return product_expectation(circuit.state, acc)

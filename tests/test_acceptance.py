@@ -24,8 +24,9 @@ from bornbox.samplers import (cdf_bitwise_sample, cdf_outcome_for_r,
                               chain_outcome, survivor_distribution)
 from bornbox.stabcore import GateApp, ProductState
 
-from helpers import (drawn_tableau, ghz_circuit, random_iqp_circuit,
-                     random_pattern, random_prod_circuit, synthesized_gates)
+from helpers import (drawn_tableau, ghz_circuit, pattern_draws,
+                     random_iqp_circuit, random_pattern, random_prod_circuit,
+                     synthesized_gates)
 
 
 def report(index: int, name: str, ok: bool, detail: str) -> None:
@@ -103,7 +104,7 @@ def test_iqp_estimator_coverage_and_unbiasedness():
     p = exact_probability(c, pat)
     sel = np.random.default_rng(777).integers(
         0, 2, size=(100000, len(pat.fixed)), dtype=np.int64)
-    vals = _iqp_values(c, pat)(sel)
+    vals = pattern_draws(_iqp_values, c, pat, sel)
     se = max(float(vals.std(ddof=1)) / math.sqrt(vals.size), 1e-15)
     bias = abs(float(vals.mean()) - p)
     elapsed = time.perf_counter() - start

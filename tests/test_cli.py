@@ -345,7 +345,7 @@ def test_delta_above_one_is_refused_before_any_draw(capsys, monkeypatch,
                                                      ghz_file):
     def refuse(*args):
         raise AssertionError("draw kernel entered")
-    monkeypatch.setattr(polybox, "_batched_draws", refuse)
+    monkeypatch.setattr(polybox, "_batched_sums", refuse)
     code = run_command(["estimate", "--circuit", ghz_file, "--pattern", "0**",
                         "--eps", "0.0002", "--delta", "1.5"])
     captured = capsys.readouterr()

@@ -13,19 +13,17 @@ from bornbox import polybox
 from bornbox.circuits import IqpCircuit, OutcomePattern, ProdCircuit, ce_encode
 from bornbox.oracle import exact_distribution, exact_probability
 from bornbox.polybox import (MAX_SAMPLES, CePolyBox, Estimate, IqpPolyBox,
-                             OraclePolyBox, ProdPolyBox, _batched_draws,
-                             _conjugated_factors, _iqp_values, _prod_values,
-                             auto_polybox, hoeffding_samples)
-from bornbox.stabcore import (CliffordTableau, GateApp, PauliOperator,
-                              ProductState, tableau_from_gates)
+                             OraclePolyBox, ProdPolyBox, _batched_sums,
+                             _iqp_values, _prod_values, auto_polybox,
+                             hoeffding_samples)
+from bornbox.stabcore import (CliffordTableau, GateApp, ProductState,
+                              tableau_from_gates)
 
-from helpers import (MIXED_GATES, S_HEAVY_GATES, NoSpawnRng, drawn_tableau,
-                     gate_lists, ghz_circuit, random_constrained_pattern,
-                     random_gates, random_iqp_circuit, random_pattern,
-                     random_prod_circuit)
-from reference import (alpha_weight_enumerator, conjugate_pauli,
-                       frequency_polybox, odd_overlap_rows, prod_single_sample,
-                       sample_outcomes)
+from helpers import (NoSpawnRng, ghz_circuit, pattern_draws,
+                     random_constrained_pattern, random_gates,
+                     random_iqp_circuit, random_pattern, random_prod_circuit)
+from reference import (alpha_weight_enumerator, frequency_polybox,
+                       odd_overlap_rows, prod_single_sample, sample_outcomes)
 
 
 class SeqRng:
@@ -79,16 +77,15 @@ def test_prod_subset_average_is_exactly_unbiased():
         pat = random_constrained_pattern(rng, n)
         f = len(pat.fixed)
         sel = np.array(list(itertools.product((0, 1), repeat=f)), dtype=np.int64)
-        vals = _prod_values(c, pat)(sel)
+        vals = pattern_draws(_prod_values, c, pat, sel)
         p = exact_probability(c, pat)
         assert abs(vals.mean() - p) < 1e-9
         assert np.all(np.abs(vals) <= 1 + 1e-12)
 
 
 def test_prod_all_wild_draws_ones():
-    c = ghz_circuit(2)
-    vals = _prod_values(c, OutcomePattern("**"))(np.zeros((6, 0), dtype=np.int64))
-    assert np.all(vals == 1.0)
+    box = ProdPolyBox(ghz_circuit(2))
+    assert box.exact_many([OutcomePattern("**")]) == [1.0]
 
 
 def test_prod_scalar_path_matches_vectorized():
@@ -97,10 +94,10 @@ def test_prod_scalar_path_matches_vectorized():
         n = int(rng.integers(1, 4))
         c = random_prod_circuit(rng, n, int(rng.integers(0, 10)))
         pat = random_constrained_pattern(rng, n)
-        f = len(pat.fixed)
-        value = _prod_values(c, pat)
-        for subset in itertools.product((0, 1), repeat=f):
-            want = value(np.array([subset]))[0]
+        sel = np.array(list(itertools.product((0, 1), repeat=len(pat.fixed))),
+                       dtype=np.int64)
+        vals = pattern_draws(_prod_values, c, pat, sel)
+        for subset, want in zip(sel.tolist(), vals):
             got = prod_single_sample(c, pat, SeqRng(subset))
             assert abs(want - got) < 1e-12
 
@@ -121,21 +118,6 @@ def test_prod_estimate_coverage_and_thread_invariance():
     assert est_again.value == est.value
 
 
-@pytest.mark.parametrize("pool", [MIXED_GATES, S_HEAVY_GATES],
-                         ids=["mixed", "s-heavy"])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_conjugated_factors_match_tableau_route(pool, data):
-    n, gates = data.draw(gate_lists(pool))
-    c = ProdCircuit(n, n, ProductState.zero(n), gates)
-    pat = OutcomePattern(data.draw(st.text(alphabet="01*", min_size=n,
-                                           max_size=n)))
-    t = tableau_from_gates(n, gates)
-    want = [conjugate_pauli(t, PauliOperator.single_z(n, pos, 1 - 2 * bit))
-            for pos, bit in pat.fixed]
-    assert _conjugated_factors(c, pat) == want
-
-
 def test_prod_estimate_never_builds_a_tableau(monkeypatch):
     """The product-input estimator pulls the Z's back through the gate list;
     at n=64 with 640 gates the tableau route would cost O(G n^2) Python
@@ -147,8 +129,6 @@ def test_prod_estimate_never_builds_a_tableau(monkeypatch):
     monkeypatch.setattr(CliffordTableau, "_set_words", refuse)
     with pytest.raises(AssertionError):
         tableau_from_gates(2, ())
-    with pytest.raises(AssertionError):
-        drawn_tableau(2, np.random.default_rng(0))
     rng = np.random.default_rng(64)
     n = 64
     c = ProdCircuit(n, n, ProductState.zero(n), random_gates(rng, n, 10 * n))
@@ -167,7 +147,7 @@ def test_iqp_subset_average_and_enumerator_identity():
         pat = random_constrained_pattern(rng, c.k)
         f = len(pat.fixed)
         sel = np.array(list(itertools.product((0, 1), repeat=f)), dtype=np.int64)
-        vals = _iqp_values(c, pat)(sel)
+        vals = pattern_draws(_iqp_values, c, pat, sel)
         p = exact_probability(c, pat)
         assert abs(vals.mean() - p) < 1e-9
 
@@ -392,17 +372,18 @@ def batches(draw, family):
 def test_batched_rows_match_single_pattern_kernel(family, data):
     c, patterns = data.draw(batches(family))
     count = data.draw(st.integers(1, 40))
-    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    f = len(patterns[0].fixed)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    sel = rng.integers(0, 2, size=(count, f), dtype=np.int64)
     # small blocks, so that batches of up to 12 patterns span several
     with mock.patch.object(polybox, "_BLOCK", 5):
-        draw = _batched_draws(KERNELS[family], c, patterns)
-        rows = np.vstack(list(draw(np.random.default_rng(seed), count)))
+        sums, f_batch = _batched_sums(KERNELS[family], c, patterns)
+        # a one-row sum is that row's draw, up to the sign of a zero
+        rows = np.array([sums(sel[i:i + 1]) for i in range(count)]).T
+    assert f_batch == f
     assert rows.shape == (len(patterns), count)
-    # the batch draws its selection matrix exactly as a single query does
-    sel = np.random.default_rng(seed).integers(
-        0, 2, size=(count, len(patterns[0].fixed)), dtype=np.int64)
     for row, pattern in zip(rows, patterns):
-        assert row.tobytes() == KERNELS[family](c, pattern)(sel).tobytes()
+        assert (row == pattern_draws(KERNELS[family], c, pattern, sel)).all()
 
 
 @pytest.mark.parametrize("family", ["prod", "iqp"])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from bornbox import samplers
 from bornbox.circuits import OutcomePattern, ProdCircuit
 from bornbox.oracle import (ExactDistribution, exact_distribution, l1_distance,
                             min_sparsity)
@@ -23,7 +24,7 @@ from bornbox.samplers import (SparsityPolynomial, cdf_bitwise_sample,
 from bornbox.stabcore import GateApp, ProductState
 
 from helpers import (NoSpawnRng, empirical_distribution, ghz_circuit,
-                     random_iqp_circuit, random_prod_circuit)
+                     random_bloch, random_iqp_circuit, random_prod_circuit)
 
 
 class ZeroBox:
@@ -137,6 +138,62 @@ def test_all_exact_search_meets_the_l1_bound(family, n, eps, seed):
     assert l1_distance(table, dist.probs) <= 12 * eps
 
 
+def sample_past_level_one(monkeypatch):
+    """Caps the exact levels of every heavy-prefix search at 1, so that each
+    later level samples from one shared draw matrix."""
+    budget = samplers._search_budget
+
+    def capped(est, k, threshold, delta):
+        per_eps, per_delta, exact_levels = budget(est, k, threshold, delta)
+        return per_eps, per_delta, min(exact_levels, 1)
+    monkeypatch.setattr(samplers, "_search_budget", capped)
+
+
+def sparse_circuit(rng: np.random.Generator, family: str):
+    """A circuit on 4-6 qubits with at most 4 outcomes: up to two H's (one
+    when a qubit is mixed) before CNOT/CZ/S/X/Z on |0...0>, one random mixed
+    qubit for mixed-prod, or an X-program of two rows."""
+    n = int(rng.integers(4, 7))
+    if family == "iqp":
+        return random_iqp_circuit(rng, n, 2)
+    bloch = [(0.0, 0.0, 1.0)] * n
+    heads = 2
+    if family == "mixed-prod":
+        bloch[int(rng.integers(n))] = random_bloch(rng)
+        heads = 1
+    gates = [GateApp("H", (int(q),)) for q in
+             rng.choice(n, size=int(rng.integers(0, heads + 1)), replace=False)]
+    for _ in range(2 * n):
+        name = str(rng.choice(["CNOT", "CZ", "S", "X", "Z"]))
+        qubits = rng.choice(n, size=2 if name in ("CNOT", "CZ") else 1,
+                            replace=False)
+        gates.append(GateApp(name, tuple(int(q) for q in qubits)))
+    return ProdCircuit(n, n, ProductState(tuple(bloch)), tuple(gates))
+
+
+@pytest.mark.parametrize("family", ["prod", "mixed-prod", "iqp"])
+def test_sampled_search_meets_the_l1_bound(family, monkeypatch):
+    """With t = min_sparsity(dist, eps) and every level past the first
+    sampled, survivor tables more than 12*eps from the target in L1 occur
+    at a rate within delta (3 sigma over the searches).  eps = 0.08 keeps
+    12*eps below 1, the L1 of a table that holds half the wrong mass."""
+    sample_past_level_one(monkeypatch)
+    eps, delta, searches = 0.08, 0.05, 8
+    rng = np.random.default_rng(20261018)
+    far = 0
+    for _ in range(searches):
+        c = sparse_circuit(rng, family)
+        dist = exact_distribution(c)
+        box = IqpPolyBox(c) if family == "iqp" else ProdPolyBox(c)
+        outcomes, probs = survivor_distribution(
+            box, c, min_sparsity(dist, eps), eps, delta, rng)
+        table = np.zeros(1 << c.k)
+        table[[int(o, 2) for o in outcomes]] = probs
+        far += l1_distance(table, dist.probs) > 12 * eps
+    sigma = math.sqrt(delta * (1 - delta) / searches)
+    assert far / searches <= delta + 3 * sigma
+
+
 def test_heavy_prefixes_point_mass():
     point = point_circuit()
     surv = heavy_prefixes(OraclePolyBox(point), point, 0.25, 0.0)
@@ -209,6 +266,21 @@ def test_sparse_sample_ghz_l1():
              for _ in range(2000)]
     emp = empirical_distribution(draws, 3)
     assert l1_distance(emp, dist.probs) <= 12 * 0.05 + 0.01
+
+
+def test_epsilon_simulate_per_draw_ghz_l1(monkeypatch):
+    """Each draw runs its own search, whose second level is sampled; a
+    table that puts half its weight off the support of GHZ-2 is 1 away
+    in L1, beyond eps_prime."""
+    sample_past_level_one(monkeypatch)
+    ghz2 = ghz_circuit(2)
+    box = CountingBox(ghz2)
+    eps_prime, count = 0.9, 60
+    draws = epsilon_simulate(box, SparsityPolynomial.constant(2), ghz2,
+                             eps_prime, count, np.random.default_rng(7))
+    assert box.routes == ["exact", "sampled"] * count
+    emp = empirical_distribution(draws, 2)
+    assert l1_distance(emp, exact_distribution(ghz2).probs) <= eps_prime
 
 
 def test_sparse_sample_empty_survivors_warns():
