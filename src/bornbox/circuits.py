@@ -92,6 +92,13 @@ def check_pattern_length(pattern: OutcomePattern, k: int) -> None:
         raise ValueError(f"pattern length {pattern.k} != measured count {k}")
 
 
+def _check_counts(n: int, k: int) -> None:
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    if not 1 <= k <= n:
+        raise ValueError("measured count k must satisfy 1 <= k <= n")
+
+
 @dataclass(frozen=True)
 class ProdCircuit:
     n: int
@@ -100,10 +107,7 @@ class ProdCircuit:
     gates: tuple[GateApp, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one qubit")
-        if not 1 <= self.k <= self.n:
-            raise ValueError("measured count k must satisfy 1 <= k <= n")
+        _check_counts(self.n, self.k)
         if self.state.n != self.n:
             raise ValueError("prep state size != qubit count")
         for g in self.gates:
@@ -123,10 +127,7 @@ class IqpCircuit:
     rows: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one qubit")
-        if not 1 <= self.k <= self.n:
-            raise ValueError("measured count k must satisfy 1 <= k <= n")
+        _check_counts(self.n, self.k)
         rows = tuple(tuple(int(b) for b in row) for row in self.rows)
         for row in rows:
             if len(row) != self.n:
@@ -146,10 +147,6 @@ class IqpCircuit:
 @dataclass(frozen=True)
 class EncodedCircuit:
     inner: "Circuit"
-
-    def __post_init__(self):
-        if self.inner.k < 1:
-            raise ValueError("inner circuit must measure at least one bit")
 
     @property
     def family(self) -> str:
@@ -212,11 +209,6 @@ def bloch_from_words(words) -> tuple[float, float, float]:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
-
-
 def parse_pattern(text: str) -> OutcomePattern:
     try:
         return OutcomePattern(text.strip())
@@ -225,12 +217,17 @@ def parse_pattern(text: str) -> OutcomePattern:
 
 
 def parse_circuit(text: str, base_dir: str | Path | None = None) -> Circuit:
-    lines = text.splitlines()
     numbered = []
-    for idx, raw in enumerate(lines, start=1):
-        stripped = _strip_comment(raw)
-        if stripped.strip():
-            numbered.append((idx, stripped))
+    for idx, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0]
+        if line.strip():
+            numbered.append((idx, line))
+    return _parse_lines(numbered, base_dir)
+
+
+def _parse_lines(numbered, base_dir) -> Circuit:
+    """A circuit from its (line number in the file, text) pairs, comments
+    and blank lines already dropped."""
     if not numbered:
         raise CircuitSyntaxError("empty circuit description")
 
@@ -242,7 +239,7 @@ def parse_circuit(text: str, base_dir: str | Path | None = None) -> Circuit:
     if family in _BODY_DIRECTIVES:
         return _parse_program(family, numbered[1:])
     if family == "encoded":
-        return _parse_encoded(numbered[1:], lines, base_dir)
+        return _parse_encoded(numbered[1:], base_dir)
     raise CircuitSyntaxError(f"unknown family {family!r}", first_no)
 
 
@@ -357,7 +354,7 @@ def _parse_program(family: str, body) -> Circuit:
         raise CircuitSyntaxError(str(exc)) from exc
 
 
-def _parse_encoded(body, raw_lines, base_dir) -> EncodedCircuit:
+def _parse_encoded(body, base_dir) -> EncodedCircuit:
     if not body:
         raise CircuitSyntaxError("encoded circuit needs an inner directive")
     line_no, line = body[0]
@@ -378,23 +375,21 @@ def _parse_encoded(body, raw_lines, base_dir) -> EncodedCircuit:
     if len(toks) > 2:
         raise CircuitSyntaxError("inner takes at most one path", line_no)
 
-    # Inline form: collect the indented block following the inner directive.
-    block: list[str] = []
+    # Inline form: the indented lines after the inner directive, dedented,
+    # each keeping its line number in the file.
+    block = []
     indent = None
-    for raw in raw_lines[line_no:]:
-        stripped = _strip_comment(raw)
-        if not stripped.strip():
-            continue
-        if not stripped[0].isspace():
+    for no, text in body[1:]:
+        if not text[0].isspace():
             raise CircuitSyntaxError("unindented directive inside inner block",
                                      line_no)
+        width = len(text) - len(text.lstrip())
         if indent is None:
-            indent = len(stripped) - len(stripped.lstrip())
-        if len(stripped) - len(stripped.lstrip()) < indent:
+            indent = width
+        if width < indent:
             raise CircuitSyntaxError("inconsistent indentation in inner block",
                                      line_no)
-        block.append(stripped[indent:])
+        block.append((no, text[indent:]))
     if not block:
         raise CircuitSyntaxError("empty inner block", line_no)
-    return EncodedCircuit(parse_circuit("\n".join(block), base_dir=base_dir))
-
+    return EncodedCircuit(_parse_lines(block, base_dir))

@@ -27,6 +27,7 @@ and errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -36,9 +37,9 @@ from typing import Optional
 
 import numpy as np
 
-from .circuits import (Circuit, CircuitSyntaxError, IqpCircuit, OutcomePattern,
-                       ProdCircuit, ce_encode, check_pattern_length,
-                       parse_circuit, parse_pattern)
+from .circuits import (Circuit, IqpCircuit, OutcomePattern, ProdCircuit,
+                       ce_encode, check_pattern_length, parse_circuit,
+                       parse_pattern)
 from .experiments import (anticoncentration_report, bob_epsilon_schedule,
                           run_hypothesis_test, sparsity_profile)
 from .oracle import (ExactDistribution, OracleLimitError, exact_distribution,
@@ -280,10 +281,7 @@ def random_pattern(rng: np.random.Generator, k: int) -> OutcomePattern:
 
 def draw_counts(draws: list[str], k: int) -> np.ndarray:
     """Occurrences of each big-endian outcome index among the draws."""
-    counts = np.zeros(1 << k)
-    for bits in draws:
-        counts[int(bits, 2)] += 1
-    return counts
+    return np.bincount([int(bits, 2) for bits in draws], minlength=1 << k)
 
 
 def _chi2_pvalue(draws: list[str], dist: ExactDistribution) -> float:
@@ -344,12 +342,8 @@ def _selftest_checks(seed: int, threads: int,
     enc = ce_encode(ghz_circuit(3))
     cebox = CePolyBox(enc)
     ok = True
-    for idx in range(3 ** enc.k):
-        trits, v = "", idx
-        for _ in range(enc.k):
-            trits += "01*"[v % 3]
-            v //= 3
-        pattern = OutcomePattern(trits)
+    for trits in itertools.product("01*", repeat=enc.k):
+        pattern = OutcomePattern("".join(trits))
         truth = exact_probability(enc, pattern)
         for eps_q in (0.5, 0.01, 2.0 ** -5):
             err = abs(cebox.estimate(pattern, eps_q).value - truth)
@@ -559,7 +553,7 @@ def run_command(argv) -> int:
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         lines = args.handler(args)
-    except (CircuitSyntaxError, OracleLimitError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -233,6 +233,8 @@ def run_hypothesis_test(circuit: Circuit, bob_mode: str, delta: float,
     """Monte Carlo estimate of the referee's success rate against the chosen
     imposter.  The referee guesses the candidate with the larger transcript
     likelihood; ties go to the true distribution."""
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
     if rounds < 1:

@@ -42,8 +42,8 @@ _BATCH_AMPLITUDES = 1 << 16
 _TURNS = np.array([1, 1j, -1, -1j])
 
 
-class OracleLimitError(RuntimeError):
-    pass
+class OracleLimitError(ValueError):
+    """Refused input: a circuit above the limit, or a malformed limit."""
 
 
 def oracle_limit() -> int:
@@ -131,9 +131,6 @@ def _probs_of(d) -> np.ndarray:
 
 
 def l1_distance(d1, d2) -> float:
-    if isinstance(d1, ExactDistribution) and isinstance(d2, ExactDistribution):
-        if d1.k != d2.k:
-            raise ValueError("distributions live on different outcome spaces")
     p, q = _probs_of(d1), _probs_of(d2)
     if p.shape != q.shape:
         raise ValueError("distributions live on different outcome spaces")
@@ -146,11 +143,8 @@ def min_sparsity(d, eps: float) -> int:
     if not 0.0 <= eps <= 2.0:
         raise ValueError("eps must lie in [0, 2]")
     srt = np.sort(_probs_of(d))[::-1]
-    tail = srt.sum() - np.cumsum(srt)
-    for t in range(1, srt.size + 1):
-        if 2.0 * tail[t - 1] <= eps + 1e-12:
-            return t
-    return srt.size
+    within = 2.0 * (srt.sum() - np.cumsum(srt)) <= eps + 1e-12
+    return int(np.argmax(within)) + 1 if within.any() else srt.size
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,8 @@ def hoeffding_need(eps: float, delta: float) -> float:
     for name, value in (("eps", eps), ("delta", delta)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if eps * eps == 0.0:
+        return math.inf
     return 2.0 / (eps * eps) * math.log(2.0 / delta)
 
 

@@ -50,6 +50,8 @@ class SparsityPolynomial:
         coeffs = tuple(float(c) for c in self.coefficients)
         if not coeffs:
             raise ValueError("need at least one coefficient")
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"coefficients must be finite, got {coeffs}")
         if any(c < 0 for c in coeffs):
             raise ValueError("coefficients must be nonnegative")
         object.__setattr__(self, "coefficients", coeffs)
@@ -72,7 +74,11 @@ class SparsityPolynomial:
 # ---------------------------------------------------------------------------
 
 def survivor_cap(threshold: float) -> int:
-    return 2 * math.ceil(2.0 / threshold) + 2
+    bound = 2.0 / threshold if threshold > 0.0 else math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"heavy-prefix threshold {threshold:g} is too small "
+                         "for a finite survivor cap")
+    return 2 * math.ceil(bound) + 2
 
 
 def _search_budget(est, k: int, threshold: float,
@@ -88,7 +94,7 @@ def _search_budget(est, k: int, threshold: float,
     per_delta = delta / (2.0 * k * survivor_cap(threshold))
     exact_levels = 0
     if hasattr(est, "exact_many"):
-        s = min(math.ceil(hoeffding_need(per_eps, per_delta)), MAX_SAMPLES)
+        s = math.ceil(min(hoeffding_need(per_eps, per_delta), MAX_SAMPLES))
         exact_levels = min(k, s.bit_length() - 1)
         if exact_levels < k:
             hoeffding_samples(per_eps, per_delta)
@@ -158,7 +164,11 @@ def sparse_budget(sp: SparsityPolynomial, k: int,
     eps = eps_prime / 13.0
     if not 0.0 < eps <= _MAX_EPS:
         raise ValueError(f"eps_prime must lie in (0, 13/6], got {eps_prime:g}")
-    return math.ceil(sp(k / eps)), eps
+    bound = sp(k / eps)
+    if not math.isfinite(bound):
+        raise ValueError(f"eps_prime={eps_prime:g} gives a non-finite sparsity "
+                         f"bound sp(k/eps) = {bound:g}")
+    return math.ceil(bound), eps
 
 
 def sparse_sample(est, circuit: Circuit, t: int, eps: float, delta: float,
@@ -230,10 +240,7 @@ def cdf_bitwise_sample(strong, m: int, rng: np.random.Generator) -> str:
     largest count for which r is exactly a double."""
     check_cdf_bits(m)
     bits = rng.integers(0, 2, size=m)
-    v = 0
-    for b in bits:
-        v = (v << 1) | int(b)
-    r = v / float(1 << m)
+    r = int("".join(map(str, bits)), 2) / float(1 << m)
     return cdf_outcome_for_r(strong, strong.k, r)
 
 

@@ -129,6 +129,14 @@ def test_roundtrip_examples():
     ("family iqp\nqubits 2\nxrow 1 0\nqubits 2\n", "line 4: duplicate qubits directive"),
     ("family prod\nqubits 2\ngate CNOT 0 1\nqubits 1\ngate CNOT 0 1\n",
      "line 4: duplicate qubits directive"),
+    # errors inside an inline block name the line of the file
+    ("family encoded\n# c\n\ninner\n  family prod\n  qubits 1\n  gate H 5\n",
+     "line 7: gate qubit out of range"),
+    ("family encoded\ninner\n  family encoded\n  inner\n    family iqp\n"
+     "    qubits 2\n    xrow 1 2\n", "line 7: xrow entries must be 0/1"),
+    ("family encoded\ninner a.qc\nqubits 1\n",
+     "line 3: unexpected directives after inner path"),
+    ("family prod\nqubits 1\nprep 0 gates Q\n", "line 3: unknown prep gate word 'Q'"),
 ])
 def test_parse_errors(text, message):
     with pytest.raises(CircuitSyntaxError) as err:
@@ -183,6 +191,15 @@ def test_parsing_leaves_the_intern_table_alone(line, message):
         with pytest.raises(CircuitSyntaxError) as exc:
             parse_circuit(f"family prod\nqubits 2\n{line}\n")
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n, k, message", [
+    (0, 1, "need at least one qubit"),
+    (2, 3, "measured count k must satisfy 1 <= k <= n"),
+])
+def test_iqp_circuit_refuses_bad_counts(n, k, message):
+    with pytest.raises(ValueError, match=message):
+        IqpCircuit(n, k)
 
 
 def test_measure_out_of_range():

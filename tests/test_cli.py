@@ -32,6 +32,12 @@ def run_json(capsys, argv):
     return json.loads(captured.out.splitlines()[0]), captured
 
 
+def test_draw_counts_count_each_big_endian_index():
+    counts = cli.draw_counts(["101", "000", "101", "111"], 3)
+    assert counts.tolist() == [1, 0, 0, 0, 0, 2, 0, 1]
+    assert cli.draw_counts([], 2).tolist() == [0, 0, 0, 0]
+
+
 def test_format_float():
     assert format_float(0.5) == "0.5"
     assert format_float(1.0) == "1"
@@ -257,6 +263,40 @@ def test_subcommand_errors_name_the_subcommand(capsys, argv, message):
     ["estimate", "--circuit", "{encoded}", "--pattern", "0000",
      "--delta=-0.5"],
     ["estimate", "--circuit", "{encoded}", "--pattern", "0000", "--delta", "7"],
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "oracle", "--sparsity", "inf"],
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "oracle", "--sparsity", "1e400"],
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "oracle", "--sparsity", "nan"],
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "oracle", "--eps-prime", "1e-320"],
+    # a finite bound sp(k/eps) whose threshold eps/(2t) leaves 2/threshold
+    # above the largest double
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "oracle", "--sparsity", "1e300,1e300,1e300", "--eps-prime", "0.05"],
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "sampling", "--sparsity", "inf"],
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "sampling", "--sparsity", "1e400"],
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "sampling", "--sparsity", "nan"],
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "sampling", "--eps-prime", "1e-320"],
+    # a finite bound sp(k/eps) whose threshold eps/(2t) leaves 2/threshold
+    # above the largest double
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "sampling", "--sparsity", "1e300,1e300,1e300", "--eps-prime", "0.05"],
+    # the threshold eps/(2t) is 0
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "sampling", "--sparsity", "1e308"],
+    ["estimate", "--circuit", "{ghz}", "--pattern", "000", "--eps", "1e-200"],
+    ["experiment", "distinguish", "--circuit", "{ghz}", "--bob", "scheduled",
+     "--delta", "nan"],
+    ["experiment", "distinguish", "--circuit", "{ghz}", "--bob", "exact",
+     "--delta", "nan"],
+    ["experiment", "distinguish", "--circuit", "{ghz}", "--bob", "exact",
+     "--delta", "inf"],
 ], ids=["missing-file", "malformed-pattern", "pattern-length", "eps-zero",
         "eps-negative", "negative-count", "over-draw-budget",
         "distinguish-trials", "cdf-m-too-large", "cdf-m-zero-count-0",
@@ -264,7 +304,15 @@ def test_subcommand_errors_name_the_subcommand(capsys, argv, message):
         "sparse-zero-sparsity", "distinguish-scheduled-delta",
         "anticoncentration-alpha-above-1", "anticoncentration-alpha-negative",
         "anticoncentration-alpha-nan", "encoded-delta-negative",
-        "encoded-delta-above-1"])
+        "encoded-delta-above-1",
+        "sparsity-inf-oracle", "sparsity-1e400-oracle", "sparsity-nan-oracle",
+        "eps-prime-1e-320-oracle", "sparsity-cap-overflow-oracle",
+        "sparsity-inf-sampling", "sparsity-1e400-sampling",
+        "sparsity-nan-sampling", "eps-prime-1e-320-sampling",
+        "sparsity-cap-overflow-sampling", "sparsity-threshold-zero-sampling",
+        "eps-square-underflows",
+        "distinguish-scheduled-delta-nan", "distinguish-exact-delta-nan",
+        "distinguish-exact-delta-inf"])
 def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, encoded_file,
                                               tmp_path, argv):
     argv = [a.format(ghz=ghz_file, encoded=encoded_file,
@@ -311,6 +359,21 @@ def test_non_finite_inputs_exit_2_naming_them(capsys, ghz_file, encoded_file,
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and message in line
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--alphas", "x"], "bad float list 'x'"),
+    (["--alphas", ","], "empty float list ','"),
+    (["--bloch", "1,0"], "--bloch needs exactly rx,ry,rz"),
+], ids=["alphas-not-a-float", "alphas-empty", "bloch-two-components"])
+def test_malformed_lists_exit_2_naming_them(capsys, argv, message):
+    code = run_command(["experiment", "anticoncentration", "--n", "2",
+                        "--trials", "100", *argv])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == "error: " + message
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -117,6 +117,8 @@ def test_corrupted_distribution():
         corrupted_distribution(d, 2.5)
     with pytest.raises(ValueError):
         corrupted_distribution(ExactDistribution(1, np.array([0.5, 0.5])), 1.5)
+    with pytest.raises(ValueError, match="at least two outcomes"):
+        corrupted_distribution(ExactDistribution(0, np.array([1.0])), 0.4)
 
 
 def test_scheduled_bob_matches_sparse_stabilizer_target(monkeypatch):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bornbox import oracle
@@ -272,6 +272,27 @@ def test_min_sparsity_uniform_formula(d, eps):
     t = min_sparsity(np.full(size, 1.0 / size), eps)
     want = max(1, int(np.ceil(size * (1.0 - eps / 2.0) - 1e-9)))
     assert t == want
+
+
+def _loop_min_sparsity(probs, eps):
+    """The first t whose dropped tail costs at most eps, one t at a time."""
+    srt = np.sort(probs)[::-1]
+    tail = srt.sum() - np.cumsum(srt)
+    for t in range(1, srt.size + 1):
+        if 2.0 * tail[t - 1] <= eps + 1e-12:
+            return t
+    return srt.size
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+       st.floats(0.0, 2.0), st.integers(0, 15))
+def test_min_sparsity_matches_a_loop_over_t(weights, eps, j):
+    assume(sum(weights) > 0.0)
+    probs = np.array(weights) / sum(weights)
+    # an arbitrary eps, and one that sits exactly on a tail's cost
+    tail = 2.0 * (1.0 - np.cumsum(np.sort(probs)[::-1]))
+    for e in (eps, min(2.0, max(0.0, tail[j % probs.size]))):
+        assert min_sparsity(probs, e) == _loop_min_sparsity(probs, e)
 
 
 def test_l1_distance():

@@ -441,6 +441,19 @@ def test_bad_inputs_rejected():
         pauli_product(sc.PauliOperator(1, 1, 0), sc.PauliOperator(1, 0, 1))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: sc.GateApp("Q", (0,)), "unknown gate 'Q'"),
+    (lambda: sc.PauliOperator(-1, 0, 0), "n must be nonnegative"),
+    (lambda: sc.ProductState(((1.0, 0.0),)), "Bloch vector needs 3 components"),
+    (lambda: sc.random_clifford_words(0, 1, np.random.default_rng(0)),
+     "n must be positive"),
+], ids=["unknown-gate", "negative-pauli-size", "two-component-bloch",
+        "zero-qubit-draw"])
+def test_stabcore_refuses_bad_arguments(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_product_state_refuses_non_finite_components(bad):
     for vec in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):

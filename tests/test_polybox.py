@@ -243,8 +243,9 @@ NAN, INF = float("nan"), float("inf")
     (0.1, INF, "delta must be finite"),
     (-INF, 0.1, "eps must be positive"),
     (0.1, -INF, "delta must be positive"),
+    (1e-200, 0.1, "needs inf draws per query"),
 ], ids=["eps-nan", "eps-inf", "delta-nan", "delta-inf", "eps-minus-inf",
-        "delta-minus-inf"])
+        "delta-minus-inf", "eps-square-underflows"])
 def test_hoeffding_refuses_non_finite_eps_and_delta(eps, delta, message):
     with pytest.raises(ValueError, match=message):
         hoeffding_samples(eps, delta)
@@ -260,8 +261,9 @@ def test_hoeffding_refuses_non_finite_eps_and_delta(eps, delta, message):
     (0.1, INF, r"delta must lie in \[0, 1\)", "delta must be finite"),
     (0.1, -0.5, r"delta must lie in \[0, 1\)", r"delta must lie in \[0, 1\)"),
     (0.1, 7.0, r"delta must lie in \[0, 1\)", r"delta must lie in \[0, 1\)"),
+    (0.0, 0.0, "eps must be positive", "eps must be positive"),
 ], ids=["eps-nan", "eps-inf", "delta-nan", "delta-inf", "delta-negative",
-        "delta-above-1"])
+        "delta-above-1", "eps-zero"])
 def test_deterministic_answers_refuse_non_finite_eps_and_delta(
         eps, delta, message, ce_message):
     with pytest.raises(ValueError, match=message):

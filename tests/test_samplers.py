@@ -51,11 +51,17 @@ def test_sparsity_polynomial():
         SparsityPolynomial((1.0, -0.5))
     with pytest.raises(ValueError):
         sp(-1.0)
+    for coeffs in ((math.nan,), (1.0, math.inf), (-math.inf,)):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            SparsityPolynomial(coeffs)
 
 
 def test_survivor_cap():
     assert survivor_cap(0.25) == 18
     assert survivor_cap(1.0) == 6
+    for threshold in (0.0, 5e-324, 1e-308):
+        with pytest.raises(ValueError, match="finite survivor cap"):
+            survivor_cap(threshold)
 
 
 def test_heavy_prefixes_ghz_sampling_estimator():
@@ -117,6 +123,16 @@ def test_heavy_prefixes_samples_past_the_crossover():
     assert [(p.trits, v) for p, v in surv] == [("100100", 1.0)]
     assert box.batches == [2] * 6
     assert box.routes == ["exact"] * 5 + ["sampled"]
+
+
+def test_heavy_prefixes_stay_exact_when_a_query_eps_squares_to_zero():
+    # one sampled query at precision threshold/2 would need inf draws, but
+    # every level of GHZ-3 is enumerated, so the search draws nothing
+    ghz3 = ghz_circuit(3)
+    box = CountingBox(ghz3)
+    surv = heavy_prefixes(box, ghz3, 1e-163, 0.01, NoSpawnRng())
+    assert sorted(p.trits for p, _ in surv) == ["000", "111"]
+    assert box.routes == ["exact"] * 3
 
 
 @settings(max_examples=40, deadline=None)
@@ -230,6 +246,9 @@ def test_sparse_budget_splits_and_refuses():
     for eps_prime in (0.0, -0.1, 13 / 6 + 1e-6, 3.0):
         with pytest.raises(ValueError, match="eps_prime"):
             sparse_budget(sp, 3, eps_prime)
+    # k/eps overflows, and Horner's 0 * inf makes even a constant nan
+    with pytest.raises(ValueError, match="eps_prime=.* gives a non-finite"):
+        sparse_budget(SparsityPolynomial.constant(2), 5, 1e-320)
     # refused before any search, on both paths and at any count
     ghz3 = ghz_circuit(3)
     for box in (OraclePolyBox(ghz3), ProdPolyBox(ghz3)):
@@ -353,6 +372,19 @@ def test_cdf_partition_matches_cumulative_cells():
     for r in np.arange(0.005, 1.0, 0.01):
         cell = 0 if r < 0.1 else 1 if r < 0.3 else 2 if r < 0.6 else 3
         assert cdf_outcome_for_r(hand, 2, float(r)) == format(cell, "02b")
+
+
+@pytest.mark.parametrize("m", [1, 7, 40, 53])
+def test_cdf_draw_reads_its_bits_most_significant_first(monkeypatch, m):
+    seen = []
+    monkeypatch.setattr(samplers, "cdf_outcome_for_r",
+                        lambda strong, k, r: seen.append(r) or "0")
+    hand = ExactDistribution(1, np.array([0.5, 0.5]))
+    cdf_bitwise_sample(hand, m, np.random.default_rng(m))
+    v = 0
+    for b in np.random.default_rng(m).integers(0, 2, size=m):
+        v = (v << 1) | int(b)
+    assert seen == [v / float(1 << m)]
 
 
 def test_cdf_config_validation():
