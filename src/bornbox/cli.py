@@ -40,12 +40,13 @@ import numpy as np
 from .circuits import (Circuit, IqpCircuit, OutcomePattern, ProdCircuit,
                        ce_encode, check_pattern_length, parse_circuit,
                        parse_pattern)
-from .experiments import (anticoncentration_report, bob_epsilon_schedule,
-                          run_hypothesis_test, sparsity_profile)
+from .experiments import (advantage_cap, anticoncentration_report,
+                          bob_epsilon_schedule, run_hypothesis_test,
+                          sparsity_profile)
 from .oracle import (ExactDistribution, OracleLimitError, exact_distribution,
                      exact_probability, min_sparsity, oracle_limit)
-from .polybox import (CePolyBox, IqpPolyBox, OraclePolyBox, ProdPolyBox,
-                      auto_polybox, hoeffding_samples)
+from .polybox import (MAX_SAMPLES, CePolyBox, IqpPolyBox, OraclePolyBox,
+                      ProdPolyBox, auto_polybox, hoeffding_samples)
 from .samplers import (SparsityPolynomial, cdf_bitwise_sample,
                        cdf_outcome_for_r, chain_outcome, check_cdf_bits,
                        epsilon_simulate)
@@ -148,6 +149,9 @@ def _cmd_sample(args) -> list[str]:
     circuit = _load_circuit(args.circuit)
     if args.count < 0:
         raise ValueError("--count must be nonnegative")
+    if args.count > MAX_SAMPLES:
+        raise ValueError(f"--count must be at most {MAX_SAMPLES:g}, "
+                         f"got {args.count}")
     rng = np.random.default_rng(args.seed)
     params = {"circuit": args.circuit, "family": circuit.family,
               "method": args.method, "count": args.count}
@@ -211,11 +215,10 @@ def _cmd_experiment_anticoncentration(args) -> list[str]:
         state = ProductState((vec,) * args.n)
     else:
         state = ProductState.zero(args.n)
-    report = anticoncentration_report(args.n, args.trials, alphas, state,
-                                      args.seed, args.threads)
+    payload = anticoncentration_report(args.n, args.trials, alphas, state,
+                                       args.seed, args.threads)
     params = {"n": args.n, "trials": args.trials, "alphas": list(alphas),
               "bloch": list(vec) if args.bloch is not None else None}
-    payload = report.report_dict(args.seed)
     return [to_json(command_result("experiment", params, args.seed, payload))]
 
 
@@ -230,12 +233,11 @@ def _cmd_experiment_sparsity(args) -> list[str]:
 
 def _cmd_experiment_distinguish(args) -> list[str]:
     circuit = _load_circuit(args.circuit)
-    result = run_hypothesis_test(circuit, args.bob, args.delta, args.trials,
-                                 args.seed, args.rounds, args.corruption_l1)
+    payload = run_hypothesis_test(circuit, args.bob, args.delta, args.trials,
+                                  args.seed, args.rounds, args.corruption_l1)
     params = {"circuit": args.circuit, "bob": args.bob, "delta": args.delta,
               "trials": args.trials, "rounds": args.rounds,
               "corruption_l1": args.corruption_l1}
-    payload = result.report_dict(args.seed)
     return [to_json(command_result("experiment", params, args.seed, payload))]
 
 
@@ -381,7 +383,7 @@ def _selftest_checks(seed: int, threads: int,
     seed5 = int(kids[5].generate_state(1)[0])
     report = anticoncentration_report(3, 500, (0.25, 0.5, 0.75),
                                       ProductState.zero(3), seed5, threads)
-    ok = all(m["pass"] for m in report.metrics() if m["pass"] is not None)
+    ok = all(m["pass"] for m in report["metrics"] if m["pass"] is not None)
     checks.append({"check": "anticoncentration-mini", "pass": ok})
 
     partial = sum(bob_epsilon_schedule(j, 0.05) for j in range(1, 10001))
@@ -393,8 +395,8 @@ def _selftest_checks(seed: int, threads: int,
 
     seed6 = int(kids[6].generate_state(1)[0])
     for mode in ("exact", "corrupted"):
-        result = run_hypothesis_test(ghz, mode, 0.05, 20000, seed6)
-        metric = result.report_dict()["metrics"][0]
+        metric = run_hypothesis_test(ghz, mode, 0.05, 20000,
+                                     seed6)["metrics"][0]
         checks.append({"check": f"distinguish-{mode}", "pass": metric["pass"],
                        "value": metric["value"], "bound": metric["bound"]})
         seed6 += 1
@@ -402,7 +404,8 @@ def _selftest_checks(seed: int, threads: int,
     # the advantage cap must then fail, and that failure is the expected
     # outcome the flag exists to demonstrate.
     mode = "corrupted" if inject else "scheduled"
-    cap = run_hypothesis_test(ghz, mode, 0.05, 20000, seed6).advantage_cap()
+    metric = run_hypothesis_test(ghz, mode, 0.05, 20000, seed6)["metrics"][0]
+    cap = advantage_cap(metric["value"], 20000, 0.05)
     checks.append({"check": "scheduled-advantage-cap", "pass": cap["pass"],
                    "value": cap["value"], "bound": cap["bound"],
                    "injected": inject})

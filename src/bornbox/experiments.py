@@ -15,13 +15,15 @@ most 1/2 + eps/4, while a corrupted imposter at fixed L1 is caught at the
 matching rate.  Bob's per-round accuracy schedule eps_j = 24*delta/(pi^2 j^2)
 keeps the summed advantage below delta over any number of rounds
 (sum of 1/j^2 = pi^2/6 gives total 4*delta, a quarter of which is advantage).
+
+``anticoncentration_report`` and ``run_hypothesis_test`` return the JSON
+payload the CLI prints; ``sparsity_profile`` returns the (eps, t) table that
+the CLI wraps in its payload.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -65,53 +67,10 @@ def clifford_output_probabilities(n: int, trials: int, state: ProductState,
                                        np.random.default_rng(seed), threads))
 
 
-@dataclass(frozen=True)
-class AntiConcentrationReport:
-    n: int
-    trials: int
-    alphas: tuple[float, ...]
-    fractions: tuple[float, ...]
-    bounds: tuple[float, ...]
-    mean_px: float
-    mean_px_sq: float
-    purity: float = 1.0
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if any(not 0.0 <= f <= 1.0 for f in self.fractions):
-            raise ValueError("fractions must lie in [0, 1]")
-
-    def metrics(self) -> list[dict]:
-        out = []
-        for alpha, frac, bound in zip(self.alphas, self.fractions, self.bounds):
-            sigma = math.sqrt(max(frac * (1.0 - frac),
-                                  bound * (1.0 - bound)) / self.trials)
-            out.append({"name": f"exceedance(alpha={alpha:g})",
-                        "value": frac, "bound": bound,
-                        "tolerance": 3.0 * sigma,
-                        "pass": frac > bound - 3.0 * sigma})
-        dim = 2 ** self.n
-        first = 1.0 / dim
-        second = (self.purity + 1.0) / (dim * (dim + 1.0))
-        se1 = math.sqrt(max(self.mean_px_sq - self.mean_px ** 2, 0.0)
-                        / self.trials)
-        out.append({"name": "mean_px", "value": self.mean_px, "bound": first,
-                    "tolerance": 3.0 * se1,
-                    "pass": abs(self.mean_px - first) <= 3.0 * se1})
-        out.append({"name": "mean_px_sq", "value": self.mean_px_sq,
-                    "bound": second, "tolerance": None, "pass": None})
-        return out
-
-    def report_dict(self, seed: Optional[int] = None) -> dict:
-        return {"experiment": "anticoncentration",
-                "parameters": {"n": self.n, "trials": self.trials,
-                               "alphas": list(self.alphas), "seed": seed},
-                "metrics": self.metrics()}
-
-
 def anticoncentration_report(n: int, trials: int, alphas, state: ProductState,
-                             seed: int, threads: int = 1) -> AntiConcentrationReport:
+                             seed: int, threads: int = 1) -> dict:
+    """The anticoncentration payload: each alpha's exceedance fraction
+    against the Paley-Zygmund bound, then the first two moments of p_x."""
     if trials < 100:
         raise ValueError("trials must be >= 100")
     alphas = tuple(float(a) for a in alphas)
@@ -120,12 +79,32 @@ def anticoncentration_report(n: int, trials: int, alphas, state: ProductState,
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {alpha:g}")
     px = clifford_output_probabilities(n, trials, state, seed, 0, threads)
-    fractions = tuple(float((px >= alpha / 2 ** n).mean()) for alpha in alphas)
-    bounds = tuple(anticoncentration_bound(alpha) for alpha in alphas)
+    metrics = []
+    for alpha in alphas:
+        frac = float((px >= alpha / 2 ** n).mean())
+        bound = anticoncentration_bound(alpha)
+        sigma = math.sqrt(max(frac * (1.0 - frac),
+                              bound * (1.0 - bound)) / trials)
+        metrics.append({"name": f"exceedance(alpha={alpha:g})",
+                        "value": frac, "bound": bound,
+                        "tolerance": 3.0 * sigma,
+                        "pass": frac > bound - 3.0 * sigma})
+    mean_px = float(px.mean())
+    mean_px_sq = float((px ** 2).mean())
     purity = math.prod(1.0 - state.purity_defect(q) / 2.0 for q in range(n))
-    return AntiConcentrationReport(n, trials, alphas, fractions, bounds,
-                                   float(px.mean()),
-                                   float((px ** 2).mean()), purity)
+    dim = 2 ** n
+    first = 1.0 / dim
+    se1 = math.sqrt(max(mean_px_sq - mean_px ** 2, 0.0) / trials)
+    metrics.append({"name": "mean_px", "value": mean_px, "bound": first,
+                    "tolerance": 3.0 * se1,
+                    "pass": abs(mean_px - first) <= 3.0 * se1})
+    metrics.append({"name": "mean_px_sq", "value": mean_px_sq,
+                    "bound": (purity + 1.0) / (dim * (dim + 1.0)),
+                    "tolerance": None, "pass": None})
+    return {"experiment": "anticoncentration",
+            "parameters": {"n": n, "trials": trials, "alphas": list(alphas),
+                           "seed": seed},
+            "metrics": metrics}
 
 
 def sparsity_profile(circuit: Circuit, eps_grid) -> list[tuple[float, int]]:
@@ -177,64 +156,39 @@ def scheduled_bob_distribution(box: OraclePolyBox, round_index: int,
     exact-answer estimator handle of the circuit."""
     circuit = box.circuit
     sp = SparsityPolynomial.constant(min_sparsity(box.dist, 0.0))
-    t, eps = sparse_budget(sp, circuit.k,
-                           bob_epsilon_schedule(round_index, delta))
-    outcomes, probs = survivor_distribution(box, circuit, t, eps, eps, None)
+    eps_prime = bob_epsilon_schedule(round_index, delta)
+    try:
+        t, eps = sparse_budget(sp, circuit.k, eps_prime)
+        outcomes, probs = survivor_distribution(box, circuit, t, eps, eps, None)
+    except ValueError as exc:
+        raise ValueError(f"delta={delta!r} gives the scheduled imposter "
+                         f"no sparse budget in round {round_index}: "
+                         f"{exc}") from exc
     full = np.zeros(1 << circuit.k)
     full[[int(bits, 2) for bits in outcomes]] = probs
     return ExactDistribution(circuit.k, full)
 
 
-@dataclass(frozen=True)
-class HypothesisTestResult:
-    trials: int
-    p_correct: float
-    analytic: Optional[float]
-    delta: float
-    rounds: int
-    bob_mode: str
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_correct <= 1.0:
-            raise ValueError("p_correct must lie in [0, 1]")
-
-    @property
-    def sigma(self) -> float:
-        """Standard error of p_correct."""
-        return math.sqrt(self.p_correct * (1.0 - self.p_correct)
-                         / self.trials) if self.trials else 0.0
-
-    def advantage_cap(self) -> dict:
-        """The honest scheduled imposter's bound p_correct <= 1/2 + delta,
-        met within 3 sigma."""
-        cap = 0.5 + self.delta
-        return {"name": "advantage_cap", "value": self.p_correct,
-                "bound": cap, "tolerance": 3.0 * self.sigma,
-                "pass": self.p_correct <= cap + 3.0 * self.sigma}
-
-    def report_dict(self, seed: Optional[int] = None) -> dict:
-        sigma = self.sigma
-        metrics = [{"name": "p_correct", "value": self.p_correct,
-                    "bound": self.analytic, "tolerance": 3.0 * sigma,
-                    "pass": (None if self.analytic is None else
-                             abs(self.p_correct - self.analytic) <= 3.0 * sigma)}]
-        if self.bob_mode == "scheduled":
-            metrics.append(self.advantage_cap())
-        return {"experiment": "distinguish",
-                "parameters": {"bob_mode": self.bob_mode, "delta": self.delta,
-                               "trials": self.trials, "rounds": self.rounds,
-                               "seed": seed},
-                "metrics": metrics}
+def advantage_cap(p_correct: float, trials: int, delta: float) -> dict:
+    """The honest scheduled imposter's bound p_correct <= 1/2 + delta, met
+    within 3 sigma."""
+    sigma = math.sqrt(p_correct * (1.0 - p_correct) / trials)
+    cap = 0.5 + delta
+    return {"name": "advantage_cap", "value": p_correct, "bound": cap,
+            "tolerance": 3.0 * sigma, "pass": p_correct <= cap + 3.0 * sigma}
 
 
 def run_hypothesis_test(circuit: Circuit, bob_mode: str, delta: float,
                         trials: int, seed: int, rounds: int = 1,
-                        corruption_l1: float = 0.4) -> HypothesisTestResult:
-    """Monte Carlo estimate of the referee's success rate against the chosen
-    imposter.  The referee guesses the candidate with the larger transcript
-    likelihood; ties go to the true distribution."""
+                        corruption_l1: float = 0.4) -> dict:
+    """The distinguish payload: a Monte Carlo estimate of the referee's
+    success rate against the chosen imposter, with the scheduled imposter's
+    advantage cap appended.  The referee guesses the candidate with the
+    larger transcript likelihood; ties go to the true distribution."""
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta:g}")
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
     if rounds < 1:
@@ -269,7 +223,17 @@ def run_hypothesis_test(circuit: Circuit, bob_mode: str, delta: float,
             score_b = score_b + np.log(bob.probs)[drawn]
     guess_bob = score_b > score_a
     correct = guess_bob == (coins == 1)
+    p_correct = float(correct.mean())
     analytic = (optimal_single_round_pcorrect(alice, bob_rounds[0])
                 if rounds == 1 else None)
-    return HypothesisTestResult(trials, float(correct.mean()), analytic,
-                                delta, rounds, bob_mode)
+    sigma = math.sqrt(p_correct * (1.0 - p_correct) / trials)
+    metrics = [{"name": "p_correct", "value": p_correct, "bound": analytic,
+                "tolerance": 3.0 * sigma,
+                "pass": (None if analytic is None else
+                         abs(p_correct - analytic) <= 3.0 * sigma)}]
+    if bob_mode == "scheduled":
+        metrics.append(advantage_cap(p_correct, trials, delta))
+    return {"experiment": "distinguish",
+            "parameters": {"bob_mode": bob_mode, "delta": delta,
+                           "trials": trials, "rounds": rounds, "seed": seed},
+            "metrics": metrics}

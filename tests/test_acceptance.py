@@ -276,20 +276,20 @@ def test_distinguishing_game():
     start = time.perf_counter()
 
     res = run_hypothesis_test(ghz, "exact", 0.05, trials, seed=2)
+    p_exact = res["metrics"][0]["value"]
     s_exact = math.sqrt(0.25 / trials)
-    assert abs(res.p_correct - 0.5) <= 3 * s_exact, res.p_correct
-    p_exact = res.p_correct
+    assert abs(p_exact - 0.5) <= 3 * s_exact, p_exact
 
     res = run_hypothesis_test(ghz, "corrupted", 0.05, trials, seed=3)
-    assert abs(res.analytic - 0.6) < 1e-12
+    assert abs(res["metrics"][0]["bound"] - 0.6) < 1e-12
+    p_cor = res["metrics"][0]["value"]
     s_cor = math.sqrt(0.6 * 0.4 / trials)
-    assert abs(res.p_correct - 0.6) <= 3 * s_cor, res.p_correct
-    p_cor = res.p_correct
+    assert abs(p_cor - 0.6) <= 3 * s_cor, p_cor
 
     res = run_hypothesis_test(ghz, "scheduled", 0.05, trials, seed=4)
+    p_sched = res["metrics"][0]["value"]
     cap = 0.55 + 3 * math.sqrt(0.55 * 0.45 / trials)
-    assert res.p_correct <= cap, res.p_correct
-    p_sched = res.p_correct
+    assert p_sched <= cap, p_sched
 
     partial = 0.0
     max_partial = 0.0

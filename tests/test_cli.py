@@ -297,6 +297,12 @@ def test_subcommand_errors_name_the_subcommand(capsys, argv, message):
      "--delta", "nan"],
     ["experiment", "distinguish", "--circuit", "{ghz}", "--bob", "exact",
      "--delta", "inf"],
+    ["experiment", "distinguish", "--circuit", "{ghz}", "--bob", "exact",
+     "--delta=-1"],
+    ["experiment", "distinguish", "--circuit", "{ghz}", "--bob", "corrupted",
+     "--delta=-1"],
+    ["experiment", "distinguish", "--circuit", "{ghz}", "--bob", "corrupted",
+     "--delta", "0"],
 ], ids=["missing-file", "malformed-pattern", "pattern-length", "eps-zero",
         "eps-negative", "negative-count", "over-draw-budget",
         "distinguish-trials", "cdf-m-too-large", "cdf-m-zero-count-0",
@@ -312,7 +318,9 @@ def test_subcommand_errors_name_the_subcommand(capsys, argv, message):
         "sparsity-cap-overflow-sampling", "sparsity-threshold-zero-sampling",
         "eps-square-underflows",
         "distinguish-scheduled-delta-nan", "distinguish-exact-delta-nan",
-        "distinguish-exact-delta-inf"])
+        "distinguish-exact-delta-inf", "distinguish-exact-delta-negative",
+        "distinguish-corrupted-delta-negative",
+        "distinguish-corrupted-delta-zero"])
 def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, encoded_file,
                                               tmp_path, argv):
     argv = [a.format(ghz=ghz_file, encoded=encoded_file,
@@ -327,6 +335,31 @@ def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, encoded_file,
         assert "alpha" in line
     if "--delta" in " ".join(argv):
         assert "delta" in line
+
+
+@pytest.mark.parametrize("method", ["sparse", "cdf", "chain"])
+def test_count_above_the_draw_limit_is_refused_before_any_work(
+        capsys, monkeypatch, ghz_file, method):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the count check")
+    for name in ("exact_distribution", "epsilon_simulate", "OraclePolyBox",
+                 "auto_polybox"):
+        monkeypatch.setattr(cli, name, refuse)
+    code = run_command(["sample", "--circuit", ghz_file, "--method", method,
+                        "--count", "100000001"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: --count must be at most 1e+08, "
+                            "got 100000001\n")
+
+
+def test_count_at_the_draw_limit_is_accepted(capsys, monkeypatch, ghz_file):
+    monkeypatch.setattr(cli, "epsilon_simulate",
+                        lambda est, sp, circuit, eps_prime, count, rng: ["000"])
+    doc, _ = run_json(capsys, ["sample", "--circuit", ghz_file, "--method",
+                               "sparse", "--count", "100000000"])
+    assert doc["parameters"]["count"] == 10 ** 8
 
 
 @pytest.mark.filterwarnings("error")
@@ -345,8 +378,14 @@ def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, encoded_file,
      "delta must be finite"),
     (["estimate", "--circuit", "{encoded}", "--pattern", "0000", "--delta",
       "nan"], "delta must be finite"),
+    # the schedule's eps_1 makes k/eps overflow, so sp(k/eps) is not finite
+    (["experiment", "distinguish", "--circuit", "{ghz}", "--bob", "scheduled",
+      "--delta", "1e-320", "--rounds", "2"],
+     "error: delta=1e-320 gives the scheduled imposter no sparse budget in "
+     "round 1: eps_prime="),
 ], ids=["anticoncentration-bloch-nan", "prep-bloch-nan", "eps-nan", "eps-inf",
-        "delta-nan", "delta-inf", "encoded-delta-nan"])
+        "delta-nan", "delta-inf", "encoded-delta-nan",
+        "scheduled-delta-underflows"])
 def test_non_finite_inputs_exit_2_naming_them(capsys, ghz_file, encoded_file,
                                               tmp_path, argv, message):
     nan_prep = tmp_path / "nan.qc"
@@ -655,6 +694,78 @@ def test_sampler_stdout_is_frozen(capsys, monkeypatch, tmp_path, circuit,
     code = run_command(["sample", "--circuit", circuit, "--method"] + method
                        + ["--count", "25", "--seed", "11",
                           "--threads", threads])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+ENCODED_INLINE = ("family encoded\ninner\n  family prod\n  qubits 3\n"
+                  "  measure 2\n  prep 1 bloch 0.0 0.6 0.0\n  gate H 0\n"
+                  "  gate CNOT 0 1\n  gate S 1\n  gate CNOT 1 2\n")
+
+# sha256 of the stdout, recorded before the distinguish and anticoncentration
+# harnesses returned their payload dicts in place of report objects
+DISTINGUISH_GOLDEN = [
+    pytest.param("exact", "1",
+                 "732e639e93834a4acec6cc8b70a9e942b780a42af83451669f7c58c3c43eeb7a",
+                 id="exact-1"),
+    pytest.param("exact", "3",
+                 "3b72d5ac60eab3c9764be5dbca6e3188c08f4919ff2a4f7d6b2bd94b31c53882",
+                 id="exact-3"),
+    pytest.param("corrupted", "1",
+                 "6933ffc089bb75520f6bf7a50b206b8b2444199c68e26fc47b7739d316c7ce16",
+                 id="corrupted-1"),
+    pytest.param("corrupted", "3",
+                 "3e094a9e4d3566a60748ce2bfc12d583b29f70b414d94ca9fa7c337e083b43d5",
+                 id="corrupted-3"),
+    pytest.param("scheduled", "1",
+                 "6b35afce494d3ada21926827e151ea920f63efb38dd8b82292b4bee80621a1cc",
+                 id="scheduled-1"),
+    pytest.param("scheduled", "3",
+                 "af9554be99a697ccd59003ade3b7b0199a446e79165762fc3000624d6d375f48",
+                 id="scheduled-3"),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("bob, rounds, digest", DISTINGUISH_GOLDEN)
+def test_distinguish_stdout_is_frozen(capsys, monkeypatch, tmp_path, bob,
+                                      rounds, digest, threads):
+    (tmp_path / "mixed.qc").write_text(MIXED_PROD)
+    monkeypatch.chdir(tmp_path)
+    code = run_command(["experiment", "distinguish", "--circuit", "mixed.qc",
+                        "--bob", bob, "--rounds", rounds, "--trials", "2000",
+                        "--seed", "13", "--threads", threads])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout at the default --eps-grid, recorded at the same point
+# as DISTINGUISH_GOLDEN
+SPARSITY_GOLDEN = [
+    pytest.param("mixed.qc",
+                 "735ed46eb20d384a9a7c2c1aebfed3da06c254f095d71d6a913581b5cd95ba7f",
+                 id="prod"),
+    pytest.param("iqp.qc",
+                 "3c7a05ca67cad8e184e02a7c7d8b98ae38f1115333911dddfae90a8a7b8626e3",
+                 id="iqp"),
+    pytest.param("enc.qc",
+                 "a22ac306bcaa350affed62f2f5c3b7def6bb9141a95f02f3a5db3f8c89cce7fd",
+                 id="encoded"),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("circuit, digest", SPARSITY_GOLDEN)
+def test_sparsity_stdout_is_frozen(capsys, monkeypatch, tmp_path, circuit,
+                                   digest, threads):
+    (tmp_path / "mixed.qc").write_text(MIXED_PROD)
+    (tmp_path / "iqp.qc").write_text(IQP3)
+    (tmp_path / "enc.qc").write_text(ENCODED_INLINE)
+    monkeypatch.chdir(tmp_path)
+    code = run_command(["experiment", "sparsity", "--circuit", circuit,
+                        "--threads", threads])
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

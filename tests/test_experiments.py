@@ -8,8 +8,7 @@ from scipy import stats
 
 from bornbox import experiments, polybox
 from bornbox.circuits import ProdCircuit
-from bornbox.experiments import (AntiConcentrationReport,
-                                 anticoncentration_bound,
+from bornbox.experiments import (advantage_cap, anticoncentration_bound,
                                  anticoncentration_report,
                                  bob_epsilon_schedule,
                                  clifford_output_probabilities,
@@ -49,19 +48,24 @@ def test_schedule_partial_sums_stay_under_budget():
 
 
 def test_anticoncentration_moments_small():
-    rep = anticoncentration_report(3, 800, (0.25, 0.5, 0.75),
-                                   ProductState.zero(3), seed=17)
-    assert rep.n == 3
-    assert rep.trials == 800
-    for m in rep.metrics():
+    d = anticoncentration_report(3, 800, (0.25, 0.5, 0.75),
+                                 ProductState.zero(3), seed=17)
+    assert d["experiment"] == "anticoncentration"
+    assert d["parameters"] == {"n": 3, "trials": 800,
+                               "alphas": [0.25, 0.5, 0.75], "seed": 17}
+    metrics = d["metrics"]
+    assert [m["name"] for m in metrics] == [
+        "exceedance(alpha=0.25)", "exceedance(alpha=0.5)",
+        "exceedance(alpha=0.75)", "mean_px", "mean_px_sq"]
+    for m in metrics:
+        assert list(m) == ["name", "value", "bound", "tolerance", "pass"]
         if m["pass"] is not None:
             assert m["pass"], m
-    se2 = math.sqrt(rep.mean_px_sq / 800)
-    assert abs(rep.mean_px - 1 / 8) < 3 * se2 + 1e-3
-    d = rep.report_dict(seed=17)
-    assert d["experiment"] == "anticoncentration"
-    assert d["parameters"]["seed"] == 17
-    assert len(d["metrics"]) == len(rep.alphas) + 2
+    mean_px, mean_px_sq = metrics[-2]["value"], metrics[-1]["value"]
+    se2 = math.sqrt(mean_px_sq / 800)
+    assert abs(mean_px - 1 / 8) < 3 * se2 + 1e-3
+    # a pure input: (purity + 1) / (d (d + 1)) with purity 1 and d = 8
+    assert metrics[-1]["bound"] == 2 / 72
 
 
 def test_output_probability_translation_invariance():
@@ -84,8 +88,6 @@ def test_anticoncentration_validation():
         anticoncentration_report(3, 50, (0.5,), ProductState.zero(3), seed=0)
     with pytest.raises(ValueError):
         clifford_output_probabilities(3, 0, ProductState.zero(3), 0)
-    with pytest.raises(ValueError):
-        AntiConcentrationReport(3, 100, (0.5,), (1.5,), (0.125,), 0.1, 0.01)
 
 
 def test_sparsity_profile():
@@ -166,6 +168,16 @@ def test_scheduled_bob_refuses_a_first_round_budget_above_13_6():
         scheduled_bob_distribution(box, 1, limit * (1 + 1e-6))
 
 
+def test_scheduled_bob_names_delta_when_its_budget_underflows():
+    # eps_1 = 24*delta/pi^2 makes k/eps overflow, so sp(k/eps) is not finite
+    box = OraclePolyBox(ghz_circuit(2))
+    with pytest.raises(ValueError, match=r"^delta=1e-320 .* in round 1: "
+                       r"eps_prime=.* non-finite sparsity bound"):
+        scheduled_bob_distribution(box, 1, 1e-320)
+    with pytest.raises(ValueError, match=r"^delta=1e-310 .* in round 3: "):
+        scheduled_bob_distribution(box, 3, 1e-310)
+
+
 def test_hypothesis_test_refuses_delta_above_the_schedule_limit(monkeypatch):
     def refuse(circuit):
         raise AssertionError("oracle built before the delta check")
@@ -195,27 +207,42 @@ def test_transcript_l1():
 
 
 def test_hypothesis_exact_bob_is_coin_flip():
-    res = run_hypothesis_test(ghz_circuit(2), "exact", 0.05, 20000, seed=2)
-    assert res.analytic == 0.5
-    assert abs(res.p_correct - 0.5) <= 3 * math.sqrt(0.25 / 20000)
-    assert res.bob_mode == "exact"
+    d = run_hypothesis_test(ghz_circuit(2), "exact", 0.05, 20000, seed=2)
+    assert d["experiment"] == "distinguish"
+    assert d["parameters"] == {"bob_mode": "exact", "delta": 0.05,
+                               "trials": 20000, "rounds": 1, "seed": 2}
+    [metric] = d["metrics"]
+    assert list(metric) == ["name", "value", "bound", "tolerance", "pass"]
+    assert metric["name"] == "p_correct"
+    assert metric["bound"] == 0.5
+    assert abs(metric["value"] - 0.5) <= 3 * math.sqrt(0.25 / 20000)
+    assert metric["pass"]
 
 
 def test_hypothesis_corrupted_bob():
-    res = run_hypothesis_test(ghz_circuit(2), "corrupted", 0.05, 20000, seed=3)
-    assert abs(res.analytic - 0.6) < 1e-12
-    assert abs(res.p_correct - 0.6) <= 3 * math.sqrt(0.24 / 20000)
+    [metric] = run_hypothesis_test(ghz_circuit(2), "corrupted", 0.05, 20000,
+                                   seed=3)["metrics"]
+    assert abs(metric["bound"] - 0.6) < 1e-12
+    assert abs(metric["value"] - 0.6) <= 3 * math.sqrt(0.24 / 20000)
 
 
 def test_hypothesis_scheduled_bob_capped():
-    res = run_hypothesis_test(ghz_circuit(2), "scheduled", 0.05, 20000, seed=4)
-    assert res.p_correct <= 0.55 + 3 * math.sqrt(0.55 * 0.45 / 20000)
-    d = res.report_dict(seed=4)
+    d = run_hypothesis_test(ghz_circuit(2), "scheduled", 0.05, 20000, seed=4)
+    p_correct = d["metrics"][0]["value"]
+    assert p_correct <= 0.55 + 3 * math.sqrt(0.55 * 0.45 / 20000)
     names = [m["name"] for m in d["metrics"]]
     assert names == ["p_correct", "advantage_cap"]
     assert d["metrics"][1]["bound"] == 0.55
     assert d["metrics"][1]["pass"]
-    assert d["metrics"][1] == res.advantage_cap()
+    assert d["metrics"][1] == advantage_cap(p_correct, 20000, 0.05)
+
+
+def test_advantage_cap_uses_the_standard_error_of_p_correct():
+    cap = advantage_cap(0.6, 10000, 0.05)
+    assert cap == {"name": "advantage_cap", "value": 0.6, "bound": 0.55,
+                   "tolerance": 3.0 * math.sqrt(0.6 * 0.4 / 10000),
+                   "pass": False}
+    assert advantage_cap(0.56, 10000, 0.05)["pass"]
 
 
 def test_scheduled_rounds_share_one_oracle_build(monkeypatch):
@@ -232,13 +259,13 @@ def test_scheduled_rounds_share_one_oracle_build(monkeypatch):
 
 
 def test_hypothesis_multi_round_improves():
-    res = run_hypothesis_test(ghz_circuit(2), "corrupted", 0.05, 20000,
-                              seed=5, rounds=3)
-    assert res.analytic is None
-    assert res.p_correct > 0.6
+    [metric] = run_hypothesis_test(ghz_circuit(2), "corrupted", 0.05, 20000,
+                                   seed=5, rounds=3)["metrics"]
+    assert metric["bound"] is None and metric["pass"] is None
+    assert metric["value"] > 0.6
 
 
-def test_hypothesis_validation():
+def test_hypothesis_validation(monkeypatch):
     ghz = ghz_circuit(2)
     with pytest.raises(ValueError):
         run_hypothesis_test(ghz, "exact", 0.05, 500, seed=0)
@@ -246,12 +273,19 @@ def test_hypothesis_validation():
         run_hypothesis_test(ghz, "exact", 0.05, 1000, seed=0, rounds=0)
     with pytest.raises(ValueError):
         run_hypothesis_test(ghz, "weird", 0.05, 1000, seed=0)
-    from bornbox.experiments import HypothesisTestResult
-    with pytest.raises(ValueError):
-        HypothesisTestResult(1000, 1.5, None, 0.05, 1, "exact")
+
+    def refuse(circuit):
+        raise AssertionError("oracle built before the delta check")
+    for module in (experiments, polybox):
+        monkeypatch.setattr(module, "exact_distribution", refuse)
+    for mode in ("exact", "corrupted", "scheduled"):
+        for delta in (-1.0, 0.0, -0.0):
+            with pytest.raises(ValueError,
+                               match=r"^delta must be positive, got (-?0|-1)$"):
+                run_hypothesis_test(ghz, mode, delta, 1000, seed=0)
 
 
 def test_hypothesis_seed_determinism():
     a = run_hypothesis_test(ghz_circuit(2), "corrupted", 0.05, 1000, seed=11)
     b = run_hypothesis_test(ghz_circuit(2), "corrupted", 0.05, 1000, seed=11)
-    assert a.p_correct == b.p_correct
+    assert a == b
