@@ -8,8 +8,8 @@ from .oracle import (ExactDistribution, OracleLimitError, exact_distribution,
 from .polybox import (CePolyBox, Estimate, IqpPolyBox, OraclePolyBox,
                       ProdPolyBox, auto_polybox, hoeffding_samples)
 from .samplers import (SparsityPolynomial, cdf_bitwise_sample, chain_outcome,
-                       epsilon_simulate, heavy_prefixes, sparse_sample,
-                       survivor_cap, survivor_distribution)
+                       epsilon_simulate, heavy_prefixes, survivor_cap,
+                       survivor_distribution)
 from .stabcore import (CliffordTableau, GateApp, PauliOperator, ProductState,
                        inverse_tableau, product_expectation, pull_back,
                        symplectic_group_order, tableau_from_gates)

@@ -30,7 +30,7 @@ import numpy as np
 from .circuits import Circuit
 from .oracle import (ExactDistribution, _check_size, exact_distribution,
                      l1_distance, min_sparsity, prod_probabilities_many)
-from .polybox import OraclePolyBox, _chunked_map
+from .polybox import MAX_SAMPLES, OraclePolyBox, _chunked_map
 from .samplers import (SparsityPolynomial, sparse_budget,
                        survivor_distribution)
 from .stabcore import ProductState, random_clifford_words, synthesis_steps
@@ -73,6 +73,9 @@ def anticoncentration_report(n: int, trials: int, alphas, state: ProductState,
     against the Paley-Zygmund bound, then the first two moments of p_x."""
     if trials < 100:
         raise ValueError("trials must be >= 100")
+    if trials > MAX_SAMPLES:
+        raise ValueError(f"trials must be at most {MAX_SAMPLES:g}, "
+                         f"got {trials}")
     alphas = tuple(float(a) for a in alphas)
     for alpha in alphas:
         # the Paley-Zygmund bound (1 - alpha)^2 / 2 holds on [0, 1] only
@@ -191,6 +194,9 @@ def run_hypothesis_test(circuit: Circuit, bob_mode: str, delta: float,
         raise ValueError(f"delta must be positive, got {delta:g}")
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
+    if trials > MAX_SAMPLES:
+        raise ValueError(f"trials must be at most {MAX_SAMPLES:g}, "
+                         f"got {trials}")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if bob_mode == "scheduled" and delta > _MAX_SCHEDULED_DELTA:

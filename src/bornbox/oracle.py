@@ -91,8 +91,10 @@ class ExactDistribution:
 
     def probability(self, pattern: OutcomePattern) -> float:
         check_pattern_length(pattern, self.k)
-        mask = pattern_index_mask(pattern)
-        return float(self.probs[mask].sum())
+        # axis j is bit j of the big-endian index, read in index order
+        cell = tuple(slice(None) if c == "*" else int(c)
+                     for c in pattern.trits)
+        return float(self.probs.reshape((2,) * self.k)[cell].ravel().sum())
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         p = np.clip(self.probs, 0.0, None)
@@ -114,16 +116,6 @@ class ExactDistribution:
             raise ValueError("prefix must be over 0/1")
         lo = int(bits, 2) << (self.k - j)
         return float(self._cum[lo + (1 << (self.k - j))] - self._cum[lo])
-
-
-def pattern_index_mask(pattern: OutcomePattern) -> np.ndarray:
-    """Boolean mask over big-endian outcome indices matching the pattern."""
-    k = pattern.k
-    idx = np.arange(1 << k)
-    mask = np.ones(1 << k, dtype=bool)
-    for pos, bit in pattern.fixed:
-        mask &= ((idx >> (k - 1 - pos)) & 1) == bit
-    return mask
 
 
 def _probs_of(d) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Three constructions:
 
-* ``sparse_sample`` / ``epsilon_simulate``: breadth-first heavy-prefix
-  search over the outcome tree using any additive-precision estimator,
-  followed by a categorical draw over the surviving heavy outcomes.  For
+* ``survivor_distribution`` / ``epsilon_simulate``: breadth-first
+  heavy-prefix search over the outcome tree using any additive-precision
+  estimator, then categorical draws over the surviving heavy outcomes.  For
   an eps-approximately t-sparse target and eps <= 1/6 the induced
   distribution is within L1 distance 12*eps + delta.  ``sparse_budget``
   splits a total budget eps' into eps = delta = eps'/13 and
@@ -75,37 +75,44 @@ class SparsityPolynomial:
 
 def survivor_cap(threshold: float) -> int:
     bound = 2.0 / threshold if threshold > 0.0 else math.inf
-    if not math.isfinite(bound):
+    # 2.0 * bound bounds the cap, which must convert to a finite double
+    if not math.isfinite(2.0 * bound):
         raise ValueError(f"heavy-prefix threshold {threshold:g} is too small "
                          "for a finite survivor cap")
     return 2 * math.ceil(bound) + 2
 
 
 def _search_budget(est, k: int, threshold: float,
-                   delta: float) -> tuple[float, float, int]:
-    """(per_eps, per_delta, exact_levels) of a heavy-prefix search.  Each
-    prefix query runs at precision threshold/2 and confidence
-    delta/(2*k*cap).  A handle with ``exact_many`` scores level j exactly
-    when its 2^j selections cost no more than the Hoeffding count of one
-    sampled query, capped at ``MAX_SAMPLES``, so levels 1..exact_levels are
-    exact.  A search with a sampled level is refused here, before its
+                   delta: float) -> tuple[int, float, float, int]:
+    """(cap, per_eps, per_delta, exact_levels) of a heavy-prefix search.  At
+    most cap survivors stay per level, and each prefix query runs at
+    precision threshold/2 and confidence delta/(2*k*cap), refused when
+    2*k*cap is not finite.  A handle with ``exact_many`` scores level j
+    exactly when its 2^j selections cost no more than the Hoeffding count of
+    one sampled query, capped at ``MAX_SAMPLES``, so levels 1..exact_levels
+    are exact.  A search with a sampled level is refused here, before its
     first level, when that level's count is above ``MAX_SAMPLES``."""
+    cap = survivor_cap(threshold)
+    queries = 2.0 * k * cap
+    if not math.isfinite(queries):
+        raise ValueError(f"heavy-prefix threshold {threshold:g} is too small "
+                         f"for a finite union bound over {k} levels")
     per_eps = threshold / 2.0
-    per_delta = delta / (2.0 * k * survivor_cap(threshold))
+    per_delta = delta / queries
     exact_levels = 0
     if hasattr(est, "exact_many"):
         s = math.ceil(min(hoeffding_need(per_eps, per_delta), MAX_SAMPLES))
         exact_levels = min(k, s.bit_length() - 1)
         if exact_levels < k:
             hoeffding_samples(per_eps, per_delta)
-    return per_eps, per_delta, exact_levels
+    return cap, per_eps, per_delta, exact_levels
 
 
 def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
-                   rng=None) -> list[tuple[OutcomePattern, float]]:
+                   rng=None) -> list[tuple[str, float]]:
     """Level-by-level search for outcomes whose prefix marginals all stay
-    >= threshold.  Each level scores the two extensions of every survivor
-    as one batch: the candidates share their fixed positions.  Levels up
+    >= threshold, as (bits, value) pairs, heaviest first.  Each level
+    scores the two extensions of every survivor as one batch: the candidates share their fixed positions.  Levels up
     to the crossover of ``_search_budget`` take their exact values from one
     ``exact_many`` call, which draws nothing; deeper levels, and every level
     of a handle without ``exact_many``, take one ``estimate_many`` call,
@@ -117,9 +124,8 @@ def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     k = circuit.k
-    cap = survivor_cap(threshold)
-    per_eps, per_delta, exact_levels = _search_budget(est, k, threshold,
-                                                      delta)
+    cap, per_eps, per_delta, exact_levels = _search_budget(est, k, threshold,
+                                                           delta)
     survivors: list[tuple[str, float]] = [("", 1.0)]
     for level in range(1, k + 1):
         candidates = [prefix + bit for prefix, _ in survivors for bit in "01"]
@@ -133,8 +139,8 @@ def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
         scored.sort(key=lambda sv: (-sv[1], sv[0]))
         survivors = scored[:cap]
         if not survivors:
-            return []
-    return [(OutcomePattern(bits), value) for bits, value in survivors]
+            break
+    return survivors
 
 
 def survivor_distribution(est, circuit: Circuit, t: int, eps: float,
@@ -153,7 +159,7 @@ def survivor_distribution(est, circuit: Circuit, t: int, eps: float,
                       "sparsity promise does not hold, emitting all-zeros")
         return ["0" * circuit.k], np.array([1.0])
     weights = np.array([value for _, value in ranked])
-    return [pat.trits for pat, _ in ranked], weights / weights.sum()
+    return [bits for bits, _ in ranked], weights / weights.sum()
 
 
 def sparse_budget(sp: SparsityPolynomial, k: int,
@@ -171,21 +177,14 @@ def sparse_budget(sp: SparsityPolynomial, k: int,
     return math.ceil(bound), eps
 
 
-def sparse_sample(est, circuit: Circuit, t: int, eps: float, delta: float,
-                  rng: np.random.Generator) -> str:
-    """One draw from the table of ``survivor_distribution``."""
-    outcomes, probs = survivor_distribution(est, circuit, t, eps, delta, rng)
-    return outcomes[rng.choice(len(outcomes), p=probs)]
-
-
 def epsilon_simulate(est, sp: SparsityPolynomial, circuit: Circuit,
                      eps_prime: float, count: int,
                      rng: np.random.Generator) -> list[str]:
     """count draws within total L1 budget eps_prime for poly-sparse targets,
-    split by ``sparse_budget``.  A deterministic estimator, or a search whose
-    every level is exact (see ``_search_budget``), gives the same survivors
-    on every draw, so the table is built once and sampled count times; the
-    induced distribution is that of the per-draw path."""
+    split by ``sparse_budget``, each from a ``survivor_distribution`` table.
+    A deterministic estimator, or a search whose every level is exact (see
+    ``_search_budget``), gives the same table on every draw, so one table
+    serves all count draws; otherwise each draw builds its own."""
     t, eps = sparse_budget(sp, circuit.k, eps_prime)
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -193,13 +192,15 @@ def epsilon_simulate(est, sp: SparsityPolynomial, circuit: Circuit,
     # asked when drawing; t < 1 is left for survivor_distribution to refuse
     fixed = getattr(est, "deterministic", False) or (
         count > 0 and t >= 1 and _search_budget(
-            est, circuit.k, eps / (2.0 * t), eps)[2] == circuit.k)
-    if fixed:
+            est, circuit.k, eps / (2.0 * t), eps)[3] == circuit.k)
+    rounds, size = (1, count) if fixed else (count, 1)
+    draws: list[str] = []
+    for _ in range(rounds):
         outcomes, probs = survivor_distribution(est, circuit, t, eps, eps, rng)
-        idx = rng.choice(len(outcomes), size=count, p=probs)
-        return [outcomes[i] for i in idx]
-    return [sparse_sample(est, circuit, t, eps, eps, rng)
-            for _ in range(count)]
+        # size=1 reads the one double of a scalar choice: the stream is kept
+        idx = rng.choice(len(outcomes), size=size, p=probs)
+        draws += [outcomes[i] for i in idx]
+    return draws
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ The rest are cross-checks kept out of the package: the tableau route to
 ``U^dag P U``, the Pauli product, the row-pair symplectic check, the
 Clifford group order, pure-state simulation, the brute-force X-program
 enumerator and the per-draw product-input estimator, a frequency estimator
-over any sampler, outcome draws as strings, and the exact L1 between
-multi-round transcripts.
+over any sampler, a pattern's probability summed through a 2^k index mask,
+outcome draws as strings, and the exact L1 between multi-round
+transcripts.
 """
 
 import math
@@ -496,6 +497,18 @@ def statevector(circuit) -> StateVector:
             psi = _apply_gate(psi, gate, idx)
         return StateVector(circuit.n, psi)
     raise TypeError("state vectors exist only for prod and iqp circuits")
+
+
+def masked_probability(dist: ExactDistribution,
+                       pattern: OutcomePattern) -> float:
+    """The pattern's probability as the sum of the entries that a boolean
+    mask over all 2^k big-endian indices selects."""
+    k = pattern.k
+    idx = np.arange(1 << k)
+    mask = np.ones(1 << k, dtype=bool)
+    for pos, bit in pattern.fixed:
+        mask &= ((idx >> (k - 1 - pos)) & 1) == bit
+    return float(dist.probs[mask].sum())
 
 
 def sample_outcomes(dist: ExactDistribution, rng: np.random.Generator,

@@ -303,6 +303,16 @@ def test_subcommand_errors_name_the_subcommand(capsys, argv, message):
      "--delta=-1"],
     ["experiment", "distinguish", "--circuit", "{ghz}", "--bob", "corrupted",
      "--delta", "0"],
+    # 2/threshold is finite, but the survivor cap, about twice it, is not
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "oracle", "--sparsity", "2.5e305"],
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "sampling", "--sparsity", "2.5e305"],
+    # the survivor cap is finite, but the union bound's 2*k*cap is not
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "oracle", "--sparsity", "1e305"],
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "sampling", "--sparsity", "1e305"],
 ], ids=["missing-file", "malformed-pattern", "pattern-length", "eps-zero",
         "eps-negative", "negative-count", "over-draw-budget",
         "distinguish-trials", "cdf-m-too-large", "cdf-m-zero-count-0",
@@ -320,7 +330,9 @@ def test_subcommand_errors_name_the_subcommand(capsys, argv, message):
         "distinguish-scheduled-delta-nan", "distinguish-exact-delta-nan",
         "distinguish-exact-delta-inf", "distinguish-exact-delta-negative",
         "distinguish-corrupted-delta-negative",
-        "distinguish-corrupted-delta-zero"])
+        "distinguish-corrupted-delta-zero",
+        "survivor-cap-overflow-oracle", "survivor-cap-overflow-sampling",
+        "union-bound-overflow-oracle", "union-bound-overflow-sampling"])
 def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, encoded_file,
                                               tmp_path, argv):
     argv = [a.format(ghz=ghz_file, encoded=encoded_file,
@@ -354,6 +366,43 @@ def test_count_above_the_draw_limit_is_refused_before_any_work(
                             "got 100000001\n")
 
 
+class WorkStarted(Exception):
+    pass
+
+
+def _refuse_experiment_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise WorkStarted
+    for name in ("_chunked_map", "OraclePolyBox", "exact_distribution"):
+        monkeypatch.setattr(experiments, name, refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "anticoncentration", "--n", "3"],
+    ["experiment", "distinguish", "--circuit", "{ghz}"],
+], ids=["anticoncentration", "distinguish"])
+def test_trials_above_the_draw_limit_are_refused_before_any_work(
+        capsys, monkeypatch, ghz_file, argv):
+    _refuse_experiment_work(monkeypatch)
+    code = run_command([a.format(ghz=ghz_file) for a in argv]
+                       + ["--trials", "100000000000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: trials must be at most 1e+08, "
+                            "got 100000000000\n")
+
+
+def test_trials_at_the_draw_limit_reach_the_work(monkeypatch):
+    _refuse_experiment_work(monkeypatch)
+    with pytest.raises(WorkStarted):
+        experiments.anticoncentration_report(3, 10 ** 8, (0.5,),
+                                             cli.ProductState.zero(3), 0)
+    with pytest.raises(WorkStarted):
+        experiments.run_hypothesis_test(cli.ghz_circuit(3), "exact", 0.1,
+                                        10 ** 8, 0)
+
+
 def test_count_at_the_draw_limit_is_accepted(capsys, monkeypatch, ghz_file):
     monkeypatch.setattr(cli, "epsilon_simulate",
                         lambda est, sp, circuit, eps_prime, count, rng: ["000"])
@@ -383,9 +432,14 @@ def test_count_at_the_draw_limit_is_accepted(capsys, monkeypatch, ghz_file):
       "--delta", "1e-320", "--rounds", "2"],
      "error: delta=1e-320 gives the scheduled imposter no sparse budget in "
      "round 1: eps_prime="),
+    # the schedule's eps_1 leaves a survivor cap above the largest double
+    (["experiment", "distinguish", "--circuit", "{ghz}", "--bob", "scheduled",
+      "--delta", "3e-307"],
+     "error: delta=3e-307 gives the scheduled imposter no sparse budget in "
+     "round 1: heavy-prefix threshold"),
 ], ids=["anticoncentration-bloch-nan", "prep-bloch-nan", "eps-nan", "eps-inf",
         "delta-nan", "delta-inf", "encoded-delta-nan",
-        "scheduled-delta-underflows"])
+        "scheduled-delta-underflows", "scheduled-delta-cap-overflows"])
 def test_non_finite_inputs_exit_2_naming_them(capsys, ghz_file, encoded_file,
                                               tmp_path, argv, message):
     nan_prep = tmp_path / "nan.qc"
@@ -658,6 +712,11 @@ MIXED_PROD = ("family prod\nqubits 4\nmeasure 3\n"
               "gate H 0\ngate CNOT 0 1\ngate S 1\ngate H 2\ngate CZ 2 3\n"
               "gate CNOT 3 1\n")
 IQP3 = "family iqp\nqubits 3\nmeasure 3\nxrow 1 1 0\nxrow 0 1 1\nxrow 1 0 1\n"
+ENCODED_INLINE = ("family encoded\ninner\n  family prod\n  qubits 3\n"
+                  "  measure 2\n  prep 1 bloch 0.0 0.6 0.0\n  gate H 0\n"
+                  "  gate CNOT 0 1\n  gate S 1\n  gate CNOT 1 2\n")
+GHZ16 = ("family prod\nqubits 16\ngate H 0\n"
+         + "".join(f"gate CNOT {q - 1} {q}\n" for q in range(1, 16)))
 
 # sha256 of the stdout, recorded before the samplers took the exact
 # distribution itself as their prefix-marginal handle
@@ -680,6 +739,25 @@ SAMPLER_GOLDEN = [
     pytest.param("iqp.qc", ["sparse", "--estimator", "oracle"],
                  "32e20c2ff1f4841298b0c43978957abd4d69d556565e5efea9a62bbcdfff5cd4",
                  id="iqp-sparse"),
+    # recorded before the sparse converter drew both regimes in one loop:
+    # every level of mixed.qc and iqp.qc is enumerated, so one table serves
+    # all draws, and the encoded handle is deterministic
+    pytest.param("mixed.qc", ["sparse", "--estimator", "sampling"],
+                 "37d8de2ca325832db7dc63cc5b6ad3709e9b57a2bb078850efbc63ed7bd35c82",
+                 id="mixed-sparse-sampling"),
+    pytest.param("iqp.qc", ["sparse", "--estimator", "sampling"],
+                 "4e2a51011e2bcf9ac3d70d55f1e2c7c57273912ee5be490acca606f58ed4f2b2",
+                 id="iqp-sparse-sampling"),
+    pytest.param("enc.qc", ["sparse", "--estimator", "sampling"],
+                 "7c12a27448cdd192064feb915b1f4041f01e4c739de6ab6f789e9a36bba4ecd6",
+                 id="encoded-sparse-sampling"),
+    # GHZ-16 at eps' = 2 enumerates levels 1-15 and samples level 16, so
+    # each draw runs its own search
+    pytest.param("ghz16.qc", ["sparse", "--estimator", "sampling",
+                              "--eps-prime", "2", "--sparsity", "2",
+                              "--count", "3"],
+                 "b529bc0faf9a8b722569c89db54e3070377d4f4caebdb19dff36073d0587e496",
+                 id="ghz16-sparse-sampled-level"),
 ]
 
 
@@ -690,18 +768,17 @@ def test_sampler_stdout_is_frozen(capsys, monkeypatch, tmp_path, circuit,
     # a relative path, since the circuit path is part of the header line
     (tmp_path / "mixed.qc").write_text(MIXED_PROD)
     (tmp_path / "iqp.qc").write_text(IQP3)
+    (tmp_path / "enc.qc").write_text(ENCODED_INLINE)
+    (tmp_path / "ghz16.qc").write_text(GHZ16)
     monkeypatch.chdir(tmp_path)
-    code = run_command(["sample", "--circuit", circuit, "--method"] + method
-                       + ["--count", "25", "--seed", "11",
-                          "--threads", threads])
+    # flags given with the method override the ones before it
+    code = run_command(["sample", "--circuit", circuit, "--count", "25",
+                        "--seed", "11", "--threads", threads, "--method"]
+                       + method)
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
-
-ENCODED_INLINE = ("family encoded\ninner\n  family prod\n  qubits 3\n"
-                  "  measure 2\n  prep 1 bloch 0.0 0.6 0.0\n  gate H 0\n"
-                  "  gate CNOT 0 1\n  gate S 1\n  gate CNOT 1 2\n")
 
 # sha256 of the stdout, recorded before the distinguish and anticoncentration
 # harnesses returned their payload dicts in place of report objects

@@ -18,7 +18,8 @@ from bornbox.stabcore import (GateApp, ProductState,
 from helpers import (MIXED_GATES, gate_lists, ghz_circuit, index_to_outcome,
                      pattern_matches, random_bloch, random_iqp_circuit,
                      random_pattern, random_prod_circuit)
-from reference import (StateVector, gate_steps, reference_prod_probabilities,
+from reference import (StateVector, gate_steps, masked_probability,
+                       reference_prod_probabilities,
                        reference_synthesize_gates, sample_outcomes,
                        statevector)
 
@@ -222,10 +223,24 @@ def test_marginal_equals_sum_of_completions(seed):
     assert abs(exact_probability(c, pattern) - total) < 1e-9
 
 
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 12), density=st.sampled_from((1.0, 0.5, 0.1)),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_probability_equals_the_masked_sum(k, density, seed, data):
+    """Bit for bit, on dense and sparse random distributions."""
+    rng = np.random.default_rng(seed)
+    probs = rng.random(1 << k) * (rng.random(1 << k) < density)
+    probs[0] += probs.sum() == 0.0
+    dist = ExactDistribution(k, probs / probs.sum())
+    pattern = OutcomePattern(data.draw(st.text("01*", min_size=k,
+                                               max_size=k)))
+    assert dist.probability(pattern) == masked_probability(dist, pattern)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_prefix_probability_matches_pattern_probability(seed):
-    # the cumulative-table route and the pattern-mask route to a prefix
+    # the cumulative-table route and the pattern route to a prefix
     # marginal, on mixed-input prod circuits and X-programs up to 6 qubits
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7))

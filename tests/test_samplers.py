@@ -19,7 +19,7 @@ from bornbox.polybox import (Estimate, IqpPolyBox, OraclePolyBox, ProdPolyBox,
 from bornbox.samplers import (SparsityPolynomial, cdf_bitwise_sample,
                               cdf_outcome_for_r, chain_outcome,
                               epsilon_simulate, heavy_prefixes,
-                              sparse_budget, sparse_sample, survivor_cap,
+                              sparse_budget, survivor_cap,
                               survivor_distribution)
 from bornbox.stabcore import GateApp, ProductState
 
@@ -59,16 +59,32 @@ def test_sparsity_polynomial():
 def test_survivor_cap():
     assert survivor_cap(0.25) == 18
     assert survivor_cap(1.0) == 6
-    for threshold in (0.0, 5e-324, 1e-308):
+    # 2/threshold is finite at 2e-308 and 1.5e-308, but twice it is not
+    for threshold in (0.0, 5e-324, 1e-308, 1.5e-308, 2e-308):
         with pytest.raises(ValueError, match="finite survivor cap"):
             survivor_cap(threshold)
+    assert survivor_cap(2.3e-308) == 2 * math.ceil(2 / 2.3e-308) + 2
+
+
+def test_search_budget_refuses_an_infinite_union_bound():
+    """The cap at threshold 5e-308 is finite, but 2*k*cap queries are not,
+    which would leave every query a confidence of 0."""
+    ghz3 = ghz_circuit(3)
+    for box in (OraclePolyBox(ghz3), ProdPolyBox(ghz3)):
+        with pytest.raises(ValueError, match="threshold 5e-308 is too small "
+                           "for a finite union bound over 3 levels"):
+            samplers._search_budget(box, 3, 5e-308, 0.01)
+    cap, per_eps, per_delta, exact_levels = samplers._search_budget(
+        ProdPolyBox(ghz3), 3, 0.25, 0.2)
+    assert (cap, per_eps, per_delta) == (18, 0.125, 0.2 / (2.0 * 3 * 18))
+    assert exact_levels == 3
 
 
 def test_heavy_prefixes_ghz_sampling_estimator():
     ghz3 = ghz_circuit(3)
     est = ProdPolyBox(ghz3)
     surv = heavy_prefixes(est, ghz3, 0.25, 0.2, np.random.default_rng(42))
-    assert sorted(p.trits for p, _ in surv) == ["000", "111"]
+    assert sorted(p for p, _ in surv) == ["000", "111"]
     for _, v in surv:
         assert abs(v - 0.5) <= 0.25 / 2
 
@@ -101,7 +117,7 @@ def test_heavy_prefixes_one_batch_per_level():
     box = CountingBox(ghz3)
     # every level is exact here, so the search draws nothing
     surv = heavy_prefixes(box, ghz3, 0.25, 0.2, NoSpawnRng())
-    assert sorted(p.trits for p, _ in surv) == ["000", "111"]
+    assert sorted(p for p, _ in surv) == ["000", "111"]
     # level 1 scores 0 and 1; then both survive and each has two extensions
     assert box.batches == [2, 4, 4]
     assert box.routes == ["exact"] * 3
@@ -120,7 +136,7 @@ def test_heavy_prefixes_samples_past_the_crossover():
     box = CountingBox(point6)
     surv = heavy_prefixes(box, point6, threshold, delta,
                           np.random.default_rng(0))
-    assert [(p.trits, v) for p, v in surv] == [("100100", 1.0)]
+    assert surv == [("100100", 1.0)]
     assert box.batches == [2] * 6
     assert box.routes == ["exact"] * 5 + ["sampled"]
 
@@ -131,7 +147,7 @@ def test_heavy_prefixes_stay_exact_when_a_query_eps_squares_to_zero():
     ghz3 = ghz_circuit(3)
     box = CountingBox(ghz3)
     surv = heavy_prefixes(box, ghz3, 1e-163, 0.01, NoSpawnRng())
-    assert sorted(p.trits for p, _ in surv) == ["000", "111"]
+    assert sorted(p for p, _ in surv) == ["000", "111"]
     assert box.routes == ["exact"] * 3
 
 
@@ -160,8 +176,9 @@ def sample_past_level_one(monkeypatch):
     budget = samplers._search_budget
 
     def capped(est, k, threshold, delta):
-        per_eps, per_delta, exact_levels = budget(est, k, threshold, delta)
-        return per_eps, per_delta, min(exact_levels, 1)
+        cap, per_eps, per_delta, exact_levels = budget(est, k, threshold,
+                                                       delta)
+        return cap, per_eps, per_delta, min(exact_levels, 1)
     monkeypatch.setattr(samplers, "_search_budget", capped)
 
 
@@ -213,7 +230,7 @@ def test_sampled_search_meets_the_l1_bound(family, monkeypatch):
 def test_heavy_prefixes_point_mass():
     point = point_circuit()
     surv = heavy_prefixes(OraclePolyBox(point), point, 0.25, 0.0)
-    assert [(p.trits, v) for p, v in surv] == [("10", 1.0)]
+    assert surv == [("10", 1.0)]
 
 
 def test_heavy_prefixes_validation_and_empty():
@@ -260,9 +277,9 @@ def test_sparse_budget_splits_and_refuses():
 
 def test_sparse_sample_point_mass():
     point = point_circuit()
-    out = sparse_sample(OraclePolyBox(point), point, 1, 0.1, 0.01,
-                        np.random.default_rng(0))
-    assert out == "10"
+    outcomes, probs = survivor_distribution(OraclePolyBox(point), point, 1,
+                                            0.1, 0.01, np.random.default_rng(0))
+    assert outcomes == ["10"] and list(probs) == [1.0]
 
 
 def test_sparse_sample_validation():
@@ -270,19 +287,20 @@ def test_sparse_sample_validation():
     box = OraclePolyBox(point)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sparse_sample(box, point, 0, 0.1, 0.01, rng)
+        survivor_distribution(box, point, 0, 0.1, 0.01, rng)
     with pytest.raises(ValueError):
-        sparse_sample(box, point, 1, 0.3, 0.01, rng)
+        survivor_distribution(box, point, 1, 0.3, 0.01, rng)
     with pytest.raises(ValueError):
-        sparse_sample(box, point, 1, 0.0, 0.01, rng)
+        survivor_distribution(box, point, 1, 0.0, 0.01, rng)
 
 
 def test_sparse_sample_ghz_l1():
     ghz3 = ghz_circuit(3)
     dist = exact_distribution(ghz3)
     rng = np.random.default_rng(7)
-    draws = [sparse_sample(OraclePolyBox(ghz3), ghz3, 2, 0.05, 0.01, rng)
-             for _ in range(2000)]
+    outcomes, probs = survivor_distribution(OraclePolyBox(ghz3), ghz3, 2,
+                                            0.05, 0.01, rng)
+    draws = [outcomes[i] for i in rng.choice(len(outcomes), size=2000, p=probs)]
     emp = empirical_distribution(draws, 3)
     assert l1_distance(emp, dist.probs) <= 12 * 0.05 + 0.01
 
@@ -306,9 +324,9 @@ def test_sparse_sample_empty_survivors_warns():
     ghz3 = ghz_circuit(3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = sparse_sample(ZeroBox(), ghz3, 2, 0.1, 0.01,
-                            np.random.default_rng(0))
-    assert out == "000"
+        outcomes, probs = survivor_distribution(ZeroBox(), ghz3, 2, 0.1, 0.01,
+                                                np.random.default_rng(0))
+    assert outcomes == ["000"] and list(probs) == [1.0]
     assert caught and "sparsity promise" in str(caught[0].message)
 
 
