@@ -17,39 +17,30 @@ Three circuit families get native estimators:
 
 The handle classes at the bottom are the only query surface:
 ``auto_polybox(circuit, threads)`` picks ``ProdPolyBox``, ``IqpPolyBox`` or
-``CePolyBox`` by family, ``OraclePolyBox`` answers exactly from the dense
-oracle, and each handle answers ``estimate`` for one pattern and
-``estimate_many`` for a batch.  A pattern whose length is not the circuit's
-measured count is refused with a ``ValueError`` naming both lengths.
+``CePolyBox`` by family, and ``OraclePolyBox`` answers exactly from the dense
+oracle.  Each handle answers ``estimate`` for one pattern, refusing one
+whose length is not the circuit's measured count, and ``prefixes(bits)``
+for one heavy-prefix search level, an (m, j) 0/1 matrix of prefixes.
 
 Each sampling family has one kernel, ``values(circuit, positions)``: its
 value(sel) draws, per row of a (count, f) 0/1 selection matrix sel over f
 measured positions, for the pattern that fixes each of them to 0.  A
 pattern's bits enter a draw only as a sign, applied in ``_batched_sums``
-alone: the draw for bits s is (-1)^(sel.s) times the sign-free one.  So a
-batch of patterns that share their fixed positions (every candidate prefix
-of one heavy-prefix search level) is scored from one shared draw matrix:
-the sign-free draws are computed once per chunk of sel, and each pattern
-pays only for its signs.  Each pattern
-still gets the mean of s i.i.d. draws of its own unbiased estimator, so
-every per-pattern (eps, delta) guarantee holds; the draws are shared, not
-independent, across the patterns of a batch.  ``estimate(p)`` is
-``estimate_many([p])[0]``.
+alone: the draw for bits s is (-1)^(sel.s) times the sign-free one.  So all
+rows of a bit matrix are scored from one shared draw matrix, each paying
+only for its signs.  Each row still gets the mean of s i.i.d. draws of its
+own unbiased estimator, so every per-row (eps, delta) guarantee holds; the
+draws are shared, not independent, across rows.  ``estimate(p)`` scores the
+one-row matrix of p's fixed bits.
 
 Sampled and exact scoring differ only in where sel comes from.
-``estimate_many`` draws s uniformly random rows; ``exact_many(patterns)``
-feeds every one of the 2^f selections, and since the sampled mean is an
-average over uniform selections, that mean is the probability itself.  It
-costs 2^f draws per pattern and no rng; the heavy-prefix search uses it at
-the levels where 2^f is at most the Hoeffding count of a sampled query (see
-``samplers.heavy_prefixes``).  Both sum each chunk of rows per pattern and
-add the chunk sums exactly.  ``estimate`` and ``estimate_many`` always
-sample and report their Hoeffding count.  ``CePolyBox`` and
-``OraclePolyBox`` have no ``exact_many``: they answer without sampling.
-
-Draws inside one estimate are split into fixed-size chunks with spawned RNG
-substreams and combined with exact summation, so the returned values depend
-only on the seed, never on the worker count.
+``prefixes`` draws s uniform random rows and ``exact_prefixes`` feeds all
+2^j selections, whose mean is the probability itself: 2^j draws per row
+and no rng, which the search uses while 2^j is at most one sampled query's
+Hoeffding count (see ``samplers.heavy_prefixes``).  ``CePolyBox`` and
+``OraclePolyBox`` answer a whole level without sampling.  Draws are split
+into fixed-size chunks with spawned RNG substreams and the chunk sums added
+exactly, so the values depend only on the seed, never on the worker count.
 """
 
 from __future__ import annotations
@@ -63,7 +54,7 @@ import numpy as np
 
 from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
                        ProdCircuit, check_pattern_length)
-from .oracle import exact_distribution, exact_probability
+from .oracle import encoded_probabilities, exact_distribution
 from .stabcore import PauliOperator, _xz_phase, pull_back
 
 _CHUNK = 8192
@@ -133,28 +124,19 @@ def _chunked_map(work, total: int, chunk: int, rng: np.random.Generator,
     return list(map(work, rngs, sizes))
 
 
-def _means(parts, total: int) -> list[float]:
-    """Per-pattern means of per-chunk sums, summed exactly over the chunks."""
-    return [math.fsum(row) / total for row in zip(*parts)]
+def _means(parts, total: int) -> np.ndarray:
+    """Per-row means of per-chunk sums, summed exactly over the chunks."""
+    return np.array([math.fsum(row) for row in zip(*parts)]) / total
 
 
-def _batched_sums(values, circuit: Circuit, patterns):
-    """(sums, f) for patterns that share their f fixed positions: sums(sel)
-    is each pattern's draws summed over the rows of a (count, f) 0/1
-    selection matrix sel.  The sign-free draws v = values(circuit,
-    positions)(sel) are computed once, and a pattern with bits s draws
-    (-1)^(sel.s) * v, signed _BLOCK patterns at a time; a pattern that fixes
-    nothing draws exactly 1.0.  This is the only place the estimator handles
-    apply a pattern's bits."""
-    base = patterns[0].trits.replace("1", "0")
-    if any(p.trits.replace("1", "0") != base for p in patterns):
-        raise ValueError("patterns in one batch must share their fixed "
-                         "positions")
-    check_pattern_length(patterns[0], circuit.k)
-    positions = [pos for pos, _ in patterns[0].fixed]
-    bits = np.array([[bit for _, bit in p.fixed] for p in patterns],
-                    dtype=np.int64)
-    value = (values(circuit, positions) if positions
+def _batched_sums(values, circuit: Circuit, positions, bits):
+    """sums(sel): the draws of each row s of the (m, f) 0/1 matrix bits over
+    f measured positions, summed over the rows of a (count, f) selection
+    matrix sel.  The sign-free draws v = values(circuit, positions)(sel)
+    are computed once, and row s draws (-1)^(sel.s) * v, _BLOCK rows at a
+    time (exactly 1.0 over no positions): the one place bits enter."""
+    bits = np.asarray(bits, dtype=np.int64)
+    value = (values(circuit, positions) if len(positions)
              else lambda sel: np.ones(len(sel)))
 
     def sums(sel):
@@ -163,7 +145,7 @@ def _batched_sums(values, circuit: Circuit, patterns):
             ((1 - 2 * ((bits[lo:lo + _BLOCK] @ sel.T) & 1)) * v).sum(axis=1)
             for lo in range(0, len(bits), _BLOCK)])
 
-    return sums, len(positions)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +211,14 @@ def _iqp_values(circuit: IqpCircuit, positions):
 # Uniform query handles
 # ---------------------------------------------------------------------------
 
+def _codes(bits) -> np.ndarray:
+    """Big-endian index of each row of the (m, j) 0/1 matrix bits."""
+    return np.asarray(bits, np.int64) @ (1 << np.arange(bits.shape[1])[::-1])
+
+
 class _SamplingPolyBox:
     """Hoeffding-scheduled sampling estimator over a family kernel
-    ``values(circuit, positions) -> value(sel)``; a batch of patterns
-    sharing their fixed positions is scored from one shared draw matrix."""
+    ``values(circuit, positions) -> value(sel)``."""
 
     deterministic = False
 
@@ -242,34 +228,39 @@ class _SamplingPolyBox:
 
     def estimate(self, pattern: OutcomePattern, eps: float, delta: float,
                  rng: Optional[np.random.Generator] = None) -> Estimate:
-        return self.estimate_many([pattern], eps, delta, rng)[0]
+        check_pattern_length(pattern, self.circuit.k)
+        positions = [pos for pos, _ in pattern.fixed]
+        bits = [[bit for _, bit in pattern.fixed]]
+        s, (mean,) = self._sampled(positions, bits, eps, delta, rng)
+        return Estimate(float(mean), eps, delta, s)
 
-    def estimate_many(self, patterns, eps: float, delta: float,
-                      rng: Optional[np.random.Generator] = None
-                      ) -> list[Estimate]:
-        """One estimate per pattern; the patterns must share their fixed
-        positions."""
+    def prefixes(self, bits, eps: float, delta: float,
+                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
+        """Estimated marginal of each prefix row of the 0/1 matrix bits."""
+        return self._sampled(range(bits.shape[1]), bits, eps, delta, rng)[1]
+
+    def _sampled(self, positions, bits, eps, delta, rng):
+        """(s, per-row means of s draws) over the given positions."""
         if rng is None:
             raise ValueError("sampling estimator needs an rng")
         s = hoeffding_samples(eps, delta)  # refuses delta <= 0, non-finite
         if delta >= 1.0:  # refused before any draw
             raise ValueError(_DELTA_RANGE)
-        sums, f = _batched_sums(self.values, self.circuit, patterns)
+        sums = _batched_sums(self.values, self.circuit, positions, bits)
+        f = len(positions)
 
         def part(rng_i, count):
             return sums(rng_i.integers(0, 2, size=(count, f), dtype=np.int64))
-        parts = _chunked_map(part, s, _CHUNK, rng, self.threads)
-        return [Estimate(mean, eps, delta, s) for mean in _means(parts, s)]
+        return s, _means(_chunked_map(part, s, _CHUNK, rng, self.threads), s)
 
-    def exact_many(self, patterns) -> list[float]:
-        """Exact probability of each pattern, the patterns sharing their f
-        fixed positions: the mean of its draws over all 2^f selections,
-        enumerated in ``_CHUNK``-row chunks and summed exactly.  Costs 2^f
-        draws per pattern and no rng."""
-        sums, f = _batched_sums(self.values, self.circuit, patterns)
-        total = 1 << f
+    def exact_prefixes(self, bits) -> np.ndarray:
+        """Exact marginal of each prefix row of the (m, j) 0/1 matrix bits:
+        the mean of its draws over all 2^j selections, in ``_CHUNK`` rows."""
+        j = bits.shape[1]
+        sums = _batched_sums(self.values, self.circuit, range(j), bits)
+        total = 1 << j
         return _means([sums((np.arange(lo, min(lo + _CHUNK, total))[:, None]
-                             >> np.arange(f)) & 1)
+                             >> np.arange(j)) & 1)
                        for lo in range(0, total, _CHUNK)], total)
 
 
@@ -281,23 +272,16 @@ class IqpPolyBox(_SamplingPolyBox):
     values = staticmethod(_iqp_values)
 
 
-class _DeterministicPolyBox:
-    deterministic = True
-
-    def estimate_many(self, patterns, eps: float, delta: float = 0.0,
-                      rng: Optional[np.random.Generator] = None
-                      ) -> list[Estimate]:
-        return [self.estimate(p, eps, delta, rng) for p in patterns]
-
-
-class CePolyBox(_DeterministicPolyBox):
+class CePolyBox:
     """Deterministic estimator for the parity-encoded family.
 
-    Any pattern with a wildcard has probability exactly 2**-(fixed count).
-    Full patterns are answered exactly when eps is below the 2**-n
-    resolution (n = inner measured count) and by the midpoint guess
-    2**-(n+1) otherwise; either way the error is <= min(2**-(n+1), eps).
-    """
+    A pattern with a wildcard has probability exactly 2**-(fixed count),
+    so it is answered as the prefix of its fixed bits.  Full patterns are
+    answered exactly when eps is below the 2**-n resolution (n = inner
+    measured count), else by the midpoint 2**-(n+1): the error is at most
+    min(2**-(n+1), eps)."""
+
+    deterministic = True
 
     def __init__(self, circuit: EncodedCircuit):
         self.circuit = circuit
@@ -305,24 +289,34 @@ class CePolyBox(_DeterministicPolyBox):
     def estimate(self, pattern: OutcomePattern, eps: float,
                  delta: float = 0.0,
                  rng: Optional[np.random.Generator] = None) -> Estimate:
-        circuit = self.circuit
+        check_pattern_length(pattern, self.circuit.k)
+        bits = np.array([[bit for _, bit in pattern.fixed]], dtype=np.int64)
+        return Estimate(float(self.prefixes(bits, eps, delta)[0]), eps, 0.0, 1)
+
+    def prefixes(self, bits, eps: float, delta: float = 0.0,
+                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
+        """Each prefix row's value: 2^-j below the full level (j = k), and
+        there the midpoint or one oracle build for all rows."""
         if eps <= 0:
             raise ValueError("eps must be positive")
-        if not math.isfinite(delta):  # unused, but echoed in results
+        if not math.isfinite(delta):  # unused: each Estimate carries 0
             raise ValueError(f"delta must be finite, got {delta}")
         if not 0.0 <= delta < 1.0:
             raise ValueError(f"delta must lie in [0, 1), got {delta}")
-        check_pattern_length(pattern, circuit.k)
-        if pattern.is_full and eps >= 2.0 ** -circuit.y_bits:
-            value = 2.0 ** -(circuit.y_bits + 1)
-        else:
-            value = exact_probability(circuit, pattern)
-        return Estimate(value, eps, 0.0, 1)
+        m, j = bits.shape
+        y = self.circuit.y_bits
+        if j < self.circuit.k:
+            return np.full(m, 2.0 ** -j)
+        if eps >= 2.0 ** -y:
+            return np.full(m, 2.0 ** -(y + 1))
+        return encoded_probabilities(self.circuit, _codes(bits))
 
 
-class OraclePolyBox(_DeterministicPolyBox):
+class OraclePolyBox:
     """Exact answers behind the estimator interface; for calibrating the
     samplers without Monte Carlo cost."""
+
+    deterministic = True
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
@@ -332,6 +326,12 @@ class OraclePolyBox(_DeterministicPolyBox):
                  delta: float = 0.0,
                  rng: Optional[np.random.Generator] = None) -> Estimate:
         return Estimate(self.dist.probability(pattern), eps, 0.0, 1)
+
+    def prefixes(self, bits, eps: float, delta: float = 0.0,
+                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
+        """Each prefix row's marginal: the sum of its contiguous cells."""
+        cells = self.dist.probs.reshape(1 << bits.shape[1], -1)
+        return cells[_codes(bits)].sum(axis=1)
 
 
 def auto_polybox(circuit: Circuit, threads: int = 1):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, OutcomePattern
+from .circuits import Circuit
 from .polybox import MAX_SAMPLES, hoeffding_need, hoeffding_samples
 
 _MAX_EPS = 1.0 / 6.0 + 1e-12  # the L1 bound 12*eps + delta needs eps <= 1/6
@@ -87,11 +87,12 @@ def _search_budget(est, k: int, threshold: float,
     """(cap, per_eps, per_delta, exact_levels) of a heavy-prefix search.  At
     most cap survivors stay per level, and each prefix query runs at
     precision threshold/2 and confidence delta/(2*k*cap), refused when
-    2*k*cap is not finite.  A handle with ``exact_many`` scores level j
-    exactly when its 2^j selections cost no more than the Hoeffding count of
-    one sampled query, capped at ``MAX_SAMPLES``, so levels 1..exact_levels
-    are exact.  A search with a sampled level is refused here, before its
-    first level, when that level's count is above ``MAX_SAMPLES``."""
+    2*k*cap is not finite.  A handle with ``exact_prefixes`` scores level
+    j exactly when its 2^j selections cost no more than the Hoeffding count
+    of one sampled query, capped at ``MAX_SAMPLES``, so levels
+    1..exact_levels are exact.  A search with a sampled level is refused
+    here, before its first level, when that level's count is above
+    ``MAX_SAMPLES``."""
     cap = survivor_cap(threshold)
     queries = 2.0 * k * cap
     if not math.isfinite(queries):
@@ -100,7 +101,7 @@ def _search_budget(est, k: int, threshold: float,
     per_eps = threshold / 2.0
     per_delta = delta / queries
     exact_levels = 0
-    if hasattr(est, "exact_many"):
+    if hasattr(est, "exact_prefixes"):
         s = math.ceil(min(hoeffding_need(per_eps, per_delta), MAX_SAMPLES))
         exact_levels = min(k, s.bit_length() - 1)
         if exact_levels < k:
@@ -111,36 +112,35 @@ def _search_budget(est, k: int, threshold: float,
 def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
                    rng=None) -> list[tuple[str, float]]:
     """Level-by-level search for outcomes whose prefix marginals all stay
-    >= threshold, as (bits, value) pairs, heaviest first.  Each level
-    scores the two extensions of every survivor as one batch: the candidates share their fixed positions.  Levels up
-    to the crossover of ``_search_budget`` take their exact values from one
-    ``exact_many`` call, which draws nothing; deeper levels, and every level
-    of a handle without ``exact_many``, take one ``estimate_many`` call,
-    from which a sampling estimator draws one shared matrix.  Each sampled
-    prefix query runs at precision threshold/2 and confidence
-    delta/(2*k*cap), and the union bound over the queries does not need
-    them to be independent; at most cap survivors per level, ties broken
-    lexicographically."""
+    >= threshold, as (bits, value) pairs, heaviest first, ties broken
+    lexicographically.  Level j is an (m, j) 0/1 matrix of prefixes in
+    lexicographic order, scored in one handle call: ``exact_prefixes`` up
+    to the crossover of ``_search_budget``, which draws nothing, else
+    ``prefixes``, from which a sampling handle draws one shared matrix.
+    Each sampled query runs at precision threshold/2 and confidence
+    delta/(2*k*cap); the union bound over them does not need independence.
+    At most cap survivors stay per level; strings are made at the end."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     k = circuit.k
     cap, per_eps, per_delta, exact_levels = _search_budget(est, k, threshold,
                                                            delta)
-    survivors: list[tuple[str, float]] = [("", 1.0)]
+    bits = np.zeros((1, 0), dtype=np.int64)
     for level in range(1, k + 1):
-        candidates = [prefix + bit for prefix, _ in survivors for bit in "01"]
-        patterns = [OutcomePattern(c + "*" * (k - level)) for c in candidates]
-        if level <= exact_levels:
-            values = est.exact_many(patterns)
-        else:
-            values = [e.value for e in est.estimate_many(
-                patterns, per_eps, per_delta, rng)]
-        scored = [(c, v) for c, v in zip(candidates, values) if v >= threshold]
-        scored.sort(key=lambda sv: (-sv[1], sv[0]))
-        survivors = scored[:cap]
-        if not survivors:
-            break
-    return survivors
+        # extending lexicographic rows by 0 then 1 keeps the level in order
+        bits = bits.repeat(2, axis=0)
+        bits = np.concatenate((bits, np.arange(len(bits))[:, None] & 1), 1)
+        values = (est.exact_prefixes(bits) if level <= exact_levels else
+                  est.prefixes(bits, per_eps, per_delta, rng))
+        keep = np.flatnonzero(values >= threshold)
+        if len(keep) > cap:  # the cap heaviest, still in lexicographic order
+            keep = np.sort(keep[(-values[keep]).argsort(kind="stable")[:cap]])
+        bits, values = bits[keep], values[keep]
+        if not len(bits):
+            return []
+    order = np.argsort(-values, kind="stable")
+    return [("".join(map(str, row)), value) for row, value in
+            zip(bits[order].tolist(), values[order].tolist())]
 
 
 def survivor_distribution(est, circuit: Circuit, t: int, eps: float,

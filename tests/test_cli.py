@@ -596,6 +596,28 @@ def test_oracle_sparse_sample_builds_the_distribution_once(
     assert len(calls) == 1
 
 
+def test_encoded_sparse_search_builds_the_inner_oracle_once(
+        capsys, monkeypatch, tmp_path):
+    """The frozen encoded run: one inner build for the default sparsity's
+    exact distribution, and one for the search's whole full level of 8
+    candidates."""
+    calls = []
+    build = oracle.exact_distribution
+
+    def counting(circuit):
+        calls.append(circuit)
+        return build(circuit)
+    monkeypatch.setattr(oracle, "exact_distribution", counting)
+    (tmp_path / "enc.qc").write_text(ENCODED_INLINE)
+    code = run_command(["sample", "--circuit", str(tmp_path / "enc.qc"),
+                        "--count", "25", "--seed", "11", "--method", "sparse",
+                        "--estimator", "sampling"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert len(calls) == 2
+    assert all(c.family == "prod" for c in calls)
+
+
 def test_all_exact_sampling_search_runs_once_per_command(
         capsys, monkeypatch, ghz_file):
     searches = []
@@ -717,6 +739,8 @@ ENCODED_INLINE = ("family encoded\ninner\n  family prod\n  qubits 3\n"
                   "  gate CNOT 0 1\n  gate S 1\n  gate CNOT 1 2\n")
 GHZ16 = ("family prod\nqubits 16\ngate H 0\n"
          + "".join(f"gate CNOT {q - 1} {q}\n" for q in range(1, 16)))
+IQP16 = "family iqp\nqubits 16\nxrow" + " 1" * 16 + "\n"
+H8 = "family prod\nqubits 8\n" + "".join(f"gate H {q}\n" for q in range(8))
 
 # sha256 of the stdout, recorded before the samplers took the exact
 # distribution itself as their prefix-marginal handle
@@ -758,6 +782,19 @@ SAMPLER_GOLDEN = [
                               "--count", "3"],
                  "b529bc0faf9a8b722569c89db54e3070377d4f4caebdb19dff36073d0587e496",
                  id="ghz16-sparse-sampled-level"),
+    # recorded before the heavy-prefix search kept its levels as bit
+    # matrices: the 16-qubit X-program samples its last level like GHZ-16,
+    # and all 256 outcomes of H on 8 qubits tie at 1/256, so the top-t cut
+    # keeps the first 100 in lexicographic order
+    pytest.param("iqp16.qc", ["sparse", "--estimator", "sampling",
+                              "--eps-prime", "2", "--sparsity", "2",
+                              "--count", "3"],
+                 "c177b93b74c6ae20a89ab66d6513702328aab616da6a58291fa6793789f64b8d",
+                 id="iqp16-sparse-sampled-level"),
+    pytest.param("h8.qc", ["sparse", "--estimator", "oracle",
+                           "--sparsity", "100"],
+                 "1095c1804de7cfd3473392e28c340604dccfcb417f2f694afcd53139928814b8",
+                 id="h8-sparse-lexicographic-ties"),
 ]
 
 
@@ -770,6 +807,8 @@ def test_sampler_stdout_is_frozen(capsys, monkeypatch, tmp_path, circuit,
     (tmp_path / "iqp.qc").write_text(IQP3)
     (tmp_path / "enc.qc").write_text(ENCODED_INLINE)
     (tmp_path / "ghz16.qc").write_text(GHZ16)
+    (tmp_path / "iqp16.qc").write_text(IQP16)
+    (tmp_path / "h8.qc").write_text(H8)
     monkeypatch.chdir(tmp_path)
     # flags given with the method override the ones before it
     code = run_command(["sample", "--circuit", circuit, "--count", "25",

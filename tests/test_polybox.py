@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornbox import polybox
+from bornbox import oracle, polybox
 from bornbox.circuits import IqpCircuit, OutcomePattern, ProdCircuit, ce_encode
-from bornbox.oracle import exact_distribution, exact_probability
+from bornbox.oracle import (ExactDistribution, exact_distribution,
+                            exact_probability)
 from bornbox.polybox import (MAX_SAMPLES, CePolyBox, Estimate, IqpPolyBox,
                              OraclePolyBox, ProdPolyBox, _batched_sums,
                              _iqp_values, _prod_values, auto_polybox,
@@ -85,7 +86,8 @@ def test_prod_subset_average_is_exactly_unbiased():
 
 def test_prod_all_wild_draws_ones():
     box = ProdPolyBox(ghz_circuit(2))
-    assert box.exact_many([OutcomePattern("**")]) == [1.0]
+    assert box.exact_prefixes(np.zeros((1, 0), dtype=np.int64)).tolist() == [
+        1.0]
 
 
 def test_prod_scalar_path_matches_vectorized():
@@ -305,8 +307,8 @@ def test_handles():
     oracle = OraclePolyBox(ghz)
     assert oracle.deterministic
     # only the sampling handles enumerate; the others answer without drawing
-    assert not hasattr(cebox, "exact_many")
-    assert not hasattr(oracle, "exact_many")
+    assert not hasattr(cebox, "exact_prefixes")
+    assert not hasattr(oracle, "exact_prefixes")
     est = oracle.estimate(OutcomePattern("11"), 0.1)
     assert est.value == 0.5
     assert est.delta == 0.0
@@ -336,7 +338,7 @@ def test_estimates_live_in_unit_interval_shifted(seed):
 
 
 # ---------------------------------------------------------------------------
-# Batched queries: one shared draw matrix for patterns sharing fixed positions
+# Batched queries: one shared draw matrix for rows over the same positions
 # ---------------------------------------------------------------------------
 
 KERNELS = {"prod": _prod_values, "iqp": _iqp_values}
@@ -354,11 +356,15 @@ def circuits(draw, family, max_n=6):
 
 
 @st.composite
-def batches(draw, family):
+def batches(draw, family, prefixes=False):
     """(circuit, patterns): up to 12 patterns, repeats allowed, that fix the
-    same positions of a circuit on at most 6 qubits."""
+    same positions of a circuit on at most 6 qubits, or the same prefix."""
     c = draw(circuits(family))
-    fixed = draw(st.lists(st.booleans(), min_size=c.k, max_size=c.k))
+    if prefixes:
+        level = draw(st.integers(0, c.k))
+        fixed = [True] * level + [False] * (c.k - level)
+    else:
+        fixed = draw(st.lists(st.booleans(), min_size=c.k, max_size=c.k))
     patterns = []
     for _ in range(draw(st.integers(1, 12))):
         bits = iter(draw(st.text("01", min_size=sum(fixed),
@@ -368,21 +374,30 @@ def batches(draw, family):
     return c, patterns
 
 
+def bit_matrix(patterns):
+    """(positions, bits): the fixed positions the patterns share, and one
+    row of their bits per pattern."""
+    positions = [pos for pos, _ in patterns[0].fixed]
+    bits = np.array([[bit for _, bit in p.fixed] for p in patterns],
+                    dtype=np.int64).reshape(len(patterns), len(positions))
+    return positions, bits
+
+
 @pytest.mark.parametrize("family", ["prod", "iqp"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_batched_rows_match_single_pattern_kernel(family, data):
     c, patterns = data.draw(batches(family))
     count = data.draw(st.integers(1, 40))
-    f = len(patterns[0].fixed)
+    positions, bits = bit_matrix(patterns)
+    f = len(positions)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     sel = rng.integers(0, 2, size=(count, f), dtype=np.int64)
     # small blocks, so that batches of up to 12 patterns span several
     with mock.patch.object(polybox, "_BLOCK", 5):
-        sums, f_batch = _batched_sums(KERNELS[family], c, patterns)
+        sums = _batched_sums(KERNELS[family], c, positions, bits)
         # a one-row sum is that row's draw, up to the sign of a zero
         rows = np.array([sums(sel[i:i + 1]) for i in range(count)]).T
-    assert f_batch == f
     assert rows.shape == (len(patterns), count)
     for row, pattern in zip(rows, patterns):
         assert (row == pattern_draws(KERNELS[family], c, pattern, sel)).all()
@@ -392,7 +407,10 @@ def test_batched_rows_match_single_pattern_kernel(family, data):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_estimate_many_matches_single_queries(family, data):
-    c, patterns = data.draw(batches(family))
+    """One ``prefixes`` call over a level gives each prefix the value of its
+    own ``estimate``, from the same stream."""
+    c, patterns = data.draw(batches(family, prefixes=True))
+    _, bits = bit_matrix(patterns)
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
     box = BOXES[family](c, threads=data.draw(st.sampled_from((1, 2))))
     # 12323 draws: two chunks, so chunk spawning and the sums are covered
@@ -400,12 +418,13 @@ def test_estimate_many_matches_single_queries(family, data):
 
     def rng():
         return np.random.default_rng(seed)
-    many = box.estimate_many(patterns, eps, delta, rng())
-    assert box.estimate_many(patterns[:1], eps, delta, rng()) == [
-        box.estimate(patterns[0], eps, delta, rng())]
-    for pattern, est in zip(patterns, many):
+    many = box.prefixes(bits, eps, delta, rng())
+    assert box.prefixes(bits[:1], eps, delta, rng()).tolist() == [
+        box.estimate(patterns[0], eps, delta, rng()).value]
+    for pattern, value in zip(patterns, many):
+        est = box.estimate(pattern, eps, delta, rng())
         assert est.samples_used == hoeffding_samples(eps, delta) == 12323
-        assert est == box.estimate(pattern, eps, delta, rng())
+        assert value == est.value
 
 
 @pytest.mark.parametrize("family", ["prod", "iqp"])
@@ -421,29 +440,74 @@ def test_level_candidates_within_hoeffding_tolerance(family, data):
     eps, delta = 0.1, 1e-9
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     dist = exact_distribution(c)
-    for pattern, est in zip(patterns, BOXES[family](c).estimate_many(
-            patterns, eps, delta, rng)):
-        assert abs(est.value - dist.probability(pattern)) < eps
-
-
-def test_batch_needs_shared_fixed_positions():
-    box = ProdPolyBox(ghz_circuit(3))
-    with pytest.raises(ValueError, match="share their fixed positions"):
-        box.estimate_many([OutcomePattern("0**"), OutcomePattern("*1*")],
-                          0.1, 0.1, np.random.default_rng(0))
+    for pattern, value in zip(patterns, BOXES[family](c).prefixes(
+            bit_matrix(patterns)[1], eps, delta, rng)):
+        assert abs(value - dist.probability(pattern)) < eps
 
 
 @pytest.mark.parametrize("family", ["prod", "iqp"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_exact_many_matches_oracle_prefix_marginals(family, data):
+    """``exact_prefixes`` over a whole level gives each prefix marginal."""
     c = data.draw(circuits(family))
     level = data.draw(st.integers(1, c.k))
     prefixes = [format(i, f"0{level}b") for i in range(1 << level)]
     # 8-row chunks, so that levels of up to 64 selections span several
     with mock.patch.object(polybox, "_CHUNK", 8):
-        values = BOXES[family](c).exact_many(
-            [OutcomePattern(b + "*" * (c.k - level)) for b in prefixes])
+        values = BOXES[family](c).exact_prefixes(
+            np.array([[int(b) for b in bits] for bits in prefixes]))
     dist = exact_distribution(c)
     for bits, value in zip(prefixes, values):
         assert abs(value - dist.prefix_probability(bits)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Whole search levels on the deterministic handles
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_oracle_level_equals_pattern_probabilities(data):
+    """``OraclePolyBox.prefixes`` sums each prefix's contiguous cells in one
+    reduction; the frozen sampler digests need every sum to equal, float
+    for float, the one ``probability`` takes over the pattern's cell."""
+    k = data.draw(st.integers(1, 12))
+    level = data.draw(st.integers(1, k))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    # powers spread the magnitudes, so that the order of the additions shows
+    probs = rng.random(1 << k) ** data.draw(st.sampled_from((1, 8, 40)))
+    dist = ExactDistribution(k, probs / probs.sum())
+    with mock.patch.object(polybox, "exact_distribution", lambda c: dist):
+        box = OraclePolyBox(ghz_circuit(k))
+    codes = rng.permutation(1 << level)
+    bits = (codes[:, None] >> np.arange(level)[::-1]) & 1
+    for code, value in zip(codes, box.prefixes(bits, 0.1)):
+        pattern = format(code, f"0{level}b") + "*" * (k - level)
+        assert value == dist.probability(OutcomePattern(pattern))
+
+
+@pytest.mark.parametrize("eps, builds", [(0.2, 1), (0.25, 0), (0.3, 0)])
+def test_ce_full_level_makes_at_most_one_oracle_build(monkeypatch, eps,
+                                                      builds):
+    """Below the 2^-y resolution one inner build answers every full
+    pattern of the level, and at or above it the midpoint needs none; each
+    value equals the pattern's own ``estimate``."""
+    enc = ce_encode(random_prod_circuit(np.random.default_rng(4), 3, 10, k=2))
+    assert enc.y_bits == 2
+    calls = []
+    build = oracle.exact_distribution
+
+    def counting(circuit):
+        calls.append(circuit)
+        return build(circuit)
+    monkeypatch.setattr(oracle, "exact_distribution", counting)
+    box = CePolyBox(enc)
+    rows = [format(i, "03b") for i in range(8)]
+    values = box.prefixes(np.array([[int(b) for b in r] for r in rows]), eps)
+    assert calls == [enc.inner] * builds
+    for row, value in zip(rows, values):
+        assert value == box.estimate(OutcomePattern(row), eps).value
+    wild = box.prefixes(np.array([[0, 1], [1, 1]]), eps)
+    assert wild.tolist() == [box.estimate(OutcomePattern("01*"), eps).value,
+                             0.25]

@@ -33,8 +33,8 @@ class ZeroBox:
     def estimate(self, pattern, eps, delta=0.0, rng=None):
         return Estimate(0.0, eps, 0.0, 1)
 
-    def estimate_many(self, patterns, eps, delta=0.0, rng=None):
-        return [self.estimate(p, eps, delta, rng) for p in patterns]
+    def prefixes(self, bits, eps, delta=0.0, rng=None):
+        return np.zeros(len(bits))
 
 
 def point_circuit():
@@ -101,15 +101,15 @@ class CountingBox(ProdPolyBox):
     def estimate(self, pattern, eps, delta, rng=None):
         raise AssertionError("per-candidate estimate call")
 
-    def estimate_many(self, patterns, eps, delta, rng=None):
-        self.batches.append(len(patterns))
+    def prefixes(self, bits, eps, delta, rng=None):
+        self.batches.append(len(bits))
         self.routes.append("sampled")
-        return super().estimate_many(patterns, eps, delta, rng)
+        return super().prefixes(bits, eps, delta, rng)
 
-    def exact_many(self, patterns):
-        self.batches.append(len(patterns))
+    def exact_prefixes(self, bits):
+        self.batches.append(len(bits))
         self.routes.append("exact")
-        return super().exact_many(patterns)
+        return super().exact_prefixes(bits)
 
 
 def test_heavy_prefixes_one_batch_per_level():
@@ -225,6 +225,45 @@ def test_sampled_search_meets_the_l1_bound(family, monkeypatch):
         far += l1_distance(table, dist.probs) > 12 * eps
     sigma = math.sqrt(delta * (1 - delta) / searches)
     assert far / searches <= delta + 3 * sigma
+
+
+class TieBox:
+    """Scores prefix b of level j as table[j][int(b, 2)], drawn from four
+    values so that ties are common; three of them pass threshold 0.9."""
+
+    deterministic = True
+
+    def __init__(self, k, rng):
+        self.table = [rng.choice([0.5, 0.9, 0.95, 1.0], size=1 << j)
+                      for j in range(k + 1)]
+
+    def value(self, prefix):
+        return float(self.table[len(prefix)][int(prefix, 2)])
+
+    def prefixes(self, bits, eps, delta=0.0, rng=None):
+        return np.array([self.value("".join(map(str, row)))
+                         for row in bits.tolist()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_heavy_prefixes_break_ties_lexicographically(k, seed):
+    """Survivors come heaviest first and, among equal values, in bit-string
+    order, and the cap of 8 at threshold 0.9 keeps the first ones in that
+    order, as a search over strings does."""
+    box = TieBox(k, np.random.default_rng(seed))
+    threshold = 0.9
+    cap = survivor_cap(threshold)
+    assert cap == 8
+    scored = [("", 1.0)]
+    for _ in range(k):
+        candidates = [p + b for p, _ in scored for b in "01"]
+        scored = sorted(((c, box.value(c)) for c in candidates
+                         if box.value(c) >= threshold),
+                        key=lambda cv: (-cv[1], cv[0]))[:cap]
+    surv = heavy_prefixes(box, ghz_circuit(k), threshold, 0.1)
+    assert surv == sorted(surv, key=lambda cv: (-cv[1], cv[0]))
+    assert surv == scored
 
 
 def test_heavy_prefixes_point_mass():
