@@ -7,7 +7,7 @@ from .oracle import (ExactDistribution, OracleLimitError, exact_distribution,
                      exact_probability, l1_distance, min_sparsity)
 from .polybox import (CePolyBox, Estimate, IqpPolyBox, OraclePolyBox,
                       ProdPolyBox, auto_polybox, hoeffding_samples)
-from .samplers import (SparsityPolynomial, cdf_bitwise_sample, chain_outcome,
+from .samplers import (SparsityPolynomial, cdf_bitwise_sample, chain_sample,
                        epsilon_simulate, heavy_prefixes, survivor_cap,
                        survivor_distribution)
 from .stabcore import (CliffordTableau, GateApp, PauliOperator, ProductState,

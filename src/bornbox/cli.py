@@ -48,10 +48,13 @@ from .oracle import (ExactDistribution, OracleLimitError, exact_distribution,
 from .polybox import (MAX_SAMPLES, CePolyBox, IqpPolyBox, OraclePolyBox,
                       ProdPolyBox, auto_polybox, hoeffding_samples)
 from .samplers import (SparsityPolynomial, cdf_bitwise_sample,
-                       cdf_outcome_for_r, chain_outcome, check_cdf_bits,
+                       cdf_outcomes_for_r, chain_sample, check_cdf_bits,
                        epsilon_simulate)
 from .stabcore import (GATE_ARITY, GateApp, ProductState,
                        random_clifford_words, replay_steps, synthesis_steps)
+
+# a pool starts up to this many OS threads, one per chunk of draws
+MAX_THREADS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +126,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="root seed for every random stream (default 0)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker count; results do not depend on it")
+                        help=f"worker count, 1 to {MAX_THREADS}; results do "
+                             "not depend on it")
     parser.add_argument("--out", default=None,
                         help="write output lines to this file instead of stdout")
 
@@ -179,13 +183,11 @@ def _cmd_sample(args) -> list[str]:
                       sparsity=list(sp.coefficients))
     elif args.method == "cdf":
         check_cdf_bits(args.m)
-        strong = exact_distribution(circuit)
-        outcomes = [cdf_bitwise_sample(strong, args.m, rng)
-                    for _ in range(args.count)]
+        outcomes = cdf_bitwise_sample(exact_distribution(circuit), args.m,
+                                      args.count, rng)
         params.update(m=args.m)
     else:
-        mult = exact_distribution(circuit)
-        outcomes = [chain_outcome(mult, rng) for _ in range(args.count)]
+        outcomes = chain_sample(exact_distribution(circuit), args.count, rng)
     payload = {"k": circuit.k, "count": len(outcomes)}
     lines = [to_json(command_result("sample", params, args.seed, payload))]
     lines.extend(to_json({"outcome": o}) for o in outcomes)
@@ -366,16 +368,16 @@ def _selftest_checks(seed: int, threads: int,
 
     strong = ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
     checks.append({"check": "cdf-hand-pairs",
-                   "pass": cdf_outcome_for_r(strong, 2, 0.25) == "01"
-                   and cdf_outcome_for_r(strong, 2, 0.5) == "10"})
+                   "pass": cdf_outcomes_for_r(strong, [0.25, 0.5])
+                   == ["01", "10"]})
 
     rng = np.random.default_rng(kids[4])
-    draws = [cdf_bitwise_sample(dist, 40, rng) for _ in range(20000)]
+    draws = cdf_bitwise_sample(dist, 40, 20000, rng)
     pval = _chi2_pvalue(draws, dist)
     checks.append({"check": "cdf-chi2", "pass": pval > 0.01,
                    "value": pval, "bound": 0.01})
 
-    draws = [chain_outcome(dist, rng) for _ in range(20000)]
+    draws = chain_sample(dist, 20000, rng)
     pval = _chi2_pvalue(draws, dist)
     checks.append({"check": "chain-chi2", "pass": pval > 0.01,
                    "value": pval, "bound": 0.01})
@@ -553,8 +555,9 @@ def run_command(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     start = time.perf_counter()
     try:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        if not 1 <= args.threads <= MAX_THREADS:
+            raise ValueError(f"--threads must lie in [1, {MAX_THREADS}], "
+                             f"got {args.threads}")
         lines = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -199,6 +199,9 @@ def run_hypothesis_test(circuit: Circuit, bob_mode: str, delta: float,
                          f"got {trials}")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if rounds * trials > MAX_SAMPLES:
+        raise ValueError(f"rounds * trials must be at most {MAX_SAMPLES:g}, "
+                         f"got {rounds * trials}")
     if bob_mode == "scheduled" and delta > _MAX_SCHEDULED_DELTA:
         raise ValueError(f"delta must be at most 13*pi^2/144 = "
                          f"{_MAX_SCHEDULED_DELTA:.6g} for the scheduled "
@@ -206,13 +209,10 @@ def run_hypothesis_test(circuit: Circuit, bob_mode: str, delta: float,
     box = OraclePolyBox(circuit)
     alice = box.dist
     if bob_mode == "exact":
-        bob_rounds = [alice] * rounds
+        bob = alice
     elif bob_mode == "corrupted":
-        bob_rounds = [corrupted_distribution(alice, corruption_l1)] * rounds
-    elif bob_mode == "scheduled":
-        bob_rounds = [scheduled_bob_distribution(box, j, delta)
-                      for j in range(1, rounds + 1)]
-    else:
+        bob = corrupted_distribution(alice, corruption_l1)
+    elif bob_mode != "scheduled":
         raise ValueError(f"unknown bob_mode {bob_mode!r}")
 
     rng = np.random.default_rng(seed)
@@ -221,7 +221,9 @@ def run_hypothesis_test(circuit: Circuit, bob_mode: str, delta: float,
         log_a = np.log(alice.probs)
         score_a = np.zeros(trials)
         score_b = np.zeros(trials)
-        for bob in bob_rounds:
+        for j in range(1, rounds + 1):
+            if bob_mode == "scheduled":  # one round's table at a time
+                bob = scheduled_bob_distribution(box, j, delta)
             idx_a = alice.sample_indices(rng, trials)
             idx_b = bob.sample_indices(rng, trials)
             drawn = np.where(coins == 0, idx_a, idx_b)
@@ -230,7 +232,7 @@ def run_hypothesis_test(circuit: Circuit, bob_mode: str, delta: float,
     guess_bob = score_b > score_a
     correct = guess_bob == (coins == 1)
     p_correct = float(correct.mean())
-    analytic = (optimal_single_round_pcorrect(alice, bob_rounds[0])
+    analytic = (optimal_single_round_pcorrect(alice, bob)
                 if rounds == 1 else None)
     sigma = math.sqrt(p_correct * (1.0 - p_correct) / trials)
     metrics = [{"name": "p_correct", "value": p_correct, "bound": analytic,

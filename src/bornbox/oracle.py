@@ -72,8 +72,9 @@ class ExactDistribution:
     """Full probability vector over k measured bits.
 
     Also the exact prefix-marginal handle of the cdf and chain samplers:
-    ``prefix_probability`` is the exact instance of both the
-    exponential-precision and the multiplicative-precision contracts.
+    ``prefixes`` answers a level of prefixes, an (m, j) 0/1 matrix, and is
+    the exact instance of both the exponential-precision and the
+    multiplicative-precision contracts.
     """
 
     k: int
@@ -106,16 +107,19 @@ class ExactDistribution:
         # built on the first prefix query, so other uses never pay for it
         return np.concatenate(([0.0], np.cumsum(self.probs)))
 
-    def prefix_probability(self, bits: str) -> float:
-        """Joint prefix marginal Pr(first len(bits) bits = bits), read off
-        the cumulative table."""
-        j = len(bits)
+    def prefixes(self, bits) -> np.ndarray:
+        """Joint prefix marginal of each row of the (m, j) 0/1 matrix bits,
+        read off the cumulative table."""
+        j = bits.shape[1]
         if not 0 < j <= self.k:
             raise ValueError("prefix length out of range")
-        if any(c not in "01" for c in bits):
-            raise ValueError("prefix must be over 0/1")
-        lo = int(bits, 2) << (self.k - j)
-        return float(self._cum[lo + (1 << (self.k - j))] - self._cum[lo])
+        lo = _codes(bits) << (self.k - j)
+        return self._cum[lo + (1 << (self.k - j))] - self._cum[lo]
+
+
+def _codes(bits) -> np.ndarray:
+    """Big-endian index of each row of the (m, j) 0/1 matrix bits."""
+    return np.asarray(bits, np.int64) @ (1 << np.arange(bits.shape[1])[::-1])
 
 
 def _probs_of(d) -> np.ndarray:

@@ -54,7 +54,7 @@ import numpy as np
 
 from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
                        ProdCircuit, check_pattern_length)
-from .oracle import encoded_probabilities, exact_distribution
+from .oracle import _codes, encoded_probabilities, exact_distribution
 from .stabcore import PauliOperator, _xz_phase, pull_back
 
 _CHUNK = 8192
@@ -210,11 +210,6 @@ def _iqp_values(circuit: IqpCircuit, positions):
 # ---------------------------------------------------------------------------
 # Uniform query handles
 # ---------------------------------------------------------------------------
-
-def _codes(bits) -> np.ndarray:
-    """Big-endian index of each row of the (m, j) 0/1 matrix bits."""
-    return np.asarray(bits, np.int64) @ (1 << np.arange(bits.shape[1])[::-1])
-
 
 class _SamplingPolyBox:
     """Hoeffding-scheduled sampling estimator over a family kernel

@@ -12,13 +12,14 @@ Three constructions:
 * ``cdf_bitwise_sample``: inverse-CDF sampling bit by bit from joint
   prefix-marginal queries against an exponential-precision estimator,
   with an m-bit discretized uniform draw.
-* ``chain_outcome``: ancestral sampling from conditionals formed
+* ``chain_sample``: ancestral sampling from conditionals formed
   as ratios of successive prefix marginals (multiplicative-precision
   estimator contract); exact estimates reproduce the target exactly.
 
-The cdf and chain samplers query a handle with a measured count ``k`` and a
-``prefix_probability(bits)`` method; ``oracle.ExactDistribution`` is the
-exact one.
+Every converter asks its handle for prefix marginals a level at a time, as
+an (m, j) 0/1 matrix of prefixes.  The cdf and chain samplers query a
+handle with a measured count ``k`` and a ``prefixes(bits)`` method, for all
+the draws of a chunk at once; ``oracle.ExactDistribution`` is exact.
 
 Outcome strings, prefixes, and distribution indices all use the big-endian
 lexicographic convention from the circuits module.
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit
-from .polybox import MAX_SAMPLES, hoeffding_need, hoeffding_samples
+from .oracle import _codes
+from .polybox import _CHUNK, MAX_SAMPLES, hoeffding_need, hoeffding_samples
 
 _MAX_EPS = 1.0 / 6.0 + 1e-12  # the L1 bound 12*eps + delta needs eps <= 1/6
 
@@ -109,6 +111,10 @@ def _search_budget(est, k: int, threshold: float,
     return cap, per_eps, per_delta, exact_levels
 
 
+def _strings(bits) -> list[str]:
+    return ["".join(map(str, row)) for row in bits.tolist()]
+
+
 def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
                    rng=None) -> list[tuple[str, float]]:
     """Level-by-level search for outcomes whose prefix marginals all stay
@@ -139,8 +145,7 @@ def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
         if not len(bits):
             return []
     order = np.argsort(-values, kind="stable")
-    return [("".join(map(str, row)), value) for row, value in
-            zip(bits[order].tolist(), values[order].tolist())]
+    return list(zip(_strings(bits[order]), values[order].tolist()))
 
 
 def survivor_distribution(est, circuit: Circuit, t: int, eps: float,
@@ -204,28 +209,26 @@ def epsilon_simulate(est, sp: SparsityPolynomial, circuit: Circuit,
 
 
 # ---------------------------------------------------------------------------
-# CDF-inversion sampler
+# CDF-inversion and conditional-chain samplers, level by level
 # ---------------------------------------------------------------------------
 
-def cdf_outcome_for_r(strong, k: int, r: float) -> str:
-    """Deterministic CDF inversion: bit j is 0 exactly when r falls below
-    the running lower edge plus the mass of the 0-extension.
+def cdf_outcomes_for_r(strong, r) -> list[str]:
+    """Deterministic CDF inversion of each r, a ``prefixes`` call per level:
+    bit j is 0 exactly when r falls below the running lower edge plus the
+    mass of the 0-extension, so a NaN answer takes the 1 branch.
 
     The lower edge is essential: comparing r against the bare marginal
     instead inverts the wrong map (on the lexicographic distribution
     (0.1, 0.2, 0.3, 0.4), r = 0.5 would come out as 11 where the CDF cell
     is 10).
     """
-    lower = 0.0
-    prefix = ""
-    for _ in range(k):
-        q0 = strong.prefix_probability(prefix + "0")
-        if r < lower + q0:
-            prefix += "0"
-        else:
-            prefix += "1"
-            lower += q0
-    return prefix
+    bits = np.zeros((len(r), strong.k), dtype=np.int64)
+    lower = np.zeros(len(r))
+    for j in range(strong.k):
+        q0 = strong.prefixes(bits[:, :j + 1])
+        bits[:, j] = ~(r < lower + q0)
+        lower = np.where(bits[:, j], lower + q0, lower)
+    return _strings(bits)
 
 
 def check_cdf_bits(m: int) -> None:
@@ -233,37 +236,40 @@ def check_cdf_bits(m: int) -> None:
         raise ValueError(f"m must lie in [1, 53], got {m}")
 
 
-def cdf_bitwise_sample(strong, m: int, rng: np.random.Generator) -> str:
-    """Draw r as m uniform bits (r = sum r_i 2^-i) and invert the CDF built
-    from prefix-marginal queries.  With exact queries the output error is
-    only the 2^-m discretization; with (eps, delta) queries the L1 error is
-    bounded by 2^k (2*eps + 2^-m + 1 - (1-delta)^k).  m is at most 53, the
-    largest count for which r is exactly a double."""
+def cdf_bitwise_sample(strong, m: int, count: int,
+                       rng: np.random.Generator) -> list[str]:
+    """count CDF inversions at r drawn as m uniform bits (r = sum r_i 2^-i),
+    in chunks of ``_CHUNK`` draws that read rng in draw order.  With exact
+    queries the output error is only the 2^-m discretization; with
+    (eps, delta) queries the L1 error is bounded by 2^k (2*eps + 2^-m + 1 -
+    (1-delta)^k).  m is at most 53, the largest for which r is a double."""
     check_cdf_bits(m)
-    bits = rng.integers(0, 2, size=m)
-    r = int("".join(map(str, bits)), 2) / float(1 << m)
-    return cdf_outcome_for_r(strong, strong.k, r)
+    draws: list[str] = []
+    for lo in range(0, count, _CHUNK):
+        r = _codes(rng.integers(0, 2, size=(min(_CHUNK, count - lo), m)))
+        draws += cdf_outcomes_for_r(strong, r / float(1 << m))
+    return draws
 
 
-# ---------------------------------------------------------------------------
-# Conditional-chain sampler
-# ---------------------------------------------------------------------------
-
-def chain_outcome(mult, rng: np.random.Generator) -> str:
-    """Ancestral sampling: bit j is 0 with probability q_j/q_{j-1}, the
-    ratio of successive joint prefix estimates (q_0 = 1).  A zero or
-    negative denominator forces the 1 branch via the clamp; r is drawn in
-    (0, 1] so a zero ratio can never take the 0 branch."""
-    prefix = ""
-    q_prev = 1.0
-    for _ in range(mult.k):
-        q0 = mult.prefix_probability(prefix + "0")
-        ratio = 0.0 if q_prev <= 0.0 else min(max(q0 / q_prev, 0.0), 1.0)
-        r = 1.0 - rng.random()
-        if ratio >= r:
-            prefix += "0"
-            q_prev = q0
-        else:
-            prefix += "1"
-            q_prev = mult.prefix_probability(prefix)
-    return prefix
+def chain_sample(mult, count: int, rng: np.random.Generator) -> list[str]:
+    """count ancestral draws, chunked as in ``cdf_bitwise_sample``: bit j is
+    0 with probability q_j/q_{j-1}, the ratio of successive joint prefix
+    estimates (q_0 = 1), both extensions scored in one ``prefixes`` call.
+    A denominator <= 0 forces the 1 branch, and r is drawn in (0, 1] so a
+    zero or NaN ratio can never take the 0 branch."""
+    draws: list[str] = []
+    for lo in range(0, count, _CHUNK):
+        size = min(_CHUNK, count - lo)
+        r = 1.0 - rng.random((size, mult.k))
+        bits = np.zeros((size, mult.k), dtype=np.int64)
+        q_prev = np.ones(size)
+        for j in range(mult.k):
+            both = np.concatenate((bits[:, :j + 1],) * 2)
+            both[size:, j] = 1
+            q0, q1 = np.split(mult.prefixes(both), 2)
+            ratio = q0 / np.where(q_prev <= 0.0, np.inf, q_prev)
+            zero = np.clip(ratio, 0.0, 1.0) >= r[:, j]
+            bits[:, j] = ~zero
+            q_prev = np.where(zero, q0, q1)
+        draws += _strings(bits)
+    return draws

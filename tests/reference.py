@@ -24,6 +24,13 @@ enumerator and the per-draw product-input estimator, a frequency estimator
 over any sampler, a pattern's probability summed through a 2^k index mask,
 outcome draws as strings, and the exact L1 between multi-round
 transcripts.
+
+The per-draw cdf and chain samplers walk one draw at a time over string
+prefixes through a handle's ``prefix_probability(bits)``; ``PerPrefix``
+gives a distribution that query form, read off its cumulative table one
+string at a time.  ``samplers`` draws a whole chunk at once, one
+``prefixes`` matrix per level, and must agree with them exactly, stream
+included.
 """
 
 import math
@@ -598,3 +605,68 @@ def frequency_polybox(sampler, circuit, pattern: OutcomePattern,
     outcomes = sampler(circuit, eps / 2.0, s, rng)
     hits = sum(1 for o in outcomes if pattern_matches(pattern, o))
     return Estimate(hits / s, eps, delta, s)
+
+
+# ---------------------------------------------------------------------------
+# Per-draw cdf and chain samplers
+# ---------------------------------------------------------------------------
+
+class PerPrefix:
+    """Joint prefix marginals of dist, one string at a time."""
+
+    def __init__(self, dist: ExactDistribution):
+        self.k = dist.k
+        self.cum = np.concatenate(([0.0], np.cumsum(dist.probs)))
+
+    def prefix_probability(self, bits: str) -> float:
+        """Pr(first len(bits) bits = bits), read off the cumulative
+        table."""
+        j = len(bits)
+        if not 0 < j <= self.k:
+            raise ValueError("prefix length out of range")
+        if any(c not in "01" for c in bits):
+            raise ValueError("prefix must be over 0/1")
+        lo = int(bits, 2) << (self.k - j)
+        return float(self.cum[lo + (1 << (self.k - j))] - self.cum[lo])
+
+
+def cdf_outcome_for_r(strong, k: int, r: float) -> str:
+    """Deterministic CDF inversion: bit j is 0 exactly when r falls below
+    the running lower edge plus the mass of the 0-extension."""
+    lower = 0.0
+    prefix = ""
+    for _ in range(k):
+        q0 = strong.prefix_probability(prefix + "0")
+        if r < lower + q0:
+            prefix += "0"
+        else:
+            prefix += "1"
+            lower += q0
+    return prefix
+
+
+def cdf_bitwise_sample(strong, m: int, rng: np.random.Generator) -> str:
+    """One draw: r as m uniform bits (r = sum r_i 2^-i), then the CDF
+    inverted at r."""
+    bits = rng.integers(0, 2, size=m)
+    r = int("".join(map(str, bits)), 2) / float(1 << m)
+    return cdf_outcome_for_r(strong, strong.k, r)
+
+
+def chain_outcome(mult, rng: np.random.Generator) -> str:
+    """One ancestral draw: bit j is 0 with probability q_j/q_{j-1}, the
+    ratio of successive joint prefix estimates (q_0 = 1), clamped to
+    [0, 1]; a denominator <= 0 forces the 1 branch."""
+    prefix = ""
+    q_prev = 1.0
+    for _ in range(mult.k):
+        q0 = mult.prefix_probability(prefix + "0")
+        ratio = 0.0 if q_prev <= 0.0 else min(max(q0 / q_prev, 0.0), 1.0)
+        r = 1.0 - rng.random()
+        if ratio >= r:
+            prefix += "0"
+            q_prev = q0
+        else:
+            prefix += "1"
+            q_prev = mult.prefix_probability(prefix)
+    return prefix

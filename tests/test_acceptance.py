@@ -20,8 +20,8 @@ from bornbox.oracle import (ExactDistribution, exact_distribution,
                             exact_probability, l1_distance, min_sparsity)
 from bornbox.polybox import (CePolyBox, IqpPolyBox, OraclePolyBox,
                              ProdPolyBox, _iqp_values, hoeffding_samples)
-from bornbox.samplers import (cdf_bitwise_sample, cdf_outcome_for_r,
-                              chain_outcome, survivor_distribution)
+from bornbox.samplers import (cdf_bitwise_sample, cdf_outcomes_for_r,
+                              chain_sample, survivor_distribution)
 from bornbox.stabcore import GateApp, ProductState
 
 from helpers import (drawn_tableau, ghz_circuit, pattern_draws,
@@ -211,13 +211,12 @@ def gof_instances():
 
 def test_cdf_sampler_gof():
     hand = ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
-    assert cdf_outcome_for_r(hand, 2, 0.25) == "01"
-    assert cdf_outcome_for_r(hand, 2, 0.5) == "10"
+    assert cdf_outcomes_for_r(hand, [0.25, 0.5]) == ["01", "10"]
     start = time.perf_counter()
     pvals = {}
     for name, strong in gof_instances():
         rng = np.random.default_rng(int.from_bytes(name.encode(), "big"))
-        draws = [cdf_bitwise_sample(strong, 40, rng) for _ in range(100000)]
+        draws = cdf_bitwise_sample(strong, 40, 100000, rng)
         pvals[name] = chi2_pvalue(draws, strong.probs)
         assert pvals[name] > 0.01, (name, pvals[name])
     elapsed = time.perf_counter() - start
@@ -233,7 +232,7 @@ def test_chain_sampler_gof():
     pvals = {}
     for name, strong in gof_instances():
         rng = np.random.default_rng(int.from_bytes(name.encode(), "big") + 7)
-        draws = [chain_outcome(strong, rng) for _ in range(100000)]
+        draws = chain_sample(strong, 100000, rng)
         pvals[name] = chi2_pvalue(draws, strong.probs)
         assert pvals[name] > 0.01, (name, pvals[name])
     elapsed = time.perf_counter() - start

@@ -393,6 +393,22 @@ def test_trials_above_the_draw_limit_are_refused_before_any_work(
                             "got 100000000000\n")
 
 
+def test_rounds_times_trials_above_the_draw_limit_are_refused_before_any_work(
+        capsys, monkeypatch, ghz_file):
+    _refuse_experiment_work(monkeypatch)
+    code = run_command(["experiment", "distinguish", "--circuit", ghz_file,
+                        "--bob", "scheduled", "--trials", "1000",
+                        "--rounds", "100001"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: rounds * trials must be at most 1e+08, "
+                            "got 100001000\n")
+    with pytest.raises(WorkStarted):
+        experiments.run_hypothesis_test(cli.ghz_circuit(3), "scheduled", 0.05,
+                                        1000, 0, rounds=100000)
+
+
 def test_trials_at_the_draw_limit_reach_the_work(monkeypatch):
     _refuse_experiment_work(monkeypatch)
     with pytest.raises(WorkStarted):
@@ -481,6 +497,26 @@ def test_threads_below_one_exit_2(capsys, ghz_file, argv, threads):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and "--threads" in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--circuit", "{ghz}", "--pattern", "000"],
+    ["experiment", "anticoncentration", "--n", "3", "--trials", "100"],
+], ids=["estimate", "anticoncentration"])
+def test_threads_above_the_cap_exit_2_before_any_work(capsys, monkeypatch,
+                                                      ghz_file, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the --threads check")
+    monkeypatch.setattr(cli, "auto_polybox", refuse)
+    monkeypatch.setattr(experiments, "_chunked_map", refuse)
+    argv = [a.format(ghz=ghz_file) for a in argv]
+    assert run_command(argv + ["--threads", "65"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --threads must lie in [1, 64], got 65\n"
+    monkeypatch.undo()  # one chunk of work: the cap itself starts no pool
+    assert run_command(argv + ["--threads", "64"]) == 0
+    capsys.readouterr()
 
 
 def test_anticoncentration_above_oracle_limit_draws_nothing(capsys,
@@ -741,6 +777,8 @@ GHZ16 = ("family prod\nqubits 16\ngate H 0\n"
          + "".join(f"gate CNOT {q - 1} {q}\n" for q in range(1, 16)))
 IQP16 = "family iqp\nqubits 16\nxrow" + " 1" * 16 + "\n"
 H8 = "family prod\nqubits 8\n" + "".join(f"gate H {q}\n" for q in range(8))
+IQP6 = ("family iqp\nqubits 6\nxrow 1 0 0 0 1 1\nxrow 0 0 0 1 0 1\n"
+        "xrow 1 1 0 0 1 0\n")
 
 # sha256 of the stdout, recorded before the samplers took the exact
 # distribution itself as their prefix-marginal handle
@@ -795,6 +833,18 @@ SAMPLER_GOLDEN = [
                            "--sparsity", "100"],
                  "1095c1804de7cfd3473392e28c340604dccfcb417f2f694afcd53139928814b8",
                  id="h8-sparse-lexicographic-ties"),
+    # recorded before the cdf and chain samplers drew level by level: 20000
+    # draws span three chunks of 8192; summing each prefix's cells instead
+    # of reading the cumulative table changes the 6-qubit X-program's digest
+    pytest.param("iqp6.qc", ["cdf", "--m", "7", "--count", "20000"],
+                 "f2266ed2ee88dec7b99de829e625d594827ee512305c07f1a8a5d31f0c2a1c5e",
+                 id="iqp6-cdf-m7-three-chunks"),
+    pytest.param("mixed.qc", ["chain", "--count", "20000"],
+                 "8c9ff0cbfd7854ad25e556db1da7f915b116d45da2cefd7ef661ba09eb5b8aee",
+                 id="mixed-chain-three-chunks"),
+    pytest.param("mixed.qc", ["cdf", "--count", "20000"],
+                 "18f55b7d56e2d882c7f6fabf28a9eb081f7da7f7f1baa94b3445b661660b2ce0",
+                 id="mixed-cdf-three-chunks"),
 ]
 
 
@@ -809,6 +859,7 @@ def test_sampler_stdout_is_frozen(capsys, monkeypatch, tmp_path, circuit,
     (tmp_path / "ghz16.qc").write_text(GHZ16)
     (tmp_path / "iqp16.qc").write_text(IQP16)
     (tmp_path / "h8.qc").write_text(H8)
+    (tmp_path / "iqp6.qc").write_text(IQP6)
     monkeypatch.chdir(tmp_path)
     # flags given with the method override the ones before it
     code = run_command(["sample", "--circuit", circuit, "--count", "25",

@@ -18,8 +18,8 @@ from bornbox.stabcore import (GateApp, ProductState,
 from helpers import (MIXED_GATES, gate_lists, ghz_circuit, index_to_outcome,
                      pattern_matches, random_bloch, random_iqp_circuit,
                      random_pattern, random_prod_circuit)
-from reference import (StateVector, gate_steps, masked_probability,
-                       reference_prod_probabilities,
+from reference import (PerPrefix, StateVector, gate_steps,
+                       masked_probability, reference_prod_probabilities,
                        reference_synthesize_gates, sample_outcomes,
                        statevector)
 
@@ -250,11 +250,14 @@ def test_prefix_probability_matches_pattern_probability(seed):
     else:
         c = random_iqp_circuit(rng, n, int(rng.integers(0, 8)), k=k)
     dist = exact_distribution(c)
+    per_prefix = PerPrefix(dist)
     for j in range(1, k + 1):
-        for i in range(1 << j):
+        level = (np.arange(1 << j)[:, None] >> np.arange(j)[::-1]) & 1
+        for i, value in enumerate(dist.prefixes(level)):
             b = index_to_outcome(i, j)
             want = dist.probability(OutcomePattern(b + "*" * (k - j)))
-            assert abs(dist.prefix_probability(b) - want) <= 1e-12
+            assert abs(value - want) <= 1e-12
+            assert value == per_prefix.prefix_probability(b)
 
 
 def test_encoded_closed_form_agrees_with_distribution():

@@ -453,13 +453,12 @@ def test_exact_many_matches_oracle_prefix_marginals(family, data):
     c = data.draw(circuits(family))
     level = data.draw(st.integers(1, c.k))
     prefixes = [format(i, f"0{level}b") for i in range(1 << level)]
+    bits = np.array([[int(b) for b in row] for row in prefixes])
     # 8-row chunks, so that levels of up to 64 selections span several
     with mock.patch.object(polybox, "_CHUNK", 8):
-        values = BOXES[family](c).exact_prefixes(
-            np.array([[int(b) for b in bits] for bits in prefixes]))
-    dist = exact_distribution(c)
-    for bits, value in zip(prefixes, values):
-        assert abs(value - dist.prefix_probability(bits)) <= 1e-12
+        values = BOXES[family](c).exact_prefixes(bits)
+    for value, want in zip(values, exact_distribution(c).prefixes(bits)):
+        assert abs(value - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

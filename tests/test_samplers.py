@@ -17,12 +17,13 @@ from bornbox.oracle import (ExactDistribution, exact_distribution, l1_distance,
 from bornbox.polybox import (Estimate, IqpPolyBox, OraclePolyBox, ProdPolyBox,
                              hoeffding_samples)
 from bornbox.samplers import (SparsityPolynomial, cdf_bitwise_sample,
-                              cdf_outcome_for_r, chain_outcome,
+                              cdf_outcomes_for_r, chain_sample,
                               epsilon_simulate, heavy_prefixes,
                               sparse_budget, survivor_cap,
                               survivor_distribution)
 from bornbox.stabcore import GateApp, ProductState
 
+import reference
 from helpers import (NoSpawnRng, empirical_distribution, ghz_circuit,
                      random_bloch, random_iqp_circuit, random_prod_circuit)
 
@@ -404,40 +405,39 @@ def test_epsilon_simulate_validation_and_empty():
 def test_exact_prefix_estimator():
     hand = ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
     assert hand.k == 2
-    assert abs(hand.prefix_probability("0") - 0.3) < 1e-15
-    assert abs(hand.prefix_probability("1") - 0.7) < 1e-15
-    assert abs(hand.prefix_probability("01") - 0.2) < 1e-15
-    assert abs(hand.prefix_probability("11") - 0.4) < 1e-15
+    q = hand.prefixes(np.array([[0], [1]]))
+    assert abs(q[0] - 0.3) < 1e-15
+    assert abs(q[1] - 0.7) < 1e-15
+    q = hand.prefixes(np.array([[0, 1], [1, 1]]))
+    assert abs(q[0] - 0.2) < 1e-15
+    assert abs(q[1] - 0.4) < 1e-15
     with pytest.raises(ValueError):
-        hand.prefix_probability("")
+        hand.prefixes(np.zeros((1, 0), dtype=np.int64))
     with pytest.raises(ValueError):
-        hand.prefix_probability("010")
-    with pytest.raises(ValueError):
-        hand.prefix_probability("0x")
+        hand.prefixes(np.array([[0, 1, 0]]))
 
 
 def test_cdf_hand_pairs():
     hand = ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
-    assert cdf_outcome_for_r(hand, 2, 0.25) == "01"
-    assert cdf_outcome_for_r(hand, 2, 0.5) == "10"
-    assert cdf_outcome_for_r(hand, 2, 0.0) == "00"
-    assert cdf_outcome_for_r(hand, 2, 0.95) == "11"
+    assert (cdf_outcomes_for_r(hand, [0.25, 0.5, 0.0, 0.95])
+            == ["01", "10", "00", "11"])
 
 
 def test_cdf_partition_matches_cumulative_cells():
     hand = ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
-    for r in np.arange(0.005, 1.0, 0.01):
-        cell = 0 if r < 0.1 else 1 if r < 0.3 else 2 if r < 0.6 else 3
-        assert cdf_outcome_for_r(hand, 2, float(r)) == format(cell, "02b")
+    rs = np.arange(0.005, 1.0, 0.01)
+    cells = [0 if r < 0.1 else 1 if r < 0.3 else 2 if r < 0.6 else 3
+             for r in rs]
+    assert cdf_outcomes_for_r(hand, rs) == [format(c, "02b") for c in cells]
 
 
 @pytest.mark.parametrize("m", [1, 7, 40, 53])
 def test_cdf_draw_reads_its_bits_most_significant_first(monkeypatch, m):
     seen = []
-    monkeypatch.setattr(samplers, "cdf_outcome_for_r",
-                        lambda strong, k, r: seen.append(r) or "0")
+    monkeypatch.setattr(samplers, "cdf_outcomes_for_r",
+                        lambda strong, r: seen.extend(r) or ["0"] * len(r))
     hand = ExactDistribution(1, np.array([0.5, 0.5]))
-    cdf_bitwise_sample(hand, m, np.random.default_rng(m))
+    cdf_bitwise_sample(hand, m, 1, np.random.default_rng(m))
     v = 0
     for b in np.random.default_rng(m).integers(0, 2, size=m):
         v = (v << 1) | int(b)
@@ -448,23 +448,23 @@ def test_cdf_config_validation():
     hand = ExactDistribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        cdf_bitwise_sample(hand, 0, rng)
+        cdf_bitwise_sample(hand, 0, 1, rng)
     # above 53 bits r would no longer be the exact m-bit value
     with pytest.raises(ValueError):
-        cdf_bitwise_sample(hand, 54, rng)
+        cdf_bitwise_sample(hand, 54, 1, rng)
 
 
 def test_cdf_and_chain_chi_square_on_ghz():
     ghz3 = ghz_circuit(3)
     strong = exact_distribution(ghz3)
     rng = np.random.default_rng(11)
-    draws = [cdf_bitwise_sample(strong, 40, rng) for _ in range(20000)]
+    draws = cdf_bitwise_sample(strong, 40, 20000, rng)
     counts = Counter(draws)
     assert set(counts) == {"000", "111"}
     assert stats.chisquare([counts["000"], counts["111"]],
                            [10000, 10000]).pvalue > 0.01
     rng = np.random.default_rng(12)
-    draws = [chain_outcome(strong, rng) for _ in range(20000)]
+    draws = chain_sample(strong, 20000, rng)
     counts = Counter(draws)
     assert set(counts) == {"000", "111"}
     assert stats.chisquare([counts["000"], counts["111"]],
@@ -474,7 +474,7 @@ def test_cdf_and_chain_chi_square_on_ghz():
 def test_chain_skewed_distribution():
     skew = ExactDistribution(2, np.array([0.7, 0.0, 0.05, 0.25]))
     rng = np.random.default_rng(5)
-    draws = [chain_outcome(skew, rng) for _ in range(40000)]
+    draws = chain_sample(skew, 40000, rng)
     emp = empirical_distribution(draws, 2)
     assert l1_distance(emp, np.array([0.7, 0.0, 0.05, 0.25])) < 0.02
     assert emp[1] == 0.0
@@ -483,7 +483,21 @@ def test_chain_skewed_distribution():
 def test_chain_point_mass_zero_prefix():
     pm = ExactDistribution(2, np.array([0.0, 0.0, 0.0, 1.0]))
     rng = np.random.default_rng(9)
-    assert all(chain_outcome(pm, rng) == "11" for _ in range(50))
+    assert chain_sample(pm, 50, rng) == ["11"] * 50
+
+
+class AllZeroRng:
+    """Every ``random`` draw is 0.0, so every chain r = 1 - draw is 1."""
+
+    def random(self, shape=None):
+        return 0.0 if shape is None else np.zeros(shape)
+
+
+def test_chain_ratio_one_takes_the_zero_branch_at_r_one():
+    pm = ExactDistribution(2, np.array([1.0, 0.0, 0.0, 0.0]))
+    per_draw = [reference.chain_outcome(reference.PerPrefix(pm), AllZeroRng())
+                for _ in range(3)]
+    assert chain_sample(pm, 3, AllZeroRng()) == per_draw == ["00"] * 3
 
 
 def test_cdf_error_bound_with_perturbed_queries():
@@ -495,15 +509,87 @@ def test_cdf_error_bound_with_perturbed_queries():
     class Perturbed:
         k = 2
 
-        def prefix_probability(self, bits):
-            q = base.prefix_probability(bits)
+        def prefixes(self, bits):
+            q = base.prefixes(bits)
             # deterministic off-center perturbation, alternating sign
-            shift = eps if bits.count("1") % 2 else -eps
-            return min(max(q + shift, 0.0), 1.0)
+            shift = np.where(bits.sum(axis=1) % 2, eps, -eps)
+            return np.clip(q + shift, 0.0, 1.0)
 
     rng = np.random.default_rng(21)
-    draws = [cdf_bitwise_sample(Perturbed(), 30, rng) for _ in range(30000)]
+    draws = cdf_bitwise_sample(Perturbed(), 30, 30000, rng)
     emp = empirical_distribution(draws, 2)
     bound = (1 << 2) * (2 * eps + 2.0 ** -30)
     sampling_allowance = 3 * math.sqrt(4 / 30000)
     assert l1_distance(emp, base.probs) <= bound + sampling_allowance
+
+
+class NanAt:
+    """An exact handle that answers NaN for one prefix, in both query
+    forms: ``prefixes`` for the samplers, ``prefix_probability`` for the
+    per-draw references."""
+
+    def __init__(self, dist, prefix: str):
+        self.k, self.dist, self.prefix = dist.k, dist, prefix
+        self.per_prefix = reference.PerPrefix(dist)
+
+    def prefixes(self, bits):
+        hit = ["".join(map(str, row)) == self.prefix for row in bits.tolist()]
+        return np.where(hit, np.nan, self.dist.prefixes(bits))
+
+    def prefix_probability(self, bits):
+        return (math.nan if bits == self.prefix
+                else self.per_prefix.prefix_probability(bits))
+
+
+@st.composite
+def prefix_handles(draw):
+    """(level-wise handle, per-draw handle, distribution) over a random
+    distribution on k <= 4 bits: dense, with zero cells, a point mass, or
+    with one prefix answered NaN."""
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["dense", "zeros", "point", "nan"]))
+    weights = rng.random(1 << k)
+    if kind == "zeros":
+        weights *= rng.random(1 << k) < 0.5
+    if kind == "point" or not weights.any():
+        weights = np.eye(1 << k)[rng.integers(1 << k)]
+    dist = ExactDistribution(k, weights / weights.sum())
+    if kind != "nan":
+        return dist, reference.PerPrefix(dist), dist
+    j = int(rng.integers(1, k + 1))
+    handle = NanAt(dist, format(int(rng.integers(1 << j)), f"0{j}b"))
+    return handle, handle, dist
+
+
+@settings(max_examples=25, deadline=None)
+@given(handles=prefix_handles(), m=st.sampled_from([1, 7, 40, 53]),
+       count=st.sampled_from([0, 1, 8191, 8192, 8193]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_level_wise_samplers_equal_the_per_draw_references(handles, m, count,
+                                                            seed):
+    """Same outcomes, and the same rng words read, as one per-draw call
+    after another on the same handle."""
+    handle, per_draw, _ = handles
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert (cdf_bitwise_sample(handle, m, count, rng)
+            == [reference.cdf_bitwise_sample(per_draw, m, ref)
+                for _ in range(count)])
+    assert (chain_sample(handle, count, rng)
+            == [reference.chain_outcome(per_draw, ref) for _ in range(count)])
+    assert rng.random() == ref.random()
+
+
+@settings(max_examples=40, deadline=None)
+@given(handles=prefix_handles(), seed=st.integers(0, 2 ** 32 - 1))
+def test_cdf_inversion_equals_the_per_draw_reference_on_cell_edges(handles,
+                                                                    seed):
+    """Every edge of the cumulative table, and the doubles next to it, go
+    to the same cell as in the per-draw inversion."""
+    handle, per_draw, dist = handles
+    cum = reference.PerPrefix(dist).cum
+    rs = np.concatenate((cum, np.nextafter(cum, -1.0), np.nextafter(cum, 2.0),
+                         np.random.default_rng(seed).random(64)))
+    assert (cdf_outcomes_for_r(handle, rs)
+            == [reference.cdf_outcome_for_r(per_draw, handle.k, float(r))
+                for r in rs])
