@@ -250,6 +250,26 @@ def _parse_int(tok: str, what: str, line: int) -> int:
         raise CircuitSyntaxError(f"bad {what} {tok!r}", line) from None
 
 
+def _parse_gate(toks: list[str], n: int, line: int) -> GateApp:
+    """The gate on a split ``gate`` line of an n-qubit circuit."""
+    if len(toks) < 3:
+        raise CircuitSyntaxError("gate needs a name and qubits", line)
+    name = toks[1]
+    if name not in GATE_ARITY:
+        raise CircuitSyntaxError(f"unknown gate {name!r}", line)
+    try:
+        qs = tuple(map(int, toks[2:]))
+    except ValueError:  # name the first bad token
+        qs = tuple(_parse_int(t, "qubit index", line) for t in toks[2:])
+    try:
+        gate = GateApp(name, qs)
+    except ValueError as exc:
+        raise CircuitSyntaxError(str(exc), line) from exc
+    if max(qs) >= n:
+        raise CircuitSyntaxError("gate qubit out of range", line)
+    return gate
+
+
 def _parse_float(tok: str, what: str, line: int) -> float:
     try:
         value = float(tok)
@@ -271,13 +291,22 @@ def _parse_program(family: str, body) -> Circuit:
     k = None
     preps: dict[int, tuple[float, float, float]] = {}
     gates: list[GateApp] = []
-    # equal gate lines of this file share one GateApp, validated and
-    # range-checked once
-    built: dict[tuple[str, tuple[int, ...]], GateApp] = {}
+    # equal gate lines of this file share one GateApp: a line seen before
+    # was accepted under the same family and qubit count, so it is not
+    # split, converted or validated again
+    built: dict[str, GateApp] = {}
     rows: list[tuple[int, ...]] = []
     for line_no, line in body:
+        gate = built.get(line)
+        if gate is not None:
+            gates.append(gate)
+            continue
         toks = line.split()
         kind = toks[0]
+        if kind == "gate" and n is not None and family == "prod":
+            gate = built[line] = _parse_gate(toks, n, line_no)
+            gates.append(gate)
+            continue
         if kind in ("qubits", "measure"):
             if len(toks) != 2:
                 raise CircuitSyntaxError(f"{kind} takes one integer", line_no)
@@ -318,23 +347,6 @@ def _parse_program(family: str, body) -> Circuit:
                     raise CircuitSyntaxError(str(exc), line_no) from exc
             else:
                 raise CircuitSyntaxError(f"unknown prep form {toks[2]!r}", line_no)
-        elif kind == "gate":
-            if len(toks) < 3:
-                raise CircuitSyntaxError("gate needs a name and qubits", line_no)
-            name = toks[1]
-            if name not in GATE_ARITY:
-                raise CircuitSyntaxError(f"unknown gate {name!r}", line_no)
-            qs = tuple(_parse_int(t, "qubit index", line_no) for t in toks[2:])
-            gate = built.get((name, qs))
-            if gate is None:
-                try:
-                    gate = GateApp(name, qs)
-                except ValueError as exc:
-                    raise CircuitSyntaxError(str(exc), line_no) from exc
-                if max(qs) >= n:
-                    raise CircuitSyntaxError("gate qubit out of range", line_no)
-                built[name, qs] = gate
-            gates.append(gate)
         else:
             if len(toks) != n + 1:
                 raise CircuitSyntaxError(f"xrow needs {n} bits", line_no)

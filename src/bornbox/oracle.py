@@ -336,14 +336,19 @@ def _marginalize(full: np.ndarray, n: int, k: int) -> np.ndarray:
     return tensor.reshape(-1)
 
 
-def encoded_probabilities(circuit: EncodedCircuit, idx) -> np.ndarray:
+def encoded_first_bit(inner: Circuit) -> float:
+    """The inner circuit's marginal Pr(first measured bit = 0), clamped to
+    [0, 1]: the one dense build that the encoded family needs."""
+    p0 = exact_probability(inner, OutcomePattern("0" + "*" * (inner.k - 1)))
+    return min(max(p0, 0.0), 1.0)
+
+
+def encoded_probabilities(circuit: EncodedCircuit, idx,
+                          p0: float) -> np.ndarray:
     """Analytic probabilities of the big-endian outcome indices idx under
     (X xor Par(Y), Y): the uniform pad Y carries 2^-y, and the first output
-    bit, flipped by the pad's parity, carries the inner first-bit
-    marginal."""
-    inner = circuit.inner
-    p0 = exact_probability(inner, OutcomePattern("0" + "*" * (inner.k - 1)))
-    p0 = min(max(p0, 0.0), 1.0)
+    bit, flipped by the pad's parity, carries the inner first-bit marginal
+    p0 (``encoded_first_bit``)."""
     y = circuit.y_bits
     idx = np.asarray(idx, dtype=np.uint64)
     z0 = (idx >> np.uint64(y)) & np.uint64(1)
@@ -352,14 +357,19 @@ def encoded_probabilities(circuit: EncodedCircuit, idx) -> np.ndarray:
     return q * (2.0 ** -y)
 
 
-def exact_distribution(circuit: Circuit) -> ExactDistribution:
+def exact_distribution(circuit: Circuit,
+                       p0: float | None = None) -> ExactDistribution:
+    """The full output distribution.  For an encoded circuit, p0 is its
+    inner first-bit marginal when that is already built."""
     if isinstance(circuit, ProdCircuit):
         probs = _marginalize(prod_probabilities(circuit), circuit.n, circuit.k)
     elif isinstance(circuit, IqpCircuit):
         full = np.abs(iqp_statevector(circuit)) ** 2
         probs = _marginalize(full, circuit.n, circuit.k)
     elif isinstance(circuit, EncodedCircuit):
-        probs = encoded_probabilities(circuit, np.arange(1 << circuit.k))
+        if p0 is None:
+            p0 = encoded_first_bit(circuit.inner)
+        probs = encoded_probabilities(circuit, np.arange(1 << circuit.k), p0)
     else:
         raise TypeError(f"not a circuit: {circuit!r}")
     total = float(probs.sum())
@@ -380,5 +390,6 @@ def exact_probability(circuit: Circuit, pattern: OutcomePattern) -> float:
         check_pattern_length(pattern, circuit.k)
         if not pattern.is_full:
             return 2.0 ** -(pattern.k - pattern.wild_count)
-        return float(encoded_probabilities(circuit, int(pattern.trits, 2)))
+        return float(encoded_probabilities(circuit, int(pattern.trits, 2),
+                                           encoded_first_bit(circuit.inner)))
     return exact_distribution(circuit).probability(pattern)

@@ -33,6 +33,13 @@ own unbiased estimator, so every per-row (eps, delta) guarantee holds; the
 draws are shared, not independent, across rows.  ``estimate(p)`` scores the
 one-row matrix of p's fixed bits.
 
+Over f positions there are only 2^f distinct selections.  When 2^f is at
+most both s and one chunk (``_CHUNK`` = 8192), a sampled query runs the
+kernel once on all 2^f of them and reads each drawn row's value from that
+table: the same rng stream, the same floats and the same sums, at a kernel
+cost of 2^f n + s instead of s n on n qubits.  Sampled search levels never
+qualify, since the search samples a level only past 2^j > s.
+
 Sampled and exact scoring differ only in where sel comes from.
 ``prefixes`` draws s uniform random rows and ``exact_prefixes`` feeds all
 2^j selections, whose mean is the probability itself: 2^j draws per row
@@ -48,14 +55,16 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
                        ProdCircuit, check_pattern_length)
-from .oracle import _codes, encoded_probabilities, exact_distribution
-from .stabcore import PauliOperator, _xz_phase, pull_back
+from .oracle import (ExactDistribution, _codes, encoded_first_bit,
+                     encoded_probabilities, exact_distribution)
+from .stabcore import PauliOperator, pull_back_words
 
 _CHUNK = 8192
 # patterns per sign block: a chunk holds at most _BLOCK x _CHUNK signed draws
@@ -129,15 +138,35 @@ def _means(parts, total: int) -> np.ndarray:
     return np.array([math.fsum(row) for row in zip(*parts)]) / total
 
 
-def _batched_sums(values, circuit: Circuit, positions, bits):
+def _selections(lo: int, hi: int, f: int) -> np.ndarray:
+    """Rows lo..hi-1 of the 2^f selections over f positions, as a 0/1
+    matrix: bit i of the row index is column i."""
+    return (np.arange(lo, hi)[:, None] >> np.arange(f)) & 1
+
+
+def _batched_sums(values, circuit: Circuit, positions, bits,
+                  tabulate: bool = False):
     """sums(sel): the draws of each row s of the (m, f) 0/1 matrix bits over
     f measured positions, summed over the rows of a (count, f) selection
     matrix sel.  The sign-free draws v = values(circuit, positions)(sel)
     are computed once, and row s draws (-1)^(sel.s) * v, _BLOCK rows at a
-    time (exactly 1.0 over no positions): the one place bits enter."""
+    time (exactly 1.0 over no positions): the one place bits enter.  With
+    tabulate, the kernel runs once on all 2^f selections and each row of
+    sel reads its draw from that table, the same float as its own
+    evaluation, since a kernel's draw depends on its row alone."""
     bits = np.asarray(bits, dtype=np.int64)
-    value = (values(circuit, positions) if len(positions)
-             else lambda sel: np.ones(len(sel)))
+    f = len(positions)
+    if not f:
+        def value(sel):
+            return np.ones(len(sel))
+    elif tabulate:
+        table = values(circuit, positions)(_selections(0, 1 << f, f))
+        weights = 1 << np.arange(f)
+
+        def value(sel):
+            return table[sel @ weights]
+    else:
+        value = values(circuit, positions)
 
     def sums(sel):
         v = value(sel)
@@ -152,22 +181,29 @@ def _batched_sums(values, circuit: Circuit, positions, bits):
 # Product-input Clifford circuits
 # ---------------------------------------------------------------------------
 
+def _word_bits(words, f: int) -> np.ndarray:
+    """The (f, len(words)) 0/1 int64 matrix whose entry (r, q) is bit r of
+    the int words[q]: tableau-layout words read back as f rows."""
+    size = (f + 7) // 8
+    raw = b"".join(w.to_bytes(size, "little") for w in words)
+    planes = np.frombuffer(raw, np.uint8).reshape(len(words), size)
+    return np.unpackbits(planes, axis=1, count=f,
+                         bitorder="little").T.astype(np.int64)
+
+
 def _prod_values(circuit: ProdCircuit, positions):
     """Returns value(sel) -> ndarray of single-sample values, one per row of
     the (count, f) 0/1 matrix sel over the f measured positions: the draws
     of the pattern that fixes each of them to 0.  Row r multiplies the
     pulled-back Z's that r selects and evaluates the product on the product
     input; the Z's commute pairwise."""
-    n = circuit.n
-    factors = pull_back(n, circuit.gates,
-                        [PauliOperator.single_z(n, pos) for pos in positions])
+    n, f = circuit.n, len(positions)
+    xs, zs, sg = pull_back_words(
+        n, circuit.gates, [PauliOperator.single_z(n, pos) for pos in positions])
     weights = np.array([[1.0, rx, rz, ry] for (rx, ry, rz) in
                         circuit.state.bloch])
-    fx = np.array([[(q.x >> i) & 1 for i in range(n)] for q in factors],
-                  dtype=np.int64)
-    fz = np.array([[(q.z >> i) & 1 for i in range(n)] for q in factors],
-                  dtype=np.int64)
-    kappa = np.array([_xz_phase(q) for q in factors], dtype=np.int64)
+    fx, fz = _word_bits(xs, f), _word_bits(zs, f)
+    kappa = ((fx & fz).sum(axis=1) + 2 * _word_bits([sg], f)[:, 0]) % 4
     # pair[a, b] feeds the i**2 correction when factor a's Z bits cross
     # factor b's X bits in the left-to-right product (a < b only)
     pair = np.triu((fz @ fx.T) & 1, 1)
@@ -241,8 +277,9 @@ class _SamplingPolyBox:
         s = hoeffding_samples(eps, delta)  # refuses delta <= 0, non-finite
         if delta >= 1.0:  # refused before any draw
             raise ValueError(_DELTA_RANGE)
-        sums = _batched_sums(self.values, self.circuit, positions, bits)
         f = len(positions)
+        sums = _batched_sums(self.values, self.circuit, positions, bits,
+                             tabulate=(1 << f) <= min(s, _CHUNK))
 
         def part(rng_i, count):
             return sums(rng_i.integers(0, 2, size=(count, f), dtype=np.int64))
@@ -254,8 +291,7 @@ class _SamplingPolyBox:
         j = bits.shape[1]
         sums = _batched_sums(self.values, self.circuit, range(j), bits)
         total = 1 << j
-        return _means([sums((np.arange(lo, min(lo + _CHUNK, total))[:, None]
-                             >> np.arange(j)) & 1)
+        return _means([sums(_selections(lo, min(lo + _CHUNK, total), j))
                        for lo in range(0, total, _CHUNK)], total)
 
 
@@ -281,6 +317,16 @@ class CePolyBox:
     def __init__(self, circuit: EncodedCircuit):
         self.circuit = circuit
 
+    @cached_property
+    def p0(self) -> float:
+        """The inner first-bit marginal: one dense inner build per handle."""
+        return encoded_first_bit(self.circuit.inner)
+
+    @property
+    def dist(self) -> ExactDistribution:
+        """The exact output distribution, from the handle's inner build."""
+        return exact_distribution(self.circuit, self.p0)
+
     def estimate(self, pattern: OutcomePattern, eps: float,
                  delta: float = 0.0,
                  rng: Optional[np.random.Generator] = None) -> Estimate:
@@ -291,7 +337,7 @@ class CePolyBox:
     def prefixes(self, bits, eps: float, delta: float = 0.0,
                  rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """Each prefix row's value: 2^-j below the full level (j = k), and
-        there the midpoint or one oracle build for all rows."""
+        there the midpoint or the exact value from the handle's p0."""
         if eps <= 0:
             raise ValueError("eps must be positive")
         if not math.isfinite(delta):  # unused: each Estimate carries 0
@@ -304,7 +350,7 @@ class CePolyBox:
             return np.full(m, 2.0 ** -j)
         if eps >= 2.0 ** -y:
             return np.full(m, 2.0 ** -(y + 1))
-        return encoded_probabilities(self.circuit, _codes(bits))
+        return encoded_probabilities(self.circuit, _codes(bits), self.p0)
 
 
 class OraclePolyBox:

@@ -12,15 +12,16 @@ of a Clifford U as Stim-style bit planes (arXiv:2103.02202): bit r of
 ``xs[q]`` (``zs[q]``) is image row r's x (z) bit on qubit q and bit r of
 ``signs`` its sign, so one word rule per gate, the only gate-conjugation rule
 here, updates all rows at once: in :func:`tableau_from_gates`, in the
-synthesis sweep and in :func:`pull_back`, which packs f Paulis P as f rows
-of such words and walks the gates once in reverse (Heisenberg picture) to
-return every ``U^dag P U``, pulling the estimator's measured Z's back onto
-the input state without building a tableau.  The rule takes a mask that
-selects the rows, or, on a stack of tableaus whose words are uint64 arrays
-over trials, the trials it applies to.  Every tableau passes
-:func:`check_symplectic`, the rows' n(2n-1) commutation conditions checked
-on the 2n column words, as one array check over a whole stack of draws or
-on a stack of one.  :func:`apply_tableau` gives ``U P U^dag`` and, through
+synthesis sweep and in :func:`pull_back_words`, which packs f Paulis P as
+f rows of such words and walks the gates once in reverse (Heisenberg
+picture) to return the words of every ``U^dag P U``, pulling the
+estimator's measured Z's back onto the input state without building a
+tableau (:func:`pull_back` reads the rows back as operators).  The rule
+takes a mask that selects the rows, or, on a stack of tableaus whose words
+are uint64 arrays over trials, the trials it applies to.  Every tableau
+passes :func:`check_symplectic`, the rows' n(2n-1) commutation conditions
+checked on the 2n column words, as one array check over a whole stack of
+draws or on a stack of one.  :func:`apply_tableau` gives ``U P U^dag`` and, through
 :func:`inverse_tableau`, ``U^dag P U``.
 
 Uniform tableau sampling follows the Koenig-Smolin indexing of Sp(2n, F2)
@@ -66,14 +67,16 @@ class GateApp:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        if self.name not in GATE_ARITY:
+        arity = GATE_ARITY.get(self.name)
+        if arity is None:
             raise ValueError(f"unknown gate {self.name!r}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if len(self.qubits) != GATE_ARITY[self.name]:
-            raise ValueError(f"gate {self.name} takes {GATE_ARITY[self.name]} qubit(s)")
-        if len(set(self.qubits)) != len(self.qubits):
+        qubits = tuple(map(int, self.qubits))
+        object.__setattr__(self, "qubits", qubits)
+        if len(qubits) != arity:
+            raise ValueError(f"gate {self.name} takes {arity} qubit(s)")
+        if len(set(qubits)) != arity:
             raise ValueError(f"gate {self.name} qubits must be distinct")
-        if any(q < 0 for q in self.qubits):
+        if min(qubits) < 0:
             raise ValueError("negative qubit index")
 
 
@@ -175,9 +178,10 @@ def _row(n: int, xs, zs, signs: int, r: int) -> PauliOperator:
     return PauliOperator(n, x, z, -1 if (signs >> r) & 1 else 1)
 
 
-def pull_back(n: int, gates, paulis) -> tuple[PauliOperator, ...]:
+def pull_back_words(n: int, gates, paulis) -> tuple[list[int], list[int], int]:
     """U^dag P U for U = g_G ... g_1 and each n-qubit P in the sequence
-    paulis, in one pass over the gates and without building a tableau.
+    paulis, as the words of ``_to_words`` (row r for paulis[r]), in one pass
+    over the gates and without building a tableau.
 
     Heisenberg picture: the Paulis are packed as the rows of tableau-layout
     words, which each gate's word rule takes through g_G^dag down to g_1^dag.
@@ -190,6 +194,12 @@ def pull_back(n: int, gates, paulis) -> tuple[PauliOperator, ...]:
         sg = _conjugate_words(gate.name, gate.qubits, xs, zs, sg)
         if gate.name == "S":
             sg = _conjugate_words("Z", gate.qubits, xs, zs, sg)
+    return xs, zs, sg
+
+
+def pull_back(n: int, gates, paulis) -> tuple[PauliOperator, ...]:
+    """``pull_back_words`` read back as one PauliOperator per P."""
+    xs, zs, sg = pull_back_words(n, gates, paulis)
     return tuple(_row(n, xs, zs, sg, r) for r in range(len(paulis)))
 
 

@@ -20,7 +20,10 @@ program's decode in the reference's grouped matrix form.
 The rest are cross-checks kept out of the package: the tableau route to
 ``U^dag P U``, the Pauli product, the row-pair symplectic check, the
 Clifford group order, pure-state simulation, the brute-force X-program
-enumerator and the per-draw product-input estimator, a frequency estimator
+enumerator and the per-draw product-input estimator, the sampling
+estimator's chunked means with the kernel run on every draw (the program
+reads each draw from a table of its 2^f distinct values when that table is
+no larger than the draws or one chunk), a frequency estimator
 over any sampler, a pattern's probability summed through a 2^k index mask,
 outcome draws as strings, and the exact L1 between multi-round
 transcripts.
@@ -40,6 +43,7 @@ from itertools import combinations
 
 import numpy as np
 
+from bornbox import polybox
 from bornbox import stabcore as sc
 from bornbox.circuits import (IqpCircuit, OutcomePattern, ProdCircuit,
                               check_pattern_length)
@@ -605,6 +609,25 @@ def frequency_polybox(sampler, circuit, pattern: OutcomePattern,
     outcomes = sampler(circuit, eps / 2.0, s, rng)
     hits = sum(1 for o in outcomes if pattern_matches(pattern, o))
     return Estimate(hits / s, eps, delta, s)
+
+
+# ---------------------------------------------------------------------------
+# Per-draw sampling estimator
+# ---------------------------------------------------------------------------
+
+def per_draw_sampled(box, positions, bits, eps: float, delta: float,
+                     rng: np.random.Generator):
+    """(s, per-row means) as ``_SamplingPolyBox._sampled`` gives them, with
+    every draw of every chunk put through the family kernel on its own row
+    instead of read from a table of the kernel's 2^f distinct draws."""
+    s = hoeffding_samples(eps, delta)
+    sums = polybox._batched_sums(box.values, box.circuit, positions, bits)
+    f = len(positions)
+
+    def part(rng_i, count):
+        return sums(rng_i.integers(0, 2, size=(count, f), dtype=np.int64))
+    return s, polybox._means(polybox._chunked_map(
+        part, s, polybox._CHUNK, rng, box.threads), s)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,10 @@ def test_roundtrip_examples():
     ("family prod\ngate H 0\n", "line 2: gate before qubits"),
     ("family prod\nqubits 1\ngate H\n", "line 3: gate needs a name and qubits"),
     ("family prod\nqubits 1\ngate Q 0\n", "line 3: unknown gate 'Q'"),
+    ("family prod\nqubits 2\ngate CNOT 0 x\n", "line 3: bad qubit index 'x'"),
+    # a repeated bad line is refused at its first occurrence
+    ("family prod\nqubits 2\ngate CNOT 1 1\ngate H 0\ngate CNOT 1 1\n",
+     "line 3: gate CNOT qubits must be distinct"),
     ("family prod\nqubits 1\ngate H 1\n", "line 3: gate qubit out of range"),
     ("family prod\nqubits 1\nxrow 1\n", "line 3: unknown directive 'xrow' in prod circuit"),
     ("family prod\ngate H zero\n", "line 2: gate before qubits"),

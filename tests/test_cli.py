@@ -13,7 +13,7 @@ from bornbox import cli, experiments, oracle, polybox, samplers
 from bornbox.cli import format_float, run_command, to_json
 from bornbox.samplers import heavy_prefixes
 
-from helpers import random_prod_circuit, serialize_circuit
+from helpers import random_iqp_circuit, random_prod_circuit, serialize_circuit
 
 GHZ3 = "family prod\nqubits 3\nmeasure 3\ngate H 0\ngate CNOT 0 1\ngate CNOT 1 2\n"
 
@@ -634,8 +634,8 @@ def test_oracle_sparse_sample_builds_the_distribution_once(
 
 def test_encoded_sparse_search_builds_the_inner_oracle_once(
         capsys, monkeypatch, tmp_path):
-    """The frozen encoded run: one inner build for the default sparsity's
-    exact distribution, and one for the search's whole full level of 8
+    """The frozen encoded run: one inner build serves both the default
+    sparsity's exact distribution and the search's whole full level of 8
     candidates."""
     calls = []
     build = oracle.exact_distribution
@@ -650,7 +650,7 @@ def test_encoded_sparse_search_builds_the_inner_oracle_once(
                         "--estimator", "sampling"])
     captured = capsys.readouterr()
     assert code == 0, captured.err
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert all(c.family == "prod" for c in calls)
 
 
@@ -961,6 +961,35 @@ def test_estimate_stdout_is_frozen(capsys, monkeypatch, tmp_path, threads):
     assert code == 0, captured.err
     assert json.loads(captured.out)["payload"]["samples_used"] == 105967
     assert hashlib.sha256(captured.out.encode()).hexdigest() == ESTIMATE_GOLDEN
+
+
+# a 12-qubit X-program with 16 rows
+IQP12 = serialize_circuit(random_iqp_circuit(np.random.default_rng(11), 12, 16))
+# sha256 of the stdout, recorded before each draw was read from a table of
+# the kernel's 2^f distinct draws: an X-program estimate whose 26492 draws
+# span 4 chunks and read the 2^9-row table, and a product-input one whose
+# 12 fixed bits (2^12 > 1060 draws) run the kernel on every draw
+TABLE_ESTIMATE_GOLDEN = [
+    ("iqp.qc", IQP12, "10*1101*10*0", "0.02",
+     "f17e46490d4f644b4e029e49be6f18fb3f56e90327bb5c6ae9284e12df4de898"),
+    ("deep.qc", DEEP_PROD, "0101*1010*0101" + "*" * 16, "0.1",
+     "f888ee885a8d3b0961c3810a607d2dc7c44e1a32db961b2c35b215c6efb9a797"),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name, text, pattern, eps, digest",
+                         TABLE_ESTIMATE_GOLDEN, ids=["iqp-table", "prod-per-draw"])
+def test_estimate_stdout_is_frozen_on_both_kernel_paths(
+        capsys, monkeypatch, tmp_path, name, text, pattern, eps, digest,
+        threads):
+    (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code = run_command(["estimate", "--circuit", name, "--pattern", pattern,
+                        "--eps", eps, "--seed", "7", "--threads", threads])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
 def test_out_flag(capsys, ghz_file, tmp_path):

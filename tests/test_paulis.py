@@ -443,15 +443,23 @@ def test_bad_inputs_rejected():
 
 @pytest.mark.parametrize("make, message", [
     (lambda: sc.GateApp("Q", (0,)), "unknown gate 'Q'"),
+    # the arity is checked before distinctness
+    (lambda: sc.GateApp("CNOT", (1, 1, 2)), r"gate CNOT takes 2 qubit\(s\)"),
     (lambda: sc.PauliOperator(-1, 0, 0), "n must be nonnegative"),
     (lambda: sc.ProductState(((1.0, 0.0),)), "Bloch vector needs 3 components"),
     (lambda: sc.random_clifford_words(0, 1, np.random.default_rng(0)),
      "n must be positive"),
-], ids=["unknown-gate", "negative-pauli-size", "two-component-bloch",
+], ids=["unknown-gate", "arity-before-distinct", "negative-pauli-size", "two-component-bloch",
         "zero-qubit-draw"])
 def test_stabcore_refuses_bad_arguments(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def test_gate_qubits_come_out_as_python_ints():
+    gate = sc.GateApp("CNOT", (np.int64(2), np.uint8(0)))
+    assert gate.qubits == (2, 0)
+    assert all(type(q) is int for q in gate.qubits)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

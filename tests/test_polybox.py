@@ -24,7 +24,8 @@ from helpers import (NoSpawnRng, ghz_circuit, pattern_draws,
                      random_constrained_pattern, random_gates,
                      random_iqp_circuit, random_pattern, random_prod_circuit)
 from reference import (alpha_weight_enumerator, frequency_polybox,
-                       odd_overlap_rows, prod_single_sample, sample_outcomes)
+                       odd_overlap_rows, per_draw_sampled, prod_single_sample,
+                       sample_outcomes)
 
 
 class SeqRng:
@@ -459,6 +460,72 @@ def test_exact_many_matches_oracle_prefix_marginals(family, data):
         values = BOXES[family](c).exact_prefixes(bits)
     for value, want in zip(values, exact_distribution(c).prefixes(bits)):
         assert abs(value - want) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The tabulated kernel: one evaluation per distinct selection
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family", ["prod", "iqp"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tabulated_kernel_matches_per_draw_kernel(family, data):
+    """Over f fixed positions the 2^f-row table, when it is used, gives each
+    row of a query the same means as the kernel run on every draw: s on both
+    sides of 2^f and of the chunk size, at 1 and 2 threads."""
+    f = data.draw(st.integers(1, 13))
+    n = data.draw(st.integers(f, 16))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if family == "prod":
+        c = random_prod_circuit(rng, n, data.draw(st.integers(0, 4 * n)),
+                                mixed=data.draw(st.booleans()))
+    else:
+        c = random_iqp_circuit(rng, n, data.draw(st.integers(1, 2 * n)))
+    positions = sorted(rng.choice(n, size=f, replace=False).tolist())
+    bits = rng.integers(0, 2, size=(data.draw(st.integers(1, 4)), f))
+    chunk = data.draw(st.sampled_from((64, polybox._CHUNK)))
+    # about that many draws at delta = 1/2: up to 2^f, from 2^f to one
+    # chunk, or two to three chunks
+    draws = data.draw(st.one_of(st.integers(1, 1 << f),
+                                st.integers(min(1 << f, chunk), chunk),
+                                st.integers(chunk + 1, 3 * chunk)))
+    eps, delta = math.sqrt(2 * math.log(4) / draws), 0.5
+    box = BOXES[family](c, threads=data.draw(st.sampled_from((1, 2))))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    with mock.patch.object(polybox, "_CHUNK", chunk):
+        got = box._sampled(positions, bits, eps, delta,
+                           np.random.default_rng(seed))
+        want = per_draw_sampled(box, positions, bits, eps, delta,
+                                np.random.default_rng(seed))
+    assert got[0] == want[0]
+    assert got[1].tolist() == want[1].tolist()
+
+
+@pytest.mark.parametrize("family", ["prod", "iqp"])
+@pytest.mark.parametrize("eps, rows", [(0.1, 1 << 9), (0.2, 185)])
+def test_estimate_evaluates_the_kernel_once_per_distinct_selection(
+        family, eps, rows):
+    """9 fixed bits: at eps = 0.1 the 738 draws read a table of the 2^9
+    selections; at eps = 0.2 the 185 draws, fewer than 2^9, each run the
+    kernel."""
+    rng = np.random.default_rng(12)
+    c = (random_prod_circuit(rng, 12, 40) if family == "prod"
+         else random_iqp_circuit(rng, 12, 16))
+    evaluated = []
+
+    def counting(circuit, positions):
+        value = KERNELS[family](circuit, positions)
+
+        def counted(sel):
+            evaluated.append(len(sel))
+            return value(sel)
+        return counted
+    pattern = OutcomePattern("01*1*0*11011")
+    box = BOXES[family](c)
+    with mock.patch.object(box, "values", counting):
+        est = box.estimate(pattern, eps, 0.05, np.random.default_rng(3))
+    assert est.samples_used == hoeffding_samples(eps, 0.05)
+    assert evaluated == [rows]
 
 
 # ---------------------------------------------------------------------------
