@@ -18,15 +18,14 @@ keeping stdout reproducible.
 ``run_command`` is the one way in, for the console script and for callers
 in-process alike, and it owns error handling: bad arguments or input exit 2
 with one ``error:`` line on stderr and nothing on stdout, and an internal
-error exits 1.  Each call builds its own parser, holding only the
-subcommand its argv names; top-level help, a missing subcommand and an
-unknown one get the parser with every subcommand.  Both print the same usage
-and errors.
+error exits 1.  One parser, with every subcommand, is built per process and
+parses every argv: ``parse_args`` keeps no state on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -523,34 +522,25 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argument parser, with every subcommand, or with just ``only``.
-
-    A parser narrowed to one subcommand still shows the full choice list in
-    its usage line, so the errors it raises read as the full parser's.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="bornbox",
         description="Born-rule estimators, approximate samplers, and "
                     "experiment harnesses for restricted circuit families.")
-    # On the full parser a metavar would stand in for "subcommand" in the
-    # "required" and "invalid choice" errors, which only that parser raises.
-    metavar = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="subcommand", required=True,
-                                metavar=metavar)
-    for name in _SUBCOMMANDS if only is None else (only,):
-        help_text, add_arguments = _SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def run_command(argv) -> int:
     """Runs one subcommand and returns the exit code: 2 with one ``error:``
-    line on stderr for bad arguments or input, 1 for an internal error."""
-    # top-level help, a missing subcommand and an unknown one get the full tree
-    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    line on stderr for bad arguments, bad input or an unwritable --out, 1
+    for an internal error."""
     try:
-        args = build_parser(only).parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     start = time.perf_counter()
@@ -558,14 +548,13 @@ def run_command(argv) -> int:
         if not 1 <= args.threads <= MAX_THREADS:
             raise ValueError(f"--threads must lie in [1, {MAX_THREADS}], "
                              f"got {args.threads}")
-        lines = args.handler(args)
+        _emit(args.handler(args), args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    _emit(lines, args.out)
     print(f"wall_time_s={time.perf_counter() - start:.3f}", file=sys.stderr)
     return 0
 

@@ -190,6 +190,8 @@ def run_hypothesis_test(circuit: Circuit, bob_mode: str, delta: float,
     larger transcript likelihood; ties go to the true distribution."""
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
+    if not math.isfinite(corruption_l1):
+        raise ValueError(f"corruption_l1 must be finite, got {corruption_l1}")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta:g}")
     if trials < 1000:

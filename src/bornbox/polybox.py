@@ -8,8 +8,8 @@ Three circuit families get native estimators:
 
 * product-input Clifford circuits: pull the measured Z's back
   through the gate list, all in one pass of the tableau word rule
-  (``stabcore.pull_back``), multiply a random subset of them and evaluate
-  the product on the product input (single-copy, range [-1, 1]);
+  (``stabcore.pull_back_words``), multiply a random subset of them and
+  evaluate the product on the product input (single-copy, range [-1, 1]);
 * X-programs: a random parity vector r supported on the constrained
   positions selects rows of the program matrix; the draw is +-1 or 0 and its
   expectation is the pattern probability (see ``_iqp_values``);

@@ -8,7 +8,8 @@ Three constructions:
   an eps-approximately t-sparse target and eps <= 1/6 the induced
   distribution is within L1 distance 12*eps + delta.  ``sparse_budget``
   splits a total budget eps' into eps = delta = eps'/13 and
-  t = ceil(sp(k/eps)), refusing eps' outside (0, 13/6].
+  t = ceil(sp(k/eps)), refusing eps' outside (0, 13/6] and a bound that
+  gives t = 0.
 * ``cdf_bitwise_sample``: inverse-CDF sampling bit by bit from joint
   prefix-marginal queries against an exponential-precision estimator,
   with an m-bit discretized uniform draw.
@@ -171,7 +172,8 @@ def sparse_budget(sp: SparsityPolynomial, k: int,
                   eps_prime: float) -> tuple[int, float]:
     """(t, eps) for a total L1 budget eps_prime = 12*eps + delta, with
     eps = delta = eps_prime/13 and t = ceil(sp(k/eps)).  As the bound needs
-    eps <= 1/6, eps_prime outside (0, 13/6] is refused."""
+    eps <= 1/6, eps_prime outside (0, 13/6] is refused, and so is a bound
+    that gives t = 0."""
     eps = eps_prime / 13.0
     if not 0.0 < eps <= _MAX_EPS:
         raise ValueError(f"eps_prime must lie in (0, 13/6], got {eps_prime:g}")
@@ -179,7 +181,11 @@ def sparse_budget(sp: SparsityPolynomial, k: int,
     if not math.isfinite(bound):
         raise ValueError(f"eps_prime={eps_prime:g} gives a non-finite sparsity "
                          f"bound sp(k/eps) = {bound:g}")
-    return math.ceil(bound), eps
+    t = math.ceil(bound)
+    if t < 1:
+        raise ValueError(f"eps_prime={eps_prime:g} gives t = ceil(sp(k/eps)) "
+                         f"= {t}; t must be >= 1")
+    return t, eps
 
 
 def epsilon_simulate(est, sp: SparsityPolynomial, circuit: Circuit,
@@ -194,9 +200,9 @@ def epsilon_simulate(est, sp: SparsityPolynomial, circuit: Circuit,
     if count < 0:
         raise ValueError("count must be nonnegative")
     # a sampling handle runs no query at count 0, so the crossover is only
-    # asked when drawing; t < 1 is left for survivor_distribution to refuse
+    # asked when drawing
     fixed = getattr(est, "deterministic", False) or (
-        count > 0 and t >= 1 and _search_budget(
+        count > 0 and _search_budget(
             est, circuit.k, eps / (2.0 * t), eps)[3] == circuit.k)
     rounds, size = (1, count) if fixed else (count, 1)
     draws: list[str] = []

@@ -214,14 +214,18 @@ COMPLETE = {"estimate": ["--circuit", "x", "--pattern", "0"],
     ["sample", "--method", "foo"],
     ["experiment", "anticoncentration", "--n"],
 ], ids=lambda argv: " ".join(argv) or "no-args")
-def test_argument_errors_and_help_match_the_full_parser(capsys, argv):
-    """run_command builds only the named subcommand's parser; what it
-    prints and returns is what the parser with every subcommand gives."""
-    code = run_command(argv)
-    got = (code, *capsys.readouterr())
+def test_argument_errors_and_help_match_the_full_parser(capsys, ghz_file,
+                                                        argv):
+    """run_command parses with the one cached parser; what it prints and
+    returns is what a freshly built parser gives, also after that parser
+    has run a successful command."""
     with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args(argv)
-    assert got == (exc.value.code, *capsys.readouterr())
+        cli.build_parser.__wrapped__().parse_args(argv)
+    fresh = (exc.value.code, *capsys.readouterr())
+    for _ in range(2):
+        assert (run_command(argv), *capsys.readouterr()) == fresh
+        run_json(capsys, ["oracle", "--circuit", ghz_file])
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -252,6 +256,12 @@ def test_subcommand_errors_name_the_subcommand(capsys, argv, message):
     ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
      "sampling", "--eps-prime", "3", "--count", "0"],
     ["sample", "--circuit", "{ghz}", "--method", "sparse", "--sparsity", "0"],
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--sparsity", "0",
+     "--count", "0"],
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "sampling", "--sparsity", "0"],
+    ["sample", "--circuit", "{ghz}", "--method", "sparse", "--estimator",
+     "sampling", "--sparsity", "0", "--count", "0"],
     ["experiment", "distinguish", "--circuit", "{ghz}", "--bob", "scheduled",
      "--delta", "0.9"],
     ["experiment", "anticoncentration", "--n", "2", "--trials", "100",
@@ -317,7 +327,9 @@ def test_subcommand_errors_name_the_subcommand(capsys, argv, message):
         "eps-negative", "negative-count", "over-draw-budget",
         "distinguish-trials", "cdf-m-too-large", "cdf-m-zero-count-0",
         "sparse-eps-prime-oracle", "sparse-eps-prime-count-0",
-        "sparse-zero-sparsity", "distinguish-scheduled-delta",
+        "sparse-zero-sparsity", "sparse-zero-sparsity-count-0",
+        "sparse-zero-sparsity-sampling",
+        "sparse-zero-sparsity-sampling-count-0", "distinguish-scheduled-delta",
         "anticoncentration-alpha-above-1", "anticoncentration-alpha-negative",
         "anticoncentration-alpha-nan", "encoded-delta-negative",
         "encoded-delta-above-1",
@@ -407,6 +419,19 @@ def test_rounds_times_trials_above_the_draw_limit_are_refused_before_any_work(
     with pytest.raises(WorkStarted):
         experiments.run_hypothesis_test(cli.ghz_circuit(3), "scheduled", 0.05,
                                         1000, 0, rounds=100000)
+
+
+@pytest.mark.parametrize("bob", ["exact", "corrupted", "scheduled"])
+@pytest.mark.parametrize("l1", ["nan", "inf"])
+def test_non_finite_corruption_is_refused_before_any_work(
+        capsys, monkeypatch, ghz_file, bob, l1):
+    _refuse_experiment_work(monkeypatch)
+    code = run_command(["experiment", "distinguish", "--circuit", ghz_file,
+                        "--bob", bob, "--corruption-l1", l1])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: corruption_l1 must be finite, got {l1}\n"
 
 
 def test_trials_at_the_draw_limit_reach_the_work(monkeypatch):
@@ -1000,6 +1025,18 @@ def test_out_flag(capsys, ghz_file, tmp_path):
     assert code == 0
     doc = json.loads(target.read_text().splitlines()[0])
     assert doc["payload"]["probability"] == 0.5
+
+
+@pytest.mark.parametrize("target", [".", "missing/result.json"],
+                         ids=["directory", "missing-directory"])
+def test_unwritable_out_exits_2(capsys, ghz_file, tmp_path, target):
+    code = run_command(["oracle", "--circuit", ghz_file,
+                        "--out", str(tmp_path / target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and str(tmp_path) in line
 
 
 def test_byte_identical_across_threads(ghz_file):

@@ -306,6 +306,11 @@ def test_sparse_budget_splits_and_refuses():
     # k/eps overflows, and Horner's 0 * inf makes even a constant nan
     with pytest.raises(ValueError, match="eps_prime=.* gives a non-finite"):
         sparse_budget(SparsityPolynomial.constant(2), 5, 1e-320)
+    # a bound of 0, even a signed one, gives t = 0
+    for zero in (0.0, -0.0):
+        with pytest.raises(ValueError, match="t = ceil.* = 0; t must be >= 1"):
+            sparse_budget(SparsityPolynomial((zero, 0.0)), 3, 1.3)
+    assert sparse_budget(SparsityPolynomial.constant(1e-300), 3, 1.3)[0] == 1
     # refused before any search, on both paths and at any count
     ghz3 = ghz_circuit(3)
     for box in (OraclePolyBox(ghz3), ProdPolyBox(ghz3)):
@@ -313,6 +318,9 @@ def test_sparse_budget_splits_and_refuses():
             with pytest.raises(ValueError, match="eps_prime"):
                 epsilon_simulate(box, SparsityPolynomial.constant(2), ghz3,
                                  3.0, count, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="t must be >= 1"):
+                epsilon_simulate(box, SparsityPolynomial.constant(0), ghz3,
+                                 1.3, count, np.random.default_rng(0))
 
 
 def test_sparse_sample_point_mass():
