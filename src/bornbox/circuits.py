@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Union
 
@@ -110,9 +112,10 @@ class ProdCircuit:
         _check_counts(self.n, self.k)
         if self.state.n != self.n:
             raise ValueError("prep state size != qubit count")
-        for g in self.gates:
-            if max(g.qubits) >= self.n:
-                raise ValueError(f"gate {g.name} touches qubit outside range")
+        qubits = chain.from_iterable(map(attrgetter("qubits"), self.gates))
+        if max(qubits, default=-1) >= self.n:
+            g = next(g for g in self.gates if max(g.qubits) >= self.n)
+            raise ValueError(f"gate {g.name} touches qubit outside range")
         object.__setattr__(self, "gates", tuple(self.gates))
 
     @property
@@ -217,12 +220,11 @@ def parse_pattern(text: str) -> OutcomePattern:
 
 
 def parse_circuit(text: str, base_dir: str | Path | None = None) -> Circuit:
-    numbered = []
-    for idx, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0]
-        if line.strip():
-            numbered.append((idx, line))
-    return _parse_lines(numbered, base_dir)
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    return _parse_lines([(no, line) for no, line in enumerate(lines, start=1)
+                         if line.strip()], base_dir)
 
 
 def _parse_lines(numbered, base_dir) -> Circuit:
@@ -250,8 +252,18 @@ def _parse_int(tok: str, what: str, line: int) -> int:
         raise CircuitSyntaxError(f"bad {what} {tok!r}", line) from None
 
 
-def _parse_gate(toks: list[str], n: int, line: int) -> GateApp:
-    """The gate on a split ``gate`` line of an n-qubit circuit."""
+def _parse_gate(toks: list[str], n: int, qubit: dict[str, int],
+                line: int) -> GateApp:
+    """The gate on a split ``gate`` line of an n-qubit circuit, qubit being
+    the parse's table ``{str(q): q}`` of indices q below n.  A line whose
+    qubit tokens the table all takes needs only its arity and distinctness
+    checked; any other line, which is refused, names an index past the
+    table or spells one some other way (``007``, ``+3``), takes the
+    per-token path, which names the fault."""
+    qs = tuple(map(qubit.get, toks[2:]))
+    if (len(toks) > 2 and GATE_ARITY.get(toks[1]) == len(qs)
+            and None not in qs and len(set(qs)) == len(qs)):
+        return GateApp._make((toks[1], qs))
     if len(toks) < 3:
         raise CircuitSyntaxError("gate needs a name and qubits", line)
     name = toks[1]
@@ -280,6 +292,18 @@ def _parse_float(tok: str, what: str, line: int) -> float:
     return value
 
 
+def _parse_floats(toks: list[str], what: str, line: int) -> tuple[float, ...]:
+    """The tokens as finite floats, converted at once; if one is not, the
+    per-token path names the first such."""
+    try:
+        values = tuple(map(float, toks))
+    except ValueError:
+        values = (math.nan,)
+    if all(map(math.isfinite, values)):
+        return values
+    return tuple(_parse_float(tok, what, line) for tok in toks)
+
+
 # the directives each family takes besides qubits and measure
 _BODY_DIRECTIVES = {"prod": ("prep", "gate"), "iqp": ("xrow",)}
 
@@ -295,6 +319,10 @@ def _parse_program(family: str, body) -> Circuit:
     # was accepted under the same family and qubit count, so it is not
     # split, converted or validated again
     built: dict[str, GateApp] = {}
+    # the qubit table, built at the first gate line; it holds no more
+    # indices than the file has lines, so a wide register named by a few
+    # lines does not pay for an entry per qubit
+    qubit = None
     rows: list[tuple[int, ...]] = []
     for line_no, line in body:
         gate = built.get(line)
@@ -304,7 +332,9 @@ def _parse_program(family: str, body) -> Circuit:
         toks = line.split()
         kind = toks[0]
         if kind == "gate" and n is not None and family == "prod":
-            gate = built[line] = _parse_gate(toks, n, line_no)
+            if qubit is None:
+                qubit = {str(q): q for q in range(min(n, len(body)))}
+            gate = built[line] = _parse_gate(toks, n, qubit, line_no)
             gates.append(gate)
             continue
         if kind in ("qubits", "measure"):
@@ -333,9 +363,9 @@ def _parse_program(family: str, body) -> Circuit:
             if toks[2] == "bloch":
                 if len(toks) != 6:
                     raise CircuitSyntaxError("prep bloch needs 3 components", line_no)
-                vec = tuple(_parse_float(t, "bloch component", line_no)
-                            for t in toks[3:6])
-                if sum(c * c for c in vec) > 1.0 + 1e-9:
+                vec = _parse_floats(toks[3:6], "bloch component", line_no)
+                rx, ry, rz = vec
+                if rx * rx + ry * ry + rz * rz > 1.0 + 1e-9:  # as in ProductState
                     raise CircuitSyntaxError("bloch vector outside unit ball", line_no)
                 preps[q] = vec
             elif toks[2] == "gates":

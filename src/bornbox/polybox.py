@@ -64,7 +64,7 @@ from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
                        ProdCircuit, check_pattern_length)
 from .oracle import (ExactDistribution, _codes, encoded_first_bit,
                      encoded_probabilities, exact_distribution)
-from .stabcore import PauliOperator, pull_back_words
+from .stabcore import pull_back_words
 
 _CHUNK = 8192
 # patterns per sign block: a chunk holds at most _BLOCK x _CHUNK signed draws
@@ -198,12 +198,15 @@ def _prod_values(circuit: ProdCircuit, positions):
     pulled-back Z's that r selects and evaluates the product on the product
     input; the Z's commute pairwise."""
     n, f = circuit.n, len(positions)
-    xs, zs, sg = pull_back_words(
-        n, circuit.gates, [PauliOperator.single_z(n, pos) for pos in positions])
+    xs, zs = [0] * n, [0] * n
+    for r, pos in enumerate(positions):  # row r is Z on positions[r]
+        zs[pos] |= 1 << r
+    sg = pull_back_words(circuit.gates, xs, zs, 0)
     weights = np.array([[1.0, rx, rz, ry] for (rx, ry, rz) in
                         circuit.state.bloch])
-    fx, fz = _word_bits(xs, f), _word_bits(zs, f)
-    kappa = ((fx & fz).sum(axis=1) + 2 * _word_bits([sg], f)[:, 0]) % 4
+    words = _word_bits(xs + zs + [sg], f)
+    fx, fz = words[:, :n], words[:, n:2 * n]
+    kappa = ((fx & fz).sum(axis=1) + 2 * words[:, 2 * n]) % 4
     # pair[a, b] feeds the i**2 correction when factor a's Z bits cross
     # factor b's X bits in the left-to-right product (a < b only)
     pair = np.triu((fz @ fx.T) & 1, 1)
@@ -260,8 +263,9 @@ class _SamplingPolyBox:
     def estimate(self, pattern: OutcomePattern, eps: float, delta: float,
                  rng: Optional[np.random.Generator] = None) -> Estimate:
         check_pattern_length(pattern, self.circuit.k)
-        positions = [pos for pos, _ in pattern.fixed]
-        bits = [[bit for _, bit in pattern.fixed]]
+        fixed = pattern.fixed
+        positions = [pos for pos, _ in fixed]
+        bits = [[bit for _, bit in fixed]]
         s, (mean,) = self._sampled(positions, bits, eps, delta, rng)
         return Estimate(float(mean), eps, delta, s)
 

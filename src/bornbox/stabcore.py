@@ -2,6 +2,12 @@
 
 Conventions
 -----------
+A :class:`GateApp` is a checked ``(name, qubits)`` tuple: a known gate
+name and distinct, nonnegative qubits of its arity.  Whether the qubits fit
+a circuit is checked where the qubit count is known: in ``ProdCircuit`` for
+every circuit, and in :func:`pull_back` for a bare gate list; the word
+rule takes the gates as they are.
+
 A :class:`PauliOperator` stores ``sign * prod_i i**(x_i z_i) X_i**x_i Z_i**z_i``.
 The i-factor makes every stored operator Hermitian, so ``sign`` is +1 or -1 and
 the letter on qubit i is I, X, Z or Y for (x_i, z_i) = (0,0), (1,0), (0,1),
@@ -12,11 +18,12 @@ of a Clifford U as Stim-style bit planes (arXiv:2103.02202): bit r of
 ``xs[q]`` (``zs[q]``) is image row r's x (z) bit on qubit q and bit r of
 ``signs`` its sign, so one word rule per gate, the only gate-conjugation rule
 here, updates all rows at once: in :func:`tableau_from_gates`, in the
-synthesis sweep and in :func:`pull_back_words`, which packs f Paulis P as
-f rows of such words and walks the gates once in reverse (Heisenberg
-picture) to return the words of every ``U^dag P U``, pulling the
-estimator's measured Z's back onto the input state without building a
-tableau (:func:`pull_back` reads the rows back as operators).  The rule
+synthesis sweep and in :func:`pull_back_words`, which takes f Paulis P,
+packed as f rows of such words, through the gates once in reverse
+(Heisenberg picture), leaving the words of every ``U^dag P U``: the
+estimator packs its measured Z's that way to pull them back onto the input
+state without building a tableau, and :func:`pull_back` packs any Paulis
+and reads the rows back as operators.  The rule
 takes a mask that selects the rows, or, on a stack of tableaus whose words
 are uint64 arrays over trials, the trials it applies to.  Every tableau
 passes :func:`check_symplectic`, the rows' n(2n-1) commutation conditions
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,25 +67,30 @@ def _parity(v: int) -> int:
     return v.bit_count() & 1
 
 
-@dataclass(frozen=True)
-class GateApp:
-    """One named Clifford gate applied to specific qubits."""
-
+class _GateFields(NamedTuple):
     name: str
     qubits: tuple[int, ...]
 
-    def __post_init__(self):
-        arity = GATE_ARITY.get(self.name)
+
+class GateApp(_GateFields):
+    """One named Clifford gate applied to specific qubits, checked on
+    construction as described above; ``GateApp._make`` skips the checks,
+    for a caller that has made them."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, qubits):
+        arity = GATE_ARITY.get(name)
         if arity is None:
-            raise ValueError(f"unknown gate {self.name!r}")
-        qubits = tuple(map(int, self.qubits))
-        object.__setattr__(self, "qubits", qubits)
+            raise ValueError(f"unknown gate {name!r}")
+        qubits = tuple(map(int, qubits))
         if len(qubits) != arity:
-            raise ValueError(f"gate {self.name} takes {arity} qubit(s)")
+            raise ValueError(f"gate {name} takes {arity} qubit(s)")
         if len(set(qubits)) != arity:
-            raise ValueError(f"gate {self.name} qubits must be distinct")
+            raise ValueError(f"gate {name} qubits must be distinct")
         if min(qubits) < 0:
             raise ValueError("negative qubit index")
+        return super().__new__(cls, name, qubits)
 
 
 @dataclass(frozen=True)
@@ -178,28 +191,33 @@ def _row(n: int, xs, zs, signs: int, r: int) -> PauliOperator:
     return PauliOperator(n, x, z, -1 if (signs >> r) & 1 else 1)
 
 
-def pull_back_words(n: int, gates, paulis) -> tuple[list[int], list[int], int]:
-    """U^dag P U for U = g_G ... g_1 and each n-qubit P in the sequence
-    paulis, as the words of ``_to_words`` (row r for paulis[r]), in one pass
-    over the gates and without building a tableau.
+def pull_back_words(gates, xs: list[int], zs: list[int], sg: int) -> int:
+    """U^dag P U for U = g_G ... g_1 and every row P of the words laid out
+    as by ``_to_words``, in one pass over the gates and without building a
+    tableau: ``xs`` and ``zs`` are updated in place, and the new sign word
+    is returned.
 
-    Heisenberg picture: the Paulis are packed as the rows of tableau-layout
-    words, which each gate's word rule takes through g_G^dag down to g_1^dag.
-    Every gate but S is self-inverse; S^dag = Z S, so S is followed by Z.
+    Heisenberg picture: each gate's word rule takes the rows through
+    g_G^dag down to g_1^dag.  Every gate but S is self-inverse; S^dag = Z S,
+    so S is followed by Z.  The gates' qubits are not checked against the
+    words: a ``ProdCircuit``'s gates were checked when it was built, and
+    ``pull_back`` checks a bare list.
     """
-    xs, zs, sg = _to_words(n, paulis)
-    for gate in reversed(gates):
-        if max(gate.qubits) >= n:
-            raise ValueError("gate qubit outside operator range")
-        sg = _conjugate_words(gate.name, gate.qubits, xs, zs, sg)
-        if gate.name == "S":
-            sg = _conjugate_words("Z", gate.qubits, xs, zs, sg)
-    return xs, zs, sg
+    for name, qubits in reversed(gates):
+        sg = _conjugate_words(name, qubits, xs, zs, sg)
+        if name == "S":
+            sg = _conjugate_words("Z", qubits, xs, zs, sg)
+    return sg
 
 
 def pull_back(n: int, gates, paulis) -> tuple[PauliOperator, ...]:
-    """``pull_back_words`` read back as one PauliOperator per P."""
-    xs, zs, sg = pull_back_words(n, gates, paulis)
+    """U^dag P U for each n-qubit P in the sequence paulis, through
+    ``pull_back_words``, for any gate list: a gate on a qubit outside the n
+    is refused first."""
+    if any(max(g.qubits) >= n for g in gates):
+        raise ValueError("gate qubit outside operator range")
+    xs, zs, sg = _to_words(n, paulis)
+    sg = pull_back_words(gates, xs, zs, sg)
     return tuple(_row(n, xs, zs, sg, r) for r in range(len(paulis)))
 
 

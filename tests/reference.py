@@ -28,6 +28,11 @@ over any sampler, a pattern's probability summed through a 2^k index mask,
 outcome draws as strings, and the exact L1 between multi-round
 transcripts.
 
+``reference_parse_gate`` reads a gate line token by token through
+``int``, with no qubit table; the parser, which looks the tokens up in a
+per-parse table first, must accept and refuse the same lines, with the
+same messages.
+
 The per-draw cdf and chain samplers walk one draw at a time over string
 prefixes through a handle's ``prefix_probability(bits)``; ``PerPrefix``
 gives a distribution that query form, read off its cumulative table one
@@ -45,8 +50,8 @@ import numpy as np
 
 from bornbox import polybox
 from bornbox import stabcore as sc
-from bornbox.circuits import (IqpCircuit, OutcomePattern, ProdCircuit,
-                              check_pattern_length)
+from bornbox.circuits import (CircuitSyntaxError, IqpCircuit, OutcomePattern,
+                              ProdCircuit, check_pattern_length)
 from bornbox.oracle import (ExactDistribution, _bloch_eigvec,
                             _check_size, iqp_statevector, l1_distance,
                             prod_branches)
@@ -349,6 +354,29 @@ def reference_pull_back(gates, p: PauliOperator) -> PauliOperator:
         if gate.name == "S":
             x, z, sign = _gate_conjugate_bits("Z", gate.qubits, x, z, sign)
     return PauliOperator(p.n, x, z, sign)
+
+
+def reference_parse_gate(toks: list[str], n: int, line: int) -> GateApp:
+    """The gate on a split ``gate`` line of an n-qubit circuit, each qubit
+    token read with ``int`` and the gate built through GateApp's checks."""
+    if len(toks) < 3:
+        raise CircuitSyntaxError("gate needs a name and qubits", line)
+    name = toks[1]
+    if name not in sc.GATE_ARITY:
+        raise CircuitSyntaxError(f"unknown gate {name!r}", line)
+    qs = []
+    for tok in toks[2:]:
+        try:
+            qs.append(int(tok))
+        except ValueError:
+            raise CircuitSyntaxError(f"bad qubit index {tok!r}", line) from None
+    try:
+        gate = GateApp(name, qs)
+    except ValueError as exc:
+        raise CircuitSyntaxError(str(exc), line) from exc
+    if max(qs) >= n:
+        raise CircuitSyntaxError("gate qubit out of range", line)
+    return gate
 
 
 def reference_tableau_from_gates(n: int, gates) -> CliffordTableau:

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from bornbox.circuits import (CircuitSyntaxError, EncodedCircuit, IqpCircuit,
                               OutcomePattern, ProdCircuit, bloch_from_words,
                               ce_encode, parse_circuit, parse_pattern)
-from bornbox.stabcore import GateApp, ProductState
+from bornbox.stabcore import GATE_ARITY, GateApp, ProductState
 
 from helpers import ghz_circuit, pattern_matches, serialize_circuit
+from reference import reference_parse_gate
 
 
 def test_parse_basic_prod():
@@ -195,6 +196,57 @@ def test_parsing_leaves_the_intern_table_alone(line, message):
         with pytest.raises(CircuitSyntaxError) as exc:
             parse_circuit(f"family prod\nqubits 2\n{line}\n")
         assert str(exc.value) == message
+
+
+@st.composite
+def gate_files(draw):
+    """(n, gate lines) at the edge of what the parser takes: names in and
+    outside the gate set, qubit tokens in range, at n, negative, or spelled
+    in forms int() reads but the qubit table does not, repeated lines."""
+    n = draw(st.one_of(st.integers(1, 4), st.integers(1, 32)))
+    # half of the tokens in range, so that a file's first fault is often
+    # one of the others
+    in_range = st.integers(0, n - 1).map(str)
+    token = st.one_of(in_range, in_range, st.just(str(n)),
+                      st.sampled_from(["-1", "-0", "007", "+3", "3_0", "x"]))
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        name = draw(st.sampled_from(["H", "CNOT", "CZ", "Q", "h"]))
+        count = draw(st.one_of(st.just(GATE_ARITY.get(name, 1)),
+                               st.integers(0, 3)))
+        toks = draw(st.lists(token, min_size=count, max_size=count))
+        lines.append(" ".join(["gate", name, *toks]))
+    lines += draw(st.lists(st.sampled_from(lines), max_size=3))
+    return n, draw(st.permutations(lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_files())
+def test_gate_lines_parse_as_the_per_token_reference(case):
+    n, lines = case
+    text = f"family prod\nqubits {n}\n" + "".join(f"{line}\n" for line in lines)
+    try:
+        want = tuple(reference_parse_gate(line.split(), n, no)
+                     for no, line in enumerate(lines, start=3))
+    except CircuitSyntaxError as exc:
+        with pytest.raises(CircuitSyntaxError) as got:
+            parse_circuit(text)
+        assert str(got.value) == str(exc)
+    else:
+        gates = parse_circuit(text).gates
+        assert gates == want
+        assert all(type(g) is GateApp for g in gates)
+
+
+def test_parsed_gates_are_checked_gate_tuples():
+    (gate,) = parse_circuit("family prod\nqubits 3\ngate CNOT 2 0\n").gates
+    built = GateApp("CNOT", (2, 0))
+    assert gate == built
+    assert hash(gate) == hash(built)
+    assert gate == ("CNOT", (2, 0))
+    for field in ("name", "qubits", "other"):
+        with pytest.raises(AttributeError):
+            setattr(gate, field, None)
 
 
 @pytest.mark.parametrize("n, k, message", [

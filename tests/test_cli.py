@@ -434,6 +434,23 @@ def test_non_finite_corruption_is_refused_before_any_work(
     assert captured.err == f"error: corruption_l1 must be finite, got {l1}\n"
 
 
+@pytest.mark.parametrize("bob", ["exact", "corrupted", "scheduled"])
+@pytest.mark.parametrize("l1", ["3.0", "-1.0", "2.0000001"])
+def test_corruption_outside_its_range_is_refused_before_the_oracle_build(
+        capsys, monkeypatch, ghz_file, bob, l1):
+    builds = []
+    build = experiments.OraclePolyBox
+    monkeypatch.setattr(experiments, "OraclePolyBox",
+                        lambda circuit: builds.append(circuit) or build(circuit))
+    code = run_command(["experiment", "distinguish", "--circuit", ghz_file,
+                        "--bob", bob, f"--corruption-l1={l1}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: corruption_l1 must lie in [0, 2], got {l1}\n"
+    assert builds == []
+
+
 def test_trials_at_the_draw_limit_reach_the_work(monkeypatch):
     _refuse_experiment_work(monkeypatch)
     with pytest.raises(WorkStarted):
