@@ -149,6 +149,8 @@ class IqpCircuit:
 
 @dataclass(frozen=True)
 class EncodedCircuit:
+    """A circuit wrapped in the parity encoding (X xor Par(Y), Y)."""
+
     inner: "Circuit"
 
     @property
@@ -170,11 +172,6 @@ class EncodedCircuit:
 
 
 Circuit = Union[ProdCircuit, IqpCircuit, EncodedCircuit]
-
-
-def ce_encode(inner: Circuit) -> EncodedCircuit:
-    """Wrap a circuit in the parity encoding (X xor Par(Y), Y)."""
-    return EncodedCircuit(inner)
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +289,6 @@ def _parse_float(tok: str, what: str, line: int) -> float:
     return value
 
 
-def _parse_floats(toks: list[str], what: str, line: int) -> tuple[float, ...]:
-    """The tokens as finite floats, converted at once; if one is not, the
-    per-token path names the first such."""
-    try:
-        values = tuple(map(float, toks))
-    except ValueError:
-        values = (math.nan,)
-    if all(map(math.isfinite, values)):
-        return values
-    return tuple(_parse_float(tok, what, line) for tok in toks)
-
-
 # the directives each family takes besides qubits and measure
 _BODY_DIRECTIVES = {"prod": ("prep", "gate"), "iqp": ("xrow",)}
 
@@ -363,7 +348,8 @@ def _parse_program(family: str, body) -> Circuit:
             if toks[2] == "bloch":
                 if len(toks) != 6:
                     raise CircuitSyntaxError("prep bloch needs 3 components", line_no)
-                vec = _parse_floats(toks[3:6], "bloch component", line_no)
+                vec = tuple(_parse_float(tok, "bloch component", line_no)
+                            for tok in toks[3:6])
                 rx, ry, rz = vec
                 if rx * rx + ry * ry + rz * rz > 1.0 + 1e-9:  # as in ProductState
                     raise CircuitSyntaxError("bloch vector outside unit ball", line_no)

@@ -36,14 +36,15 @@ from typing import Optional
 
 import numpy as np
 
-from .circuits import (Circuit, IqpCircuit, OutcomePattern, ProdCircuit,
-                       ce_encode, check_pattern_length, parse_circuit,
+from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
+                       ProdCircuit, check_pattern_length, parse_circuit,
                        parse_pattern)
 from .experiments import (advantage_cap, anticoncentration_report,
                           bob_epsilon_schedule, run_hypothesis_test,
                           sparsity_profile)
 from .oracle import (ExactDistribution, OracleLimitError, exact_distribution,
-                     exact_probability, min_sparsity, oracle_limit)
+                     exact_probability, l1_distance, min_sparsity,
+                     oracle_limit)
 from .polybox import (MAX_SAMPLES, CePolyBox, IqpPolyBox, OraclePolyBox,
                       ProdPolyBox, auto_polybox, hoeffding_samples)
 from .samplers import (SparsityPolynomial, cdf_bitwise_sample,
@@ -298,8 +299,7 @@ def _chi2_pvalue(draws: list[str], dist: ExactDistribution) -> float:
 
 
 def _empirical_l1(draws: list[str], dist: ExactDistribution) -> float:
-    counts = draw_counts(draws, dist.k)
-    return float(np.abs(counts / len(draws) - dist.probs).sum())
+    return l1_distance(draw_counts(draws, dist.k) / len(draws), dist)
 
 
 def _selftest_checks(seed: int, threads: int,
@@ -342,7 +342,7 @@ def _selftest_checks(seed: int, threads: int,
     checks.append({"check": "iqp-unbiasedness", "pass": abs(e.value - p) <= tol,
                    "value": abs(e.value - p), "bound": tol})
 
-    enc = ce_encode(ghz_circuit(3))
+    enc = EncodedCircuit(ghz_circuit(3))
     cebox = CePolyBox(enc)
     ok = True
     for trits in itertools.product("01*", repeat=enc.k):

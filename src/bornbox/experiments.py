@@ -28,8 +28,9 @@ import math
 import numpy as np
 
 from .circuits import Circuit
-from .oracle import (ExactDistribution, _check_size, exact_distribution,
-                     l1_distance, min_sparsity, prod_probabilities_many)
+from .oracle import (ExactDistribution, _check_size, check_l1_eps,
+                     exact_distribution, l1_distance, min_sparsity,
+                     prod_probabilities_many)
 from .polybox import MAX_SAMPLES, OraclePolyBox, _chunked_map
 from .samplers import (SparsityPolynomial, sparse_budget,
                        survivor_distribution)
@@ -111,8 +112,13 @@ def anticoncentration_report(n: int, trials: int, alphas, state: ProductState,
 
 
 def sparsity_profile(circuit: Circuit, eps_grid) -> list[tuple[float, int]]:
+    """(eps, min_sparsity) for each eps of the grid; the whole grid is
+    checked before the oracle build."""
+    grid = [float(eps) for eps in eps_grid]
+    for eps in grid:
+        check_l1_eps(eps)
     dist = exact_distribution(circuit)
-    return [(float(eps), min_sparsity(dist, float(eps))) for eps in eps_grid]
+    return [(eps, min_sparsity(dist, eps)) for eps in grid]
 
 
 # ---------------------------------------------------------------------------

@@ -133,11 +133,16 @@ def l1_distance(d1, d2) -> float:
     return float(np.abs(p - q).sum())
 
 
+def check_l1_eps(eps: float) -> None:
+    """Refuses an L1 distance eps outside [0, 2], nan included."""
+    if not 0.0 <= eps <= 2.0:
+        raise ValueError("eps must lie in [0, 2]")
+
+
 def min_sparsity(d, eps: float) -> int:
     """Smallest t >= 1 such that some t-sparse distribution is within L1
     distance eps (the nearest one drops the tail mass tau and costs 2*tau)."""
-    if not 0.0 <= eps <= 2.0:
-        raise ValueError("eps must lie in [0, 2]")
+    check_l1_eps(eps)
     srt = np.sort(_probs_of(d))[::-1]
     within = 2.0 * (srt.sum() - np.cumsum(srt)) <= eps + 1e-12
     return int(np.argmax(within)) + 1 if within.any() else srt.size
@@ -331,9 +336,7 @@ def _marginalize(full: np.ndarray, n: int, k: int) -> np.ndarray:
     """Map a probability vector indexed by qubit-i-as-bit-i to a distribution
     over the first k qubits indexed big-endian (qubit 0 most significant)."""
     tensor = full.reshape((2,) * n).transpose(tuple(range(n - 1, -1, -1)))
-    if k < n:
-        tensor = tensor.sum(axis=tuple(range(k, n)))
-    return tensor.reshape(-1)
+    return tensor.sum(axis=tuple(range(k, n))).reshape(-1)
 
 
 def encoded_first_bit(inner: Circuit) -> float:

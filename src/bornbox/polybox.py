@@ -70,6 +70,9 @@ _CHUNK = 8192
 # patterns per sign block: a chunk holds at most _BLOCK x _CHUNK signed draws
 # at a time, however many candidates a search level has
 _BLOCK = 64
+# selections times qubits per kernel call: on n qubits a call takes at most
+# _KERNEL_CELLS // n rows, so its (rows, n) matrices stay bounded
+_KERNEL_CELLS = 1 << 20
 # draws per query; a larger Hoeffding count is refused before any allocation
 MAX_SAMPLES = 10 ** 8
 _DELTA_RANGE = "delta must lie in [0, 1); 0 only for deterministic estimators"
@@ -150,23 +153,30 @@ def _batched_sums(values, circuit: Circuit, positions, bits,
     f measured positions, summed over the rows of a (count, f) selection
     matrix sel.  The sign-free draws v = values(circuit, positions)(sel)
     are computed once, and row s draws (-1)^(sel.s) * v, _BLOCK rows at a
-    time (exactly 1.0 over no positions): the one place bits enter.  With
-    tabulate, the kernel runs once on all 2^f selections and each row of
-    sel reads its draw from that table, the same float as its own
-    evaluation, since a kernel's draw depends on its row alone."""
+    time: the one place bits enter.  With tabulate, the kernel runs once on
+    all 2^f selections and each row of sel reads its draw from that table,
+    the same float as its own evaluation, since a kernel's draw depends on
+    its row alone (over no positions, the one empty selection draws exactly
+    1.0).  For the same reason the kernel runs on row blocks of at most
+    _KERNEL_CELLS // n selections, so on n qubits its memory does not grow
+    with the chunk."""
     bits = np.asarray(bits, dtype=np.int64)
     f = len(positions)
-    if not f:
-        def value(sel):
-            return np.ones(len(sel))
-    elif tabulate:
-        table = values(circuit, positions)(_selections(0, 1 << f, f))
+    kernel = values(circuit, positions)
+    step = max(1, _KERNEL_CELLS // circuit.n)
+
+    def blocked(sel):
+        return np.concatenate([kernel(sel[lo:lo + step])
+                               for lo in range(0, len(sel), step)])
+
+    if tabulate:
+        table = blocked(_selections(0, 1 << f, f))
         weights = 1 << np.arange(f)
 
         def value(sel):
             return table[sel @ weights]
     else:
-        value = values(circuit, positions)
+        value = blocked
 
     def sums(sel):
         v = value(sel)

@@ -12,7 +12,8 @@ import time
 import numpy as np
 from scipy import stats
 
-from bornbox.circuits import IqpCircuit, OutcomePattern, ProdCircuit, ce_encode
+from bornbox.circuits import (EncodedCircuit, IqpCircuit, OutcomePattern,
+                              ProdCircuit)
 from bornbox.experiments import (bob_epsilon_schedule,
                                  clifford_output_probabilities,
                                  run_hypothesis_test)
@@ -123,7 +124,7 @@ def test_encoded_estimator_error_bounds():
     for n in range(1, 9):
         inner = random_prod_circuit(rng, n, 2 * n + 4, mixed=False)
         inner = ProdCircuit(n, n, ProductState.zero(n), inner.gates)
-        enc = ce_encode(inner)
+        enc = EncodedCircuit(inner)
         limit_full = 2.0 ** -(n + 1)
         for eps in (0.3, 2.0 ** -(n + 1), 2.0 ** -(n + 3)):
             for idx in range(3 ** (n + 1)):

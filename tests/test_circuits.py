@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bornbox.circuits import (CircuitSyntaxError, EncodedCircuit, IqpCircuit,
                               OutcomePattern, ProdCircuit, bloch_from_words,
-                              ce_encode, parse_circuit, parse_pattern)
+                              parse_circuit, parse_pattern)
 from bornbox.stabcore import GATE_ARITY, GateApp, ProductState
 
 from helpers import ghz_circuit, pattern_matches, serialize_circuit
@@ -70,7 +70,7 @@ def test_parse_encoded_inner_file(tmp_path):
 
 def test_parse_encoded_nested():
     ci = IqpCircuit(3, 3, ((1, 0, 1), (0, 1, 1)))
-    ce2 = ce_encode(ce_encode(ci))
+    ce2 = EncodedCircuit(EncodedCircuit(ci))
     assert parse_circuit(serialize_circuit(ce2)) == ce2
 
 
@@ -82,7 +82,7 @@ def test_roundtrip_examples():
     assert parse_circuit(serialize_circuit(c)) == c
     ci = IqpCircuit(3, 3, ((1, 0, 1), (0, 1, 1)))
     assert parse_circuit(serialize_circuit(ci)) == ci
-    ce = ce_encode(ci)
+    ce = EncodedCircuit(ci)
     assert parse_circuit(serialize_circuit(ce)) == ce
 
 
@@ -315,7 +315,7 @@ def test_circuit_validation():
         IqpCircuit(1, 1, ((2,),))
     assert ghz_circuit(3).family == "prod"
     assert IqpCircuit(1, 1, ()).family == "iqp"
-    assert ce_encode(ghz_circuit(2)).family == "encoded"
+    assert EncodedCircuit(ghz_circuit(2)).family == "encoded"
 
 
 blochs = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
@@ -354,9 +354,9 @@ def iqp_circuits(draw):
 circuits = st.one_of(
     prod_circuits(),
     iqp_circuits(),
-    prod_circuits().map(ce_encode),
-    iqp_circuits().map(ce_encode),
-    iqp_circuits().map(lambda c: ce_encode(ce_encode(c))),
+    prod_circuits().map(EncodedCircuit),
+    iqp_circuits().map(EncodedCircuit),
+    iqp_circuits().map(lambda c: EncodedCircuit(EncodedCircuit(c))),
 )
 
 

@@ -451,6 +451,22 @@ def test_corruption_outside_its_range_is_refused_before_the_oracle_build(
     assert builds == []
 
 
+@pytest.mark.parametrize("eps", ["3", "-0.1", "nan"])
+def test_bad_eps_grid_is_refused_before_the_oracle_build(
+        capsys, monkeypatch, ghz_file, eps):
+    builds = []
+    build = experiments.exact_distribution
+    monkeypatch.setattr(experiments, "exact_distribution",
+                        lambda circuit: builds.append(circuit) or build(circuit))
+    code = run_command(["experiment", "sparsity", "--circuit", ghz_file,
+                        f"--eps-grid=0.1,{eps}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: eps must lie in [0, 2]\n"
+    assert builds == []
+
+
 def test_trials_at_the_draw_limit_reach_the_work(monkeypatch):
     _refuse_experiment_work(monkeypatch)
     with pytest.raises(WorkStarted):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from bornbox import oracle
 from bornbox import stabcore as sc
-from bornbox.circuits import IqpCircuit, OutcomePattern, ProdCircuit, ce_encode
+from bornbox.circuits import (EncodedCircuit, IqpCircuit, OutcomePattern,
+                              ProdCircuit)
 from bornbox.oracle import (ExactDistribution, OracleLimitError,
                             exact_distribution, exact_probability,
                             l1_distance, min_sparsity, prod_probabilities,
@@ -90,7 +91,7 @@ def test_iqp_empty_program_is_point_mass():
 
 
 def test_encoded_frozen():
-    e = ce_encode(ProdCircuit(1, 1, ProductState.zero(1), ()))
+    e = EncodedCircuit(ProdCircuit(1, 1, ProductState.zero(1), ()))
     d = exact_distribution(e)
     assert np.allclose(d.probs, [0.5, 0, 0, 0.5])
     assert exact_probability(e, OutcomePattern("0*")) == 0.5
@@ -100,7 +101,7 @@ def test_encoded_frozen():
 
 
 def test_encoded_marginals_exactly_dyadic():
-    e = ce_encode(ghz_circuit(3))
+    e = EncodedCircuit(ghz_circuit(3))
     assert e.k == 4
     assert exact_probability(e, OutcomePattern("*01*")) == 0.25
     assert exact_probability(e, OutcomePattern("1***")) == 0.5
@@ -110,7 +111,7 @@ def test_encoded_marginals_exactly_dyadic():
 def test_encoded_first_bit_recovers_inner_marginal():
     # Par(Z) = X, so summing outcomes with even parity equals inner p(first=0)
     inner = random_prod_circuit(np.random.default_rng(3), 3, 8)
-    e = ce_encode(inner)
+    e = EncodedCircuit(inner)
     p0 = exact_probability(inner, OutcomePattern("0**"))
     d = exact_distribution(e)
     even = sum(float(d.probs[i]) for i in range(1 << e.k)
@@ -263,7 +264,7 @@ def test_prefix_probability_matches_pattern_probability(seed):
 def test_encoded_closed_form_agrees_with_distribution():
     rng = np.random.default_rng(23)
     for _ in range(5):
-        e = ce_encode(random_prod_circuit(rng, 2, 6))
+        e = EncodedCircuit(random_prod_circuit(rng, 2, 6))
         d = exact_distribution(e)
         for i in range(1 << e.k):
             bits = index_to_outcome(i, e.k)
@@ -358,7 +359,7 @@ def test_statevector_validation():
     with pytest.raises(ValueError, match="no state vector"):
         statevector(ProdCircuit(1, 1, ProductState(((0.0, 0.0, 0.0),)), ()))
     with pytest.raises(TypeError):
-        statevector(ce_encode(ghz_circuit(2)))
+        statevector(EncodedCircuit(ghz_circuit(2)))
 
 
 def test_distribution_validation():

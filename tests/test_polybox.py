@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornbox import oracle, polybox
-from bornbox.circuits import IqpCircuit, OutcomePattern, ProdCircuit, ce_encode
+from bornbox.circuits import (EncodedCircuit, IqpCircuit, OutcomePattern,
+                              ProdCircuit)
 from bornbox.oracle import (ExactDistribution, exact_distribution,
                             exact_probability)
 from bornbox.polybox import (MAX_SAMPLES, CePolyBox, Estimate, IqpPolyBox,
@@ -86,9 +87,79 @@ def test_prod_subset_average_is_exactly_unbiased():
 
 
 def test_prod_all_wild_draws_ones():
-    box = ProdPolyBox(ghz_circuit(2))
-    assert box.exact_prefixes(np.zeros((1, 0), dtype=np.int64)).tolist() == [
-        1.0]
+    none = np.zeros((1, 0), dtype=np.int64)
+    assert ProdPolyBox(ghz_circuit(2)).exact_prefixes(none).tolist() == [1.0]
+    iqp = IqpPolyBox(IqpCircuit(3, 2, ((1, 1, 0), (0, 1, 1))))
+    assert iqp.exact_prefixes(none).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("box_type, circuit", [
+    (ProdPolyBox, random_prod_circuit(np.random.default_rng(4), 3, 12)),
+    (IqpPolyBox, IqpCircuit(3, 3, ((1, 1, 0), (0, 1, 1))))],
+    ids=["prod", "iqp"])
+def test_all_wild_estimate_is_exactly_one(box_type, circuit, threads):
+    """A pattern that fixes nothing reads its draws from the table of the
+    one empty selection: every draw is 1.0, at the full Hoeffding count."""
+    est = box_type(circuit, threads).estimate(
+        OutcomePattern("***"), 0.01, 0.05, np.random.default_rng(1))
+    assert est.value == 1.0
+    assert est.samples_used == hoeffding_samples(0.01, 0.05)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("box_type, values, circuit", [
+    (ProdPolyBox, _prod_values, ghz_circuit(300)),
+    (IqpPolyBox, _iqp_values,
+     random_iqp_circuit(np.random.default_rng(6), 300, 4))],
+    ids=["prod", "iqp"])
+def test_kernel_calls_stay_within_the_row_budget(monkeypatch, box_type, values,
+                                                 circuit, threads):
+    """At n = 300 the budget is 3495 rows, below an 8192-row chunk, so the
+    per-draw path, the table path and the exact levels all run in blocks."""
+    budget = polybox._KERNEL_CELLS // circuit.n
+    rows = []
+
+    def spy(circuit, positions):
+        kernel = values(circuit, positions)
+
+        def value(sel):
+            rows.append(len(sel))
+            return kernel(sel)
+        return value
+    monkeypatch.setattr(box_type, "values", staticmethod(spy))
+    box = box_type(circuit, threads)
+    rng = np.random.default_rng(3)
+    s = hoeffding_samples(0.02, 0.05)
+    for fixed in (14, 13):  # 2^14 > s draws each; a table of 2^13
+        box.estimate(OutcomePattern("0" * fixed + "*" * (circuit.k - fixed)),
+                     0.02, 0.05, rng)
+    box.exact_prefixes(np.zeros((1, 13), dtype=np.int64))
+    assert max(rows) == budget
+    assert sum(rows) == s + 2 * (1 << 13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), iqp=st.booleans(),
+       cells=st.integers(1, 64), tabulate=st.booleans())
+def test_kernel_row_blocks_give_the_unblocked_sums(seed, iqp, cells, tabulate):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    if iqp:
+        values = _iqp_values
+        circuit = random_iqp_circuit(rng, n, int(rng.integers(1, 6)))
+    else:
+        values = _prod_values
+        circuit = random_prod_circuit(rng, n, int(rng.integers(0, 20)))
+    f = int(rng.integers(0, n + 1))
+    positions = sorted(rng.choice(n, size=f, replace=False).tolist())
+    bits = rng.integers(0, 2, size=(int(rng.integers(1, 4)), f))
+    sel = rng.integers(0, 2, size=(int(rng.integers(1, 200)), f))
+    whole = _batched_sums(values, circuit, positions, bits, tabulate)(sel)
+    with mock.patch.object(polybox, "_KERNEL_CELLS", cells):
+        blocked = _batched_sums(values, circuit, positions, bits,
+                                tabulate)(sel)
+    assert blocked.tolist() == whole.tolist()
 
 
 def test_prod_scalar_path_matches_vectorized():
@@ -195,7 +266,7 @@ def test_iqp_estimate():
 def test_ce_estimate_exhaustive_bounds():
     for n in (1, 2, 3):
         inner = ProdCircuit(n, n, ProductState.zero(n), (GateApp("H", (0,)),))
-        enc = ce_encode(inner)
+        enc = EncodedCircuit(inner)
         for eps in (0.3, 2.0 ** -(n + 1), 2.0 ** -(n + 3)):
             for trits in itertools.product("01*", repeat=n + 1):
                 pat = OutcomePattern("".join(trits))
@@ -272,14 +343,14 @@ def test_deterministic_answers_refuse_non_finite_eps_and_delta(
     with pytest.raises(ValueError, match=message):
         Estimate(0.5, eps, delta, 1)
     with pytest.raises(ValueError, match=ce_message):
-        CePolyBox(ce_encode(ghz_circuit(1))).estimate(OutcomePattern("0*"),
+        CePolyBox(EncodedCircuit(ghz_circuit(1))).estimate(OutcomePattern("0*"),
                                                       eps, delta)
 
 
 @pytest.mark.parametrize("box", [
     ProdPolyBox(ghz_circuit(2)),
     IqpPolyBox(IqpCircuit(2, 2, ((1, 1),))),
-    CePolyBox(ce_encode(ghz_circuit(1))),
+    CePolyBox(EncodedCircuit(ghz_circuit(1))),
     OraclePolyBox(ghz_circuit(2)),
 ], ids=["prod", "iqp", "encoded", "oracle"])
 def test_query_validation(box):
@@ -300,7 +371,7 @@ def test_handles():
     assert isinstance(auto_polybox(iqp), IqpPolyBox)
     with pytest.raises(ValueError, match="needs an rng"):
         auto_polybox(iqp).estimate(OutcomePattern("0"), 0.1, 0.1)
-    enc = ce_encode(ghz)
+    enc = EncodedCircuit(ghz)
     cebox = auto_polybox(enc)
     assert isinstance(cebox, CePolyBox)
     assert cebox.deterministic
@@ -323,7 +394,7 @@ def test_evaluate_routes_by_family():
         OutcomePattern("11"), 0.1, 0.05, np.random.default_rng(2))
     assert abs(est.value - 0.5) < 0.1
     assert est.samples_used == hoeffding_samples(0.1, 0.05)
-    enc = ce_encode(ghz_circuit(2))
+    enc = EncodedCircuit(ghz_circuit(2))
     est = auto_polybox(enc).estimate(OutcomePattern("00*"), 0.1)
     assert est.value == 0.25
 
@@ -559,7 +630,7 @@ def test_ce_full_level_makes_at_most_one_oracle_build(monkeypatch, eps,
     """Below the 2^-y resolution one inner build answers every full
     pattern of the level, and at or above it the midpoint needs none; each
     value equals the pattern's own ``estimate``."""
-    enc = ce_encode(random_prod_circuit(np.random.default_rng(4), 3, 10, k=2))
+    enc = EncodedCircuit(random_prod_circuit(np.random.default_rng(4), 3, 10, k=2))
     assert enc.y_bits == 2
     calls = []
     build = oracle.exact_distribution
