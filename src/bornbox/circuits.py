@@ -289,6 +289,10 @@ def _parse_float(tok: str, what: str, line: int) -> float:
     return value
 
 
+# the widest register a circuit file may declare: a prod parse holds a
+# Bloch tuple per qubit, about 113 bytes each, so the cap bounds that at
+# about 0.5 GB before any per-qubit state is built
+MAX_QUBITS = 1 << 22
 # the directives each family takes besides qubits and measure
 _BODY_DIRECTIVES = {"prod": ("prep", "gate"), "iqp": ("xrow",)}
 
@@ -329,6 +333,10 @@ def _parse_program(family: str, body) -> Circuit:
                 raise CircuitSyntaxError(f"duplicate {kind} directive", line_no)
             if kind == "qubits":
                 n = _parse_int(toks[1], "qubit count", line_no)
+                if n > MAX_QUBITS:
+                    raise CircuitSyntaxError(
+                        f"qubit count {n} exceeds the limit of {MAX_QUBITS}",
+                        line_no)
             else:
                 k = _parse_int(toks[1], "measured count", line_no)
             continue

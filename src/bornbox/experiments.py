@@ -1,10 +1,11 @@
 """Empirical harnesses: output anti-concentration under uniform random
 Cliffords, sparsity profiling, and the sampler-distinguishability game.
 
-The anti-concentration trials run in seeded chunks, each as arrays from the
-rng to the probabilities: a chunk draws its tableaus as one stack of words,
-sweeps the stack to masked gate steps, and evolves them all in one batched
-oracle call.
+The anti-concentration trials run in seeded chunks, as arrays from the rng
+to the probabilities: each chunk draws its tableaus as one stack of words
+from its own substream, and a group of chunks that fits one evolution
+sub-batch sweeps its stacks to masked gate steps at once and evolves them
+all in one batched oracle call.
 
 The distinguishability game: a referee secretly flips a fair coin, requests
 samples from either the true circuit distribution ("Alice") or an imposter
@@ -30,7 +31,7 @@ import numpy as np
 from .circuits import Circuit
 from .oracle import (ExactDistribution, _check_size, check_l1_eps,
                      exact_distribution, l1_distance, min_sparsity,
-                     prod_probabilities_many)
+                     prod_probabilities_many, sub_batch_lists)
 from .polybox import MAX_SAMPLES, OraclePolyBox, _chunked_map
 from .samplers import (SparsityPolynomial, sparse_budget,
                        survivor_distribution)
@@ -52,20 +53,30 @@ def clifford_output_probabilities(n: int, trials: int, state: ProductState,
     """p_x for a fixed outcome x under `trials` independent uniformly random
     Clifford circuits applied to the product input.  Chunked with spawned
     substreams so the result array is identical for every thread count.
-    A chunk draws its tableaus as one stack, in stream order, synthesizes
-    the stack's gate steps in one sweep, and evolves them together in one
-    batched oracle call.  The oracle's size limit is checked before
-    anything is drawn."""
+    Each chunk draws its tableaus as one stack, in its own stream's order;
+    the chunks run in groups of as many whole chunks as one evolution
+    sub-batch holds (at least one, and at least one group per thread when
+    there are enough chunks), and a group's stacks are swept to gate steps
+    in one sweep and evolved together in one batched oracle call.  Rows
+    are independent, so the grouping never changes a value.  The oracle's
+    size limit is checked before anything is drawn."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_size(n)
+    n_chunks = -(-trials // _TRIAL_CHUNK)
+    per_task = max(1, min(sub_batch_lists(state) // _TRIAL_CHUNK,
+                          -(-n_chunks // threads)))
 
-    def work(rng, size: int) -> np.ndarray:
-        steps = synthesis_steps(n, *random_clifford_words(n, size, rng))
-        return prod_probabilities_many(state, steps, size)[:, outcome_index]
+    def work(rngs, sizes) -> np.ndarray:
+        drawn = [random_clifford_words(n, size, rng)
+                 for rng, size in zip(rngs, sizes)]
+        steps = synthesis_steps(n, *map(np.concatenate, zip(*drawn)))
+        probs = prod_probabilities_many(state, steps, sum(sizes))
+        return probs[:, outcome_index]
 
     return np.concatenate(_chunked_map(work, trials, _TRIAL_CHUNK,
-                                       np.random.default_rng(seed), threads))
+                                       np.random.default_rng(seed), threads,
+                                       per_task))
 
 
 def anticoncentration_report(n: int, trials: int, alphas, state: ProductState,

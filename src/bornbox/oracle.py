@@ -35,6 +35,8 @@ from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
 from .stabcore import ProductState
 
 _SQ = math.sqrt(0.5)
+# a Bloch norm above this is a pure qubit, one branch rather than two
+_PURE = 1.0 - 1e-12
 DEFAULT_ORACLE_LIMIT = 20
 # amplitudes one sub-batch of a batched evolution holds at once
 _BATCH_AMPLITUDES = 1 << 16
@@ -160,8 +162,8 @@ def prod_branches(state: ProductState) -> list[tuple[float, np.ndarray]]:
     """
     per_qubit: list[list[tuple[float, np.ndarray]]] = []
     for vec in state.bloch:
-        s = math.sqrt(sum(c * c for c in vec))
-        if s > 1.0 - 1e-12:
+        s = _bloch_norm(vec)
+        if s > _PURE:
             per_qubit.append([(1.0, _bloch_eigvec(vec, s))])
         elif s < 1e-15:
             per_qubit.append([(0.5, np.array([1.0, 0.0], complex)),
@@ -177,6 +179,10 @@ def prod_branches(state: ProductState) -> list[tuple[float, np.ndarray]]:
         branches = [(w * wq, (vq[:, None] * psi[None, :]).reshape(-1))
                     for (w, psi) in branches for (wq, vq) in entries]
     return branches
+
+
+def _bloch_norm(vec) -> float:
+    return math.sqrt(sum(c * c for c in vec))
 
 
 def _bloch_eigvec(vec, s) -> np.ndarray:
@@ -198,6 +204,14 @@ def prod_probabilities(circuit: ProdCircuit) -> np.ndarray:
     return prod_probabilities_many(circuit.state, steps, 1)[0]
 
 
+def sub_batch_lists(state: ProductState) -> int:
+    """Gate lists that one sub-batch of :func:`prod_probabilities_many`
+    evolves at once on the input's pure branches: ``_BATCH_AMPLITUDES``
+    over the branch count times 2^n, at least one."""
+    mixed = sum(_bloch_norm(vec) <= _PURE for vec in state.bloch)
+    return max(1, _BATCH_AMPLITUDES >> (mixed + state.n))
+
+
 def prod_probabilities_many(state: ProductState, steps,
                             trials: int) -> np.ndarray:
     """Row j: the exact |amplitude|^2 vector of gate list j of `trials`
@@ -207,10 +221,9 @@ def prod_probabilities_many(state: ProductState, steps,
     the steps whose mask is set at j.
 
     The pure branches of the input are evolved under every gate list at once
-    as one (T, B, 2^n) array, in sub-batches of at most
-    ``_BATCH_AMPLITUDES`` amplitudes (at least one gate list each), so a
-    large n evolves one gate list at a time; a sub-batch's (T, 2^n) index
-    tables are no larger.  See :func:`_evolve`.  The
+    as one (B, T, 2^n) array, in sub-batches of :func:`sub_batch_lists`
+    lists, so a large n evolves one gate list at a time; a sub-batch's
+    (T, 2^n) index tables are no larger.  See :func:`_evolve`.  The
     weighted squares of the branches are summed in branch order.  Each row
     equals a gate-by-gate, branch-by-branch loop bit for bit: every gate
     but H is a monomial, a permutation times factors i^e, which moves or
@@ -222,96 +235,117 @@ def prod_probabilities_many(state: ProductState, steps,
     weights, vectors = zip(*prod_branches(state))
     psi = np.array(vectors)
     del vectors  # at large n, hold the input branches once
-    runs = _runs(steps)
-    span = max(1, _BATCH_AMPLITUDES // psi.size)
+    runs, words = _runs(steps, trials)
+    span = sub_batch_lists(state)
     probs = np.zeros((trials, psi.shape[1]))
     for lo in range(0, trials, span):
         hi = min(lo + span, trials)
-        batch = [(name, ctl[lo:hi, None] if isinstance(ctl, np.ndarray)
-                  else ctl, word[lo:hi, None]) for name, ctl, word in runs]
-        sq = np.abs(_evolve(psi, batch, hi - lo)) ** 2
+        batch = words[:, lo:hi, None]
+        live = [(name, ctl[lo:hi, None] if isinstance(ctl, np.ndarray)
+                 else ctl, word) for (name, ctl), word, on
+                in zip(runs, batch, batch.any(axis=(1, 2))) if on]
+        sq = np.abs(_evolve(psi, live, hi - lo)) ** 2
         rows = probs[lo:hi]
-        for b, weight in enumerate(weights):
-            rows += weight * sq[:, b]
+        for weight, branch in zip(weights, sq):
+            rows += weight * branch
     return probs
 
 
-def _runs(steps) -> list[tuple]:
-    """Masked steps as (name, ctl, word): word holds, per list, the bit of
-    the qubit a step acts on (its target, for CNOT and CZ), or 0 where its
-    mask is unset, and ctl the control's bit (an int, or an array over
-    lists) or None.  A run of CNOTs, or of CZs, on one int control commutes
-    and is one step on the XOR of their words."""
-    runs: list[list] = []
+def _runs(steps, trials: int) -> tuple[list[tuple], np.ndarray]:
+    """Masked steps as runs (name, ctl) and their (R, trials) words: a word
+    holds, per list, the bit of the qubit a step acts on (its target, for
+    CNOT and CZ), or 0 where its mask is unset, and ctl is the control's bit
+    (an int, or an array over lists) or None.  A run of CNOTs, or of CZs,
+    on one int control commutes and is one step on the XOR of their words.
+    Every step's word comes from one pass over the stacked masks; the loop
+    only finds where runs start and what they control."""
+    runs: list[tuple] = []
+    starts: list[int] = []
+    qubits: list = []
     last = None
-    for name, a, b, mask in steps:
+    for k, (name, a, b, _) in enumerate(steps):
         two = name in ("CNOT", "CZ")
-        word = np.where(mask, np.left_shift(1, b if two else a), 0)
+        qubits.append(b if two else a)
         key = (name, a) if two and isinstance(a, int) else None
-        if key is not None and key == last:
-            runs[-1][2] ^= word
-            continue
+        if key is None or key != last:
+            starts.append(k)
+            runs.append((name, (1 << a) if two else None))
         last = key
-        runs.append([name, (1 << a) if two else None, word])
-    return runs
+    if not steps:
+        return runs, np.zeros((0, trials), np.int64)
+    wide = [k for k, q in enumerate(qubits) if isinstance(q, np.ndarray)]
+    column = np.array([0 if isinstance(q, np.ndarray) else q for q in qubits])
+    target = np.repeat(column[:, None], trials, axis=1)
+    if wide:
+        target[wide] = [qubits[k] for k in wide]
+    masks = np.array([mask for *_, mask in steps])
+    words = np.where(masks, np.left_shift(1, target), 0)
+    return runs, np.bitwise_xor.reduceat(words, starts, axis=0)
 
 
 def _evolve(psi0: np.ndarray, runs, trials: int) -> np.ndarray:
-    """(T, B, D) amplitudes of the (B, D) branches psi0 under the T gate
-    lists of the runs of :func:`_runs`, sliced to (T, 1) arrays.
+    """(B, T, D) amplitudes of the (B, D) branches psi0 under the T gate
+    lists of the live runs of :func:`_runs`, each word and array control
+    sliced to a (T, 1) array.
 
     The monomial gates are composed per list into one integer table over
-    the basis: entry i holds src | e << n for pending amplitude
-    i^e psi[src].  X and CNOT gather the table through i ^ word (the word
-    only where i has the control bit), and S, Z and CZ add the quarter
-    turns of their phase: 1 (S) or 2 (Z, CZ) times the number of word bits
-    set in i, for CZ only where i has the control bit.  Only an H touches
-    the amplitudes: out[i] = (psi'[i & ~m] + (-1)^[i & m] psi'[i | m]) / sqrt 2
-    reads the pending psi' through the table, the sign being two more
-    turns, and leaves the identity table.  A list without the H at that
-    step (m = 0) takes (psi'[i] + psi'[i]) / 2 = psi'[i], exactly.
+    the flat (T, D) cells: the entry of cell t*D + i holds c | e << s for
+    pending amplitude i^e psi[c], c being a cell of the same list and s
+    the bit length of the largest cell index.  X and CNOT gather the table
+    through cell ^ word (the word only where i has the control bit), and
+    S, Z and CZ add the quarter turns of their phase: one per set bit of
+    an S word (it carries one bit), and two per set bit of a Z or CZ word,
+    whose parity alone counts, for CZ only where i has the control bit.
+    Only an H touches the amplitudes: out[i] = (psi'[i & ~m] +
+    (-1)^[i & m] psi'[i | m]) / sqrt 2 reads the pending psi' through the
+    entries of cell & ~m and cell | m, the sign being two more turns, and
+    leaves the identity table.  A list without the H at that step (m = 0)
+    takes (psi'[i] + psi'[i]) / 2 = psi'[i], exactly.
     """
-    n_branches, dim = psi0.shape
-    n = dim.bit_length() - 1
+    dim = psi0.shape[1]
+    shift = (trials * dim - 1).bit_length()
     idx = np.arange(dim)
-    rows = np.arange(trials)[:, None] * dim
-    psi, table = psi0, None  # None: the identity table
+    cell = np.arange(trials * dim).reshape(trials, dim)
+    psi, table = psi0, None  # None: the identity table, cell itself
     for name, ctl, word in runs:
-        if not word.any():
-            continue
         if name == "H":
-            lo, hi = idx & ~word, idx | word
+            lo, hi = cell & ~word, cell | word
             if table is not None:
-                lo, hi = np.take(table, rows + lo), np.take(table, rows + hi)
-            hi = hi + np.where(idx & word, 2 << n, 0)
-            psi = _pull(psi, lo, n) + _pull(psi, hi, n)
-            psi *= np.where(word != 0, _SQ, 0.5)[:, :, None]
+                lo, hi = np.take(table, lo), np.take(table, hi)
+            hi += np.where(idx & word, 2 << shift, 0)
+            psi = _pull(psi, lo, shift) + _pull(psi, hi, shift)
+            psi *= np.where(word != 0, _SQ, 0.5)
             table = None
         elif name in ("X", "CNOT"):
             flip = word if ctl is None else ((idx & ctl) != 0) * word
-            table = idx ^ flip if table is None else np.take(
-                table, rows + (idx ^ flip))
+            table = cell ^ flip if table is None else np.take(
+                table, cell ^ flip)
         else:
-            turns = np.bitwise_count(idx & word).astype(np.int64)
-            if ctl is not None:
-                turns *= (idx & ctl) != 0
-            turns <<= n + (name != "S")
-            table = idx + turns if table is None else table + turns
+            if name == "S":
+                turns = (idx & word) != 0
+            else:
+                turns = np.bitwise_count(idx & word) & 1
+                if ctl is not None:
+                    turns &= (idx & ctl) != 0
+            turns = turns * np.int64(1 << (shift + (name != "S")))
+            table = (cell if table is None else table) + turns
     if table is not None:
-        psi = _pull(psi, table, n)
-    return np.broadcast_to(psi, (trials, n_branches, dim))
+        psi = _pull(psi, table, shift)
+    return np.broadcast_to(psi if psi.ndim == 3 else psi[:, None],
+                           (psi0.shape[0], trials, dim))
 
 
-def _pull(psi: np.ndarray, entries: np.ndarray, n: int) -> np.ndarray:
-    """(T, B, D) amplitudes i^e psi[j, b, src] for the (T, D) table entries
-    src | e << n of every list j and branch b; psi is (T, B, D), or the
-    (B, D) branches that every list starts from."""
-    n_branches, dim = psi.shape[-2:]
-    offsets = np.arange(n_branches)[:, None] * dim
-    if psi.ndim == 3:
-        offsets = offsets + np.arange(psi.shape[0])[:, None, None] * psi[0].size
-    amp = np.take(psi, offsets + (entries & (dim - 1))[:, None, :])
-    amp *= _TURNS[(entries >> n) & 3][:, None, :]
+def _pull(psi: np.ndarray, entries: np.ndarray, shift: int) -> np.ndarray:
+    """(B, T, D) amplitudes i^e psi[b, c] for the (T, D) table entries
+    c | e << shift of every list and branch b; psi is (B, T, D), flat cell
+    c, or the (B, D) branches that every list starts from, read at c's
+    basis index."""
+    n_branches = psi.shape[0]
+    span = psi[0].size
+    cells = entries & ((1 << shift) - 1 if psi.ndim == 3 else span - 1)
+    offsets = np.arange(n_branches)[:, None, None] * span
+    amp = np.take(psi, offsets + cells)
+    amp *= _TURNS[(entries >> shift) & 3]
     return amp
 
 

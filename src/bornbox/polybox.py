@@ -123,14 +123,20 @@ def hoeffding_samples(eps: float, delta: float) -> int:
 
 
 def _chunked_map(work, total: int, chunk: int, rng: np.random.Generator,
-                 threads: int = 1) -> list:
+                 threads: int = 1, per_task: int | None = None) -> list:
     """[work(rng_i, size_i)] in chunk order over fixed-size chunks of total,
     rng_i being spawned substreams of rng: the results depend only on total,
-    chunk and the seed, never on the thread count."""
+    chunk and the seed, never on the thread count.  With per_task, a task
+    is a run of up to per_task consecutive chunks, and work gets the lists
+    of their substreams and sizes."""
     n_chunks = -(-total // chunk)
     rngs = rng.spawn(n_chunks)
     sizes = [chunk] * (n_chunks - 1) + [total - chunk * (n_chunks - 1)]
-    if threads > 1 and n_chunks > 1:
+    if per_task is not None:
+        starts = range(0, n_chunks, per_task)
+        rngs = [rngs[i:i + per_task] for i in starts]
+        sizes = [sizes[i:i + per_task] for i in starts]
+    if threads > 1 and len(rngs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(work, rngs, sizes))
     return list(map(work, rngs, sizes))

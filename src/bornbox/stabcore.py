@@ -412,26 +412,32 @@ def _transvect(cols: np.ndarray, h: np.ndarray) -> None:
     cols ^= h[:, None] * (np.bitwise_count(cols & sh[:, None]) & 1)
 
 
+def _ks_digits(indices, n: int) -> np.ndarray:
+    """(T, n, 2) mixed-radix digits of the indices, level by level from
+    qubit 0: f1 in [1, 4^j), then the 2j - 1 free bits, for j = n..1,
+    as one pass per level over the whole stack of Python ints in an object
+    array (np.divmod refuses those); every digit is below 2^64 for n <= 32."""
+    index = np.array(indices, object)
+    digits = []
+    for j in range(n, 0, -1):
+        s, w = (1 << 2 * j) - 1, 2 * j - 1
+        f, index = index % s, index // s
+        digits += (f + 1, index & ((1 << w) - 1))
+        index = index >> w
+    return np.array(digits).T.astype(np.uint64).reshape(len(indices), n, 2)
+
+
 def _decode_columns(indices, n: int) -> np.ndarray:
     """Koenig-Smolin decode of indices in [0, order) into the interleaved
     symplectic matrices, as a (T, 2n) array of columns (bit i of column j is
     entry i, j; qubit q's x bit at 2q, its z bit at 2q+1).
 
     Each index is split into its mixed-radix digits, one (f1, free bits)
-    pair per level; level q fixes the images of qubit q's two basis vectors
-    and is applied after the levels of qubits q+1..n-1, so the columns are
-    built from the last qubit up, every level's transvections running on
-    the whole stack."""
-    radices = [((1 << 2 * j) - 1, 2 * j - 1) for j in range(n, 0, -1)]
-    digits = []
-    for index in indices:
-        row = []
-        for s, w in radices:
-            index, f = divmod(index, s)
-            row += (f + 1, index & ((1 << w) - 1))
-            index >>= w
-        digits.append(row)
-    digits = np.array(digits, np.uint64).reshape(len(indices), n, 2)
+    pair per level (:func:`_ks_digits`); level q fixes the images of qubit
+    q's two basis vectors and is applied after the levels of qubits
+    q+1..n-1, so the columns are built from the last qubit up, every
+    level's transvections running on the whole stack."""
+    digits = _ks_digits(indices, n)
     cols = np.zeros((len(indices), 2 * n), np.uint64)
     for q in range(n - 1, -1, -1):
         y, bits = digits[:, q, 0], digits[:, q, 1]

@@ -5,11 +5,17 @@ The Koenig-Smolin decode here works on int8 numpy vectors, slot by slot, in
 the same interleaved layout as ``stabcore`` (qubit q's x in slot 2q, its z in
 slot 2q+1), and draws one tableau at a time through numpy's per-call
 stream; ``stabcore`` replays that stream from bulk word draws and decodes a
-whole stack on uint64 column arrays.  The dense oracle loop
+whole stack on uint64 column arrays.  The Koenig-Smolin
+digits here come from one ``divmod`` loop per index; ``stabcore`` splits the
+whole stack one level at a time on an object array.  The dense oracle loop
 evolves one pure branch at a time, built with ``np.kron``, one array
 operation per gate kind; ``oracle`` evolves all branches of a stack of gate
 lists, given as masked steps (``gate_steps`` lays gate lists out so), as one
 array, composing the gates between two H's into one index and phase table.
+The steps' runs here are built one step at a time; ``oracle`` makes every
+word in one pass and merges runs with one reduction.  The anti-concentration
+p_x here are drawn, swept and evolved one chunk at a time; ``experiments``
+sweeps and evolves a group of chunks at once.
 The tableau of a gate list, the gate-list synthesis and the pull-back of one Pauli through a gate
 list here conjugate one row at a time through the per-Pauli gate rule
 ``_gate_conjugate_bits``; ``stabcore`` updates packed column words through
@@ -48,13 +54,13 @@ from itertools import combinations
 
 import numpy as np
 
-from bornbox import polybox
+from bornbox import experiments, polybox
 from bornbox import stabcore as sc
 from bornbox.circuits import (CircuitSyntaxError, IqpCircuit, OutcomePattern,
                               ProdCircuit, check_pattern_length)
 from bornbox.oracle import (ExactDistribution, _bloch_eigvec,
                             _check_size, iqp_statevector, l1_distance,
-                            prod_branches)
+                            prod_branches, prod_probabilities_many)
 from bornbox.polybox import Estimate, hoeffding_samples
 from bornbox.stabcore import (CliffordTableau, GateApp, PauliOperator,
                               _hermitian_from_xz, _parity, _xz_phase, apply_tableau, inverse_tableau,
@@ -168,6 +174,19 @@ def reference_symplectic_matrix(index: int, n: int) -> np.ndarray:
     return _grouped(symplectic_interleaved(index, n), n)
 
 
+def reference_ks_digits(indices, n: int) -> np.ndarray:
+    """(T, n, 2) Koenig-Smolin digits, one divmod per level per index."""
+    digits = []
+    for index in indices:
+        row = []
+        for j in range(n, 0, -1):
+            index, f = divmod(index, (1 << 2 * j) - 1)
+            row += (f + 1, index & ((1 << 2 * j - 1) - 1))
+            index >>= 2 * j - 1
+        digits.append(row)
+    return np.array(digits, np.uint64).reshape(len(indices), n, 2)
+
+
 def symplectic_matrix(index: int, n: int) -> np.ndarray:
     """Grouped-layout matrix from the program's bit-packed decode."""
     if not 0 <= index < symplectic_group_order(n):
@@ -267,6 +286,40 @@ def gate_steps(gate_lists) -> list[tuple]:
                     qubits.append(column)
             steps.append((name, *qubits, mask))
     return steps
+
+
+def reference_runs(steps) -> list[list]:
+    """Masked steps as [name, ctl, word] runs, one step at a time: the word
+    holds, per list, the bit of the step's qubit (its target, for CNOT and
+    CZ) where the mask is set, ctl is the control's bit or None, and a
+    CNOT or CZ on the int control of the run before it is XORed into that
+    run."""
+    runs: list[list] = []
+    last = None
+    for name, a, b, mask in steps:
+        two = name in ("CNOT", "CZ")
+        word = np.where(mask, np.left_shift(1, b if two else a), 0)
+        key = (name, a) if two and isinstance(a, int) else None
+        if key is not None and key == last:
+            runs[-1][2] ^= word
+            continue
+        last = key
+        runs.append([name, (1 << a) if two else None, word])
+    return runs
+
+
+def reference_clifford_output_probabilities(n: int, trials: int, state,
+                                            seed: int, outcome_index: int = 0,
+                                            threads: int = 1) -> np.ndarray:
+    """p_x chunk by chunk: each chunk's stack is drawn, swept and evolved on
+    its own."""
+    def work(rng, size: int) -> np.ndarray:
+        steps = sc.synthesis_steps(n, *sc.random_clifford_words(n, size, rng))
+        return prod_probabilities_many(state, steps, size)[:, outcome_index]
+
+    return np.concatenate(polybox._chunked_map(
+        work, trials, experiments._TRIAL_CHUNK, np.random.default_rng(seed),
+        threads))
 
 
 def reference_prod_probabilities(circuit) -> np.ndarray:

@@ -142,11 +142,25 @@ def test_roundtrip_examples():
     ("family encoded\ninner a.qc\nqubits 1\n",
      "line 3: unexpected directives after inner path"),
     ("family prod\nqubits 1\nprep 0 gates Q\n", "line 3: unknown prep gate word 'Q'"),
+    ("family prod\nqubits 4194305\nmeasure 1\ngate H 0\n",
+     "line 2: qubit count 4194305 exceeds the limit of 4194304"),
+    ("family iqp\nqubits 100000000\n",
+     "line 2: qubit count 100000000 exceeds the limit of 4194304"),
+    ("family encoded\ninner\n  family prod\n  qubits 4194305\n",
+     "line 4: qubit count 4194305 exceeds the limit of 4194304"),
 ])
 def test_parse_errors(text, message):
     with pytest.raises(CircuitSyntaxError) as err:
         parse_circuit(text)
     assert str(err.value) == message
+
+
+def test_register_cap_takes_its_own_count(monkeypatch):
+    monkeypatch.setattr("bornbox.circuits.MAX_QUBITS", 3)
+    assert parse_circuit("family prod\nqubits 3\ngate H 2\n").n == 3
+    with pytest.raises(CircuitSyntaxError,
+                       match="line 2: qubit count 4 exceeds the limit of 3"):
+        parse_circuit("family prod\nqubits 4\ngate H 2\n")
 
 
 def test_inconsistent_inner_indent():

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from bornbox import cli, experiments, oracle, polybox, samplers
+from bornbox import circuits, cli, experiments, oracle, polybox, samplers
 from bornbox.cli import format_float, run_command, to_json
 from bornbox.samplers import heavy_prefixes
 
@@ -359,6 +359,24 @@ def test_error_paths_exit_2_with_empty_stdout(capsys, ghz_file, encoded_file,
         assert "alpha" in line
     if "--delta" in " ".join(argv):
         assert "delta" in line
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["estimate", "--pattern", "0"]])
+def test_register_above_the_cap_is_refused_before_any_qubit_state(
+        capsys, monkeypatch, tmp_path, command):
+    def refuse(*args):
+        raise AssertionError("per-qubit state built")
+    monkeypatch.setattr(circuits, "ProductState", refuse)
+    path = tmp_path / "wide.qc"
+    path.write_text(f"family prod\nqubits {circuits.MAX_QUBITS + 1}\n"
+                    "measure 1\ngate H 0\n")
+    code = run_command([command[0], "--circuit", str(path)] + command[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: line 2: qubit count "
+                            f"{circuits.MAX_QUBITS + 1} exceeds the limit of "
+                            f"{circuits.MAX_QUBITS}\n")
 
 
 @pytest.mark.parametrize("method", ["sparse", "cdf", "chain"])

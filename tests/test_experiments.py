@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bornbox import experiments, polybox
+from bornbox import experiments, oracle, polybox
 from bornbox.circuits import ProdCircuit
 from bornbox.experiments import (advantage_cap, anticoncentration_bound,
                                  anticoncentration_report,
@@ -23,7 +23,8 @@ from bornbox.samplers import (SparsityPolynomial, sparse_budget,
 from bornbox.stabcore import GateApp, ProductState
 
 from helpers import ghz_circuit
-from reference import transcript_l1
+from reference import (reference_clifford_output_probabilities,
+                       transcript_l1)
 
 
 def test_anticoncentration_bound():
@@ -81,6 +82,32 @@ def test_output_probabilities_thread_invariant():
     pb = clifford_output_probabilities(3, 300, ProductState.zero(3), 9, 0,
                                        threads=8)
     assert np.array_equal(pa, pb)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n, bloch, trials, batch, sweeps", [
+    # 2321 trials are 10 chunks: groups of 4, 4 and 2 at 4096 amplitudes
+    (2, (0.0, 0.0, 1.0), 2321, 4096, {1: 3, 2: 3}),
+    # two mixed qubits of three: 32 amplitudes a list, one chunk a group
+    (3, (0.3, -0.4, 0.5), 600, 8192, {1: 3, 2: 3}),
+    # at the default cap the two chunks are one group, or one per thread
+    (3, (0.0, 0.0, 1.0), 300, oracle._BATCH_AMPLITUDES, {1: 1, 2: 2}),
+])
+def test_grouped_trials_equal_the_per_chunk_reference(
+        monkeypatch, threads, n, bloch, trials, batch, sweeps):
+    state = ProductState((bloch, (0.0, 0.0, 1.0)) + (bloch,) * (n - 2))
+    monkeypatch.setattr(oracle, "_BATCH_AMPLITUDES", batch)
+    want = reference_clifford_output_probabilities(n, trials, state, 7, 3)
+    swept = []
+    sweep = experiments.synthesis_steps
+
+    def counting(n, xs, *words):
+        swept.append(len(xs))
+        return sweep(n, xs, *words)
+    monkeypatch.setattr(experiments, "synthesis_steps", counting)
+    got = clifford_output_probabilities(n, trials, state, 7, 3, threads)
+    assert (got == want).all()
+    assert len(swept) == sweeps[threads] and sum(swept) == trials
 
 
 def test_anticoncentration_validation():

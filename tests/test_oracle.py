@@ -21,7 +21,8 @@ from helpers import (MIXED_GATES, gate_lists, ghz_circuit, index_to_outcome,
                      random_pattern, random_prod_circuit)
 from reference import (PerPrefix, StateVector, gate_steps,
                        masked_probability, reference_prod_probabilities,
-                       reference_synthesize_gates, sample_outcomes,
+                       reference_runs, reference_synthesize_gates,
+                       sample_outcomes,
                        statevector)
 
 
@@ -206,6 +207,43 @@ def test_synthesized_stack_evolution_equals_per_gate_reference(
     lists = [reference_synthesize_gates(sc.CliffordTableau.from_words(
         n, x, z, s)) for x, z, s in zip(*(w.tolist() for w in words))]
     _assert_rows_equal_reference(state, sc.synthesis_steps(n, *words), lists)
+
+
+def _assert_runs_equal_reference(steps, trials):
+    runs, words = oracle._runs(steps, trials)
+    want = reference_runs(steps)
+    assert words.shape == (len(want), trials)
+    assert len(runs) == len(want)
+    for (name, ctl), word, (ref_name, ref_ctl, ref_word) in zip(runs, words,
+                                                                want):
+        assert name == ref_name
+        assert type(ctl) is type(ref_ctl)
+        assert np.array_equal(ctl, ref_ctl) if ctl is not None else True
+        assert word.dtype == ref_word.dtype
+        assert (word == ref_word).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_runs_equal_the_per_step_reference(data):
+    """On the sweep's own steps, with their per-trial pivots and merged runs
+    of CNOTs and CZs on one control, and on ragged gate lists, whose steps
+    hold array qubits wherever the lists' gates differ."""
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(1, 8))
+        count = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        steps = sc.synthesis_steps(n, *sc.random_clifford_words(n, count, rng))
+    else:
+        _, lists = _stack_case(data)
+        steps, count = gate_steps(lists), len(lists)
+    _assert_runs_equal_reference(steps, count)
+
+
+def test_runs_of_no_steps_are_empty():
+    runs, words = oracle._runs([], 3)
+    assert runs == [] and words.shape == (0, 3)
+    _assert_runs_equal_reference(gate_steps([(), ()]), 2)
 
 
 @settings(max_examples=40, deadline=None)

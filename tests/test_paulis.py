@@ -12,7 +12,8 @@ from bornbox import stabcore as sc
 from helpers import (MIXED_GATES, S_HEAVY_GATES, drawn_tableau, gate_lists,
                      synthesized_gates, trial_gates)
 from reference import (clifford_group_order, commutes, conjugate_pauli,
-                       pauli_product, reference_pull_back,
+                       pauli_product, reference_ks_digits,
+                       reference_pull_back,
                        reference_random_clifford, reference_symplectic_matrix,
                        reference_synthesize_gates,
                        reference_tableau_from_gates, rows_are_symplectic,
@@ -216,6 +217,21 @@ def test_bit_packed_decode_matches_int8_reference(data):
                                 st.integers(0, order - 1)))
     got = symplectic_matrix(index, n)
     assert got.tobytes() == reference_symplectic_matrix(index, n).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stack_digits_equal_the_per_index_loop(data):
+    """Up to 32 qubits, where the top level's digits use all 64 bits."""
+    n = data.draw(st.integers(1, 32))
+    order = sc.symplectic_group_order(n)
+    indices = data.draw(st.lists(
+        st.one_of(st.sampled_from((0, order - 1)), st.integers(0, order - 1)),
+        max_size=6))
+    got = sc._ks_digits(indices, n)
+    assert got.dtype == np.uint64
+    assert (got == reference_ks_digits(indices, n)).all()
+    assert got.shape == (len(indices), n, 2)
 
 
 @settings(max_examples=60, deadline=None)
