@@ -40,8 +40,12 @@ _PURE = 1.0 - 1e-12
 DEFAULT_ORACLE_LIMIT = 20
 # amplitudes one sub-batch of a batched evolution holds at once
 _BATCH_AMPLITUDES = 1 << 16
-# i^e for the e quarter turns of a monomial table entry
+# i^e for the e quarter turns of a monomial table entry, held in its top
+# two bits: a table cell is below 2^62, and two turns are -2^63
 _TURNS = np.array([1, 1j, -1, -1j])
+_TURN_BIT = 62
+_CELLS = (1 << _TURN_BIT) - 1
+_HALF_TURN = np.int64(-1 << 63)
 
 
 class OracleLimitError(ValueError):
@@ -240,10 +244,13 @@ def prod_probabilities_many(state: ProductState, steps,
     probs = np.zeros((trials, psi.shape[1]))
     for lo in range(0, trials, span):
         hi = min(lo + span, trials)
-        batch = words[:, lo:hi, None]
+        batch = words[:, lo:hi]
+        # a word that every list of the sub-batch shares goes as an int
         live = [(name, ctl[lo:hi, None] if isinstance(ctl, np.ndarray)
-                 else ctl, word) for (name, ctl), word, on
-                in zip(runs, batch, batch.any(axis=(1, 2))) if on]
+                 else ctl, int(word[0]) if one else word[:, None])
+                for (name, ctl), word, on, one
+                in zip(runs, batch, batch.any(axis=1).tolist(),
+                       (batch == batch[:, :1]).all(axis=1).tolist()) if on]
         sq = np.abs(_evolve(psi, live, hi - lo)) ** 2
         rows = probs[lo:hi]
         for weight, branch in zip(weights, sq):
@@ -286,66 +293,80 @@ def _runs(steps, trials: int) -> tuple[list[tuple], np.ndarray]:
 def _evolve(psi0: np.ndarray, runs, trials: int) -> np.ndarray:
     """(B, T, D) amplitudes of the (B, D) branches psi0 under the T gate
     lists of the live runs of :func:`_runs`, each word and array control
-    sliced to a (T, 1) array.
+    sliced to a (T, 1) array, or a word that all T lists share given as an
+    int, which keeps its masks and phases at one row of D.
 
-    The monomial gates are composed per list into one integer table over
-    the flat (T, D) cells: the entry of cell t*D + i holds c | e << s for
-    pending amplitude i^e psi[c], c being a cell of the same list and s
-    the bit length of the largest cell index.  X and CNOT gather the table
-    through cell ^ word (the word only where i has the control bit), and
-    S, Z and CZ add the quarter turns of their phase: one per set bit of
-    an S word (it carries one bit), and two per set bit of a Z or CZ word,
-    whose parity alone counts, for CZ only where i has the control bit.
-    Only an H touches the amplitudes: out[i] = (psi'[i & ~m] +
-    (-1)^[i & m] psi'[i | m]) / sqrt 2 reads the pending psi' through the
-    entries of cell & ~m and cell | m, the sign being two more turns, and
-    leaves the identity table.  A list without the H at that step (m = 0)
-    takes (psi'[i] + psi'[i]) / 2 = psi'[i], exactly.
+    The monomial gates are composed per list into one int64 table over the
+    flat (T, D) cells: the entry of cell t*D + i holds c + e * 2^62 for
+    pending amplitude i^e psi[c], c being a cell of the same list; the
+    quarter turns e sit in the top two bits, where int64 addition wraps
+    them mod 4.  X and CNOT gather the table through cell ^ word (the word
+    only where i has the control bit), and S, Z and CZ add the quarter
+    turns of their phase: one per set bit of an S word (it carries one
+    bit), and two per set bit of a Z or CZ word, whose parity alone
+    counts, for CZ only where i has the control bit.  Only an H touches
+    the amplitudes: out[i] = (psi'[i & ~m] + (-1)^[i & m] psi'[i | m]) /
+    sqrt 2 reads the pending psi' through the entries of cell & ~m and
+    cell | m, the sign being two more turns, and leaves the identity
+    table.  A list without the H at that step (m = 0) takes
+    (psi'[i] + psi'[i]) / 2 = psi'[i], exactly.
     """
     dim = psi0.shape[1]
-    shift = (trials * dim - 1).bit_length()
     idx = np.arange(dim)
     cell = np.arange(trials * dim).reshape(trials, dim)
     psi, table = psi0, None  # None: the identity table, cell itself
     for name, ctl, word in runs:
+        if name == "H" and isinstance(word, int):
+            psi = _butterfly(psi if table is None else _pull(psi, table), word)
+            psi *= _SQ
+            table = None
+            continue
         if name == "H":
             lo, hi = cell & ~word, cell | word
             if table is not None:
                 lo, hi = np.take(table, lo), np.take(table, hi)
-            hi += np.where(idx & word, 2 << shift, 0)
-            psi = _pull(psi, lo, shift) + _pull(psi, hi, shift)
+            hi += np.where(idx & word, _HALF_TURN, 0)
+            psi = _pull(psi, lo) + _pull(psi, hi)
             psi *= np.where(word != 0, _SQ, 0.5)
             table = None
-        elif name in ("X", "CNOT"):
-            flip = word if ctl is None else ((idx & ctl) != 0) * word
+            continue
+        on = idx if ctl is None else np.where(idx & ctl, idx, 0)
+        if name in ("X", "CNOT"):
+            flip = word if ctl is None else (on != 0) * word
             table = cell ^ flip if table is None else np.take(
                 table, cell ^ flip)
         else:
-            if name == "S":
-                turns = (idx & word) != 0
-            else:
-                turns = np.bitwise_count(idx & word) & 1
-                if ctl is not None:
-                    turns &= (idx & ctl) != 0
-            turns = turns * np.int64(1 << (shift + (name != "S")))
+            turns = np.left_shift(np.bitwise_count(on & word),
+                                  _TURN_BIT + (name != "S"), dtype=np.int64)
             table = (cell if table is None else table) + turns
     if table is not None:
-        psi = _pull(psi, table, shift)
+        psi = _pull(psi, table)
     return np.broadcast_to(psi if psi.ndim == 3 else psi[:, None],
                            (psi0.shape[0], trials, dim))
 
 
-def _pull(psi: np.ndarray, entries: np.ndarray, shift: int) -> np.ndarray:
+def _butterfly(amp: np.ndarray, m: int) -> np.ndarray:
+    """amp[i & ~m] + (-1)^[i & m] amp[i | m] at every i of the last axis."""
+    pairs = amp.reshape(amp.shape[:-1] + (-1, 2, m))
+    out = np.empty_like(pairs)
+    np.add(pairs[..., 0, :], pairs[..., 1, :], out=out[..., 0, :])
+    np.subtract(pairs[..., 0, :], pairs[..., 1, :], out=out[..., 1, :])
+    return out.reshape(amp.shape)
+
+
+def _pull(psi: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """(B, T, D) amplitudes i^e psi[b, c] for the (T, D) table entries
-    c | e << shift of every list and branch b; psi is (B, T, D), flat cell
-    c, or the (B, D) branches that every list starts from, read at c's
+    c + e * 2^62 of every list and branch b; psi is (B, T, D), c a flat
+    cell, or the (B, D) branches that every list starts from, read at c's
     basis index."""
-    n_branches = psi.shape[0]
     span = psi[0].size
-    cells = entries & ((1 << shift) - 1 if psi.ndim == 3 else span - 1)
-    offsets = np.arange(n_branches)[:, None, None] * span
-    amp = np.take(psi, offsets + cells)
-    amp *= _TURNS[(entries >> shift) & 3]
+    cells = entries & (_CELLS if psi.ndim == 3 else span - 1)
+    if len(psi) > 1:
+        cells = np.arange(len(psi))[:, None, None] * span + cells
+    amp = np.take(psi, cells[None] if len(psi) == 1 else cells)
+    # the arithmetic shift reads turns 2 and 3 as -2 and -1, which index
+    # the same entries of _TURNS
+    amp *= _TURNS[entries >> _TURN_BIT]
     return amp
 
 
