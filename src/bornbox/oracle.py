@@ -11,14 +11,18 @@ string, so array order equals lexicographic outcome order.
 
 Product inputs are evolved by :func:`prod_probabilities_many`, which runs a
 stack of gate lists, given as the masked steps that Clifford synthesis
-emits (:func:`stabcore.synthesis_steps`), on one input as one array, in
-sub-batches of lists capped at a fixed amplitude count.  Between two H
-steps each list's gates are composed into one integer table of source
-indices and phase quarter-turns: CNOT, CZ, S, X and Z only permute the
-basis and multiply by i^e, so they are exact, and H is the only step that
-adds and rounds amplitudes.  Each row therefore equals a gate-by-gate loop
-bit for bit, up to the sign of a zero, which |.|^2 erases.
-:func:`prod_probabilities` is the one-list case, every step's mask set.
+emits (:func:`stabcore.synthesis_steps`), on one input as one (branches,
+lists, 2^n) array, in sub-batches of lists capped at a fixed amplitude
+count.  Every step's per-list word comes from one pass over the stacked
+masks, and a run of CNOTs or CZs on one control is merged into one step.
+Between two H steps each list's gates are composed into one int64 table
+over the flat (list, basis index) cells, each entry a source cell plus
+phase quarter-turns, so every gather is a single ``take``: CNOT, CZ, S, X
+and Z only permute the basis and multiply by i^e, so they are exact, and H
+is the only step that adds and rounds amplitudes.  Each row therefore
+equals a gate-by-gate loop bit for bit, up to the sign of a zero, which
+|.|^2 erases.  :func:`prod_probabilities` is the one-list case, every
+step's mask set.
 """
 
 from __future__ import annotations
@@ -244,18 +248,34 @@ def prod_probabilities_many(state: ProductState, steps,
     probs = np.zeros((trials, psi.shape[1]))
     for lo in range(0, trials, span):
         hi = min(lo + span, trials)
-        batch = words[:, lo:hi]
-        # a word that every list of the sub-batch shares goes as an int
-        live = [(name, ctl[lo:hi, None] if isinstance(ctl, np.ndarray)
-                 else ctl, int(word[0]) if one else word[:, None])
-                for (name, ctl), word, on, one
-                in zip(runs, batch, batch.any(axis=1).tolist(),
-                       (batch == batch[:, :1]).all(axis=1).tolist()) if on]
-        sq = np.abs(_evolve(psi, live, hi - lo)) ** 2
+        sq = np.abs(_evolve(psi, _live(runs, words[:, lo:hi], lo, hi),
+                            hi - lo)) ** 2
         rows = probs[lo:hi]
         for weight, branch in zip(weights, sq):
             rows += weight * branch
     return probs
+
+
+def _live(runs, batch: np.ndarray, lo: int, hi: int) -> list[tuple]:
+    """The runs that some list of the sub-batch lo:hi applies, as (name,
+    ctl, word, lists), each array sliced to (T, 1): a run whose lists all
+    apply one word w has word = w, and lists = None when every list of the
+    sub-batch applies it, else its (T, 1) bool mask; any other run has its
+    (T, 1) words and lists = None."""
+    top = batch.max(axis=1)
+    applied = batch != 0
+    single = (~applied | (batch == top[:, None])).all(axis=1)
+    live = []
+    for (name, ctl), word, on, w, one, every in zip(
+            runs, batch, applied, top.tolist(), single.tolist(),
+            applied.all(axis=1).tolist()):
+        if not w:
+            continue
+        if isinstance(ctl, np.ndarray):
+            ctl = ctl[lo:hi, None]
+        live.append((name, ctl, w, None if every else on[:, None]) if one
+                    else (name, ctl, word[:, None], None))
+    return live
 
 
 def _runs(steps, trials: int) -> tuple[list[tuple], np.ndarray]:
@@ -281,20 +301,18 @@ def _runs(steps, trials: int) -> tuple[list[tuple], np.ndarray]:
     if not steps:
         return runs, np.zeros((0, trials), np.int64)
     wide = [k for k, q in enumerate(qubits) if isinstance(q, np.ndarray)]
-    column = np.array([0 if isinstance(q, np.ndarray) else q for q in qubits])
-    target = np.repeat(column[:, None], trials, axis=1)
+    target = np.array([0 if isinstance(q, np.ndarray) else q for q in qubits])
+    target = np.repeat(target[:, None], trials, axis=1)
     if wide:
         target[wide] = [qubits[k] for k in wide]
-    masks = np.array([mask for *_, mask in steps])
-    words = np.where(masks, np.left_shift(1, target), 0)
+    # a bool mask shifted by the target qubit is the word
+    words = np.left_shift(np.array([mask for *_, mask in steps]), target)
     return runs, np.bitwise_xor.reduceat(words, starts, axis=0)
 
 
 def _evolve(psi0: np.ndarray, runs, trials: int) -> np.ndarray:
     """(B, T, D) amplitudes of the (B, D) branches psi0 under the T gate
-    lists of the live runs of :func:`_runs`, each word and array control
-    sliced to a (T, 1) array, or a word that all T lists share given as an
-    int, which keeps its masks and phases at one row of D.
+    lists of the live runs of :func:`_live`.
 
     The monomial gates are composed per list into one int64 table over the
     flat (T, D) cells: the entry of cell t*D + i holds c + e * 2^62 for
@@ -304,21 +322,32 @@ def _evolve(psi0: np.ndarray, runs, trials: int) -> np.ndarray:
     only where i has the control bit), and S, Z and CZ add the quarter
     turns of their phase: one per set bit of an S word (it carries one
     bit), and two per set bit of a Z or CZ word, whose parity alone
-    counts, for CZ only where i has the control bit.  Only an H touches
-    the amplitudes: out[i] = (psi'[i & ~m] + (-1)^[i & m] psi'[i | m]) /
-    sqrt 2 reads the pending psi' through the entries of cell & ~m and
-    cell | m, the sign being two more turns, and leaves the identity
-    table.  A list without the H at that step (m = 0) takes
-    (psi'[i] + psi'[i]) / 2 = psi'[i], exactly.
+    counts, for CZ only where i has the control bit.  A word that every
+    list applying the run shares is an int, so these masks and phases
+    take one row of D, spread over the lists that apply it.
+
+    Only an H touches the amplitudes, and leaves the identity table:
+    out[i] = (psi'[i & ~m] + (-1)^[i & m] psi'[i | m]) / sqrt 2 for the
+    pending psi'.  With one shared m, psi' is pulled through the table
+    once and paired up by m, the sign being a subtraction.  Otherwise each
+    list reads psi' through the entries of cell & ~m and cell | m, the sign
+    being two more turns; a list without the H at that step (m = 0) takes
+    (psi'[i] + psi'[i]) / 2 = psi'[i], exactly, and so keeps psi' in the
+    shared-m case.
     """
     dim = psi0.shape[1]
     idx = np.arange(dim)
     cell = np.arange(trials * dim).reshape(trials, dim)
     psi, table = psi0, None  # None: the identity table, cell itself
-    for name, ctl, word in runs:
+    for name, ctl, word, lists in runs:
         if name == "H" and isinstance(word, int):
-            psi = _butterfly(psi if table is None else _pull(psi, table), word)
+            amp = psi if table is None else _pull(psi, table)
+            psi = _butterfly(amp, word)
             psi *= _SQ
+            if lists is not None:  # the other lists keep (a + a) / 2 = a
+                if amp.ndim == 2:
+                    psi, amp = psi[:, None], amp[:, None]
+                psi = np.where(lists, psi, amp)
             table = None
             continue
         if name == "H":
@@ -333,11 +362,15 @@ def _evolve(psi0: np.ndarray, runs, trials: int) -> np.ndarray:
         on = idx if ctl is None else np.where(idx & ctl, idx, 0)
         if name in ("X", "CNOT"):
             flip = word if ctl is None else (on != 0) * word
+            if lists is not None:
+                flip = flip * lists
             table = cell ^ flip if table is None else np.take(
                 table, cell ^ flip)
         else:
             turns = np.left_shift(np.bitwise_count(on & word),
                                   _TURN_BIT + (name != "S"), dtype=np.int64)
+            if lists is not None:
+                turns = turns * lists
             table = (cell if table is None else table) + turns
     if table is not None:
         psi = _pull(psi, table)
