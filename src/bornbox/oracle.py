@@ -336,46 +336,55 @@ def _evolve(psi0: np.ndarray, runs, trials: int) -> np.ndarray:
     shared-m case.
     """
     dim = psi0.shape[1]
-    idx = np.arange(dim)
     cell = np.arange(trials * dim).reshape(trials, dim)
     psi, table = psi0, None  # None: the identity table, cell itself
     for name, ctl, word, lists in runs:
-        if name == "H" and isinstance(word, int):
-            amp = psi if table is None else _pull(psi, table)
-            psi = _butterfly(amp, word)
-            psi *= _SQ
-            if lists is not None:  # the other lists keep (a + a) / 2 = a
-                if amp.ndim == 2:
-                    psi, amp = psi[:, None], amp[:, None]
-                psi = np.where(lists, psi, amp)
-            table = None
-            continue
         if name == "H":
-            lo, hi = cell & ~word, cell | word
-            if table is not None:
-                lo, hi = np.take(table, lo), np.take(table, hi)
-            hi += np.where(idx & word, _HALF_TURN, 0)
-            psi = _pull(psi, lo) + _pull(psi, hi)
-            psi *= np.where(word != 0, _SQ, 0.5)
-            table = None
-            continue
-        on = idx if ctl is None else np.where(idx & ctl, idx, 0)
-        if name in ("X", "CNOT"):
-            flip = word if ctl is None else (on != 0) * word
-            if lists is not None:
-                flip = flip * lists
-            table = cell ^ flip if table is None else np.take(
-                table, cell ^ flip)
+            psi, table = _hadamard(psi, table, cell, word, lists), None
         else:
-            turns = np.left_shift(np.bitwise_count(on & word),
-                                  _TURN_BIT + (name != "S"), dtype=np.int64)
-            if lists is not None:
-                turns = turns * lists
-            table = (cell if table is None else table) + turns
+            table = _monomial(name, ctl, word, lists, table, cell)
     if table is not None:
         psi = _pull(psi, table)
     return np.broadcast_to(psi if psi.ndim == 3 else psi[:, None],
                            (psi0.shape[0], trials, dim))
+
+
+def _monomial(name: str, ctl, word, lists, table, cell) -> np.ndarray:
+    """The table after an X, CNOT, S, Z or CZ run (see :func:`_evolve`);
+    row 0 of cell is every basis index."""
+    idx = cell[0]
+    on = idx if ctl is None else np.where(idx & ctl, idx, 0)
+    if name in ("X", "CNOT"):
+        flip = word if ctl is None else (on != 0) * word
+        if lists is not None:
+            flip = flip * lists
+        return cell ^ flip if table is None else np.take(table, cell ^ flip)
+    turns = np.left_shift(np.bitwise_count(on & word),
+                          _TURN_BIT + (name != "S"), dtype=np.int64)
+    if lists is not None:
+        turns = turns * lists
+    return (cell if table is None else table) + turns
+
+
+def _hadamard(psi, table, cell, m, lists) -> np.ndarray:
+    """The amplitudes after an H run on the pending psi through the table
+    (see :func:`_evolve`)."""
+    if isinstance(m, int):
+        amp = psi if table is None else _pull(psi, table)
+        out = _butterfly(amp, m)
+        out *= _SQ
+        if lists is None:
+            return out
+        if amp.ndim == 2:
+            out, amp = out[:, None], amp[:, None]
+        return np.where(lists, out, amp)  # the other lists keep (a + a) / 2
+    lo = cell & ~m if table is None else np.take(table, cell & ~m)
+    hi = cell | m if table is None else np.take(table, cell | m)
+    hi += np.where(cell[0] & m, _HALF_TURN, 0)
+    out = _pull(psi, lo)
+    out += _pull(psi, hi)
+    out *= np.where(m != 0, _SQ, 0.5)
+    return out
 
 
 def _butterfly(amp: np.ndarray, m: int) -> np.ndarray:
