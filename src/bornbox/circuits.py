@@ -20,7 +20,7 @@ Three families are supported:
 File format (one directive per line, ``#`` starts a comment)::
 
     family prod|iqp|encoded
-    qubits <n>                  # prod, iqp
+    qubits <n>                  # prod, iqp; n at most MAX_QUBITS = 2^22
     measure <k>                 # optional, defaults to n
     prep <i> bloch <rx> <ry> <rz>
     prep <i> gates <word>+      # words from H S T X Y Z SDG TDG, applied to |0>

@@ -38,9 +38,10 @@ No rejection against the group is involved, so the draw is exactly uniform.
 :func:`random_clifford_words` draws a whole chunk of tableaus as arrays: one
 bulk draw of 32-bit words replays the stream of numpy calls that the tests'
 one-at-a-time ``reference_random_clifford`` makes, index rejections
-included, and the decode runs every level's transvections on (T, 2n) uint64
-columns, with qubit q's x bit at 2q and its z bit at 2q+1, before
-deinterleaving them into tableau words.  64-bit words cap draws and
+included; the indices are split into their mixed-radix digits one level at
+a time over the whole stack, and the decode runs every level's
+transvections on (T, 2n) uint64 columns, with qubit q's x bit at 2q and its
+z bit at 2q+1, before deinterleaving them into tableau words.  64-bit words cap draws and
 synthesis at 32 qubits.
 
 Synthesis sweeps a stack of tableaus to the identity at once:
