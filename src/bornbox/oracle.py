@@ -377,7 +377,8 @@ def _hadamard(psi, table, cell, m, lists) -> np.ndarray:
             return out
         if amp.ndim == 2:
             out, amp = out[:, None], amp[:, None]
-        return np.where(lists, out, amp)  # the other lists keep (a + a) / 2
+        # a list without the H keeps psi', since (a + a) / 2 = a exactly
+        return np.where(lists, out, amp)
     lo = cell & ~m if table is None else np.take(table, cell & ~m)
     hi = cell | m if table is None else np.take(table, cell | m)
     hi += np.where(cell[0] & m, _HALF_TURN, 0)
@@ -402,10 +403,10 @@ def _pull(psi: np.ndarray, entries: np.ndarray) -> np.ndarray:
     cell, or the (B, D) branches that every list starts from, read at c's
     basis index."""
     span = psi[0].size
-    cells = entries & (_CELLS if psi.ndim == 3 else span - 1)
-    if len(psi) > 1:
-        cells = np.arange(len(psi))[:, None, None] * span + cells
-    amp = np.take(psi, cells[None] if len(psi) == 1 else cells)
+    cells = (entries & (_CELLS if psi.ndim == 3 else span - 1))[None]
+    if len(psi) > 1:  # one broadcast offset per branch
+        cells = cells + np.arange(len(psi))[:, None, None] * span
+    amp = np.take(psi, cells)
     # the arithmetic shift reads turns 2 and 3 as -2 and -1, which index
     # the same entries of _TURNS
     amp *= _TURNS[entries >> _TURN_BIT]
