@@ -5,17 +5,17 @@ The Koenig-Smolin decode here works on int8 numpy vectors, slot by slot, in
 the same interleaved layout as ``stabcore`` (qubit q's x in slot 2q, its z in
 slot 2q+1), and draws one tableau at a time through numpy's per-call
 stream; ``stabcore`` replays that stream from bulk word draws and decodes a
-whole stack on uint64 column arrays.  The Koenig-Smolin
-digits here come from one ``divmod`` loop per index; ``stabcore`` splits the
-whole stack one level at a time on an object array.  The dense oracle loop
-evolves one pure branch at a time, built with ``np.kron``, one array
-operation per gate kind; ``oracle`` evolves all branches of a stack of gate
-lists, given as masked steps (``gate_steps`` lays gate lists out so), as one
-array, composing the gates between two H's into one index and phase table.
-The steps' runs here are built one step at a time; ``oracle`` makes every
-word in one pass and merges runs with one reduction.  The anti-concentration
-p_x here are drawn, swept and evolved one chunk at a time; ``experiments``
-sweeps and evolves a group of chunks at once.
+whole stack on uint64 column arrays.  The Koenig-Smolin digits here come
+from one ``divmod`` loop per index; ``stabcore`` splits the whole stack one
+level at a time on an object array.  The dense oracle loop evolves one pure
+branch at a time, built with ``np.kron``, one array operation per gate kind;
+``oracle`` evolves all branches of a stack of gate lists, given as masked
+steps (``gate_steps`` lays gate lists out so), as one array, composing the
+gates between two H's into one index and phase table.  The steps' runs here
+are built one step at a time; ``oracle`` makes every word in one pass and
+merges runs with one reduction.  The anti-concentration p_x here are drawn,
+swept and evolved one chunk at a time; ``experiments`` sweeps and evolves a
+group of chunks at once.
 The tableau of a gate list, the gate-list synthesis and the pull-back of one Pauli through a gate
 list here conjugate one row at a time through the per-Pauli gate rule
 ``_gate_conjugate_bits``; ``stabcore`` updates packed column words through

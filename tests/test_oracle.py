@@ -217,8 +217,7 @@ def _assert_runs_equal_reference(steps, trials):
     for (name, ctl), word, (ref_name, ref_ctl, ref_word) in zip(runs, words,
                                                                 want):
         assert name == ref_name
-        assert type(ctl) is type(ref_ctl)
-        assert np.array_equal(ctl, ref_ctl) if ctl is not None else True
+        assert type(ctl) is type(ref_ctl) and np.array_equal(ctl, ref_ctl)
         assert word.dtype == ref_word.dtype
         assert (word == ref_word).all()
 
