@@ -285,9 +285,12 @@ def _runs(steps, trials: int) -> tuple[list[tuple], np.ndarray]:
     (an int, or an array over lists) or None.  A run of CNOTs, or of CZs,
     on one int control commutes and is one step on the XOR of their words.
     Every step's word comes from one pass over the stacked masks; the loop
-    only finds where runs start and what they control."""
+    only finds where runs start and what they control, and each step that
+    joins a run is XORed into it (a row at a time: ``reduceat`` along the
+    steps costs several times a pass over them)."""
     runs: list[tuple] = []
     starts: list[int] = []
+    joins: list[tuple[int, int]] = []
     qubits: list = []
     last = None
     for k, (name, a, b, _) in enumerate(steps):
@@ -297,6 +300,8 @@ def _runs(steps, trials: int) -> tuple[list[tuple], np.ndarray]:
         if key is None or key != last:
             starts.append(k)
             runs.append((name, (1 << a) if two else None))
+        else:
+            joins.append((k, len(runs) - 1))
         last = key
     if not steps:
         return runs, np.zeros((0, trials), np.int64)
@@ -307,7 +312,10 @@ def _runs(steps, trials: int) -> tuple[list[tuple], np.ndarray]:
         target[wide] = [qubits[k] for k in wide]
     # a bool mask shifted by the target qubit is the word
     words = np.left_shift(np.array([mask for *_, mask in steps]), target)
-    return runs, np.bitwise_xor.reduceat(words, starts, axis=0)
+    merged = words[starts]
+    for k, r in joins:
+        merged[r] ^= words[k]
+    return runs, merged
 
 
 def _evolve(psi0: np.ndarray, runs, trials: int) -> np.ndarray:
