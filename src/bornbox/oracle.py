@@ -45,11 +45,10 @@ DEFAULT_ORACLE_LIMIT = 20
 # amplitudes one sub-batch of a batched evolution holds at once
 _BATCH_AMPLITUDES = 1 << 16
 # i^e for the e quarter turns of a monomial table entry, held in its top
-# two bits: a table cell is below 2^62, and two turns are -2^63
+# two bits, above every table cell (cells are below 2^62)
 _TURNS = np.array([1, 1j, -1, -1j])
 _TURN_BIT = 62
 _CELLS = (1 << _TURN_BIT) - 1
-_HALF_TURN = np.int64(-1 << 63)
 
 
 class OracleLimitError(ValueError):
@@ -215,7 +214,9 @@ def prod_probabilities(circuit: ProdCircuit) -> np.ndarray:
 def sub_batch_lists(state: ProductState) -> int:
     """Gate lists that one sub-batch of :func:`prod_probabilities_many`
     evolves at once on the input's pure branches: ``_BATCH_AMPLITUDES``
-    over the branch count times 2^n, at least one."""
+    over the branch count times 2^n, at least one.  The branches are
+    counted without being built, by the rule of :func:`prod_branches`: a
+    qubit whose Bloch norm is not above ``_PURE`` splits into two."""
     mixed = sum(_bloch_norm(vec) <= _PURE for vec in state.bloch)
     return max(1, _BATCH_AMPLITUDES >> (mixed + state.n))
 
@@ -229,9 +230,11 @@ def prod_probabilities_many(state: ProductState, steps,
     the steps whose mask is set at j.
 
     The pure branches of the input are evolved under every gate list at once
-    as one (B, T, 2^n) array, in sub-batches of :func:`sub_batch_lists`
-    lists, so a large n evolves one gate list at a time; a sub-batch's
-    (T, 2^n) index tables are no larger.  See :func:`_evolve`.  The
+    as one (B, T, 2^n) array, in sub-batches of at most
+    ``_BATCH_AMPLITUDES`` amplitudes (at least one gate list each), so a
+    large n evolves one gate list at a time; a sub-batch's (T, 2^n) index
+    tables are no larger.  :func:`sub_batch_lists` gives the same count
+    from the input alone.  See :func:`_evolve`.  The
     weighted squares of the branches are summed in branch order.  Each row
     equals a gate-by-gate, branch-by-branch loop bit for bit: every gate
     but H is a monomial, a permutation times factors i^e, which moves or
@@ -244,7 +247,7 @@ def prod_probabilities_many(state: ProductState, steps,
     psi = np.array(vectors)
     del vectors  # at large n, hold the input branches once
     runs, words = _runs(steps, trials)
-    span = sub_batch_lists(state)
+    span = max(1, _BATCH_AMPLITUDES // psi.size)
     probs = np.zeros((trials, psi.shape[1]))
     for lo in range(0, trials, span):
         hi = min(lo + span, trials)
@@ -336,12 +339,11 @@ def _evolve(psi0: np.ndarray, runs, trials: int) -> np.ndarray:
 
     Only an H touches the amplitudes, and leaves the identity table:
     out[i] = (psi'[i & ~m] + (-1)^[i & m] psi'[i | m]) / sqrt 2 for the
-    pending psi'.  With one shared m, psi' is pulled through the table
-    once and paired up by m, the sign being a subtraction.  Otherwise each
-    list reads psi' through the entries of cell & ~m and cell | m, the sign
-    being two more turns; a list without the H at that step (m = 0) takes
-    (psi'[i] + psi'[i]) / 2 = psi'[i], exactly, and so keeps psi' in the
-    shared-m case.
+    pending psi', which is pulled through the table once and read at
+    cell ^ m, the partner of each cell; the sign is a multiplication by
+    -1, exact as the turns are, and the sum adds the formula's operands,
+    in the other order where i lacks m.  A list without the H at that step
+    (m = 0) takes (psi'[i] + psi'[i]) / 2 = psi'[i], exactly.
     """
     dim = psi0.shape[1]
     cell = np.arange(trials * dim).reshape(trials, dim)
@@ -377,44 +379,35 @@ def _monomial(name: str, ctl, word, lists, table, cell) -> np.ndarray:
 def _hadamard(psi, table, cell, m, lists) -> np.ndarray:
     """The amplitudes after an H run on the pending psi through the table
     (see :func:`_evolve`)."""
-    if isinstance(m, int):
-        amp = psi if table is None else _pull(psi, table)
-        out = _butterfly(amp, m)
-        out *= _SQ
-        if lists is None:
-            return out
-        if amp.ndim == 2:
-            out, amp = out[:, None], amp[:, None]
-        # a list without the H keeps psi', since (a + a) / 2 = a exactly
-        return np.where(lists, out, amp)
-    lo = cell & ~m if table is None else np.take(table, cell & ~m)
-    hi = cell | m if table is None else np.take(table, cell | m)
-    hi += np.where(cell[0] & m, _HALF_TURN, 0)
-    out = _pull(psi, lo)
-    out += _pull(psi, hi)
+    if lists is not None:
+        m = m * lists
+    amp = psi if table is None else _pull(psi, table)
+    out = _take(amp, cell ^ m)
+    if amp.ndim == 2:
+        amp = amp[:, None]
+    # amp[i] + amp[i ^ m] where i lacks m, amp[i ^ m] - amp[i] where it has it
+    out += amp * np.where(cell[0] & m, -1.0, 1.0)
     out *= np.where(m != 0, _SQ, 0.5)
     return out
 
 
-def _butterfly(amp: np.ndarray, m: int) -> np.ndarray:
-    """amp[i & ~m] + (-1)^[i & m] amp[i | m] at every i of the last axis."""
-    pairs = amp.reshape(amp.shape[:-1] + (-1, 2, m))
-    out = np.empty_like(pairs)
-    np.add(pairs[..., 0, :], pairs[..., 1, :], out=out[..., 0, :])
-    np.subtract(pairs[..., 0, :], pairs[..., 1, :], out=out[..., 1, :])
-    return out.reshape(amp.shape)
+def _take(psi: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """(B, T, D) amplitudes psi[b, c] at the (T, D) cells c of every
+    branch b; psi is (B, T, D), c a flat cell, or the (B, D) branches that
+    every list starts from, read at c's basis index."""
+    span = psi[0].size
+    if psi.ndim == 2:
+        cells = cells & (span - 1)
+    cells = cells[None]
+    if len(psi) > 1:  # one broadcast offset per branch
+        cells = cells + np.arange(len(psi))[:, None, None] * span
+    return np.take(psi, cells)
 
 
 def _pull(psi: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """(B, T, D) amplitudes i^e psi[b, c] for the (T, D) table entries
-    c + e * 2^62 of every list and branch b; psi is (B, T, D), c a flat
-    cell, or the (B, D) branches that every list starts from, read at c's
-    basis index."""
-    span = psi[0].size
-    cells = (entries & (_CELLS if psi.ndim == 3 else span - 1))[None]
-    if len(psi) > 1:  # one broadcast offset per branch
-        cells = cells + np.arange(len(psi))[:, None, None] * span
-    amp = np.take(psi, cells)
+    c + e * 2^62 (see :func:`_take`)."""
+    amp = _take(psi, entries & _CELLS)
     # the arithmetic shift reads turns 2 and 3 as -2 and -1, which index
     # the same entries of _TURNS
     amp *= _TURNS[entries >> _TURN_BIT]

@@ -13,7 +13,7 @@ branch at a time, built with ``np.kron``, one array operation per gate kind;
 steps (``gate_steps`` lays gate lists out so), as one array, composing the
 gates between two H's into one index and phase table.  The steps' runs here
 are built one step at a time; ``oracle`` makes every word in one pass and
-merges runs with one reduction.  The anti-concentration p_x here are drawn,
+XORs each step that joins a run into its run's row.  The anti-concentration p_x here are drawn,
 swept and evolved one chunk at a time; ``experiments`` sweeps and evolves a
 group of chunks at once.
 The tableau of a gate list, the gate-list synthesis and the pull-back of one Pauli through a gate

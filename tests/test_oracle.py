@@ -245,6 +245,25 @@ def test_runs_of_no_steps_are_empty():
     _assert_runs_equal_reference(gate_steps([(), ()]), 2)
 
 
+# Bloch vectors on both sides of the pure threshold, the centre included
+_EDGE_BLOCH = [(0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (0.0, 0.0, 0.0),
+               (0.0, 0.0, oracle._PURE), (0.0, 0.0, 1.0 - 1e-13),
+               (0.6, 0.0, -0.8 + 1e-13), (0.3, 0.2, 0.1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(_EDGE_BLOCH), min_size=1, max_size=12),
+       st.sampled_from([1, 4096, oracle._BATCH_AMPLITUDES]))
+def test_sub_batch_lists_counts_the_branches_that_are_built(bloch, batch):
+    """sub_batch_lists counts branches without building them; its count is
+    the one that prod_probabilities_many takes from the built branches."""
+    state = ProductState(tuple(bloch))
+    built = len(oracle.prod_branches(state)) << state.n
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_BATCH_AMPLITUDES", batch)
+        assert oracle.sub_batch_lists(state) == max(1, batch // built)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_marginal_equals_sum_of_completions(seed):
