@@ -37,8 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
-                       ProdCircuit, check_pattern_length, parse_circuit,
-                       parse_pattern)
+                       ProdCircuit, parse_circuit, parse_pattern)
 from .experiments import (advantage_cap, anticoncentration_report,
                           bob_epsilon_schedule, run_hypothesis_test,
                           sparsity_profile)
@@ -49,7 +48,7 @@ from .polybox import (MAX_SAMPLES, CePolyBox, IqpPolyBox, OraclePolyBox,
                       ProdPolyBox, auto_polybox, hoeffding_samples)
 from .samplers import (SparsityPolynomial, cdf_bitwise_sample,
                        cdf_outcomes_for_r, chain_sample, check_cdf_bits,
-                       epsilon_simulate)
+                       check_eps_prime, epsilon_simulate)
 from .stabcore import (GATE_ARITY, GateApp, ProductState,
                        random_clifford_words, replay_steps, synthesis_steps)
 
@@ -160,6 +159,7 @@ def _cmd_sample(args) -> list[str]:
     params = {"circuit": args.circuit, "family": circuit.family,
               "method": args.method, "count": args.count}
     if args.method == "sparse":
+        check_eps_prime(args.eps_prime)
         if args.estimator == "sampling":
             est = auto_polybox(circuit, args.threads)
         else:
@@ -174,7 +174,8 @@ def _cmd_sample(args) -> list[str]:
                 raise ValueError(
                     f"pass --sparsity: its default, the exact support size, "
                     f"needs the dense oracle, which is limited to "
-                    f"{oracle_limit()} qubits (this circuit has {circuit.n})"
+                    f"{oracle_limit()} qubits, a mixed one counting twice "
+                    f"(this circuit has {circuit.n})"
                 ) from None
             sp = SparsityPolynomial.constant(min_sparsity(dist, 0.0))
         outcomes = epsilon_simulate(est, sp, circuit, args.eps_prime,
@@ -199,7 +200,6 @@ def _cmd_oracle(args) -> list[str]:
     params = {"circuit": args.circuit, "family": circuit.family}
     if args.pattern is not None:
         pattern = parse_pattern(args.pattern)
-        check_pattern_length(pattern, circuit.k)
         params["pattern"] = pattern.trits
         payload = {"probability": exact_probability(circuit, pattern)}
     else:

@@ -29,9 +29,9 @@ import math
 import numpy as np
 
 from .circuits import Circuit
-from .oracle import (ExactDistribution, _check_size, check_l1_eps,
-                     exact_distribution, l1_distance, min_sparsity,
-                     prod_probabilities_many, sub_batch_lists)
+from .oracle import (ExactDistribution, check_l1_eps, exact_distribution,
+                     l1_distance, min_sparsity, prod_probabilities_many,
+                     sub_batch_lists)
 from .polybox import MAX_SAMPLES, OraclePolyBox, _chunked_map
 from .samplers import (SparsityPolynomial, sparse_budget,
                        survivor_distribution)
@@ -59,10 +59,10 @@ def clifford_output_probabilities(n: int, trials: int, state: ProductState,
     there are enough chunks), and a group's stacks are swept to gate steps
     in one sweep and evolved together in one batched oracle call.  Rows
     are independent, so the grouping never changes a value.  The oracle's
-    size limit is checked before anything is drawn."""
+    size limit, which counts a mixed qubit twice, is checked by
+    ``sub_batch_lists`` before anything is drawn."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_size(n)
     n_chunks = -(-trials // _TRIAL_CHUNK)
     per_task = max(1, min(sub_batch_lists(state) // _TRIAL_CHUNK,
                           -(-n_chunks // threads)))

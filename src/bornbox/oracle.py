@@ -5,6 +5,8 @@ and X-program families) or by the analytic form of the parity encoding.  Used
 to freeze expected values in tests and to calibrate the stochastic
 estimators; everything here is exponential in the qubit count and guarded by
 a size limit (``BORNBOX_ORACLE_LIMIT`` environment variable, default 20).
+A mixed product-input qubit splits into two pure branches, doubling the
+amplitudes, so it counts twice against the limit.
 
 Distribution arrays are indexed by the big-endian reading of the outcome
 string, so array order equals lexicographic outcome order.
@@ -68,12 +70,15 @@ def oracle_limit() -> int:
     return value
 
 
-def _check_size(n: int):
+def _check_size(n: int, mixed: int = 0):
+    """Refuses a dense build on n qubits, mixed of which split into two
+    pure branches each: n + mixed counts against the limit."""
     limit = oracle_limit()
-    if n > limit:
+    if n + mixed > limit:
+        twice = f" with {mixed} mixed, each counted twice," if mixed else ""
         raise OracleLimitError(
-            f"{n} qubits exceeds the exact-simulation limit of {limit}; "
-            "set BORNBOX_ORACLE_LIMIT to override")
+            f"{n} qubits{twice} exceeds the exact-simulation limit of "
+            f"{limit}; set BORNBOX_ORACLE_LIMIT to override")
 
 
 @dataclass(frozen=True)
@@ -216,8 +221,11 @@ def sub_batch_lists(state: ProductState) -> int:
     evolves at once on the input's pure branches: ``_BATCH_AMPLITUDES``
     over the branch count times 2^n, at least one.  The branches are
     counted without being built, by the rule of :func:`prod_branches`: a
-    qubit whose Bloch norm is not above ``_PURE`` splits into two."""
+    qubit whose Bloch norm is not above ``_PURE`` splits into two.  The
+    same count refuses an input whose branches hold more than 2^limit
+    amplitudes, so every mixed qubit counts twice against the limit."""
     mixed = sum(_bloch_norm(vec) <= _PURE for vec in state.bloch)
+    _check_size(state.n, mixed)
     return max(1, _BATCH_AMPLITUDES >> (mixed + state.n))
 
 
@@ -233,21 +241,21 @@ def prod_probabilities_many(state: ProductState, steps,
     as one (B, T, 2^n) array, in sub-batches of at most
     ``_BATCH_AMPLITUDES`` amplitudes (at least one gate list each), so a
     large n evolves one gate list at a time; a sub-batch's (T, 2^n) index
-    tables are no larger.  :func:`sub_batch_lists` gives the same count
-    from the input alone.  See :func:`_evolve`.  The
-    weighted squares of the branches are summed in branch order.  Each row
-    equals a gate-by-gate, branch-by-branch loop bit for bit: every gate
-    but H is a monomial, a permutation times factors i^e, which moves or
+    tables are no larger.  :func:`sub_batch_lists` counts the lists of a
+    sub-batch from the input alone, and refuses an input above the oracle
+    limit before any branch is built.  See :func:`_evolve`.  The weighted
+    squares of the branches are summed in branch order.  Each row equals
+    a gate-by-gate, branch-by-branch loop bit for bit: every gate but H
+    is a monomial, a permutation times factors i^e, which moves or
     negates the parts of an amplitude exactly, so H's sum and scaling see
     the same operands as in the loop, up to the sign of a zero, which the
     square erases.
     """
-    _check_size(state.n)
+    span = sub_batch_lists(state)
     weights, vectors = zip(*prod_branches(state))
     psi = np.array(vectors)
     del vectors  # at large n, hold the input branches once
     runs, words = _runs(steps, trials)
-    span = max(1, _BATCH_AMPLITUDES // psi.size)
     probs = np.zeros((trials, psi.shape[1]))
     for lo in range(0, trials, span):
         hi = min(lo + span, trials)
@@ -483,13 +491,14 @@ def exact_distribution(circuit: Circuit,
 
 
 def exact_probability(circuit: Circuit, pattern: OutcomePattern) -> float:
-    """Exact Born probability of the pattern event.
+    """Exact Born probability of the pattern event, its length checked
+    before any build.
 
     For the encoded family the strict marginals are powers of two by
     construction and are returned exactly, without summing floats.
     """
+    check_pattern_length(pattern, circuit.k)
     if isinstance(circuit, EncodedCircuit):
-        check_pattern_length(pattern, circuit.k)
         if not pattern.is_full:
             return 2.0 ** -(pattern.k - pattern.wild_count)
         return float(encoded_probabilities(circuit, int(pattern.trits, 2),

