@@ -168,7 +168,7 @@ def _cmd_sample(args) -> list[str]:
             sp = SparsityPolynomial(_floats(args.sparsity))
         else:
             try:
-                dist = (est.dist if isinstance(est, (OraclePolyBox, CePolyBox))
+                dist = (est.dist if est.deterministic
                         else exact_distribution(circuit))
             except OracleLimitError:
                 raise ValueError(

@@ -48,11 +48,11 @@ def anticoncentration_bound(alpha: float) -> float:
 
 
 def clifford_output_probabilities(n: int, trials: int, state: ProductState,
-                                  seed: int, outcome_index: int = 0,
-                                  threads: int = 1) -> np.ndarray:
-    """p_x for a fixed outcome x under `trials` independent uniformly random
-    Clifford circuits applied to the product input.  Chunked with spawned
-    substreams so the result array is identical for every thread count.
+                                  seed: int, threads: int = 1) -> np.ndarray:
+    """p_0, the probability of the all-zero outcome, under `trials`
+    independent uniformly random Clifford circuits applied to the product
+    input.  Chunked with spawned substreams so the result array is
+    identical for every thread count.
     Each chunk draws its tableaus as one stack, in its own stream's order;
     the chunks run in groups of as many whole chunks as one evolution
     sub-batch holds (at least one, and at least one group per thread when
@@ -72,7 +72,7 @@ def clifford_output_probabilities(n: int, trials: int, state: ProductState,
                  for rng, size in zip(rngs, sizes)]
         steps = synthesis_steps(n, *map(np.concatenate, zip(*drawn)))
         probs = prod_probabilities_many(state, steps, sum(sizes))
-        return probs[:, outcome_index]
+        return probs[:, 0]
 
     return np.concatenate(_chunked_map(work, trials, _TRIAL_CHUNK,
                                        np.random.default_rng(seed), threads,
@@ -93,7 +93,7 @@ def anticoncentration_report(n: int, trials: int, alphas, state: ProductState,
         # the Paley-Zygmund bound (1 - alpha)^2 / 2 holds on [0, 1] only
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {alpha:g}")
-    px = clifford_output_probabilities(n, trials, state, seed, 0, threads)
+    px = clifford_output_probabilities(n, trials, state, seed, threads)
     metrics = []
     for alpha in alphas:
         frac = float((px >= alpha / 2 ** n).mean())
@@ -160,8 +160,11 @@ def corrupted_distribution(dist: ExactDistribution,
         raise ValueError("need at least two outcomes to corrupt")
     src = int(np.argmax(probs))
     mass = l1 / 2.0
-    if probs[src] < mass:
-        raise ValueError("heaviest outcome is lighter than l1/2")
+    heaviest = float(probs[src])
+    if heaviest < mass:
+        raise ValueError(f"corruption_l1 must be at most {2.0 * heaviest}, "
+                         f"twice the mass {heaviest} of the heaviest "
+                         f"outcome, got {l1}")
     others = np.delete(np.arange(probs.size), src)
     dst = int(others[np.argmin(probs[others])])
     probs[src] -= mass

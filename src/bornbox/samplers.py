@@ -90,10 +90,10 @@ def _search_budget(est, k: int, threshold: float,
     """(cap, per_eps, per_delta, exact_levels) of a heavy-prefix search.  At
     most cap survivors stay per level, and each prefix query runs at
     precision threshold/2 and confidence delta/(2*k*cap), refused when
-    2*k*cap is not finite.  A handle with ``exact_prefixes`` scores level
-    j exactly when its 2^j selections cost no more than the Hoeffding count
-    of one sampled query, capped at ``MAX_SAMPLES``, so levels
-    1..exact_levels are exact.  A search with a sampled level is refused
+    2*k*cap is not finite.  A handle that is not deterministic, so has
+    ``exact_prefixes``, scores level j exactly when its 2^j selections cost
+    no more than the Hoeffding count of one sampled query, capped at
+    ``MAX_SAMPLES``, so levels 1..exact_levels are exact.  A search with a sampled level is refused
     here, before its first level, when that level's count is above
     ``MAX_SAMPLES``."""
     cap = survivor_cap(threshold)
@@ -104,7 +104,7 @@ def _search_budget(est, k: int, threshold: float,
     per_eps = threshold / 2.0
     per_delta = delta / queries
     exact_levels = 0
-    if hasattr(est, "exact_prefixes"):
+    if not est.deterministic:
         s = math.ceil(min(hoeffding_need(per_eps, per_delta), MAX_SAMPLES))
         exact_levels = min(k, s.bit_length() - 1)
         if exact_levels < k:
@@ -207,7 +207,7 @@ def epsilon_simulate(est, sp: SparsityPolynomial, circuit: Circuit,
         raise ValueError("count must be nonnegative")
     # a sampling handle runs no query at count 0, so the crossover is only
     # asked when drawing
-    fixed = getattr(est, "deterministic", False) or (
+    fixed = est.deterministic or (
         count > 0 and _search_budget(
             est, circuit.k, eps / (2.0 * t), eps)[3] == circuit.k)
     rounds, size = (1, count) if fixed else (count, 1)

@@ -21,10 +21,6 @@ class NoSpawnRng:
         raise AssertionError(f"spawned {n} generators past the budget")
 
 
-def bell_circuit() -> ProdCircuit:
-    return ghz_circuit(2)
-
-
 def random_bloch(rng: np.random.Generator, mixed: bool = True):
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)

@@ -1,6 +1,5 @@
 """Command-line interface: output format, exit codes, determinism."""
 
-import functools
 import hashlib
 import json
 import os
@@ -10,11 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from bornbox import (circuits, cli, experiments, oracle, polybox, samplers,
-                     stabcore)
+from bornbox import circuits, cli, experiments
 from bornbox.cli import format_float, run_command, to_json
-from bornbox.samplers import heavy_prefixes
 
+from conftest import DENSE, WorkStarted
 from helpers import random_iqp_circuit, random_prod_circuit, serialize_circuit
 
 GHZ3 = "family prod\nqubits 3\nmeasure 3\ngate H 0\ngate CNOT 0 1\ngate CNOT 1 2\n"
@@ -245,60 +243,6 @@ def test_subcommand_errors_name_the_subcommand(capsys, argv, message):
 # Refusals: exit 2, one error line, nothing on stdout, and no work first
 # ---------------------------------------------------------------------------
 
-class WorkStarted(Exception):
-    pass
-
-
-class Work(list):
-    """The names of the costly entries that ran, in order."""
-
-    stop = False
-
-
-# The costly entries, by the module that defines them: the dense builds,
-# which every build through exact_distribution, exact_probability and
-# encoded_first_bit reaches, the estimator's pull-back, the Clifford draws
-# and the pools.  The kernels are the handles' ``values``.
-COSTLY = [(oracle, "prod_probabilities_many"), (oracle, "iqp_statevector"),
-          (stabcore, "pull_back_words"), (stabcore, "random_clifford_words"),
-          (polybox, "_chunked_map")]
-DENSE = {"oracle.prod_probabilities_many", "oracle.iqp_statevector"}
-KERNELS = [polybox.ProdPolyBox, polybox.IqpPolyBox]
-MODULES = [circuits, cli, experiments, oracle, polybox, samplers, stabcore]
-
-
-@pytest.fixture
-def work(monkeypatch):
-    """The costly entries that ran, listed as each call returns.  Each
-    entry is wrapped in every bornbox module that binds its name, and the
-    wrapper calls through, so allowed work runs; a call that raises is not
-    listed, so an entry whose own guard refuses first, as the oracle limit
-    does at the top of ``prod_probabilities_many``, ran no work.  With
-    ``work.stop`` set, reaching an entry raises WorkStarted instead."""
-    ran = Work()
-
-    def spy(name, fn):
-        @functools.wraps(fn)
-        def recorded(*args, **kwargs):
-            if ran.stop:
-                raise WorkStarted(name)
-            result = fn(*args, **kwargs)
-            ran.append(name)
-            return result
-        return recorded
-
-    for home, attr in COSTLY:
-        fn = getattr(home, attr)
-        wrapped = spy(f"{home.__name__.removeprefix('bornbox.')}.{attr}", fn)
-        for module in MODULES:
-            if getattr(module, attr, None) is fn:
-                monkeypatch.setattr(module, attr, wrapped)
-    for cls in KERNELS:
-        monkeypatch.setattr(cls, "values", staticmethod(
-            spy(f"{cls.__name__}.values", cls.values)))
-    return ran
-
-
 GHZ5 = ("family prod\nqubits 5\nmeasure 5\ngate H 0\ngate CNOT 0 1\n"
         "gate CNOT 1 2\ngate CNOT 2 3\ngate CNOT 3 4\n")
 
@@ -308,6 +252,13 @@ def mixed_qubits(n: int) -> str:
     return (f"family prod\nqubits {n}\n"
             + "".join(f"prep {q} bloch 0.3 0.2 0.5\n" for q in range(n))
             + "gate H 0\ngate CNOT 0 1\n")
+
+
+# the 3-qubit mixed circuit of CI's estimate step, whose heaviest outcome
+# holds less than the default corruption's 0.2
+MIXED3 = ("family prod\nqubits 3\nmeasure 3\nprep 0 bloch 0.3 0.2 0.5\n"
+          "prep 2 bloch 0 0.6 -0.6\ngate H 1\ngate CNOT 0 1\ngate S 1\n"
+          "gate CZ 1 2\ngate H 2\n")
 
 
 def gate_line(line: str) -> str:
@@ -329,6 +280,7 @@ REFUSAL_FILES = {
                   "  gate H 5\n"),
     "wide.qc": "family prod\nqubits 100000000\nmeasure 1\ngate H 0\n",
     "mixed11.qc": mixed_qubits(11),
+    "mixed3.qc": MIXED3,
     "gate-h3.qc": gate_line("H 3"),
     "gate-neg.qc": gate_line("H -1"),
     "gate-cnot11.qc": gate_line("CNOT 1 1"),
@@ -546,7 +498,14 @@ REFUSALS = [
     # moving l1/2 of mass off the heaviest outcome needs its probability
     refused("corruption-above-the-heaviest-outcome",
             f"{DIST} --bob corrupted --corruption-l1 1.5",
-            "heaviest outcome is lighter than l1/2", builds=1),
+            "corruption_l1 must be at most 1.0, twice the mass 0.5 of the "
+            "heaviest outcome, got 1.5", builds=1),
+    refused("corruption-default-above-the-heaviest-outcome",
+            "experiment distinguish --circuit mixed3.qc --bob corrupted "
+            "--trials 2000",
+            "corruption_l1 must be at most 0.37499999999999994, twice the "
+            "mass 0.18749999999999997 of the heaviest outcome, got 0.4",
+            builds=1),
     *(refused(f"corruption-{l1}-{bob}",
               f"{DIST} --bob {bob} --corruption-l1={l1}",
               f"corruption_l1 must be finite, got {l1}" if l1 in ("nan", "inf")
@@ -792,65 +751,43 @@ def test_default_sparsity_above_oracle_limit_asks_for_sparsity(
 
 
 def test_sampling_estimator_with_sparsity_never_builds_the_oracle(
-        capsys, monkeypatch, ghz6_above_oracle_limit):
-    def refuse(circuit):
-        raise AssertionError("exact_distribution called")
-    for module in (oracle, cli, polybox):
-        monkeypatch.setattr(module, "exact_distribution", refuse)
+        capsys, work, ghz6_above_oracle_limit):
     code = run_command(["sample", "--circuit", ghz6_above_oracle_limit,
                         "--sparsity", "2"] + SAMPLING)
     captured = capsys.readouterr()
     assert code == 0, captured.err
     outcomes = [json.loads(ln)["outcome"] for ln in captured.out.splitlines()[1:]]
     assert len(outcomes) == 2 and set(outcomes) <= {"000000", "111111"}
+    assert work.builds() == []
 
 
-def test_oracle_sparse_sample_builds_the_distribution_once(
-        capsys, monkeypatch, ghz_file):
-    calls = []
-
-    def counting(circuit):
-        calls.append(circuit)
-        return oracle.exact_distribution(circuit)
-    for module in (cli, polybox):
-        monkeypatch.setattr(module, "exact_distribution", counting)
+def test_oracle_sparse_sample_builds_the_distribution_once(capsys, work,
+                                                           ghz_file):
     code = run_command(["sample", "--circuit", ghz_file, "--method", "sparse",
                         "--estimator", "oracle", "--count", "3", "--seed", "1"])
     captured = capsys.readouterr()
     assert code == 0, captured.err
-    assert len(calls) == 1
+    assert work.builds() == ["oracle.prod_probabilities_many"]
 
 
-def test_encoded_sparse_search_builds_the_inner_oracle_once(
-        capsys, monkeypatch, tmp_path):
+def test_encoded_sparse_search_builds_the_inner_oracle_once(capsys, work,
+                                                            tmp_path):
     """The frozen encoded run: one inner build serves both the default
     sparsity's exact distribution and the search's whole full level of 8
     candidates."""
-    calls = []
-    build = oracle.exact_distribution
-
-    def counting(circuit):
-        calls.append(circuit)
-        return build(circuit)
-    monkeypatch.setattr(oracle, "exact_distribution", counting)
     (tmp_path / "enc.qc").write_text(ENCODED_INLINE)
     code = run_command(["sample", "--circuit", str(tmp_path / "enc.qc"),
                         "--count", "25", "--seed", "11", "--method", "sparse",
                         "--estimator", "sampling"])
     captured = capsys.readouterr()
     assert code == 0, captured.err
-    assert len(calls) == 1
-    assert all(c.family == "prod" for c in calls)
+    assert work.builds() == ["oracle.prod_probabilities_many"]
 
 
-def test_all_exact_sampling_search_runs_once_per_command(
-        capsys, monkeypatch, ghz_file):
-    searches = []
-
-    def counting(*args, **kwargs):
-        searches.append(args)
-        return heavy_prefixes(*args, **kwargs)
-    monkeypatch.setattr(samplers, "heavy_prefixes", counting)
+def test_all_exact_sampling_search_runs_once_per_command(capsys, work,
+                                                         ghz_file):
+    """One search of three exact levels, one kernel call each, serves the
+    50 draws; a search per draw would make 150 calls."""
     code = run_command(["sample", "--circuit", ghz_file, "--method", "sparse",
                         "--estimator", "sampling", "--eps-prime", "1",
                         "--count", "50", "--seed", "3"])
@@ -859,7 +796,7 @@ def test_all_exact_sampling_search_runs_once_per_command(
     outcomes = [json.loads(ln)["outcome"]
                 for ln in captured.out.splitlines()[1:]]
     assert len(outcomes) == 50 and set(outcomes) == {"000", "111"}
-    assert len(searches) == 1
+    assert work.count("ProdPolyBox.values") == 3
 
 
 def test_all_exact_sampling_search_is_not_refused_at_the_draw_limit(
@@ -876,67 +813,6 @@ def test_all_exact_sampling_search_is_not_refused_at_the_draw_limit(
                                                                    "111")
 
 
-# sha256 of the stdout, recorded before the selftest took its GHZ, pattern
-# and X-program builders from the ones the test suite shares
-SELFTEST_GOLDEN = [
-    pytest.param([],
-                 "07ea82310b36313e89f4dd20c21e3019078f98188f831599352356dea746d796",
-                 id="honest"),
-    pytest.param(["--inject-corrupted-bob"],
-                 "32450acf0ab33e652185c03013f533e71f8e74b7cf89925af017c59e5751c38c",
-                 id="inject"),
-]
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("flags, digest", SELFTEST_GOLDEN)
-def test_selftest_stdout_is_frozen(capsys, flags, digest, threads):
-    code = run_command(["selftest", "--seed", "3", "--threads", threads]
-                       + flags)
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
-
-
-# sha256 of the stdout, recorded before the Clifford decode moved to packed
-# ints and the oracle to one array for all branches
-ANTICONCENTRATION_GOLDEN = [
-    pytest.param(
-        ["--n", "3", "--trials", "300", "--seed", "17"],
-        "43ec81274d6a57c48d28c4e5b1ec4d7a65a8dab57ac00854fe262c342d513d09",
-        id="n3-pure"),
-    pytest.param(
-        ["--n", "4", "--trials", "200", "--seed", "5", "--bloch", "0.3,0.2,0.5"],
-        "e869a22b63d3bad9c41d7c31cabfb1dd83397dfb8f645dbdb2f23d61b4d4b9a9",
-        id="n4-mixed"),
-    # recorded before the chunk was drawn, swept and evolved as arrays:
-    # 64 branches, so 16-list sub-batches
-    pytest.param(
-        ["--n", "6", "--trials", "100", "--seed", "3", "--bloch", "0.3,0.2,0.5"],
-        "48d2baeffd4186c77401887c00e33e3f5e1d101dda0f9daa6b601122ed083d24",
-        id="n6-mixed-sub-batched"),
-    pytest.param(
-        ["--n", "1", "--trials", "300", "--seed", "9"],
-        "9127ee0471010fa12e5c32c28ae464b62b8db663360bb5aa31765f0f5827e627",
-        id="n1-pure"),
-    # the last chunk holds one trial
-    pytest.param(
-        ["--n", "8", "--trials", "257", "--seed", "4"],
-        "16303f5bb24862147aac1dc581163b1d54a9b52bd14e6285a029376ca504c92d",
-        id="n8-one-trial-chunk"),
-]
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("argv, digest", ANTICONCENTRATION_GOLDEN)
-def test_anticoncentration_stdout_is_frozen(capsys, argv, digest, threads):
-    code = run_command(["experiment", "anticoncentration"] + argv
-                       + ["--threads", threads])
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
-
-
 MIXED_PROD = ("family prod\nqubits 4\nmeasure 3\n"
               "prep 0 bloch 0.6 0.0 0.0\nprep 2 bloch 0.0 0.3 -0.4\n"
               "gate H 0\ngate CNOT 0 1\ngate S 1\ngate H 2\ngate CZ 2 3\n"
@@ -951,214 +827,176 @@ IQP16 = "family iqp\nqubits 16\nxrow" + " 1" * 16 + "\n"
 H8 = "family prod\nqubits 8\n" + "".join(f"gate H {q}\n" for q in range(8))
 IQP6 = ("family iqp\nqubits 6\nxrow 1 0 0 0 1 1\nxrow 0 0 0 1 0 1\n"
         "xrow 1 1 0 0 1 0\n")
-
-# sha256 of the stdout, recorded before the samplers took the exact
-# distribution itself as their prefix-marginal handle
-SAMPLER_GOLDEN = [
-    pytest.param("mixed.qc", ["cdf"],
-                 "5c2d22c4047eb9e7c715565ed22b473cb162ce1cc743645a6550692cc3c769da",
-                 id="mixed-cdf"),
-    pytest.param("mixed.qc", ["chain"],
-                 "5083039243d38797d5accfb9817a1aafee8113b5f09d7d487a77dd5d26e4172b",
-                 id="mixed-chain"),
-    pytest.param("mixed.qc", ["sparse", "--estimator", "oracle"],
-                 "09090d2d9b61a74555ca071fff9d21df4853d08821a0262f537179ec59b1e677",
-                 id="mixed-sparse"),
-    pytest.param("iqp.qc", ["cdf"],
-                 "62c7f414f85b28a809941380eedaa076bc38893b0be637c4707fe21364e743b6",
-                 id="iqp-cdf"),
-    pytest.param("iqp.qc", ["chain"],
-                 "8bbf7a6f89ababce006aef9985b21be7a61b3464aa8126fe84c07bcd94ec8b44",
-                 id="iqp-chain"),
-    pytest.param("iqp.qc", ["sparse", "--estimator", "oracle"],
-                 "32e20c2ff1f4841298b0c43978957abd4d69d556565e5efea9a62bbcdfff5cd4",
-                 id="iqp-sparse"),
-    # recorded before the sparse converter drew both regimes in one loop:
-    # every level of mixed.qc and iqp.qc is enumerated, so one table serves
-    # all draws, and the encoded handle is deterministic
-    pytest.param("mixed.qc", ["sparse", "--estimator", "sampling"],
-                 "37d8de2ca325832db7dc63cc5b6ad3709e9b57a2bb078850efbc63ed7bd35c82",
-                 id="mixed-sparse-sampling"),
-    pytest.param("iqp.qc", ["sparse", "--estimator", "sampling"],
-                 "4e2a51011e2bcf9ac3d70d55f1e2c7c57273912ee5be490acca606f58ed4f2b2",
-                 id="iqp-sparse-sampling"),
-    pytest.param("enc.qc", ["sparse", "--estimator", "sampling"],
-                 "7c12a27448cdd192064feb915b1f4041f01e4c739de6ab6f789e9a36bba4ecd6",
-                 id="encoded-sparse-sampling"),
-    # GHZ-16 at eps' = 2 enumerates levels 1-15 and samples level 16, so
-    # each draw runs its own search
-    pytest.param("ghz16.qc", ["sparse", "--estimator", "sampling",
-                              "--eps-prime", "2", "--sparsity", "2",
-                              "--count", "3"],
-                 "b529bc0faf9a8b722569c89db54e3070377d4f4caebdb19dff36073d0587e496",
-                 id="ghz16-sparse-sampled-level"),
-    # recorded before the heavy-prefix search kept its levels as bit
-    # matrices: the 16-qubit X-program samples its last level like GHZ-16,
-    # and all 256 outcomes of H on 8 qubits tie at 1/256, so the top-t cut
-    # keeps the first 100 in lexicographic order
-    pytest.param("iqp16.qc", ["sparse", "--estimator", "sampling",
-                              "--eps-prime", "2", "--sparsity", "2",
-                              "--count", "3"],
-                 "c177b93b74c6ae20a89ab66d6513702328aab616da6a58291fa6793789f64b8d",
-                 id="iqp16-sparse-sampled-level"),
-    pytest.param("h8.qc", ["sparse", "--estimator", "oracle",
-                           "--sparsity", "100"],
-                 "1095c1804de7cfd3473392e28c340604dccfcb417f2f694afcd53139928814b8",
-                 id="h8-sparse-lexicographic-ties"),
-    # recorded before the cdf and chain samplers drew level by level: 20000
-    # draws span three chunks of 8192; summing each prefix's cells instead
-    # of reading the cumulative table changes the 6-qubit X-program's digest
-    pytest.param("iqp6.qc", ["cdf", "--m", "7", "--count", "20000"],
-                 "f2266ed2ee88dec7b99de829e625d594827ee512305c07f1a8a5d31f0c2a1c5e",
-                 id="iqp6-cdf-m7-three-chunks"),
-    pytest.param("mixed.qc", ["chain", "--count", "20000"],
-                 "8c9ff0cbfd7854ad25e556db1da7f915b116d45da2cefd7ef661ba09eb5b8aee",
-                 id="mixed-chain-three-chunks"),
-    pytest.param("mixed.qc", ["cdf", "--count", "20000"],
-                 "18f55b7d56e2d882c7f6fabf28a9eb081f7da7f7f1baa94b3445b661660b2ce0",
-                 id="mixed-cdf-three-chunks"),
-]
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("circuit, method, digest", SAMPLER_GOLDEN)
-def test_sampler_stdout_is_frozen(capsys, monkeypatch, tmp_path, circuit,
-                                  method, digest, threads):
-    # a relative path, since the circuit path is part of the header line
-    (tmp_path / "mixed.qc").write_text(MIXED_PROD)
-    (tmp_path / "iqp.qc").write_text(IQP3)
-    (tmp_path / "enc.qc").write_text(ENCODED_INLINE)
-    (tmp_path / "ghz16.qc").write_text(GHZ16)
-    (tmp_path / "iqp16.qc").write_text(IQP16)
-    (tmp_path / "h8.qc").write_text(H8)
-    (tmp_path / "iqp6.qc").write_text(IQP6)
-    monkeypatch.chdir(tmp_path)
-    # flags given with the method override the ones before it
-    code = run_command(["sample", "--circuit", circuit, "--count", "25",
-                        "--seed", "11", "--threads", threads, "--method"]
-                       + method)
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
-
-
-# sha256 of the stdout, recorded before the distinguish and anticoncentration
-# harnesses returned their payload dicts in place of report objects
-DISTINGUISH_GOLDEN = [
-    pytest.param("exact", "1",
-                 "732e639e93834a4acec6cc8b70a9e942b780a42af83451669f7c58c3c43eeb7a",
-                 id="exact-1"),
-    pytest.param("exact", "3",
-                 "3b72d5ac60eab3c9764be5dbca6e3188c08f4919ff2a4f7d6b2bd94b31c53882",
-                 id="exact-3"),
-    pytest.param("corrupted", "1",
-                 "6933ffc089bb75520f6bf7a50b206b8b2444199c68e26fc47b7739d316c7ce16",
-                 id="corrupted-1"),
-    pytest.param("corrupted", "3",
-                 "3e094a9e4d3566a60748ce2bfc12d583b29f70b414d94ca9fa7c337e083b43d5",
-                 id="corrupted-3"),
-    pytest.param("scheduled", "1",
-                 "6b35afce494d3ada21926827e151ea920f63efb38dd8b82292b4bee80621a1cc",
-                 id="scheduled-1"),
-    pytest.param("scheduled", "3",
-                 "af9554be99a697ccd59003ade3b7b0199a446e79165762fc3000624d6d375f48",
-                 id="scheduled-3"),
-]
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("bob, rounds, digest", DISTINGUISH_GOLDEN)
-def test_distinguish_stdout_is_frozen(capsys, monkeypatch, tmp_path, bob,
-                                      rounds, digest, threads):
-    (tmp_path / "mixed.qc").write_text(MIXED_PROD)
-    monkeypatch.chdir(tmp_path)
-    code = run_command(["experiment", "distinguish", "--circuit", "mixed.qc",
-                        "--bob", bob, "--rounds", rounds, "--trials", "2000",
-                        "--seed", "13", "--threads", threads])
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
-
-
-# sha256 of the stdout at the default --eps-grid, recorded at the same point
-# as DISTINGUISH_GOLDEN
-SPARSITY_GOLDEN = [
-    pytest.param("mixed.qc",
-                 "735ed46eb20d384a9a7c2c1aebfed3da06c254f095d71d6a913581b5cd95ba7f",
-                 id="prod"),
-    pytest.param("iqp.qc",
-                 "3c7a05ca67cad8e184e02a7c7d8b98ae38f1115333911dddfae90a8a7b8626e3",
-                 id="iqp"),
-    pytest.param("enc.qc",
-                 "a22ac306bcaa350affed62f2f5c3b7def6bb9141a95f02f3a5db3f8c89cce7fd",
-                 id="encoded"),
-]
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("circuit, digest", SPARSITY_GOLDEN)
-def test_sparsity_stdout_is_frozen(capsys, monkeypatch, tmp_path, circuit,
-                                   digest, threads):
-    (tmp_path / "mixed.qc").write_text(MIXED_PROD)
-    (tmp_path / "iqp.qc").write_text(IQP3)
-    (tmp_path / "enc.qc").write_text(ENCODED_INLINE)
-    monkeypatch.chdir(tmp_path)
-    code = run_command(["experiment", "sparsity", "--circuit", circuit,
-                        "--threads", threads])
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
-
-
 # a deep product-input circuit: 30 qubits, all mixed inputs, 300 gates
 DEEP_PROD = serialize_circuit(
     random_prod_circuit(np.random.default_rng(30), 30, 300))
 DEEP_PATTERN = "".join({3: "0", 8: "1", 12: "1", 19: "0", 24: "1",
                         28: "0"}.get(i, "*") for i in range(30))
-# sha256 of the stdout, recorded before the measured Z's were pulled back
-# through the gate list in one pass
-ESTIMATE_GOLDEN = (
-    "5a63846077219d36eef7d8a22916789b3b34e0891b2b435b025bec790db7a1e4")
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_estimate_stdout_is_frozen(capsys, monkeypatch, tmp_path, threads):
-    """At eps = 0.01 the 105967 draws span 13 chunks."""
-    (tmp_path / "deep.qc").write_text(DEEP_PROD)
-    monkeypatch.chdir(tmp_path)
-    code = run_command(["estimate", "--circuit", "deep.qc", "--pattern",
-                        DEEP_PATTERN, "--eps", "0.01", "--seed", "5",
-                        "--threads", threads])
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    assert json.loads(captured.out)["payload"]["samples_used"] == 105967
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == ESTIMATE_GOLDEN
-
-
 # a 12-qubit X-program with 16 rows
 IQP12 = serialize_circuit(random_iqp_circuit(np.random.default_rng(11), 12, 16))
-# sha256 of the stdout, recorded before each draw was read from a table of
-# the kernel's 2^f distinct draws: an X-program estimate whose 26492 draws
-# span 4 chunks and read the 2^9-row table, and a product-input one whose
-# 12 fixed bits (2^12 > 1060 draws) run the kernel on every draw
-TABLE_ESTIMATE_GOLDEN = [
-    ("iqp.qc", IQP12, "10*1101*10*0", "0.02",
-     "f17e46490d4f644b4e029e49be6f18fb3f56e90327bb5c6ae9284e12df4de898"),
-    ("deep.qc", DEEP_PROD, "0101*1010*0101" + "*" * 16, "0.1",
-     "f888ee885a8d3b0961c3810a607d2dc7c44e1a32db961b2c35b215c6efb9a797"),
+
+# the files the sample and sparsity rows read; the path is part of the
+# header line, so it is relative, and each row writes its own files, since
+# iqp.qc is IQP3 here and IQP12 in the estimate rows
+CIRCUIT_FILES = {"mixed.qc": MIXED_PROD, "iqp.qc": IQP3,
+                 "enc.qc": ENCODED_INLINE, "ghz16.qc": GHZ16,
+                 "iqp16.qc": IQP16, "h8.qc": H8, "iqp6.qc": IQP6}
+
+
+def frozen(row_id: str, argv: str, files: dict, digest: str):
+    """A row of the frozen-stdout table: argv, split at spaces, run in a
+    directory holding `files` (name: text), prints the stdout whose sha256
+    is `digest`."""
+    return pytest.param(argv.split(), files, digest, id=row_id)
+
+
+def sampled(row_id: str, circuit: str, method: str, digest: str):
+    """A sample row: 25 draws at seed 11 from the named file of
+    CIRCUIT_FILES, by `method` and its flags, which override the ones
+    before them."""
+    return frozen(f"sample-{row_id}",
+                  f"sample --circuit {circuit} --count 25 --seed 11 "
+                  f"--method {method}", {circuit: CIRCUIT_FILES[circuit]},
+                  digest)
+
+
+FROZEN = [
+    # recorded before the selftest took its GHZ, pattern and X-program
+    # builders from the ones the test suite shares
+    frozen("selftest-honest", "selftest --seed 3", {},
+           "07ea82310b36313e89f4dd20c21e3019078f98188f831599352356dea746d796"),
+    frozen("selftest-inject", "selftest --seed 3 --inject-corrupted-bob", {},
+           "32450acf0ab33e652185c03013f533e71f8e74b7cf89925af017c59e5751c38c"),
+    # recorded before the Clifford decode moved to packed ints and the
+    # oracle to one array for all branches
+    frozen("anticoncentration-n3-pure",
+           "experiment anticoncentration --n 3 --trials 300 --seed 17", {},
+           "43ec81274d6a57c48d28c4e5b1ec4d7a65a8dab57ac00854fe262c342d513d09"),
+    frozen("anticoncentration-n4-mixed",
+           "experiment anticoncentration --n 4 --trials 200 --seed 5 "
+           "--bloch 0.3,0.2,0.5", {},
+           "e869a22b63d3bad9c41d7c31cabfb1dd83397dfb8f645dbdb2f23d61b4d4b9a9"),
+    # recorded before the chunk was drawn, swept and evolved as arrays: 64
+    # branches, so 16-list sub-batches
+    frozen("anticoncentration-n6-mixed-sub-batched",
+           "experiment anticoncentration --n 6 --trials 100 --seed 3 "
+           "--bloch 0.3,0.2,0.5", {},
+           "48d2baeffd4186c77401887c00e33e3f5e1d101dda0f9daa6b601122ed083d24"),
+    frozen("anticoncentration-n1-pure",
+           "experiment anticoncentration --n 1 --trials 300 --seed 9", {},
+           "9127ee0471010fa12e5c32c28ae464b62b8db663360bb5aa31765f0f5827e627"),
+    # the last chunk holds one trial
+    frozen("anticoncentration-n8-one-trial-chunk",
+           "experiment anticoncentration --n 8 --trials 257 --seed 4", {},
+           "16303f5bb24862147aac1dc581163b1d54a9b52bd14e6285a029376ca504c92d"),
+    # recorded before the samplers took the exact distribution itself as
+    # their prefix-marginal handle
+    sampled("mixed-cdf", "mixed.qc", "cdf",
+            "5c2d22c4047eb9e7c715565ed22b473cb162ce1cc743645a6550692cc3c769da"),
+    sampled("mixed-chain", "mixed.qc", "chain",
+            "5083039243d38797d5accfb9817a1aafee8113b5f09d7d487a77dd5d26e4172b"),
+    sampled("mixed-sparse", "mixed.qc", "sparse --estimator oracle",
+            "09090d2d9b61a74555ca071fff9d21df4853d08821a0262f537179ec59b1e677"),
+    sampled("iqp-cdf", "iqp.qc", "cdf",
+            "62c7f414f85b28a809941380eedaa076bc38893b0be637c4707fe21364e743b6"),
+    sampled("iqp-chain", "iqp.qc", "chain",
+            "8bbf7a6f89ababce006aef9985b21be7a61b3464aa8126fe84c07bcd94ec8b44"),
+    sampled("iqp-sparse", "iqp.qc", "sparse --estimator oracle",
+            "32e20c2ff1f4841298b0c43978957abd4d69d556565e5efea9a62bbcdfff5cd4"),
+    # recorded before the sparse converter drew both regimes in one loop:
+    # every level of mixed.qc and iqp.qc is enumerated, so one table serves
+    # all draws, and the encoded handle is deterministic
+    sampled("mixed-sparse-sampling", "mixed.qc", "sparse --estimator sampling",
+            "37d8de2ca325832db7dc63cc5b6ad3709e9b57a2bb078850efbc63ed7bd35c82"),
+    sampled("iqp-sparse-sampling", "iqp.qc", "sparse --estimator sampling",
+            "4e2a51011e2bcf9ac3d70d55f1e2c7c57273912ee5be490acca606f58ed4f2b2"),
+    sampled("encoded-sparse-sampling", "enc.qc", "sparse --estimator sampling",
+            "7c12a27448cdd192064feb915b1f4041f01e4c739de6ab6f789e9a36bba4ecd6"),
+    # GHZ-16 at eps' = 2 enumerates levels 1-15 and samples level 16, so
+    # each draw runs its own search
+    sampled("ghz16-sparse-sampled-level", "ghz16.qc",
+            "sparse --estimator sampling --eps-prime 2 --sparsity 2 --count 3",
+            "b529bc0faf9a8b722569c89db54e3070377d4f4caebdb19dff36073d0587e496"),
+    # recorded before the heavy-prefix search kept its levels as bit
+    # matrices: the 16-qubit X-program samples its last level like GHZ-16,
+    # and all 256 outcomes of H on 8 qubits tie at 1/256, so the top-t cut
+    # keeps the first 100 in lexicographic order
+    sampled("iqp16-sparse-sampled-level", "iqp16.qc",
+            "sparse --estimator sampling --eps-prime 2 --sparsity 2 --count 3",
+            "c177b93b74c6ae20a89ab66d6513702328aab616da6a58291fa6793789f64b8d"),
+    sampled("h8-sparse-lexicographic-ties", "h8.qc",
+            "sparse --estimator oracle --sparsity 100",
+            "1095c1804de7cfd3473392e28c340604dccfcb417f2f694afcd53139928814b8"),
+    # recorded before the cdf and chain samplers drew level by level: 20000
+    # draws span three chunks of 8192; summing each prefix's cells instead
+    # of reading the cumulative table changes the 6-qubit X-program's digest
+    sampled("iqp6-cdf-m7-three-chunks", "iqp6.qc", "cdf --m 7 --count 20000",
+            "f2266ed2ee88dec7b99de829e625d594827ee512305c07f1a8a5d31f0c2a1c5e"),
+    sampled("mixed-chain-three-chunks", "mixed.qc", "chain --count 20000",
+            "8c9ff0cbfd7854ad25e556db1da7f915b116d45da2cefd7ef661ba09eb5b8aee"),
+    sampled("mixed-cdf-three-chunks", "mixed.qc", "cdf --count 20000",
+            "18f55b7d56e2d882c7f6fabf28a9eb081f7da7f7f1baa94b3445b661660b2ce0"),
+    # recorded before the distinguish and anticoncentration harnesses
+    # returned their payload dicts in place of report objects
+    *(frozen(f"distinguish-{bob}-{rounds}",
+             f"experiment distinguish --circuit mixed.qc --bob {bob} "
+             f"--rounds {rounds} --trials 2000 --seed 13",
+             {"mixed.qc": MIXED_PROD}, digest)
+      for bob, rounds, digest in (
+          ("exact", "1",
+           "732e639e93834a4acec6cc8b70a9e942b780a42af83451669f7c58c3c43eeb7a"),
+          ("exact", "3",
+           "3b72d5ac60eab3c9764be5dbca6e3188c08f4919ff2a4f7d6b2bd94b31c53882"),
+          ("corrupted", "1",
+           "6933ffc089bb75520f6bf7a50b206b8b2444199c68e26fc47b7739d316c7ce16"),
+          ("corrupted", "3",
+           "3e094a9e4d3566a60748ce2bfc12d583b29f70b414d94ca9fa7c337e083b43d5"),
+          ("scheduled", "1",
+           "6b35afce494d3ada21926827e151ea920f63efb38dd8b82292b4bee80621a1cc"),
+          ("scheduled", "3",
+           "af9554be99a697ccd59003ade3b7b0199a446e79165762fc3000624d6d375f48"))),
+    # at the default --eps-grid, recorded at the same point as distinguish
+    *(frozen(f"sparsity-{row_id}", f"experiment sparsity --circuit {name}",
+             {name: CIRCUIT_FILES[name]}, digest)
+      for row_id, name, digest in (
+          ("prod", "mixed.qc",
+           "735ed46eb20d384a9a7c2c1aebfed3da06c254f095d71d6a913581b5cd95ba7f"),
+          ("iqp", "iqp.qc",
+           "3c7a05ca67cad8e184e02a7c7d8b98ae38f1115333911dddfae90a8a7b8626e3"),
+          ("encoded", "enc.qc",
+           "a22ac306bcaa350affed62f2f5c3b7def6bb9141a95f02f3a5db3f8c89cce7fd"))),
+    # recorded before the measured Z's were pulled back through the gate
+    # list in one pass; at eps = 0.01 the 105967 draws span 13 chunks
+    frozen("estimate-deep",
+           f"estimate --circuit deep.qc --pattern {DEEP_PATTERN} --eps 0.01 "
+           "--seed 5", {"deep.qc": DEEP_PROD},
+           "5a63846077219d36eef7d8a22916789b3b34e0891b2b435b025bec790db7a1e4"),
+    # recorded before each draw was read from a table of the kernel's 2^f
+    # distinct draws: an X-program estimate whose 26492 draws span 4 chunks
+    # and read the 2^9-row table (iqp.qc is IQP12 here), and a product-input
+    # one whose 12 fixed bits (2^12 > 1060 draws) run the kernel on every
+    # draw
+    frozen("estimate-iqp-table",
+           "estimate --circuit iqp.qc --pattern 10*1101*10*0 --eps 0.02 "
+           "--seed 7", {"iqp.qc": IQP12},
+           "f17e46490d4f644b4e029e49be6f18fb3f56e90327bb5c6ae9284e12df4de898"),
+    frozen("estimate-prod-per-draw",
+           "estimate --circuit deep.qc --pattern 0101*1010*0101" + "*" * 16
+           + " --eps 0.1 --seed 7", {"deep.qc": DEEP_PROD},
+           "f888ee885a8d3b0961c3810a607d2dc7c44e1a32db961b2c35b215c6efb9a797"),
 ]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("name, text, pattern, eps, digest",
-                         TABLE_ESTIMATE_GOLDEN, ids=["iqp-table", "prod-per-draw"])
-def test_estimate_stdout_is_frozen_on_both_kernel_paths(
-        capsys, monkeypatch, tmp_path, name, text, pattern, eps, digest,
-        threads):
-    (tmp_path / name).write_text(text)
+@pytest.mark.parametrize("argv, files, digest", FROZEN)
+def test_stdout_is_frozen(capsys, monkeypatch, tmp_path, argv, files, digest,
+                          threads):
+    """The one frozen-stdout table: a fixed argv and --seed print the same
+    bytes at any --threads."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
-    code = run_command(["estimate", "--circuit", name, "--pattern", pattern,
-                        "--eps", eps, "--seed", "7", "--threads", threads])
+    code = run_command(argv + ["--threads", threads])
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

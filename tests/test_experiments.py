@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bornbox import experiments, oracle, polybox
+from bornbox import experiments, oracle
 from bornbox.circuits import ProdCircuit
 from bornbox.experiments import (advantage_cap, anticoncentration_bound,
                                  anticoncentration_report,
@@ -71,15 +71,16 @@ def test_anticoncentration_moments_small():
 
 def test_output_probability_translation_invariance():
     # uniform Clifford conjugation makes p_x identically distributed in x
-    px0 = clifford_output_probabilities(3, 400, ProductState.zero(3), 5, 0)
-    px5 = clifford_output_probabilities(3, 400, ProductState.zero(3), 6, 5)
+    px0 = clifford_output_probabilities(3, 400, ProductState.zero(3), 5)
+    px5 = reference_clifford_output_probabilities(3, 400, ProductState.zero(3),
+                                                  6, 5)
     assert stats.ks_2samp(px0, px5).pvalue > 0.01
 
 
 def test_output_probabilities_thread_invariant():
-    pa = clifford_output_probabilities(3, 300, ProductState.zero(3), 9, 0,
+    pa = clifford_output_probabilities(3, 300, ProductState.zero(3), 9,
                                        threads=1)
-    pb = clifford_output_probabilities(3, 300, ProductState.zero(3), 9, 0,
+    pb = clifford_output_probabilities(3, 300, ProductState.zero(3), 9,
                                        threads=8)
     assert np.array_equal(pa, pb)
 
@@ -97,7 +98,7 @@ def test_grouped_trials_equal_the_per_chunk_reference(
         monkeypatch, threads, n, bloch, trials, batch, sweeps):
     state = ProductState((bloch, (0.0, 0.0, 1.0)) + (bloch,) * (n - 2))
     monkeypatch.setattr(oracle, "_BATCH_AMPLITUDES", batch)
-    want = reference_clifford_output_probabilities(n, trials, state, 7, 3)
+    want = reference_clifford_output_probabilities(n, trials, state, 7)
     swept = []
     sweep = experiments.synthesis_steps
 
@@ -105,7 +106,7 @@ def test_grouped_trials_equal_the_per_chunk_reference(
         swept.append(len(xs))
         return sweep(n, xs, *words)
     monkeypatch.setattr(experiments, "synthesis_steps", counting)
-    got = clifford_output_probabilities(n, trials, state, 7, 3, threads)
+    got = clifford_output_probabilities(n, trials, state, 7, threads)
     assert (got == want).all()
     assert len(swept) == sweeps[threads] and sum(swept) == trials
 
@@ -150,19 +151,11 @@ def test_corrupted_distribution():
         corrupted_distribution(ExactDistribution(0, np.array([1.0])), 0.4)
 
 
-def test_scheduled_bob_matches_sparse_stabilizer_target(monkeypatch):
+def test_scheduled_bob_matches_sparse_stabilizer_target(work):
     ghz = ghz_circuit(2)
-    d = exact_distribution(ghz)
-    builds = []
-
-    def counting(circuit):
-        builds.append(circuit)
-        return exact_distribution(circuit)
-    for module in (experiments, polybox):
-        monkeypatch.setattr(module, "exact_distribution", counting)
     sb = scheduled_bob_distribution(OraclePolyBox(ghz), 1, 0.05)
-    assert l1_distance(sb, d) < 1e-12
-    assert len(builds) == 1
+    assert work.builds() == ["oracle.prod_probabilities_many"]
+    assert l1_distance(sb, exact_distribution(ghz)) < 1e-12
 
 
 def test_scheduled_bob_respects_budget_rounds():
@@ -205,11 +198,8 @@ def test_scheduled_bob_names_delta_when_its_budget_underflows():
         scheduled_bob_distribution(box, 3, 1e-310)
 
 
-def test_hypothesis_test_refuses_delta_above_the_schedule_limit(monkeypatch):
-    def refuse(circuit):
-        raise AssertionError("oracle built before the delta check")
-    for module in (experiments, polybox):
-        monkeypatch.setattr(module, "exact_distribution", refuse)
+def test_hypothesis_test_refuses_delta_above_the_schedule_limit(work):
+    work.stop = True
     limit = 13 * math.pi ** 2 / 144
     with pytest.raises(ValueError, match=r"delta must be at most "
                        r"13\*pi\^2/144 = 0\.891006 .* got 0\.9$"):
@@ -217,7 +207,7 @@ def test_hypothesis_test_refuses_delta_above_the_schedule_limit(monkeypatch):
     with pytest.raises(ValueError, match="delta"):
         run_hypothesis_test(ghz_circuit(2), "scheduled", limit * (1 + 1e-9),
                             1000, seed=0)
-    monkeypatch.undo()
+    work.stop = False
     run_hypothesis_test(ghz_circuit(2), "scheduled", limit, 1000, seed=0)
 
 
@@ -272,17 +262,10 @@ def test_advantage_cap_uses_the_standard_error_of_p_correct():
     assert advantage_cap(0.56, 10000, 0.05)["pass"]
 
 
-def test_scheduled_rounds_share_one_oracle_build(monkeypatch):
-    builds = []
-
-    def counting(circuit):
-        builds.append(circuit)
-        return exact_distribution(circuit)
-    for module in (experiments, polybox):
-        monkeypatch.setattr(module, "exact_distribution", counting)
+def test_scheduled_rounds_share_one_oracle_build(work):
     run_hypothesis_test(ghz_circuit(3), "scheduled", 0.05, 1000, seed=4,
                         rounds=3)
-    assert len(builds) == 1
+    assert work.builds() == ["oracle.prod_probabilities_many"]
 
 
 def test_hypothesis_multi_round_improves():
@@ -292,7 +275,7 @@ def test_hypothesis_multi_round_improves():
     assert metric["value"] > 0.6
 
 
-def test_hypothesis_validation(monkeypatch):
+def test_hypothesis_validation(work):
     ghz = ghz_circuit(2)
     with pytest.raises(ValueError):
         run_hypothesis_test(ghz, "exact", 0.05, 500, seed=0)
@@ -300,11 +283,7 @@ def test_hypothesis_validation(monkeypatch):
         run_hypothesis_test(ghz, "exact", 0.05, 1000, seed=0, rounds=0)
     with pytest.raises(ValueError):
         run_hypothesis_test(ghz, "weird", 0.05, 1000, seed=0)
-
-    def refuse(circuit):
-        raise AssertionError("oracle built before the delta check")
-    for module in (experiments, polybox):
-        monkeypatch.setattr(module, "exact_distribution", refuse)
+    work.stop = True
     for mode in ("exact", "corrupted", "scheduled"):
         for delta in (-1.0, 0.0, -0.0):
             with pytest.raises(ValueError,
