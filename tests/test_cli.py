@@ -843,163 +843,185 @@ CIRCUIT_FILES = {"mixed.qc": MIXED_PROD, "iqp.qc": IQP3,
                  "iqp16.qc": IQP16, "h8.qc": H8, "iqp6.qc": IQP6}
 
 
-def frozen(row_id: str, argv: str, files: dict, digest: str):
+def frozen(row_id: str, argv: str, files: dict, digest: str) -> tuple:
     """A row of the frozen-stdout table: argv, split at spaces, run in a
     directory holding `files` (name: text), prints the stdout whose sha256
-    is `digest`."""
-    return pytest.param(argv.split(), files, digest, id=row_id)
+    is `digest`. An empty `row_id` leaves only --threads in the case id."""
+    return row_id, argv.split(), files, digest
 
 
-def sampled(row_id: str, circuit: str, method: str, digest: str):
+def sampled(row_id: str, circuit: str, method: str, digest: str) -> tuple:
     """A sample row: 25 draws at seed 11 from the named file of
     CIRCUIT_FILES, by `method` and its flags, which override the ones
     before them."""
-    return frozen(f"sample-{row_id}",
+    return frozen(row_id,
                   f"sample --circuit {circuit} --count 25 --seed 11 "
                   f"--method {method}", {circuit: CIRCUIT_FILES[circuit]},
                   digest)
 
 
-FROZEN = [
+# test name: its rows
+FROZEN = {
     # recorded before the selftest took its GHZ, pattern and X-program
     # builders from the ones the test suite shares
-    frozen("selftest-honest", "selftest --seed 3", {},
-           "07ea82310b36313e89f4dd20c21e3019078f98188f831599352356dea746d796"),
-    frozen("selftest-inject", "selftest --seed 3 --inject-corrupted-bob", {},
-           "32450acf0ab33e652185c03013f533e71f8e74b7cf89925af017c59e5751c38c"),
+    "test_selftest_stdout_is_frozen": [
+        frozen("honest", "selftest --seed 3", {},
+               "07ea82310b36313e89f4dd20c21e3019078f98188f831599352356dea746d796"),
+        frozen("inject", "selftest --seed 3 --inject-corrupted-bob", {},
+               "32450acf0ab33e652185c03013f533e71f8e74b7cf89925af017c59e5751c38c"),
+    ],
     # recorded before the Clifford decode moved to packed ints and the
     # oracle to one array for all branches
-    frozen("anticoncentration-n3-pure",
-           "experiment anticoncentration --n 3 --trials 300 --seed 17", {},
-           "43ec81274d6a57c48d28c4e5b1ec4d7a65a8dab57ac00854fe262c342d513d09"),
-    frozen("anticoncentration-n4-mixed",
-           "experiment anticoncentration --n 4 --trials 200 --seed 5 "
-           "--bloch 0.3,0.2,0.5", {},
-           "e869a22b63d3bad9c41d7c31cabfb1dd83397dfb8f645dbdb2f23d61b4d4b9a9"),
-    # recorded before the chunk was drawn, swept and evolved as arrays: 64
-    # branches, so 16-list sub-batches
-    frozen("anticoncentration-n6-mixed-sub-batched",
-           "experiment anticoncentration --n 6 --trials 100 --seed 3 "
-           "--bloch 0.3,0.2,0.5", {},
-           "48d2baeffd4186c77401887c00e33e3f5e1d101dda0f9daa6b601122ed083d24"),
-    frozen("anticoncentration-n1-pure",
-           "experiment anticoncentration --n 1 --trials 300 --seed 9", {},
-           "9127ee0471010fa12e5c32c28ae464b62b8db663360bb5aa31765f0f5827e627"),
-    # the last chunk holds one trial
-    frozen("anticoncentration-n8-one-trial-chunk",
-           "experiment anticoncentration --n 8 --trials 257 --seed 4", {},
-           "16303f5bb24862147aac1dc581163b1d54a9b52bd14e6285a029376ca504c92d"),
+    "test_anticoncentration_stdout_is_frozen": [
+        frozen("n3-pure",
+               "experiment anticoncentration --n 3 --trials 300 --seed 17", {},
+               "43ec81274d6a57c48d28c4e5b1ec4d7a65a8dab57ac00854fe262c342d513d09"),
+        frozen("n4-mixed",
+               "experiment anticoncentration --n 4 --trials 200 --seed 5 "
+               "--bloch 0.3,0.2,0.5", {},
+               "e869a22b63d3bad9c41d7c31cabfb1dd83397dfb8f645dbdb2f23d61b4d4b9a9"),
+        # recorded before the chunk was drawn, swept and evolved as arrays:
+        # 64 branches, so 16-list sub-batches
+        frozen("n6-mixed-sub-batched",
+               "experiment anticoncentration --n 6 --trials 100 --seed 3 "
+               "--bloch 0.3,0.2,0.5", {},
+               "48d2baeffd4186c77401887c00e33e3f5e1d101dda0f9daa6b601122ed083d24"),
+        frozen("n1-pure",
+               "experiment anticoncentration --n 1 --trials 300 --seed 9", {},
+               "9127ee0471010fa12e5c32c28ae464b62b8db663360bb5aa31765f0f5827e627"),
+        # the last chunk holds one trial
+        frozen("n8-one-trial-chunk",
+               "experiment anticoncentration --n 8 --trials 257 --seed 4", {},
+               "16303f5bb24862147aac1dc581163b1d54a9b52bd14e6285a029376ca504c92d"),
+    ],
     # recorded before the samplers took the exact distribution itself as
     # their prefix-marginal handle
-    sampled("mixed-cdf", "mixed.qc", "cdf",
-            "5c2d22c4047eb9e7c715565ed22b473cb162ce1cc743645a6550692cc3c769da"),
-    sampled("mixed-chain", "mixed.qc", "chain",
-            "5083039243d38797d5accfb9817a1aafee8113b5f09d7d487a77dd5d26e4172b"),
-    sampled("mixed-sparse", "mixed.qc", "sparse --estimator oracle",
-            "09090d2d9b61a74555ca071fff9d21df4853d08821a0262f537179ec59b1e677"),
-    sampled("iqp-cdf", "iqp.qc", "cdf",
-            "62c7f414f85b28a809941380eedaa076bc38893b0be637c4707fe21364e743b6"),
-    sampled("iqp-chain", "iqp.qc", "chain",
-            "8bbf7a6f89ababce006aef9985b21be7a61b3464aa8126fe84c07bcd94ec8b44"),
-    sampled("iqp-sparse", "iqp.qc", "sparse --estimator oracle",
-            "32e20c2ff1f4841298b0c43978957abd4d69d556565e5efea9a62bbcdfff5cd4"),
-    # recorded before the sparse converter drew both regimes in one loop:
-    # every level of mixed.qc and iqp.qc is enumerated, so one table serves
-    # all draws, and the encoded handle is deterministic
-    sampled("mixed-sparse-sampling", "mixed.qc", "sparse --estimator sampling",
-            "37d8de2ca325832db7dc63cc5b6ad3709e9b57a2bb078850efbc63ed7bd35c82"),
-    sampled("iqp-sparse-sampling", "iqp.qc", "sparse --estimator sampling",
-            "4e2a51011e2bcf9ac3d70d55f1e2c7c57273912ee5be490acca606f58ed4f2b2"),
-    sampled("encoded-sparse-sampling", "enc.qc", "sparse --estimator sampling",
-            "7c12a27448cdd192064feb915b1f4041f01e4c739de6ab6f789e9a36bba4ecd6"),
-    # GHZ-16 at eps' = 2 enumerates levels 1-15 and samples level 16, so
-    # each draw runs its own search
-    sampled("ghz16-sparse-sampled-level", "ghz16.qc",
-            "sparse --estimator sampling --eps-prime 2 --sparsity 2 --count 3",
-            "b529bc0faf9a8b722569c89db54e3070377d4f4caebdb19dff36073d0587e496"),
-    # recorded before the heavy-prefix search kept its levels as bit
-    # matrices: the 16-qubit X-program samples its last level like GHZ-16,
-    # and all 256 outcomes of H on 8 qubits tie at 1/256, so the top-t cut
-    # keeps the first 100 in lexicographic order
-    sampled("iqp16-sparse-sampled-level", "iqp16.qc",
-            "sparse --estimator sampling --eps-prime 2 --sparsity 2 --count 3",
-            "c177b93b74c6ae20a89ab66d6513702328aab616da6a58291fa6793789f64b8d"),
-    sampled("h8-sparse-lexicographic-ties", "h8.qc",
-            "sparse --estimator oracle --sparsity 100",
-            "1095c1804de7cfd3473392e28c340604dccfcb417f2f694afcd53139928814b8"),
-    # recorded before the cdf and chain samplers drew level by level: 20000
-    # draws span three chunks of 8192; summing each prefix's cells instead
-    # of reading the cumulative table changes the 6-qubit X-program's digest
-    sampled("iqp6-cdf-m7-three-chunks", "iqp6.qc", "cdf --m 7 --count 20000",
-            "f2266ed2ee88dec7b99de829e625d594827ee512305c07f1a8a5d31f0c2a1c5e"),
-    sampled("mixed-chain-three-chunks", "mixed.qc", "chain --count 20000",
-            "8c9ff0cbfd7854ad25e556db1da7f915b116d45da2cefd7ef661ba09eb5b8aee"),
-    sampled("mixed-cdf-three-chunks", "mixed.qc", "cdf --count 20000",
-            "18f55b7d56e2d882c7f6fabf28a9eb081f7da7f7f1baa94b3445b661660b2ce0"),
+    "test_sampler_stdout_is_frozen": [
+        sampled("mixed-cdf", "mixed.qc", "cdf",
+                "5c2d22c4047eb9e7c715565ed22b473cb162ce1cc743645a6550692cc3c769da"),
+        sampled("mixed-chain", "mixed.qc", "chain",
+                "5083039243d38797d5accfb9817a1aafee8113b5f09d7d487a77dd5d26e4172b"),
+        sampled("mixed-sparse", "mixed.qc", "sparse --estimator oracle",
+                "09090d2d9b61a74555ca071fff9d21df4853d08821a0262f537179ec59b1e677"),
+        sampled("iqp-cdf", "iqp.qc", "cdf",
+                "62c7f414f85b28a809941380eedaa076bc38893b0be637c4707fe21364e743b6"),
+        sampled("iqp-chain", "iqp.qc", "chain",
+                "8bbf7a6f89ababce006aef9985b21be7a61b3464aa8126fe84c07bcd94ec8b44"),
+        sampled("iqp-sparse", "iqp.qc", "sparse --estimator oracle",
+                "32e20c2ff1f4841298b0c43978957abd4d69d556565e5efea9a62bbcdfff5cd4"),
+        # recorded before the sparse converter drew both regimes in one loop:
+        # every level of mixed.qc and iqp.qc is enumerated, so one table serves
+        # all draws, and the encoded handle is deterministic
+        sampled("mixed-sparse-sampling", "mixed.qc", "sparse --estimator sampling",
+                "37d8de2ca325832db7dc63cc5b6ad3709e9b57a2bb078850efbc63ed7bd35c82"),
+        sampled("iqp-sparse-sampling", "iqp.qc", "sparse --estimator sampling",
+                "4e2a51011e2bcf9ac3d70d55f1e2c7c57273912ee5be490acca606f58ed4f2b2"),
+        sampled("encoded-sparse-sampling", "enc.qc", "sparse --estimator sampling",
+                "7c12a27448cdd192064feb915b1f4041f01e4c739de6ab6f789e9a36bba4ecd6"),
+        # GHZ-16 at eps' = 2 enumerates levels 1-15 and samples level 16, so
+        # each draw runs its own search
+        sampled("ghz16-sparse-sampled-level", "ghz16.qc",
+                "sparse --estimator sampling --eps-prime 2 --sparsity 2 --count 3",
+                "b529bc0faf9a8b722569c89db54e3070377d4f4caebdb19dff36073d0587e496"),
+        # recorded before the heavy-prefix search kept its levels as bit
+        # matrices: the 16-qubit X-program samples its last level like GHZ-16,
+        # and all 256 outcomes of H on 8 qubits tie at 1/256, so the top-t cut
+        # keeps the first 100 in lexicographic order
+        sampled("iqp16-sparse-sampled-level", "iqp16.qc",
+                "sparse --estimator sampling --eps-prime 2 --sparsity 2 --count 3",
+                "c177b93b74c6ae20a89ab66d6513702328aab616da6a58291fa6793789f64b8d"),
+        sampled("h8-sparse-lexicographic-ties", "h8.qc",
+                "sparse --estimator oracle --sparsity 100",
+                "1095c1804de7cfd3473392e28c340604dccfcb417f2f694afcd53139928814b8"),
+        # recorded before the cdf and chain samplers drew level by level: 20000
+        # draws span three chunks of 8192; summing each prefix's cells instead
+        # of reading the cumulative table changes the 6-qubit X-program's digest
+        sampled("iqp6-cdf-m7-three-chunks", "iqp6.qc", "cdf --m 7 --count 20000",
+                "f2266ed2ee88dec7b99de829e625d594827ee512305c07f1a8a5d31f0c2a1c5e"),
+        sampled("mixed-chain-three-chunks", "mixed.qc", "chain --count 20000",
+                "8c9ff0cbfd7854ad25e556db1da7f915b116d45da2cefd7ef661ba09eb5b8aee"),
+        sampled("mixed-cdf-three-chunks", "mixed.qc", "cdf --count 20000",
+                "18f55b7d56e2d882c7f6fabf28a9eb081f7da7f7f1baa94b3445b661660b2ce0"),
+    ],
     # recorded before the distinguish and anticoncentration harnesses
     # returned their payload dicts in place of report objects
-    *(frozen(f"distinguish-{bob}-{rounds}",
-             f"experiment distinguish --circuit mixed.qc --bob {bob} "
-             f"--rounds {rounds} --trials 2000 --seed 13",
-             {"mixed.qc": MIXED_PROD}, digest)
-      for bob, rounds, digest in (
-          ("exact", "1",
-           "732e639e93834a4acec6cc8b70a9e942b780a42af83451669f7c58c3c43eeb7a"),
-          ("exact", "3",
-           "3b72d5ac60eab3c9764be5dbca6e3188c08f4919ff2a4f7d6b2bd94b31c53882"),
-          ("corrupted", "1",
-           "6933ffc089bb75520f6bf7a50b206b8b2444199c68e26fc47b7739d316c7ce16"),
-          ("corrupted", "3",
-           "3e094a9e4d3566a60748ce2bfc12d583b29f70b414d94ca9fa7c337e083b43d5"),
-          ("scheduled", "1",
-           "6b35afce494d3ada21926827e151ea920f63efb38dd8b82292b4bee80621a1cc"),
-          ("scheduled", "3",
-           "af9554be99a697ccd59003ade3b7b0199a446e79165762fc3000624d6d375f48"))),
+    "test_distinguish_stdout_is_frozen": [
+        frozen(f"{bob}-{rounds}",
+               f"experiment distinguish --circuit mixed.qc --bob {bob} "
+               f"--rounds {rounds} --trials 2000 --seed 13",
+               {"mixed.qc": MIXED_PROD}, digest)
+        for bob, rounds, digest in (
+            ("exact", "1",
+             "732e639e93834a4acec6cc8b70a9e942b780a42af83451669f7c58c3c43eeb7a"),
+            ("exact", "3",
+             "3b72d5ac60eab3c9764be5dbca6e3188c08f4919ff2a4f7d6b2bd94b31c53882"),
+            ("corrupted", "1",
+             "6933ffc089bb75520f6bf7a50b206b8b2444199c68e26fc47b7739d316c7ce16"),
+            ("corrupted", "3",
+             "3e094a9e4d3566a60748ce2bfc12d583b29f70b414d94ca9fa7c337e083b43d5"),
+            ("scheduled", "1",
+             "6b35afce494d3ada21926827e151ea920f63efb38dd8b82292b4bee80621a1cc"),
+            ("scheduled", "3",
+             "af9554be99a697ccd59003ade3b7b0199a446e79165762fc3000624d6d375f48"))
+    ],
     # at the default --eps-grid, recorded at the same point as distinguish
-    *(frozen(f"sparsity-{row_id}", f"experiment sparsity --circuit {name}",
-             {name: CIRCUIT_FILES[name]}, digest)
-      for row_id, name, digest in (
-          ("prod", "mixed.qc",
-           "735ed46eb20d384a9a7c2c1aebfed3da06c254f095d71d6a913581b5cd95ba7f"),
-          ("iqp", "iqp.qc",
-           "3c7a05ca67cad8e184e02a7c7d8b98ae38f1115333911dddfae90a8a7b8626e3"),
-          ("encoded", "enc.qc",
-           "a22ac306bcaa350affed62f2f5c3b7def6bb9141a95f02f3a5db3f8c89cce7fd"))),
+    "test_sparsity_stdout_is_frozen": [
+        frozen(row_id, f"experiment sparsity --circuit {name}",
+               {name: CIRCUIT_FILES[name]}, digest)
+        for row_id, name, digest in (
+            ("prod", "mixed.qc",
+             "735ed46eb20d384a9a7c2c1aebfed3da06c254f095d71d6a913581b5cd95ba7f"),
+            ("iqp", "iqp.qc",
+             "3c7a05ca67cad8e184e02a7c7d8b98ae38f1115333911dddfae90a8a7b8626e3"),
+            ("encoded", "enc.qc",
+             "a22ac306bcaa350affed62f2f5c3b7def6bb9141a95f02f3a5db3f8c89cce7fd"))
+    ],
     # recorded before the measured Z's were pulled back through the gate
     # list in one pass; at eps = 0.01 the 105967 draws span 13 chunks
-    frozen("estimate-deep",
-           f"estimate --circuit deep.qc --pattern {DEEP_PATTERN} --eps 0.01 "
-           "--seed 5", {"deep.qc": DEEP_PROD},
-           "5a63846077219d36eef7d8a22916789b3b34e0891b2b435b025bec790db7a1e4"),
+    "test_estimate_stdout_is_frozen": [
+        frozen("",
+               f"estimate --circuit deep.qc --pattern {DEEP_PATTERN} "
+               "--eps 0.01 --seed 5", {"deep.qc": DEEP_PROD},
+               "5a63846077219d36eef7d8a22916789b3b34e0891b2b435b025bec790db7a1e4"),
+    ],
     # recorded before each draw was read from a table of the kernel's 2^f
     # distinct draws: an X-program estimate whose 26492 draws span 4 chunks
     # and read the 2^9-row table (iqp.qc is IQP12 here), and a product-input
     # one whose 12 fixed bits (2^12 > 1060 draws) run the kernel on every
     # draw
-    frozen("estimate-iqp-table",
-           "estimate --circuit iqp.qc --pattern 10*1101*10*0 --eps 0.02 "
-           "--seed 7", {"iqp.qc": IQP12},
-           "f17e46490d4f644b4e029e49be6f18fb3f56e90327bb5c6ae9284e12df4de898"),
-    frozen("estimate-prod-per-draw",
-           "estimate --circuit deep.qc --pattern 0101*1010*0101" + "*" * 16
-           + " --eps 0.1 --seed 7", {"deep.qc": DEEP_PROD},
-           "f888ee885a8d3b0961c3810a607d2dc7c44e1a32db961b2c35b215c6efb9a797"),
-]
+    "test_estimate_stdout_is_frozen_on_both_kernel_paths": [
+        frozen("iqp-table",
+               "estimate --circuit iqp.qc --pattern 10*1101*10*0 --eps 0.02 "
+               "--seed 7", {"iqp.qc": IQP12},
+               "f17e46490d4f644b4e029e49be6f18fb3f56e90327bb5c6ae9284e12df4de898"),
+        frozen("prod-per-draw",
+               "estimate --circuit deep.qc --pattern 0101*1010*0101"
+               + "*" * 16 + " --eps 0.1 --seed 7", {"deep.qc": DEEP_PROD},
+               "f888ee885a8d3b0961c3810a607d2dc7c44e1a32db961b2c35b215c6efb9a797"),
+    ],
+}
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("argv, files, digest", FROZEN)
-def test_stdout_is_frozen(capsys, monkeypatch, tmp_path, argv, files, digest,
-                          threads):
-    """The one frozen-stdout table: a fixed argv and --seed print the same
-    bytes at any --threads."""
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    monkeypatch.chdir(tmp_path)
-    code = run_command(argv + ["--threads", threads])
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+def frozen_stdout_test(rows: list):
+    """The test that runs each of `rows` at --threads 1 and 2: a fixed argv
+    and --seed print the same bytes at any --threads."""
+    @pytest.mark.parametrize("argv, files, digest, threads", [
+        pytest.param(argv, files, digest, threads,
+                     id="-".join(filter(None, (row_id, threads))))
+        for row_id, argv, files, digest in rows for threads in ("1", "2")])
+    def test(capsys, monkeypatch, tmp_path, argv, files, digest, threads):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code = run_command(argv + ["--threads", threads])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    return test
+
+
+for _name, _rows in FROZEN.items():
+    globals()[_name] = frozen_stdout_test(_rows)
 
 
 def test_out_flag(capsys, ghz_file, tmp_path):
