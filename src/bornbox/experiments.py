@@ -226,6 +226,8 @@ def run_hypothesis_test(circuit: Circuit, bob_mode: str, delta: float,
     if rounds * trials > MAX_SAMPLES:
         raise ValueError(f"rounds * trials must be at most {MAX_SAMPLES:g}, "
                          f"got {rounds * trials}")
+    if bob_mode not in ("exact", "corrupted", "scheduled"):
+        raise ValueError(f"unknown bob_mode {bob_mode!r}")
     if bob_mode == "scheduled" and delta > _MAX_SCHEDULED_DELTA:
         raise ValueError(f"delta must be at most 13*pi^2/144 = "
                          f"{_MAX_SCHEDULED_DELTA:.6g} for the scheduled "
@@ -236,8 +238,6 @@ def run_hypothesis_test(circuit: Circuit, bob_mode: str, delta: float,
         bob = alice
     elif bob_mode == "corrupted":
         bob = corrupted_distribution(alice, corruption_l1)
-    elif bob_mode != "scheduled":
-        raise ValueError(f"unknown bob_mode {bob_mode!r}")
 
     rng = np.random.default_rng(seed)
     coins = rng.integers(0, 2, size=trials)  # 0 = true circuit, 1 = imposter

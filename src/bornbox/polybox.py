@@ -11,8 +11,8 @@ Three circuit families get native estimators:
   (``stabcore.pull_back_words``), multiply a random subset of them and
   evaluate the product on the product input (single-copy, range [-1, 1]);
 * X-programs: a random parity vector r supported on the constrained
-  positions selects rows of the program matrix; the draw is +-1 or 0 and its
-  expectation is the pattern probability (see ``_iqp_values``);
+  positions selects the program rows with odd overlap; the draw is +-1 if
+  they XOR to zero, else 0, and its expectation is the pattern probability;
 * parity-encoded circuits: deterministic answers, no sampling at all.
 
 The handle classes at the bottom are the only query surface:
@@ -24,7 +24,11 @@ for one heavy-prefix search level, an (m, j) 0/1 matrix of prefixes.
 
 Each sampling family has one kernel, ``values(circuit, positions)``: its
 value(sel) draws, per row of a (count, f) 0/1 selection matrix sel over f
-measured positions, for the pattern that fixes each of them to 0.  A
+measured positions, for the pattern that fixes each of them to 0.  Both
+families draw through one form (``_form_values``): a GF(2)-linear image of
+the row, which zeroes or weights the draw, and a Z4 quadratic form, whose
+value e gives the factor Re i^e.  Only the setup differs by family, so a
+draw costs O(f (n + f)) on n qubits, whatever the X-program's row count.  A
 pattern's bits enter a draw only as a sign, applied in ``_batched_sums``
 alone: the draw for bits s is (-1)^(sel.s) times the sign-free one.  So all
 rows of a bit matrix are scored from one shared draw matrix, each paying
@@ -75,6 +79,7 @@ _BLOCK = 64
 _KERNEL_CELLS = 1 << 20
 # draws per query; a larger Hoeffding count is refused before any allocation
 MAX_SAMPLES = 10 ** 8
+_RE_I = np.array([1.0, 0.0, -1.0, 0.0])  # Re i^e, by e mod 4
 _DELTA_RANGE = "delta must lie in [0, 1); 0 only for deterministic estimators"
 
 
@@ -165,7 +170,7 @@ def _batched_sums(values, circuit: Circuit, positions, bits,
     its row alone (over no positions, the one empty selection draws exactly
     1.0).  For the same reason the kernel runs on row blocks of at most
     _KERNEL_CELLS // n selections, so on n qubits its memory does not grow
-    with the chunk."""
+    with the chunk, nor with an X-program's rows."""
     bits = np.asarray(bits, dtype=np.int64)
     f = len(positions)
     kernel = values(circuit, positions)
@@ -194,7 +199,7 @@ def _batched_sums(values, circuit: Circuit, positions, bits,
 
 
 # ---------------------------------------------------------------------------
-# Product-input Clifford circuits
+# Draw kernels: both sampling families through one linear + Z4 form
 # ---------------------------------------------------------------------------
 
 def _word_bits(words, f: int) -> np.ndarray:
@@ -207,12 +212,27 @@ def _word_bits(words, f: int) -> np.ndarray:
                          bitorder="little").T.astype(np.int64)
 
 
+def _form_values(fx, fz, quad, weights):
+    """value(sel) -> one draw per row s of the (count, f) 0/1 matrix sel:
+    the product of the factors s selects, with X bits x = s.fx and Z bits
+    z = s.fz mod 2 and phase e = s.quad.s mod 4, draws Re i^(e - |x & z|)
+    times weights[q, x_q + 2 z_q] over the qubits q."""
+    qubit_idx = np.arange(fx.shape[1])
+
+    def value(sel):
+        xb = (sel @ fx) & 1
+        zb = (sel @ fz) & 1
+        rem = (((sel @ quad) * sel).sum(axis=1) - (xb & zb).sum(axis=1)) % 4
+        codes = xb + 2 * zb
+        return _RE_I[rem] * weights[qubit_idx[None, :], codes].prod(axis=1)
+
+    return value
+
+
 def _prod_values(circuit: ProdCircuit, positions):
-    """Returns value(sel) -> ndarray of single-sample values, one per row of
-    the (count, f) 0/1 matrix sel over the f measured positions: the draws
-    of the pattern that fixes each of them to 0.  Row r multiplies the
-    pulled-back Z's that r selects and evaluates the product on the product
-    input; the Z's commute pairwise."""
+    """The draws of the pattern that fixes the f positions to 0: row r of
+    sel multiplies the pulled-back Z's that r selects and evaluates the
+    product on the product input; the Z's commute pairwise."""
     n, f = circuit.n, len(positions)
     xs, zs = [0] * n, [0] * n
     for r, pos in enumerate(positions):  # row r is Z on positions[r]
@@ -224,42 +244,23 @@ def _prod_values(circuit: ProdCircuit, positions):
     fx, fz = words[:, :n], words[:, n:2 * n]
     kappa = ((fx & fz).sum(axis=1) + 2 * words[:, 2 * n]) % 4
     # pair[a, b] feeds the i**2 correction when factor a's Z bits cross
-    # factor b's X bits in the left-to-right product (a < b only)
+    # factor b's X bits in the left-to-right product (a < b only); s.kappa
+    # is s.diag(kappa).s, as s_a^2 = s_a
     pair = np.triu((fz @ fx.T) & 1, 1)
-    qubit_idx = np.arange(n)
+    return _form_values(fx, fz, np.diag(kappa) + 2 * pair, weights)
 
-    def value(sel):
-        xb = (sel @ fx) & 1
-        zb = (sel @ fz) & 1
-        kap = (sel @ kappa + 2 * ((sel @ pair) * sel).sum(axis=1)) % 4
-        rem = (kap - (xb & zb).sum(axis=1)) % 4
-        sign = 1.0 - rem  # rem is 0 or 2 for a Hermitian product
-        codes = xb + 2 * zb
-        return sign * weights[qubit_idx[None, :], codes].prod(axis=1)
-
-    return value
-
-
-# ---------------------------------------------------------------------------
-# X-programs
-# ---------------------------------------------------------------------------
 
 def _iqp_values(circuit: IqpCircuit, positions):
-    """Returns value(sel) -> ndarray of single-sample values, one per row of
-    the (count, f) 0/1 matrix sel over the f measured positions, row r
-    selecting the parity vector r supported on them: the draws of the
-    pattern that fixes each of them to 0."""
+    """The draws of the pattern that fixes the f positions to 0: row r of
+    sel draws Re i^|hit| if the program rows hit (odd overlap c with r)
+    XOR to zero, else 0.  They XOR to r.fx, and as c^2 mod 4 is c's parity,
+    |hit| = sum over the rows of (row.r)^2 = r.(psub^T psub).r mod 4."""
     p = circuit.row_matrix().astype(np.int64)
     psub = p[:, positions]  # rows x f
-
-    def value(sel):
-        hit = (sel @ psub.T) & 1           # which rows have odd overlap
-        mr = hit.sum(axis=1)
-        cancel = ((hit @ p) & 1 == 0).all(axis=1)  # selected rows XOR to zero
-        quarter = np.where(mr & 1, 0.0, 1.0 - 2.0 * ((mr >> 1) & 1))
-        return np.where(cancel, quarter, 0.0)
-
-    return value
+    fx = (psub.T @ p) & 1
+    weights = np.zeros((circuit.n, 4))
+    weights[:, 0] = 1.0  # a draw is 0 unless the hit rows XOR to zero
+    return _form_values(fx, np.zeros_like(fx), psub.T @ psub, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +361,9 @@ class CePolyBox:
         there the midpoint or the exact value from the handle's p0."""
         if eps <= 0:
             raise ValueError("eps must be positive")
-        if not math.isfinite(delta):  # unused: each Estimate carries 0
-            raise ValueError(f"delta must be finite, got {delta}")
+        for name, value in (("eps", eps), ("delta", delta)):
+            if not math.isfinite(value):  # delta unused: Estimates carry 0
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= delta < 1.0:
             raise ValueError(f"delta must lie in [0, 1), got {delta}")
         m, j = bits.shape

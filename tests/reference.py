@@ -677,6 +677,25 @@ def odd_overlap_rows(matrix: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, int
     return sub, int(odd.sum())
 
 
+def reference_iqp_values(circuit: IqpCircuit, positions):
+    """The X-program kernel over the program's m rows: value(sel) finds, per
+    row r of the (count, f) selection matrix, the rows with odd overlap
+    against r (a (count, m) matrix), draws 0 unless they XOR to zero, and
+    else Re i^(their count).  ``polybox._iqp_values`` reaches the same
+    floats through a linear + Z4 form whose size does not depend on m."""
+    p = circuit.row_matrix().astype(np.int64)
+    psub = p[:, positions]  # rows x f
+
+    def value(sel):
+        hit = (sel @ psub.T) & 1           # which rows have odd overlap
+        mr = hit.sum(axis=1)
+        cancel = ((hit @ p) & 1 == 0).all(axis=1)  # selected rows XOR to zero
+        quarter = np.where(mr & 1, 0.0, 1.0 - 2.0 * ((mr >> 1) & 1))
+        return np.where(cancel, quarter, 0.0)
+
+    return value
+
+
 def frequency_polybox(sampler, circuit, pattern: OutcomePattern,
                       eps: float, delta: float,
                       rng: np.random.Generator) -> Estimate:

@@ -353,6 +353,8 @@ REFUSALS = [
             "delta must lie in [0, 1), got 7.0"),
     refused("encoded-delta-nan", f"estimate {ENC} --delta nan",
             "delta must be finite, got nan"),
+    refused("encoded-eps-nan", f"estimate {ENC} --eps nan",
+            "eps must be finite, got nan"),
     refused("prep-bloch-nan", "oracle --circuit nan.qc",
             "line 4: bad bloch component 'nan'"),
     *(refused(f"threads-{threads}-{command}", f"{argv} --threads {threads}",

@@ -281,9 +281,9 @@ def test_hypothesis_validation(work):
         run_hypothesis_test(ghz, "exact", 0.05, 500, seed=0)
     with pytest.raises(ValueError):
         run_hypothesis_test(ghz, "exact", 0.05, 1000, seed=0, rounds=0)
-    with pytest.raises(ValueError):
-        run_hypothesis_test(ghz, "weird", 0.05, 1000, seed=0)
     work.stop = True
+    with pytest.raises(ValueError, match="^unknown bob_mode 'weird'$"):
+        run_hypothesis_test(ghz, "weird", 0.05, 1000, seed=0)
     for mode in ("exact", "corrupted", "scheduled"):
         for delta in (-1.0, 0.0, -0.0):
             with pytest.raises(ValueError,
