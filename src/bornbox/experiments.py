@@ -35,7 +35,8 @@ from .oracle import (ExactDistribution, check_l1_eps, exact_distribution,
 from .polybox import MAX_SAMPLES, OraclePolyBox, _chunked_map
 from .samplers import (SparsityPolynomial, sparse_budget,
                        survivor_distribution)
-from .stabcore import ProductState, random_clifford_words, synthesis_steps
+from .stabcore import (ProductState, _check_word_size, random_clifford_words,
+                       synthesis_steps)
 
 _TRIAL_CHUNK = 256
 # the scheduled imposter's first-round budget eps_1 = 24*delta/pi^2 stays
@@ -60,12 +61,14 @@ def clifford_output_probabilities(n: int, trials: int, state: ProductState,
     in one sweep and evolved together in one batched oracle call.  Rows
     are independent, so the grouping never changes a value.  The oracle's
     size limit, which counts a mixed qubit twice, is checked by
-    ``sub_batch_lists`` before anything is drawn."""
+    ``sub_batch_lists``, and then the draws' word size, before anything is
+    drawn."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n_chunks = -(-trials // _TRIAL_CHUNK)
     per_task = max(1, min(sub_batch_lists(state) // _TRIAL_CHUNK,
                           -(-n_chunks // threads)))
+    _check_word_size(n)
 
     def work(rngs, sizes) -> np.ndarray:
         drawn = [random_clifford_words(n, size, rng)

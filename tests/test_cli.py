@@ -254,8 +254,8 @@ def mixed_qubits(n: int) -> str:
             + "gate H 0\ngate CNOT 0 1\n")
 
 
-# the 3-qubit mixed circuit of CI's estimate step, whose heaviest outcome
-# holds less than the default corruption's 0.2
+# a 3-qubit circuit with two mixed inputs, whose heaviest outcome holds less
+# than the default corruption's 0.2
 MIXED3 = ("family prod\nqubits 3\nmeasure 3\nprep 0 bloch 0.3 0.2 0.5\n"
           "prep 2 bloch 0 0.6 -0.6\ngate H 1\ngate CNOT 0 1\ngate S 1\n"
           "gate CZ 1 2\ngate H 2\n")
@@ -273,7 +273,7 @@ REFUSAL_FILES = {
     "nan.qc": "family prod\nqubits 1\nmeasure 1\nprep 0 bloch nan 0 0\n",
     "ghz27.qc": ("family prod\nqubits 27\ngate H 0\n"
                  + "".join(f"gate CNOT {q - 1} {q}\n" for q in range(1, 27))),
-    # the files of CI's refusal step
+    # the files of the second block of rows
     "ghz5.qc": GHZ5,
     "iqp3.qc": "family iqp\nqubits 3\nxrow 1 0 1\nxrow 0 1 1\n",
     "inline.qc": ("family encoded\n# c\n\ninner\n  family prod\n  qubits 1\n"
@@ -454,6 +454,11 @@ REFUSALS = [
     refused("anticoncentration-above-the-oracle-limit",
             "experiment anticoncentration --n 21 --trials 100",
             f"21 qubits {LIMIT}"),
+    refused("anticoncentration-n-zero", "experiment anticoncentration --n 0",
+            "n must be positive"),
+    refused("anticoncentration-n-negative-threads-4",
+            "experiment anticoncentration --n -2 --trials 1000 --threads 4",
+            "n must be positive"),
     # experiment sparsity: the whole grid before the oracle build
     *(refused(f"eps-grid-{eps}",
               f"experiment sparsity {GHZ} --eps-grid=0.1,{eps}",
@@ -516,88 +521,91 @@ REFUSALS = [
       for bob in ("exact", "corrupted", "scheduled")),
 ]
 
-# CI's refusal step, row for row, on its circuit files
-CI = "--circuit ghz5.qc"
-CI_SPARSE = f"sample {CI} --method sparse"
-CI_DIST = f"experiment distinguish {CI}"
+# refusals on more circuit files: a 5-qubit GHZ, whose union bound runs
+# over 5 levels, an X-program, an inline block, a register above the cap,
+# gate lines the parser's qubit table does not take and eleven mixed qubits.
+# The rows began as a copy of a CI shell step, and keep its ci- ids.
+FIVE = "--circuit ghz5.qc"
+FIVE_SPARSE = f"sample {FIVE} --method sparse"
+FIVE_DIST = f"experiment distinguish {FIVE}"
 REFUSALS += [
     *(row for est in ("oracle", "sampling") for row in (
         refused(f"ci-{est}-sparsity-inf",
-                f"{CI_SPARSE} --estimator {est} --sparsity inf",
+                f"{FIVE_SPARSE} --estimator {est} --sparsity inf",
                 "coefficients must be finite, got (inf,)"),
         refused(f"ci-{est}-sparsity-1e400",
-                f"{CI_SPARSE} --estimator {est} --sparsity 1e400",
+                f"{FIVE_SPARSE} --estimator {est} --sparsity 1e400",
                 "coefficients must be finite, got (inf,)"),
         refused(f"ci-{est}-sparsity-nan",
-                f"{CI_SPARSE} --estimator {est} --sparsity nan",
+                f"{FIVE_SPARSE} --estimator {est} --sparsity nan",
                 "coefficients must be finite, got (nan,)"),
         refused(f"ci-{est}-sparsity-1e300,1e300,1e300",
-                f"{CI_SPARSE} --estimator {est} --sparsity 1e300,1e300,1e300",
+                f"{FIVE_SPARSE} --estimator {est} --sparsity 1e300,1e300,1e300",
                 f"heavy-prefix threshold 9.08932e-309 {CAP}"),
         refused(f"ci-{est}-eps-prime-1e-320",
-                f"{CI_SPARSE} --estimator {est} --eps-prime 1e-320",
+                f"{FIVE_SPARSE} --estimator {est} --eps-prime 1e-320",
                 f"eps_prime=9.99989e-321 {UNBOUNDED}", builds=1),
         refused(f"ci-{est}-sparsity-2.5e305",
-                f"{CI_SPARSE} --estimator {est} --sparsity 2.5e305",
+                f"{FIVE_SPARSE} --estimator {est} --sparsity 2.5e305",
                 f"heavy-prefix threshold 1.53846e-308 {CAP}"),
         refused(f"ci-{est}-sparsity-1e305",
-                f"{CI_SPARSE} --estimator {est} --sparsity 1e305",
+                f"{FIVE_SPARSE} --estimator {est} --sparsity 1e305",
                 f"heavy-prefix threshold {UNION} 5 levels"))),
     refused("ci-estimate-eps-1e-200",
-            f"estimate {CI} --pattern 00000 --eps 1e-200",
+            f"estimate {FIVE} --pattern 00000 --eps 1e-200",
             f"eps=1e-200, delta=0.01 needs inf {DRAWS}"),
     refused("ci-iqp-eps-1e-200",
             "estimate --circuit iqp3.qc --pattern 000 --eps 1e-200",
             f"eps=1e-200, delta=0.01 needs inf {DRAWS}"),
-    refused("ci-scheduled-delta-nan", f"{CI_DIST} --bob scheduled --delta nan",
+    refused("ci-scheduled-delta-nan", f"{FIVE_DIST} --bob scheduled --delta nan",
             "delta must be finite, got nan"),
-    refused("ci-exact-delta-nan", f"{CI_DIST} --bob exact --delta nan",
+    refused("ci-exact-delta-nan", f"{FIVE_DIST} --bob exact --delta nan",
             "delta must be finite, got nan"),
-    refused("ci-exact-delta-inf", f"{CI_DIST} --bob exact --delta inf",
+    refused("ci-exact-delta-inf", f"{FIVE_DIST} --bob exact --delta inf",
             "delta must be finite, got inf"),
-    refused("ci-exact-delta--1", f"{CI_DIST} --bob exact --delta=-1",
+    refused("ci-exact-delta--1", f"{FIVE_DIST} --bob exact --delta=-1",
             "delta must be positive, got -1"),
-    refused("ci-corrupted-delta--1", f"{CI_DIST} --bob corrupted --delta=-1",
+    refused("ci-corrupted-delta--1", f"{FIVE_DIST} --bob corrupted --delta=-1",
             "delta must be positive, got -1"),
-    refused("ci-corrupted-delta-0", f"{CI_DIST} --bob corrupted --delta 0",
+    refused("ci-corrupted-delta-0", f"{FIVE_DIST} --bob corrupted --delta 0",
             "delta must be positive, got 0"),
     refused("ci-scheduled-delta-1e-320",
-            f"{CI_DIST} --bob scheduled --delta 1e-320",
+            f"{FIVE_DIST} --bob scheduled --delta 1e-320",
             f"delta=1e-320 {SCHEDULED} eps_prime=2.43179e-320 {UNBOUNDED}",
             builds=1),
     refused("ci-scheduled-delta-3e-307",
-            f"{CI_DIST} --bob scheduled --delta 3e-307",
+            f"{FIVE_DIST} --bob scheduled --delta 3e-307",
             f"delta=3e-307 {SCHEDULED} heavy-prefix threshold 1.40291e-308 "
             f"{CAP}", builds=1),
-    refused("ci-trials-1e11", f"{CI_DIST} --trials 100000000000",
+    refused("ci-trials-1e11", f"{FIVE_DIST} --trials 100000000000",
             "trials must be at most 1e+08, got 100000000000"),
     refused("ci-rounds-times-trials",
-            f"{CI_DIST} --trials 1000 --rounds 100001",
+            f"{FIVE_DIST} --trials 1000 --rounds 100001",
             "rounds * trials must be at most 1e+08, got 100001000"),
-    refused("ci-threads-65", f"estimate {CI} --pattern 00000 --threads 65",
+    refused("ci-threads-65", f"estimate {FIVE} --pattern 00000 --threads 65",
             "--threads must lie in [1, 64], got 65"),
     *(refused(f"ci-count-1e11-{method}",
-              f"sample {CI} --method {method} --count 100000000000",
+              f"sample {FIVE} --method {method} --count 100000000000",
               "--count must be at most 1e+08, got 100000000000")
       for method in ("sparse", "cdf", "chain")),
-    refused("ci-eps-grid-3", f"experiment sparsity {CI} --eps-grid 0.1,3",
+    refused("ci-eps-grid-3", f"experiment sparsity {FIVE} --eps-grid 0.1,3",
             "eps must lie in [0, 2]"),
-    refused("ci-eps-grid-nan", f"experiment sparsity {CI} --eps-grid nan",
+    refused("ci-eps-grid-nan", f"experiment sparsity {FIVE} --eps-grid nan",
             "eps must lie in [0, 2]"),
     refused("ci-inline-gate-out-of-range", "oracle --circuit inline.qc",
             "line 7: gate qubit out of range"),
     refused("ci-register-above-the-cap", "oracle --circuit wide.qc",
             "line 2: qubit count 100000000 exceeds the limit of 4194304"),
-    refused("ci-out-directory", f"oracle {CI} --out .", "[Errno 21] ...",
+    refused("ci-out-directory", f"oracle {FIVE} --out .", "[Errno 21] ...",
             builds=None),
-    refused("ci-corruption-nan", f"{CI_DIST} --corruption-l1 nan",
+    refused("ci-corruption-nan", f"{FIVE_DIST} --corruption-l1 nan",
             "corruption_l1 must be finite, got nan"),
     *(row for bob in ("exact", "corrupted", "scheduled") for row in (
         refused(f"ci-corruption-3-{bob}",
-                f"{CI_DIST} --bob {bob} --corruption-l1 3",
+                f"{FIVE_DIST} --bob {bob} --corruption-l1 3",
                 "corruption_l1 must lie in [0, 2], got 3.0"),
         refused(f"ci-corruption--1-{bob}",
-                f"{CI_DIST} --bob {bob} --corruption-l1=-1",
+                f"{FIVE_DIST} --bob {bob} --corruption-l1=-1",
                 "corruption_l1 must lie in [0, 2], got -1.0"))),
     refused("ci-gate-h3", "oracle --circuit gate-h3.qc",
             "line 4: gate qubit out of range"),
@@ -646,6 +654,15 @@ def test_ten_mixed_qubits_are_within_the_oracle_limit(capsys, tmp_path):
     assert len(doc["payload"]["probs"]) == 1 << 10
 
 
+def test_gate_indices_that_int_reads_are_accepted(capsys, tmp_path):
+    """A qubit index spelled another way that int() reads: 007 is qubit 7."""
+    path = tmp_path / "padded.qc"
+    path.write_text("family prod\nqubits 8\ngate H 007\ngate CNOT 007 0\n")
+    doc, _ = run_json(capsys, ["oracle", "--circuit", str(path)])
+    probs = doc["payload"]["probs"]
+    assert {i: p for i, p in enumerate(probs) if p} == {0: 0.5, 129: 0.5}
+
+
 @pytest.mark.parametrize("command", [["oracle"], ["estimate", "--pattern", "0"]])
 def test_register_above_the_cap_is_refused_before_any_qubit_state(
         capsys, monkeypatch, tmp_path, command):
@@ -662,6 +679,21 @@ def test_register_above_the_cap_is_refused_before_any_qubit_state(
     assert captured.err == (f"error: line 2: qubit count "
                             f"{circuits.MAX_QUBITS + 1} exceeds the limit of "
                             f"{circuits.MAX_QUBITS}\n")
+
+
+def test_anticoncentration_above_the_word_size_is_refused_before_any_draw(
+        capsys, monkeypatch, work):
+    """With the oracle limit raised to 40, n = 33 passes it and is refused
+    at the 32 qubits that the Clifford draws hold in 64-bit words, before
+    any draw or pool."""
+    monkeypatch.setenv("BORNBOX_ORACLE_LIMIT", "40")
+    code = run_command(["experiment", "anticoncentration", "--n", "33"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: 33 qubits exceeds the 32 that Clifford "
+                            "draws and synthesis hold in 64-bit words\n")
+    assert work == []
 
 
 def test_trials_at_the_draw_limit_reach_the_work(work):
@@ -836,6 +868,9 @@ DEEP_PATTERN = "".join({3: "0", 8: "1", 12: "1", 19: "0", 24: "1",
                         28: "0"}.get(i, "*") for i in range(30))
 # a 12-qubit X-program with 16 rows
 IQP12 = serialize_circuit(random_iqp_circuit(np.random.default_rng(11), 12, 16))
+IQP4 = "family iqp\nqubits 4\nxrow 1 0 1 1\nxrow 0 1 1 0\nxrow 1 1 0 1\n"
+# a 14-qubit X-program with 2000 rows
+IQP14 = serialize_circuit(random_iqp_circuit(np.random.default_rng(7), 14, 2000))
 
 # the files the sample and sparsity rows read; the path is part of the
 # header line, so it is relative, and each row writes its own files, since
@@ -895,6 +930,20 @@ FROZEN = {
         frozen("n8-one-trial-chunk",
                "experiment anticoncentration --n 8 --trials 257 --seed 4", {},
                "16303f5bb24862147aac1dc581163b1d54a9b52bd14e6285a029376ca504c92d"),
+        # recorded before CI's 1-vs-2-thread comparisons moved into this
+        # table: all 7 qubits mixed give 128 branches, so 4-list
+        # sub-batches; 79 chunks at n = 3 make two full groups of 32 and a
+        # partial one; at n = 9 a group holds one chunk
+        frozen("n7-mixed-sub-batches-of-4",
+               "experiment anticoncentration --n 7 --trials 100 --seed 1 "
+               "--bloch 0.3,0.2,0.5", {},
+               "e275a03a930897abffc3b86bdb523b476ec5ae16e4771d4cb0176726184668aa"),
+        frozen("n3-79-chunks",
+               "experiment anticoncentration --n 3 --trials 20000 --seed 2", {},
+               "055326798888e5f7f4a81331a4fd4fa0619bf2e05a77cba7f87ea192e97f587f"),
+        frozen("n9-one-chunk-per-group",
+               "experiment anticoncentration --n 9 --trials 300 --seed 2", {},
+               "1afb0b79c6b3e2178e26e3bf0cd08695b77618a788ee0d89a97230eafdaed96d"),
     ],
     # recorded before the samplers took the exact distribution itself as
     # their prefix-marginal handle
@@ -1000,6 +1049,21 @@ FROZEN = {
                "estimate --circuit deep.qc --pattern 0101*1010*0101"
                + "*" * 16 + " --eps 0.1 --seed 7", {"deep.qc": DEEP_PROD},
                "f888ee885a8d3b0961c3810a607d2dc7c44e1a32db961b2c35b215c6efb9a797"),
+        # recorded at the same point as the anticoncentration rows n7, n3 and
+        # n9: a product-input estimate whose 18445 draws span three chunks,
+        # a 2000-row X-program, and two patterns that fix nothing, whose
+        # draws all read the table of the one empty selection
+        *(frozen(row_id, f"estimate --circuit {name} --pattern {pattern} "
+                 "--eps 0.02 --delta 0.05 --seed 5", {name: text}, digest)
+          for row_id, name, text, pattern, digest in (
+              ("prod-table-three-chunks", "mixed3.qc", MIXED3, "01*",
+               "4707cc13f8b06a38a1988e7139fc7c9b25690f42c25918a8d6371f9b2e0bf2a9"),
+              ("iqp-2000-rows", "iqp14.qc", IQP14, "01010101010101",
+               "5b64769f2bade37f1acca9f72f115e729531032ecc9cf0545ef93253221044a4"),
+              ("prod-no-fixed-bits", "mixed3.qc", MIXED3, "***",
+               "870c0e2046a3f3011cede65276e6ca5e8be288ac18a322762b8ba27267fcb9ef"),
+              ("iqp-no-fixed-bits", "iqp4.qc", IQP4, "****",
+               "8bd40a0c8b117de5b09396f654b231a2a6a7a0b09a2e1eb4ca6e50817e8026d7"))),
     ],
 }
 
