@@ -214,7 +214,7 @@ def _cmd_experiment_anticoncentration(args) -> list[str]:
         vec = _floats(args.bloch)
         if len(vec) != 3:
             raise ValueError("--bloch needs exactly rx,ry,rz")
-        state = ProductState((vec,) * args.n)
+        state = ProductState.uniform(vec, args.n)
     else:
         state = ProductState.zero(args.n)
     payload = anticoncentration_report(args.n, args.trials, alphas, state,

@@ -44,14 +44,20 @@ table: the same rng stream, the same floats and the same sums, at a kernel
 cost of 2^f n + s instead of s n on n qubits.  Sampled search levels never
 qualify, since the search samples a level only past 2^j > s.
 
-Sampled and exact scoring differ only in where sel comes from.
-``prefixes`` draws s uniform random rows and ``exact_prefixes`` feeds all
-2^j selections, whose mean is the probability itself: 2^j draws per row
-and no rng, which the search uses while 2^j is at most one sampled query's
-Hoeffding count (see ``samplers.heavy_prefixes``).  ``CePolyBox`` and
-``OraclePolyBox`` answer a whole level without sampling.  Draws are split
-into fixed-size chunks with spawned RNG substreams and the chunk sums added
-exactly, so the values depend only on the seed, never on the worker count.
+Sampled and exact scoring differ in where sel and its draws come from.
+``prefixes`` draws s uniform random rows and runs the kernel on them;
+``exact_prefixes`` takes all 2^j selections, whose mean is the probability
+itself: 2^j draws per row and no rng, which the search uses while 2^j is
+at most one sampled query's Hoeffding count (see
+``samplers.heavy_prefixes``).  Their draws come from the handle's one
+kernel over its first w >= j measured positions and its table of that
+kernel's draws on selections 0, 1, 2, ... (at most ``_CHUNK`` rows; see
+``_exact_rows``): a search pulls the Z's back once while j <= w, and each
+selection below the cap goes through the kernel once per handle.
+``CePolyBox`` and ``OraclePolyBox`` answer a whole level without sampling.
+Draws are split into fixed-size chunks with spawned RNG substreams and the
+chunk sums added exactly, so the values depend only on the seed, never on
+the worker count.
 """
 
 from __future__ import annotations
@@ -77,6 +83,9 @@ _BLOCK = 64
 # selections times qubits per kernel call: on n qubits a call takes at most
 # _KERNEL_CELLS // n rows, so its (rows, n) matrices stay bounded
 _KERNEL_CELLS = 1 << 20
+# measured positions of a sampling handle's first exact-level kernel; a
+# search with k <= _WIDTH sets its kernel up once
+_WIDTH = 8
 # draws per query; a larger Hoeffding count is refused before any allocation
 MAX_SAMPLES = 10 ** 8
 _RE_I = np.array([1.0, 0.0, -1.0, 0.0])  # Re i^e, by e mod 4
@@ -158,28 +167,43 @@ def _selections(lo: int, hi: int, f: int) -> np.ndarray:
     return (np.arange(lo, hi)[:, None] >> np.arange(f)) & 1
 
 
+def _blocked(kernel, n: int):
+    """kernel on row blocks of at most _KERNEL_CELLS // n selections, so on
+    n qubits its memory does not grow with the rows asked for, nor with an
+    X-program's rows; the values are the unblocked ones, since a kernel's
+    draw depends on its row alone."""
+    step = max(1, _KERNEL_CELLS // n)
+
+    def value(sel):
+        return np.concatenate([kernel(sel[lo:lo + step])
+                               for lo in range(0, len(sel), step)])
+
+    return value
+
+
+def _signed_sums(bits, sel, v) -> np.ndarray:
+    """The draws of each row s of the 0/1 matrix bits summed over the rows
+    of sel, given the sign-free draws v of sel: row s draws
+    (-1)^(sel.s) * v, _BLOCK rows at a time.  The one place bits enter."""
+    return np.concatenate([
+        ((1 - 2 * ((bits[lo:lo + _BLOCK] @ sel.T) & 1)) * v).sum(axis=1)
+        for lo in range(0, len(bits), _BLOCK)])
+
+
 def _batched_sums(values, circuit: Circuit, positions, bits,
                   tabulate: bool = False):
     """sums(sel): the draws of each row s of the (m, f) 0/1 matrix bits over
     f measured positions, summed over the rows of a (count, f) selection
     matrix sel.  The sign-free draws v = values(circuit, positions)(sel)
-    are computed once, and row s draws (-1)^(sel.s) * v, _BLOCK rows at a
-    time: the one place bits enter.  With tabulate, the kernel runs once on
-    all 2^f selections and each row of sel reads its draw from that table,
-    the same float as its own evaluation, since a kernel's draw depends on
-    its row alone (over no positions, the one empty selection draws exactly
-    1.0).  For the same reason the kernel runs on row blocks of at most
-    _KERNEL_CELLS // n selections, so on n qubits its memory does not grow
-    with the chunk, nor with an X-program's rows."""
+    are computed once, in row blocks (``_blocked``), and signed per row of
+    bits by ``_signed_sums``.  With tabulate, the kernel runs once on all
+    2^f selections and each row of sel reads its draw from that table, the
+    same float as its own evaluation, since a kernel's draw depends on its
+    row alone (over no positions, the one empty selection draws exactly
+    1.0)."""
     bits = np.asarray(bits, dtype=np.int64)
     f = len(positions)
-    kernel = values(circuit, positions)
-    step = max(1, _KERNEL_CELLS // circuit.n)
-
-    def blocked(sel):
-        return np.concatenate([kernel(sel[lo:lo + step])
-                               for lo in range(0, len(sel), step)])
-
+    blocked = _blocked(values(circuit, positions), circuit.n)
     if tabulate:
         table = blocked(_selections(0, 1 << f, f))
         weights = 1 << np.arange(f)
@@ -190,10 +214,7 @@ def _batched_sums(values, circuit: Circuit, positions, bits,
         value = blocked
 
     def sums(sel):
-        v = value(sel)
-        return np.concatenate([
-            ((1 - 2 * ((bits[lo:lo + _BLOCK] @ sel.T) & 1)) * v).sum(axis=1)
-            for lo in range(0, len(bits), _BLOCK)])
+        return _signed_sums(bits, sel, value(sel))
 
     return sums
 
@@ -276,6 +297,11 @@ class _SamplingPolyBox:
     def __init__(self, circuit, threads: int = 1):
         self.circuit = circuit
         self.threads = threads
+        # the exact levels' kernel over the first _width measured positions
+        # and its draws on selections 0, 1, 2, ... (``_exact_rows``)
+        self._width = 0
+        self._kernel = None
+        self._table = np.empty(0)
 
     def estimate(self, pattern: OutcomePattern, eps: float, delta: float,
                  rng: Optional[np.random.Generator] = None) -> Estimate:
@@ -308,12 +334,49 @@ class _SamplingPolyBox:
 
     def exact_prefixes(self, bits) -> np.ndarray:
         """Exact marginal of each prefix row of the (m, j) 0/1 matrix bits:
-        the mean of its draws over all 2^j selections, in ``_CHUNK`` rows."""
+        the mean of its draws over all 2^j selections, in ``_CHUNK`` rows,
+        each chunk's sign-free draws read from the handle's table where it
+        holds them (``_exact_rows``)."""
         j = bits.shape[1]
-        sums = _batched_sums(self.values, self.circuit, range(j), bits)
+        if j > self.circuit.k:
+            raise ValueError(f"prefix of {j} bits is longer than the "
+                             f"{self.circuit.k} measured positions")
+        bits = np.asarray(bits, dtype=np.int64)
         total = 1 << j
-        return _means([sums(_selections(lo, min(lo + _CHUNK, total), j))
-                       for lo in range(0, total, _CHUNK)], total)
+        parts = []
+        for lo in range(0, total, _CHUNK):
+            hi = min(lo + _CHUNK, total)
+            parts.append(_signed_sums(bits, _selections(lo, hi, j),
+                                      self._exact_rows(j, lo, hi)))
+        return _means(parts, total)
+
+    def _exact_rows(self, j: int, lo: int, hi: int) -> np.ndarray:
+        """The sign-free draws of selections lo..hi-1 of 2^j, from one
+        kernel over the handle's first w >= j measured positions: a
+        selection that is zero past column j draws there the same float as
+        over j positions, since its GF(2) image and Z4 form gain only zero
+        terms and its product has the same factors.  w is min(k, _WIDTH)
+        at first and doubles when a level needs more, so a search makes
+        one setup while j <= _WIDTH.  Rows below ``_CHUNK`` are kept in a
+        table, filled to 2^min(k, _WIDTH) rows at first and grown to hi as
+        asked; rows past it run the kernel directly."""
+        k = self.circuit.k
+        if self._kernel is None or j > self._width:
+            width = self._width or min(k, _WIDTH)
+            while width < j:
+                width *= 2
+            self._width = min(width, k)
+            self._kernel = _blocked(self.values(self.circuit,
+                                                range(self._width)),
+                                    self.circuit.n)
+        if hi > _CHUNK:
+            return self._kernel(_selections(lo, hi, self._width))
+        held = len(self._table)
+        want = min(_CHUNK, max(hi, 1 << min(k, _WIDTH)))
+        if want > held:
+            self._table = np.concatenate((self._table, self._kernel(
+                _selections(held, want, self._width))))
+        return self._table[lo:hi]
 
 
 class ProdPolyBox(_SamplingPolyBox):

@@ -597,8 +597,15 @@ class ProductState:
         return len(self.bloch)
 
     @classmethod
+    def uniform(cls, bloch, n: int) -> "ProductState":
+        """n qubits, each in the one Bloch vector bloch; n must be >= 1."""
+        if n < 1:
+            raise ValueError("n must be positive")
+        return cls((tuple(bloch),) * n)
+
+    @classmethod
     def zero(cls, n: int) -> "ProductState":
-        return cls(((0.0, 0.0, 1.0),) * n)
+        return cls.uniform((0.0, 0.0, 1.0), n)
 
     def purity_defect(self, qubit: int) -> float:
         rx, ry, rz = self.bloch[qubit]

@@ -29,7 +29,9 @@ Clifford group order, pure-state simulation, the brute-force X-program
 enumerator and the per-draw product-input estimator, the sampling
 estimator's chunked means with the kernel run on every draw (the program
 reads each draw from a table of its 2^f distinct values when that table is
-no larger than the draws or one chunk), a frequency estimator
+no larger than the draws or one chunk), the exact search level with a
+kernel set up afresh per level (the program's handle reads every level
+from one table of a wider kernel), a frequency estimator
 over any sampler, a pattern's probability summed through a 2^k index mask,
 outcome draws as strings, and the exact L1 between multi-round
 transcripts.
@@ -728,6 +730,18 @@ def per_draw_sampled(box, positions, bits, eps: float, delta: float,
         return sums(rng_i.integers(0, 2, size=(count, f), dtype=np.int64))
     return s, polybox._means(polybox._chunked_map(
         part, s, polybox._CHUNK, rng, box.threads), s)
+
+
+def per_level_exact_prefixes(box, bits) -> np.ndarray:
+    """``_SamplingPolyBox.exact_prefixes`` with a kernel set up afresh over
+    the level's j positions, run on all 2^j selections a chunk at a time,
+    instead of read from the handle's table of one wider kernel."""
+    j = bits.shape[1]
+    sums = polybox._batched_sums(box.values, box.circuit, range(j), bits)
+    total = 1 << j
+    return polybox._means([
+        sums(polybox._selections(lo, min(lo + polybox._CHUNK, total), j))
+        for lo in range(0, total, polybox._CHUNK)], total)
 
 
 # ---------------------------------------------------------------------------

@@ -820,8 +820,10 @@ def test_encoded_sparse_search_builds_the_inner_oracle_once(capsys, work,
 
 def test_all_exact_sampling_search_runs_once_per_command(capsys, work,
                                                          ghz_file):
-    """One search of three exact levels, one kernel call each, serves the
-    50 draws; a search per draw would make 150 calls."""
+    """One search of three exact levels serves the 50 draws, and its levels
+    read one kernel table: one kernel setup over the three positions and
+    one pull-back, where a setup per level would make 3 and a search per
+    draw 150."""
     code = run_command(["sample", "--circuit", ghz_file, "--method", "sparse",
                         "--estimator", "sampling", "--eps-prime", "1",
                         "--count", "50", "--seed", "3"])
@@ -830,14 +832,15 @@ def test_all_exact_sampling_search_runs_once_per_command(capsys, work,
     outcomes = [json.loads(ln)["outcome"]
                 for ln in captured.out.splitlines()[1:]]
     assert len(outcomes) == 50 and set(outcomes) == {"000", "111"}
-    assert work.count("ProdPolyBox.values") == 3
+    assert work.count("ProdPolyBox.values") == 1
+    assert work.count("stabcore.pull_back_words") == 1
 
 
 def test_all_exact_sampling_search_is_not_refused_at_the_draw_limit(
         capsys, ghz_file):
     """At eps' = 0.001 one sampled GHZ-3 query would need 5.24e11 draws,
-    but its three levels enumerate 2, 4 and 4 selections, so nothing is
-    sampled and nothing is refused."""
+    but its three levels enumerate 2, 4 and 8 selections (2, 4 and 4
+    candidates), so nothing is sampled and nothing is refused."""
     code = run_command(["sample", "--circuit", ghz_file, "--method", "sparse",
                         "--estimator", "sampling", "--eps-prime", "0.001",
                         "--count", "1"])

@@ -468,8 +468,10 @@ def test_bad_inputs_rejected():
     (lambda: sc.ProductState(((1.0, 0.0),)), "Bloch vector needs 3 components"),
     (lambda: sc.random_clifford_words(0, 1, np.random.default_rng(0)),
      "n must be positive"),
+    (lambda: sc.ProductState.zero(-2), "n must be positive"),
+    (lambda: sc.ProductState.uniform((1.0, 0.0, 0.0), 0), "n must be positive"),
 ], ids=["unknown-gate", "arity-before-distinct", "negative-pauli-size", "two-component-bloch",
-        "zero-qubit-draw"])
+        "zero-qubit-draw", "negative-zero-state", "empty-uniform-state"])
 def test_stabcore_refuses_bad_arguments(make, message):
     with pytest.raises(ValueError, match=message):
         make()

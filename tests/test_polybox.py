@@ -26,7 +26,8 @@ from helpers import (NoSpawnRng, ghz_circuit, pattern_draws,
                      random_constrained_pattern, random_gates,
                      random_iqp_circuit, random_pattern, random_prod_circuit)
 from reference import (alpha_weight_enumerator, frequency_polybox,
-                       odd_overlap_rows, per_draw_sampled, prod_single_sample,
+                       odd_overlap_rows, per_draw_sampled,
+                       per_level_exact_prefixes, prod_single_sample,
                        reference_iqp_values, sample_outcomes)
 
 
@@ -571,6 +572,67 @@ def test_exact_many_matches_oracle_prefix_marginals(family, data):
         values = BOXES[family](c).exact_prefixes(bits)
     for value, want in zip(values, exact_distribution(c).prefixes(bits)):
         assert abs(value - want) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_table_levels_equal_the_per_level_kernel(data):
+    """Levels read from the handle's one table give, float for float, the
+    means of a kernel set up afresh per level: on prod circuits with pure
+    and mixed inputs and on X-programs, in any level order, before and
+    after the kernel's width doubles, and past a small table cap."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    n = data.draw(st.integers(1, 10))
+    k = data.draw(st.integers(1, n))
+    family = data.draw(st.sampled_from(("pure", "mixed", "iqp")))
+    if family == "iqp":
+        c = random_iqp_circuit(rng, n, data.draw(st.integers(1, 12)), k=k)
+    else:
+        c = random_prod_circuit(rng, n, data.draw(st.integers(0, 4 * n)),
+                                mixed=family == "mixed", k=k)
+    levels = data.draw(st.lists(st.integers(0, k), min_size=1, max_size=5))
+    width = data.draw(st.sampled_from((1, 2, 3, polybox._WIDTH)))
+    chunk = data.draw(st.sampled_from((2, 16, polybox._CHUNK)))
+    box = BOXES["iqp" if family == "iqp" else "prod"](c)
+    with mock.patch.object(polybox, "_WIDTH", width), \
+            mock.patch.object(polybox, "_CHUNK", chunk):
+        for j in levels:
+            bits = rng.integers(0, 2, size=(data.draw(st.integers(1, 70)), j))
+            got = box.exact_prefixes(bits)
+            assert got.tolist() == per_level_exact_prefixes(box, bits).tolist()
+            assert len(box._table) <= chunk
+
+
+def test_first_exact_level_sets_up_eight_positions_and_level_nine_sixteen(
+        monkeypatch):
+    """On 2000 qubits the first exact level sets the kernel up over 8
+    positions and fills 2^8 rows, so the setup holds (8, 4001) words; the
+    next 7 levels compute nothing, and level 9 doubles the width to 16."""
+    setups, rows = [], []
+
+    def spy(circuit, positions):
+        setups.append(len(positions))
+        kernel = _prod_values(circuit, positions)
+
+        def value(sel):
+            rows.append(len(sel))
+            return kernel(sel)
+        return value
+    monkeypatch.setattr(ProdPolyBox, "values", staticmethod(spy))
+    box = ProdPolyBox(ghz_circuit(2000))
+    box.exact_prefixes(np.zeros((2, 1), dtype=np.int64))
+    assert setups == [8] and sum(rows) <= 1 << 8
+    for j in range(2, 9):
+        box.exact_prefixes(np.zeros((2, j), dtype=np.int64))
+    assert setups == [8] and sum(rows) == 1 << 8
+    box.exact_prefixes(np.zeros((2, 9), dtype=np.int64))
+    assert setups == [8, 16] and sum(rows) == 1 << 9
+
+
+def test_exact_level_is_refused_past_the_measured_count():
+    with pytest.raises(ValueError, match="longer than the 3 measured"):
+        ProdPolyBox(ghz_circuit(3)).exact_prefixes(
+            np.zeros((1, 4), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
