@@ -49,11 +49,13 @@ Sampled and exact scoring differ in where sel and its draws come from.
 ``exact_prefixes`` takes all 2^j selections, whose mean is the probability
 itself: 2^j draws per row and no rng, which the search uses while 2^j is
 at most one sampled query's Hoeffding count (see
-``samplers.heavy_prefixes``).  Their draws come from the handle's one
-kernel over its first w >= j measured positions and its table of that
-kernel's draws on selections 0, 1, 2, ... (at most ``_CHUNK`` rows; see
-``_exact_rows``): a search pulls the Z's back once while j <= w, and each
-selection below the cap goes through the kernel once per handle.
+``samplers.heavy_prefixes``).  Their draws come from the handle's table
+of draws on selections 0, 1, 2, ... (at most ``_CHUNK`` rows), filled by
+one kernel over its first max(j, min(k, _WIDTH)) measured positions (see
+``_exact_rows``): a search pulls the Z's back once while j <= _WIDTH = 8
+and past that once per level, each selection below the cap goes through
+the kernel once per handle, and rows past the cap go through it at each
+level.
 ``CePolyBox`` and ``OraclePolyBox`` answer a whole level without sampling.
 Draws are split into fixed-size chunks with spawned RNG substreams and the
 chunk sums added exactly, so the values depend only on the seed, never on
@@ -84,7 +86,8 @@ _BLOCK = 64
 # _KERNEL_CELLS // n rows, so its (rows, n) matrices stay bounded
 _KERNEL_CELLS = 1 << 20
 # measured positions of a sampling handle's first exact-level kernel; a
-# search with k <= _WIDTH sets its kernel up once
+# search with k <= _WIDTH sets its kernel up once, a deeper one once more
+# per level past _WIDTH
 _WIDTH = 8
 # draws per query; a larger Hoeffding count is refused before any allocation
 MAX_SAMPLES = 10 ** 8
@@ -338,44 +341,40 @@ class _SamplingPolyBox:
         each chunk's sign-free draws read from the handle's table where it
         holds them (``_exact_rows``)."""
         j = bits.shape[1]
-        if j > self.circuit.k:
-            raise ValueError(f"prefix of {j} bits is longer than the "
-                             f"{self.circuit.k} measured positions")
         bits = np.asarray(bits, dtype=np.int64)
         total = 1 << j
         parts = []
         for lo in range(0, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
-            parts.append(_signed_sums(bits, _selections(lo, hi, j),
-                                      self._exact_rows(j, lo, hi)))
+            sel = _selections(lo, min(lo + _CHUNK, total), j)
+            parts.append(_signed_sums(bits, sel, self._exact_rows(sel, lo)))
         return _means(parts, total)
 
-    def _exact_rows(self, j: int, lo: int, hi: int) -> np.ndarray:
-        """The sign-free draws of selections lo..hi-1 of 2^j, from one
-        kernel over the handle's first w >= j measured positions: a
+    def _exact_rows(self, sel, lo: int) -> np.ndarray:
+        """The sign-free draws of the selections sel, rows lo, lo + 1, ...
+        of the 2^j over j positions.  Rows below ``_CHUNK`` are kept in a
+        table, filled to 2^min(k, _WIDTH) rows at first and grown as asked,
+        from one kernel over w = max(j, min(k, _WIDTH)) positions: a
         selection that is zero past column j draws there the same float as
         over j positions, since its GF(2) image and Z4 form gain only zero
-        terms and its product has the same factors.  w is min(k, _WIDTH)
-        at first and doubles when a level needs more, so a search makes
-        one setup while j <= _WIDTH.  Rows below ``_CHUNK`` are kept in a
-        table, filled to 2^min(k, _WIDTH) rows at first and grown to hi as
-        asked; rows past it run the kernel directly."""
-        k = self.circuit.k
-        if self._kernel is None or j > self._width:
-            width = self._width or min(k, _WIDTH)
-            while width < j:
-                width *= 2
-            self._width = min(width, k)
-            self._kernel = _blocked(self.values(self.circuit,
-                                                range(self._width)),
+        terms and its product has the same factors.  Rows past the cap run
+        a kernel over exactly j positions.  A kernel is set up only when
+        rows are missing and w changes, so a search sets it up once while
+        j <= _WIDTH, and past that at most once per level."""
+        hi = lo + len(sel)
+        if hi <= len(self._table):
+            return self._table[lo:hi]
+        j, first = sel.shape[1], min(self.circuit.k, _WIDTH)
+        width = j if hi > _CHUNK else max(j, first)
+        if width != self._width:
+            self._width = width
+            self._kernel = _blocked(self.values(self.circuit, range(width)),
                                     self.circuit.n)
         if hi > _CHUNK:
-            return self._kernel(_selections(lo, hi, self._width))
+            return self._kernel(sel)
         held = len(self._table)
-        want = min(_CHUNK, max(hi, 1 << min(k, _WIDTH)))
-        if want > held:
-            self._table = np.concatenate((self._table, self._kernel(
-                _selections(held, want, self._width))))
+        want = min(_CHUNK, max(hi, 1 << first))
+        self._table = np.concatenate((self._table, self._kernel(
+            _selections(held, want, width))))
         return self._table[lo:hi]
 
 

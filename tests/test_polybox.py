@@ -579,8 +579,9 @@ def test_exact_many_matches_oracle_prefix_marginals(family, data):
 def test_table_levels_equal_the_per_level_kernel(data):
     """Levels read from the handle's one table give, float for float, the
     means of a kernel set up afresh per level: on prod circuits with pure
-    and mixed inputs and on X-programs, in any level order, before and
-    after the kernel's width doubles, and past a small table cap."""
+    and mixed inputs and on X-programs, in any level order, at levels
+    within and past the first kernel's width, and past a small table
+    cap."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     n = data.draw(st.integers(1, 10))
     k = data.draw(st.integers(1, n))
@@ -603,11 +604,13 @@ def test_table_levels_equal_the_per_level_kernel(data):
             assert len(box._table) <= chunk
 
 
-def test_first_exact_level_sets_up_eight_positions_and_level_nine_sixteen(
+def test_first_exact_level_sets_up_eight_positions_and_level_nine_nine(
         monkeypatch):
     """On 2000 qubits the first exact level sets the kernel up over 8
     positions and fills 2^8 rows, so the setup holds (8, 4001) words; the
-    next 7 levels compute nothing, and level 9 doubles the width to 16."""
+    next 7 levels compute nothing, level 9 sets up over exactly 9 positions
+    and computes only the 2^8 rows the table lacks, and a second search
+    on the handle computes nothing."""
     setups, rows = [], []
 
     def spy(circuit, positions):
@@ -626,13 +629,10 @@ def test_first_exact_level_sets_up_eight_positions_and_level_nine_sixteen(
         box.exact_prefixes(np.zeros((2, j), dtype=np.int64))
     assert setups == [8] and sum(rows) == 1 << 8
     box.exact_prefixes(np.zeros((2, 9), dtype=np.int64))
-    assert setups == [8, 16] and sum(rows) == 1 << 9
-
-
-def test_exact_level_is_refused_past_the_measured_count():
-    with pytest.raises(ValueError, match="longer than the 3 measured"):
-        ProdPolyBox(ghz_circuit(3)).exact_prefixes(
-            np.zeros((1, 4), dtype=np.int64))
+    assert setups == [8, 9] and sum(rows) == 1 << 9
+    for j in range(1, 10):
+        box.exact_prefixes(np.zeros((2, j), dtype=np.int64))
+    assert setups == [8, 9] and sum(rows) == 1 << 9
 
 
 # ---------------------------------------------------------------------------
