@@ -38,6 +38,7 @@ order coincides with lexicographic outcome order.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -398,9 +399,8 @@ def _parse_encoded(body, base_dir) -> EncodedCircuit:
     if toks[0] != "inner":
         raise CircuitSyntaxError("encoded circuit expects 'inner'", line_no)
     if len(toks) == 2:
-        if base_dir is None:
-            base_dir = Path.cwd()
-        path = Path(base_dir) / toks[1]
+        # made absolute here, so only a file with an inner path pays for it
+        path = Path(os.path.abspath(base_dir or "")) / toks[1]
         if len(body) > 1:
             raise CircuitSyntaxError("unexpected directives after inner path", body[1][0])
         try:

@@ -68,7 +68,18 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# what json.dumps returns for a str, without its per-call set-up
+_quote = json.encoder.encode_basestring_ascii
+
+
 def to_json(obj) -> str:
+    # strings and dicts first: they are most of every output line, and no
+    # other branch takes them
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, dict):
+        return "{" + ",".join([_quote(str(k)) + ":" + to_json(v)
+                               for k, v in obj.items()]) + "}"
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -77,13 +88,8 @@ def to_json(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        parts = (json.dumps(str(k)) + ":" + to_json(v) for k, v in obj.items())
-        return "{" + ",".join(parts) + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ",".join(to_json(v) for v in obj) + "]"
+        return "[" + ",".join([to_json(v) for v in obj]) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -116,9 +122,11 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def _load_circuit(path: str) -> Circuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_circuit(text, base_dir=os.path.dirname(os.path.abspath(path)))
+    # str.splitlines ends a line at \r\n, \r or \n, so the bytes need no
+    # newline translation
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    return parse_circuit(text, base_dir=os.path.dirname(path))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -532,7 +540,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
+    # each subcommand's own parser, by name (``_parse_args``)
+    parser.subcommands = sub.choices
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv's namespace from the full parser.  That parser hands every
+    argument after a subcommand's name to the subcommand's parser, so an
+    argv that starts with a name is parsed by that parser alone, without
+    the full parser's pass over every argument.  An argv that starts with
+    no name, or leaves arguments over, goes through the full parser, which
+    prints the same help, usage and errors either way."""
+    parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if len(argv) else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            args.subcommand = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def run_command(argv) -> int:
@@ -540,7 +567,7 @@ def run_command(argv) -> int:
     line on stderr for bad arguments, bad input or an unwritable --out, 1
     for an internal error."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     start = time.perf_counter()

@@ -113,8 +113,7 @@ class ExactDistribution:
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         p = np.clip(self.probs, 0.0, None)
-        p = p / p.sum()
-        return rng.choice(1 << self.k, size=size, p=p)
+        return categorical(rng, p / p.sum(), size)
 
     @cached_property
     def _cum(self) -> np.ndarray:
@@ -129,6 +128,16 @@ class ExactDistribution:
             raise ValueError("prefix length out of range")
         lo = _codes(bits) << (self.k - j)
         return self._cum[lo + (1 << (self.k - j))] - self._cum[lo]
+
+
+def categorical(rng: np.random.Generator, p, size: int) -> np.ndarray:
+    """size draws of an index into the probability vector p, which sums to
+    1: the inverse-CDF draw that ``Generator.choice(len(p), size, p=p)``
+    makes once p passes its checks, so the same indices from the same
+    doubles of rng, without those checks."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return np.searchsorted(cdf, rng.random(size), side="right")
 
 
 def _codes(bits) -> np.ndarray:

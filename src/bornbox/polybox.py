@@ -29,10 +29,11 @@ families draw through one form (``_form_values``): a GF(2)-linear image of
 the row, which zeroes or weights the draw, and a Z4 quadratic form, whose
 value e gives the factor Re i^e.  Only the setup differs by family, so a
 draw costs O(f (n + f)) on n qubits, whatever the X-program's row count.  A
-pattern's bits enter a draw only as a sign, applied in ``_batched_sums``
-alone: the draw for bits s is (-1)^(sel.s) times the sign-free one.  So all
-rows of a bit matrix are scored from one shared draw matrix, each paying
-only for its signs.  Each row still gets the mean of s i.i.d. draws of its
+pattern's bits enter a draw only as a sign, applied in ``_signed_sums``
+alone: the draw for bits s is (-1)^(sel.s) times the sign-free one, taken
+by ``np.where`` on the parity, which gives the floats of (1 - 2 parity) v.
+So all rows of a bit matrix are scored from one shared draw matrix, each
+paying only for its signs.  Each row still gets the mean of s i.i.d. draws of its
 own unbiased estimator, so every per-row (eps, delta) guarantee holds; the
 draws are shared, not independent, across rows.  ``estimate(p)`` scores the
 one-row matrix of p's fixed bits.
@@ -49,9 +50,10 @@ Sampled and exact scoring differ in where sel and its draws come from.
 ``exact_prefixes`` takes all 2^j selections, whose mean is the probability
 itself: 2^j draws per row and no rng, which the search uses while 2^j is
 at most one sampled query's Hoeffding count (see
-``samplers.heavy_prefixes``).  Their draws come from the handle's table
-of draws on selections 0, 1, 2, ... (at most ``_CHUNK`` rows), filled by
-one kernel over its first max(j, min(k, _WIDTH)) measured positions (see
+``samplers.heavy_prefixes``).  Their selections and draws come from the
+handle's table of draws on selections 0, 1, 2, ... (at most ``_CHUNK``
+rows), which keeps those selections beside it as rows, both filled by one
+kernel over its first max(j, min(k, _WIDTH)) measured positions (see
 ``_exact_rows``): a search pulls the Z's back once while j <= _WIDTH = 8
 and past that once per level, each selection below the cap goes through
 the kernel once per handle, and rows past the cap go through it at each
@@ -187,9 +189,11 @@ def _blocked(kernel, n: int):
 def _signed_sums(bits, sel, v) -> np.ndarray:
     """The draws of each row s of the 0/1 matrix bits summed over the rows
     of sel, given the sign-free draws v of sel: row s draws
-    (-1)^(sel.s) * v, _BLOCK rows at a time.  The one place bits enter."""
+    (-1)^(sel.s) * v, _BLOCK rows at a time, negated where the parity is
+    odd: the same floats as (1 - 2 parity) * v.  The one place bits
+    enter."""
     return np.concatenate([
-        ((1 - 2 * ((bits[lo:lo + _BLOCK] @ sel.T) & 1)) * v).sum(axis=1)
+        np.where((bits[lo:lo + _BLOCK] @ sel.T) & 1, -v, v).sum(axis=1)
         for lo in range(0, len(bits), _BLOCK)])
 
 
@@ -266,12 +270,16 @@ def _prod_values(circuit: ProdCircuit, positions):
                         circuit.state.bloch])
     words = _word_bits(xs + zs + [sg], f)
     fx, fz = words[:, :n], words[:, n:2 * n]
-    kappa = ((fx & fz).sum(axis=1) + 2 * words[:, 2 * n]) % 4
-    # pair[a, b] feeds the i**2 correction when factor a's Z bits cross
-    # factor b's X bits in the left-to-right product (a < b only); s.kappa
-    # is s.diag(kappa).s, as s_a^2 = s_a
-    pair = np.triu((fz @ fx.T) & 1, 1)
-    return _form_values(fx, fz, np.diag(kappa) + 2 * pair, weights)
+    # above the diagonal, entry (a, b) feeds the i**2 correction when factor
+    # a's Z bits cross factor b's X bits in the left-to-right product (a < b
+    # only); the diagonal is factor a's phase |x_a & z_a| + 2 sign_a, read
+    # once per selected factor, as s_a^2 = s_a
+    cross = fz @ fx.T
+    quad = 2 * (cross & 1)
+    order = np.arange(f)
+    quad[order[:, None] > order] = 0
+    quad.flat[::f + 1] = (cross.diagonal() + 2 * words[:, 2 * n]) % 4
+    return _form_values(fx, fz, quad, weights)
 
 
 def _iqp_values(circuit: IqpCircuit, positions):
@@ -279,12 +287,15 @@ def _iqp_values(circuit: IqpCircuit, positions):
     sel draws Re i^|hit| if the program rows hit (odd overlap c with r)
     XOR to zero, else 0.  They XOR to r.fx, and as c^2 mod 4 is c's parity,
     |hit| = sum over the rows of (row.r)^2 = r.(psub^T psub).r mod 4."""
-    p = circuit.row_matrix().astype(np.int64)
+    p = circuit.row_matrix()
     psub = p[:, positions]  # rows x f
-    fx = (psub.T @ p) & 1
+    # uint8 products wrap mod 256, which keeps a parity and a value mod 4;
+    # only the (f, n) and (f, f) results are widened
+    fx = ((psub.T @ p) & 1).astype(np.int64)
     weights = np.zeros((circuit.n, 4))
     weights[:, 0] = 1.0  # a draw is 0 unless the hit rows XOR to zero
-    return _form_values(fx, np.zeros_like(fx), psub.T @ psub, weights)
+    return _form_values(fx, np.zeros_like(fx),
+                        (psub.T @ psub).astype(np.int64), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +311,12 @@ class _SamplingPolyBox:
     def __init__(self, circuit, threads: int = 1):
         self.circuit = circuit
         self.threads = threads
-        # the exact levels' kernel over the first _width measured positions
-        # and its draws on selections 0, 1, 2, ... (``_exact_rows``)
+        # the exact levels' kernel over the first _width measured positions,
+        # and the selections 0, 1, 2, ... of its table (as rows over the
+        # kernel's positions) with their draws (``_exact_rows``)
         self._width = 0
         self._kernel = None
+        self._rows = np.zeros((0, 0), dtype=np.int64)
         self._table = np.empty(0)
 
     def estimate(self, pattern: OutcomePattern, eps: float, delta: float,
@@ -337,45 +350,55 @@ class _SamplingPolyBox:
 
     def exact_prefixes(self, bits) -> np.ndarray:
         """Exact marginal of each prefix row of the (m, j) 0/1 matrix bits:
-        the mean of its draws over all 2^j selections, in ``_CHUNK`` rows,
-        each chunk's sign-free draws read from the handle's table where it
-        holds them (``_exact_rows``)."""
+        the mean of its draws over all 2^j selections, in ``_CHUNK`` rows.
+        The first chunk's selections and sign-free draws are read from the
+        handle's table (``_exact_rows``); where its rows have fewer than j
+        columns, those selections are zero past them, so only the bits'
+        leading columns enter the signs.  Each chunk past the table runs a
+        kernel over exactly j positions."""
         j = bits.shape[1]
         bits = np.asarray(bits, dtype=np.int64)
         total = 1 << j
-        parts = []
-        for lo in range(0, total, _CHUNK):
+        hi = min(total, _CHUNK)
+        rows, table = self._exact_rows(hi, j)
+        c = min(j, rows.shape[1])
+        parts = [_signed_sums(bits[:, :c], rows[:hi, :c], table[:hi])]
+        for lo in range(_CHUNK, total, _CHUNK):
             sel = _selections(lo, min(lo + _CHUNK, total), j)
-            parts.append(_signed_sums(bits, sel, self._exact_rows(sel, lo)))
+            parts.append(_signed_sums(bits, sel, self._kernel_over(j)(sel)))
         return _means(parts, total)
 
-    def _exact_rows(self, sel, lo: int) -> np.ndarray:
-        """The sign-free draws of the selections sel, rows lo, lo + 1, ...
-        of the 2^j over j positions.  Rows below ``_CHUNK`` are kept in a
-        table, filled to 2^min(k, _WIDTH) rows at first and grown as asked,
-        from one kernel over w = max(j, min(k, _WIDTH)) positions: a
+    def _exact_rows(self, hi: int, j: int):
+        """(rows, draws) of the handle's table, holding at least the
+        selections 0..hi-1 of a level over j positions, hi <= _CHUNK.  The
+        table is filled to 2^min(k, _WIDTH) rows at first and grown as
+        asked, from one kernel over w = max(j, min(k, _WIDTH)) positions: a
         selection that is zero past column j draws there the same float as
         over j positions, since its GF(2) image and Z4 form gain only zero
-        terms and its product has the same factors.  Rows past the cap run
-        a kernel over exactly j positions.  A kernel is set up only when
-        rows are missing and w changes, so a search sets it up once while
+        terms and its product has the same factors.  The rows are rebuilt
+        over w columns whenever the table grows, in the one ``_selections``
+        call that feeds the kernel, so a level-by-level search holds at
+        most _CHUNK x 13 of them.  A kernel is set up only when rows are
+        missing and w changes, so a search sets it up once while
         j <= _WIDTH, and past that at most once per level."""
-        hi = lo + len(sel)
-        if hi <= len(self._table):
-            return self._table[lo:hi]
-        j, first = sel.shape[1], min(self.circuit.k, _WIDTH)
-        width = j if hi > _CHUNK else max(j, first)
+        held = len(self._table)
+        if hi > held:
+            first = min(self.circuit.k, _WIDTH)
+            width = max(j, first)
+            self._rows = _selections(0, min(_CHUNK, max(hi, 1 << first)),
+                                     width)
+            self._table = np.concatenate(
+                (self._table, self._kernel_over(width)(self._rows[held:])))
+        return self._rows, self._table
+
+    def _kernel_over(self, width: int):
+        """The handle's kernel over its first width measured positions, in
+        row blocks, set up again only when width changes."""
         if width != self._width:
             self._width = width
             self._kernel = _blocked(self.values(self.circuit, range(width)),
                                     self.circuit.n)
-        if hi > _CHUNK:
-            return self._kernel(sel)
-        held = len(self._table)
-        want = min(_CHUNK, max(hi, 1 << first))
-        self._table = np.concatenate((self._table, self._kernel(
-            _selections(held, want, width))))
-        return self._table[lo:hi]
+        return self._kernel
 
 
 class ProdPolyBox(_SamplingPolyBox):

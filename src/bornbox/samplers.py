@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit
-from .oracle import _codes
+from .oracle import _codes, categorical
 from .polybox import _CHUNK, MAX_SAMPLES, hoeffding_need, hoeffding_samples
 
 _MAX_EPS = 1.0 / 6.0 + 1e-12  # the L1 bound 12*eps + delta needs eps <= 1/6
@@ -139,7 +139,7 @@ def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
         bits = np.concatenate((bits, np.arange(len(bits))[:, None] & 1), 1)
         values = (est.exact_prefixes(bits) if level <= exact_levels else
                   est.prefixes(bits, per_eps, per_delta, rng))
-        keep = np.flatnonzero(values >= threshold)
+        keep = (values >= threshold).nonzero()[0]
         if len(keep) > cap:  # the cap heaviest, still in lexicographic order
             keep = np.sort(keep[(-values[keep]).argsort(kind="stable")[:cap]])
         bits, values = bits[keep], values[keep]
@@ -214,9 +214,7 @@ def epsilon_simulate(est, sp: SparsityPolynomial, circuit: Circuit,
     draws: list[str] = []
     for _ in range(rounds):
         outcomes, probs = survivor_distribution(est, circuit, t, eps, eps, rng)
-        # size=1 reads the one double of a scalar choice: the stream is kept
-        idx = rng.choice(len(outcomes), size=size, p=probs)
-        draws += [outcomes[i] for i in idx]
+        draws += [outcomes[i] for i in categorical(rng, probs, size)]
     return draws
 
 

@@ -26,7 +26,8 @@ program's decode in the reference's grouped matrix form.
 The rest are cross-checks kept out of the package: the tableau route to
 ``U^dag P U``, the Pauli product, the row-pair symplectic check, the
 Clifford group order, pure-state simulation, the brute-force X-program
-enumerator and the per-draw product-input estimator, the sampling
+enumerator, the product kernel's Z4 form built through ``np.triu`` and
+``np.diag`` and the per-draw product-input estimator, the sampling
 estimator's chunked means with the kernel run on every draw (the program
 reads each draw from a table of its 2^f distinct values when that table is
 no larger than the draws or one chunk), the exact search level with a
@@ -696,6 +697,26 @@ def reference_iqp_values(circuit: IqpCircuit, positions):
         return np.where(cancel, quarter, 0.0)
 
     return value
+
+
+def reference_prod_quad(circuit: ProdCircuit, positions) -> np.ndarray:
+    """The Z4 form of the product kernel in its first written form,
+    diag(kappa) + 2 triu(pair, 1), from the measured Z's pulled back one at
+    a time by ``reference_pull_back``: kappa_a = |x_a & z_a| + 2 sign_a
+    mod 4 is factor a's phase, and pair[a, b] = z_a.x_b mod 2 feeds the i^2
+    correction when factor a's Z bits cross factor b's X bits (a < b).
+    ``polybox._prod_values`` builds the same int64 matrix from one product
+    fz fx^T, without ``np.triu`` or ``np.diag``."""
+    n = circuit.n
+    factors = [reference_pull_back(circuit.gates, PauliOperator(n, 0, 1 << pos))
+               for pos in positions]
+    fx = np.array([[(p.x >> q) & 1 for q in range(n)] for p in factors],
+                  dtype=np.int64).reshape(len(factors), n)
+    fz = np.array([[(p.z >> q) & 1 for q in range(n)] for p in factors],
+                  dtype=np.int64).reshape(len(factors), n)
+    sign = np.array([p.sign == -1 for p in factors], dtype=np.int64)
+    kappa = ((fx & fz).sum(axis=1) + 2 * sign) % 4
+    return np.diag(kappa) + 2 * np.triu((fz @ fx.T) & 1, 1)
 
 
 def frequency_polybox(sampler, circuit, pattern: OutcomePattern,

@@ -9,7 +9,7 @@ from bornbox import oracle
 from bornbox import stabcore as sc
 from bornbox.circuits import (EncodedCircuit, IqpCircuit, OutcomePattern,
                               ProdCircuit)
-from bornbox.oracle import (ExactDistribution, OracleLimitError,
+from bornbox.oracle import (ExactDistribution, OracleLimitError, categorical,
                             exact_distribution, exact_probability,
                             l1_distance, min_sparsity, prod_probabilities,
                             prod_probabilities_many)
@@ -24,6 +24,22 @@ from reference import (PerPrefix, StateVector, gate_steps,
                        reference_runs, reference_synthesize_gates,
                        sample_outcomes,
                        statevector)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e3)),
+                min_size=1, max_size=40),
+       st.integers(0, 60), st.integers(0, 2 ** 32 - 1))
+def test_categorical_draws_what_choice_draws(weights, size, seed):
+    """The inverse-CDF draw gives, on normalized weights (zeros and tiny
+    ones included), the indices of ``Generator.choice(n, size, p=p)`` from
+    the same seed, and leaves the stream where choice leaves it."""
+    assume(sum(weights) > 0.0)
+    p = np.array(weights) / sum(weights)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert (categorical(ours, p, size).tolist()
+            == theirs.choice(len(p), size=size, p=p).tolist())
+    assert ours.random() == theirs.random()
 
 
 def test_bell_distribution():

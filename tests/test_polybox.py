@@ -19,6 +19,7 @@ from bornbox.polybox import (MAX_SAMPLES, CePolyBox, Estimate, IqpPolyBox,
                              OraclePolyBox, ProdPolyBox, _batched_sums,
                              _iqp_values, _prod_values, auto_polybox,
                              hoeffding_samples)
+from bornbox.samplers import heavy_prefixes
 from bornbox.stabcore import (CliffordTableau, GateApp, ProductState,
                               tableau_from_gates)
 
@@ -28,7 +29,8 @@ from helpers import (NoSpawnRng, ghz_circuit, pattern_draws,
 from reference import (alpha_weight_enumerator, frequency_polybox,
                        odd_overlap_rows, per_draw_sampled,
                        per_level_exact_prefixes, prod_single_sample,
-                       reference_iqp_values, sample_outcomes)
+                       reference_iqp_values, reference_prod_quad,
+                       sample_outcomes)
 
 
 class SeqRng:
@@ -260,6 +262,63 @@ def test_iqp_kernel_equals_the_per_row_reference(n, m, data):
     sel = rng.integers(0, 2, size=(300, f), dtype=np.int64)
     assert (_iqp_values(c, positions)(sel)
             == reference_iqp_values(c, positions)(sel)).all()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 8), st.integers(256, 700), st.data())
+def test_iqp_kernel_wraps_counts_past_a_byte(n, m, data):
+    """The setup's uint8 products wrap counts at 256, which keeps a
+    parity and a value mod 4: with more program rows than a byte counts,
+    the draws still equal the per-row reference's under ==."""
+    k = data.draw(st.integers(1, n))
+    f = data.draw(st.integers(0, k))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pool = rng.integers(0, 2, size=(data.draw(st.integers(1, 6)), n))
+    c = IqpCircuit(n, k, pool[rng.integers(0, len(pool), size=m)])
+    sel = rng.integers(0, 2, size=(200, f), dtype=np.int64)
+    assert (_iqp_values(c, range(f))(sel)
+            == reference_iqp_values(c, range(f))(sel)).all()
+
+
+def test_iqp_setup_does_not_widen_the_program():
+    """At m = 32000 program rows, n = f = 14, the setup's tracemalloc peak
+    stays under 2 MB: it reads the uint8 row matrix and widens only its
+    (f, n) and (f, f) results, where int64 copies of the program peaked
+    at about 7 MB."""
+    c = random_iqp_circuit(np.random.default_rng(9), 14, 32000)
+    tracemalloc.start()
+    try:
+        _iqp_values(c, range(14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_prod_quad_equals_the_triu_diag_reference(mixed, data):
+    """The Z4 form that ``_prod_values`` hands the draw kernel is, under
+    ==, the int64 matrix diag(kappa) + 2 triu(pair, 1) of the reference,
+    at prefix and scattered positions."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    n = data.draw(st.integers(1, 8))
+    c = random_prod_circuit(rng, n, data.draw(st.integers(0, 5 * n)),
+                            mixed=mixed)
+    positions = sorted(data.draw(st.lists(st.integers(0, n - 1),
+                                          max_size=n, unique=True)))
+    forms = []
+
+    def spy(fx, fz, quad, weights):
+        forms.append(quad)
+        return form(fx, fz, quad, weights)
+    form = polybox._form_values
+    with mock.patch.object(polybox, "_form_values", spy):
+        _prod_values(c, positions)
+    [quad] = forms
+    want = reference_prod_quad(c, positions)
+    assert quad.dtype == want.dtype and (quad == want).all()
 
 
 def test_iqp_kernel_memory_does_not_grow_with_the_rows():
@@ -633,6 +692,26 @@ def test_first_exact_level_sets_up_eight_positions_and_level_nine_nine(
     for j in range(1, 10):
         box.exact_prefixes(np.zeros((2, j), dtype=np.int64))
     assert setups == [8, 9] and sum(rows) == 1 << 9
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_all_exact_search_builds_its_selection_rows_once(monkeypatch, k):
+    """An all-exact search with k <= _WIDTH makes one selection matrix, the
+    table's rows over k positions, with the table: every level reads its
+    selections from those rows."""
+    calls = []
+
+    def spy(lo, hi, f):
+        calls.append((lo, hi, f))
+        return selections(lo, hi, f)
+    selections = polybox._selections
+    monkeypatch.setattr(polybox, "_selections", spy)
+    ghz = ghz_circuit(k)
+    box = ProdPolyBox(ghz)
+    surv = heavy_prefixes(box, ghz, 0.25, 0.2, NoSpawnRng())
+    assert sorted(p for p, _ in surv) == ["0" * k, "1" * k]
+    assert calls == [(0, 1 << k, k)]
+    assert box._rows.shape == (1 << k, k) and len(box._table) == 1 << k
 
 
 # ---------------------------------------------------------------------------
