@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Union
@@ -217,7 +218,92 @@ def parse_pattern(text: str) -> OutcomePattern:
         raise CircuitSyntaxError(str(exc)) from exc
 
 
+def read_circuit_text(path: str | Path) -> str:
+    """A circuit file's text: its bytes decoded as UTF-8, whatever the
+    locale.  str.splitlines ends a line at \\r\\n, \\r or \\n, so the bytes
+    need no newline translation."""
+    with open(path, "rb", buffering=0) as fh:
+        return fh.read().decode("utf-8")
+
+
 def parse_circuit(text: str, base_dir: str | Path | None = None) -> Circuit:
+    return _parse_canonical(text) or _parse_each_line(text, base_dir)
+
+
+# A prod file in canonical form, the layout a program writes: "family prod",
+# "qubits N", an optional "measure K", then "prep q bloch rx ry rz" lines,
+# then "gate" lines; single spaces, \n endings, no comments, no blank lines,
+# ASCII digits, counts of at most nine digits (the cap refuses longer ones,
+# and int() some of them).  Each body pattern starts at the \n before its
+# line and stops at the \n after it, so a region holds as many lines as
+# matches only when every one of its lines matched whole.
+_CANONICAL_HEAD = re.compile(
+    r"family prod\nqubits ([1-9][0-9]{0,8})\n(?:measure ([1-9][0-9]{0,8})\n)?")
+_BLOCH = r"(-?[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?)"
+_CANONICAL_PREP = re.compile(
+    rf"\nprep ([0-9]+) bloch {_BLOCH} {_BLOCH} {_BLOCH}(?=\n)")
+# one group per gate line: a match is one string, lighter than a tuple of
+# tokens and hashed once
+_CANONICAL_GATE = re.compile(
+    r"\ngate ([HSXZ] [0-9]+|(?:CNOT|CZ) [0-9]+ [0-9]+)(?=\n)")
+
+
+def _parse_canonical(text: str) -> ProdCircuit | None:
+    """The circuit of a prod file in canonical form, read with one match of
+    the header and one findall each over the prep and the gate lines; None
+    for any other text, and for a canonical file that the per-line parser
+    refuses, so that parser names the fault and its line.  An accepted
+    file gives what the per-line parser gives, equal gate lines sharing one
+    gate."""
+    head = _CANONICAL_HEAD.match(text)
+    if head is None or not text.endswith("\n"):
+        return None
+    n = int(head[1])
+    k = n if head[2] is None else int(head[2])
+    if n > MAX_QUBITS or k > n:
+        return None
+    start = head.end() - 1
+    split = text.find("\ngate ", start)
+    if split < 0:
+        split = len(text) - 1
+    preps = _CANONICAL_PREP.findall(text, start, split + 1)
+    if len(preps) != text.count("\n", start, split):
+        return None
+    found = _CANONICAL_GATE.findall(text, split)
+    if len(found) != text.count("\n", split, len(text) - 1):
+        return None
+    # the per-line parser's qubit table: an index it does not take (007,
+    # one past the table or past n) leaves the file to that parser
+    qubit = {str(q): q for q in range(min(n, len(preps) + len(found)))}.get
+    placed = {qubit(q): (float(rx), float(ry), float(rz))
+              for q, rx, ry, rz in preps}
+    if None in placed or len(placed) != len(preps):
+        return None
+    built = dict.fromkeys(found)
+    for line in built:
+        name, _, a = line.partition(" ")
+        if len(name) == 1:
+            a = qubit(a)
+            if a is None:
+                return None
+            built[line] = GateApp._make((name, (a,)))
+        else:
+            a, _, b = a.partition(" ")
+            a, b = qubit(a), qubit(b)
+            if a is None or b is None or a == b:
+                return None
+            built[line] = GateApp._make((name, (a, b)))
+    try:  # refuses a Bloch vector as the per-line parser does
+        state = ProductState(tuple(map(placed.get, range(n),
+                                       repeat((0.0, 0.0, 1.0), n))))
+    except ValueError:
+        return None
+    return ProdCircuit(n, k, state, tuple(map(built.__getitem__, found)))
+
+
+def _parse_each_line(text: str, base_dir) -> Circuit:
+    """Any circuit file, read line by line; a refused file's error names
+    its first fault and the line it is on."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
@@ -404,8 +490,8 @@ def _parse_encoded(body, base_dir) -> EncodedCircuit:
         if len(body) > 1:
             raise CircuitSyntaxError("unexpected directives after inner path", body[1][0])
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = read_circuit_text(path)
+        except (OSError, UnicodeDecodeError) as exc:
             raise CircuitSyntaxError(f"cannot read inner circuit {path}: {exc}", line_no)
         return EncodedCircuit(parse_circuit(text, base_dir=path.parent))
     if len(toks) > 2:

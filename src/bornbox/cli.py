@@ -37,7 +37,8 @@ from typing import Optional
 import numpy as np
 
 from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
-                       ProdCircuit, parse_circuit, parse_pattern)
+                       ProdCircuit, parse_circuit, parse_pattern,
+                       read_circuit_text)
 from .experiments import (advantage_cap, anticoncentration_report,
                           bob_epsilon_schedule, run_hypothesis_test,
                           sparsity_profile)
@@ -122,11 +123,8 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def _load_circuit(path: str) -> Circuit:
-    # str.splitlines ends a line at \r\n, \r or \n, so the bytes need no
-    # newline translation
-    with open(path, "rb", buffering=0) as fh:
-        text = fh.read().decode("utf-8")
-    return parse_circuit(text, base_dir=os.path.dirname(path))
+    return parse_circuit(read_circuit_text(path),
+                         base_dir=os.path.dirname(path))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

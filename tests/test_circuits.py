@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornbox.circuits import (CircuitSyntaxError, EncodedCircuit, IqpCircuit,
-                              OutcomePattern, ProdCircuit, bloch_from_words,
+                              OutcomePattern, ProdCircuit, _parse_canonical,
+                              _parse_each_line, bloch_from_words,
                               parse_circuit, parse_pattern)
 from bornbox.stabcore import GATE_ARITY, GateApp, ProductState
 
@@ -174,6 +175,21 @@ def test_missing_inner_file(tmp_path):
         parse_circuit("family encoded\ninner nope.qc\n", base_dir=tmp_path)
 
 
+def test_inner_file_is_read_as_utf8(tmp_path):
+    """An inner file's bytes are decoded as UTF-8, and bytes that are not
+    UTF-8 are refused at the inner line, as an unreadable file is."""
+    (tmp_path / "cafe.qc").write_bytes(
+        "family prod\nqubits 1\n# café\ngate X 0\n".encode("utf-8"))
+    c = parse_circuit("family encoded\ninner cafe.qc\n", base_dir=tmp_path)
+    assert c.inner.gates == (GateApp("X", (0,)),)
+    (tmp_path / "bad.qc").write_bytes(b"family prod\nqubits 1\n\xff\n")
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit("family encoded\ninner bad.qc\n", base_dir=tmp_path)
+    assert str(err.value) == (
+        f"line 2: cannot read inner circuit {tmp_path / 'bad.qc'}: 'utf-8' "
+        "codec can't decode byte 0xff in position 21: invalid start byte")
+
+
 def test_bad_numeric_tokens():
     with pytest.raises(CircuitSyntaxError, match="bad qubit count 'two'"):
         parse_circuit("family prod\nqubits two\n")
@@ -250,6 +266,157 @@ def test_gate_lines_parse_as_the_per_token_reference(case):
         gates = parse_circuit(text).gates
         assert gates == want
         assert all(type(g) is GateApp for g in gates)
+
+
+# the ways a whole prod file can leave the canonical form, each applied to a
+# file as a program writes it: other spellings the per-line parser reads
+# alike, and faults it names
+RESPELLINGS = ["comment", "blank", "spacing", "splitter", "index", "arity",
+               "repeated-qubit", "out-of-range", "gate-before-qubits",
+               "prep-after-gate", "prep-gates", "measure", "bloch",
+               "duplicate-prep", "iqp", "crlf", "cr", "no-final-newline"]
+
+
+def respell(draw, lines: list[str], n: int, kind: str) -> list[str]:
+    """lines with one respelling of the named kind, at a drawn place."""
+    lines = list(lines)
+    at = draw(st.integers(1, len(lines)))
+    line = draw(st.integers(0, len(lines) - 1))
+    body = [i for i, text in enumerate(lines) if text[:5] in ("prep ", "gate ")]
+    preps = [i for i in body if lines[i].startswith("prep ")]
+    gates = [i for i in body if lines[i].startswith("gate ")]
+    q = draw(st.integers(0, n - 1))
+    if kind == "comment":
+        if draw(st.booleans()):
+            lines.insert(at, "# a comment")
+        else:
+            lines[line] += " # trailing"
+    elif kind == "blank":
+        lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
+    elif kind == "spacing":
+        run = draw(st.sampled_from(["\t", "  ", " \t "]))
+        lines[line] = draw(st.sampled_from([
+            lines[line].replace(" ", run, 1), run + lines[line],
+            lines[line] + run]))
+    elif kind == "splitter":
+        cut = draw(st.integers(0, len(lines[line])))
+        mark = draw(st.sampled_from(["\x0c", "\x1c", "\x85"]))
+        lines[line] = lines[line][:cut] + mark + lines[line][cut:]
+    elif kind == "index" and body:
+        i = draw(st.sampled_from(body))
+        toks = lines[i].split(" ")
+        spots = [1] if toks[0] == "prep" else range(2, len(toks))
+        if spots:
+            spot = draw(st.sampled_from(spots))
+            toks[spot] = draw(st.sampled_from(
+                [f"00{toks[spot]}", f"+{toks[spot]}", f"{toks[spot]}x", "1_0",
+                 "٣"]))
+            lines[i] = " ".join(toks)
+    elif kind == "arity" and gates:
+        i = draw(st.sampled_from(gates))
+        lines[i] = (lines[i] + f" {q}" if draw(st.booleans())
+                    else lines[i].rsplit(" ", 1)[0])
+    elif kind == "repeated-qubit":
+        lines.insert(at, f"gate {draw(st.sampled_from(['CNOT', 'CZ']))} {q} {q}")
+    elif kind == "out-of-range":
+        lines.insert(at, draw(st.sampled_from(
+            [f"gate H {n}", f"gate CZ {q} {n}", f"prep {n} bloch 0.0 0.0 1.0"])))
+    elif kind == "gate-before-qubits":
+        lines.insert(1, f"gate X {q}")
+    elif kind == "prep-after-gate" and preps and gates:
+        prep = lines.pop(draw(st.sampled_from(preps)))
+        lines.insert(draw(st.integers(min(gates), len(lines))), prep)
+    elif kind == "prep-gates" and preps:
+        i = draw(st.sampled_from(preps))
+        lines[i] = " ".join(lines[i].split(" ")[:2] + ["gates", "H", "S"])
+    elif kind == "measure":
+        lines = [text for text in lines if not text.startswith("measure ")]
+        k = draw(st.sampled_from([None, 0, n, n + 1, "007"]))
+        if k is not None:
+            lines.insert(min(2, len(lines)), f"measure {k}")
+    elif kind == "bloch" and preps:
+        i = draw(st.sampled_from(preps))
+        toks = lines[i].split(" ")
+        if len(toks) >= 6:
+            spot = draw(st.integers(3, 5))
+            toks[spot] = draw(st.sampled_from(
+                ["inf", "-inf", "nan", "1e400", "1.0000001", ".5", "1_0.5",
+                 f"{toks[spot]}x"]))
+            lines[i] = " ".join(toks)
+    elif kind == "duplicate-prep" and preps:
+        lines.insert(draw(st.integers(max(preps) + 1, len(lines))),
+                     lines[draw(st.sampled_from(preps))])
+    elif kind == "iqp":
+        lines[0] = "family iqp"
+    return lines
+
+
+@st.composite
+def whole_prod_files(draw):
+    """(text, respellings): a prod file as a program writes it, with a
+    measure line, a bloch prep per qubit that is not |0> and repeated gate
+    lines, then up to three respellings; "crlf", "cr" and
+    "no-final-newline" change the line endings."""
+    c = draw(prod_circuits())
+    lines = serialize_circuit(c).splitlines()
+    gates = [line for line in lines if line.startswith("gate ")]
+    lines += draw(st.lists(st.sampled_from(gates), max_size=3)) if gates else []
+    count = draw(st.sampled_from([0, 1, 1, 2, 3]))
+    kinds = draw(st.lists(st.sampled_from(RESPELLINGS), min_size=count,
+                          max_size=count))
+    for kind in kinds:
+        lines = respell(draw, lines, c.n, kind)
+    end = "\r\n" if "crlf" in kinds else "\r" if "cr" in kinds else "\n"
+    text = end.join(lines)
+    return (text if "no-final-newline" in kinds else text + end), kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(whole_prod_files())
+def test_whole_prod_files_parse_as_the_per_line_parser(case):
+    """The whole-text pass takes every file as a program writes it, and
+    gives what the per-line parser gives; it takes no file that parser
+    refuses, so the error names the same fault and line."""
+    text, kinds = case
+    fast = _parse_canonical(text)
+    try:
+        want = _parse_each_line(text, None)
+    except CircuitSyntaxError as exc:
+        assert fast is None
+        with pytest.raises(CircuitSyntaxError) as got:
+            parse_circuit(text)
+        assert str(got.value) == str(exc)
+        return
+    assert parse_circuit(text) == want
+    if not kinds:
+        assert fast is not None
+    if fast is not None:
+        assert fast == want
+        assert all(type(g) is GateApp for g in fast.gates)
+        # equal gate lines share one gate, as they do in the per-line parser
+        assert len(set(map(id, fast.gates))) == len(set(want.gates))
+
+
+@pytest.mark.parametrize("spy", ["_parse_program", "_parse_gate"])
+def test_canonical_files_take_the_whole_text_pass(monkeypatch, spy):
+    """A prod file in the layout the benchmark's workloads write (repr
+    floats, a bloch prep per qubit) never reaches the per-line parser."""
+    def refuse(*args):
+        raise AssertionError(f"{spy} reached")
+    bloch = ((0.0, 1.0, 0.0), (-0.5773502691896258, 0.5773502691896258,
+                               0.5773502691896257), (1e-05, 0.0, -0.75))
+    text = ("family prod\nqubits 3\nmeasure 2\n"
+            + "".join(f"prep {q} bloch {x!r} {y!r} {z!r}\n"
+                      for q, (x, y, z) in enumerate(bloch))
+            + "gate H 0\ngate CNOT 0 2\ngate S 1\ngate CZ 2 1\ngate X 2\n"
+              "gate Z 0\ngate CNOT 0 2\n")
+    monkeypatch.setattr(f"bornbox.circuits.{spy}", refuse)
+    c = parse_circuit(text)
+    assert c == ProdCircuit(3, 2, ProductState(bloch), tuple(
+        GateApp(name, qs) for name, qs in [
+            ("H", (0,)), ("CNOT", (0, 2)), ("S", (1,)), ("CZ", (2, 1)),
+            ("X", (2,)), ("Z", (0,)), ("CNOT", (0, 2))]))
+    assert c.gates[1] is c.gates[6]
 
 
 def test_parsed_gates_are_checked_gate_tuples():

@@ -303,6 +303,7 @@ REFUSAL_FILES = {
     "gate-q0.qc": gate_line("Q 0"),
     # a circuit file is read as UTF-8 bytes; 0xff starts no UTF-8 sequence
     "not-utf8.qc": b"family prod\nqubits 1\n\xff\n",
+    "enc-not-utf8.qc": "family encoded\ninner not-utf8.qc\n",
 }
 
 
@@ -346,6 +347,11 @@ REFUSALS = [
     refused("circuit-not-utf8", "estimate --circuit not-utf8.qc --pattern 0",
             "'utf-8' codec can't decode byte 0xff in position 21: invalid "
             "start byte"),
+    # the message goes on with the inner file's absolute path and the
+    # decode error, which test_circuits.py checks whole
+    refused("inner-circuit-not-utf8",
+            "estimate --circuit enc-not-utf8.qc --pattern 00",
+            "line 2: cannot read inner circuit ..."),
     refused("circuit-is-a-directory", "estimate --circuit . --pattern 000",
             "[Errno 21] ..."),
     refused("malformed-pattern", f"estimate {GHZ} --pattern 0x1",
@@ -551,7 +557,7 @@ REFUSALS = [
 # refusals on more circuit files: a 5-qubit GHZ, whose union bound runs
 # over 5 levels, an X-program, an inline block, a register above the cap,
 # gate lines the parser's qubit table does not take and eleven mixed qubits.
-# The rows began as a copy of a CI shell step, and keep its ci- ids.
+# Most rows began as a copy of a CI shell step, and keep its ci- ids.
 FIVE = "--circuit ghz5.qc"
 FIVE_SPARSE = f"sample {FIVE} --method sparse"
 FIVE_DIST = f"experiment distinguish {FIVE}"
@@ -613,9 +619,9 @@ REFUSALS += [
             "eps must lie in [0, 2]"),
     refused("ci-eps-grid-nan", f"experiment sparsity {FIVE} --eps-grid nan",
             "eps must lie in [0, 2]"),
-    refused("ci-inline-gate-out-of-range", "oracle --circuit inline.qc",
+    refused("inline-gate-out-of-range", "oracle --circuit inline.qc",
             "line 7: gate qubit out of range"),
-    refused("ci-register-above-the-cap", "oracle --circuit wide.qc",
+    refused("register-above-the-cap", "oracle --circuit wide.qc",
             "line 2: qubit count 100000000 exceeds the limit of 4194304"),
     refused("ci-out-directory", f"oracle {FIVE} --out .", "[Errno 21] ...",
             builds=None),
@@ -628,13 +634,13 @@ REFUSALS += [
         refused(f"ci-corruption--1-{bob}",
                 f"{FIVE_DIST} --bob {bob} --corruption-l1=-1",
                 "corruption_l1 must lie in [0, 2], got -1.0"))),
-    refused("ci-gate-h3", "oracle --circuit gate-h3.qc",
+    refused("gate-h3", "oracle --circuit gate-h3.qc",
             "line 4: gate qubit out of range"),
-    refused("ci-gate-neg", "oracle --circuit gate-neg.qc",
+    refused("gate-neg", "oracle --circuit gate-neg.qc",
             "line 4: negative qubit index"),
-    refused("ci-gate-cnot11", "oracle --circuit gate-cnot11.qc",
+    refused("gate-cnot11", "oracle --circuit gate-cnot11.qc",
             "line 4: gate CNOT qubits must be distinct"),
-    refused("ci-gate-q0", "oracle --circuit gate-q0.qc",
+    refused("gate-q0", "oracle --circuit gate-q0.qc",
             "line 4: unknown gate 'Q'"),
     # every qubit mixed counts twice against the oracle limit
     refused("ci-oracle-11-mixed", "oracle --circuit mixed11.qc",
@@ -1167,6 +1173,22 @@ def test_out_flag(capsys, ghz_file, tmp_path):
     assert code == 0
     doc = json.loads(target.read_text().splitlines()[0])
     assert doc["payload"]["probability"] == 0.5
+
+
+def test_inner_file_parses_under_an_ascii_locale(tmp_path):
+    """An inner circuit file is decoded as UTF-8 whatever the locale, as
+    the top-level file is: under LC_ALL=POSIX without UTF-8 mode, a
+    comment spelled café in the inner file parses."""
+    (tmp_path / "inner.qc").write_bytes(
+        "family prod\nqubits 1\n# café\ngate X 0\n".encode("utf-8"))
+    (tmp_path / "enc.qc").write_text("family encoded\ninner inner.qc\n")
+    r = subprocess.run(
+        [sys.executable, "-m", "bornbox.cli", "oracle", "--circuit",
+         str(tmp_path / "enc.qc")],
+        env=dict(os.environ, LC_ALL="POSIX", PYTHONUTF8="0"),
+        capture_output=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["payload"]["probs"] == [0.0, 0.5, 0.5, 0.0]
 
 
 def test_byte_identical_across_threads(ghz_file):
