@@ -120,6 +120,15 @@ class ProdCircuit:
             raise ValueError(f"gate {g.name} touches qubit outside range")
         object.__setattr__(self, "gates", tuple(self.gates))
 
+    @classmethod
+    def _make(cls, n: int, k: int, state: ProductState,
+              gates: tuple[GateApp, ...]):
+        """The circuit, unchecked, for a caller that has made the checks of
+        ``__post_init__``."""
+        circuit = object.__new__(cls)
+        circuit.__dict__.update(n=n, k=k, state=state, gates=gates)
+        return circuit
+
     @property
     def family(self) -> str:
         return "prod"
@@ -279,6 +288,10 @@ def _parse_canonical(text: str) -> ProdCircuit | None:
               for q, rx, ry, rz in preps}
     if None in placed or len(placed) != len(preps):
         return None
+    # ProductState's ball check, which is its finite check too: a
+    # component _BLOCH reads is a finite literal or overflows to +-inf
+    if any(x * x + y * y + z * z > 1.0 + 1e-9 for x, y, z in placed.values()):
+        return None
     built = dict.fromkeys(found)
     for line in built:
         name, _, a = line.partition(" ")
@@ -293,12 +306,11 @@ def _parse_canonical(text: str) -> ProdCircuit | None:
             if a is None or b is None or a == b:
                 return None
             built[line] = GateApp._make((name, (a, b)))
-    try:  # refuses a Bloch vector as the per-line parser does
-        state = ProductState(tuple(map(placed.get, range(n),
-                                       repeat((0.0, 0.0, 1.0), n))))
-    except ValueError:
-        return None
-    return ProdCircuit(n, k, state, tuple(map(built.__getitem__, found)))
+    # the checks of the two constructors are made above: the counts, by
+    # the header pattern and the cap, every gate qubit, by the qubit table
+    state = ProductState._make(tuple(map(placed.get, range(n),
+                                         repeat((0.0, 0.0, 1.0), n))))
+    return ProdCircuit._make(n, k, state, tuple(map(built.__getitem__, found)))
 
 
 def _parse_each_line(text: str, base_dir) -> Circuit:

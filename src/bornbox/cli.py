@@ -18,8 +18,10 @@ keeping stdout reproducible.
 ``run_command`` is the one way in, for the console script and for callers
 in-process alike, and it owns error handling: bad arguments or input exit 2
 with one ``error:`` line on stderr and nothing on stdout, and an internal
-error exits 1.  One parser, with every subcommand, is built per process and
-parses every argv: ``parse_args`` keeps no state on it.
+error exits 1.  One parser, with every subcommand, is built per process.  A
+well-formed argv (``_parse_direct``) is read straight from its option
+tables; any other argv, such as help, an abbreviation, a flag, a repeated
+option or an error, goes to the full parser, which prints every message.
 """
 
 from __future__ import annotations
@@ -538,26 +540,94 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
-    # each subcommand's own parser, by name (``_parse_args``)
-    parser.subcommands = sub.choices
     return parser
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """argv's namespace from the full parser.  That parser hands every
-    argument after a subcommand's name to the subcommand's parser, so an
-    argv that starts with a name is parsed by that parser alone, without
-    the full parser's pass over every argument.  An argv that starts with
-    no name, or leaves arguments over, goes through the full parser, which
-    prints the same help, usage and errors either way."""
-    parser = build_parser()
-    sub = parser.subcommands.get(argv[0]) if len(argv) else None
+def _direct_table(parser, defaults: dict, required: list, convert: list):
+    """The direct path's table below parser, from argparse's own records: a
+    dict from each subcommand name to its parser's table, or for a leaf
+    (leaf, options, defaults, required, convert).  defaults is the
+    namespace argparse starts from, with each subparsers dest set to the
+    name leading to the leaf; convert holds the (parser, action) pairs
+    whose string default argparse passes through the action's type; options
+    maps each ``--name`` to its store action of one value."""
+    own, sub = {}, None
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            sub = action
+        elif action.required:
+            required = [*required, action]
+        if action.default is not argparse.SUPPRESS:
+            own.setdefault(action.dest, action.default)
+            if isinstance(action.default, str):
+                convert = [*convert, (parser, action)]
+    defaults = {**defaults, **own,
+                **{k: v for k, v in parser._defaults.items() if k not in own}}
     if sub is not None:
-        args, extra = sub.parse_known_args(argv[1:])
-        if not extra:
-            args.subcommand = argv[0]
-            return args
-    return parser.parse_args(argv)
+        return {name: _direct_table(child, {**defaults, sub.dest: name},
+                                    required, convert)
+                for name, child in sub.choices.items()}
+    options = {option: action for option, action
+               in parser._option_string_actions.items()
+               if type(action) is argparse._StoreAction
+               and action.nargs is None and option.startswith("--")}
+    return parser, options, defaults, required, convert
+
+
+@functools.cache
+def _direct_tables() -> dict:
+    return _direct_table(build_parser(), {}, [], [])
+
+
+def _parse_direct(argv) -> Optional[argparse.Namespace]:
+    """The namespace the full parser gives a well-formed argv, read from
+    its leaf parser's tables: the subcommand (and experiment) names, then
+    only ``--name value`` and ``--name=value`` tokens, each naming a
+    different store action exactly, with a value given as its own token
+    not starting with ``-`` and an ``=`` value not starting with ``--``,
+    every value converting with its type into its choices, and every
+    required action given.  None for any other argv."""
+    node, i = _direct_tables(), 0
+    while isinstance(node, dict) and i < len(argv):
+        node, i = node.get(argv[i]), i + 1
+    if not isinstance(node, tuple):
+        return None
+    leaf, options, defaults, required, convert = node
+    args = argparse.Namespace(**defaults)
+    given = set()
+    try:
+        while i < len(argv):
+            name, eq, text = argv[i].partition("=")
+            if not eq:  # the value is the next token
+                i += 1
+                text = argv[i] if i < len(argv) else "-"
+            i += 1
+            action = options.get(name)
+            if (action is None or action in given
+                    or text.startswith("--" if eq else "-")):
+                return None
+            given.add(action)
+            value = leaf._get_value(action, text)
+            leaf._check_value(action, value)
+            setattr(args, action.dest, value)
+        if not given.issuperset(required):
+            return None
+        for owner, action in convert:
+            if (action not in given
+                    and getattr(args, action.dest) is action.default):
+                setattr(args, action.dest,
+                        owner._get_value(action, action.default))
+    except argparse.ArgumentError:
+        return None
+    return args
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv's namespace: read straight from the tables for a well-formed
+    argv (``_parse_direct``), else from the full parser, which prints every
+    help, usage and error message."""
+    args = _parse_direct(argv)
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def run_command(argv) -> int:

@@ -117,7 +117,7 @@ def _strings(bits) -> list[str]:
 
 
 def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
-                   rng=None) -> list[tuple[str, float]]:
+                   rng=None, budget=None) -> list[tuple[str, float]]:
     """Level-by-level search for outcomes whose prefix marginals all stay
     >= threshold, as (bits, value) pairs, heaviest first, ties broken
     lexicographically.  Level j is an (m, j) 0/1 matrix of prefixes in
@@ -126,12 +126,14 @@ def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
     ``prefixes``, from which a sampling handle draws one shared matrix.
     Each sampled query runs at precision threshold/2 and confidence
     delta/(2*k*cap); the union bound over them does not need independence.
-    At most cap survivors stay per level; strings are made at the end."""
+    At most cap survivors stay per level; strings are made at the end.
+    budget is ``_search_budget``'s result for these arguments, computed
+    here when not given."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     k = circuit.k
-    cap, per_eps, per_delta, exact_levels = _search_budget(est, k, threshold,
-                                                           delta)
+    cap, per_eps, per_delta, exact_levels = (
+        budget or _search_budget(est, k, threshold, delta))
     bits = np.zeros((1, 0), dtype=np.int64)
     for level in range(1, k + 1):
         # extending lexicographic rows by 0 then 1 keeps the level in order
@@ -150,16 +152,18 @@ def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
 
 
 def survivor_distribution(est, circuit: Circuit, t: int, eps: float,
-                           delta: float, rng) -> tuple[list[str], np.ndarray]:
+                          delta: float, rng,
+                          budget=None) -> tuple[list[str], np.ndarray]:
     """Top-t surviving outcomes with renormalized weights, as (outcomes,
-    probs).  An empty search breaks the sparsity promise: it warns and
-    returns the point mass on all-zeros."""
+    probs); budget is passed to ``heavy_prefixes``.  An empty search
+    breaks the sparsity promise: it warns and returns the point mass on
+    all-zeros."""
     if t < 1:
         raise ValueError("t must be >= 1")
     if not 0.0 < eps <= _MAX_EPS:
         raise ValueError("eps must lie in (0, 1/6]")
     threshold = eps / (2.0 * t)
-    ranked = heavy_prefixes(est, circuit, threshold, delta, rng)[:t]
+    ranked = heavy_prefixes(est, circuit, threshold, delta, rng, budget)[:t]
     if not ranked:
         warnings.warn(f"no heavy prefixes at threshold {threshold:g}; the "
                       "sparsity promise does not hold, emitting all-zeros")
@@ -206,14 +210,16 @@ def epsilon_simulate(est, sp: SparsityPolynomial, circuit: Circuit,
     if count < 0:
         raise ValueError("count must be nonnegative")
     # a sampling handle runs no query at count 0, so the crossover is only
-    # asked when drawing
-    fixed = est.deterministic or (
-        count > 0 and _search_budget(
-            est, circuit.k, eps / (2.0 * t), eps)[3] == circuit.k)
+    # asked when drawing; each search takes the budget asked here
+    budget = (None if est.deterministic or count == 0 else
+              _search_budget(est, circuit.k, eps / (2.0 * t), eps))
+    fixed = est.deterministic or (budget is not None
+                                  and budget[3] == circuit.k)
     rounds, size = (1, count) if fixed else (count, 1)
     draws: list[str] = []
     for _ in range(rounds):
-        outcomes, probs = survivor_distribution(est, circuit, t, eps, eps, rng)
+        outcomes, probs = survivor_distribution(est, circuit, t, eps, eps, rng,
+                                                budget)
         draws += [outcomes[i] for i in categorical(rng, probs, size)]
     return draws
 

@@ -592,6 +592,14 @@ class ProductState:
             cleaned.append((rx, ry, rz))
         object.__setattr__(self, "bloch", tuple(cleaned))
 
+    @classmethod
+    def _make(cls, bloch: tuple[tuple[float, float, float], ...]):
+        """The state of these float triples, unchecked, for a caller that
+        has checked each one as ``__post_init__`` does."""
+        state = object.__new__(cls)
+        state.__dict__["bloch"] = bloch
+        return state
+
     @property
     def n(self) -> int:
         return len(self.bloch)

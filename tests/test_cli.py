@@ -1,6 +1,9 @@
 """Command-line interface: output format, exit codes, determinism."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,8 +11,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bornbox import circuits, cli, experiments
+from bornbox import circuits, cli, experiments, samplers
 from bornbox.cli import format_float, run_command, to_json
 
 from conftest import DENSE, WorkStarted
@@ -229,19 +234,92 @@ def test_argument_errors_and_help_match_the_full_parser(capsys, ghz_file,
     assert cli.build_parser() is cli.build_parser()
 
 
-@pytest.mark.parametrize("argv", [
-    ["estimate", "--circuit", "x", "--pattern=0", "--eps=-1"],
-    ["sample", "--circ", "x", "--method", "sparse", "--count", "3"],
-    ["oracle", "--circuit", "x", "--pattern", "-0"],
-    ["experiment", "anticoncentration", "--n", "3", "--bloch=0,0,1"],
-    ["selftest", "--inject-corrupted-bob", "--threads", "2"],
-], ids=lambda argv: argv[0])
-def test_subcommand_parse_gives_the_full_parsers_namespace(argv):
-    """An accepted argv parsed by its subcommand's parser alone gets the
-    namespace the full parser gives it, abbreviations, ``=`` forms and
-    negative-looking values included."""
-    assert (vars(cli._parse_args(argv))
-            == vars(cli.build_parser.__wrapped__().parse_args(argv)))
+# a fresh parser, the reference the direct path is compared with
+FULL = cli.build_parser.__wrapped__()
+
+
+def subparsers(parser) -> dict:
+    [sub] = parser._subparsers._group_actions
+    return sub.choices
+
+
+def same_namespace(a, b) -> bool:
+    """Equal namespaces, a nan equal to a nan."""
+    a, b = vars(a), vars(b)
+    return a.keys() == b.keys() and all(
+        type(a[k]) is type(b[k])
+        and (a[k] == b[k] or (a[k] != a[k] and b[k] != b[k])) for k in a)
+
+
+def good_value(action):
+    """Values the full parser accepts for action, none starting with -."""
+    if action.choices:
+        return st.sampled_from(list(action.choices))
+    if action.type is int:
+        return st.integers(0, 10 ** 6).map(str)
+    if action.type is float:
+        return st.floats(0.0, 1e6).map(repr)
+    return st.text("ab0.,*/_", min_size=1)
+
+
+# values the full parser may refuse or read apart from a good one; it
+# reads --out=-- as out=[], so -- is drawn most
+ODD_VALUES = st.sampled_from(["--"] * 8 + [
+    "-1", "-0.5", "-3,0,1", "--x", "-", "", "nan", "inf", "1e400", "x",
+    "0x10", " 3", "1_0", "1 2", "a=b", "-h", "--seed"])
+
+
+@pytest.mark.parametrize("subcommand", list(cli._SUBCOMMANDS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_subcommand_parse_gives_the_full_parsers_namespace(subcommand, data):
+    """Wherever the direct path reads an argv, its namespace is the one
+    the full parser gives, over the leaf parsers' options in well-formed
+    argvs and in perturbed ones: abbreviations, ``=`` forms, separate and
+    ``=`` values starting with - or --, repeated options, flags, -h, a
+    missing required option, bad types and choices and a ``--`` token.  A
+    well-formed argv always takes the direct path."""
+    names, leaf = [subcommand], subparsers(FULL)[subcommand]
+    if leaf._subparsers is not None:
+        names.append(data.draw(st.sampled_from(list(subparsers(leaf)))))
+        leaf = subparsers(leaf)[names[-1]]
+    actions = [a for a in leaf._actions if a.option_strings]
+    required = [a for a in actions if a.required]
+    chosen = data.draw(st.lists(st.sampled_from(actions), max_size=6))
+    if data.draw(st.integers(0, 9)):
+        chosen = required + chosen
+    well_formed = (len(set(chosen)) == len(chosen)
+                   and set(required) <= set(chosen))
+    argv = list(names)
+    for action in chosen:
+        option = data.draw(st.sampled_from(action.option_strings))
+        if not data.draw(st.integers(0, 9)):
+            option = option[:data.draw(st.integers(2, len(option)))]
+        well_formed &= option.startswith("--") and action.nargs is None
+        well_formed &= leaf._option_string_actions.get(option) is action
+        if action.nargs == 0:
+            argv.append(option)
+            continue
+        odd = not data.draw(st.integers(0, 3))
+        value = data.draw(ODD_VALUES if odd else good_value(action))
+        well_formed &= not odd
+        if data.draw(st.booleans()):
+            argv.append(f"{option}={value}")
+        else:
+            argv += [option, value]
+    if not data.draw(st.integers(0, 9)):
+        argv.insert(data.draw(st.integers(0, len(argv))), "--")
+        well_formed = False
+    direct = cli._parse_direct(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            full = FULL.parse_args(argv)
+    except SystemExit:
+        full = None
+    if direct is not None:
+        assert full is not None and same_namespace(direct, full), argv
+    assert direct is not None or not well_formed, argv
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -563,18 +641,9 @@ FIVE_SPARSE = f"sample {FIVE} --method sparse"
 FIVE_DIST = f"experiment distinguish {FIVE}"
 REFUSALS += [
     *(row for est in ("oracle", "sampling") for row in (
-        refused(f"ci-{est}-sparsity-1e400",
-                f"{FIVE_SPARSE} --estimator {est} --sparsity 1e400",
-                "coefficients must be finite, got (inf,)"),
-        refused(f"ci-{est}-sparsity-nan",
-                f"{FIVE_SPARSE} --estimator {est} --sparsity nan",
-                "coefficients must be finite, got (nan,)"),
         refused(f"ci-{est}-sparsity-1e300,1e300,1e300",
                 f"{FIVE_SPARSE} --estimator {est} --sparsity 1e300,1e300,1e300",
                 f"heavy-prefix threshold 9.08932e-309 {CAP}"),
-        refused(f"ci-{est}-sparsity-2.5e305",
-                f"{FIVE_SPARSE} --estimator {est} --sparsity 2.5e305",
-                f"heavy-prefix threshold 1.53846e-308 {CAP}"),
         refused(f"ci-{est}-sparsity-1e305",
                 f"{FIVE_SPARSE} --estimator {est} --sparsity 1e305",
                 f"heavy-prefix threshold {UNION} 5 levels"))),
@@ -908,6 +977,31 @@ def test_all_exact_sampling_search_runs_once_per_command(capsys, work,
     assert work.count("stabcore.pull_back_words") == 1
 
 
+@pytest.mark.parametrize("exact_levels", [3, 1])
+def test_sparse_sampling_op_asks_the_search_budget_once(
+        capsys, monkeypatch, ghz_file, exact_levels):
+    """A sparse op with the sampling estimator asks ``_search_budget``
+    once, whether its one all-exact search serves the 4 draws or, with the
+    exact levels capped at 1, each draw runs its own search."""
+    budget, calls, searches = samplers._search_budget, [], []
+
+    def capped(*args):
+        calls.append(args)
+        cap, per_eps, per_delta, exact = budget(*args)
+        return cap, per_eps, per_delta, min(exact, exact_levels)
+    search = samplers.heavy_prefixes
+    monkeypatch.setattr(samplers, "_search_budget", capped)
+    monkeypatch.setattr(samplers, "heavy_prefixes",
+                        lambda *args: searches.append(1) or search(*args))
+    code = run_command(["sample", "--circuit", ghz_file, "--method", "sparse",
+                        "--estimator", "sampling", "--eps-prime", "1",
+                        "--sparsity", "2", "--count", "4", "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert len(calls) == 1
+    assert len(searches) == (1 if exact_levels == 3 else 4)
+
+
 def test_all_exact_sampling_search_is_not_refused_at_the_draw_limit(
         capsys, ghz_file):
     """At eps' = 0.001 one sampled GHZ-3 query would need 5.24e11 draws,
@@ -1163,6 +1257,47 @@ def frozen_stdout_test(rows: list):
 
 for _name, _rows in FROZEN.items():
     globals()[_name] = frozen_stdout_test(_rows)
+
+
+# the argv shapes of the benchmark's workloads
+WORKLOAD_ARGVS = {
+    "estimate-deep": "estimate --circuit /work/op3.qc --pattern **0*1***0*1 "
+                     "--eps 0.1 --delta 0.05 --seed 1804289383 --threads 1",
+    "sparse-search": "sample --circuit /work/op4.qc --method sparse "
+                     "--estimator sampling --eps-prime 1.0 --count 1 "
+                     "--sparsity 2 --seed 846930886 --threads 1",
+    "sparse-search-default": "sample --circuit op5.qc --method sparse "
+                             "--estimator sampling --eps-prime 1.0 --count 1 "
+                             "--seed 0 --threads 1",
+    "anticoncentration": "experiment anticoncentration --n 3 --trials 300 "
+                         "--seed 5 --threads 1",
+    "anticoncentration-mixed": "experiment anticoncentration --n 6 "
+                               "--trials 100 --bloch=-0.3,0.4,0.5 --seed 7 "
+                               "--threads 1",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(text.split(), id=name)
+      for name, text in WORKLOAD_ARGVS.items()),
+    *(pytest.param(argv + ["--threads", "1"], id=f"{test}-{row_id}")
+      for test, rows in FROZEN.items() for row_id, argv, _, _ in rows)])
+def test_well_formed_argvs_never_reach_argparse(monkeypatch, argv):
+    """Every workload-shaped argv, and every frozen-stdout argv whose
+    options are distinct and take one value, gets the full parser's
+    namespace with argparse's parse made to raise; the frozen argvs that
+    repeat --count or give a flag reach argparse."""
+    expected = vars(FULL.parse_args(argv))
+
+    def refuse(*args, **kwargs):
+        raise WorkStarted("argparse")
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    names = [token for token in argv if token.startswith("--")]
+    if len(set(names)) == len(names) and "--inject-corrupted-bob" not in names:
+        assert vars(cli._parse_args(argv)) == expected
+    else:
+        with pytest.raises(WorkStarted):
+            cli._parse_args(argv)
 
 
 def test_out_flag(capsys, ghz_file, tmp_path):
