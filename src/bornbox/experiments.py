@@ -59,12 +59,15 @@ def clifford_output_probabilities(n: int, trials: int, state: ProductState,
     sub-batch holds (at least one, and at least one group per thread when
     there are enough chunks), and a group's stacks are swept to gate steps
     in one sweep and evolved together in one batched oracle call.  Rows
-    are independent, so the grouping never changes a value.  The oracle's
-    size limit, which counts a mixed qubit twice, is checked by
-    ``sub_batch_lists``, and then the draws' word size, before anything is
-    drawn."""
+    are independent, so the grouping never changes a value.  A state of
+    other than n qubits is refused, then the oracle's size limit, which
+    counts a mixed qubit twice, is checked by ``sub_batch_lists``, and
+    then the draws' word size, before anything is drawn."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if state.n != n:
+        raise ValueError(f"the input state has {state.n} qubits, not "
+                         f"n = {n}")
     n_chunks = -(-trials // _TRIAL_CHUNK)
     per_task = max(1, min(sub_batch_lists(state) // _TRIAL_CHUNK,
                           -(-n_chunks // threads)))

@@ -415,10 +415,7 @@ def _take(psi: np.ndarray, cells: np.ndarray) -> np.ndarray:
     span = psi[0].size
     if psi.ndim == 2:
         cells = cells & (span - 1)
-    cells = cells[None]
-    if len(psi) > 1:  # one broadcast offset per branch
-        cells = cells + np.arange(len(psi))[:, None, None] * span
-    return np.take(psi, cells)
+    return np.take(psi.reshape(len(psi), span), cells, axis=1)
 
 
 def _pull(psi: np.ndarray, entries: np.ndarray) -> np.ndarray:

@@ -42,13 +42,19 @@ transvections on (T, 2n) uint64 columns, with qubit q's x bit at 2q and its
 z bit at 2q+1, before deinterleaving them into tableau words.  64-bit words cap draws and
 synthesis at 32 qubits.
 
-Synthesis sweeps a stack of tableaus to the identity at once:
-:func:`synthesis_steps` makes every potential gate of the sweep one masked
-word update and emits the daggered gates, reversed, as steps in the order
-they act, each a gate name, its qubit(s) as an int or a per-trial array,
-and the mask of the trials that apply it; the oracle evolves those steps
-directly, and :func:`replay_steps` takes a stack of identities through them,
-which rebuilds the swept words.
+Synthesis sweeps a stack of tableaus to the identity at once, on the
+stack's bit planes held as Python ints: one x plane and one z plane per
+qubit and one sign plane, bit r W + t of a plane being row r of trial t,
+with the trial count rounded up to whole bytes as W.
+:func:`synthesis_steps` makes every potential gate of the sweep one call
+of the word rule above, still the only gate rule, on those planes, its
+trial mask copied onto the 2n row blocks by doubling shifts.  It emits the
+daggered gates, reversed, as steps in the order they act, each a gate name,
+its qubit(s) as an int or a per-trial array, and the mask of the trials
+that apply it; the masks, kept as ints during the sweep, become one bool
+array in one unpack at its end.  The oracle evolves those steps directly,
+and :func:`replay_steps` takes a stack of identities through them, which
+rebuilds the swept words.
 """
 
 from __future__ import annotations
@@ -496,31 +502,68 @@ def synthesis_steps(n: int, xs, zs, signs) -> list[tuple]:
     trial's own qubit.
 
     Applies gates that sweep copies of the words to the identity, then
-    emits the daggered gates in reverse order.  Every potential gate of the
-    sweep is one masked word update on the whole stack, the mask selecting
-    the trials whose bits call for it; only the pivot's H and swap act on a
-    qubit that differs between trials.  Cost is O(n^2) potential gates,
-    each a few array operations on all rows of all trials; a row's bits
-    are read only where the sweep branches on them.
+    emits the daggered gates in reverse order.  The copies are bit planes
+    as Python ints: one x plane and one z plane per qubit and one sign
+    plane, bit r W + t of a plane holding row r of trial t, W being T
+    rounded up to whole bytes.  Every potential gate of the sweep is one
+    call of the word rule, still the only gate rule, on those planes, its
+    mask being the trials whose bits call for it, copied onto the 2n row
+    blocks by doubling shifts; only the pivot's H and swap act on a qubit
+    that differs between trials, and they run as one masked gate per
+    candidate qubit but are emitted as one step each on the per-trial
+    pivot array.  Cost is O(n^2) potential gates, each a few big-int
+    operations on all rows of all trials; a row's bits are read only
+    where the sweep branches on them.  The steps' masks, kept as ints of
+    T bits, become one (S, T) bool array in one unpack at the end.
     """
     _check_word_size(n)
-    xs = np.array(xs, np.uint64).T.copy()
-    zs = np.array(zs, np.uint64).T.copy()
-    sg = np.array(signs, np.uint64)
-    trials = np.arange(len(sg))
-    everyone = np.full(len(sg), ~np.uint64(0))
+    count = len(signs)
+    words = np.empty((count, 2 * n + 1), np.uint64)
+    words[:, :n], words[:, n:-1], words[:, -1] = xs, zs, signs
+    # a bit above row 2n - 1 is never swept away (two shifts, as a shift
+    # by 64 is undefined)
+    stray = bool((words >> np.uint64(n) >> np.uint64(n)).any())
+    # the rows are the low 2n bits of each word, in its low nbytes bytes:
+    # unpacked as (2n + 1, T, 8 nbytes) bits, then packed along the trials
+    nbytes = -(-n // 4)
+    low = words.astype("<u8", copy=False).view(np.uint8).reshape(
+        count, 2 * n + 1, 8)[:, :, :nbytes].transpose(1, 0, 2)
+    rows = np.unpackbits(np.ascontiguousarray(low), bitorder="little").reshape(
+        2 * n + 1, count, 8 * nbytes)[:, :, :2 * n].transpose(0, 2, 1)
+    planes = [int.from_bytes(p.tobytes(), "little") for p in np.packbits(
+        np.ascontiguousarray(rows), axis=2, bitorder="little")]
+    xs, zs, sg = planes[:n], planes[n:-1], planes[-1]
+    width = -(-count // 8) * 8
+    everyone = (1 << count) - 1
     steps: list[tuple] = []
+    masks: list[int] = []
+    pivots: list[tuple] = []
 
-    def bit(words, r: int) -> np.ndarray:
-        return -((words >> r) & 1)
+    def spread(m: int) -> int:
+        # the trial mask m copied onto every row block
+        shift = width
+        while shift < 2 * n * width:
+            m |= m << shift
+            shift <<= 1
+        return m
 
-    def do(name: str, m: np.ndarray, *qubits):
-        # steps hold the daggered gates last first, and S^dag = Z S
+    def apply(name: str, m: int, *qubits: int):
         nonlocal sg
-        rows = tuple(q if isinstance(q, int) else (q, trials) for q in qubits)
-        sg = _conjugate_words(name, rows, xs, zs, sg, m)
+        if m:
+            sg = _conjugate_words(name, qubits, xs, zs, sg, spread(m))
+
+    def emit(name: str, m: int, a, b):
+        steps.append((name, a, b))
+        masks.append(m)
+
+    def bit(plane: int, r: int) -> int:
+        return plane >> r * width & everyone
+
+    def do(name: str, m: int, *qubits: int):
+        # steps hold the daggered gates last first, and S^dag = Z S
+        apply(name, m, *qubits)
         for gate in (("Z", "S") if name == "S" else (name,)):
-            steps.append((gate, qubits[0], qubits[-1], m != 0))
+            emit(gate, m, qubits[0], qubits[-1])
 
     def clear_row(i: int, r: int):
         # CNOT clears row r's x bits and CZ its z bits above qubit i; a gate
@@ -533,14 +576,29 @@ def synthesis_steps(n: int, xs, zs, signs) -> list[tuple]:
         do("S", bit(zs[i], r), i)
 
     for i in range(n):
-        has_x = (xs[i:] >> i) & 1
-        found = has_x.any(axis=0)
-        pivot = i + np.where(found, has_x.argmax(axis=0),
-                             ((zs[i:] >> i) & 1).argmax(axis=0))
-        do("H", -(~found).astype(np.uint64), pivot)
-        swap = -(pivot != i).astype(np.uint64)
+        # the pivot is the first qubit from i with an x bit on row i, else
+        # the first with a z bit there (i if none); cands[k] holds the
+        # trials whose pivot is i + k
+        left, cands = everyone, []
+        for plane in xs[i:]:
+            cands.append(bit(plane, i) & left)
+            left ^= cands[-1]
+        lacks_x = left
+        for k, plane in enumerate(zs[i:]):
+            hit = bit(plane, i) & left
+            cands[k] |= hit
+            left ^= hit
+        cands[0] |= left
+        pivot = np.empty(count, np.int64)  # filled in with the masks
+        pivots.append((i, pivot, cands))
+        for j, c in enumerate(cands, i):
+            apply("H", c & lacks_x, j)
+        emit("H", lacks_x, pivot, pivot)
+        for j, c in enumerate(cands[1:], i + 1):
+            for a, b in ((i, j), (j, i), (i, j)):
+                apply("CNOT", c, a, b)
         for a, b in ((i, pivot), (pivot, i), (i, pivot)):
-            do("CNOT", swap, a, b)
+            emit("CNOT", everyone ^ cands[0], a, b)
         clear_row(i, i)
         # Same sweep for the Z_i image, flipped into the X picture around i.
         do("H", everyone, i)
@@ -549,10 +607,20 @@ def synthesis_steps(n: int, xs, zs, signs) -> list[tuple]:
         do("Z", bit(sg, i), i)
         do("X", bit(sg, n + i), i)
 
-    qubit = 1 << np.arange(n, dtype=np.uint64)[:, None]
-    if sg.any() or (xs != qubit).any() or (zs != qubit << n).any():
+    if stray or sg or xs + zs != [everyone << r * width
+                                  for r in range(2 * n)]:
         raise AssertionError("tableau sweep failed to reach identity")
-    return steps[::-1]
+    masks += (c for *_, cands in pivots for c in cands)
+    packed = b"".join(m.to_bytes(width // 8, "little") for m in masks)
+    bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(
+        len(masks), width // 8), axis=1, count=count,
+        bitorder="little").view(bool)
+    row = len(steps)
+    for i, pivot, cands in pivots:
+        pivot[:] = i + bits[row:row + n - i].argmax(axis=0)
+        row += n - i
+    return [(*step, mask) for step, mask in zip(steps[::-1],
+                                               bits[:len(steps)][::-1])]
 
 
 def replay_steps(n: int, steps, count: int) -> tuple[np.ndarray, ...]:

@@ -20,7 +20,10 @@ The tableau of a gate list, the gate-list synthesis and the pull-back of one Pau
 list here conjugate one row at a time through the per-Pauli gate rule
 ``_gate_conjugate_bits``; ``stabcore`` updates packed column words through
 its word rule, all rows at once, sweeps a whole stack of tableaus at once
-and pulls a whole batch of Paulis back in one pass.  Each pair must agree exactly.  ``symplectic_matrix`` puts the
+and pulls a whole batch of Paulis back in one pass.  The stack sweep here
+runs every potential gate as array operations on (n, T) uint64 words;
+``stabcore`` runs it on the stack's bit planes as Python ints, the steps'
+masks unpacked at the end.  Each pair must agree exactly.  ``symplectic_matrix`` puts the
 program's decode in the reference's grouped matrix form.
 
 The rest are cross-checks kept out of the package: the tableau route to
@@ -444,6 +447,63 @@ def reference_tableau_from_gates(n: int, gates) -> CliffordTableau:
             row[:] = _gate_conjugate_bits(g.name, g.qubits, *row)
     images = [PauliOperator(n, *row) for row in rows]
     return CliffordTableau(n, tuple(images[:n]), tuple(images[n:]))
+
+
+def reference_synthesis_steps(n: int, xs, zs, signs) -> list[tuple]:
+    """The masked steps of ``stabcore.synthesis_steps``, swept on (n, T)
+    uint64 word arrays: every potential gate is a few array operations on
+    all rows of all trials, and the pivot's H and swap are one masked
+    update each on a per-trial qubit array."""
+    sc._check_word_size(n)
+    xs = np.array(xs, np.uint64).T.copy()
+    zs = np.array(zs, np.uint64).T.copy()
+    sg = np.array(signs, np.uint64)
+    trials = np.arange(len(sg))
+    everyone = np.full(len(sg), ~np.uint64(0))
+    steps: list[tuple] = []
+
+    def bit(words, r: int) -> np.ndarray:
+        return -((words >> r) & 1)
+
+    def do(name: str, m: np.ndarray, *qubits):
+        # steps hold the daggered gates last first, and S^dag = Z S
+        nonlocal sg
+        rows = tuple(q if isinstance(q, int) else (q, trials) for q in qubits)
+        sg = sc._conjugate_words(name, rows, xs, zs, sg, m)
+        for gate in (("Z", "S") if name == "S" else (name,)):
+            steps.append((gate, qubits[0], qubits[-1], m != 0))
+
+    def clear_row(i: int, r: int):
+        # CNOT clears row r's x bits and CZ its z bits above qubit i; a gate
+        # on (i, j) leaves the columns of every later j untouched, so each
+        # bit is read when its turn comes
+        for j in range(i + 1, n):
+            do("CNOT", bit(xs[j], r), i, j)
+        for j in range(i + 1, n):
+            do("CZ", bit(zs[j], r), i, j)
+        do("S", bit(zs[i], r), i)
+
+    for i in range(n):
+        has_x = (xs[i:] >> i) & 1
+        found = has_x.any(axis=0)
+        pivot = i + np.where(found, has_x.argmax(axis=0),
+                             ((zs[i:] >> i) & 1).argmax(axis=0))
+        do("H", -(~found).astype(np.uint64), pivot)
+        swap = -(pivot != i).astype(np.uint64)
+        for a, b in ((i, pivot), (pivot, i), (i, pivot)):
+            do("CNOT", swap, a, b)
+        clear_row(i, i)
+        # Same sweep for the Z_i image, flipped into the X picture around i.
+        do("H", everyone, i)
+        clear_row(i, n + i)
+        do("H", everyone, i)
+        do("Z", bit(sg, i), i)
+        do("X", bit(sg, n + i), i)
+
+    qubit = 1 << np.arange(n, dtype=np.uint64)[:, None]
+    if sg.any() or (xs != qubit).any() or (zs != qubit << n).any():
+        raise AssertionError("tableau sweep failed to reach identity")
+    return steps[::-1]
 
 
 def reference_synthesize_gates(t: CliffordTableau) -> tuple[GateApp, ...]:

@@ -694,15 +694,6 @@ REFUSALS += [
             "line 2: qubit count 100000000 exceeds the limit of 4194304"),
     refused("ci-out-directory", f"oracle {FIVE} --out .", "[Errno 21] ...",
             builds=None),
-    refused("ci-corruption-nan", f"{FIVE_DIST} --corruption-l1 nan",
-            "corruption_l1 must be finite, got nan"),
-    *(row for bob in ("exact", "corrupted", "scheduled") for row in (
-        refused(f"ci-corruption-3-{bob}",
-                f"{FIVE_DIST} --bob {bob} --corruption-l1 3",
-                "corruption_l1 must lie in [0, 2], got 3.0"),
-        refused(f"ci-corruption--1-{bob}",
-                f"{FIVE_DIST} --bob {bob} --corruption-l1=-1",
-                "corruption_l1 must lie in [0, 2], got -1.0"))),
     refused("gate-h3", "oracle --circuit gate-h3.qc",
             "line 4: gate qubit out of range"),
     refused("gate-neg", "oracle --circuit gate-neg.qc",
@@ -712,9 +703,9 @@ REFUSALS += [
     refused("gate-q0", "oracle --circuit gate-q0.qc",
             "line 4: unknown gate 'Q'"),
     # every qubit mixed counts twice against the oracle limit
-    refused("ci-oracle-11-mixed", "oracle --circuit mixed11.qc",
+    refused("oracle-11-mixed", "oracle --circuit mixed11.qc",
             f"11 qubits with 11 mixed, each counted twice, {LIMIT}"),
-    refused("ci-anticoncentration-11-mixed",
+    refused("anticoncentration-11-mixed",
             "experiment anticoncentration --n 11 --trials 100 "
             "--bloch 0.3,0.2,0.5",
             f"11 qubits with 11 mixed, each counted twice, {LIMIT}"),

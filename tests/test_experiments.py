@@ -118,6 +118,21 @@ def test_anticoncentration_validation():
         clifford_output_probabilities(3, 0, ProductState.zero(3), 0)
 
 
+def test_a_state_of_another_size_is_refused_before_any_draw(monkeypatch):
+    """A gate on qubit 2 of a two-qubit state would index another trial's
+    cells, so the p_0 values would be garbage (2.914 at n = 3)."""
+    def never(*args):
+        raise AssertionError("drew or built for a refused state")
+    monkeypatch.setattr(experiments, "random_clifford_words", never)
+    monkeypatch.setattr(experiments, "prod_probabilities_many", never)
+    with pytest.raises(ValueError,
+                       match="^the input state has 2 qubits, not n = 3$"):
+        clifford_output_probabilities(3, 10, ProductState.zero(2), 0)
+    with pytest.raises(ValueError,
+                       match="^the input state has 3 qubits, not n = 2$"):
+        anticoncentration_report(2, 100, (0.5,), ProductState.zero(3), 0)
+
+
 def test_sparsity_profile():
     ghz = ghz_circuit(2)
     prof = sparsity_profile(ghz, [0.0, 0.5, 1.9, 2.0])

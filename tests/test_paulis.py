@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bornbox import stabcore as sc
@@ -15,7 +15,7 @@ from reference import (clifford_group_order, commutes, conjugate_pauli,
                        pauli_product, reference_ks_digits,
                        reference_pull_back,
                        reference_random_clifford, reference_symplectic_matrix,
-                       reference_synthesize_gates,
+                       reference_synthesis_steps, reference_synthesize_gates,
                        reference_tableau_from_gates, rows_are_symplectic,
                        symplectic_matrix)
 
@@ -271,6 +271,55 @@ def test_chunk_sweep_matches_row_sweep(n, count, seed):
     assert [trial_gates(steps, j) for j in range(count)] == [
         reference_synthesize_gates(t) for t in tableaus]
     assert all(map(np.array_equal, sc.replay_steps(n, steps, count), words))
+
+
+def assert_same_steps(got, want):
+    """Equal steps: names, qubits of the same type (an int, or an array of
+    the same dtype and values) and bool masks of the same values."""
+    assert len(got) == len(want)
+    for (name, *qubits, mask), (want_name, *want_qubits, want_mask) in zip(
+            got, want):
+        assert name == want_name
+        for q, w in zip(qubits, want_qubits):
+            assert type(q) is type(w)
+            if isinstance(w, np.ndarray):
+                assert q.dtype == w.dtype and np.array_equal(q, w)
+            else:
+                assert q == w
+        assert mask.dtype == want_mask.dtype == bool
+        assert np.array_equal(mask, want_mask)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12),
+       st.one_of(st.integers(0, 600), st.sampled_from((0, 1, 7, 9, 257, 599))),
+       st.integers(0, 2**32 - 1))
+@example(3, 0, 0)
+@example(32, 70, 5)
+def test_bit_plane_sweep_matches_the_array_sweep(n, count, seed):
+    """The sweep on bit-plane ints emits the steps of the array sweep, an
+    empty stack's included (48 steps with empty masks at n = 3)."""
+    words = sc.random_clifford_words(n, count, np.random.default_rng(seed))
+    assert_same_steps(sc.synthesis_steps(n, *words),
+                      reference_synthesis_steps(n, *words))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 300), st.data())
+def test_both_sweeps_refuse_a_stack_with_one_corrupted_word(n, count, data):
+    xs, zs, signs = sc.random_clifford_words(
+        n, count, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    t = data.draw(st.integers(0, count - 1))
+    q, p = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                              unique=True))
+    words = data.draw(st.sampled_from((xs, zs)))
+    if data.draw(st.booleans()):
+        words[t, q] = words[t, p]  # two equal columns: not invertible
+    else:
+        words[t, q] |= np.uint64(1 << 2 * n)  # a row past the tableau's
+    for sweep in (sc.synthesis_steps, reference_synthesis_steps):
+        with pytest.raises(AssertionError, match="failed to reach identity"):
+            sweep(n, xs, zs, signs)
 
 
 def test_stack_check_refuses_one_bad_tableau():
