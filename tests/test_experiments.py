@@ -118,19 +118,24 @@ def test_anticoncentration_validation():
         clifford_output_probabilities(3, 0, ProductState.zero(3), 0)
 
 
-def test_a_state_of_another_size_is_refused_before_any_draw(monkeypatch):
+@pytest.mark.parametrize("n, state_n", [(3, 2), (2, 3)],
+                         ids=["smaller", "larger"])
+@pytest.mark.parametrize("run", [
+    lambda n, state: clifford_output_probabilities(n, 10, state, 0),
+    lambda n, state: anticoncentration_report(n, 100, (0.5,), state, 0),
+], ids=["output-probabilities", "report"])
+def test_a_state_of_another_size_is_refused_before_any_draw(monkeypatch, run,
+                                                            n, state_n):
     """A gate on qubit 2 of a two-qubit state would index another trial's
-    cells, so the p_0 values would be garbage (2.914 at n = 3)."""
+    cells, so the p_0 values would be garbage (2.914 at n = 3), and the
+    report of a three-qubit state at n = 2 would read a pass."""
     def never(*args):
         raise AssertionError("drew or built for a refused state")
     monkeypatch.setattr(experiments, "random_clifford_words", never)
     monkeypatch.setattr(experiments, "prod_probabilities_many", never)
-    with pytest.raises(ValueError,
-                       match="^the input state has 2 qubits, not n = 3$"):
-        clifford_output_probabilities(3, 10, ProductState.zero(2), 0)
-    with pytest.raises(ValueError,
-                       match="^the input state has 3 qubits, not n = 2$"):
-        anticoncentration_report(2, 100, (0.5,), ProductState.zero(3), 0)
+    with pytest.raises(ValueError, match=f"^the input state has {state_n} "
+                                         f"qubits, not n = {n}$"):
+        run(n, ProductState.zero(state_n))
 
 
 def test_sparsity_profile():

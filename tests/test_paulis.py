@@ -304,16 +304,19 @@ def test_bit_plane_sweep_matches_the_array_sweep(n, count, seed):
                       reference_synthesis_steps(n, *words))
 
 
-@settings(max_examples=30, deadline=None)
+@pytest.mark.parametrize("plane", [0, 1], ids=["xs", "zs"])
+@pytest.mark.parametrize("corruption", ["equal-columns", "row-past-2n"])
+@settings(max_examples=15, deadline=None)
 @given(st.integers(2, 12), st.integers(1, 300), st.data())
-def test_both_sweeps_refuse_a_stack_with_one_corrupted_word(n, count, data):
+def test_both_sweeps_refuse_a_stack_with_one_corrupted_word(corruption, plane,
+                                                            n, count, data):
     xs, zs, signs = sc.random_clifford_words(
         n, count, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     t = data.draw(st.integers(0, count - 1))
     q, p = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
                               unique=True))
-    words = data.draw(st.sampled_from((xs, zs)))
-    if data.draw(st.booleans()):
+    words = (xs, zs)[plane]
+    if corruption == "equal-columns":
         words[t, q] = words[t, p]  # two equal columns: not invertible
     else:
         words[t, q] |= np.uint64(1 << 2 * n)  # a row past the tableau's
