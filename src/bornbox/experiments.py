@@ -33,8 +33,7 @@ from .oracle import (ExactDistribution, check_l1_eps, exact_distribution,
                      l1_distance, min_sparsity, prod_probabilities_many,
                      sub_batch_lists)
 from .polybox import MAX_SAMPLES, OraclePolyBox, _chunked_map
-from .samplers import (SparsityPolynomial, sparse_budget,
-                       survivor_distribution)
+from .samplers import SparsityPolynomial, sparse_plan, survivor_distribution
 from .stabcore import (ProductState, _check_word_size, random_clifford_words,
                        synthesis_steps)
 
@@ -179,20 +178,20 @@ def corrupted_distribution(dist: ExactDistribution,
 
 
 def scheduled_bob_distribution(box: OraclePolyBox, round_index: int,
-                               delta: float) -> ExactDistribution:
+                               delta: float,
+                               sp: SparsityPolynomial) -> ExactDistribution:
     """The distribution an honest imposter samples in a given round: the
-    sparse pipeline run at accuracy budget eps_j from the schedule, over the
-    exact-answer estimator handle of the circuit."""
+    sparse pipeline on the round's ``sparse_plan`` at budget eps_j from the
+    schedule and sparsity sp, over the circuit's exact-answer handle."""
     circuit = box.circuit
-    sp = SparsityPolynomial.constant(min_sparsity(box.dist, 0.0))
     eps_prime = bob_epsilon_schedule(round_index, delta)
     try:
-        t, eps = sparse_budget(sp, circuit.k, eps_prime)
-        outcomes, probs = survivor_distribution(box, circuit, t, eps, eps, None)
+        plan = sparse_plan(box, sp, circuit.k, eps_prime)
     except ValueError as exc:
         raise ValueError(f"delta={delta!r} gives the scheduled imposter "
                          f"no sparse budget in round {round_index}: "
                          f"{exc}") from exc
+    outcomes, probs = survivor_distribution(box, circuit, plan, None)
     full = np.zeros(1 << circuit.k)
     full[[int(bits, 2) for bits in outcomes]] = probs
     return ExactDistribution(circuit.k, full)
@@ -244,6 +243,8 @@ def run_hypothesis_test(circuit: Circuit, bob_mode: str, delta: float,
         bob = alice
     elif bob_mode == "corrupted":
         bob = corrupted_distribution(alice, corruption_l1)
+    else:
+        sp = SparsityPolynomial.constant(min_sparsity(alice, 0.0))
 
     rng = np.random.default_rng(seed)
     coins = rng.integers(0, 2, size=trials)  # 0 = true circuit, 1 = imposter
@@ -253,7 +254,7 @@ def run_hypothesis_test(circuit: Circuit, bob_mode: str, delta: float,
         score_b = np.zeros(trials)
         for j in range(1, rounds + 1):
             if bob_mode == "scheduled":  # one round's table at a time
-                bob = scheduled_bob_distribution(box, j, delta)
+                bob = scheduled_bob_distribution(box, j, delta, sp)
             idx_a = alice.sample_indices(rng, trials)
             idx_b = bob.sample_indices(rng, trials)
             drawn = np.where(coins == 0, idx_a, idx_b)

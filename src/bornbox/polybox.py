@@ -136,9 +136,13 @@ def hoeffding_samples(eps: float, delta: float) -> int:
     (delta >= 2).  Counts above MAX_SAMPLES raise ValueError."""
     need = hoeffding_need(eps, delta)
     if need > MAX_SAMPLES:
-        raise ValueError(f"eps={eps:g}, delta={delta:g} needs {need:.3g} draws "
-                         f"per query, above the limit of {MAX_SAMPLES:g}")
+        raise draw_limit_error(eps, delta, need)
     return max(1, math.ceil(need))
+
+
+def draw_limit_error(eps: float, delta: float, need: float) -> ValueError:
+    return ValueError(f"eps={eps:g}, delta={delta:g} needs {need:.3g} draws "
+                      f"per query, above the limit of {MAX_SAMPLES:g}")
 
 
 def _chunked_map(work, total: int, chunk: int, rng: np.random.Generator,

@@ -6,10 +6,10 @@ Three constructions:
   heavy-prefix search over the outcome tree using any additive-precision
   estimator, then categorical draws over the surviving heavy outcomes.  For
   an eps-approximately t-sparse target and eps <= 1/6 the induced
-  distribution is within L1 distance 12*eps + delta.  ``sparse_budget``
-  splits a total budget eps' into eps = delta = eps'/13 and
-  t = ceil(sp(k/eps)), refusing eps' outside (0, 13/6] and a bound that
-  gives t = 0.
+  distribution is within L1 distance 12*eps + delta.  ``sparse_plan``
+  builds the one ``SearchPlan`` of a run from a total budget eps', split
+  into eps = delta = eps'/13 and t = ceil(sp(k/eps)), and every search of
+  the run reads it.
 * ``cdf_bitwise_sample``: inverse-CDF sampling bit by bit from joint
   prefix-marginal queries against an exponential-precision estimator,
   with an m-bit discretized uniform draw.
@@ -36,7 +36,7 @@ import numpy as np
 
 from .circuits import Circuit
 from .oracle import _codes, categorical
-from .polybox import _CHUNK, MAX_SAMPLES, hoeffding_need, hoeffding_samples
+from .polybox import _CHUNK, MAX_SAMPLES, draw_limit_error, hoeffding_need
 
 _MAX_EPS = 1.0 / 6.0 + 1e-12  # the L1 bound 12*eps + delta needs eps <= 1/6
 
@@ -85,65 +85,91 @@ def survivor_cap(threshold: float) -> int:
     return 2 * math.ceil(bound) + 2
 
 
-def _search_budget(est, k: int, threshold: float,
-                   delta: float) -> tuple[int, float, float, int]:
-    """(cap, per_eps, per_delta, exact_levels) of a heavy-prefix search.  At
-    most cap survivors stay per level, and each prefix query runs at
-    precision threshold/2 and confidence delta/(2*k*cap), refused when
-    2*k*cap is not finite.  A handle that is not deterministic, so has
-    ``exact_prefixes``, scores level j exactly when its 2^j selections cost
-    no more than the Hoeffding count of one sampled query, capped at
-    ``MAX_SAMPLES``, so levels 1..exact_levels are exact.  A search with a sampled level is refused
-    here, before its first level, when that level's count is above
-    ``MAX_SAMPLES``."""
+@dataclass(frozen=True)
+class SearchPlan:
+    """The budget of every heavy-prefix search of a sparse run: the top t
+    outcomes above threshold, at most cap survivors per level, levels
+    1..exact_levels exact and the rest sampled at (per_eps, per_delta)."""
+
+    t: int
+    threshold: float
+    cap: int
+    per_eps: float
+    per_delta: float
+    exact_levels: int
+
+
+def sparse_plan(est, sp: SparsityPolynomial, k: int,
+                eps_prime: float) -> SearchPlan:
+    """The plan for a total L1 budget eps_prime = 12*eps + delta, with
+    eps = delta = eps_prime/13, t = ceil(sp(k/eps)) and threshold eps/(2t),
+    finished by ``search_plan``.  As the bound needs eps <= 1/6, eps_prime
+    outside (0, 13/6] is refused, and so is a bound that gives t = 0."""
+    check_eps_prime(eps_prime)
+    eps = eps_prime / 13.0
+    bound = sp(k / eps)
+    if not math.isfinite(bound):
+        raise ValueError(f"eps_prime={eps_prime:g} gives a non-finite sparsity "
+                         f"bound sp(k/eps) = {bound:g}")
+    t = math.ceil(bound)
+    if t < 1:
+        raise ValueError(f"eps_prime={eps_prime:g} gives t = ceil(sp(k/eps)) "
+                         f"= {t}; t must be >= 1")
+    return search_plan(est, k, t, eps / (2.0 * t), eps)
+
+
+def search_plan(est, k: int, t: int, threshold: float,
+                delta: float) -> SearchPlan:
+    """The plan of a k-level search at threshold in (0, 1) within failure
+    chance delta: at most cap survivors per level, each query at precision
+    threshold/2 and confidence delta/(2*k*cap), refused when 2*k*cap is not
+    finite.  A handle that is not deterministic, so has ``exact_prefixes``,
+    enumerates level j when its 2^j selections cost no more than one
+    sampled query's Hoeffding count (unbounded when the confidence
+    underflowed to 0), capped at ``MAX_SAMPLES``; a search with a sampled
+    level over that cap is refused here, before its first level."""
     cap = survivor_cap(threshold)
+    if threshold >= 1.0:
+        raise ValueError("threshold must lie in (0, 1)")
     queries = 2.0 * k * cap
     if not math.isfinite(queries):
         raise ValueError(f"heavy-prefix threshold {threshold:g} is too small "
                          f"for a finite union bound over {k} levels")
-    per_eps = threshold / 2.0
-    per_delta = delta / queries
+    per_eps, per_delta = threshold / 2.0, delta / queries
     exact_levels = 0
     if not est.deterministic:
-        s = math.ceil(min(hoeffding_need(per_eps, per_delta), MAX_SAMPLES))
+        need = hoeffding_need(per_eps, per_delta) if per_delta else math.inf
+        s = math.ceil(min(need, MAX_SAMPLES))  # level j enumerates 2^j
         exact_levels = min(k, s.bit_length() - 1)
-        if exact_levels < k:
-            hoeffding_samples(per_eps, per_delta)
-    return cap, per_eps, per_delta, exact_levels
+        if exact_levels < k and need > MAX_SAMPLES:
+            raise draw_limit_error(per_eps, per_delta, need)
+    return SearchPlan(t, threshold, cap, per_eps, per_delta, exact_levels)
 
 
 def _strings(bits) -> list[str]:
     return ["".join(map(str, row)) for row in bits.tolist()]
 
 
-def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
-                   rng=None, budget=None) -> list[tuple[str, float]]:
+def heavy_prefixes(est, circuit: Circuit, plan: SearchPlan,
+                   rng=None) -> list[tuple[str, float]]:
     """Level-by-level search for outcomes whose prefix marginals all stay
-    >= threshold, as (bits, value) pairs, heaviest first, ties broken
-    lexicographically.  Level j is an (m, j) 0/1 matrix of prefixes in
-    lexicographic order, scored in one handle call: ``exact_prefixes`` up
-    to the crossover of ``_search_budget``, which draws nothing, else
-    ``prefixes``, from which a sampling handle draws one shared matrix.
-    Each sampled query runs at precision threshold/2 and confidence
-    delta/(2*k*cap); the union bound over them does not need independence.
-    At most cap survivors stay per level; strings are made at the end.
-    budget is ``_search_budget``'s result for these arguments, computed
-    here when not given."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
-    k = circuit.k
-    cap, per_eps, per_delta, exact_levels = (
-        budget or _search_budget(est, k, threshold, delta))
+    >= plan.threshold, as (bits, value) pairs, heaviest first, ties broken
+    lexicographically.  Level j, an (m, j) 0/1 matrix of prefixes in
+    lexicographic order, is scored in one handle call: ``exact_prefixes``
+    up to plan.exact_levels, else ``prefixes`` at plan.per_eps and
+    plan.per_delta from one shared draw matrix.  At most plan.cap survivors
+    stay per level; strings are made at the end."""
     bits = np.zeros((1, 0), dtype=np.int64)
-    for level in range(1, k + 1):
+    for level in range(1, circuit.k + 1):
         # extending lexicographic rows by 0 then 1 keeps the level in order
         bits = bits.repeat(2, axis=0)
         bits = np.concatenate((bits, np.arange(len(bits))[:, None] & 1), 1)
-        values = (est.exact_prefixes(bits) if level <= exact_levels else
-                  est.prefixes(bits, per_eps, per_delta, rng))
-        keep = (values >= threshold).nonzero()[0]
-        if len(keep) > cap:  # the cap heaviest, still in lexicographic order
-            keep = np.sort(keep[(-values[keep]).argsort(kind="stable")[:cap]])
+        values = (est.exact_prefixes(bits) if level <= plan.exact_levels else
+                  est.prefixes(bits, plan.per_eps, plan.per_delta, rng))
+        keep = (values >= plan.threshold).nonzero()[0]
+        if len(keep) > plan.cap:  # the cap heaviest, in lexicographic order
+            heaviest = (-values[keep]).argsort(kind="stable")[:plan.cap]
+            keep = np.sort(keep[heaviest])
         bits, values = bits[keep], values[keep]
         if not len(bits):
             return []
@@ -151,22 +177,15 @@ def heavy_prefixes(est, circuit: Circuit, threshold: float, delta: float,
     return list(zip(_strings(bits[order]), values[order].tolist()))
 
 
-def survivor_distribution(est, circuit: Circuit, t: int, eps: float,
-                          delta: float, rng,
-                          budget=None) -> tuple[list[str], np.ndarray]:
-    """Top-t surviving outcomes with renormalized weights, as (outcomes,
-    probs); budget is passed to ``heavy_prefixes``.  An empty search
-    breaks the sparsity promise: it warns and returns the point mass on
-    all-zeros."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if not 0.0 < eps <= _MAX_EPS:
-        raise ValueError("eps must lie in (0, 1/6]")
-    threshold = eps / (2.0 * t)
-    ranked = heavy_prefixes(est, circuit, threshold, delta, rng, budget)[:t]
+def survivor_distribution(est, circuit: Circuit, plan: SearchPlan,
+                          rng) -> tuple[list[str], np.ndarray]:
+    """The top plan.t outcomes of one ``heavy_prefixes`` search with
+    renormalized weights, as (outcomes, probs).  An empty search breaks the
+    sparsity promise: it warns and returns the point mass on all-zeros."""
+    ranked = heavy_prefixes(est, circuit, plan, rng)[:plan.t]
     if not ranked:
-        warnings.warn(f"no heavy prefixes at threshold {threshold:g}; the "
-                      "sparsity promise does not hold, emitting all-zeros")
+        warnings.warn(f"no heavy prefixes at threshold {plan.threshold:g}; "
+                      "the sparsity promise does not hold, emitting all-zeros")
         return ["0" * circuit.k], np.array([1.0])
     weights = np.array([value for _, value in ranked])
     return [bits for bits, _ in ranked], weights / weights.sum()
@@ -179,47 +198,22 @@ def check_eps_prime(eps_prime: float) -> None:
         raise ValueError(f"eps_prime must lie in (0, 13/6], got {eps_prime:g}")
 
 
-def sparse_budget(sp: SparsityPolynomial, k: int,
-                  eps_prime: float) -> tuple[int, float]:
-    """(t, eps) for a total L1 budget eps_prime = 12*eps + delta, with
-    eps = delta = eps_prime/13 and t = ceil(sp(k/eps)).  As the bound needs
-    eps <= 1/6, eps_prime outside (0, 13/6] is refused, and so is a bound
-    that gives t = 0."""
-    check_eps_prime(eps_prime)
-    eps = eps_prime / 13.0
-    bound = sp(k / eps)
-    if not math.isfinite(bound):
-        raise ValueError(f"eps_prime={eps_prime:g} gives a non-finite sparsity "
-                         f"bound sp(k/eps) = {bound:g}")
-    t = math.ceil(bound)
-    if t < 1:
-        raise ValueError(f"eps_prime={eps_prime:g} gives t = ceil(sp(k/eps)) "
-                         f"= {t}; t must be >= 1")
-    return t, eps
-
-
 def epsilon_simulate(est, sp: SparsityPolynomial, circuit: Circuit,
                      eps_prime: float, count: int,
                      rng: np.random.Generator) -> list[str]:
-    """count draws within total L1 budget eps_prime for poly-sparse targets,
-    split by ``sparse_budget``, each from a ``survivor_distribution`` table.
-    A deterministic estimator, or a search whose every level is exact (see
-    ``_search_budget``), gives the same table on every draw, so one table
-    serves all count draws; otherwise each draw builds its own."""
-    t, eps = sparse_budget(sp, circuit.k, eps_prime)
+    """count draws within total L1 budget eps_prime for poly-sparse targets
+    from ``survivor_distribution`` tables of one ``sparse_plan``, built
+    before anything is drawn.  A deterministic estimator, or a plan whose
+    every level is exact, gives one table for all count draws; otherwise
+    each draw builds its own.  count 0 runs no search."""
+    plan = sparse_plan(est, sp, circuit.k, eps_prime)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    # a sampling handle runs no query at count 0, so the crossover is only
-    # asked when drawing; each search takes the budget asked here
-    budget = (None if est.deterministic or count == 0 else
-              _search_budget(est, circuit.k, eps / (2.0 * t), eps))
-    fixed = est.deterministic or (budget is not None
-                                  and budget[3] == circuit.k)
-    rounds, size = (1, count) if fixed else (count, 1)
+    fixed = est.deterministic or plan.exact_levels == circuit.k
+    rounds, size = (min(count, 1), count) if fixed else (count, 1)
     draws: list[str] = []
     for _ in range(rounds):
-        outcomes, probs = survivor_distribution(est, circuit, t, eps, eps, rng,
-                                                budget)
+        outcomes, probs = survivor_distribution(est, circuit, plan, rng)
         draws += [outcomes[i] for i in categorical(rng, probs, size)]
     return draws
 

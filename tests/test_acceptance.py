@@ -22,7 +22,8 @@ from bornbox.oracle import (ExactDistribution, exact_distribution,
 from bornbox.polybox import (CePolyBox, IqpPolyBox, OraclePolyBox,
                              ProdPolyBox, _iqp_values, hoeffding_samples)
 from bornbox.samplers import (cdf_bitwise_sample, cdf_outcomes_for_r,
-                              chain_sample, survivor_distribution)
+                              chain_sample, search_plan,
+                              survivor_distribution)
 from bornbox.stabcore import GateApp, ProductState
 
 from helpers import (drawn_tableau, ghz_circuit, pattern_draws,
@@ -181,8 +182,9 @@ def test_sparse_simulator_l1():
         # the survivor table is deterministic for the exact-answer handle,
         # so categorical draws from it induce the same law as per-draw
         # sparse sampling (equivalence covered in the sampler tests)
-        outcomes, probs = survivor_distribution(OraclePolyBox(c), c, 8,
-                                                eps, delta, None)
+        box = OraclePolyBox(c)
+        outcomes, probs = survivor_distribution(
+            box, c, search_plan(box, c.k, 8, eps / (2 * 8), delta), None)
         idx = rng.choice(len(outcomes), size=draws_n, p=probs)
         emp = np.zeros(64)
         counts = np.bincount(idx, minlength=len(outcomes))

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -533,11 +534,15 @@ REFUSALS = [
         # the survivor cap is finite, but the union bound's 2*k*cap is not
         refused(f"union-bound-overflow-{est}",
                 f"{SPARSE} --estimator {est} --sparsity 1e305",
-                f"heavy-prefix threshold {UNION} 3 levels"))),
-    # the threshold eps/(2t) is 0
-    refused("sparsity-threshold-zero-sampling",
-            f"{SPARSE} --estimator sampling --sparsity 1e308",
-            f"heavy-prefix threshold 0 {CAP}"),
+                f"heavy-prefix threshold {UNION} 3 levels"),
+        # the plan is built before anything is drawn, at every count
+        refused(f"union-bound-overflow-{est}-count-0",
+                f"{SPARSE} --estimator {est} --sparsity 1e305 --count 0",
+                f"heavy-prefix threshold {UNION} 3 levels"),
+        # the threshold eps/(2t) is 0, refused by the cap before its range
+        refused(f"sparsity-threshold-zero-{est}",
+                f"{SPARSE} --estimator {est} --sparsity 1e308",
+                f"heavy-prefix threshold 0 {CAP}"))),
     # GHZ-27 at eps' = 0.001: level 27 would enumerate 2^27 > 10^8
     # selections, so it is sampled, and its Hoeffding count is refused
     # before the first level
@@ -545,6 +550,12 @@ REFUSALS = [
             "sample --circuit ghz27.qc --method sparse --estimator sampling "
             "--sparsity 2 --eps-prime 0.001 --count 1",
             f"eps=9.61538e-06, delta=6.8485e-12 needs 5.71e+11 {DRAWS}"),
+    # at eps' = 1e-200 the per-query confidence underflows to 0, which needs
+    # unbounded draws, so the sampled level 27 is refused in the same way
+    refused("sampled-level-at-an-underflowed-confidence",
+            "sample --circuit ghz27.qc --method sparse --estimator sampling "
+            "--sparsity 2 --eps-prime 1e-200 --count 1",
+            f"eps=9.61538e-203, delta=0 needs inf {DRAWS}"),
     # experiment anticoncentration
     refused("anticoncentration-alpha-above-1", f"{ANTI} --alphas 0.5,2",
             "alpha must lie in [0, 1], got 2"),
@@ -635,16 +646,17 @@ REFUSALS = [
 # refusals on more circuit files: a 5-qubit GHZ, whose union bound runs
 # over 5 levels, an X-program, an inline block, a register above the cap,
 # gate lines the parser's qubit table does not take and eleven mixed qubits.
-# Most rows began as a copy of a CI shell step, and keep its ci- ids.
+# Most rows began as a copy of a CI shell step, and keep its ci- ids; the
+# sparse rows are the only cap and union-bound rows over 5 levels.
 FIVE = "--circuit ghz5.qc"
 FIVE_SPARSE = f"sample {FIVE} --method sparse"
 FIVE_DIST = f"experiment distinguish {FIVE}"
 REFUSALS += [
     *(row for est in ("oracle", "sampling") for row in (
-        refused(f"ci-{est}-sparsity-1e300,1e300,1e300",
+        refused(f"{est}-sparsity-1e300,1e300,1e300",
                 f"{FIVE_SPARSE} --estimator {est} --sparsity 1e300,1e300,1e300",
                 f"heavy-prefix threshold 9.08932e-309 {CAP}"),
-        refused(f"ci-{est}-sparsity-1e305",
+        refused(f"{est}-sparsity-1e305",
                 f"{FIVE_SPARSE} --estimator {est} --sparsity 1e305",
                 f"heavy-prefix threshold {UNION} 5 levels"))),
     refused("ci-estimate-eps-1e-200",
@@ -653,8 +665,6 @@ REFUSALS += [
     refused("ci-iqp-eps-1e-200",
             "estimate --circuit iqp3.qc --pattern 000 --eps 1e-200",
             f"eps=1e-200, delta=0.01 needs inf {DRAWS}"),
-    refused("ci-scheduled-delta-nan", f"{FIVE_DIST} --bob scheduled --delta nan",
-            "delta must be finite, got nan"),
     refused("ci-exact-delta-nan", f"{FIVE_DIST} --bob exact --delta nan",
             "delta must be finite, got nan"),
     refused("ci-exact-delta-inf", f"{FIVE_DIST} --bob exact --delta inf",
@@ -665,14 +675,6 @@ REFUSALS += [
             "delta must be positive, got -1"),
     refused("ci-corrupted-delta-0", f"{FIVE_DIST} --bob corrupted --delta 0",
             "delta must be positive, got 0"),
-    refused("ci-scheduled-delta-1e-320",
-            f"{FIVE_DIST} --bob scheduled --delta 1e-320",
-            f"delta=1e-320 {SCHEDULED} eps_prime=2.43179e-320 {UNBOUNDED}",
-            builds=1),
-    refused("ci-scheduled-delta-3e-307",
-            f"{FIVE_DIST} --bob scheduled --delta 3e-307",
-            f"delta=3e-307 {SCHEDULED} heavy-prefix threshold 1.40291e-308 "
-            f"{CAP}", builds=1),
     refused("ci-trials-1e11", f"{FIVE_DIST} --trials 100000000000",
             "trials must be at most 1e+08, got 100000000000"),
     refused("ci-rounds-times-trials",
@@ -968,43 +970,93 @@ def test_all_exact_sampling_search_runs_once_per_command(capsys, work,
     assert work.count("stabcore.pull_back_words") == 1
 
 
-@pytest.mark.parametrize("exact_levels", [3, 1])
-def test_sparse_sampling_op_asks_the_search_budget_once(
-        capsys, monkeypatch, ghz_file, exact_levels):
-    """A sparse op with the sampling estimator asks ``_search_budget``
-    once, whether its one all-exact search serves the 4 draws or, with the
-    exact levels capped at 1, each draw runs its own search."""
-    budget, calls, searches = samplers._search_budget, [], []
+@pytest.fixture
+def plans(monkeypatch):
+    """The search plans built and the searches run, as two lists; every
+    plan passes through ``samplers.search_plan``.  Setting ``plans.levels``
+    caps each plan's exact levels."""
+    build, search = samplers.search_plan, samplers.heavy_prefixes
+    built, searches = [], []
 
     def capped(*args):
-        calls.append(args)
-        cap, per_eps, per_delta, exact = budget(*args)
-        return cap, per_eps, per_delta, min(exact, exact_levels)
-    search = samplers.heavy_prefixes
-    monkeypatch.setattr(samplers, "_search_budget", capped)
+        plan = build(*args)
+        built.append(plan)
+        return dataclasses.replace(
+            plan, exact_levels=min(plan.exact_levels, plans.levels))
+    plans = argparse.Namespace(built=built, searches=searches, levels=64)
+    monkeypatch.setattr(samplers, "search_plan", capped)
     monkeypatch.setattr(samplers, "heavy_prefixes",
                         lambda *args: searches.append(1) or search(*args))
+    return plans
+
+
+@pytest.mark.parametrize("count", [0, 1, 4])
+@pytest.mark.parametrize("estimator, levels", [
+    ("oracle", 3), ("sampling", 3), ("sampling", 1)])
+def test_sparse_op_builds_one_search_plan(capsys, plans, ghz_file, count,
+                                          estimator, levels):
+    """A sparse op builds one plan before anything is drawn, with either
+    estimator and at every count.  One search serves every draw of the
+    oracle handle or of an all-exact plan; with the exact levels capped at
+    1, each draw runs its own search; count 0 runs none."""
+    plans.levels = levels
     code = run_command(["sample", "--circuit", ghz_file, "--method", "sparse",
-                        "--estimator", "sampling", "--eps-prime", "1",
-                        "--sparsity", "2", "--count", "4", "--seed", "3"])
+                        "--estimator", estimator, "--eps-prime", "1",
+                        "--sparsity", "2", "--count", str(count),
+                        "--seed", "3"])
     captured = capsys.readouterr()
     assert code == 0, captured.err
-    assert len(calls) == 1
-    assert len(searches) == (1 if exact_levels == 3 else 4)
+    assert len(captured.out.splitlines()) == 1 + count
+    assert len(plans.built) == 1
+    per_draw = estimator == "sampling" and levels == 1
+    assert len(plans.searches) == (count if per_draw else min(count, 1))
 
 
+def test_scheduled_imposter_builds_one_plan_per_round(capsys, monkeypatch,
+                                                      plans, ghz_file):
+    """Each round's budget eps_j gets its own plan and search, and the
+    support size behind the sparsity is computed once per run."""
+    supports = []
+    min_sparsity = experiments.min_sparsity
+    monkeypatch.setattr(experiments, "min_sparsity", lambda *args:
+                        supports.append(1) or min_sparsity(*args))
+    run_json(capsys, ["experiment", "distinguish", "--circuit", ghz_file,
+                      "--bob", "scheduled", "--rounds", "3", "--trials",
+                      "1000"])
+    assert len(plans.built) == len(plans.searches) == 3
+    assert supports == [1]
+    assert [plan.t for plan in plans.built] == [2] * 3
+
+
+@pytest.mark.parametrize("eps_prime", ["0.001", "1e-200"])
 def test_all_exact_sampling_search_is_not_refused_at_the_draw_limit(
-        capsys, ghz_file):
+        capsys, ghz_file, eps_prime):
     """At eps' = 0.001 one sampled GHZ-3 query would need 5.24e11 draws,
-    but its three levels enumerate 2, 4 and 8 selections (2, 4 and 4
-    candidates), so nothing is sampled and nothing is refused."""
+    and at eps' = 1e-200 its confidence underflows to 0, which needs
+    unbounded draws; but the three levels enumerate 2, 4 and 8 selections
+    (2, 4 and 4 candidates), so nothing is sampled and nothing is
+    refused."""
     code = run_command(["sample", "--circuit", ghz_file, "--method", "sparse",
-                        "--estimator", "sampling", "--eps-prime", "0.001",
+                        "--estimator", "sampling", "--eps-prime", eps_prime,
                         "--count", "1"])
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert json.loads(captured.out.splitlines()[1])["outcome"] in ("000",
                                                                    "111")
+
+
+def test_oracle_sparse_op_at_count_0_makes_no_dense_build(
+        capsys, work, ghz_file, ghz6_above_oracle_limit):
+    """With --sparsity given, a count-0 oracle op draws nothing, so it
+    builds nothing, and above the oracle limit it is not refused."""
+    for path in (ghz_file, ghz6_above_oracle_limit):
+        code = run_command(["sample", "--circuit", path, "--method", "sparse",
+                            "--estimator", "oracle", "--sparsity", "2",
+                            "--count", "0"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["payload"]["count"] == 0
+    assert work == []
 
 
 MIXED_PROD = ("family prod\nqubits 4\nmeasure 3\n"

@@ -16,9 +16,10 @@ from bornbox.experiments import (advantage_cap, anticoncentration_bound,
                                  optimal_single_round_pcorrect,
                                  run_hypothesis_test,
                                  scheduled_bob_distribution, sparsity_profile)
-from bornbox.oracle import ExactDistribution, exact_distribution, l1_distance
+from bornbox.oracle import (ExactDistribution, exact_distribution,
+                            l1_distance, min_sparsity)
 from bornbox.polybox import OraclePolyBox
-from bornbox.samplers import (SparsityPolynomial, sparse_budget,
+from bornbox.samplers import (SparsityPolynomial, sparse_plan,
                               survivor_distribution)
 from bornbox.stabcore import GateApp, ProductState
 
@@ -171,11 +172,17 @@ def test_corrupted_distribution():
         corrupted_distribution(ExactDistribution(0, np.array([1.0])), 0.4)
 
 
+def support(box: OraclePolyBox) -> SparsityPolynomial:
+    """The scheduled imposter's sparsity: the support size, which
+    ``run_hypothesis_test`` computes once per run."""
+    return SparsityPolynomial.constant(min_sparsity(box.dist, 0.0))
+
+
 def test_scheduled_bob_matches_sparse_stabilizer_target(work):
-    ghz = ghz_circuit(2)
-    sb = scheduled_bob_distribution(OraclePolyBox(ghz), 1, 0.05)
+    box = OraclePolyBox(ghz_circuit(2))
+    sb = scheduled_bob_distribution(box, 1, 0.05, support(box))
     assert work.builds() == ["oracle.prod_probabilities_many"]
-    assert l1_distance(sb, exact_distribution(ghz)) < 1e-12
+    assert l1_distance(sb, exact_distribution(box.circuit)) < 1e-12
 
 
 def test_scheduled_bob_respects_budget_rounds():
@@ -183,18 +190,18 @@ def test_scheduled_bob_respects_budget_rounds():
     d = exact_distribution(ghz)
     box = OraclePolyBox(ghz)
     for j in (1, 2, 5):
-        sb = scheduled_bob_distribution(box, j, 0.05)
+        sb = scheduled_bob_distribution(box, j, 0.05, support(box))
         assert l1_distance(sb, d) <= bob_epsilon_schedule(j, 0.05) + 1e-12
 
 
 def test_scheduled_bob_undersized_sparsity_truncates():
     # forcing t=1 on a 2-sparse target truncates to the single heaviest
     ghz = ghz_circuit(2)
-    t, eps = sparse_budget(SparsityPolynomial.constant(1), ghz.k,
-                           bob_epsilon_schedule(1, 0.05))
-    assert t == 1
-    outcomes, probs = survivor_distribution(OraclePolyBox(ghz), ghz, t, eps,
-                                            eps, None)
+    box = OraclePolyBox(ghz)
+    plan = sparse_plan(box, SparsityPolynomial.constant(1), ghz.k,
+                       bob_epsilon_schedule(1, 0.05))
+    assert plan.t == 1
+    outcomes, probs = survivor_distribution(box, ghz, plan, None)
     assert len(outcomes) == 1
     assert list(probs) == [1.0]
 
@@ -203,9 +210,9 @@ def test_scheduled_bob_refuses_a_first_round_budget_above_13_6():
     # eps_1 = 24*delta/pi^2 exceeds 13/6 once delta > 13*pi^2/144
     box = OraclePolyBox(ghz_circuit(2))
     limit = 13 * math.pi ** 2 / 144
-    scheduled_bob_distribution(box, 1, limit * (1 - 1e-9))
+    scheduled_bob_distribution(box, 1, limit * (1 - 1e-9), support(box))
     with pytest.raises(ValueError, match="eps_prime"):
-        scheduled_bob_distribution(box, 1, limit * (1 + 1e-6))
+        scheduled_bob_distribution(box, 1, limit * (1 + 1e-6), support(box))
 
 
 def test_scheduled_bob_names_delta_when_its_budget_underflows():
@@ -213,9 +220,9 @@ def test_scheduled_bob_names_delta_when_its_budget_underflows():
     box = OraclePolyBox(ghz_circuit(2))
     with pytest.raises(ValueError, match=r"^delta=1e-320 .* in round 1: "
                        r"eps_prime=.* non-finite sparsity bound"):
-        scheduled_bob_distribution(box, 1, 1e-320)
+        scheduled_bob_distribution(box, 1, 1e-320, support(box))
     with pytest.raises(ValueError, match=r"^delta=1e-310 .* in round 3: "):
-        scheduled_bob_distribution(box, 3, 1e-310)
+        scheduled_bob_distribution(box, 3, 1e-310, support(box))
 
 
 def test_hypothesis_test_refuses_delta_above_the_schedule_limit(work):
@@ -236,7 +243,8 @@ def test_transcript_l1():
     d = exact_distribution(ghz)
     assert transcript_l1([d], [d]) == 0.0
     box = OraclePolyBox(ghz)
-    bobs = [scheduled_bob_distribution(box, j, 0.05) for j in (1, 2)]
+    bobs = [scheduled_bob_distribution(box, j, 0.05, support(box))
+            for j in (1, 2)]
     budget = sum(bob_epsilon_schedule(j, 0.05) for j in (1, 2))
     assert transcript_l1([d, d], bobs) <= budget
     with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from bornbox.polybox import (MAX_SAMPLES, CePolyBox, Estimate, IqpPolyBox,
                              OraclePolyBox, ProdPolyBox, _batched_sums,
                              _iqp_values, _prod_values, auto_polybox,
                              hoeffding_samples)
-from bornbox.samplers import heavy_prefixes
+from bornbox.samplers import heavy_prefixes, search_plan
 from bornbox.stabcore import (CliffordTableau, GateApp, ProductState,
                               tableau_from_gates)
 
@@ -708,7 +708,8 @@ def test_all_exact_search_builds_its_selection_rows_once(monkeypatch, k):
     monkeypatch.setattr(polybox, "_selections", spy)
     ghz = ghz_circuit(k)
     box = ProdPolyBox(ghz)
-    surv = heavy_prefixes(box, ghz, 0.25, 0.2, NoSpawnRng())
+    surv = heavy_prefixes(box, ghz, search_plan(box, k, 1, 0.25, 0.2),
+                          NoSpawnRng())
     assert sorted(p for p, _ in surv) == ["0" * k, "1" * k]
     assert calls == [(0, 1 << k, k)]
     assert box._rows.shape == (1 << k, k) and len(box._table) == 1 << k

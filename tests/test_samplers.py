@@ -1,5 +1,6 @@
 """Samplers built over the poly-box interface."""
 
+import dataclasses
 import math
 import warnings
 from collections import Counter
@@ -19,7 +20,7 @@ from bornbox.polybox import (Estimate, IqpPolyBox, OraclePolyBox, ProdPolyBox,
 from bornbox.samplers import (SparsityPolynomial, cdf_bitwise_sample,
                               cdf_outcomes_for_r, chain_sample,
                               epsilon_simulate, heavy_prefixes,
-                              sparse_budget, survivor_cap,
+                              search_plan, sparse_plan, survivor_cap,
                               survivor_distribution)
 from bornbox.stabcore import GateApp, ProductState
 
@@ -40,6 +41,12 @@ class ZeroBox:
 
 def point_circuit():
     return ProdCircuit(2, 2, ProductState.zero(2), (GateApp("X", (0,)),))
+
+
+def top_plan(box, k: int, t: int, eps: float, delta: float):
+    """The plan of a search for the top t outcomes at threshold eps/(2t),
+    read through the module so that a patched ``search_plan`` applies."""
+    return samplers.search_plan(box, k, t, eps / (2 * t), delta)
 
 
 def test_sparsity_polynomial():
@@ -67,24 +74,25 @@ def test_survivor_cap():
     assert survivor_cap(2.3e-308) == 2 * math.ceil(2 / 2.3e-308) + 2
 
 
-def test_search_budget_refuses_an_infinite_union_bound():
+def test_search_plan_refuses_an_infinite_union_bound():
     """The cap at threshold 5e-308 is finite, but 2*k*cap queries are not,
     which would leave every query a confidence of 0."""
     ghz3 = ghz_circuit(3)
     for box in (OraclePolyBox(ghz3), ProdPolyBox(ghz3)):
         with pytest.raises(ValueError, match="threshold 5e-308 is too small "
                            "for a finite union bound over 3 levels"):
-            samplers._search_budget(box, 3, 5e-308, 0.01)
-    cap, per_eps, per_delta, exact_levels = samplers._search_budget(
-        ProdPolyBox(ghz3), 3, 0.25, 0.2)
-    assert (cap, per_eps, per_delta) == (18, 0.125, 0.2 / (2.0 * 3 * 18))
-    assert exact_levels == 3
+            search_plan(box, 3, 1, 5e-308, 0.01)
+    plan = search_plan(ProdPolyBox(ghz3), 3, 1, 0.25, 0.2)
+    assert (plan.cap, plan.per_eps, plan.per_delta) == (
+        18, 0.125, 0.2 / (2.0 * 3 * 18))
+    assert plan.exact_levels == 3
 
 
 def test_heavy_prefixes_ghz_sampling_estimator():
     ghz3 = ghz_circuit(3)
     est = ProdPolyBox(ghz3)
-    surv = heavy_prefixes(est, ghz3, 0.25, 0.2, np.random.default_rng(42))
+    surv = heavy_prefixes(est, ghz3, search_plan(est, 3, 1, 0.25, 0.2),
+                          np.random.default_rng(42))
     assert sorted(p for p, _ in surv) == ["000", "111"]
     for _, v in surv:
         assert abs(v - 0.5) <= 0.25 / 2
@@ -117,7 +125,8 @@ def test_heavy_prefixes_one_batch_per_level():
     ghz3 = ghz_circuit(3)
     box = CountingBox(ghz3)
     # every level is exact here, so the search draws nothing
-    surv = heavy_prefixes(box, ghz3, 0.25, 0.2, NoSpawnRng())
+    surv = heavy_prefixes(box, ghz3, search_plan(box, 3, 1, 0.25, 0.2),
+                          NoSpawnRng())
     assert sorted(p for p, _ in surv) == ["000", "111"]
     # level 1 scores 0 and 1; then both survive and each has two extensions
     assert box.batches == [2, 4, 4]
@@ -135,7 +144,8 @@ def test_heavy_prefixes_samples_past_the_crossover():
                               delta / (2 * 6 * survivor_cap(threshold)))
     assert 2 ** 5 <= count < 2 ** 6
     box = CountingBox(point6)
-    surv = heavy_prefixes(box, point6, threshold, delta,
+    surv = heavy_prefixes(box, point6,
+                          search_plan(box, 6, 1, threshold, delta),
                           np.random.default_rng(0))
     assert surv == [("100100", 1.0)]
     assert box.batches == [2] * 6
@@ -147,7 +157,8 @@ def test_heavy_prefixes_stay_exact_when_a_query_eps_squares_to_zero():
     # every level of GHZ-3 is enumerated, so the search draws nothing
     ghz3 = ghz_circuit(3)
     box = CountingBox(ghz3)
-    surv = heavy_prefixes(box, ghz3, 1e-163, 0.01, NoSpawnRng())
+    surv = heavy_prefixes(box, ghz3, search_plan(box, 3, 1, 1e-163, 0.01),
+                          NoSpawnRng())
     assert sorted(p for p, _ in surv) == ["000", "111"]
     assert box.routes == ["exact"] * 3
 
@@ -165,22 +176,24 @@ def test_all_exact_search_meets_the_l1_bound(family, n, eps, seed):
     dist = exact_distribution(c)
     t = min_sparsity(dist, eps)
     box = IqpPolyBox(c) if family == "iqp" else ProdPolyBox(c)
-    outcomes, probs = survivor_distribution(box, c, t, eps, eps, NoSpawnRng())
+    outcomes, probs = survivor_distribution(box, c,
+                                            top_plan(box, c.k, t, eps, eps),
+                                            NoSpawnRng())
     table = np.zeros(1 << c.k)
     table[[int(o, 2) for o in outcomes]] = probs
     assert l1_distance(table, dist.probs) <= 12 * eps
 
 
 def sample_past_level_one(monkeypatch):
-    """Caps the exact levels of every heavy-prefix search at 1, so that each
-    later level samples from one shared draw matrix."""
-    budget = samplers._search_budget
+    """Caps the exact levels of every search plan at 1, so that each later
+    level of a heavy-prefix search samples from one shared draw matrix."""
+    build = samplers.search_plan
 
-    def capped(est, k, threshold, delta):
-        cap, per_eps, per_delta, exact_levels = budget(est, k, threshold,
-                                                       delta)
-        return cap, per_eps, per_delta, min(exact_levels, 1)
-    monkeypatch.setattr(samplers, "_search_budget", capped)
+    def capped(*args):
+        plan = build(*args)
+        return dataclasses.replace(plan,
+                                   exact_levels=min(plan.exact_levels, 1))
+    monkeypatch.setattr(samplers, "search_plan", capped)
 
 
 def sparse_circuit(rng: np.random.Generator, family: str):
@@ -220,7 +233,8 @@ def test_sampled_search_meets_the_l1_bound(family, monkeypatch):
         dist = exact_distribution(c)
         box = IqpPolyBox(c) if family == "iqp" else ProdPolyBox(c)
         outcomes, probs = survivor_distribution(
-            box, c, min_sparsity(dist, eps), eps, delta, rng)
+            box, c, top_plan(box, c.k, min_sparsity(dist, eps), eps, delta),
+            rng)
         table = np.zeros(1 << c.k)
         table[[int(o, 2) for o in outcomes]] = probs
         far += l1_distance(table, dist.probs) > 12 * eps
@@ -262,57 +276,67 @@ def test_heavy_prefixes_break_ties_lexicographically(k, seed):
         scored = sorted(((c, box.value(c)) for c in candidates
                          if box.value(c) >= threshold),
                         key=lambda cv: (-cv[1], cv[0]))[:cap]
-    surv = heavy_prefixes(box, ghz_circuit(k), threshold, 0.1)
+    surv = heavy_prefixes(box, ghz_circuit(k),
+                          search_plan(box, k, 1, threshold, 0.1))
     assert surv == sorted(surv, key=lambda cv: (-cv[1], cv[0]))
     assert surv == scored
 
 
 def test_heavy_prefixes_point_mass():
     point = point_circuit()
-    surv = heavy_prefixes(OraclePolyBox(point), point, 0.25, 0.0)
+    box = OraclePolyBox(point)
+    surv = heavy_prefixes(box, point, search_plan(box, 2, 1, 0.25, 0.0))
     assert surv == [("10", 1.0)]
 
 
 def test_heavy_prefixes_validation_and_empty():
+    """A threshold outside (0, 1) is refused as the plan is built, 0 by the
+    survivor cap, which is checked first."""
     ghz3 = ghz_circuit(3)
-    with pytest.raises(ValueError):
-        heavy_prefixes(OraclePolyBox(ghz3), ghz3, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        heavy_prefixes(OraclePolyBox(ghz3), ghz3, 1.0, 0.1)
-    assert heavy_prefixes(ZeroBox(), ghz3, 0.5, 0.0) == []
+    with pytest.raises(ValueError, match="finite survivor cap"):
+        search_plan(OraclePolyBox(ghz3), 3, 1, 0.0, 0.1)
+    with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\)"):
+        search_plan(OraclePolyBox(ghz3), 3, 1, 1.0, 0.1)
+    box = ZeroBox()
+    assert heavy_prefixes(box, ghz3, search_plan(box, 3, 1, 0.5, 0.0)) == []
 
 
 def test_survivor_distribution():
     ghz3 = ghz_circuit(3)
-    outcomes, probs = survivor_distribution(OraclePolyBox(ghz3), ghz3, 2,
-                                            0.1, 0.0, None)
+    box = OraclePolyBox(ghz3)
+    outcomes, probs = survivor_distribution(box, ghz3,
+                                            top_plan(box, 3, 2, 0.1, 0.0), None)
     assert outcomes == ["000", "111"]
     assert np.allclose(probs, [0.5, 0.5])
     with pytest.warns(UserWarning, match="sparsity promise"):
-        outcomes, probs = survivor_distribution(ZeroBox(), ghz3, 2, 0.1, 0.0,
-                                                None)
+        outcomes, probs = survivor_distribution(
+            ZeroBox(), ghz3, top_plan(ZeroBox(), 3, 2, 0.1, 0.0), None)
     assert outcomes == ["000"]
     assert list(probs) == [1.0]
 
 
-def test_sparse_budget_splits_and_refuses():
+def test_sparse_plan_splits_and_refuses():
+    """eps = delta = eps'/13, t = ceil(sp(k/eps)) and threshold eps/(2t)."""
     sp = SparsityPolynomial((1.0, 0.5))
-    t, eps = sparse_budget(sp, 3, 1.3)
-    assert eps == 0.1 and t == math.ceil(sp(30.0)) == 16
-    assert sparse_budget(sp, 3, 13 / 6)[1] == pytest.approx(1 / 6)
+    ghz3 = ghz_circuit(3)
+    box = OraclePolyBox(ghz3)
+    plan = sparse_plan(box, sp, 3, 1.3)
+    assert plan.threshold == 0.1 / 32 and plan.t == math.ceil(sp(30.0)) == 16
+    plan = sparse_plan(box, sp, 3, 13 / 6)
+    assert 2 * plan.t * plan.threshold == pytest.approx(1 / 6)
     for eps_prime in (0.0, -0.1, 13 / 6 + 1e-6, 3.0):
         with pytest.raises(ValueError, match="eps_prime"):
-            sparse_budget(sp, 3, eps_prime)
+            sparse_plan(box, sp, 3, eps_prime)
     # k/eps overflows, and Horner's 0 * inf makes even a constant nan
     with pytest.raises(ValueError, match="eps_prime=.* gives a non-finite"):
-        sparse_budget(SparsityPolynomial.constant(2), 5, 1e-320)
+        sparse_plan(box, SparsityPolynomial.constant(2), 5, 1e-320)
     # a bound of 0, even a signed one, gives t = 0
     for zero in (0.0, -0.0):
         with pytest.raises(ValueError, match="t = ceil.* = 0; t must be >= 1"):
-            sparse_budget(SparsityPolynomial((zero, 0.0)), 3, 1.3)
-    assert sparse_budget(SparsityPolynomial.constant(1e-300), 3, 1.3)[0] == 1
+            sparse_plan(box, SparsityPolynomial((zero, 0.0)), 3, 1.3)
+    assert sparse_plan(box, SparsityPolynomial.constant(1e-300), 3,
+                       1.3).t == 1
     # refused before any search, on both paths and at any count
-    ghz3 = ghz_circuit(3)
     for box in (OraclePolyBox(ghz3), ProdPolyBox(ghz3)):
         for count in (0, 2):
             with pytest.raises(ValueError, match="eps_prime"):
@@ -325,29 +349,33 @@ def test_sparse_budget_splits_and_refuses():
 
 def test_sparse_sample_point_mass():
     point = point_circuit()
-    outcomes, probs = survivor_distribution(OraclePolyBox(point), point, 1,
-                                            0.1, 0.01, np.random.default_rng(0))
+    box = OraclePolyBox(point)
+    outcomes, probs = survivor_distribution(box, point,
+                                            top_plan(box, 2, 1, 0.1, 0.01),
+                                            np.random.default_rng(0))
     assert outcomes == ["10"] and list(probs) == [1.0]
 
 
 def test_sparse_sample_validation():
+    """t = 0, eps = 0.3 and eps = 0 are refused as the plan is built."""
     point = point_circuit()
     box = OraclePolyBox(point)
-    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        survivor_distribution(box, point, 0, 0.1, 0.01, rng)
+        sparse_plan(box, SparsityPolynomial.constant(0), 2, 13 * 0.1)
     with pytest.raises(ValueError):
-        survivor_distribution(box, point, 1, 0.3, 0.01, rng)
+        sparse_plan(box, SparsityPolynomial.constant(1), 2, 13 * 0.3)
     with pytest.raises(ValueError):
-        survivor_distribution(box, point, 1, 0.0, 0.01, rng)
+        sparse_plan(box, SparsityPolynomial.constant(1), 2, 13 * 0.0)
 
 
 def test_sparse_sample_ghz_l1():
     ghz3 = ghz_circuit(3)
     dist = exact_distribution(ghz3)
     rng = np.random.default_rng(7)
-    outcomes, probs = survivor_distribution(OraclePolyBox(ghz3), ghz3, 2,
-                                            0.05, 0.01, rng)
+    box = OraclePolyBox(ghz3)
+    outcomes, probs = survivor_distribution(box, ghz3,
+                                            top_plan(box, 3, 2, 0.05, 0.01),
+                                            rng)
     draws = [outcomes[i] for i in rng.choice(len(outcomes), size=2000, p=probs)]
     emp = empirical_distribution(draws, 3)
     assert l1_distance(emp, dist.probs) <= 12 * 0.05 + 0.01
@@ -372,8 +400,9 @@ def test_sparse_sample_empty_survivors_warns():
     ghz3 = ghz_circuit(3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        outcomes, probs = survivor_distribution(ZeroBox(), ghz3, 2, 0.1, 0.01,
-                                                np.random.default_rng(0))
+        outcomes, probs = survivor_distribution(
+            ZeroBox(), ghz3, top_plan(ZeroBox(), 3, 2, 0.1, 0.01),
+            np.random.default_rng(0))
     assert outcomes == ["000"] and list(probs) == [1.0]
     assert caught and "sparsity promise" in str(caught[0].message)
 
