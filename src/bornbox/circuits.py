@@ -281,8 +281,9 @@ def _parse_canonical(text: str) -> ProdCircuit | None:
     found = _CANONICAL_GATE.findall(text, split)
     if len(found) != text.count("\n", split, len(text) - 1):
         return None
-    # the per-line parser's qubit table: an index it does not take (007,
-    # one past the table or past n) leaves the file to that parser
+    # the indices in their one canonical spelling, no more than the file
+    # has lines: any other index (007, past the table or past n) leaves the
+    # file to the per-line parser
     qubit = {str(q): q for q in range(min(n, len(preps) + len(found)))}.get
     placed = {qubit(q): (float(rx), float(ry), float(rz))
               for q, rx, ry, rz in preps}
@@ -348,18 +349,8 @@ def _parse_int(tok: str, what: str, line: int) -> int:
         raise CircuitSyntaxError(f"bad {what} {tok!r}", line) from None
 
 
-def _parse_gate(toks: list[str], n: int, qubit: dict[str, int],
-                line: int) -> GateApp:
-    """The gate on a split ``gate`` line of an n-qubit circuit, qubit being
-    the parse's table ``{str(q): q}`` of indices q below n.  A line whose
-    qubit tokens the table all takes needs only its arity and distinctness
-    checked; any other line, which is refused, names an index past the
-    table or spells one some other way (``007``, ``+3``), takes the
-    per-token path, which names the fault."""
-    qs = tuple(map(qubit.get, toks[2:]))
-    if (len(toks) > 2 and GATE_ARITY.get(toks[1]) == len(qs)
-            and None not in qs and len(set(qs)) == len(qs)):
-        return GateApp._make((toks[1], qs))
+def _parse_gate(toks: list[str], n: int, line: int) -> GateApp:
+    """The gate on a split ``gate`` line of an n-qubit circuit."""
     if len(toks) < 3:
         raise CircuitSyntaxError("gate needs a name and qubits", line)
     name = toks[1]
@@ -407,10 +398,6 @@ def _parse_program(family: str, body) -> Circuit:
     # was accepted under the same family and qubit count, so it is not
     # split, converted or validated again
     built: dict[str, GateApp] = {}
-    # the qubit table, built at the first gate line; it holds no more
-    # indices than the file has lines, so a wide register named by a few
-    # lines does not pay for an entry per qubit
-    qubit = None
     rows: list[tuple[int, ...]] = []
     for line_no, line in body:
         gate = built.get(line)
@@ -420,9 +407,7 @@ def _parse_program(family: str, body) -> Circuit:
         toks = line.split()
         kind = toks[0]
         if kind == "gate" and n is not None and family == "prod":
-            if qubit is None:
-                qubit = {str(q): q for q in range(min(n, len(body)))}
-            gate = built[line] = _parse_gate(toks, n, qubit, line_no)
+            gate = built[line] = _parse_gate(toks, n, line_no)
             gates.append(gate)
             continue
         if kind in ("qubits", "measure"):

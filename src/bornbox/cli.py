@@ -179,11 +179,17 @@ def _cmd_sample(args) -> list[str]:
                 dist = (est.dist if est.deterministic
                         else exact_distribution(circuit))
             except OracleLimitError:
+                limit = oracle_limit()
+                if (isinstance(circuit, EncodedCircuit)
+                        and circuit.k > limit + 1):
+                    size = (f"{limit + 1} measured bits for an encoded "
+                            f"circuit (this circuit has {circuit.k})")
+                else:
+                    size = (f"{limit} qubits, a mixed one counting twice "
+                            f"(this circuit has {circuit.n})")
                 raise ValueError(
                     f"pass --sparsity: its default, the exact support size, "
-                    f"needs the dense oracle, which is limited to "
-                    f"{oracle_limit()} qubits, a mixed one counting twice "
-                    f"(this circuit has {circuit.n})"
+                    f"needs the dense oracle, which is limited to {size}"
                 ) from None
             sp = SparsityPolynomial.constant(min_sparsity(dist, 0.0))
         outcomes = epsilon_simulate(est, sp, circuit, args.eps_prime,
@@ -543,14 +549,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _direct_table(parser, defaults: dict, required: list, convert: list):
+def _direct_table(parser, defaults: dict, required: list):
     """The direct path's table below parser, from argparse's own records: a
     dict from each subcommand name to its parser's table, or for a leaf
-    (leaf, options, defaults, required, convert).  defaults is the
-    namespace argparse starts from, with each subparsers dest set to the
-    name leading to the leaf; convert holds the (parser, action) pairs
-    whose string default argparse passes through the action's type; options
-    maps each ``--name`` to its store action of one value."""
+    (leaf, options, defaults, required).  defaults is the namespace
+    argparse starts from, with each subparsers dest set to the name leading
+    to the leaf; no string default has a type, so argparse leaves every
+    default as it is; options maps each ``--name`` to its store action of
+    one value."""
     own, sub = {}, None
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
@@ -559,24 +565,22 @@ def _direct_table(parser, defaults: dict, required: list, convert: list):
             required = [*required, action]
         if action.default is not argparse.SUPPRESS:
             own.setdefault(action.dest, action.default)
-            if isinstance(action.default, str):
-                convert = [*convert, (parser, action)]
     defaults = {**defaults, **own,
                 **{k: v for k, v in parser._defaults.items() if k not in own}}
     if sub is not None:
         return {name: _direct_table(child, {**defaults, sub.dest: name},
-                                    required, convert)
+                                    required)
                 for name, child in sub.choices.items()}
     options = {option: action for option, action
                in parser._option_string_actions.items()
                if type(action) is argparse._StoreAction
                and action.nargs is None and option.startswith("--")}
-    return parser, options, defaults, required, convert
+    return parser, options, defaults, required
 
 
 @functools.cache
 def _direct_tables() -> dict:
-    return _direct_table(build_parser(), {}, [], [])
+    return _direct_table(build_parser(), {}, [])
 
 
 def _parse_direct(argv) -> Optional[argparse.Namespace]:
@@ -592,7 +596,7 @@ def _parse_direct(argv) -> Optional[argparse.Namespace]:
         node, i = node.get(argv[i]), i + 1
     if not isinstance(node, tuple):
         return None
-    leaf, options, defaults, required, convert = node
+    leaf, options, defaults, required = node
     args = argparse.Namespace(**defaults)
     given = set()
     try:
@@ -610,16 +614,9 @@ def _parse_direct(argv) -> Optional[argparse.Namespace]:
             value = leaf._get_value(action, text)
             leaf._check_value(action, value)
             setattr(args, action.dest, value)
-        if not given.issuperset(required):
-            return None
-        for owner, action in convert:
-            if (action not in given
-                    and getattr(args, action.dest) is action.default):
-                setattr(args, action.dest,
-                        owner._get_value(action, action.default))
     except argparse.ArgumentError:
         return None
-    return args
+    return args if given.issuperset(required) else None
 
 
 def _parse_args(argv) -> argparse.Namespace:

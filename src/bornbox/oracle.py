@@ -452,6 +452,18 @@ def _marginalize(full: np.ndarray, n: int, k: int) -> np.ndarray:
     return tensor.sum(axis=tuple(range(k, n))).reshape(-1)
 
 
+def check_encoded_size(circuit: EncodedCircuit):
+    """Refuses a dense build of an encoded circuit's 2^k outcomes for k
+    above limit + 1, the most that one encoding of a circuit within the
+    limit measures; each level of a nested encoding adds a bit."""
+    limit = oracle_limit()
+    if circuit.k > limit + 1:
+        raise OracleLimitError(
+            f"an encoded circuit of {circuit.k} measured bits exceeds the "
+            f"exact-simulation limit of {limit} + 1; set "
+            f"BORNBOX_ORACLE_LIMIT to override")
+
+
 def encoded_first_bit(inner: Circuit) -> float:
     """The inner circuit's marginal Pr(first measured bit = 0), clamped to
     [0, 1]: the one dense build that the encoded family needs."""
@@ -476,13 +488,15 @@ def encoded_probabilities(circuit: EncodedCircuit, idx,
 def exact_distribution(circuit: Circuit,
                        p0: float | None = None) -> ExactDistribution:
     """The full output distribution.  For an encoded circuit, p0 is its
-    inner first-bit marginal when that is already built."""
+    inner first-bit marginal when that is already built; its size is
+    checked (``check_encoded_size``) before any build."""
     if isinstance(circuit, ProdCircuit):
         probs = _marginalize(prod_probabilities(circuit), circuit.n, circuit.k)
     elif isinstance(circuit, IqpCircuit):
         full = np.abs(iqp_statevector(circuit)) ** 2
         probs = _marginalize(full, circuit.n, circuit.k)
     elif isinstance(circuit, EncodedCircuit):
+        check_encoded_size(circuit)
         if p0 is None:
             p0 = encoded_first_bit(circuit.inner)
         probs = encoded_probabilities(circuit, np.arange(1 << circuit.k), p0)

@@ -50,14 +50,13 @@ Sampled and exact scoring differ in where sel and its draws come from.
 ``exact_prefixes`` takes all 2^j selections, whose mean is the probability
 itself: 2^j draws per row and no rng, which the search uses while 2^j is
 at most one sampled query's Hoeffding count (see
-``samplers.heavy_prefixes``).  Their selections and draws come from the
-handle's table of draws on selections 0, 1, 2, ... (at most ``_CHUNK``
-rows), which keeps those selections beside it as rows, both filled by one
-kernel over its first max(j, min(k, _WIDTH)) measured positions (see
-``_exact_rows``): a search pulls the Z's back once while j <= _WIDTH = 8
-and past that once per level, each selection below the cap goes through
-the kernel once per handle, and rows past the cap go through it at each
-level.
+``samplers.heavy_prefixes``).  A handle draws once, from one kernel, on
+all 2^w selections over its first w = min(k, 13) measured positions, at
+most one chunk, and keeps them as its exact-level table
+(``_exact_table``): every sparse plan enumerates at least min(k, 13)
+levels, so a search reads all of it.  Each exact level reads its first
+chunk from that table; only a level j past w sets a kernel up, over its j
+positions, for the chunks past the table.
 ``CePolyBox`` and ``OraclePolyBox`` answer a whole level without sampling.
 Draws are split into fixed-size chunks with spawned RNG substreams and the
 chunk sums added exactly, so the values depend only on the seed, never on
@@ -76,8 +75,9 @@ import numpy as np
 
 from .circuits import (Circuit, EncodedCircuit, IqpCircuit, OutcomePattern,
                        ProdCircuit, check_pattern_length)
-from .oracle import (ExactDistribution, _codes, encoded_first_bit,
-                     encoded_probabilities, exact_distribution)
+from .oracle import (ExactDistribution, _codes, check_encoded_size,
+                     encoded_first_bit, encoded_probabilities,
+                     exact_distribution)
 from .stabcore import pull_back_words
 
 _CHUNK = 8192
@@ -87,10 +87,6 @@ _BLOCK = 64
 # selections times qubits per kernel call: on n qubits a call takes at most
 # _KERNEL_CELLS // n rows, so its (rows, n) matrices stay bounded
 _KERNEL_CELLS = 1 << 20
-# measured positions of a sampling handle's first exact-level kernel; a
-# search with k <= _WIDTH sets its kernel up once, a deeper one once more
-# per level past _WIDTH
-_WIDTH = 8
 # draws per query; a larger Hoeffding count is refused before any allocation
 MAX_SAMPLES = 10 ** 8
 _RE_I = np.array([1.0, 0.0, -1.0, 0.0])  # Re i^e, by e mod 4
@@ -315,13 +311,6 @@ class _SamplingPolyBox:
     def __init__(self, circuit, threads: int = 1):
         self.circuit = circuit
         self.threads = threads
-        # the exact levels' kernel over the first _width measured positions,
-        # and the selections 0, 1, 2, ... of its table (as rows over the
-        # kernel's positions) with their draws (``_exact_rows``)
-        self._width = 0
-        self._kernel = None
-        self._rows = np.zeros((0, 0), dtype=np.int64)
-        self._table = np.empty(0)
 
     def estimate(self, pattern: OutcomePattern, eps: float, delta: float,
                  rng: Optional[np.random.Generator] = None) -> Estimate:
@@ -356,53 +345,37 @@ class _SamplingPolyBox:
         """Exact marginal of each prefix row of the (m, j) 0/1 matrix bits:
         the mean of its draws over all 2^j selections, in ``_CHUNK`` rows.
         The first chunk's selections and sign-free draws are read from the
-        handle's table (``_exact_rows``); where its rows have fewer than j
+        handle's table (``_exact_table``); where its rows have fewer than j
         columns, those selections are zero past them, so only the bits'
-        leading columns enter the signs.  Each chunk past the table runs a
+        leading columns enter the signs.  The chunks past the table run one
         kernel over exactly j positions."""
         j = bits.shape[1]
         bits = np.asarray(bits, dtype=np.int64)
         total = 1 << j
-        hi = min(total, _CHUNK)
-        rows, table = self._exact_rows(hi, j)
+        rows, table = self._exact_table
+        hi = min(total, len(table))
         c = min(j, rows.shape[1])
         parts = [_signed_sums(bits[:, :c], rows[:hi, :c], table[:hi])]
-        for lo in range(_CHUNK, total, _CHUNK):
-            sel = _selections(lo, min(lo + _CHUNK, total), j)
-            parts.append(_signed_sums(bits, sel, self._kernel_over(j)(sel)))
+        if total > hi:
+            kernel = _blocked(self.values(self.circuit, range(j)),
+                              self.circuit.n)
+            for lo in range(hi, total, _CHUNK):
+                sel = _selections(lo, min(lo + _CHUNK, total), j)
+                parts.append(_signed_sums(bits, sel, kernel(sel)))
         return _means(parts, total)
 
-    def _exact_rows(self, hi: int, j: int):
-        """(rows, draws) of the handle's table, holding at least the
-        selections 0..hi-1 of a level over j positions, hi <= _CHUNK.  The
-        table is filled to 2^min(k, _WIDTH) rows at first and grown as
-        asked, from one kernel over w = max(j, min(k, _WIDTH)) positions: a
-        selection that is zero past column j draws there the same float as
-        over j positions, since its GF(2) image and Z4 form gain only zero
-        terms and its product has the same factors.  The rows are rebuilt
-        over w columns whenever the table grows, in the one ``_selections``
-        call that feeds the kernel, so a level-by-level search holds at
-        most _CHUNK x 13 of them.  A kernel is set up only when rows are
-        missing and w changes, so a search sets it up once while
-        j <= _WIDTH, and past that at most once per level."""
-        held = len(self._table)
-        if hi > held:
-            first = min(self.circuit.k, _WIDTH)
-            width = max(j, first)
-            self._rows = _selections(0, min(_CHUNK, max(hi, 1 << first)),
-                                     width)
-            self._table = np.concatenate(
-                (self._table, self._kernel_over(width)(self._rows[held:])))
-        return self._rows, self._table
-
-    def _kernel_over(self, width: int):
-        """The handle's kernel over its first width measured positions, in
-        row blocks, set up again only when width changes."""
-        if width != self._width:
-            self._width = width
-            self._kernel = _blocked(self.values(self.circuit, range(width)),
-                                    self.circuit.n)
-        return self._kernel
+    @cached_property
+    def _exact_table(self):
+        """(rows, draws): the 2^w selections over the first
+        w = min(k, log2 _CHUNK) measured positions, as rows, and their
+        draws from one kernel over those positions.  A selection that is
+        zero past column j draws there the same float as over j positions,
+        since its GF(2) image and Z4 form gain only zero terms and its
+        product has the same factors."""
+        w = min(self.circuit.k, _CHUNK.bit_length() - 1)
+        rows = _selections(0, 1 << w, w)
+        kernel = _blocked(self.values(self.circuit, range(w)), self.circuit.n)
+        return rows, kernel(rows)
 
 
 class ProdPolyBox(_SamplingPolyBox):
@@ -434,7 +407,9 @@ class CePolyBox:
 
     @property
     def dist(self) -> ExactDistribution:
-        """The exact output distribution, from the handle's inner build."""
+        """The exact output distribution, from the handle's inner build,
+        refused by its size before that build."""
+        check_encoded_size(self.circuit)
         return exact_distribution(self.circuit, self.p0)
 
     def estimate(self, pattern: OutcomePattern, eps: float,

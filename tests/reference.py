@@ -41,9 +41,9 @@ outcome draws as strings, and the exact L1 between multi-round
 transcripts.
 
 ``reference_parse_gate`` reads a gate line token by token through
-``int``, with no qubit table; the parser, which looks the tokens up in a
-per-parse table first, must accept and refuse the same lines, with the
-same messages.
+``int``; the parser, which reads a canonical file in one whole-text pass
+and any other file line by line, must accept and refuse the same lines,
+with the same messages.
 
 The per-draw cdf and chain samplers walk one draw at a time over string
 prefixes through a handle's ``prefix_probability(bits)``; ``PerPrefix``

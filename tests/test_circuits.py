@@ -232,7 +232,8 @@ def test_parsing_leaves_the_intern_table_alone(line, message):
 def gate_files(draw):
     """(n, gate lines) at the edge of what the parser takes: names in and
     outside the gate set, qubit tokens in range, at n, negative, or spelled
-    in forms int() reads but the qubit table does not, repeated lines."""
+    in forms int() reads but the canonical pass does not, repeated
+    lines."""
     n = draw(st.one_of(st.integers(1, 4), st.integers(1, 32)))
     # half of the tokens in range, so that a file's first fault is often
     # one of the others

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornbox import circuits, cli, experiments, samplers
+from bornbox import circuits, cli, experiments, oracle, polybox, samplers
 from bornbox.cli import format_float, run_command, to_json
 
 from conftest import DENSE, WorkStarted
@@ -321,6 +321,21 @@ def test_subcommand_parse_gives_the_full_parsers_namespace(subcommand, data):
     if direct is not None:
         assert full is not None and same_namespace(direct, full), argv
     assert direct is not None or not well_formed, argv
+
+
+def test_no_string_default_has_a_type():
+    """argparse passes a string default through its action's type at the
+    end of a parse; the direct path keeps every default as it is, which
+    is the same only while no store action has both."""
+    parsers, typed = [FULL], []
+    while parsers:
+        parser = parsers.pop()
+        parsers += subparsers(parser).values() if parser._subparsers else []
+        typed += [action.dest for action in parser._actions
+                  if type(action) is argparse._StoreAction
+                  and isinstance(action.default, str)
+                  and action.type is not None]
+    assert typed == []
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -645,7 +660,7 @@ REFUSALS = [
 
 # refusals on more circuit files: a 5-qubit GHZ, whose union bound runs
 # over 5 levels, an X-program, an inline block, a register above the cap,
-# gate lines the parser's qubit table does not take and eleven mixed qubits.
+# gate lines the canonical pass does not take and eleven mixed qubits.
 # Most rows began as a copy of a CI shell step, and keep its ci- ids; the
 # sparse rows are the only cap and union-bound rows over 5 levels.
 FIVE = "--circuit ghz5.qc"
@@ -916,6 +931,61 @@ def test_default_sparsity_above_oracle_limit_asks_for_sparsity(
     [line] = captured.err.splitlines()
     assert line.startswith("error: pass --sparsity")
     assert "BORNBOX_ORACLE_LIMIT" not in line
+
+
+# an encoding of an encoding of GHZ-2: 2 qubits, 4 measured bits
+NESTED_GHZ2 = ("family encoded\ninner\n  family encoded\n  inner\n"
+               "    family prod\n    qubits 2\n    gate H 0\n"
+               "    gate CNOT 0 1\n")
+NESTED_LIMIT = ("an encoded circuit of 4 measured bits exceeds the "
+                "exact-simulation limit of 2 + 1; set BORNBOX_ORACLE_LIMIT "
+                "to override")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle"], NESTED_LIMIT),
+    (["sample", "--method", "cdf"], NESTED_LIMIT),
+    (["sample", "--method", "chain"], NESTED_LIMIT),
+    (["sample", "--method", "sparse", "--estimator", "oracle",
+      "--sparsity", "2"], NESTED_LIMIT),
+    *[(["sample", "--method", "sparse", "--estimator", est],
+       "pass --sparsity: its default, the exact support size, needs the "
+       "dense oracle, which is limited to 3 measured bits for an encoded "
+       "circuit (this circuit has 4)") for est in ("oracle", "sampling")],
+    (["experiment", "sparsity"], NESTED_LIMIT),
+    (["experiment", "distinguish"], NESTED_LIMIT),
+], ids=["oracle", "cdf", "chain", "sparse-oracle-sparsity", "sparse-oracle",
+        "sparse-sampling", "experiment-sparsity", "experiment-distinguish"])
+def test_nested_encoding_above_the_oracle_limit_is_refused_before_any_build(
+        capsys, monkeypatch, tmp_path, argv, message):
+    """An encoded circuit measuring more than limit + 1 bits, which only a
+    nested encoding of a circuit within the limit does, is refused before
+    its inner marginal or any of its 2^k outcomes is computed."""
+    monkeypatch.setenv("BORNBOX_ORACLE_LIMIT", "2")
+
+    def never(*args):
+        raise AssertionError("dense encoded work ran")
+    for module in (oracle, polybox):
+        monkeypatch.setattr(module, "encoded_first_bit", never)
+        monkeypatch.setattr(module, "encoded_probabilities", never)
+    path = tmp_path / "nested.qc"
+    path.write_text(NESTED_GHZ2)
+    code = run_command(argv + ["--circuit", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message}\n"
+
+
+def test_single_encoding_at_the_oracle_limit_is_accepted(capsys, monkeypatch,
+                                                         tmp_path):
+    """An encoding of a circuit within the limit measures at most
+    limit + 1 bits, so its dense build is accepted."""
+    monkeypatch.setenv("BORNBOX_ORACLE_LIMIT", "2")
+    path = tmp_path / "enc.qc"
+    path.write_text("family encoded\ninner\n  family prod\n  qubits 2\n"
+                    "  gate H 0\n  gate CNOT 0 1\n")
+    doc, _ = run_json(capsys, ["oracle", "--circuit", str(path)])
+    assert doc["payload"]["probs"] == [0.125] * 8
 
 
 def test_sampling_estimator_with_sparsity_never_builds_the_oracle(

@@ -639,8 +639,7 @@ def test_table_levels_equal_the_per_level_kernel(data):
     """Levels read from the handle's one table give, float for float, the
     means of a kernel set up afresh per level: on prod circuits with pure
     and mixed inputs and on X-programs, in any level order, at levels
-    within and past the first kernel's width, and past a small table
-    cap."""
+    within and past the table's width, and past a small table cap."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     n = data.draw(st.integers(1, 10))
     k = data.draw(st.integers(1, n))
@@ -651,25 +650,22 @@ def test_table_levels_equal_the_per_level_kernel(data):
         c = random_prod_circuit(rng, n, data.draw(st.integers(0, 4 * n)),
                                 mixed=family == "mixed", k=k)
     levels = data.draw(st.lists(st.integers(0, k), min_size=1, max_size=5))
-    width = data.draw(st.sampled_from((1, 2, 3, polybox._WIDTH)))
     chunk = data.draw(st.sampled_from((2, 16, polybox._CHUNK)))
     box = BOXES["iqp" if family == "iqp" else "prod"](c)
-    with mock.patch.object(polybox, "_WIDTH", width), \
-            mock.patch.object(polybox, "_CHUNK", chunk):
+    with mock.patch.object(polybox, "_CHUNK", chunk):
         for j in levels:
             bits = rng.integers(0, 2, size=(data.draw(st.integers(1, 70)), j))
             got = box.exact_prefixes(bits)
             assert got.tolist() == per_level_exact_prefixes(box, bits).tolist()
-            assert len(box._table) <= chunk
+            assert len(box._exact_table[1]) <= chunk
 
 
-def test_first_exact_level_sets_up_eight_positions_and_level_nine_nine(
+def test_exact_table_sets_up_thirteen_positions_and_level_fourteen_fourteen(
         monkeypatch):
-    """On 2000 qubits the first exact level sets the kernel up over 8
-    positions and fills 2^8 rows, so the setup holds (8, 4001) words; the
-    next 7 levels compute nothing, level 9 sets up over exactly 9 positions
-    and computes only the 2^8 rows the table lacks, and a second search
-    on the handle computes nothing."""
+    """On 2000 qubits the first exact level sets the kernel up over 13
+    positions and computes the table's 2^13 rows; levels 1-13 and a second
+    pass over them compute nothing more, and level 14 sets up over exactly
+    14 positions and computes only the 2^13 rows past the table."""
     setups, rows = [], []
 
     def spy(circuit, positions):
@@ -682,21 +678,16 @@ def test_first_exact_level_sets_up_eight_positions_and_level_nine_nine(
         return value
     monkeypatch.setattr(ProdPolyBox, "values", staticmethod(spy))
     box = ProdPolyBox(ghz_circuit(2000))
-    box.exact_prefixes(np.zeros((2, 1), dtype=np.int64))
-    assert setups == [8] and sum(rows) <= 1 << 8
-    for j in range(2, 9):
+    for j in [*range(1, 14), *range(1, 14)]:
         box.exact_prefixes(np.zeros((2, j), dtype=np.int64))
-    assert setups == [8] and sum(rows) == 1 << 8
-    box.exact_prefixes(np.zeros((2, 9), dtype=np.int64))
-    assert setups == [8, 9] and sum(rows) == 1 << 9
-    for j in range(1, 10):
-        box.exact_prefixes(np.zeros((2, j), dtype=np.int64))
-    assert setups == [8, 9] and sum(rows) == 1 << 9
+        assert setups == [13] and sum(rows) == 1 << 13
+    box.exact_prefixes(np.zeros((2, 14), dtype=np.int64))
+    assert setups == [13, 14] and sum(rows) == 1 << 14
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_all_exact_search_builds_its_selection_rows_once(monkeypatch, k):
-    """An all-exact search with k <= _WIDTH makes one selection matrix, the
+    """An all-exact search with k <= 13 makes one selection matrix, the
     table's rows over k positions, with the table: every level reads its
     selections from those rows."""
     calls = []
@@ -712,7 +703,8 @@ def test_all_exact_search_builds_its_selection_rows_once(monkeypatch, k):
                           NoSpawnRng())
     assert sorted(p for p, _ in surv) == ["0" * k, "1" * k]
     assert calls == [(0, 1 << k, k)]
-    assert box._rows.shape == (1 << k, k) and len(box._table) == 1 << k
+    rows, table = box._exact_table
+    assert rows.shape == (1 << k, k) and len(table) == 1 << k
 
 
 # ---------------------------------------------------------------------------

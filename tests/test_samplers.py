@@ -7,11 +7,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bornbox import samplers
+from bornbox import polybox, samplers
 from bornbox.circuits import OutcomePattern, ProdCircuit
 from bornbox.oracle import (ExactDistribution, exact_distribution, l1_distance,
                             min_sparsity)
@@ -345,6 +345,28 @@ def test_sparse_plan_splits_and_refuses():
             with pytest.raises(ValueError, match="t must be >= 1"):
                 epsilon_simulate(box, SparsityPolynomial.constant(0), ghz3,
                                  1.3, count, np.random.default_rng(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 200),
+       eps_prime=st.floats(0.0, 13 / 6, exclude_min=True),
+       coefficients=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 1e-3)))
+@example(k=14, eps_prime=13 / 6, coefficients=(1.0, 0.0))
+def test_sparse_plans_enumerate_the_whole_exact_table(k, eps_prime,
+                                                      coefficients):
+    """Every sparse plan a sampling handle accepts enumerates at least
+    min(k, log2 _CHUNK) levels, so its search reads all of the handle's
+    exact-level table; eps' = 13/6, t = 1 and k = 14 give exactly 13."""
+    box = ProdPolyBox(ghz_circuit(2))
+    try:
+        plan = sparse_plan(box, SparsityPolynomial(coefficients), k,
+                           eps_prime)
+    except ValueError:
+        assume(False)
+    width = polybox._CHUNK.bit_length() - 1
+    assert plan.exact_levels >= min(k, width)
+    if (k, eps_prime, plan.t) == (14, 13 / 6, 1):
+        assert plan.exact_levels == width == 13
 
 
 def test_sparse_sample_point_mass():
